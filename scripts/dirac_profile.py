@@ -15,8 +15,8 @@ import numpy as np
 
 from potlab.field import VectorField, constant_coefficient
 from potlab.grid import Grid2D, GridFunction, MeasureData, gradient
-from potlab.harness.config import radial_potential_profile
 from potlab.orlicz import PowerGrowth
+from potlab.potentials import radial_potential_profile
 from potlab.solver import ObstacleProblem, SolverConfig, mollify_measure, solve_equation
 
 

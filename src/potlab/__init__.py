@@ -22,7 +22,6 @@ from .errors import (
 )
 from .orlicz import (
     GrowthFunction,
-    OrliczG,
     PowerGrowth,
     RegularizedPowerGrowth,
     TabulatedGrowth,

@@ -2,14 +2,16 @@
 
 Nodes sit at cell centers of an n-by-n square grid; the outermost node
 ring doubles as the Dirichlet trace.  Ball queries snap their center to
-the nearest node and reuse cached offset tables, so repeated ladder
-evaluations cost one fancy-indexing gather per (center, radius).  Measure
-mass queries keep the exact center: atom membership is a closed-ball
-distance test and cut cells follow the node-center-in-disk rule.
+the nearest node and reuse offset tables cached per radius/h, so repeated
+ladder evaluations cost one fancy-indexing gather per (center, radius).
+Measure mass queries keep the exact center (``disk_mask``): atom
+membership is a closed-ball distance test and cut cells follow the
+node-center-in-disk rule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,12 +27,13 @@ from .errors import (
 __all__ = [
     "Grid2D",
     "GridFunction",
-    "BallIndex",
     "MeasureData",
     "gradient",
     "hessian",
     "ball_average",
     "ball_nodes",
+    "ball_offsets",
+    "disk_mask",
     "disk_integral",
     "ball_mass",
     "median",
@@ -160,42 +163,24 @@ class GridFunction:
         return f"GridFunction(n={self.grid.n}, range=[{self.values.min():.3g}, {self.values.max():.3g}])"
 
 
-class BallIndex:
-    """Offset tables for node-centered disks, one entry per radius.
+@functools.lru_cache(maxsize=512)
+def ball_offsets(ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only node offsets (di, dj) of a node-centered disk whose radius
+    is ``ratio`` mesh widths.
 
     Membership is the node-center rule |node - center| <= radius; every
     listed offset keeps the node inside the stated radius, and the node
-    count matches the disk area up to one boundary ring.
+    count matches the disk area up to one boundary ring.  The tables
+    depend on radius/h only, so every grid shares them.
     """
-
-    def __init__(self, grid: Grid2D):
-        self.grid = grid
-        self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def offsets(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        key = round(radius / self.grid.h, 9)
-        tab = self._tables.get(key)
-        if tab is None:
-            m = int(np.floor(radius / self.grid.h + _EPS))
-            rng = np.arange(-m, m + 1)
-            di, dj = np.meshgrid(rng, rng, indexing="ij")
-            keep = (di.astype(float) ** 2 + dj.astype(float) ** 2) <= (
-                radius / self.grid.h
-            ) ** 2 * (1.0 + 1e-12)
-            tab = (di[keep].ravel(), dj[keep].ravel())
-            self._tables[key] = tab
-        return tab
-
-
-_INDEX_CACHE: dict[int, BallIndex] = {}
-
-
-def _index_for(grid: Grid2D) -> BallIndex:
-    idx = _INDEX_CACHE.get(id(grid))
-    if idx is None or idx.grid is not grid:
-        idx = BallIndex(grid)
-        _INDEX_CACHE[id(grid)] = idx
-    return idx
+    m = int(np.floor(ratio + _EPS))
+    rng = np.arange(-m, m + 1)
+    di, dj = np.meshgrid(rng, rng, indexing="ij")
+    keep = (di.astype(float) ** 2 + dj.astype(float) ** 2) <= ratio**2 * (1.0 + 1e-12)
+    di, dj = di[keep].ravel(), dj[keep].ravel()
+    di.flags.writeable = False
+    dj.flags.writeable = False
+    return di, dj
 
 
 def ball_nodes(grid: Grid2D, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +196,7 @@ def ball_nodes(grid: Grid2D, center, radius: float) -> tuple[np.ndarray, np.ndar
     cx, cy = grid.node_position(ix, iy)
     if not grid.contains_ball((cx, cy), radius):
         raise DomainError(f"ball of radius {radius:.4g} at {center} exits the domain")
-    di, dj = _index_for(grid).offsets(radius)
+    di, dj = ball_offsets(radius / grid.h)
     return ix + di, iy + dj
 
 
@@ -236,15 +221,22 @@ def largest_median(values) -> float:
     return float(vals[(k - 1) // 2])
 
 
+def disk_mask(grid: Grid2D, center, radius: float) -> np.ndarray:
+    """Nodes of the closed disk around the exact (unsnapped) center.
+
+    The disk may exit the domain; nodes outside it are simply absent.
+    """
+    return (grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2 <= radius**2 * (1 + 1e-12)
+
+
 def disk_integral(f: GridFunction, center, radius: float) -> float:
-    """Sum of f * h^2 over nodes within radius of the exact center.
+    """Sum of f * h^2 over the nodes of the exact-center closed disk.
 
     Mass-type query: the disk may exit the domain (the outside contributes
     nothing), and the center is not snapped.
     """
     g = f.grid
-    mask = (g.X - center[0]) ** 2 + (g.Y - center[1]) ** 2 <= radius**2 * (1 + 1e-12)
-    return float(f.values[mask].sum() * g.h * g.h)
+    return float(f.values[disk_mask(g, center, radius)].sum() * g.h * g.h)
 
 
 def gradient(f: GridFunction) -> tuple[GridFunction, GridFunction]:

@@ -2,7 +2,7 @@
 
 from .config import ExperimentConfig, Instance, build_instance, load_config
 from .checks import CHECKS, CheckReport, CheckRow, SolveCache, run_checks
-from .cli import main, run_cli
+from .cli import main
 
 __all__ = [
     "ExperimentConfig",
@@ -15,5 +15,4 @@ __all__ = [
     "SolveCache",
     "run_checks",
     "main",
-    "run_cli",
 ]

@@ -2,11 +2,26 @@
 
 The constants in the target inequalities are non-constructive, so every
 check is ratio-based: it computes both sides at sampled balls or points
-and passes when its empirical constant (the worst LHS/RHS ratio, with
-radius ladders aggregated per cell) drifts by less than a factor 3
-across meshes, data scalings, and parameter values.  Rows whose right
-side would vanish are flagged instead of divided; exact-match rows
-additionally assert that the left side sits at solver-tolerance level.
+and records each LHS/RHS ratio in a ``RatioStudy``.  A sweep cell's
+empirical constant is its worst ratio (radius ladders and sample points
+aggregate per cell), and cells group into families of one inequality.
+Rows whose right side would vanish are flagged instead of divided;
+exact-match rows additionally assert that the left side sits at
+solver-tolerance level.
+
+One gate decides every ratio check.  It passes when all of these hold:
+
+* no row is flagged ``failed``;
+* every ratio is finite and >= 0;
+* every family with >= 2 cells has drift (largest over smallest positive
+  constant) below ``DRIFT_LIMIT`` = 3, across meshes, data scalings and
+  parameter values;
+* at least one row is a ratio cell or an ``exact-match``;
+* the check's own extra condition holds (an alpha = 0 consistency gap,
+  a swap symmetry, or a measured drift).
+
+``excess_decay_homogeneous`` is a fit check: its verdict is its
+power-law fit criterion, and the study only carries its rows.
 """
 
 from __future__ import annotations
@@ -42,8 +57,10 @@ from ..solver import (
 from .config import ExperimentConfig, Instance, build_instance
 
 __all__ = [
+    "DRIFT_LIMIT",
     "CheckRow",
     "CheckReport",
+    "RatioStudy",
     "SolveCache",
     "EstimateContext",
     "build_context",
@@ -63,6 +80,7 @@ __all__ = [
 ]
 
 _RHS_FLOOR = 1e-14
+DRIFT_LIMIT = 3.0
 
 
 @dataclass
@@ -83,25 +101,83 @@ class CheckReport:
     passed: bool
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def ratios(self) -> list[float]:
-        return [r.ratio for r in self.rows if r.ratio is not None]
-
-
-def _make_row(point, radius, lhs, rhs, exact_tol=None) -> CheckRow:
-    if rhs > _RHS_FLOOR:
-        return CheckRow(point, radius, lhs, rhs, lhs / rhs)
-    flag = "degenerate-skip"
-    if exact_tol is not None:
-        flag = "exact-match" if lhs <= exact_tol else "failed"
-    return CheckRow(point, radius, lhs, rhs, None, flag)
-
 
 def _drift(values) -> float | None:
     vals = [v for v in values if v is not None and v > 0]
     if len(vals) < 2:
         return None
     return max(vals) / min(vals)
+
+
+class RatioStudy:
+    """The rows of one check and the empirical constants behind its verdict.
+
+    ``add`` records a row; a row with a ratio and a ``cell`` key raises
+    that cell's constant to the row's ratio if it is the worst so far.
+    ``family`` groups the cells whose constants must agree with each other
+    (one inequality of the check); by default all cells form one family.
+    """
+
+    def __init__(self):
+        self.rows: list[CheckRow] = []
+        self.families: dict = {}  # family -> {cell: worst ratio}
+
+    def add(self, point, radius, lhs, rhs, *, exact_tol=None, cell=None,
+            family=None, tag: str = "") -> CheckRow:
+        """Record lhs against rhs.  A right side at or below the floor is
+        not divided: the row is flagged ``degenerate-skip``, or, given
+        ``exact_tol``, ``exact-match`` when lhs <= exact_tol and ``failed``
+        otherwise.  ``tag`` is appended to the flag."""
+        if rhs > _RHS_FLOOR:
+            row = CheckRow(point, radius, lhs, rhs, lhs / rhs)
+        else:
+            flag = "degenerate-skip"
+            if exact_tol is not None:
+                flag = "exact-match" if lhs <= exact_tol else "failed"
+            row = CheckRow(point, radius, lhs, rhs, None, flag)
+        if tag:
+            row.flag = f"{row.flag} {tag}" if row.flag else tag
+        self.rows.append(row)
+        if cell is not None and row.ratio is not None:
+            cells = self.families.setdefault(family, {})
+            cells[cell] = max(cells.get(cell, row.ratio), row.ratio)
+        return row
+
+    def drift(self) -> float | None:
+        """Largest over smallest positive cell constant, pooled over every
+        cell; None below two such cells."""
+        return _drift(v for cells in self.families.values() for v in cells.values())
+
+    def family_drifts(self) -> dict:
+        """Drift within each family, keyed by family."""
+        return {fam: _drift(cells.values()) for fam, cells in self.families.items()}
+
+    def passed(self) -> bool:
+        """The gate, without the check's own extra condition."""
+        flags = [set(r.flag.split()) for r in self.rows]
+        ratios = [r.ratio for r in self.rows if r.ratio is not None]
+        return (
+            not any("failed" in f for f in flags)
+            and all(np.isfinite(q) and q >= 0 for q in ratios)
+            and all(d is None or d < DRIFT_LIMIT for d in self.family_drifts().values())
+            and (bool(self.families) or any("exact-match" in f for f in flags))
+        )
+
+    def summary(self) -> dict:
+        """Row count, worst and median ratio, and the pooled drift."""
+        ratios = [r.ratio for r in self.rows if r.ratio is not None]
+        return {
+            "rows": len(self.rows),
+            "max_ratio": max(ratios) if ratios else None,
+            "median_ratio": float(np.median(ratios)) if ratios else None,
+            "drift": self.drift(),
+        }
+
+    def report(self, name: str, *, extra: bool = True, notes=None, **summary) -> CheckReport:
+        """The check's report: the gate and-ed with ``extra``; ``summary``
+        entries extend or override the study's summary."""
+        return CheckReport(name, self.rows, {**self.summary(), **summary},
+                           self.passed() and extra, list(notes or []))
 
 
 class SolveCache:
@@ -214,7 +290,7 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
         px, py = gradient(inst.obstacle)
         pmag = np.hypot(px.values, py.values)
         gpsi = inst.obstacle.with_values(
-            inst.og.G(pmag) + inst.og.G(np.abs(inst.obstacle.values))
+            inst.growth.G(pmag) + inst.growth.G(np.abs(inst.obstacle.values))
         )
     modulus = inst.field.oscillation_modulus(
         inst.grid, r_max, gamma_prime=inst.config.gamma_prime
@@ -235,9 +311,9 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
 
 def _dini_weight(ctx: EstimateContext, x):
     gpsi = ctx.gpsi
-    og = ctx.inst.og
+    growth = ctx.inst.growth
     def weight(rho):
-        return float(og.G_inverse(ball_average(gpsi, x, rho)))
+        return float(growth.G_inverse(ball_average(gpsi, x, rho)))
     return weight
 
 
@@ -334,15 +410,18 @@ def obstacle_error_term(ctx: EstimateContext, x, R: float) -> float:
     return (R * ball_average(ctx.od.kernel, x, R)) ** (1.0 / ig)
 
 
-def coefficient_error_term(ctx: EstimateContext, x, R: float) -> float:
-    """omega(R)^(1/(1+sg)) {avg_{B_R}|Du| + G^{-1}[avg (G|Dpsi| + G|psi|)]}."""
+def coefficient_error_term(ctx: EstimateContext, mag: GridFunction, x,
+                           r_omega: float, r_avg: float) -> float:
+    """omega(r_omega)^(1/(1+sg)) {avg|Dv| + G^{-1}[avg (G|Dpsi| + G|psi|)]},
+    averages over B_{r_avg}(x) and |Dv| = mag; zero for a coefficient
+    without oscillation."""
     om = ctx.modulus
     if om.is_zero():
         return 0.0
-    omR = float(np.interp(R, om.radii, om.values))
-    bracket = ball_average(ctx.du_mag, x, R)
+    omR = float(np.interp(r_omega, om.radii, om.values))
+    bracket = ball_average(mag, x, r_avg)
     if ctx.gpsi is not None:
-        bracket += float(ctx.inst.og.G_inverse(ball_average(ctx.gpsi, x, R)))
+        bracket += float(ctx.inst.growth.G_inverse(ball_average(ctx.gpsi, x, r_avg)))
     return omR**om.dini_exponent * bracket
 
 
@@ -353,7 +432,7 @@ def excess_rhs_with_errors(ctx: EstimateContext, x, R: float, rho: float,
     amp = (R / rho) ** 2
     return decay + amp * (
         measure_error_term(ctx, x, R) + obstacle_error_term(ctx, x, R)
-    ) + amp * coefficient_error_term(ctx, x, R)
+    ) + amp * coefficient_error_term(ctx, ctx.du_mag, x, R, R)
 
 
 def fit_excess_decay(gx: GridFunction, gy: GridFunction, x0, radii):
@@ -376,10 +455,8 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     (R avg|f|)^(1/ig), or the (mass/R^{n-1})^(1/ig) form for measures."""
     center = _param(cfg, "center", (0.5, 0.5))
     R = _param(cfg, "radius", 0.25)
-    rows: list[CheckRow] = []
+    study = RatioStudy()
     notes: list[str] = []
-    cells: dict = {}
-    failed = False
     for n in cfg.meshes():
         prev: Solution | None = None
         for s in cfg.sweep_axis("scale"):
@@ -388,7 +465,7 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
             key = ("cmp", n, float(s))
             measure_form = inst.measure is not None and inst.measure.atoms and inst.measure.density is None
             if inst.measure is None:
-                rows.append(CheckRow(center, R, 0.0, 0.0, None, "degenerate-skip"))
+                study.add(center, R, 0.0, 0.0)
                 notes.append("no right-hand data; check skipped")
                 continue
             if measure_form:
@@ -414,10 +491,8 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
             else:
                 absf = inst.measure.density.with_values(np.abs(inst.measure.density.values))
                 rhs = (R * ball_average(absf, center, R)) ** (1.0 / ig)
-            row = _make_row(center, R, lhs, rhs, exact_tol=10 * inst.solver.tol)
-            rows.append(row)
-            failed |= row.flag == "failed"
-            cells[(n, float(s))] = row.ratio
+            study.add(center, R, lhs, rhs, exact_tol=10 * inst.solver.tol,
+                      cell=(n, float(s)))
             if measure_form:
                 off = _param(cfg, "off_center", (0.78, 0.5))
                 r_off = _param(cfg, "off_radius", 0.1)
@@ -430,12 +505,9 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
                 )
                 lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
                 mass_off = ball_mass(inst.measure, off, r_off)
-                rows.append(_make_row(off, r_off, lhs_off, (mass_off / r_off) ** (1 / ig),
-                                      exact_tol=10 * inst.solver.tol))
-    drift = _drift(cells.values())
-    passed = not failed and (drift is None or drift < 3.0)
-    summary = _summary(rows, drift=drift)
-    return CheckReport("comparison_inhomogeneous", rows, summary, passed, notes)
+                study.add(off, r_off, lhs_off, (mass_off / r_off) ** (1 / ig),
+                          exact_tol=10 * inst.solver.tol)
+    return study.report("comparison_inhomogeneous", notes=notes)
 
 
 def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -445,9 +517,7 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     R = _param(cfg, "radius", 0.2)
     side_center = _param(cfg, "side_center", (0.33, 0.5))
     side_R = _param(cfg, "side_radius", 0.15)
-    rows: list[CheckRow] = []
-    cells: dict = {}
-    failed = False
+    study = RatioStudy()
     oscillating = cfg.coefficient.get("preset") in ("jump", "checkerboard")
     amplitudes = cfg.sweep_axis("amplitude") if oscillating else [None]
     for n in cfg.meshes():
@@ -457,7 +527,7 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
             sol = primary_solution(cfg, cache, inst, key)
             ctx = cache.get((key, "ctx"), lambda: build_context(inst, sol, 2 * R))
 
-            def frozen_row(ball_center, ball_R, stage):
+            def frozen_row(ball_center, ball_R, stage, cell=None):
                 w = cache.get(
                     (key, "frozen", stage),
                     lambda: solve_frozen(
@@ -472,36 +542,16 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
                 # and the left side must sit at solver tolerance
                 om_ball = inst.field.coefficient.on_nodes(inst.grid)
                 ii, jj = ball_nodes(inst.grid, ball_center, ball_R)
-                if float(np.ptp(om_ball[ii, jj])) <= 1e-12:
-                    return CheckRow(
-                        ball_center, ball_R, lhs, 0.0, None,
-                        "exact-match" if lhs <= 10 * inst.solver.tol else "failed",
-                    )
-                om = ctx.modulus
-                omR = (
-                    float(np.interp(ball_R, om.radii, om.values))
-                    if not om.is_zero() else 0.0
-                )
-                bracket = ball_average(ctx.du_mag, ball_center, 2 * ball_R)
-                if ctx.gpsi is not None:
-                    bracket += float(
-                        inst.og.G_inverse(ball_average(ctx.gpsi, ball_center, 2 * ball_R))
-                    )
-                rhs = omR ** (1.0 / (1.0 + inst.growth.sg)) * bracket
-                return _make_row(ball_center, ball_R, lhs, rhs,
-                                 exact_tol=10 * inst.solver.tol)
+                rhs = 0.0
+                if float(np.ptp(om_ball[ii, jj])) > 1e-12:
+                    rhs = coefficient_error_term(ctx, ctx.du_mag, ball_center,
+                                                 ball_R, 2 * ball_R)
+                study.add(ball_center, ball_R, lhs, rhs, exact_tol=10 * inst.solver.tol,
+                          cell=cell)
 
-            row = frozen_row(center, R, "main")
-            rows.append(row)
-            failed |= row.flag == "failed"
-            if row.ratio is not None:
-                cells[(n, amp)] = row.ratio
-            side_row = frozen_row(side_center, side_R, "side")
-            rows.append(side_row)
-            failed |= side_row.flag == "failed"
-    drift = _drift(cells.values())
-    passed = not failed and (drift is None or drift < 3.0)
-    return CheckReport("frozen_coefficient", rows, _summary(rows, drift=drift), passed)
+            frozen_row(center, R, "main", cell=(n, amp))
+            frozen_row(side_center, side_R, "side")
+    return study.report("frozen_coefficient")
 
 
 def _contact_solution(cfg, cache, n, s) -> tuple[Instance, Solution]:
@@ -517,41 +567,32 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
     the ball mean of u."""
     center = _param(cfg, "center", (0.5, 0.5))
     R0 = _param(cfg, "radius", 0.36)
-    rows: list[CheckRow] = []
-    cells: dict = {}
+    study = RatioStudy()
     for n in cfg.meshes():
         for s in cfg.sweep_axis("scale"):
             inst, sol = _contact_solution(cfg, cache, n, s)
-            og = inst.og
+            growth = inst.growth
             _, _, mag = grad_fields(sol.u)
-            G_du = sol.u.with_values(og.G(mag.values))
+            G_du = sol.u.with_values(growth.G(mag.values))
             radii = [R for R in (R0, R0 / 2, R0 / 4) if R / 2 >= 2 * inst.grid.h]
-            cell_ratios = []
             for R in radii:
                 lam = ball_average(sol.u, center, R)
                 lhs = ball_average(G_du, center, R / 2)
                 rhs = ball_average(
-                    sol.u.with_values(og.G(np.abs(sol.u.values - lam) / R)), center, R
+                    sol.u.with_values(growth.G(np.abs(sol.u.values - lam) / R)), center, R
                 )
                 if inst.obstacle is not None:
                     psi = inst.obstacle
                     px, py = gradient(psi)
                     pmag = np.hypot(px.values, py.values)
                     rhs += ball_average(
-                        psi.with_values(og.G(np.abs(psi.values) / R) + og.G(pmag)),
+                        psi.with_values(growth.G(np.abs(psi.values) / R) + growth.G(pmag)),
                         center, R,
                     )
-                row = _make_row(center, R, lhs, rhs)
-                rows.append(row)
-                if row.ratio is not None:
-                    cell_ratios.append(row.ratio)
-            # the empirical constant of this cell: the worst ratio over the
-            # radius ladder (at slack radii the bound is simply not sharp)
-            if cell_ratios:
-                cells[(n, float(s))] = max(cell_ratios)
-    drift = _drift(cells.values())
-    passed = drift is not None and drift < 3.0
-    return CheckReport("caccioppoli", rows, _summary(rows, drift=drift), passed)
+                # the cell's constant is the worst ratio over the radius
+                # ladder (at slack radii the bound is simply not sharp)
+                study.add(center, R, lhs, rhs, cell=(n, float(s)))
+    return study.report("caccioppoli", extra=study.drift() is not None)
 
 
 def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -560,38 +601,29 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     with u >= 0."""
     center = _param(cfg, "center", (0.5, 0.5))
     R0 = _param(cfg, "radius", 0.36)
-    rows: list[CheckRow] = []
-    cells: dict = {}
+    study = RatioStudy()
     for n in cfg.meshes():
         for s in cfg.sweep_axis("scale"):
             inst, sol = _contact_solution(cfg, cache, n, s)
-            og = inst.og
+            growth = inst.growth
             # shift data so u >= 0; the homogeneous problem is invariant
             shift = min(0.0, float(sol.u.values.min()))
             _, _, mag = grad_fields(sol.u)
-            G_du = sol.u.with_values(og.G(mag.values))
+            G_du = sol.u.with_values(growth.G(mag.values))
             radii = [R for R in (R0, R0 / 2, R0 / 4) if 3 * R / 4 >= 2 * inst.grid.h]
-            cell_ratios = []
             for R in radii:
                 lhs = ball_average(G_du, center, 3 * R / 4)
-                rhs = float(og.G(ball_average(mag, center, R)))
+                rhs = float(growth.G(ball_average(mag, center, R)))
                 if inst.obstacle is not None:
                     psi_shift = inst.obstacle.values - shift
                     px, py = gradient(inst.obstacle)
                     pmag = np.hypot(px.values, py.values)
                     rhs += ball_average(
-                        inst.obstacle.with_values(og.G(pmag) + og.G(np.abs(psi_shift))),
+                        inst.obstacle.with_values(growth.G(pmag) + growth.G(np.abs(psi_shift))),
                         center, R,
                     )
-                row = _make_row(center, R, lhs, rhs)
-                rows.append(row)
-                if row.ratio is not None:
-                    cell_ratios.append(row.ratio)
-            if cell_ratios:
-                cells[(n, float(s))] = max(cell_ratios)
-    drift = _drift(cells.values())
-    passed = drift is not None and drift < 3.0
-    return CheckReport("reverse_holder", rows, _summary(rows, drift=drift), passed)
+                study.add(center, R, lhs, rhs, cell=(n, float(s)))
+    return study.report("reverse_holder", extra=study.drift() is not None)
 
 
 def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -599,11 +631,10 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     S^{-1}(avg S(|Du|)) for the solved field and two synthetic fields."""
     center = _param(cfg, "center", (0.5, 0.5))
     R = _param(cfg, "radius", 0.3)
-    rows: list[CheckRow] = []
-    cells: dict = {}
+    study = RatioStudy()
     for n in cfg.meshes():
         inst, sol = _contact_solution(cfg, cache, n, 1.0)
-        og = inst.og
+        growth = inst.growth
         fields = {
             "solution": sol.u,
             "affine": GridFunction.from_callable(inst.grid, lambda X, Y: X),
@@ -614,24 +645,17 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
         for label, u in fields.items():
             _, _, mag = grad_fields(u)
             m = median(u, center, R)
-            lhs = float(og.G_inverse(
-                ball_average(u.with_values(og.G(np.abs(u.values - m) / R)), center, R)
+            lhs = float(growth.G_inverse(
+                ball_average(u.with_values(growth.G(np.abs(u.values - m) / R)), center, R)
             ))
             S_vals = np.zeros_like(mag.values)
             pos = mag.values > 0
-            S_vals[pos] = og.S(mag.values[pos], 2)
-            rhs = float(og.S_inverse(ball_average(u.with_values(S_vals), center, R), 2))
-            row = _make_row(center, R, lhs, rhs)
-            rows.append(row)
-            if row.ratio is not None:
-                cells[(label, n)] = row.ratio
-    per_field = {}
-    for (label, n), ratio in cells.items():
-        per_field.setdefault(label, []).append(ratio)
-    drifts = [_drift(v) for v in per_field.values()]
-    passed = all(d is None or d < 3.0 for d in drifts) and bool(cells)
-    drift = max((d for d in drifts if d is not None), default=None)
-    return CheckReport("sobolev_median", rows, _summary(rows, drift=drift), passed)
+            S_vals[pos] = growth.S(mag.values[pos], 2)
+            rhs = float(growth.S_inverse(ball_average(u.with_values(S_vals), center, R), 2))
+            study.add(center, R, lhs, rhs, cell=n, family=label)
+    # the reported drift is the worst field's: the fields differ in kind
+    drifts = [d for d in study.family_drifts().values() if d is not None]
+    return study.report("sobolev_median", drift=max(drifts, default=None))
 
 
 def _homogeneous_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -644,7 +668,11 @@ def _homogeneous_config(cfg: ExperimentConfig) -> ExperimentConfig:
     )
 
 
-def _homogeneous_fit(cfg, cache, n, center, R):
+def _homogeneous_fit(cfg, cache, n):
+    """Excess-decay fit of the homogeneous equation at the config's decay
+    ball: (inst, radii, beta_hat, prefactor, residual, excess values)."""
+    center = _param(cfg, "decay_center", (0.38, 0.31))
+    R = _param(cfg, "decay_radius", 0.28)
     hcfg = _homogeneous_config(cfg)
     inst = build_instance(hcfg, n)
     key = ("homog-decay", n)
@@ -652,7 +680,7 @@ def _homogeneous_fit(cfg, cache, n, center, R):
     gx, gy, _ = grad_fields(sol.u)
     radii = radius_ladder(max(6 * inst.grid.h, R / 8), R, 16)
     beta_hat, pref, resid, exc = fit_excess_decay(gx, gy, center, radii)
-    return inst, sol, radii, beta_hat, pref, resid, exc
+    return inst, radii, beta_hat, pref, resid, exc
 
 
 def check_excess_decay_homogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -660,27 +688,24 @@ def check_excess_decay_homogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     homogeneous equation; reports the fitted exponent and log residual."""
     center = _param(cfg, "decay_center", (0.38, 0.31))
     R = _param(cfg, "decay_radius", 0.28)
-    rows: list[CheckRow] = []
+    study = RatioStudy()
     summary: dict = {}
     passed = True
     for n in cfg.meshes():
-        inst, sol, radii, beta_hat, pref, resid, exc = _homogeneous_fit(
-            cfg, cache, n, center, R
-        )
+        inst, radii, beta_hat, pref, resid, exc = _homogeneous_fit(cfg, cache, n)
         if exc[-1] <= 10 * inst.solver.tol:
-            rows.append(CheckRow(center, R, exc[-1], 0.0, None, "trivial-skip"))
+            study.rows.append(CheckRow(center, R, exc[-1], 0.0, None, "trivial-skip"))
             continue
         for rho, e in zip(radii, exc):
-            fit_val = pref * rho**beta_hat
-            rows.append(_make_row(center, rho, float(e), float(fit_val)))
+            study.add(center, rho, float(e), float(pref * rho**beta_hat))
         summary[f"beta_hat_n{n}"] = beta_hat
         summary[f"fit_residual_n{n}"] = resid
         passed &= beta_hat > 0.05 and resid < 0.2
     betas = [v for k, v in summary.items() if k.startswith("beta_hat")]
     if len(betas) >= 2:
         summary["beta_spread"] = max(betas) - min(betas)
-    summary.update(_summary(rows))
-    return CheckReport("excess_decay_homogeneous", rows, summary, passed)
+    summary.update(study.summary())
+    return CheckReport("excess_decay_homogeneous", study.rows, summary, passed)
 
 
 def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -688,83 +713,54 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
     decay term plus measure, obstacle, and coefficient error terms."""
     center = _param(cfg, "errors_center", (0.58, 0.58))
     R = _param(cfg, "errors_radius", 0.2)
-    rows: list[CheckRow] = []
+    study = RatioStudy()
     notes: list[str] = []
-    cells: dict = {}
     for n in cfg.meshes():
         inst = build_instance(cfg, n)
         key = ("full", n)
         sol = primary_solution(cfg, cache, inst, key)
         ctx = cache.get((key, "ctx", R), lambda: build_context(inst, sol, 2 * R))
-        _, _, _, beta_hat, _, _, _ = _homogeneous_fit(
-            cfg, cache, n, _param(cfg, "decay_center", (0.38, 0.31)),
-            _param(cfg, "decay_radius", 0.28),
-        )
+        beta_hat = _homogeneous_fit(cfg, cache, n)[2]
         chain = cache.get(
             (key, "chain", center, R),
             lambda: comparison_chain(inst.problem(rhs=None), (center, R),
                                      inst.solver, outer=sol),
         )
-        for stage_row in _chain_stage_rows(inst, ctx, chain, sol, center, R):
-            rows.append(stage_row)
+        stages = _chain_stage_rows(study, inst, ctx, chain, sol, center, R)
         notes.append(
             f"n={n} chain stage ratios: "
             + " ".join(
                 f"{r.flag.split('-')[-1]}={'degenerate' if r.ratio is None else format(r.ratio, '.3g')}"
-                for r in rows[-4:]
+                for r in stages
             )
         )
         excess_R = vector_excess(ctx.du_x, ctx.du_y, center, R)
         radii = radius_ladder(max(6 * inst.grid.h, R / 10), R, 12)
-        mesh_ratios = []
         for rho in radii:
             lhs = vector_excess(ctx.du_x, ctx.du_y, center, rho)
             rhs = excess_rhs_with_errors(ctx, center, R, rho, beta_hat, excess_R)
-            row = _make_row(center, rho, lhs, rhs)
-            rows.append(row)
-            if row.ratio is not None:
-                mesh_ratios.append(row.ratio)
-        if mesh_ratios:
-            cells[n] = max(mesh_ratios)
-    drift = _drift(cells.values())
-    finite = all(np.isfinite(r.ratio) for r in rows if r.ratio is not None)
-    passed = finite and bool(cells) and (drift is None or drift < 3.0)
-    return CheckReport(
-        "excess_decay_with_errors", rows, _summary(rows, drift=drift), passed, notes
-    )
+            study.add(center, rho, lhs, rhs, cell=n)
+    return study.report("excess_decay_with_errors", notes=notes)
 
 
-def _chain_stage_rows(inst: Instance, ctx: EstimateContext, chain, sol,
-                      center, R: float) -> list[CheckRow]:
-    """One ratio row per comparison-chain stage, each against the bound
+def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
+                      chain, sol, center, R: float) -> list[CheckRow]:
+    """Record one row per comparison-chain stage, each against the bound
     shape that controls it: the measure term for the inhomogeneity removal,
     the coefficient modulus for the freezing step, and the obstacle flux
     for the two equation transitions."""
     ig = inst.growth.ig
-    og = inst.og
     tol = 10 * inst.solver.tol
     half = R / 2.0
     out = []
     # inhomogeneity removal
     lhs1 = ball_average(grad_distance_field(sol.u, chain.w1.u), center, R)
-    rhs1 = 0.0
-    if inst.measure is not None:
-        rhs1 = (ball_mass(inst.measure, center, R) / R) ** (1.0 / ig)
-    row = _make_row(center, R, lhs1, rhs1, exact_tol=tol)
-    row.flag = (row.flag + " " if row.flag else "") + "chain-w1"
-    out.append(row)
+    rhs1 = measure_error_term(ctx, center, R)
+    out.append(study.add(center, R, lhs1, rhs1, exact_tol=tol, tag="chain-w1"))
     # coefficient freezing
     lhs2 = ball_average(grad_distance_field(chain.w1.u, chain.w2.u), center, half)
-    om = ctx.modulus
-    omR = float(np.interp(half, om.radii, om.values)) if not om.is_zero() else 0.0
-    w1x, w1y, w1mag = grad_fields(chain.w1.u)
-    bracket = ball_average(w1mag, center, R)
-    if ctx.gpsi is not None:
-        bracket += float(og.G_inverse(ball_average(ctx.gpsi, center, R)))
-    rhs2 = omR ** (1.0 / (1.0 + inst.growth.sg)) * bracket
-    row = _make_row(center, half, lhs2, rhs2, exact_tol=tol)
-    row.flag = (row.flag + " " if row.flag else "") + "chain-w2"
-    out.append(row)
+    rhs2 = coefficient_error_term(ctx, grad_fields(chain.w1.u)[2], center, half, R)
+    out.append(study.add(center, half, lhs2, rhs2, exact_tol=tol, tag="chain-w2"))
     # obstacle-flux transitions: both gaps are controlled by
     # (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
     if inst.obstacle is not None:
@@ -778,9 +774,7 @@ def _chain_stage_rows(inst: Instance, ctx: EstimateContext, chain, sol,
         rhs34 = (half * 1.0) ** (1.0 / ig)
     for label, a, b in (("chain-w3", chain.w2, chain.w3), ("chain-w4", chain.w3, chain.w4)):
         lhs = ball_average(grad_distance_field(a.u, b.u), center, half)
-        row = _make_row(center, half, lhs, rhs34, exact_tol=tol)
-        row.flag = (row.flag + " " if row.flag else "") + label
-        out.append(row)
+        out.append(study.add(center, half, lhs, rhs34, exact_tol=tol, tag=label))
     return out
 
 
@@ -788,24 +782,15 @@ def _estimate_alphas(cfg, cache, ig) -> list[float]:
     axis = cfg.sweep_axis("alpha")
     if axis:
         return [float(a) for a in axis]
-    center = _param(cfg, "decay_center", (0.38, 0.31))
-    R = _param(cfg, "decay_radius", 0.28)
-    n = min(cfg.meshes())
-    _, _, _, beta_hat, _, _, _ = _homogeneous_fit(cfg, cache, n, center, R)
+    beta_hat = _homogeneous_fit(cfg, cache, min(cfg.meshes()))[2]
     alpha_hat = min(0.5 * beta_hat, 0.4, 0.9 / ig)
     return [0.0, alpha_hat / 2, alpha_hat]
 
 
-def _estimate_points(cfg, rng, R):
+def _estimate_points(cfg, inst: Instance, rng, R):
     h_coarse = 1.0 / min(cfg.meshes())
     margin = 2 * R + 2 * h_coarse + 1e-6
-    atoms = []
-    raw = str(cfg.measure.get("atoms", "")).strip()
-    if raw:
-        for chunk in raw.split(";"):
-            parts = chunk.split()
-            if parts:
-                atoms.append((float(parts[0]), float(parts[1]), float(parts[2])))
+    atoms = inst.measure.atoms if inst.measure is not None else ()
     count = int(_param(cfg, "points", 25))
     return sample_points(rng, count, margin, 1.0 - margin, atoms,
                          min_sep=max(0.05, 2 * h_coarse))
@@ -816,12 +801,10 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
     and Du against the Wolff + Dini assemblies, swept over meshes and the
     admissible alpha range."""
     R = _param(cfg, "estimate_radius", 0.15)
-    rows: list[CheckRow] = []
-    notes: list[str] = []
-    points = _estimate_points(cfg, rng, R)
     first = build_instance(cfg, min(cfg.meshes()))
+    points = _estimate_points(cfg, first, rng, R)
     alphas = _estimate_alphas(cfg, cache, first.growth.ig)
-    cells: dict = {}
+    study = RatioStudy()
     alpha0_gap = 0.0
     for n in cfg.meshes():
         inst = build_instance(cfg, n)
@@ -829,49 +812,29 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
         sol = primary_solution(cfg, cache, inst, key)
         ctx = cache.get((key, "ctx", R), lambda: build_context(inst, sol, 2 * R))
         for alpha in alphas:
-            ratios1, ratios2 = [], []
             for x in points:
                 lhs1 = (
                     sharp_maximal(ctx.u, x, alpha, R, r_min=ctx.r_min)
                     + frac_maximal(ctx.du_mag, x, 1.0 - alpha, R, r_min=ctx.r_min)
                 )
                 rhs1 = maximal_sum_rhs(ctx, x, R, alpha)
-                row1 = _make_row(x, R, lhs1, rhs1)
-                rows.append(row1)
-                if row1.ratio is not None:
-                    ratios1.append(row1.ratio)
+                study.add(x, R, lhs1, rhs1, cell=(n, alpha), family="maximal_sum")
                 lhs2 = sharp_maximal_vector((ctx.du_x, ctx.du_y), x, alpha, R,
                                             r_min=ctx.r_min)
                 rhs2 = sharp_gradient_rhs(ctx, x, R, alpha)
-                row2 = _make_row(x, R, lhs2, rhs2)
-                row2.flag = row2.flag or "sharp-gradient"
-                rows.append(row2)
-                if row2.ratio is not None:
-                    ratios2.append(row2.ratio)
+                study.add(x, R, lhs2, rhs2, cell=(n, alpha), family="sharp_gradient",
+                          tag="sharp-gradient")
                 if alpha == 0.0:
                     direct = _direct_beta0(ctx, x, R)
                     alpha0_gap = max(
                         alpha0_gap, abs(lhs1 - direct) / max(abs(direct), 1e-300)
                     )
-            if ratios1:
-                cells[(n, alpha, 1)] = max(ratios1)
-            if ratios2:
-                cells[(n, alpha, 2)] = max(ratios2)
-    drift1 = _drift([v for (n, a, w), v in cells.items() if w == 1])
-    drift2 = _drift([v for (n, a, w), v in cells.items() if w == 2])
-    notes.append(f"alpha values: {', '.join(f'{a:.4g}' for a in alphas)}")
-    passed = (
-        bool(cells)
-        and all(d is None or d < 3.0 for d in (drift1, drift2))
-        and alpha0_gap <= 1e-12
+    return study.report(
+        "maximal_estimates", extra=alpha0_gap <= 1e-12,
+        notes=[f"alpha values: {', '.join(f'{a:.4g}' for a in alphas)}"],
+        alpha0_consistency_gap=alpha0_gap,
+        **{f"drift_{fam}": d for fam, d in study.family_drifts().items()},
     )
-    summary = _summary(rows, drift=_drift(cells.values()))
-    summary["alpha0_consistency_gap"] = alpha0_gap
-    if drift1 is not None:
-        summary["drift_maximal_sum"] = drift1
-    if drift2 is not None:
-        summary["drift_sharp_gradient"] = drift2
-    return CheckReport("maximal_estimates", rows, summary, passed, notes)
 
 
 def _direct_beta0(ctx: EstimateContext, x, R: float) -> float:
@@ -892,28 +855,21 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
     """Pointwise gradient bound |Du(x0)| <= RHS and the oscillation bound
     |Du(x) - Du(y)| <= RHS at seeded points and symmetric pairs."""
     R = _param(cfg, "estimate_radius", 0.15)
-    rows: list[CheckRow] = []
-    notes: list[str] = []
-    points = _estimate_points(cfg, rng, R)
-    angles = rng.uniform(0.0, 2 * np.pi, size=len(points))
     first = build_instance(cfg, min(cfg.meshes()))
+    points = _estimate_points(cfg, first, rng, R)
+    angles = rng.uniform(0.0, 2 * np.pi, size=len(points))
     alphas = _estimate_alphas(cfg, cache, first.growth.ig)
     alpha = max(alphas)
-    cells_du: dict = {}
+    study = RatioStudy()
     swap_gap = 0.0
     for n in cfg.meshes():
         inst = build_instance(cfg, n)
         key = ("full", n)
         sol = primary_solution(cfg, cache, inst, key)
         ctx = cache.get((key, "ctx", R), lambda: build_context(inst, sol, 2 * R))
-        ratios = []
         for x0, ang in zip(points, angles):
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))
-            rhs = pointwise_gradient_rhs(ctx, x0, R)
-            row = _make_row(x0, R, lhs, rhs)
-            rows.append(row)
-            if row.ratio is not None:
-                ratios.append(row.ratio)
+            study.add(x0, R, lhs, pointwise_gradient_rhs(ctx, x0, R), cell=n)
             d = np.array([np.cos(ang), np.sin(ang)]) * R / 8.0
             x = (x0[0] + d[0], x0[1] + d[1])
             y = (x0[0] - d[0], x0[1] - d[1])
@@ -925,42 +881,16 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
             swap_gap = max(
                 swap_gap, abs(rhs_osc - rhs_swapped) / max(rhs_osc, 1e-300)
             )
-            osc_row = _make_row(x, float(np.hypot(x[0] - y[0], x[1] - y[1])),
-                                lhs_osc, rhs_osc)
-            osc_row.flag = osc_row.flag or "oscillation"
-            rows.append(osc_row)
-        if ratios:
-            cells_du[n] = max(ratios)
-    drift = _drift(cells_du.values())
-    finite = all(
-        np.isfinite(r.ratio) and r.ratio >= 0 for r in rows if r.ratio is not None
+            study.add(x, float(np.hypot(x[0] - y[0], x[1] - y[1])), lhs_osc, rhs_osc,
+                      tag="oscillation")
+    return study.report(
+        "gradient_bounds", extra=swap_gap <= 1e-12,
+        notes=[f"oscillation exponent alpha = {alpha:.4g}"], swap_symmetry_gap=swap_gap,
     )
-    passed = (
-        bool(cells_du)
-        and finite
-        and (drift is None or drift < 3.0)
-        and swap_gap <= 1e-12
-    )
-    summary = _summary(rows, drift=drift)
-    summary["swap_symmetry_gap"] = swap_gap
-    notes.append(f"oscillation exponent alpha = {alpha:.4g}")
-    return CheckReport("gradient_bounds", rows, summary, passed, notes)
 
 
 # ---------------------------------------------------------------------------
 # orchestration and reports
-
-def _summary(rows, drift=None) -> dict:
-    ratios = [r.ratio for r in rows if r.ratio is not None]
-    out = {
-        "rows": len(rows),
-        "max_ratio": max(ratios) if ratios else None,
-        "median_ratio": float(np.median(ratios)) if ratios else None,
-    }
-    if drift is not None:
-        out["drift"] = drift
-    return out
-
 
 CHECKS = {
     "comparison_inhomogeneous": check_comparison_inhomogeneous,

@@ -22,7 +22,7 @@ from ..solver import mollify_measure, solve_vi
 from .checks import run_checks, sample_points, usable_levels, write_check_csv, write_summary
 from .config import build_instance, load_config
 
-__all__ = ["main", "run_cli", "console_entry"]
+__all__ = ["main", "console_entry"]
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -152,10 +152,6 @@ def main(argv=None) -> int:
     except PotlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def run_cli(argv) -> int:
-    return main(argv)
 
 
 def console_entry() -> None:

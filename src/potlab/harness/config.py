@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ..errors import DataError
 from ..field import (
@@ -24,7 +23,8 @@ from ..field import (
     make_coefficient,
 )
 from ..grid import Grid2D, GridFunction, MeasureData, read_raster
-from ..orlicz import GrowthFunction, OrliczG, PowerGrowth, make_growth
+from ..orlicz import GrowthFunction, make_growth
+from ..potentials import radial_potential_profile
 from ..solver import ObstacleProblem, SolverConfig
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Instance",
     "load_config",
     "build_instance",
-    "radial_potential_profile",
 ]
 
 _DEFAULT_SWEEP = {
@@ -222,34 +221,6 @@ def build_measure(cfg: ExperimentConfig, grid: Grid2D, scale: float = 1.0) -> Me
     return MeasureData(atoms, density)
 
 
-def radial_potential_profile(growth: GrowthFunction, mass: float, r, *,
-                             r_ref: float = 1.0, c0: float = 1.0):
-    """Radial potential with unit flux balance: u(r) = c0 - int_{r_ref}^{r}
-    g^{-1}(mass / (2 pi s)) ds, the field a centered source generates.
-
-    Power growths integrate in closed form; general growths use a dense
-    cumulative quadrature.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DataError("radial profile needs positive radii")
-    if isinstance(growth, PowerGrowth):
-        p = growth.p
-        A = (mass / (2 * np.pi)) ** (1.0 / (p - 1.0))
-        if p == 2.0:
-            return c0 - A * np.log(r / r_ref)
-        kappa = (p - 2.0) / (p - 1.0)
-        return c0 - A * (r**kappa - r_ref**kappa) / kappa
-    lo = min(float(r.min()), r_ref) / 2.0
-    hi = max(float(r.max()), r_ref) * 2.0
-    s = np.geomspace(lo, hi, 4096)
-    integrand = growth.g_inverse(mass / (2 * np.pi * s))
-    cum = np.concatenate([[0.0], cumulative_trapezoid(integrand, s)])
-    at = np.interp(r, s, cum)
-    at_ref = np.interp(r_ref, s, cum)
-    return c0 - (at - at_ref)
-
-
 def build_boundary(cfg: ExperimentConfig, grid: Grid2D, growth: GrowthFunction,
                    measure: MeasureData | None, scale: float = 1.0) -> GridFunction:
     spec = dict(cfg.boundary)
@@ -294,7 +265,6 @@ class Instance:
     config: ExperimentConfig
     grid: Grid2D
     growth: GrowthFunction
-    og: OrliczG
     field: VectorField
     obstacle: GridFunction | None
     measure: MeasureData | None
@@ -339,7 +309,6 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
         config=cfg,
         grid=grid,
         growth=growth,
-        og=OrliczG(growth),
         field=vf,
         obstacle=obstacle,
         measure=measure,

@@ -33,13 +33,7 @@ __all__ = [
     "PowerGrowth",
     "RegularizedPowerGrowth",
     "TabulatedGrowth",
-    "OrliczG",
     "make_growth",
-    "eval_g",
-    "eval_G",
-    "inverse_G",
-    "young_conjugate",
-    "sobolev_S",
     "estimate_indices",
 ]
 
@@ -125,6 +119,42 @@ class GrowthFunction:
             step = np.where(d > 0, (self.g(t) - s) / np.where(d > 0, d, 1.0), 0.0)
             t = np.clip(t - step, np.exp(llo) * 0.5, np.exp(lhi) * 2.0)
         return t
+
+    def conjugate(self, s):
+        """Young conjugate G*(s) = s g^{-1}(s) - G(g^{-1}(s)).
+
+        First-order optimality of the Legendre transform; valid because G
+        is differentiable and strictly convex, so the sup over t is
+        attained where g(t) = s.
+        """
+        arr = _checked(s, "s")
+        out = np.zeros_like(arr)
+        pos = arr > 0
+        if np.any(pos):
+            t = self.g_inverse(arr[pos])
+            out[pos] = arr[pos] * t - self.G(t)
+        return _like(np.maximum(out, 0.0), s)
+
+    def S(self, t, n: int):
+        """Sobolev companion S(t) = G(t) (G(t)/t)^(-1/n) for t > 0."""
+        if n < 2:
+            raise DomainError("dimension must be at least 2")
+        arr = _checked(t)
+        if np.any(arr <= 0):
+            raise DomainError("S is defined for t > 0 only")
+        Gt = self.G(arr)
+        return _like(Gt * (Gt / arr) ** (-1.0 / n), t)
+
+    def S_inverse(self, s, n: int):
+        """Invert the strictly increasing map t -> S(t, n) by bisection."""
+        arr = _checked(s, "s")
+        out = np.zeros_like(arr)
+        pos = arr > 0
+        if np.any(pos):
+            out[pos] = _bisect_increasing(
+                lambda t: self.S(t, n), arr[pos], 1e-14, 1e14
+            )
+        return _like(out, s)
 
     def check_indices(self, samples: int = 512, slack: float = 1e-9) -> bool:
         """Sampled check of ig <= t g'(t)/g(t) <= sg on a log grid."""
@@ -381,80 +411,6 @@ def _bisect_increasing(fn, s, lo, hi, iters=80):
     return np.exp(0.5 * (llo + lhi))
 
 
-class OrliczG:
-    """Convex envelope G of a growth function, with inverse and conjugate.
-
-    Power-type kinds evaluate by closed form; the tabulated kind carries a
-    monotone interpolation table (``cache_nodes`` points over
-    ``cache_range``) built eagerly at construction.  Instances are
-    immutable and safe to share across threads.
-    """
-
-    def __init__(self, growth: GrowthFunction, cache_nodes: int = 2048,
-                 cache_range=(1e-12, 1e12)):
-        self.growth = growth
-        self.cache_nodes = int(cache_nodes)
-        self.cache_range = (float(cache_range[0]), float(cache_range[1]))
-        if growth.kind == "tabulated":
-            lo = max(self.cache_range[0], growth.nodes[0] * 1e-6)
-            hi = min(self.cache_range[1], growth.nodes[-1] * 1e6)
-            self._cache_t = np.geomspace(lo, hi, self.cache_nodes)
-            self._cache_G = growth.G(self._cache_t)
-        else:
-            self._cache_t = None
-            self._cache_G = None
-
-    @property
-    def ig(self) -> float:
-        return self.growth.ig
-
-    @property
-    def sg(self) -> float:
-        return self.growth.sg
-
-    def G(self, t):
-        return self.growth.G(t)
-
-    def G_inverse(self, s):
-        return self.growth.G_inverse(s)
-
-    def conjugate(self, s):
-        """Young conjugate G*(s) = s g^{-1}(s) - G(g^{-1}(s)).
-
-        First-order optimality of the Legendre transform; valid because G
-        is differentiable and strictly convex, so the sup over t is
-        attained where g(t) = s.
-        """
-        arr = _checked(s, "s")
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        if np.any(pos):
-            t = self.growth.g_inverse(arr[pos])
-            out[pos] = arr[pos] * t - self.growth.G(t)
-        return _like(np.maximum(out, 0.0), s)
-
-    def S(self, t, n: int):
-        """Sobolev companion S(t) = G(t) (G(t)/t)^(-1/n) for t > 0."""
-        if n < 2:
-            raise DomainError("dimension must be at least 2")
-        arr = _checked(t)
-        if np.any(arr <= 0):
-            raise DomainError("S is defined for t > 0 only")
-        Gt = self.growth.G(arr)
-        return _like(Gt * (Gt / arr) ** (-1.0 / n), t)
-
-    def S_inverse(self, s, n: int):
-        """Invert the strictly increasing map t -> S(t, n) by bisection."""
-        arr = _checked(s, "s")
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        if np.any(pos):
-            out[pos] = _bisect_increasing(
-                lambda t: self.S(t, n), arr[pos], 1e-14, 1e14
-            )
-        return _like(out, s)
-
-
 def make_growth(kind: str, **params) -> GrowthFunction:
     """Factory used by config loading: kind name plus parameters."""
     kind = kind.strip().lower()
@@ -472,28 +428,6 @@ def make_growth(kind: str, **params) -> GrowthFunction:
             allow_sublinear=params.get("allow_sublinear", False),
         )
     raise DataError(f"unknown growth kind {kind!r}")
-
-
-# Thin operation-level wrappers; the classes above carry the state.
-
-def eval_g(gf: GrowthFunction, t):
-    return gf.g(t)
-
-
-def eval_G(og: OrliczG, t):
-    return og.G(t)
-
-
-def inverse_G(og: OrliczG, s):
-    return og.G_inverse(s)
-
-
-def young_conjugate(og: OrliczG, s):
-    return og.conjugate(s)
-
-
-def sobolev_S(og: OrliczG, t, n: int):
-    return og.S(t, n)
 
 
 def estimate_indices(gf: GrowthFunction, samples: int = 4096):

@@ -6,6 +6,9 @@ resolvable on a grid, and keeping the same truncation on both sides of
 every inequality preserves ratio-based verification.  The Wolff
 quadrature inserts breakpoints at the exact atom distances so the mass
 jumps of Dirac measures do not contaminate the log-trapezoid rule.
+The radial potential of a centered source (the exact solution the
+``fundamental`` boundary preset and the radial scripts use) lives here
+too.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import DataError, RangeError
 from .grid import (
@@ -24,7 +28,7 @@ from .grid import (
     gradient,
     hessian,
 )
-from .orlicz import GrowthFunction
+from .orlicz import GrowthFunction, PowerGrowth
 
 __all__ = [
     "N_DIM",
@@ -39,6 +43,7 @@ __all__ = [
     "sharp_maximal_vector",
     "obstacle_maximal",
     "radius_ladder",
+    "radial_potential_profile",
     "write_potential_csv",
 ]
 
@@ -212,6 +217,34 @@ def obstacle_maximal(od: ObstacleDensity, x, beta: float, R: float, *,
     radii = _ladder_for(R, r_min, od.kernel.grid, per_decade)
     vals = [rho**beta * ball_average(od.kernel, x, rho) for rho in radii]
     return float(max(vals))
+
+
+def radial_potential_profile(growth: GrowthFunction, mass: float, r, *,
+                             r_ref: float = 1.0, c0: float = 1.0):
+    """Radial potential with unit flux balance: u(r) = c0 - int_{r_ref}^{r}
+    g^{-1}(mass / (2 pi s)) ds, the field a centered source generates.
+
+    Power growths integrate in closed form; general growths use a dense
+    cumulative quadrature.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
+        raise DataError("radial profile needs positive radii")
+    if isinstance(growth, PowerGrowth):
+        p = growth.p
+        A = (mass / (2 * np.pi)) ** (1.0 / (p - 1.0))
+        if p == 2.0:
+            return c0 - A * np.log(r / r_ref)
+        kappa = (p - 2.0) / (p - 1.0)
+        return c0 - A * (r**kappa - r_ref**kappa) / kappa
+    lo = min(float(r.min()), r_ref) / 2.0
+    hi = max(float(r.max()), r_ref) * 2.0
+    s = np.geomspace(lo, hi, 4096)
+    integrand = growth.g_inverse(mass / (2 * np.pi * s))
+    cum = np.concatenate([[0.0], cumulative_trapezoid(integrand, s)])
+    at = np.interp(r, s, cum)
+    at_ref = np.interp(r_ref, s, cum)
+    return c0 - (at - at_ref)
 
 
 def write_potential_csv(path, rows) -> None:

@@ -34,7 +34,7 @@ from .errors import (
     LevelError,
 )
 from .field import VectorField
-from .grid import Grid2D, GridFunction, MeasureData, w11_distance
+from .grid import Grid2D, GridFunction, MeasureData, disk_mask, w11_distance
 
 __all__ = [
     "SolverConfig",
@@ -105,7 +105,9 @@ class Solution:
     converged: bool = True
 
 
-def _cell_flux(vals, omega_cells, growth, inv2h, eps2):
+def _cell_flux(vals, inv2h, eps2):
+    """Cell gradients (the mean of the four surrounding node differences)
+    and the regularized magnitudes m = sqrt(|Du_c|^2 + eps^2)."""
     a = vals[:-1, :-1]
     b = vals[1:, :-1]
     c = vals[:-1, 1:]
@@ -116,21 +118,26 @@ def _cell_flux(vals, omega_cells, growth, inv2h, eps2):
     return dux, duy, m
 
 
-def apply_operator(grid: Grid2D, growth, omega_cells, values, epsilon: float = 0.0):
-    """Discrete -div(omega g(|Dv|)/|Dv| Dv) at the nodes, the adjoint of
-    the cell-gradient stencil the energy uses."""
-    inv2h = 0.5 / grid.h
-    dux, duy, m = _cell_flux(values, omega_cells, growth, inv2h, epsilon**2)
+def _divergence(vals, omega_cells, growth, inv2h, eps2):
+    """The nodal -div(omega g(m)/m Du) of the cell stencil, with the cell
+    magnitudes m it was built from."""
+    dux, duy, m = _cell_flux(vals, inv2h, eps2)
     k = omega_cells * growth.kernel(m)
     qx = k * dux
     qy = k * duy
-    r = np.zeros_like(values)
+    r = np.zeros_like(vals)
     r[:-1, :-1] -= qx + qy
     r[1:, :-1] += qx - qy
     r[:-1, 1:] += qy - qx
     r[1:, 1:] += qx + qy
     r *= inv2h
-    return r
+    return r, m
+
+
+def apply_operator(grid: Grid2D, growth, omega_cells, values, epsilon: float = 0.0):
+    """Discrete -div(omega g(|Dv|)/|Dv| Dv) at the nodes, the adjoint of
+    the cell-gradient stencil the energy uses."""
+    return _divergence(values, omega_cells, growth, 0.5 / grid.h, epsilon**2)[0]
 
 
 class _Objective:
@@ -145,17 +152,8 @@ class _Objective:
 
     def __call__(self, vals):
         """Return (energy, residual, cell magnitudes)."""
-        dux, duy, m = _cell_flux(vals, self.omega, self.growth, self.inv2h, self.eps2)
+        r, m = _divergence(vals, self.omega, self.growth, self.inv2h, self.eps2)
         E = float((self.omega * self.growth.G(m)).sum())
-        k = self.omega * self.growth.kernel(m)
-        qx = k * dux
-        qy = k * duy
-        r = np.zeros_like(vals)
-        r[:-1, :-1] -= qx + qy
-        r[1:, :-1] += qx - qy
-        r[:-1, 1:] += qy - qx
-        r[1:, 1:] += qx + qy
-        r *= self.inv2h
         if self.f is not None:
             E -= float((self.f[self.free] * vals[self.free]).sum())
             r = r - self.f
@@ -238,8 +236,7 @@ def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
     center, radius = ball
     if not grid.contains_ball(center, radius):
         raise DomainError(f"solve ball of radius {radius:.4g} at {center} exits the domain")
-    dist2 = (grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2
-    return grid.interior_mask() & (dist2 <= radius**2 * (1 + 1e-12))
+    return grid.interior_mask() & disk_mask(grid, center, radius)
 
 
 def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
@@ -312,24 +309,17 @@ def solve_frozen(prob: ObstacleProblem, ball, cfg: SolverConfig | None = None, *
     """
     grid = prob.grid
     freeze_ball = freeze_ball or ball
-    center, radius = freeze_ball
-    if not grid.contains_ball(center, radius):
+    if not grid.contains_ball(*freeze_ball):
         raise DomainError("freeze ball exits the domain")
-    dist2 = (grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2
-    mask = dist2 <= radius**2 * (1 + 1e-12)
-    om_bar = float(prob.field.coefficient.on_nodes(grid)[mask].mean())
     n = grid.n
-    omega_cells = np.full((n - 1, n - 1), om_bar)
+    omega_cells = np.full((n - 1, n - 1), frozen_coefficient_value(prob, freeze_ball))
     return _solve(prob, cfg or SolverConfig(), ball, warm_start, omega_cells=omega_cells)
 
 
 def frozen_coefficient_value(prob: ObstacleProblem, ball) -> float:
     """The constant the frozen solve uses: node mean of omega over the ball."""
     grid = prob.grid
-    center, radius = ball
-    dist2 = (grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2
-    mask = dist2 <= radius**2 * (1 + 1e-12)
-    return float(prob.field.coefficient.on_nodes(grid)[mask].mean())
+    return float(prob.field.coefficient.on_nodes(grid)[disk_mask(grid, *ball)].mean())
 
 
 def mollify_measure(mu: MeasureData, level: int, grid: Grid2D | None = None) -> GridFunction:

@@ -15,7 +15,7 @@ from potlab.grid import Grid2D, GridFunction, MeasureData, gradient
 from potlab.harness.checks import run_checks
 from potlab.harness.cli import main as cli_main
 from potlab.harness.config import build_instance, load_config
-from potlab.orlicz import OrliczG, PowerGrowth, RegularizedPowerGrowth
+from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth
 from potlab.potentials import WolffParams, wolff
 from potlab.solver import SolverConfig, solve_equation, solve_op_sequence, mollify_measure
 
@@ -73,15 +73,15 @@ def test_criterion_2_conjugate_oracle():
     rng = np.random.default_rng(102)
     ok = True
     for p in (2.0, 2.5, 3.0, 4.0):
-        og = OrliczG(PowerGrowth(p))
+        growth = PowerGrowth(p)
         s = 10.0 ** rng.uniform(-6, 6, 1000)
         pprime = p / (p - 1.0)
         exact = s**pprime / pprime
-        got = og.conjugate(s)
+        got = growth.conjugate(s)
         ok &= bool(np.all(np.abs(got - exact) <= 1e-8 * exact))
         t = 10.0 ** rng.uniform(-6, 6, 1000)
-        Gt = og.G(t)
-        ok &= bool(np.all(og.conjugate(Gt / t) <= Gt * (1 + 1e-9)))
+        Gt = growth.G(t)
+        ok &= bool(np.all(growth.conjugate(Gt / t) <= Gt * (1 + 1e-9)))
     _report(2, ok, "Young conjugate matches s^{p'}/p' to 1e-8; slope conjugacy holds")
 
 
@@ -91,14 +91,13 @@ def test_criterion_3_monotonicity():
     ok = True
     for p in (2.0, 3.0, 4.0):
         vf = VectorField(PowerGrowth(p), constant_coefficient(1.0))
-        og = OrliczG(vf.growth)
         eta = rng.normal(size=(10_000, 2)) * 10.0 ** rng.uniform(-1, 1, (10_000, 1))
         xi = rng.normal(size=(10_000, 2)) * 10.0 ** rng.uniform(-1, 1, (10_000, 1))
         diff = eta - xi
         norm = np.linalg.norm(diff, axis=1)
         keep = norm > 1e-12
         lhs = np.sum((vf.a((0.5, 0.5), eta) - vf.a((0.5, 0.5), xi)) * diff, axis=1)
-        ratio = lhs[keep] / og.G(norm[keep])
+        ratio = lhs[keep] / vf.growth.G(norm[keep])
         ok &= bool(ratio.min() >= 0.1)
         if p == 2.0:
             ok &= bool(ratio.min() >= 2.0 - 1e-9)

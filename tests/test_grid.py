@@ -12,13 +12,13 @@ from potlab.errors import (
     ResolutionError,
 )
 from potlab.grid import (
-    BallIndex,
     Grid2D,
     GridFunction,
     MeasureData,
     ball_average,
     ball_mass,
     ball_nodes,
+    ball_offsets,
     disk_integral,
     gradient,
     hessian,
@@ -144,9 +144,8 @@ def test_ball_average_guards(grid):
 
 def test_ball_index_count_matches_disk_area():
     g = Grid2D(128)
-    idx = BallIndex(g)
     for r in (0.1, 0.2, 0.37):
-        di, _ = idx.offsets(r)
+        di, _ = ball_offsets(r / g.h)
         count = di.size
         area = np.pi * r**2
         ring = 2 * np.pi * (r + g.h) * g.h + 4 * g.h**2

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from potlab.errors import DataError
+from potlab.harness import checks
 from potlab.harness.checks import (
     CHECKS,
     CheckRow,
+    RatioStudy,
     SolveCache,
     build_context,
     gradient_oscillation_rhs,
@@ -20,12 +22,9 @@ from potlab.harness.checks import (
     write_summary,
 )
 from potlab.harness.cli import main
-from potlab.harness.config import (
-    build_instance,
-    load_config,
-    radial_potential_profile,
-)
+from potlab.harness.config import build_instance, load_config
 from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth
+from potlab.potentials import radial_potential_profile
 from potlab.solver import solve_op_sequence
 
 TINY = """
@@ -245,6 +244,88 @@ def test_oscillation_rhs_symmetric(dirac_context):
     a = gradient_oscillation_rhs(ctx, x0, x, y, 0.15, 0.3)
     b = gradient_oscillation_rhs(ctx, x0, y, x, 0.15, 0.3)
     assert a == b
+
+
+# -- the ratio-stability gate ------------------------------------------------------
+
+def _study(*ratios, family=None):
+    study = RatioStudy()
+    for i, q in enumerate(ratios):
+        study.add((0.5, 0.5), 0.1, q, 1.0, cell=i, family=family)
+    return study
+
+
+def test_ratio_study_drift_limit_is_strict():
+    assert _study(1.0, 2.9).passed()
+    assert _study(1.0, 2.9).drift() == pytest.approx(2.9)
+    assert not _study(1.0, 3.0).passed()
+
+
+def test_ratio_study_cell_keeps_worst_ratio():
+    study = RatioStudy()
+    for q in (0.5, 2.0, 1.0):
+        study.add((0.5, 0.5), 0.1, q, 1.0, cell="a")
+    study.add((0.5, 0.5), 0.1, 1.0, 1.0, cell="b")
+    assert study.families == {None: {"a": 2.0, "b": 1.0}}
+    assert study.drift() == pytest.approx(2.0)
+
+
+def test_ratio_study_gates_each_family():
+    study = _study(1.0, 2.0, family="one")
+    study.add((0.5, 0.5), 0.1, 5.0, 1.0, cell=0, family="two")
+    study.add((0.5, 0.5), 0.1, 6.0, 1.0, cell=1, family="two")
+    assert study.family_drifts() == {"one": 2.0, "two": pytest.approx(1.2)}
+    assert study.drift() == pytest.approx(6.0)  # pooled, reported only
+    assert study.passed()
+
+
+def test_ratio_study_failed_row_fails():
+    study = _study(1.0, 1.5)
+    row = study.add((0.5, 0.5), 0.1, 1e-3, 0.0, exact_tol=1e-7, tag="chain-w1")
+    assert row.flag == "failed chain-w1"
+    assert not study.passed()
+
+
+def test_ratio_study_nan_ratio_fails():
+    assert not _study(1.0, float("nan")).passed()
+
+
+def test_ratio_study_single_cell_passes():
+    study = _study(7.0)
+    assert study.drift() is None
+    assert study.passed()
+    assert study.summary()["drift"] is None
+
+
+def test_ratio_study_needs_evidence():
+    assert not RatioStudy().passed()
+    study = RatioStudy()
+    study.add((0.5, 0.5), 0.1, 1.0, 0.0)  # degenerate-skip
+    study.add((0.5, 0.5), 0.1, 2.0, 1.0)  # a ratio outside every cell
+    assert not study.passed()
+    study.add((0.5, 0.5), 0.1, 0.0, 0.0, exact_tol=1e-7, tag="chain-w2")
+    assert study.rows[-1].flag == "exact-match chain-w2"
+    assert study.passed()
+
+
+def test_gradient_bounds_fails_on_mesh_dependent_bound(tmp_path, monkeypatch):
+    # a bound off by the factor (n/32)^2 drifts by 4x between n = 32 and
+    # n = 64; the gate must see it
+    path = tmp_path / "dirac2.ini"
+    path.write_text(DIRAC.replace("[sweep]\nn = 48", "[sweep]\nn = 32, 64"))
+    cfg = load_config(path)
+    cfg.check_params["points"] = 4
+    cache = SolveCache()
+    honest = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
+    assert honest.passed
+    rhs = checks.pointwise_gradient_rhs
+    monkeypatch.setattr(
+        checks, "pointwise_gradient_rhs",
+        lambda ctx, x, R: rhs(ctx, x, R) * (ctx.inst.grid.n / 32) ** 2,
+    )
+    wrong = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
+    assert wrong.passed is False
+    assert wrong.summary["drift"] >= 3.0
 
 
 # -- check running / reports -------------------------------------------------------

@@ -8,24 +8,18 @@ from scipy.integrate import quad
 
 from potlab.errors import DataError, DomainError, InsufficientDataError, RangeError
 from potlab.orlicz import (
-    OrliczG,
     PowerGrowth,
     RegularizedPowerGrowth,
     TabulatedGrowth,
     estimate_indices,
-    eval_g,
-    eval_G,
-    inverse_G,
     make_growth,
-    sobolev_S,
-    young_conjugate,
 )
 
 
 def test_eval_g_power():
-    assert eval_g(PowerGrowth(3.0), 2.0) == pytest.approx(4.0)
-    assert eval_g(PowerGrowth(3.0), 0.0) == 0.0
-    assert eval_g(RegularizedPowerGrowth(3.0, 1.0), 0.0) == 0.0
+    assert PowerGrowth(3.0).g(2.0) == pytest.approx(4.0)
+    assert PowerGrowth(3.0).g(0.0) == 0.0
+    assert RegularizedPowerGrowth(3.0, 1.0).g(0.0) == 0.0
 
 
 def test_eval_g_regularized_closed_form():
@@ -42,8 +36,8 @@ def test_eval_g_rejects_bad_input():
 
 
 def test_eval_G_power():
-    assert eval_G(OrliczG(PowerGrowth(2.0)), 3.0) == pytest.approx(4.5)
-    assert eval_G(OrliczG(PowerGrowth(4.0)), 1.0) == pytest.approx(0.25)
+    assert PowerGrowth(2.0).G(3.0) == pytest.approx(4.5)
+    assert PowerGrowth(4.0).G(1.0) == pytest.approx(0.25)
 
 
 def test_eval_G_regularized_vs_quadrature():
@@ -57,11 +51,11 @@ def test_eval_G_regularized_vs_quadrature():
 
 
 def test_inverse_G_closed_forms():
-    og2 = OrliczG(PowerGrowth(2.0))
-    assert inverse_G(og2, 2.0) == pytest.approx(2.0)
-    assert inverse_G(og2, 0.0) == 0.0
-    og3 = OrliczG(PowerGrowth(3.0))
-    assert inverse_G(og3, 9.0) == pytest.approx(3.0)
+    g2 = PowerGrowth(2.0)
+    assert g2.G_inverse(2.0) == pytest.approx(2.0)
+    assert g2.G_inverse(0.0) == 0.0
+    g3 = PowerGrowth(3.0)
+    assert g3.G_inverse(9.0) == pytest.approx(3.0)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6),
@@ -74,28 +68,28 @@ def test_inverse_roundtrip(t, p, mu):
 
 
 def test_young_conjugate_examples():
-    assert young_conjugate(OrliczG(PowerGrowth(2.0)), 1.0) == pytest.approx(0.5)
-    assert young_conjugate(OrliczG(PowerGrowth(3.0)), 4.0) == pytest.approx(
+    assert PowerGrowth(2.0).conjugate(1.0) == pytest.approx(0.5)
+    assert PowerGrowth(3.0).conjugate(4.0) == pytest.approx(
         (2.0 / 3.0) * 4.0**1.5, rel=1e-10
     )
-    assert young_conjugate(OrliczG(PowerGrowth(3.0)), 0.0) == 0.0
+    assert PowerGrowth(3.0).conjugate(0.0) == 0.0
 
 
 def test_young_conjugate_brute_force_sup():
     # oracle: the Legendre sup over a fine grid
-    og = OrliczG(PowerGrowth(3.0))
+    growth = PowerGrowth(3.0)
     s = 4.0
     t = np.linspace(0.0, 10.0, 400_001)
-    brute = np.max(s * t - og.G(t))
-    assert young_conjugate(og, s) == pytest.approx(brute, rel=1e-8)
+    brute = np.max(s * t - growth.G(t))
+    assert growth.conjugate(s) == pytest.approx(brute, rel=1e-8)
 
 
 def test_young_conjugate_regularized_brute_force():
-    og = OrliczG(RegularizedPowerGrowth(3.0, 1.0))
+    growth = RegularizedPowerGrowth(3.0, 1.0)
     for s in (0.2, 1.0, 5.0):
         t = np.linspace(0.0, 20.0, 400_001)
-        brute = np.max(s * t - og.G(t))
-        assert og.conjugate(s) == pytest.approx(brute, rel=1e-7)
+        brute = np.max(s * t - growth.G(t))
+        assert growth.conjugate(s) == pytest.approx(brute, rel=1e-7)
 
 
 def test_estimate_indices_power():
@@ -125,20 +119,20 @@ def test_estimate_indices_needs_samples():
 
 
 def test_sobolev_S_values():
-    og = OrliczG(PowerGrowth(2.0))
-    assert sobolev_S(og, 2.0, 2) == pytest.approx(2.0)
-    assert sobolev_S(og, 1.0, 2) == pytest.approx(0.5 * 0.5**-0.5)
-    assert sobolev_S(OrliczG(PowerGrowth(3.0)), 1.0, 2) == pytest.approx(
+    growth = PowerGrowth(2.0)
+    assert growth.S(2.0, 2) == pytest.approx(2.0)
+    assert growth.S(1.0, 2) == pytest.approx(0.5 * 0.5**-0.5)
+    assert PowerGrowth(3.0).S(1.0, 2) == pytest.approx(
         (1 / 3) * (1 / 3) ** -0.5
     )
     with pytest.raises(DomainError):
-        sobolev_S(og, 0.0, 2)
+        growth.S(0.0, 2)
 
 
 def test_S_inverse_roundtrip():
-    og = OrliczG(RegularizedPowerGrowth(3.0, 1.0))
+    growth = RegularizedPowerGrowth(3.0, 1.0)
     for t in (0.01, 0.5, 3.0, 40.0):
-        assert og.S_inverse(og.S(t, 2), 2) == pytest.approx(t, rel=1e-9)
+        assert growth.S_inverse(growth.S(t, 2), 2) == pytest.approx(t, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +183,24 @@ def test_inverse_scaling_sandwich(growth):
     PowerGrowth(2.0), PowerGrowth(3.0), RegularizedPowerGrowth(3.0, 1.0),
 ])
 def test_young_inequality(growth):
-    og = OrliczG(growth)
     rng = np.random.default_rng(9)
     s = 10.0 ** rng.uniform(-4, 4, 500)
     t = 10.0 ** rng.uniform(-4, 4, 500)
     lhs = s * t
-    rhs = og.conjugate(s) + og.G(t)
+    rhs = growth.conjugate(s) + growth.G(t)
     assert np.all(lhs <= rhs * (1 + 1e-10) + 1e-300)
 
 
 def test_conjugate_domination():
     # G*(g(t)) <= c G(t); equality constant p - 1 for pure powers
     for p in (2.0, 3.0, 4.0):
-        og = OrliczG(PowerGrowth(p))
+        growth = PowerGrowth(p)
         t = np.geomspace(1e-6, 1e6, 200)
-        ratio = og.conjugate(og.growth.g(t)) / og.G(t)
+        ratio = growth.conjugate(growth.g(t)) / growth.G(t)
         assert np.allclose(ratio, p - 1.0, rtol=1e-9)
-    og = OrliczG(RegularizedPowerGrowth(3.0, 1.0))
+    growth = RegularizedPowerGrowth(3.0, 1.0)
     t = np.geomspace(1e-6, 1e6, 200)
-    ratio = og.conjugate(og.growth.g(t)) / og.G(t)
+    ratio = growth.conjugate(growth.g(t)) / growth.G(t)
     assert np.all(np.isfinite(ratio))
     assert ratio.max() < 5.0
 
@@ -215,18 +208,16 @@ def test_conjugate_domination():
 def test_conjugate_of_mean_slope():
     # G*(G(t)/t) <= G(t)
     for growth in (PowerGrowth(2.0), PowerGrowth(3.5), RegularizedPowerGrowth(3.0, 1.0)):
-        og = OrliczG(growth)
         t = np.geomspace(1e-6, 1e6, 200)
-        assert np.all(og.conjugate(og.G(t) / t) <= og.G(t) * (1 + 1e-9))
+        assert np.all(growth.conjugate(growth.G(t) / t) <= growth.G(t) * (1 + 1e-9))
 
 
 def test_doubling_conditions():
     for growth in (PowerGrowth(3.0), RegularizedPowerGrowth(4.0, 1.0)):
-        og = OrliczG(growth)
         t = np.geomspace(1e-6, 1e6, 200)
-        assert np.all(og.G(2 * t) / og.G(t) <= 2 ** (1 + growth.sg) * (1 + 1e-12))
+        assert np.all(growth.G(2 * t) / growth.G(t) <= 2 ** (1 + growth.sg) * (1 + 1e-12))
         theta = 2.0 ** (1.0 / growth.ig) * 2.0
-        assert np.all(og.G(t) <= og.G(theta * t) / (2 * theta) * (1 + 1e-12))
+        assert np.all(growth.G(t) <= growth.G(theta * t) / (2 * theta) * (1 + 1e-12))
 
 
 def test_kernel_monotone_from_zero():
