@@ -15,7 +15,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DataError, DomainError, SingularPointError, StateError
-from .grid import GridFunction, Grid2D, ball_nodes
+from .grid import GridFunction, Grid2D, ball_nodes, ball_offsets
 from .orlicz import GrowthFunction
 
 __all__ = [
@@ -189,14 +189,13 @@ class VectorField:
             best = max(best, float(diff.max()))
         return best
 
-    def oscillation_ladder(self, grid: Grid2D, r_max: float,
-                           gamma_prime: float = 2.0, levels: int = 16,
-                           stride: int | None = None):
+    def oscillation_ladder(self, grid: Grid2D, r_max: float, gamma_prime: float = 2.0):
         """Per-radius suprema of the gamma'-mean oscillation of omega.
 
-        Returns (radii, sup-values); the running maximum of the values is
-        the modulus omega(r).  Centers run over a node subgrid (default
-        stride n // 16).
+        Returns (radii, sup-values) on 16 radii log-spaced from 2h to
+        r_max; the running maximum of the values is the modulus omega(r).
+        Centers run over the nodes of stride n // 16 whose ball stays
+        inside the domain.
         """
         if gamma_prime <= 1.0:
             raise DataError("gamma_prime must exceed 1")
@@ -204,43 +203,38 @@ class VectorField:
             raise DomainError("modulus radius above half the domain width")
         if r_max < 2 * grid.h:
             raise DomainError("modulus radius below the 2h resolution floor")
-        radii = np.geomspace(2 * grid.h, r_max, levels)
-        stride = stride or max(1, grid.n // 16)
+        radii = np.geomspace(2 * grid.h, r_max, 16)
         om = self.coefficient.on_nodes(grid)
-        idx = np.arange(0, grid.n, stride)
+        idx = np.arange(0, grid.n, max(1, grid.n // 16))
         sups = np.zeros_like(radii)
         for k, rho in enumerate(radii):
+            # the centers are nodes and each ball stays inside the domain,
+            # so the offsets index om directly
+            di, dj = ball_offsets(rho / grid.h)
+            ics = [i for i in idx
+                   if grid.origin[0] + rho <= grid.xs[i] <= grid.origin[0] + grid.side - rho]
+            jcs = [j for j in idx
+                   if grid.origin[1] + rho <= grid.ys[j] <= grid.origin[1] + grid.side - rho]
             best = 0.0
-            for ic in idx:
-                cx = grid.xs[ic]
-                if not (grid.origin[0] + rho <= cx <= grid.origin[0] + grid.side - rho):
-                    continue
-                for jc in idx:
-                    cy = grid.ys[jc]
-                    if not (grid.origin[1] + rho <= cy <= grid.origin[1] + grid.side - rho):
-                        continue
-                    ii, jj = ball_nodes(grid, (cx, cy), rho)
-                    vals = om[ii, jj]
-                    m = vals.mean()
-                    osc = float(
-                        np.mean(np.abs(vals - m) ** gamma_prime) ** (1.0 / gamma_prime)
-                    )
+            for ic in ics:
+                for jc in jcs:
+                    vals = om[ic + di, jc + dj]
+                    dev = np.abs(vals - vals.mean())
+                    osc = float(np.mean(dev**gamma_prime) ** (1.0 / gamma_prime))
                     if osc > best:
                         best = osc
             sups[k] = best
         return radii, sups
 
-    def omega_modulus(self, r: float, grid: Grid2D, gamma_prime: float = 2.0,
-                      levels: int = 16, stride: int | None = None) -> float:
+    def omega_modulus(self, r: float, grid: Grid2D, gamma_prime: float = 2.0) -> float:
         """Mean-oscillation modulus omega(r): sup over centers and radii
         <= r of the gamma'-mean oscillation of the coefficient."""
-        _, sups = self.oscillation_ladder(grid, r, gamma_prime, levels, stride)
+        _, sups = self.oscillation_ladder(grid, r, gamma_prime)
         return float(sups.max())
 
     def oscillation_modulus(self, grid: Grid2D, r_max: float,
-                            gamma_prime: float = 2.0, levels: int = 16,
-                            stride: int | None = None) -> "OscillationModulus":
-        radii, sups = self.oscillation_ladder(grid, r_max, gamma_prime, levels, stride)
+                            gamma_prime: float = 2.0) -> "OscillationModulus":
+        radii, sups = self.oscillation_ladder(grid, r_max, gamma_prime)
         return OscillationModulus(
             gamma_prime=gamma_prime,
             radii=radii,

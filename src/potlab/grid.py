@@ -150,11 +150,6 @@ class GridFunction:
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.grid, values)
 
-    def boundary_values(self) -> np.ndarray:
-        """Dirichlet trace: values on the outermost node ring."""
-        ring = self.grid.ring_mask()
-        return self.values[ring]
-
     def at_node(self, point) -> float:
         ix, iy = self.grid.nearest_node(point)
         return float(self.values[ix, iy])
@@ -326,12 +321,6 @@ class MeasureData:
         if self.density is not None:
             dens = self.density.with_values(self.density.values * factor)
         return MeasureData(atoms, dens)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.atoms and (
-            self.density is None or not np.any(self.density.values)
-        )
 
 
 def ball_mass(mu: MeasureData, center, radius: float) -> float:

@@ -2,7 +2,6 @@
 
 from .config import ExperimentConfig, Instance, build_instance, load_config
 from .checks import CHECKS, CheckReport, CheckRow, SolveCache, run_checks
-from .cli import main
 
 __all__ = [
     "ExperimentConfig",
@@ -14,5 +13,4 @@ __all__ = [
     "CheckRow",
     "SolveCache",
     "run_checks",
-    "main",
 ]

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..field import OscillationModulus, dini_integral
-from ..grid import GridFunction, ball_average, ball_mass, ball_nodes, gradient, median
+from ..grid import GridFunction, ball_average, ball_mass, disk_mask, gradient, median
 from ..potentials import (
     ObstacleDensity,
     WolffParams,
@@ -42,12 +42,12 @@ from ..potentials import (
     radius_ladder,
     sharp_maximal,
     sharp_maximal_vector,
+    vector_excess,
     wolff,
     wolff_psi,
 )
 from ..solver import (
     Solution,
-    apply_operator,
     comparison_chain,
     solve_equation,
     solve_frozen,
@@ -71,7 +71,6 @@ __all__ = [
     "gradient_oscillation_rhs",
     "excess_rhs_with_errors",
     "fit_excess_decay",
-    "vector_excess",
     "sample_points",
     "CHECKS",
     "run_checks",
@@ -164,12 +163,11 @@ class RatioStudy:
         )
 
     def summary(self) -> dict:
-        """Row count, worst and median ratio, and the pooled drift."""
+        """Row count, worst ratio, and the pooled drift."""
         ratios = [r.ratio for r in self.rows if r.ratio is not None]
         return {
             "rows": len(self.rows),
             "max_ratio": max(ratios) if ratios else None,
-            "median_ratio": float(np.median(ratios)) if ratios else None,
             "drift": self.drift(),
         }
 
@@ -195,18 +193,18 @@ class SolveCache:
 # ---------------------------------------------------------------------------
 # shared field helpers
 
-def vector_excess(gx: GridFunction, gy: GridFunction, center, radius: float) -> float:
-    """Mean oscillation of a vector field over a ball."""
-    mx = ball_average(gx, center, radius)
-    my = ball_average(gy, center, radius)
-    osc = gx.with_values(np.hypot(gx.values - mx, gy.values - my))
-    return ball_average(osc, center, radius)
-
-
 def grad_fields(u: GridFunction):
     gx, gy = gradient(u)
     mag = u.with_values(np.hypot(gx.values, gy.values))
     return gx, gy, mag
+
+
+def _G_obstacle_gradient(inst: Instance):
+    """G(|Dpsi|) on the nodes; None without an obstacle."""
+    if inst.obstacle is None:
+        return None
+    px, py = gradient(inst.obstacle)
+    return inst.growth.G(np.hypot(px.values, py.values))
 
 
 def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
@@ -270,7 +268,6 @@ class EstimateContext:
     G(|psi|) field, the oscillation modulus, and the shared inner cutoff."""
 
     inst: Instance
-    solution: Solution
     u: GridFunction
     du_x: GridFunction
     du_y: GridFunction
@@ -287,17 +284,14 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
     gpsi = None
     if inst.obstacle is not None:
         od = ObstacleDensity.build(inst.obstacle, inst.growth)
-        px, py = gradient(inst.obstacle)
-        pmag = np.hypot(px.values, py.values)
         gpsi = inst.obstacle.with_values(
-            inst.growth.G(pmag) + inst.growth.G(np.abs(inst.obstacle.values))
+            _G_obstacle_gradient(inst) + inst.growth.G(np.abs(inst.obstacle.values))
         )
     modulus = inst.field.oscillation_modulus(
         inst.grid, r_max, gamma_prime=inst.config.gamma_prime
     )
     return EstimateContext(
         inst=inst,
-        solution=solution,
         u=solution.u,
         du_x=gx,
         du_y=gy,
@@ -539,11 +533,11 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
                     grad_distance_field(sol.u, w.u), ball_center, ball_R
                 )
                 # a ball the coefficient is constant on: freezing is a no-op
-                # and the left side must sit at solver tolerance
-                om_ball = inst.field.coefficient.on_nodes(inst.grid)
-                ii, jj = ball_nodes(inst.grid, ball_center, ball_R)
+                # and the left side must sit at solver tolerance; constancy
+                # is decided on the node set the frozen solve averages over
+                om = inst.field.coefficient.on_nodes(inst.grid)
                 rhs = 0.0
-                if float(np.ptp(om_ball[ii, jj])) > 1e-12:
+                if float(np.ptp(om[disk_mask(inst.grid, ball_center, ball_R)])) > 1e-12:
                     rhs = coefficient_error_term(ctx, ctx.du_mag, ball_center,
                                                  ball_R, 2 * ball_R)
                 study.add(ball_center, ball_R, lhs, rhs, exact_tol=10 * inst.solver.tol,
@@ -572,6 +566,8 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
         for s in cfg.sweep_axis("scale"):
             inst, sol = _contact_solution(cfg, cache, n, s)
             growth = inst.growth
+            psi = inst.obstacle
+            G_dpsi = _G_obstacle_gradient(inst)
             _, _, mag = grad_fields(sol.u)
             G_du = sol.u.with_values(growth.G(mag.values))
             radii = [R for R in (R0, R0 / 2, R0 / 4) if R / 2 >= 2 * inst.grid.h]
@@ -581,12 +577,9 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
                 rhs = ball_average(
                     sol.u.with_values(growth.G(np.abs(sol.u.values - lam) / R)), center, R
                 )
-                if inst.obstacle is not None:
-                    psi = inst.obstacle
-                    px, py = gradient(psi)
-                    pmag = np.hypot(px.values, py.values)
+                if psi is not None:
                     rhs += ball_average(
-                        psi.with_values(growth.G(np.abs(psi.values) / R) + growth.G(pmag)),
+                        psi.with_values(growth.G(np.abs(psi.values) / R) + G_dpsi),
                         center, R,
                     )
                 # the cell's constant is the worst ratio over the radius
@@ -610,18 +603,18 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
             shift = min(0.0, float(sol.u.values.min()))
             _, _, mag = grad_fields(sol.u)
             G_du = sol.u.with_values(growth.G(mag.values))
+            psi_term = None
+            if inst.obstacle is not None:
+                psi_shift = inst.obstacle.values - shift
+                psi_term = inst.obstacle.with_values(
+                    _G_obstacle_gradient(inst) + growth.G(np.abs(psi_shift))
+                )
             radii = [R for R in (R0, R0 / 2, R0 / 4) if 3 * R / 4 >= 2 * inst.grid.h]
             for R in radii:
                 lhs = ball_average(G_du, center, 3 * R / 4)
                 rhs = float(growth.G(ball_average(mag, center, R)))
-                if inst.obstacle is not None:
-                    psi_shift = inst.obstacle.values - shift
-                    px, py = gradient(inst.obstacle)
-                    pmag = np.hypot(px.values, py.values)
-                    rhs += ball_average(
-                        inst.obstacle.with_values(growth.G(pmag) + growth.G(np.abs(psi_shift))),
-                        center, R,
-                    )
+                if psi_term is not None:
+                    rhs += ball_average(psi_term, center, R)
                 study.add(center, R, lhs, rhs, cell=(n, float(s)))
     return study.report("reverse_holder", extra=study.drift() is not None)
 
@@ -763,12 +756,9 @@ def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
     out.append(study.add(center, half, lhs2, rhs2, exact_tol=tol, tag="chain-w2"))
     # obstacle-flux transitions: both gaps are controlled by
     # (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
-    if inst.obstacle is not None:
-        m = inst.grid.n - 1
-        omega_cells = np.full((m, m), chain.frozen_value)
-        flux = apply_operator(inst.grid, inst.growth, omega_cells,
-                              inst.obstacle.values, inst.solver.epsilon)
-        flux_field = inst.obstacle.with_values(np.abs(flux) + 1.0)
+    if chain.obstacle_flux is not None:
+        flux = chain.obstacle_flux
+        flux_field = flux.with_values(np.abs(flux.values) + 1.0)
         rhs34 = (half * ball_average(flux_field, center, half)) ** (1.0 / ig)
     else:
         rhs34 = (half * 1.0) ** (1.0 / ig)

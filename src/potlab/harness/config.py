@@ -270,8 +270,6 @@ class Instance:
     measure: MeasureData | None
     boundary: GridFunction
     solver: SolverConfig
-    data_scale: float = 1.0
-    rhs_scale: float = 1.0
 
     def problem(self, rhs=_USE_MEASURE) -> ObstacleProblem:
         return ObstacleProblem(
@@ -314,6 +312,4 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
         measure=measure,
         boundary=boundary,
         solver=solver,
-        data_scale=data_scale,
-        rhs_scale=rhs_scale,
     )

@@ -1,9 +1,11 @@
 """Wolff potentials and restricted maximal operators.
 
-All radial objects share one log-spaced radius ladder truncated at an
-inner cutoff r_min (default 2h): the continuum limit rho -> 0 is not
-resolvable on a grid, and keeping the same truncation on both sides of
-every inequality preserves ratio-based verification.  The Wolff
+All radial objects share one log-spaced radius ladder (24 radii per
+decade) truncated at an inner cutoff r_min (default 2h): the continuum
+limit rho -> 0 is not resolvable on a grid, and keeping the same
+truncation on both sides of every inequality preserves ratio-based
+verification.  The maximal operators read each ball's node values with
+one gather per radius (the snapped-centre rule of ``ball_nodes``).  The Wolff
 quadrature inserts breakpoints at the exact atom distances so the mass
 jumps of Dirac measures do not contaminate the log-trapezoid rule.
 The radial potential of a centered source (the exact solution the
@@ -22,8 +24,8 @@ from .errors import DataError, RangeError
 from .grid import (
     GridFunction,
     MeasureData,
-    ball_average,
     ball_mass,
+    ball_nodes,
     disk_integral,
     gradient,
     hessian,
@@ -37,10 +39,10 @@ __all__ = [
     "wolff",
     "wolff_detail",
     "wolff_psi",
-    "wolff_psi_detail",
     "frac_maximal",
     "sharp_maximal",
     "sharp_maximal_vector",
+    "vector_excess",
     "obstacle_maximal",
     "radius_ladder",
     "radial_potential_profile",
@@ -60,7 +62,6 @@ class WolffParams:
     beta: float
     p: float
     R: float
-    nodes_per_decade: int = 24
     r_min: float = 1e-3
 
     def __post_init__(self):
@@ -109,7 +110,7 @@ class ObstacleDensity:
 
 
 def _wolff_quadrature(mass_fn, wp: WolffParams, breakpoints=()) -> float:
-    radii = radius_ladder(wp.r_min, wp.R, wp.nodes_per_decade)
+    radii = radius_ladder(wp.r_min, wp.R)
     extra = []
     for d in breakpoints:
         if wp.r_min < d < wp.R:
@@ -122,30 +123,23 @@ def _wolff_quadrature(mass_fn, wp: WolffParams, breakpoints=()) -> float:
     return float(np.trapezoid(integrand, np.log(radii)))
 
 
-def wolff_detail(mu: MeasureData, x, wp: WolffParams) -> tuple[float, bool]:
-    """(value, truncated): the potential over [r_min, R] plus a flag that
-    the dropped tail [0, r_min) carries mass, so the value is a lower bound."""
-    dists = [float(np.hypot(ax - x[0], ay - x[1])) for ax, ay, _ in mu.atoms]
-    value = _wolff_quadrature(lambda rho: ball_mass(mu, x, rho), wp, breakpoints=dists)
-    truncated = ball_mass(mu, x, wp.r_min) > 0.0
-    return value, truncated
-
-
 def wolff(mu: MeasureData, x, wp: WolffParams) -> float:
-    return wolff_detail(mu, x, wp)[0]
+    """The potential over [r_min, R]; the ladder breaks at every atom distance."""
+    dists = [float(np.hypot(ax - x[0], ay - x[1])) for ax, ay, _ in mu.atoms]
+    return _wolff_quadrature(lambda rho: ball_mass(mu, x, rho), wp, breakpoints=dists)
 
 
-def wolff_psi_detail(od: ObstacleDensity, x, wp: WolffParams) -> tuple[float, bool]:
-    value = _wolff_quadrature(lambda rho: od.mass(x, rho), wp)
-    truncated = od.mass(x, wp.r_min) > 0.0
-    return value, truncated
+def wolff_detail(mu: MeasureData, x, wp: WolffParams) -> tuple[float, bool]:
+    """(value, truncated): the potential plus a flag that the dropped tail
+    [0, r_min) carries mass, so the value is a lower bound."""
+    return wolff(mu, x, wp), ball_mass(mu, x, wp.r_min) > 0.0
 
 
 def wolff_psi(od: ObstacleDensity, x, wp: WolffParams) -> float:
-    return wolff_psi_detail(od, x, wp)[0]
+    return _wolff_quadrature(lambda rho: od.mass(x, rho), wp)
 
 
-def _ladder_for(R: float, r_min: float | None, grid, per_decade: int) -> np.ndarray:
+def _ladder_for(R: float, r_min: float | None, grid) -> np.ndarray:
     if r_min is None:
         if grid is None:
             raise DataError("need either a grid (for the 2h cutoff) or an explicit r_min")
@@ -154,69 +148,65 @@ def _ladder_for(R: float, r_min: float | None, grid, per_decade: int) -> np.ndar
         raise RangeError(f"maximal-operator radius {R:g} below the cutoff {r_min:g}")
     if R == r_min:
         return np.array([R])
-    return radius_ladder(r_min, R, per_decade)
+    return radius_ladder(r_min, R)
 
 
-def frac_maximal(obj, x, beta: float, R: float, *, r_min: float | None = None,
-                 per_decade: int = 24) -> float:
+def frac_maximal(obj, x, beta: float, R: float, *, r_min: float | None = None) -> float:
     """Restricted fractional maximal function: sup over the ladder of
-    rho^beta times the ball average (functions) or mass/|B_rho| (measures)."""
+    rho^beta times the ball average of |f| (functions) or mass/|B_rho|
+    (measures)."""
     if not (0.0 <= beta <= N_DIM):
         raise DataError("beta must lie in [0, n]")
     if isinstance(obj, MeasureData):
         grid = obj.density.grid if obj.density is not None else None
-        radii = _ladder_for(R, r_min, grid, per_decade)
+        radii = _ladder_for(R, r_min, grid)
         vals = [
             rho**beta * ball_mass(obj, x, rho) / (np.pi * rho**2) for rho in radii
         ]
         return float(max(vals))
     f: GridFunction = obj
-    radii = _ladder_for(R, r_min, f.grid, per_decade)
-    absf = f.with_values(np.abs(f.values))
-    vals = [rho**beta * ball_average(absf, x, rho) for rho in radii]
+    radii = _ladder_for(R, r_min, f.grid)
+    vals = [rho**beta * np.abs(f.values[ball_nodes(f.grid, x, rho)]).mean() for rho in radii]
     return float(max(vals))
 
 
 def sharp_maximal(f: GridFunction, x, alpha: float, R: float, *,
-                  r_min: float | None = None, per_decade: int = 24) -> float:
+                  r_min: float | None = None) -> float:
     """Restricted sharp maximal function: sup of rho^(-alpha) times the
     mean oscillation of f over B_rho(x)."""
     if not (0.0 <= alpha <= N_DIM):
         raise DataError("alpha must lie in [0, n]")
-    radii = _ladder_for(R, r_min, f.grid, per_decade)
     best = 0.0
-    for rho in radii:
-        mean = ball_average(f, x, rho)
-        osc = ball_average(f.with_values(np.abs(f.values - mean)), x, rho)
-        best = max(best, rho ** (-alpha) * osc)
+    for rho in _ladder_for(R, r_min, f.grid):
+        vals = f.values[ball_nodes(f.grid, x, rho)]
+        best = max(best, rho ** (-alpha) * np.abs(vals - vals.mean()).mean())
     return float(best)
+
+
+def vector_excess(fx: GridFunction, fy: GridFunction, center, radius: float) -> float:
+    """Mean oscillation of a vector field over a ball: the mean euclidean
+    distance to the componentwise ball means."""
+    ii, jj = ball_nodes(fx.grid, center, radius)
+    vx, vy = fx.values[ii, jj], fy.values[ii, jj]
+    return float(np.hypot(vx - vx.mean(), vy - vy.mean()).mean())
 
 
 def sharp_maximal_vector(components, x, alpha: float, R: float, *,
-                         r_min: float | None = None, per_decade: int = 24) -> float:
-    """Sharp maximal function of a vector field: the oscillation is the
-    euclidean norm against the componentwise ball means."""
+                         r_min: float | None = None) -> float:
+    """Sharp maximal function of a vector field (oscillation by
+    ``vector_excess``)."""
     fx, fy = components
     if not (0.0 <= alpha <= N_DIM):
         raise DataError("alpha must lie in [0, n]")
-    radii = _ladder_for(R, r_min, fx.grid, per_decade)
-    best = 0.0
-    for rho in radii:
-        mx = ball_average(fx, x, rho)
-        my = ball_average(fy, x, rho)
-        osc_field = fx.with_values(np.hypot(fx.values - mx, fy.values - my))
-        best = max(best, rho ** (-alpha) * ball_average(osc_field, x, rho))
-    return float(best)
+    radii = _ladder_for(R, r_min, fx.grid)
+    return float(max(rho ** (-alpha) * vector_excess(fx, fy, x, rho) for rho in radii))
 
 
 def obstacle_maximal(od: ObstacleDensity, x, beta: float, R: float, *,
-                     r_min: float | None = None, per_decade: int = 24) -> float:
-    """sup of rho^beta times the ball average of the obstacle kernel."""
-    if not (0.0 <= beta <= N_DIM):
-        raise DataError("beta must lie in [0, n]")
-    radii = _ladder_for(R, r_min, od.kernel.grid, per_decade)
-    vals = [rho**beta * ball_average(od.kernel, x, rho) for rho in radii]
-    return float(max(vals))
+                     r_min: float | None = None) -> float:
+    """sup of rho^beta times the ball average of the obstacle kernel (which
+    is >= 1, so this is its fractional maximal function)."""
+    return frac_maximal(od.kernel, x, beta, R, r_min=r_min)
 
 
 def radial_potential_profile(growth: GrowthFunction, mass: float, r, *,

@@ -21,7 +21,7 @@ donor, realizing "w = u on the ball boundary" without a second mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import convolve2d
@@ -52,13 +52,15 @@ __all__ = [
 ]
 
 
+_BACKTRACK = 0.5             # step shrink factor of the Armijo line search
+_SUFFICIENT_DECREASE = 1e-4  # Armijo constant
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-8        # kernel regularization inside m = sqrt(|Du|^2 + eps^2)
     tol: float = 1e-8            # projected-residual tolerance, discrete L2 norm
     max_iter: int = 200_000
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self):
         if self.tol <= 0 or self.epsilon < 0:
@@ -212,10 +214,10 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
                 cand = np.where(free, np.maximum(cand, psi), cand)
             Ec, rc, mc = objective(cand)
             dec = h2 * float(np.sum(resid * (cand - u)))
-            if Ec <= E + cfg.sufficient_decrease * dec + 1e-14 * (abs(E) + 1e-300):
+            if Ec <= E + _SUFFICIENT_DECREASE * dec + 1e-14 * (abs(E) + 1e-300):
                 accepted = True
                 break
-            tau *= cfg.backtrack
+            tau *= _BACKTRACK
         if not accepted:
             break  # step collapsed at the numerical floor with tol unmet
         du = cand - u
@@ -382,13 +384,6 @@ class OPSequence:
     def finest(self) -> Solution:
         return self.solutions[-1]
 
-    @property
-    def w11_monotone(self) -> bool:
-        return all(
-            self.distances[i + 1] < self.distances[i]
-            for i in range(len(self.distances) - 1)
-        )
-
 
 def solve_op_sequence(prob: ObstacleProblem, levels, cfg: SolverConfig | None = None) -> OPSequence:
     """Solve the variational inequality for each mollification level of the
@@ -423,6 +418,9 @@ class ComparisonChain:
     w2  frozen-coefficient obstacle problem on B_{R/2} with trace w1,
     w3  frozen-coefficient equation driven by the obstacle flux on B_{R/2},
     w4  frozen-coefficient homogeneous equation on B_{R/2}.
+
+    ``obstacle_flux`` is the frozen operator applied to the obstacle, the
+    right side of w3 (None without an obstacle).
     """
 
     w1: Solution
@@ -430,7 +428,7 @@ class ComparisonChain:
     w3: Solution
     w4: Solution
     ball: tuple
-    frozen_value: float
+    obstacle_flux: GridFunction | None
 
 
 def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = None, *,
@@ -455,10 +453,9 @@ def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = Non
     w2 = stage("w2", lambda: solve_frozen(
         replace(prob, boundary=w1.u, rhs=None), half, cfg, warm_start=w1.u
     ))
-    om_bar = frozen_coefficient_value(prob, half)
     if prob.obstacle is not None:
         n = grid.n
-        omega_cells = np.full((n - 1, n - 1), om_bar)
+        omega_cells = np.full((n - 1, n - 1), frozen_coefficient_value(prob, half))
         flux = apply_operator(grid, prob.field.growth, omega_cells,
                               prob.obstacle.values, cfg.epsilon)
         rhs3 = GridFunction(grid, flux)
@@ -470,4 +467,4 @@ def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = Non
     w4 = stage("w4", lambda: solve_frozen(
         replace(prob, boundary=w1.u, obstacle=None, rhs=None), half, cfg, warm_start=w3.u
     ))
-    return ComparisonChain(w1, w2, w3, w4, ball, om_bar)
+    return ComparisonChain(w1, w2, w3, w4, ball, rhs3)

@@ -14,7 +14,7 @@ from potlab.field import (
     jump_coefficient,
     make_coefficient,
 )
-from potlab.grid import Grid2D, GridFunction, ball_average
+from potlab.grid import Grid2D, GridFunction, ball_average, ball_nodes
 from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth
 
 
@@ -202,6 +202,39 @@ def test_omega_modulus_guards():
     g = Grid2D(64)
     with pytest.raises(DomainError):
         field(2.0).omega_modulus(0.9, g)
+
+
+def _reference_ladder(vf, g, r_max, gamma_prime):
+    """The ladder written out per ball with the snapped-center gather."""
+    radii = np.geomspace(2 * g.h, r_max, 16)
+    om = vf.coefficient.on_nodes(g)
+    idx = np.arange(0, g.n, max(1, g.n // 16))
+    sups = np.zeros_like(radii)
+    for k, rho in enumerate(radii):
+        for ic in idx:
+            for jc in idx:
+                cx, cy = g.xs[ic], g.ys[jc]
+                if not (rho <= cx <= g.side - rho and rho <= cy <= g.side - rho):
+                    continue
+                vals = om[ball_nodes(g, (cx, cy), rho)]
+                osc = float(np.mean(np.abs(vals - vals.mean()) ** gamma_prime)
+                            ** (1.0 / gamma_prime))
+                sups[k] = max(sups[k], osc)
+    return radii, sups
+
+
+@pytest.mark.parametrize("coeff", [jump_coefficient(0.3, 0.47),
+                                   checkerboard_coefficient(0.2, 0.25)])
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("gamma_prime", [1.5, 2.0, 3.0])
+def test_oscillation_ladder_equals_per_ball_reference(coeff, n, gamma_prime):
+    g = Grid2D(n)
+    vf = field(2.0, coeff)
+    radii, sups = vf.oscillation_ladder(g, 0.3, gamma_prime)
+    ref_radii, ref_sups = _reference_ladder(vf, g, 0.3, gamma_prime)
+    assert np.array_equal(radii, ref_radii)
+    assert np.array_equal(sups, ref_sups)
+    assert sups.max() > 0
 
 
 # -- Dini integrals ----------------------------------------------------------------

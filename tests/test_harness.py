@@ -366,6 +366,30 @@ def test_frozen_check_on_checkerboard(tmp_path):
     assert any(r.ratio is not None for r in rep.rows)
 
 
+def test_frozen_check_decides_constancy_on_the_solved_disk(tmp_path):
+    # jump at x = 0.46, side ball B_0.15(0.34, 0.5) at n = 32: the
+    # snapped-center node set ends at x = 0.453 and sees a constant
+    # coefficient, while the exact-center disk the frozen solve averages
+    # over reaches the node at x = 0.484 across the jump
+    text = TINY.replace(
+        "[coefficient]\npreset = constant\n",
+        "[coefficient]\npreset = jump\nposition = 0.46\n",
+    ).replace(
+        "run = comparison_inhomogeneous",
+        "run = frozen_coefficient\nside_center = 0.34 0.5\nside_radius = 0.15",
+    )
+    path = tmp_path / "jump046.ini"
+    path.write_text(text)
+    cfg = load_config(path)
+    cfg.sweep["n"] = [32]
+    cfg.sweep["amplitude"] = [0.2]
+    rep = run_checks(cfg)[0]
+    side = [r for r in rep.rows if r.point == (0.34, 0.5)]
+    assert len(side) == 1
+    assert side[0].flag == ""
+    assert side[0].ratio is not None and side[0].ratio > 0
+
+
 def test_cli_verify_deterministic_on_estimates(dirac_config, tmp_path):
     # the heaviest code path: mollification sweeps, Wolff and maximal
     # assemblies, seeded points; two runs must agree to the byte
@@ -478,6 +502,27 @@ def test_sweep_cell_pins_epsilon_and_gamma(tiny_config):
     assert cell.meshes() == [24]
     inst = build_instance(cell)
     assert inst.solver.epsilon == 1e-6
+
+
+def test_cli_runs_as_module_once(tmp_path):
+    # the harness package must not import the cli module, or `python -m`
+    # finds it in sys.modules and warns that it runs twice
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import potlab
+
+    src = str(Path(potlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "potlab.harness.cli", "--help"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verify" in proc.stdout
 
 
 def test_cli_usage_errors():

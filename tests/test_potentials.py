@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potlab.errors import DataError, RangeError
-from potlab.grid import Grid2D, GridFunction, MeasureData, ball_mass, gradient
+from potlab.grid import Grid2D, GridFunction, MeasureData, ball_average, ball_mass, gradient
 from potlab.orlicz import PowerGrowth
 from potlab.potentials import (
     ObstacleDensity,
@@ -172,6 +172,32 @@ def test_sharp_maximal_affine_oracle():
     # alpha = 1 makes the ladder value radius-independent
     got1 = sharp_maximal(f, x, 1.0, R)
     assert got1 == pytest.approx(a * kappa, rel=0.05)
+
+
+def test_obstacle_maximal_is_frac_maximal_of_kernel():
+    psi = grid_psi(lambda X, Y: 0.2 - 1.5 * ((X - 0.5) ** 2 + (Y - 0.45) ** 2), n=64)
+    od = ObstacleDensity.build(psi, PowerGrowth(3.0))
+    for x in ((0.5, 0.5), (0.37, 0.6)):
+        for beta in (0.0, 0.4, 1.0):
+            assert obstacle_maximal(od, x, beta, 0.2) == frac_maximal(od.kernel, x, beta, 0.2)
+
+
+def test_sharp_maximal_vector_equals_componentwise_ball_averages():
+    # the oscillation against the componentwise ball means, written with
+    # three ball averages per radius
+    g = Grid2D(64)
+    f = GridFunction.from_callable(g, lambda X, Y: np.sin(5 * X) * np.cos(3 * Y) + X * Y**2)
+    gx, gy = gradient(f)
+    R = 0.2
+    for x in ((0.5, 0.5), (0.41, 0.63)):
+        for alpha in (0.0, 0.3, 1.0):
+            expect = 0.0
+            for rho in radius_ladder(2 * g.h, R, 24):
+                mx = ball_average(gx, x, rho)
+                my = ball_average(gy, x, rho)
+                osc = gx.with_values(np.hypot(gx.values - mx, gy.values - my))
+                expect = max(expect, rho ** (-alpha) * ball_average(osc, x, rho))
+            assert sharp_maximal_vector((gx, gy), x, alpha, R) == expect
 
 
 def test_sharp_maximal_vector_matches_scalar_on_gradient():
