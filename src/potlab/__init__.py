@@ -1,6 +1,6 @@
 """potlab: desk-scale numerics for obstacle problems with Orlicz growth.
 
-Growth-function calculus, a projected-gradient variational-inequality
+Growth-function calculus, a projected-Newton variational-inequality
 solver on uniform 2D grids, Wolff potentials and restricted maximal
 operators, and a config-driven harness that stress-tests comparison and
 gradient estimates by ratio stability.
@@ -10,6 +10,7 @@ from .errors import (
     ChainError,
     DataError,
     DomainError,
+    EnergyIncreaseError,
     GridMismatchError,
     InsufficientDataError,
     IterationLimitError,

@@ -42,11 +42,17 @@ class SingularPointError(PotlabError):
 
 
 class IterationLimitError(PotlabError):
-    """Solver hit its iteration budget; carries the last iterate."""
+    """Solver stopped unconverged (iteration budget or collapsed line
+    search, named in the message and ``last.stop_reason``); carries the
+    last iterate."""
 
     def __init__(self, message, last=None):
         super().__init__(message)
         self.last = last
+
+
+class EnergyIncreaseError(PotlabError):
+    """An accepted solver step raised the discrete energy."""
 
 
 class ChainError(PotlabError):

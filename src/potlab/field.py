@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DataError, DomainError, SingularPointError, StateError
 from .grid import GridFunction, Grid2D, ball_nodes, ball_offsets
@@ -97,6 +96,8 @@ def checkerboard_coefficient(amplitude: float = 0.2, period: float = 0.25, **kw)
 
 
 def coefficient_from_raster(gf: GridFunction, **kw) -> CoefficientField:
+    from scipy.interpolate import RegularGridInterpolator
+
     g = gf.grid
     interp = RegularGridInterpolator(
         (g.xs, g.ys), gf.values, bounds_error=False, fill_value=None

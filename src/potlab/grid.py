@@ -77,8 +77,8 @@ class Grid2D:
         x, y = point
         if not self.contains_point(point):
             raise DomainError(f"point {point} outside domain")
-        ix = int(np.clip(round((x - self.origin[0]) / self.h - 0.5), 0, self.n - 1))
-        iy = int(np.clip(round((y - self.origin[1]) / self.h - 0.5), 0, self.n - 1))
+        ix = min(max(int(round((x - self.origin[0]) / self.h - 0.5)), 0), self.n - 1)
+        iy = min(max(int(round((y - self.origin[1]) / self.h - 0.5)), 0), self.n - 1)
         return ix, iy
 
     def contains_point(self, point) -> bool:

@@ -110,9 +110,9 @@ def load_config(path) -> ExperimentConfig:
     sol = _section(parser, "solver")
     if sol:
         cfg.solver = SolverConfig(
-            epsilon=float(sol.get("epsilon", 1e-8)),
-            tol=float(sol.get("tol", 1e-8)),
-            max_iter=int(sol.get("max_iter", 200_000)),
+            epsilon=float(sol.get("epsilon", SolverConfig.epsilon)),
+            tol=float(sol.get("tol", SolverConfig.tol)),
+            max_iter=int(sol.get("max_iter", SolverConfig.max_iter)),
         )
         if "gamma_prime" in sol:
             cfg.gamma_prime = float(sol["gamma_prime"])

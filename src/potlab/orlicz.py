@@ -24,7 +24,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DataError, DomainError, InsufficientDataError, RangeError
 
@@ -279,6 +278,8 @@ class TabulatedGrowth(GrowthFunction):
     kind = "tabulated"
 
     def __init__(self, nodes, values, allow_sublinear: bool = False):
+        from scipy.interpolate import PchipInterpolator
+
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:

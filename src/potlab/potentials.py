@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import DataError, RangeError
 from .grid import (
@@ -231,7 +230,8 @@ def radial_potential_profile(growth: GrowthFunction, mass: float, r, *,
     hi = max(float(r.max()), r_ref) * 2.0
     s = np.geomspace(lo, hi, 4096)
     integrand = growth.g_inverse(mass / (2 * np.pi * s))
-    cum = np.concatenate([[0.0], cumulative_trapezoid(integrand, s)])
+    trapezoids = np.diff(s) * (integrand[1:] + integrand[:-1]) / 2.0
+    cum = np.concatenate([[0.0], np.cumsum(trapezoids)])
     at = np.interp(r, s, cum)
     at_ref = np.interp(r_ref, s, cum)
     return c0 - (at - at_ref)

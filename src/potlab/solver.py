@@ -8,12 +8,19 @@ The discrete energy lives on the (n-1)^2 cells spanned by 2x2 node blocks:
 with Du_c the average of the four surrounding node differences, which
 pins down one gradient sample per cell and avoids the checkerboard null
 space of naive node-centered norms.  Minimization over {u >= psi, u = h on
-the pinned set} is projected gradient with Armijo backtracking; the
-initial step each iteration is the spectral (Barzilai-Borwein) quotient of
-the previous accepted step, safeguarded so every accepted step decreases
-the energy.  The solver converges when the projected residual satisfies
-both  h * ||pr||_2 <= tol  and  max |pr| <= 10 tol,  so the reported
-complementarity bound holds by construction.
+the pinned set} is a projected Newton (primal-dual active-set) method.
+Each step fixes the active set, the free nodes on the obstacle whose
+residual pushes into it, and solves the sparse 9-point Hessian system of
+the cell energy on the other free nodes (one sparse LU per step).  The
+step is searched along the projected path max(u + t d, psi), halving t
+until the Armijo condition holds, so every accepted step decreases the
+energy.  On meshes with even n and n/2 >= 32 the start is first replaced
+by the solution of the same problem on Grid2D(n/2) (2x2 block means of
+start, obstacle and data), prolonged bilinearly; this coarse-to-fine
+continuation keeps the Newton step count nearly flat in n.  The solver
+converges when the projected residual satisfies both  h * ||pr||_2 <= tol
+and  max |pr| <= 10 tol,  so the reported complementarity bound holds by
+construction.  ``Solution.stop_reason`` says why a solve stopped.
 
 Ball-restricted solves pin every node outside the ball to the trace
 donor, realizing "w = u on the ball boundary" without a second mesh.
@@ -24,12 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import convolve2d
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import (
     ChainError,
     DataError,
     DomainError,
+    EnergyIncreaseError,
     IterationLimitError,
     LevelError,
 )
@@ -54,13 +63,21 @@ __all__ = [
 
 _BACKTRACK = 0.5             # step shrink factor of the Armijo line search
 _SUFFICIENT_DECREASE = 1e-4  # Armijo constant
+_MAX_HALVINGS = 60           # line-search steps before the search counts as collapsed
+_COARSEST = 32               # smallest n of a continuation level
+
+# the four nodes of a cell in `_cell_flux` order (a, b, c, d) and the
+# signs of their weights in the cell gradient (dux, duy)
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+_WX = (-1.0, 1.0, -1.0, 1.0)
+_WY = (-1.0, -1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-8        # kernel regularization inside m = sqrt(|Du|^2 + eps^2)
     tol: float = 1e-8            # projected-residual tolerance, discrete L2 norm
-    max_iter: int = 200_000
+    max_iter: int = 100          # Newton steps on the finest level
 
     def __post_init__(self):
         if self.tol <= 0 or self.epsilon < 0:
@@ -105,6 +122,7 @@ class Solution:
     complementarity: float
     energy: float
     converged: bool = True
+    stop_reason: str = "converged"  # or "iteration budget", "line search collapsed"
 
 
 def _cell_flux(vals, inv2h, eps2):
@@ -153,13 +171,13 @@ class _Objective:
         self.eps2 = epsilon**2
 
     def __call__(self, vals):
-        """Return (energy, residual, cell magnitudes)."""
+        """Return (energy, residual)."""
         r, m = _divergence(vals, self.omega, self.growth, self.inv2h, self.eps2)
         E = float((self.omega * self.growth.G(m)).sum())
         if self.f is not None:
             E -= float((self.f[self.free] * vals[self.free]).sum())
             r = r - self.f
-        return E * self.h2, r, m
+        return E * self.h2, r
 
 
 def _projected_residual(resid, u, psi, free):
@@ -180,6 +198,91 @@ def _complementarity(u, resid, psi, free):
     return float(np.abs(np.minimum(gap, r)).max())
 
 
+def _hessian(vals, omega_cells, growth, inv2h, eps2, unknown):
+    """The Jacobian of `_divergence` in the nodes of ``unknown`` (numbered
+    in row-major order), as a CSC matrix.
+
+    Per cell it is omega [kappa I + (g'(m) - kappa)/m^2 xi xi^T] with
+    kappa = g(m)/m and xi = Du_c, pulled back through the cell stencil;
+    the rank-one term is dropped where m = 0.
+    """
+    dux, duy, m = _cell_flux(vals, inv2h, eps2)
+    kappa = growth.kernel(m)
+    rho = np.zeros_like(m)
+    pos = m > 0
+    rho[pos] = (growth.dg(m[pos]) - kappa[pos]) / (m[pos] * m[pos])
+    iso = omega_cells * kappa * inv2h**2
+    rank1 = omega_cells * rho
+    n = vals.shape[0]
+    number = np.full(vals.shape, -1, dtype=np.int32)
+    count = int(unknown.sum())
+    number[unknown] = np.arange(count, dtype=np.int32)
+    nodes = [number[i:n - 1 + i, j:n - 1 + j] for i, j in _CORNERS]
+    keep = [k >= 0 for k in nodes]
+    proj = [inv2h * (wx * dux + wy * duy) for wx, wy in zip(_WX, _WY)]
+    rows, cols, data = [], [], []
+    for a in range(4):
+        for b in range(4):
+            both = keep[a] & keep[b]
+            val = rank1 * proj[a] * proj[b]
+            cross = _WX[a] * _WX[b] + _WY[a] * _WY[b]
+            if cross:
+                val += cross * iso
+            rows.append(nodes[a][both])
+            cols.append(nodes[b][both])
+            data.append(val[both])
+    H = sp.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(count, count),
+    )
+    # a node whose four cells all have m = 0 (epsilon = 0, p > 2) has no
+    # curvature; give it the largest diagonal, a stable gradient step
+    diag = H.diagonal()
+    flat = diag <= 0
+    if flat.any():
+        H = H + sp.diags(np.where(flat, diag.max() if diag.max() > 0 else 1.0, 0.0),
+                         format="csc")
+    return H
+
+
+def _block_mean(a):
+    """Means over the 2x2 node blocks: the restriction to Grid2D(n/2)."""
+    return 0.25 * (a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
+
+
+def _prolong(c):
+    """Bilinear interpolation from Grid2D(n/2) to Grid2D(n): fine node 2I
+    sits a quarter coarse spacing below coarse node I, node 2I + 1 a
+    quarter above; the outermost fine nodes take the edge value."""
+    def axis0(a):
+        out = np.empty((2 * a.shape[0],) + a.shape[1:])
+        out[0::2] = 0.75 * a + 0.25 * np.concatenate([a[:1], a[:-1]])
+        out[1::2] = 0.75 * a + 0.25 * np.concatenate([a[1:], a[-1:]])
+        return out
+    return axis0(axis0(c).T).T
+
+
+def _coarse_start(grid, growth, omega_cells, f, start, psi, free, cfg):
+    """Warm start from the same problem solved on Grid2D(n/2), prolonged,
+    with the pinned nodes reset and the obstacle projected; None when no
+    2x2 block is entirely free.  The coarse solve need not converge."""
+    coarse_free = _block_mean(free.astype(float)) == 1.0
+    if not coarse_free.any():
+        return None
+    coarse = Grid2D(grid.n // 2, grid.side, grid.origin)
+    uc = _minimize(
+        coarse, growth, omega_cells[1::2, 1::2],
+        None if f is None else _block_mean(f),
+        _block_mean(start),
+        None if psi is None else _block_mean(psi),
+        coarse_free, cfg,
+    )[0]
+    u = np.where(free, _prolong(uc), start)
+    if psi is not None:
+        u[free] = np.maximum(u[free], psi[free])
+    return u
+
+
 def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
     h = grid.h
     h2 = h * h
@@ -188,50 +291,58 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         u[free] = np.maximum(u[free], psi[free])
     objective = _Objective(grid, growth, omega_cells, f, free, cfg.epsilon)
 
-    E, resid, m = objective(u)
-    res_hist: list[float] = []
-    en_hist: list[float] = [E]
-    tau_bb = None
-    converged = False
-    it = 0
-    while it < cfg.max_iter:
+    def stationary(u, resid):
         pr = _projected_residual(resid, u, psi, free)
         l2 = h * float(np.linalg.norm(pr))
         linf = float(np.abs(pr).max()) if pr.size else 0.0
+        return l2, l2 <= cfg.tol and linf <= 10.0 * cfg.tol
+
+    E, resid = objective(u)
+    if grid.n % 2 == 0 and grid.n // 2 >= _COARSEST and not stationary(u, resid)[1]:
+        warm = _coarse_start(grid, growth, omega_cells, f, u, psi, free, cfg)
+        if warm is not None:
+            u = warm
+            E, resid = objective(u)
+    res_hist: list[float] = []
+    en_hist: list[float] = [E]
+    stop = "iteration budget"
+    it = 0
+    while True:
+        l2, done = stationary(u, resid)
         res_hist.append(l2)
-        if l2 <= cfg.tol and linf <= 10.0 * cfg.tol:
-            converged = True
+        if done:
+            stop = "converged"
             break
-        kmax = float(
-            (omega_cells * np.maximum(growth.dg(m), growth.kernel(m))).max()
-        )
-        tau0 = h2 / (4.0 * max(kmax, 1e-300))
-        tau = tau_bb if tau_bb is not None else tau0
-        accepted = False
-        for _ in range(60):
-            cand = np.where(free, u - tau * resid, u)
+        if it >= cfg.max_iter:
+            break
+        unknown = free if psi is None else free & ~((u <= psi) & (resid > 0))
+        d = np.zeros_like(u)
+        H = _hessian(u, omega_cells, growth, objective.inv2h, objective.eps2, unknown)
+        d[unknown] = splu(H, permc_spec="MMD_AT_PLUS_A",
+                          options={"SymmetricMode": True}).solve(-resid[unknown])
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            cand = u + t * d
             if psi is not None:
-                cand = np.where(free, np.maximum(cand, psi), cand)
-            Ec, rc, mc = objective(cand)
+                np.maximum(cand, psi, out=cand, where=unknown)
+            Ec, rc = objective(cand)
             dec = h2 * float(np.sum(resid * (cand - u)))
             if Ec <= E + _SUFFICIENT_DECREASE * dec + 1e-14 * (abs(E) + 1e-300):
-                accepted = True
                 break
-            tau *= _BACKTRACK
-        if not accepted:
-            break  # step collapsed at the numerical floor with tol unmet
-        du = cand - u
-        dr = rc - resid
-        num = float(np.sum(du[free] * du[free]))
-        den = float(np.sum(du[free] * dr[free]))
-        tau_bb = min(max(num / den, 1e-2 * tau0), 1e8 * tau0) if den > 0 else None
-        assert Ec <= E + 1e-12 * (abs(E) + 1.0), "energy increased on an accepted step"
-        u, resid, m, E = cand, rc, mc, Ec
+            t *= _BACKTRACK
+        else:
+            stop = "line search collapsed"
+            break
+        if Ec > E + 1e-12 * (abs(E) + 1.0):
+            raise EnergyIncreaseError(
+                f"accepted step raised the energy from {E!r} to {Ec!r}"
+            )
+        u, resid, E = cand, rc, Ec
         en_hist.append(E)
         it += 1
 
     comp = _complementarity(u, resid, psi, free)
-    return u, it, res_hist, en_hist, comp, E, converged
+    return u, it, res_hist, en_hist, comp, E, stop
 
 
 def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
@@ -267,7 +378,7 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
         raise DataError("trace donor lies below the obstacle on pinned nodes")
     if omega_cells is None:
         omega_cells = prob.field.coefficient.on_cells(grid)
-    u, iters, res_hist, en_hist, comp, E, ok = _minimize(
+    u, iters, res_hist, en_hist, comp, E, stop = _minimize(
         grid, prob.field.growth, omega_cells, f, start, psi, free, cfg
     )
     sol = Solution(
@@ -277,11 +388,12 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
         energy_history=en_hist,
         complementarity=comp,
         energy=E,
-        converged=ok,
+        converged=stop == "converged",
+        stop_reason=stop,
     )
-    if not ok:
+    if not sol.converged:
         raise IterationLimitError(
-            f"no convergence in {iters} iterations "
+            f"stopped by {stop} after {iters} iterations "
             f"(projected residual {res_hist[-1]:.3e}, tol {cfg.tol:.1e})",
             last=sol,
         )
@@ -368,7 +480,12 @@ def mollify_measure(mu: MeasureData, level: int, grid: Grid2D | None = None) -> 
             rho2 = (DX**2 + DY**2) / rb**2
             K = np.where(rho2 < 1.0, (1.0 - np.minimum(rho2, 1.0)) ** 2, 0.0)
             K /= K.sum()
-            out += convolve2d(dens, K, mode="same")
+            # zero-padded 'same' convolution as one shifted sum per offset
+            # inside the bump (K is symmetric, so no flip is needed)
+            pad = np.pad(dens, mrad)
+            n = grid.n
+            for di, dj in zip(*np.nonzero(K)):
+                out += K[di, dj] * pad[di:di + n, dj:dj + n]
     return GridFunction(grid, out)
 
 

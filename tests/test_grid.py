@@ -42,6 +42,24 @@ def f_of(grid, fn):
     return GridFunction.from_callable(grid, fn)
 
 
+def test_nearest_node_matches_clipped_rounding():
+    g = Grid2D(48, side=2.0, origin=(-1.0, 0.5))
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([
+        g.origin + g.side * rng.random((400, 2)),
+        [g.origin, (g.origin[0] + g.side, g.origin[1] + g.side), (0.0, 1.5)],
+        np.stack([g.xs[:2] + 0.5 * g.h, g.ys[-2:] + 0.5 * g.h], axis=1),
+    ])
+    for x, y in pts:
+        want = tuple(
+            int(np.clip(round((c - o) / g.h - 0.5), 0, g.n - 1))
+            for c, o in ((x, g.origin[0]), (y, g.origin[1]))
+        )
+        got = g.nearest_node((x, y))
+        assert got == want
+        assert all(type(i) is int for i in got)
+
+
 # -- gradient / hessian -----------------------------------------------------
 
 def test_gradient_affine_exact(grid):

@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from potlab.errors import ChainError, DataError, DomainError, IterationLimitError, LevelError
+from potlab import solver
+from potlab.errors import (
+    ChainError,
+    DataError,
+    DomainError,
+    EnergyIncreaseError,
+    IterationLimitError,
+    LevelError,
+)
 from potlab.field import VectorField, affine_coefficient, constant_coefficient, jump_coefficient
 from potlab.grid import Grid2D, GridFunction, MeasureData, disk_integral
-from potlab.orlicz import PowerGrowth
+from potlab.orlicz import PowerGrowth, TabulatedGrowth
 from potlab.solver import (
     ObstacleProblem,
     SolverConfig,
+    apply_operator,
     comparison_chain,
     frozen_coefficient_value,
     mollify_measure,
@@ -53,6 +64,16 @@ def test_affine_data_p4():
     sol = solve_equation(prob, CFG)
     exact = 0.3 * g.X + 0.1 * g.Y
     assert np.abs(sol.u.values - exact).max() < 1e-7
+
+
+def test_unregularized_degenerate_kernel_from_flat_start():
+    # epsilon = 0, p = 3: the flat interior start has m = 0 on every inner
+    # cell, so those nodes have no curvature in the Newton system
+    g = Grid2D(48)
+    prob = ObstacleProblem(field=unit_field(3.0), boundary=ring_only(g, lambda X, Y: X))
+    sol = solve_equation(prob, SolverConfig(tol=1e-9, epsilon=0.0))
+    assert sol.converged
+    assert np.abs(sol.u.values - g.X).max() < 1e-7
 
 
 def test_zero_problem():
@@ -139,17 +160,115 @@ def test_infeasible_boundary_raises():
 
 
 def test_iteration_limit_carries_last_iterate():
+    # p = 2 is quadratic and converges in one Newton step; p = 3 needs more
     g = Grid2D(48)
     f = GridFunction.constant(g, 1.0)
     zero = GridFunction.constant(g, 0.0)
     with pytest.raises(IterationLimitError) as info:
         solve_vi(
-            ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=f),
+            ObstacleProblem(field=unit_field(3.0), boundary=zero, rhs=f),
             SolverConfig(tol=1e-9, max_iter=3),
         )
     assert info.value.last is not None
     assert info.value.last.converged is False
     assert info.value.last.iterations == 3
+    assert info.value.last.stop_reason == "iteration budget"
+    assert "iteration budget" in str(info.value)
+
+
+def _contact_problem(n):
+    g = Grid2D(n)
+    psi = GridFunction.from_callable(
+        g, lambda X, Y: 0.2 - 1.5 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)
+    )
+    return ObstacleProblem(
+        field=unit_field(3.0), boundary=GridFunction.constant(g, 0.0), obstacle=psi
+    )
+
+
+def test_absurd_ascent_direction_collapses_line_search(monkeypatch):
+    # every halving of a reversed step 1e30 times too long raises the energy
+    hessian = solver._hessian
+    monkeypatch.setattr(solver, "_hessian", lambda *a: -1e-30 * hessian(*a))
+    with pytest.raises(IterationLimitError) as info:
+        solve_vi(_contact_problem(48), CFG)
+    assert info.value.last.stop_reason == "line search collapsed"
+    assert info.value.last.iterations == 0
+    assert "line search collapsed" in str(info.value)
+
+
+def test_accepted_energy_increase_raises(monkeypatch):
+    # an ascent direction that a broken sufficient-decrease test accepts
+    hessian = solver._hessian
+    monkeypatch.setattr(solver, "_hessian", lambda *a: -hessian(*a))
+    monkeypatch.setattr(solver, "_SUFFICIENT_DECREASE", 1e6)
+    with pytest.raises(EnergyIncreaseError):
+        solve_vi(_contact_problem(48), CFG)
+
+
+@pytest.mark.parametrize(
+    "growth",
+    [PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.0),
+     TabulatedGrowth(np.geomspace(1e-6, 1e3, 600), np.geomspace(1e-6, 1e3, 600) ** 1.5)],
+    ids=["p2", "p3", "p4", "tabulated"],
+)
+def test_hessian_matches_divergence_difference(growth):
+    n = 24
+    g = Grid2D(n)
+    rng = np.random.default_rng(3)
+    u = np.sin(3 * g.X) * np.cos(2 * g.Y) + 0.1 * rng.standard_normal((n, n))
+    omega = 1.0 + 0.5 * rng.random((n - 1, n - 1))
+    unknown = g.interior_mask() & (rng.random((n, n)) < 0.8)
+    inv2h, eps2 = 0.5 / g.h, 1e-16
+    H = solver._hessian(u, omega, growth, inv2h, eps2, unknown)
+    v = np.zeros((n, n))
+    v[unknown] = rng.standard_normal(int(unknown.sum()))
+    delta = 1e-6
+    plus = solver._divergence(u + delta * v, omega, growth, inv2h, eps2)[0]
+    minus = solver._divergence(u - delta * v, omega, growth, inv2h, eps2)[0]
+    fd = ((plus - minus) / (2 * delta))[unknown]
+    got = H @ v[unknown]
+    assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_fine_iterations_flat_in_n():
+    iters = {n: solve_vi(_contact_problem(n), SolverConfig(tol=1e-8)).iterations
+             for n in (64, 128)}
+    assert iters[128] <= iters[64] + 2
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(16, 24),
+    p=st.sampled_from([2.0, 3.0]),
+    height=st.floats(-0.3, 0.4),
+    curvature=st.floats(0.0, 4.0),
+    trace=st.floats(0.0, 0.5),
+    source=st.floats(-4.0, 4.0),
+)
+def test_kkt_conditions_hold(n, p, height, curvature, trace, source):
+    g = Grid2D(n)
+    psi = GridFunction.from_callable(
+        g, lambda X, Y: height - curvature * ((X - 0.4) ** 2 + (Y - 0.55) ** 2)
+    )
+    ring = g.ring_mask()
+    bvals = np.where(ring, np.maximum(trace * g.X, psi.values), 0.0)
+    prob = ObstacleProblem(
+        field=unit_field(p),
+        boundary=GridFunction(g, bvals),
+        obstacle=psi,
+        rhs=GridFunction.constant(g, source),
+    )
+    sol = solve_vi(prob, CFG)
+    u = sol.u.values
+    resid = apply_operator(g, prob.field.growth, np.ones((n - 1, n - 1)), u,
+                           CFG.epsilon) - source
+    free = ~ring
+    contact = free & (u <= psi.values)
+    assert np.all(u >= psi.values)
+    assert np.all(resid[contact] >= -10 * CFG.tol)
+    gap = (u - psi.values)[free]
+    assert np.abs(np.minimum(gap, resid[free])).max() <= 10 * CFG.tol
 
 
 def test_raw_measure_rejected():
@@ -231,6 +350,24 @@ def test_mollify_density_identity_limit():
     assert dists[2] < dists[1] < dists[0]
 
 
+def test_mollify_density_matches_convolution():
+    from scipy.signal import convolve2d
+
+    for n, level in ((64, 2), (96, 4), (128, 8)):
+        g = Grid2D(n)
+        dens = np.random.default_rng(n).random((n, n))
+        dens[~((np.abs(g.X - 0.5) < 0.2) & (np.abs(g.Y - 0.5) < 0.2))] = 0.0
+        f = mollify_measure(MeasureData(density=GridFunction(g, dens)), level, g)
+        rb = 1.0 / (4 * level)
+        mrad = int(np.floor(rb / g.h))
+        off = np.arange(-mrad, mrad + 1) * g.h
+        DX, DY = np.meshgrid(off, off, indexing="ij")
+        rho2 = (DX**2 + DY**2) / rb**2
+        K = np.where(rho2 < 1.0, (1.0 - np.minimum(rho2, 1.0)) ** 2, 0.0)
+        ref = convolve2d(dens, K / K.sum(), mode="same")
+        assert np.abs(f.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_mollify_level_errors():
     g = Grid2D(64)
     near_edge = MeasureData(atoms=[(0.05, 0.5, 1.0)])
@@ -295,15 +432,17 @@ def test_op_sequence_requires_increasing_levels():
 # -- frozen solves and chains -------------------------------------------------------
 
 def test_frozen_constant_coefficient_is_noop():
-    g = Grid2D(48)
-    bdata = ring_only(g, lambda X, Y: X + 0.3 * np.sin(2 * np.pi * Y))
-    u = solve_equation(ObstacleProblem(field=unit_field(2.0), boundary=bdata), CFG)
-    w = solve_frozen(
-        ObstacleProblem(field=unit_field(2.0), boundary=u.u),
-        ((0.5, 0.5), 0.2), CFG, warm_start=u.u,
-    )
-    assert np.array_equal(w.u.values, u.u.values)
-    assert w.iterations == 0
+    # n = 64 also has a coarse level, which a converged start skips
+    for n in (48, 64):
+        g = Grid2D(n)
+        bdata = ring_only(g, lambda X, Y: X + 0.3 * np.sin(2 * np.pi * Y))
+        u = solve_equation(ObstacleProblem(field=unit_field(2.0), boundary=bdata), CFG)
+        w = solve_frozen(
+            ObstacleProblem(field=unit_field(2.0), boundary=u.u),
+            ((0.5, 0.5), 0.2), CFG, warm_start=u.u,
+        )
+        assert np.array_equal(w.u.values, u.u.values)
+        assert w.iterations == 0
 
 
 def test_frozen_average_of_affine_coefficient():
