@@ -5,7 +5,7 @@ Every `check_*.csv` and `summary.txt` under OLD is matched with the file
 at the same relative path under NEW.  For each file the script prints
 whether the rows and flags (CSV) or the rows and verdicts (summary)
 agree, and the largest relative difference |a - b| / max(|a|, |b|) of
-each numeric column.  Summary notes are compared as text and reported,
+each numeric column; files whose bytes match print as byte-identical.  Summary notes are compared as text and reported,
 but they are rounded copies of numbers compared elsewhere and do not
 fail the comparison.
 
@@ -82,6 +82,9 @@ def compare_rows(old: list[dict], new: list[dict], exact, numeric) -> tuple[list
 
 
 def compare_file(rel: Path, old: Path, new: Path) -> bool:
+    if old.read_bytes() == new.read_bytes():
+        print(f"ok   {rel}: byte-identical")
+        return True
     if rel.name == "summary.txt":
         (a, notes_a), (b, notes_b) = read_summary(old), read_summary(new)
         problems, worst = compare_rows(a, b, ("check", "rows", "pass"), SUMMARY_NUMERIC)

@@ -6,12 +6,16 @@ the nearest node and reuse offset tables cached per radius/h, so repeated
 ladder evaluations cost one fancy-indexing gather per (center, radius).
 Measure mass queries keep the exact center (``disk_mask``): atom
 membership is a closed-ball distance test and cut cells follow the
-node-center-in-disk rule.
+node-center-in-disk rule.  They take a whole radius ladder at once
+(``disk_integrals``, ``ball_masses``), summing each disk over its own
+node box of one squared-distance table, so every mass is bitwise the
+full-grid masked sum.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +39,9 @@ __all__ = [
     "ball_offsets",
     "disk_mask",
     "disk_integral",
+    "disk_integrals",
     "ball_mass",
+    "ball_masses",
     "median",
     "largest_median",
     "truncate",
@@ -224,14 +230,46 @@ def disk_mask(grid: Grid2D, center, radius: float) -> np.ndarray:
     return (grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2 <= radius**2 * (1 + 1e-12)
 
 
+def _node_span(origin: float, h: float, n: int, lo: float, hi: float) -> tuple[int, int]:
+    """Slice bounds of the nodes with coordinate in [lo, hi], widened by
+    one node on each side (so rounding never drops a boundary node) and
+    clipped to the grid."""
+    start = math.ceil((lo - origin) / h - 0.5) - 1
+    stop = math.floor((hi - origin) / h - 0.5) + 2
+    return min(max(start, 0), n), min(max(stop, 0), n)
+
+
 def disk_integral(f: GridFunction, center, radius: float) -> float:
     """Sum of f * h^2 over the nodes of the exact-center closed disk.
 
     Mass-type query: the disk may exit the domain (the outside contributes
     nothing), and the center is not snapped.
     """
+    return float(disk_integrals(f, center, (radius,))[0])
+
+
+def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
+    """``disk_integral`` for every radius of a ladder.
+
+    One squared-distance table covers the node box of the largest disk;
+    each radius sums the ``disk_mask`` nodes of its own sub-box.  A sub-box
+    lists those nodes in the full grid's row-major order, so each sum is
+    bitwise the full-grid masked sum.
+    """
     g = f.grid
-    return float(f.values[disk_mask(g, center, radius)].sum() * g.h * g.h)
+    cx, cy = center
+    top = max(radii)
+    i0, i1 = _node_span(g.origin[0], g.h, g.n, cx - top, cx + top)
+    j0, j1 = _node_span(g.origin[1], g.h, g.n, cy - top, cy + top)
+    d2 = ((g.xs[i0:i1] - cx) ** 2)[:, None] + ((g.ys[j0:j1] - cy) ** 2)[None, :]
+    vals = f.values[i0:i1, j0:j1]
+    out = np.empty(len(radii))
+    for k, radius in enumerate(radii):
+        a, b = _node_span(g.origin[0], g.h, g.n, cx - radius, cx + radius)
+        c, d = _node_span(g.origin[1], g.h, g.n, cy - radius, cy + radius)
+        box = (slice(a - i0, b - i0), slice(c - j0, d - j0))
+        out[k] = vals[box][d2[box] <= radius**2 * (1 + 1e-12)].sum() * g.h * g.h
+    return out
 
 
 def gradient(f: GridFunction) -> tuple[GridFunction, GridFunction]:
@@ -326,18 +364,24 @@ class MeasureData:
 def ball_mass(mu: MeasureData, center, radius: float) -> float:
     """|mu| of the closed ball: atom masses within the exact distance plus
     the cut-cell integral of |density| (node-center-in-disk rule)."""
-    if radius <= 0:
+    return float(ball_masses(mu, center, (radius,))[0])
+
+
+def ball_masses(mu: MeasureData, center, radii) -> np.ndarray:
+    """``ball_mass`` for every radius of a ladder: the atom distances are
+    taken once, the density integrated by ``disk_integrals``."""
+    if min(radii) <= 0:
         raise DataError("ball_mass needs a positive radius")
     cx, cy = center
-    tol = radius + _EPS * max(1.0, radius)
-    total = sum(
-        abs(m) for x, y, m in mu.atoms if np.hypot(x - cx, y - cy) <= tol
-    )
+    atoms = [(np.hypot(x - cx, y - cy), abs(m)) for x, y, m in mu.atoms]
+    out = np.array([
+        sum(m for d, m in atoms if d <= radius + _EPS * max(1.0, radius))
+        for radius in radii
+    ], dtype=float)
     if mu.density is not None:
-        total += disk_integral(
-            mu.density.with_values(np.abs(mu.density.values)), center, radius
-        )
-    return float(total)
+        dens = mu.density.with_values(np.abs(mu.density.values))
+        out += disk_integrals(dens, center, radii)
+    return out
 
 
 # ---------------------------------------------------------------------------

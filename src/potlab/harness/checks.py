@@ -26,6 +26,7 @@ power-law fit criterion, and the study only carries its rows.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -179,14 +180,21 @@ class RatioStudy:
 
 
 class SolveCache:
-    """Memo for solved instances; keys are value tuples, builders pure."""
+    """Memo for solved instances; keys are value tuples, builders pure.
+
+    Checks share one cache across ``--jobs`` threads: a per-key lock makes
+    the first thread to ask build the value while the others wait for it.
+    """
 
     def __init__(self):
         self._store: dict = {}
+        self._locks: dict = {}
 
     def get(self, key, builder):
         if key not in self._store:
-            self._store[key] = builder()
+            with self._locks.setdefault(key, threading.Lock()):
+                if key not in self._store:
+                    self._store[key] = builder()
         return self._store[key]
 
 

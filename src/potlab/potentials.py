@@ -6,8 +6,11 @@ limit rho -> 0 is not resolvable on a grid, and keeping the same
 truncation on both sides of every inequality preserves ratio-based
 verification.  The maximal operators read each ball's node values with
 one gather per radius (the snapped-centre rule of ``ball_nodes``).  The Wolff
-quadrature inserts breakpoints at the exact atom distances so the mass
-jumps of Dirac measures do not contaminate the log-trapezoid rule.
+quadrature takes a point's masses for the whole ladder in one batched
+call, and inserts breakpoints at the exact atom distances so the mass
+jumps of Dirac measures do not contaminate the log-trapezoid rule.  The
+obstacle density memoises each point's mass ladder, which depends only on
+(x, r_min, R), so every beta reuses it.
 The radial potential of a centered source (the exact solution the
 ``fundamental`` boundary preset and the radial scripts use) lives here
 too.
@@ -15,6 +18,7 @@ too.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +28,9 @@ from .grid import (
     GridFunction,
     MeasureData,
     ball_mass,
+    ball_masses,
     ball_nodes,
-    disk_integral,
+    disk_integrals,
     gradient,
     hessian,
 )
@@ -72,14 +77,23 @@ class WolffParams:
             raise DataError("r_min must be positive")
 
 
+@functools.lru_cache(maxsize=256)
 def radius_ladder(r_min: float, R: float, per_decade: int = 24) -> np.ndarray:
-    """Log-spaced radii including both endpoints exactly."""
+    """Log-spaced radii including both endpoints exactly; read-only, as
+    every caller with the same arguments shares the array."""
     if R <= r_min:
         raise RangeError(f"ladder needs R > r_min (got R={R:g}, r_min={r_min:g})")
     count = max(2, int(np.ceil(np.log10(R / r_min) * per_decade)) + 1)
     ladder = np.geomspace(r_min, R, count)
     ladder[0], ladder[-1] = r_min, R
+    ladder.flags.writeable = False
     return ladder
+
+
+def _kernel_masses(kernel: GridFunction, x, r_min: float, R: float) -> np.ndarray:
+    masses = disk_integrals(kernel, x, radius_ladder(r_min, R))
+    masses.flags.writeable = False
+    return masses
 
 
 class ObstacleDensity:
@@ -94,6 +108,11 @@ class ObstacleDensity:
             raise DataError("obstacle kernel must respect the +1 floor")
         self.psi = psi
         self.kernel = kernel
+        # bound to the kernel, not to self: no reference cycle, so the memo
+        # goes with the instance
+        self._masses = functools.lru_cache(maxsize=256)(
+            functools.partial(_kernel_masses, kernel)
+        )
 
     @classmethod
     def build(cls, psi: GridFunction, growth: GrowthFunction) -> "ObstacleDensity":
@@ -104,19 +123,15 @@ class ObstacleDensity:
         kern = growth.kernel(mag) * hess_l1 + 1.0
         return cls(psi, psi.with_values(kern))
 
-    def mass(self, center, radius: float) -> float:
-        return disk_integral(self.kernel, center, radius)
+    def masses(self, x, r_min: float, R: float) -> np.ndarray:
+        """Read-only kernel masses of B_rho(x) for every rho of
+        ``radius_ladder(r_min, R)``, memoised per (x, r_min, R) in a
+        bounded LRU."""
+        return self._masses((float(x[0]), float(x[1])), float(r_min), float(R))
 
 
-def _wolff_quadrature(mass_fn, wp: WolffParams, breakpoints=()) -> float:
-    radii = radius_ladder(wp.r_min, wp.R)
-    extra = []
-    for d in breakpoints:
-        if wp.r_min < d < wp.R:
-            extra.extend([d * (1.0 - 1e-9), d])
-    if extra:
-        radii = np.unique(np.concatenate([radii, np.asarray(extra)]))
-    masses = np.array([mass_fn(rho) for rho in radii])
+def _wolff_quadrature(radii: np.ndarray, masses: np.ndarray, wp: WolffParams) -> float:
+    """Log-trapezoid rule of (mass(rho) / rho^(n - beta p))^(1/(p-1))."""
     expo = N_DIM - wp.beta * wp.p
     integrand = (masses / radii**expo) ** (1.0 / (wp.p - 1.0))
     return float(np.trapezoid(integrand, np.log(radii)))
@@ -124,8 +139,15 @@ def _wolff_quadrature(mass_fn, wp: WolffParams, breakpoints=()) -> float:
 
 def wolff(mu: MeasureData, x, wp: WolffParams) -> float:
     """The potential over [r_min, R]; the ladder breaks at every atom distance."""
-    dists = [float(np.hypot(ax - x[0], ay - x[1])) for ax, ay, _ in mu.atoms]
-    return _wolff_quadrature(lambda rho: ball_mass(mu, x, rho), wp, breakpoints=dists)
+    radii = radius_ladder(wp.r_min, wp.R)
+    extra = []
+    for ax, ay, _ in mu.atoms:
+        d = float(np.hypot(ax - x[0], ay - x[1]))
+        if wp.r_min < d < wp.R:
+            extra.extend([d * (1.0 - 1e-9), d])
+    if extra:
+        radii = np.unique(np.concatenate([radii, np.asarray(extra)]))
+    return _wolff_quadrature(radii, ball_masses(mu, x, radii), wp)
 
 
 def wolff_detail(mu: MeasureData, x, wp: WolffParams) -> tuple[float, bool]:
@@ -135,7 +157,8 @@ def wolff_detail(mu: MeasureData, x, wp: WolffParams) -> tuple[float, bool]:
 
 
 def wolff_psi(od: ObstacleDensity, x, wp: WolffParams) -> float:
-    return _wolff_quadrature(lambda rho: od.mass(x, rho), wp)
+    """The obstacle density's potential over [r_min, R] (no breakpoints)."""
+    return _wolff_quadrature(radius_ladder(wp.r_min, wp.R), od.masses(x, wp.r_min, wp.R), wp)
 
 
 def _ladder_for(R: float, r_min: float | None, grid) -> np.ndarray:
@@ -159,9 +182,8 @@ def frac_maximal(obj, x, beta: float, R: float, *, r_min: float | None = None) -
     if isinstance(obj, MeasureData):
         grid = obj.density.grid if obj.density is not None else None
         radii = _ladder_for(R, r_min, grid)
-        vals = [
-            rho**beta * ball_mass(obj, x, rho) / (np.pi * rho**2) for rho in radii
-        ]
+        masses = ball_masses(obj, x, radii)
+        vals = [rho**beta * m / (np.pi * rho**2) for rho, m in zip(radii, masses)]
         return float(max(vals))
     f: GridFunction = obj
     radii = _ladder_for(R, r_min, f.grid)

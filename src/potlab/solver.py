@@ -5,10 +5,14 @@ The discrete energy lives on the (n-1)^2 cells spanned by 2x2 node blocks:
     E(u) = sum_cells omega_c G(m_c) h^2  -  sum_free f u h^2,
     m_c  = sqrt(|Du_c|^2 + eps^2),
 
-with Du_c the average of the four surrounding node differences, which
-pins down one gradient sample per cell and avoids the checkerboard null
-space of naive node-centered norms.  Minimization over {u >= psi, u = h on
-the pinned set} is a projected Newton (primal-dual active-set) method.
+with Du_c the average of the four surrounding node differences: one
+gradient sample per cell.  Du_c depends only on the two diagonal
+differences of its 2x2 block, so the checkerboard (-1)^(i+j) has Du_c = 0
+on every cell and adds nothing to the cell energy; only the pinned ring
+holds that mode (for p = 2 the Hessian couples each node to its diagonal
+neighbours only, so the sublattices i + j even and i + j odd are
+decoupled in the interior).  Minimization over {u >= psi, u = h on the
+pinned set} is a projected Newton (primal-dual active-set) method.
 Each step fixes the active set, the free nodes on the obstacle whose
 residual pushes into it, and solves the sparse 9-point Hessian system of
 the cell energy on the other free nodes (one sparse LU per step).  The

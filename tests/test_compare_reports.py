@@ -1,0 +1,58 @@
+"""scripts/compare_reports.py: exit status and output on small report trees."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
+_spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
+compare_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reports)
+
+LHS = 1.19513870397
+CSV = (
+    "check,point_x,point_y,radius,lhs,rhs,ratio,flag\n"
+    "gradient_bounds,0.602694334164,0.585101738978,0.15,{lhs},8.10939574708,"
+    "0.147377035385,{flag}\n"
+    "gradient_bounds,0.610296552193,0.567962054587,0.0375,0.295175139676,"
+    "8.17533648569,0.036105564608,oscillation\n"
+)
+SUMMARY = (
+    "check                             rows    max_ratio      drift  pass\n"
+    "gradient_bounds                      2 0.147377035385 4.08181567418    ok\n"
+    "    note: oscillation exponent alpha = 0.4\n"
+)
+
+
+def write_tree(root: Path, lhs: float = LHS, flag: str = "") -> Path:
+    (root / "dirac").mkdir(parents=True)
+    (root / "dirac" / "check_gradient_bounds.csv").write_text(
+        CSV.format(lhs=f"{lhs:.12g}", flag=flag))
+    (root / "dirac" / "summary.txt").write_text(SUMMARY)
+    return root
+
+
+def run(tmp_path, **change) -> int:
+    old = write_tree(tmp_path / "old")
+    new = write_tree(tmp_path / "new", **change)
+    return compare_reports.main(["compare_reports.py", str(old), str(new)])
+
+
+def test_identical_trees_agree_byte_for_byte(tmp_path, capsys):
+    assert run(tmp_path) == 0
+    out = capsys.readouterr().out
+    assert out.count("byte-identical") == 2
+    assert "reports agree" in out
+
+
+def test_flipped_flag_fails(tmp_path, capsys):
+    assert run(tmp_path, flag="degenerate-skip") == 1
+    assert "row 1 flag" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rel, code", [(1e-5, 1), (1e-9, 0)])
+def test_numeric_change_against_the_limit(tmp_path, capsys, rel, code):
+    assert run(tmp_path, lhs=LHS * (1 + rel)) == code
+    out = capsys.readouterr().out
+    assert "check_gradient_bounds.csv: rows and flags equal" in out

@@ -17,9 +17,12 @@ from potlab.grid import (
     MeasureData,
     ball_average,
     ball_mass,
+    ball_masses,
     ball_nodes,
     ball_offsets,
     disk_integral,
+    disk_integrals,
+    disk_mask,
     gradient,
     hessian,
     largest_median,
@@ -267,6 +270,48 @@ def test_disk_integral_constant(r):
     g = Grid2D(64)
     val = disk_integral(GridFunction.constant(g, 2.0), (0.5, 0.5), r)
     assert val == pytest.approx(2.0 * np.pi * r**2, abs=2.0 * 3 * g.h * r + 8 * g.h**2)
+
+
+def _full_grid_disk_integral(f, center, radius):
+    # the one-mask-per-radius formula the batched ladders must reproduce bitwise
+    g = f.grid
+    return float(f.values[disk_mask(g, center, radius)].sum() * g.h * g.h)
+
+
+@pytest.mark.parametrize("n", [16, 48, 128])
+def test_disk_integrals_equal_full_grid_masked_sums(n):
+    g = Grid2D(n)
+    f = GridFunction(g, np.random.default_rng(n).standard_normal((n, n)))
+    node = (float(g.xs[n // 4]), float(g.ys[n // 4]))
+    centers = [(0.5, 0.5), (0.37, 0.61), node,  # interior
+               (0.02, 0.97), (g.xs[0], 0.4),  # near an edge
+               (1.0 + 0.5 * g.h, 0.4)]  # just outside the domain
+    for c in centers:
+        # radii at exact node distances exercise the 1e-12 tie rule
+        ties = np.hypot(g.xs[[0, n // 3, n - 1]] - c[0], g.ys[[1, n // 2, n - 2]] - c[1])
+        radii = np.unique(np.concatenate(
+            [np.geomspace(g.h, 1.2, 30), ties, g.h * np.arange(1, 6)]))
+        want = [_full_grid_disk_integral(f, c, r) for r in radii]
+        assert disk_integrals(f, c, radii).tolist() == want
+        assert [disk_integral(f, c, r) for r in radii] == want
+
+
+def test_ball_masses_equal_atom_sum_plus_density_integral():
+    g = Grid2D(48)
+    dens = GridFunction(g, np.random.default_rng(3).uniform(0.0, 2.0, (48, 48)))
+    mu = MeasureData(atoms=[(0.3, 0.3, 1.0), (0.5, 0.52, -0.25), (0.7, 0.4, 2.0)],
+                     density=dens)
+    c = (0.45, 0.4)
+    atom_dists = [np.hypot(x - c[0], y - c[1]) for x, y, _ in mu.atoms]
+    radii = np.unique(np.concatenate([np.geomspace(2 * g.h, 0.6, 40), atom_dists]))
+    for r, got in zip(radii, ball_masses(mu, c, radii)):
+        want = sum(abs(m) for x, y, m in mu.atoms
+                   if np.hypot(x - c[0], y - c[1]) <= r + 1e-12 * max(1.0, r))
+        want += _full_grid_disk_integral(dens.with_values(np.abs(dens.values)), c, r)
+        assert got == float(want)
+        assert ball_mass(mu, c, r) == float(want)
+    with pytest.raises(DataError):
+        ball_masses(mu, c, [0.0, 0.1])
 
 
 # -- I/O -------------------------------------------------------------------------

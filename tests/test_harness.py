@@ -1,5 +1,10 @@
 """Config loading, RHS assemblies, checks, reports, and the CLI."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -328,6 +333,50 @@ def test_gradient_bounds_fails_on_mesh_dependent_bound(tmp_path, monkeypatch):
     assert wrong.summary["drift"] >= 3.0
 
 
+@pytest.fixture(scope="module")
+def dirac_two_meshes(tmp_path_factory):
+    """The test DIRAC config on n = 32, 64 at 4 points, with one solve
+    cache shared by the tests that use it (solves are pure)."""
+    path = tmp_path_factory.mktemp("controls") / "dirac2.ini"
+    path.write_text(DIRAC.replace("[sweep]\nn = 48", "[sweep]\nn = 32, 64"))
+    cfg = load_config(path)
+    cfg.check_params["points"] = 4
+    return cfg, SolveCache()
+
+
+WOLFF_PAIR = checks._wolff_pair
+
+
+def _drop_wolff(ctx, x, beta, p, R):
+    return 0.0, 0.0
+
+
+def _wolff_times_n(ctx, x, beta, p, R):
+    wmu, wps = WOLFF_PAIR(ctx, x, beta, p, R)
+    scale = ctx.inst.grid.n / 32
+    return wmu * scale, wps * scale
+
+
+@pytest.mark.parametrize("check, wrong_pair", [
+    pytest.param("maximal_estimates", _drop_wolff, marks=pytest.mark.xfail(strict=True, reason=(
+        "passes with both Wolff terms dropped; the pooled drift is 3.56 but the "
+        "gated per-family drifts are 1.01 (maximal sum) and 1.02 (sharp gradient)"))),
+    pytest.param("gradient_bounds", _drop_wolff, marks=pytest.mark.xfail(strict=True, reason=(
+        "passes with both Wolff terms dropped, drift 1.01"))),
+    pytest.param("maximal_estimates", _wolff_times_n, marks=pytest.mark.xfail(strict=True, reason=(
+        "passes with the Wolff pair scaled by n/32; per-family drifts 2.09 "
+        "(maximal sum) and 3.00 (sharp gradient, 2.996 < 3)"))),
+    pytest.param("gradient_bounds", _wolff_times_n, marks=pytest.mark.xfail(strict=True, reason=(
+        "passes with the Wolff pair scaled by n/32, drift 1.91"))),
+])
+def test_check_fails_on_wrong_wolff_terms(dirac_two_meshes, monkeypatch, check, wrong_pair):
+    # negative controls of the Wolff terms: a check that still passes with
+    # them dropped or mesh-dependent cannot show the terms are needed
+    cfg, cache = dirac_two_meshes
+    monkeypatch.setattr(checks, "_wolff_pair", wrong_pair)
+    assert CHECKS[check](cfg, cache, np.random.default_rng([5, 0])).passed is False
+
+
 # -- check running / reports -------------------------------------------------------
 
 def test_run_checks_and_reports(tiny_config, tmp_path):
@@ -548,6 +597,34 @@ def test_gradient_bounds_small_instance(dirac_config):
     assert rep.passed
     assert rep.summary["swap_symmetry_gap"] <= 1e-12
     assert all(r.ratio is None or r.ratio > 0 for r in rep.rows)
+
+
+def test_solve_cache_builds_a_key_once_across_threads():
+    # --jobs > 1 shares one cache: threads that ask for the same key at
+    # once must run its builder once and all get its value
+    cache = SolveCache()
+    threads = 4
+    barrier = threading.Barrier(threads, timeout=10)
+    calls = []
+
+    def builder():
+        calls.append(1)
+        time.sleep(0.05)
+        return len(calls)
+
+    def ask(_):
+        barrier.wait()
+        return cache.get(("full", 32), builder)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(ask, range(threads), timeout=10))
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [1]
+    assert results == [1] * threads
 
 
 def test_report_rhs_floor_flagging():

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from potlab.errors import DataError, RangeError
-from potlab.grid import Grid2D, GridFunction, MeasureData, ball_average, ball_mass, gradient
+from potlab.grid import (
+    Grid2D,
+    GridFunction,
+    MeasureData,
+    ball_average,
+    ball_mass,
+    disk_integral,
+    gradient,
+)
 from potlab.orlicz import PowerGrowth
 from potlab.potentials import (
     ObstacleDensity,
@@ -259,9 +267,42 @@ def test_wolff_dyadic_sum_consistency():
     assert 1.0 / 2.5 <= total / quad <= 2.5
 
 
+def _wolff_psi_per_radius(od, x, wp):
+    # one disk integral per radius: the formula the memoised ladder replaces
+    radii = radius_ladder(wp.r_min, wp.R)
+    masses = np.array([disk_integral(od.kernel, x, rho) for rho in radii])
+    integrand = (masses / radii ** (2 - wp.beta * wp.p)) ** (1.0 / (wp.p - 1.0))
+    return float(np.trapezoid(integrand, np.log(radii)))
+
+
+def test_wolff_psi_independent_of_beta_order():
+    # the obstacle masses are memoised per (x, r_min, R): every call order
+    # of beta, memo hits and misses alike, gives the per-radius values
+    g = Grid2D(48)
+    psi = GridFunction.from_callable(g, lambda X, Y: 0.3 - (X - 0.4) ** 2 - 0.5 * (Y - 0.6) ** 4)
+    growth = PowerGrowth(3.0)
+    x = (0.41, 0.53)
+    params = [WolffParams(beta, 3.0, 0.3, r_min=2 * g.h) for beta in (0.3, 0.5, 0.9)]
+    want = [_wolff_psi_per_radius(ObstacleDensity.build(psi, growth), x, wp) for wp in params]
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0, 1]):
+        od = ObstacleDensity.build(psi, growth)
+        for i in order:
+            assert wolff_psi(od, x, params[i]) == want[i]
+    masses = od.masses(x, 2 * g.h, 0.3)
+    assert od.masses(x, 2 * g.h, 0.3) is masses
+    assert not masses.flags.writeable
+
+
 def test_radius_ladder_endpoints():
     lad = radius_ladder(0.01, 0.5, 24)
     assert lad[0] == 0.01 and lad[-1] == 0.5
     assert np.all(np.diff(lad) > 0)
+    ref = np.geomspace(0.01, 0.5, int(np.ceil(np.log10(0.5 / 0.01) * 24)) + 1)
+    ref[0], ref[-1] = 0.01, 0.5
+    assert np.array_equal(lad, ref)
+    # one cached array shared by every caller, so it must be read-only
+    assert radius_ladder(0.01, 0.5, 24) is lad
+    with pytest.raises(ValueError):
+        lad[1] = 0.0
     with pytest.raises(RangeError):
         radius_ladder(0.5, 0.1)

@@ -231,6 +231,12 @@ def test_hessian_matches_divergence_difference(growth):
     assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
+def test_cell_gradient_of_checkerboard_is_zero():
+    board = (-1.0) ** np.add.outer(np.arange(16), np.arange(16))
+    dux, duy, _ = solver._cell_flux(board, 8.0, 0.0)
+    assert not dux.any() and not duy.any()
+
+
 def test_fine_iterations_flat_in_n():
     iters = {n: solve_vi(_contact_problem(n), SolverConfig(tol=1e-8)).iterations
              for n in (64, 128)}
