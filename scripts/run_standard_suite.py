@@ -1,38 +1,38 @@
 #!/usr/bin/env python3
-"""Run every shipped config through its check list and print a summary.
+"""Run `potlab verify` on every shipped config.
 
-Usage: python scripts/run_standard_suite.py [outdir]
+Usage: python scripts/run_standard_suite.py [--seed N] OUT
+
+Each config's reports go to OUT/<config name>/ in the layout that
+`potlab verify --out` writes (`check_*.csv` and `summary.txt`), so two
+suite runs compare in one command:
+
+    python scripts/compare_reports.py OLD NEW
+
+Without --seed every config uses its own seed.  Exit status 1 when a
+check fails or a config cannot run, 2 on a usage error, else 0.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
-from potlab.harness.checks import run_checks, write_check_csv, write_summary
-from potlab.harness.config import load_config
+from potlab.harness.cli import main as potlab
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
 
-def main() -> int:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/standard")
-    out.mkdir(parents=True, exist_ok=True)
-    all_ok = True
-    reports = []
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="potlab verify on every shipped config")
+    parser.add_argument("--seed", type=int, default=None, help="sample-point seed for every config")
+    parser.add_argument("out", type=Path, help="directory of the per-config report trees")
+    args = parser.parse_args(argv)
+    seed = [] if args.seed is None else ["--seed", str(args.seed)]
+    ok = True
     for path in sorted(CONFIGS.glob("*.ini")):
-        cfg = load_config(path)
-        if not cfg.checks:
-            continue
-        print(f"== {path.name}: {', '.join(cfg.checks)}")
-        for rep in run_checks(cfg):
-            reports.append(rep)
-            write_check_csv(out / f"{path.stem}_{rep.name}.csv", rep)
-            status = "ok" if rep.passed else "FAIL"
-            drift = rep.summary.get("drift")
-            print(f"   {rep.name:32s} {status}  drift={drift if drift else '-'}")
-            all_ok &= rep.passed
-    write_summary(out / "summary.txt", reports)
-    print(f"reports in {out}")
-    return 0 if all_ok else 1
+        print(f"== {path.name}")
+        ok &= potlab(["verify", "--config", str(path), "--out", str(args.out / path.stem), *seed]) == 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .errors import (
     PotlabError,
     RangeError,
     ResolutionError,
-    SingularPointError,
     StateError,
 )
 from .orlicz import (

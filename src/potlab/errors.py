@@ -37,10 +37,6 @@ class LevelError(PotlabError):
     """A mollification level is unusable on this grid or measure."""
 
 
-class SingularPointError(PotlabError):
-    """The field Jacobian was requested at the degenerate point eta = 0."""
-
-
 class IterationLimitError(PotlabError):
     """Solver stopped unconverged (iteration budget or collapsed line
     search, named in the message and ``last.stop_reason``); carries the

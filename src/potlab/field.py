@@ -1,10 +1,11 @@
 """The vector field a(x, eta) = omega(x) * (g(|eta|)/|eta|) * eta.
 
 A spatial coefficient omega, clamped to [c_low, c_high] at load, multiplies
-the radial growth kernel.  The module also measures how far the field is
-from its ball averages: the pointwise oscillation theta, the mean-
-oscillation modulus omega(r) over all balls up to radius r, and Dini-type
-integrals of that modulus.
+the radial growth kernel.  The kernel cancels from the field's oscillation:
+|a(x, eta) - mean_B a(., eta)| / g(|eta|) = |omega(x) - mean_B omega| for
+every eta.  So the module measures the field's distance from its ball
+averages by the coefficient alone: the mean-oscillation modulus omega(r)
+over all balls up to radius r, and Dini-type integrals of that modulus.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, SingularPointError, StateError
-from .grid import GridFunction, Grid2D, ball_nodes, ball_offsets
+from .errors import DataError, DomainError, StateError
+from .grid import GridFunction, Grid2D, ball_offsets
 from .orlicz import GrowthFunction
 
 __all__ = [
@@ -58,12 +59,6 @@ class CoefficientField:
         cy = grid.origin[1] + (np.arange(grid.n - 1) + 1.0) * grid.h
         CX, CY = np.meshgrid(cx, cy, indexing="ij")
         return self.at(CX, CY)
-
-    def shifted(self, c: float) -> "CoefficientField":
-        return CoefficientField(
-            lambda X, Y: self._fn(X, Y) + c,
-            self.c_low, self.c_high + max(c, 0.0), label=f"{self.label}+{c:g}",
-        )
 
     def __repr__(self):
         return f"CoefficientField({self.label}, [{self.c_low:g}, {self.c_high:g}])"
@@ -125,16 +120,11 @@ def make_coefficient(preset: str, **params) -> CoefficientField:
 
 
 class VectorField:
-    """Model operator omega(x) * kernel(|eta|) * eta with recorded
-    ellipticity pair (v, L): the Jacobian satisfies
-    D_eta a(x,eta) lam . lam >= v (g(t)/t) |lam|^2 and
-    |a| + |eta||D_eta a| <= L g(t)."""
+    """Model operator a(x, eta) = omega(x) * kernel(|eta|) * eta."""
 
     def __init__(self, growth: GrowthFunction, coefficient: CoefficientField):
         self.growth = growth
         self.coefficient = coefficient
-        self.v = min(coefficient.c_low, 1.0)
-        self.L = max(1.0, coefficient.c_high * (1.0 + growth.sg))
 
     def a(self, x, eta):
         """Field value at point x (pair) for eta of shape (..., 2)."""
@@ -144,59 +134,13 @@ class VectorField:
         om = self.coefficient.at(x[0], x[1])
         return np.asarray(om * k)[..., None] * eta
 
-    def jacobian(self, x, eta) -> np.ndarray:
-        """Analytic Jacobian omega [ (g/t) I + (g' - g/t) eta (x) eta / t^2 ]."""
-        eta = np.asarray(eta, dtype=float)
-        t = float(np.hypot(eta[0], eta[1]))
-        if t == 0.0:
-            raise SingularPointError("Jacobian undefined at eta = 0; use the regularized path")
-        om = float(self.coefficient.at(x[0], x[1]))
-        k = float(self.growth.kernel(t))
-        dgv = float(self.growth.dg(t))
-        outer = np.outer(eta, eta) / t**2
-        return om * (k * np.eye(2) + (dgv - k) * outer)
-
-    # -- oscillation diagnostics ------------------------------------------
-
-    def theta(self, ball, x, grid: Grid2D, eta_samples: int = 0,
-              magnitudes: int = 24) -> float:
-        """sup over eta of |a(x,eta) - mean_ball a(.,eta)| / g(|eta|).
-
-        For the coefficient-times-kernel structure the kernel cancels and
-        the sup equals |omega(x) - mean_ball omega| exactly; that is the
-        default path.  With eta_samples > 0 the sup is approximated over
-        that many directions and log-spaced magnitudes instead.
-        """
-        center, radius = ball
-        if not grid.contains_ball(center, radius):
-            raise DomainError("oscillation ball exits the domain")
-        if np.hypot(x[0] - center[0], x[1] - center[1]) > radius * (1 + 1e-12):
-            raise DomainError("evaluation point outside the oscillation ball")
-        ii, jj = ball_nodes(grid, center, radius)
-        om_nodes = self.coefficient.on_nodes(grid)[ii, jj]
-        om_bar = float(om_nodes.mean())
-        om_x = float(self.coefficient.at(x[0], x[1]))
-        if eta_samples <= 0:
-            return abs(om_x - om_bar)
-        angles = np.linspace(0.0, 2 * np.pi, eta_samples, endpoint=False)
-        mags = np.geomspace(1e-3, 1e3, magnitudes)
-        best = 0.0
-        for t in mags:
-            gt = float(self.growth.g(t))
-            eta = t * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-            ax = om_x * float(self.growth.kernel(t)) * eta
-            abar = om_bar * float(self.growth.kernel(t)) * eta
-            diff = np.linalg.norm(ax - abar, axis=-1) / gt
-            best = max(best, float(diff.max()))
-        return best
-
     def oscillation_ladder(self, grid: Grid2D, r_max: float, gamma_prime: float = 2.0):
         """Per-radius suprema of the gamma'-mean oscillation of omega.
 
         Returns (radii, sup-values) on 16 radii log-spaced from 2h to
         r_max; the running maximum of the values is the modulus omega(r).
         Centers run over the nodes of stride n // 16 whose ball stays
-        inside the domain.
+        inside the domain; a radius with no such center gets 0.
         """
         if gamma_prime <= 1.0:
             raise DataError("gamma_prime must exceed 1")
@@ -207,51 +151,41 @@ class VectorField:
         radii = np.geomspace(2 * grid.h, r_max, 16)
         om = self.coefficient.on_nodes(grid)
         idx = np.arange(0, grid.n, max(1, grid.n // 16))
+        xs, ys = grid.xs[idx], grid.ys[idx]
+        (x0, y0), side = grid.origin, grid.side
         sups = np.zeros_like(radii)
         for k, rho in enumerate(radii):
             # the centers are nodes and each ball stays inside the domain,
-            # so the offsets index om directly
+            # so the offsets index om directly; one gather per row of centers
             di, dj = ball_offsets(rho / grid.h)
-            ics = [i for i in idx
-                   if grid.origin[0] + rho <= grid.xs[i] <= grid.origin[0] + grid.side - rho]
-            jcs = [j for j in idx
-                   if grid.origin[1] + rho <= grid.ys[j] <= grid.origin[1] + grid.side - rho]
+            ics = idx[(x0 + rho <= xs) & (xs <= x0 + side - rho)]
+            jcs = idx[(y0 + rho <= ys) & (ys <= y0 + side - rho)]
             best = 0.0
             for ic in ics:
-                for jc in jcs:
-                    vals = om[ic + di, jc + dj]
-                    dev = np.abs(vals - vals.mean())
-                    osc = float(np.mean(dev**gamma_prime) ** (1.0 / gamma_prime))
-                    if osc > best:
-                        best = osc
-            sups[k] = best
+                vals = om[ic + di, jcs[:, None] + dj]
+                dev = np.abs(vals - vals.mean(axis=1, keepdims=True))
+                best = max(best, float(np.mean(dev**gamma_prime, axis=1).max()))
+            # t -> t^(1/gamma') is increasing: the max commutes with it
+            sups[k] = best ** (1.0 / gamma_prime)
         return radii, sups
-
-    def omega_modulus(self, r: float, grid: Grid2D, gamma_prime: float = 2.0) -> float:
-        """Mean-oscillation modulus omega(r): sup over centers and radii
-        <= r of the gamma'-mean oscillation of the coefficient."""
-        _, sups = self.oscillation_ladder(grid, r, gamma_prime)
-        return float(sups.max())
 
     def oscillation_modulus(self, grid: Grid2D, r_max: float,
                             gamma_prime: float = 2.0) -> "OscillationModulus":
         radii, sups = self.oscillation_ladder(grid, r_max, gamma_prime)
         return OscillationModulus(
-            gamma_prime=gamma_prime,
             radii=radii,
             values=np.maximum.accumulate(sups),
             dini_exponent=1.0 / (1.0 + self.growth.sg),
         )
 
     def __repr__(self):
-        return f"VectorField({self.growth!r}, {self.coefficient!r}, v={self.v:g}, L={self.L:g})"
+        return f"VectorField({self.growth!r}, {self.coefficient!r})"
 
 
 @dataclass(frozen=True)
 class OscillationModulus:
-    """Sampled modulus r -> omega(r), nondecreasing, bounded by 2L."""
+    """Sampled modulus r -> omega(r), nondecreasing."""
 
-    gamma_prime: float
     radii: np.ndarray
     values: np.ndarray
     dini_exponent: float
@@ -261,18 +195,6 @@ class OscillationModulus:
             raise DataError("radii and values must align")
         if self.radii.size and np.any(np.diff(self.radii) <= 0):
             raise DataError("modulus radii must be increasing")
-
-    @classmethod
-    def from_function(cls, fn, radii, sg: float, gamma_prime: float = 2.0):
-        radii = np.asarray(radii, dtype=float)
-        return cls(gamma_prime, radii, np.asarray(fn(radii), dtype=float),
-                   1.0 / (1.0 + sg))
-
-    @property
-    def r_min(self) -> float:
-        if self.radii.size == 0:
-            raise StateError("modulus holds no samples")
-        return float(self.radii[0])
 
     def is_zero(self) -> bool:
         return self.radii.size == 0 or not np.any(self.values > 0)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -44,12 +43,9 @@ __all__ = [
     "ball_masses",
     "median",
     "largest_median",
-    "truncate",
     "w11_distance",
     "write_raster",
     "read_raster",
-    "write_measure",
-    "read_measure",
 ]
 
 _EPS = 1e-12
@@ -307,13 +303,6 @@ def hessian(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
     return f.with_values(hxx), f.with_values(hxy), f.with_values(hyy)
 
 
-def truncate(f: GridFunction, k: float) -> GridFunction:
-    """Pointwise clamp to [-k, k]."""
-    if not (k > 0):
-        raise DataError("truncation level must be positive")
-    return f.with_values(np.clip(f.values, -k, k))
-
-
 def w11_distance(f: GridFunction, g2: GridFunction) -> float:
     """int |f - g2| + int |Df - Dg2| by the midpoint rule on nodes."""
     if not f.grid.matches(g2.grid):
@@ -344,14 +333,6 @@ class MeasureData:
             for x, y, _ in self.atoms:
                 if g.boundary_distance((x, y)) <= 0:
                     raise DataError(f"atom at ({x}, {y}) not strictly inside the domain")
-
-    @property
-    def total_variation(self) -> float:
-        tv = sum(abs(m) for _, _, m in self.atoms)
-        if self.density is not None:
-            g = self.density.grid
-            tv += float(np.abs(self.density.values).sum() * g.h * g.h)
-        return tv
 
     def scaled(self, factor: float) -> "MeasureData":
         atoms = [(x, y, m * factor) for x, y, m in self.atoms]
@@ -385,7 +366,7 @@ def ball_masses(mu: MeasureData, center, radii) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# text I/O: headered rasters and measure descriptions
+# text I/O: headered rasters
 
 def write_raster(path, f: GridFunction) -> None:
     g = f.grid
@@ -409,34 +390,3 @@ def read_raster(path) -> GridFunction:
         raise DataError(f"raster body has shape {values.shape}, expected ({nx}, {ny})")
     return GridFunction(Grid2D(nx, side, (x0, y0)), values)
 
-
-def write_measure(path, mu: MeasureData, density_path=None) -> None:
-    path = Path(path)
-    with open(path, "w") as fh:
-        for x, y, m in mu.atoms:
-            fh.write(f"atom {x:.17g} {y:.17g} {m:.17g}\n")
-        if mu.density is not None:
-            if density_path is None:
-                density_path = path.with_suffix(".density.txt")
-            write_raster(density_path, mu.density)
-            fh.write(f"density {Path(density_path).name}\n")
-
-
-def read_measure(path) -> MeasureData:
-    path = Path(path)
-    atoms: list[tuple[float, float, float]] = []
-    density = None
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "atom":
-                if len(parts) != 4:
-                    raise DataError(f"malformed atom line: {line!r}")
-                atoms.append((float(parts[1]), float(parts[2]), float(parts[3])))
-            elif parts[0] == "density":
-                density = read_raster(path.parent / parts[1])
-            else:
-                raise DataError(f"unknown measure line: {line!r}")
-    return MeasureData(atoms, density)

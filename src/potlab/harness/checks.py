@@ -788,6 +788,11 @@ def _estimate_alphas(cfg, cache, ig) -> list[float]:
 def _estimate_points(cfg, inst: Instance, rng, R):
     h_coarse = 1.0 / min(cfg.meshes())
     margin = 2 * R + 2 * h_coarse + 1e-6
+    if margin > 1.0 - margin:
+        raise DataError(
+            f"estimate_radius {R:g} leaves no room for sample points: the box "
+            f"[{margin:.4g}, {1.0 - margin:.4g}] keeping 2R + 2h from the boundary is empty"
+        )
     atoms = inst.measure.atoms if inst.measure is not None else ()
     count = int(_param(cfg, "points", 25))
     return sample_points(rng, count, margin, 1.0 - margin, atoms,

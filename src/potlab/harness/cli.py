@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import PotlabError
 from ..grid import ball_mass, write_raster
-from ..potentials import WolffParams, frac_maximal, wolff_detail, write_potential_csv
+from ..potentials import WolffParams, frac_maximal, wolff, write_potential_csv
 from ..solver import mollify_measure, solve_vi
 from .checks import run_checks, sample_points, usable_levels, write_check_csv, write_summary
 from .config import build_instance, load_config
@@ -93,10 +93,11 @@ def cmd_potential(args) -> int:
     pts = sample_points(rng, 64, R + 2 * inst.grid.h, 1.0 - R - 2 * inst.grid.h)
     wolff_rows, maximal_rows = [], []
     for x in pts:
-        value, truncated = wolff_detail(inst.measure, x, wp)
-        wolff_rows.append((x[0], x[1], value, truncated))
+        # mass below the cutoff makes both values lower bounds
+        truncated = ball_mass(inst.measure, x, r_min) > 0
+        wolff_rows.append((x[0], x[1], wolff(inst.measure, x, wp), truncated))
         mval = frac_maximal(inst.measure, x, 0.0, R, r_min=r_min)
-        maximal_rows.append((x[0], x[1], mval, ball_mass(inst.measure, x, r_min) > 0))
+        maximal_rows.append((x[0], x[1], mval, truncated))
     write_potential_csv(out / "wolff.csv", wolff_rows)
     write_potential_csv(out / "maximal.csv", maximal_rows)
     print(f"wrote {out / 'wolff.csv'} and {out / 'maximal.csv'} ({len(pts)} points)")

@@ -155,15 +155,6 @@ class GrowthFunction:
             )
         return _like(out, s)
 
-    def check_indices(self, samples: int = 512, slack: float = 1e-9) -> bool:
-        """Sampled check of ig <= t g'(t)/g(t) <= sg on a log grid."""
-        lo, hi = self._index_sample_range()
-        t = np.geomspace(lo, hi, samples)
-        ratio = t * self.dg(t) / self.g(t)
-        return bool(
-            np.all(ratio >= self.ig - slack) and np.all(ratio <= self.sg + slack)
-        )
-
     def _index_sample_range(self):
         return 1e-8, 1e8
 
@@ -301,10 +292,9 @@ class TabulatedGrowth(GrowthFunction):
         self._e_hi = float(
             np.log(values[-1] / values[-2]) / np.log(nodes[-1] / nodes[-2])
         )
-        t = np.geomspace(nodes[0], nodes[-1], 4096)
-        ratio = t * self._dinterp(t) / self._interp(t)
-        self.ig = float(min(ratio.min(), self._e_lo, self._e_hi))
-        self.sg = float(max(ratio.max(), self._e_lo, self._e_hi))
+        lo, hi = estimate_indices(self)
+        self.ig = min(lo, self._e_lo, self._e_hi)
+        self.sg = max(hi, self._e_lo, self._e_hi)
         if self.ig < 1.0 - 1e-9:
             if allow_sublinear:
                 warnings.warn(

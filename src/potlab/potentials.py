@@ -27,7 +27,6 @@ from .errors import DataError, RangeError
 from .grid import (
     GridFunction,
     MeasureData,
-    ball_mass,
     ball_masses,
     ball_nodes,
     disk_integrals,
@@ -41,7 +40,6 @@ __all__ = [
     "WolffParams",
     "ObstacleDensity",
     "wolff",
-    "wolff_detail",
     "wolff_psi",
     "frac_maximal",
     "sharp_maximal",
@@ -103,10 +101,9 @@ class ObstacleDensity:
     keeps the kernel at least 1 everywhere.
     """
 
-    def __init__(self, psi: GridFunction, kernel: GridFunction):
+    def __init__(self, kernel: GridFunction):
         if np.any(kernel.values < 1.0 - 1e-12):
             raise DataError("obstacle kernel must respect the +1 floor")
-        self.psi = psi
         self.kernel = kernel
         # bound to the kernel, not to self: no reference cycle, so the memo
         # goes with the instance
@@ -121,7 +118,7 @@ class ObstacleDensity:
         hxx, hxy, hyy = hessian(psi)
         hess_l1 = np.abs(hxx.values) + np.abs(hyy.values) + 2.0 * np.abs(hxy.values)
         kern = growth.kernel(mag) * hess_l1 + 1.0
-        return cls(psi, psi.with_values(kern))
+        return cls(psi.with_values(kern))
 
     def masses(self, x, r_min: float, R: float) -> np.ndarray:
         """Read-only kernel masses of B_rho(x) for every rho of
@@ -148,12 +145,6 @@ def wolff(mu: MeasureData, x, wp: WolffParams) -> float:
     if extra:
         radii = np.unique(np.concatenate([radii, np.asarray(extra)]))
     return _wolff_quadrature(radii, ball_masses(mu, x, radii), wp)
-
-
-def wolff_detail(mu: MeasureData, x, wp: WolffParams) -> tuple[float, bool]:
-    """(value, truncated): the potential plus a flag that the dropped tail
-    [0, r_min) carries mass, so the value is a lower bound."""
-    return wolff(mu, x, wp), ball_mass(mu, x, wp.r_min) > 0.0
 
 
 def wolff_psi(od: ObstacleDensity, x, wp: WolffParams) -> float:

@@ -548,7 +548,6 @@ class ComparisonChain:
     w2: Solution
     w3: Solution
     w4: Solution
-    ball: tuple
     obstacle_flux: GridFunction | None
 
 
@@ -588,4 +587,4 @@ def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = Non
     w4 = stage("w4", lambda: solve_frozen(
         replace(prob, boundary=w1.u, obstacle=None, rhs=None), half, cfg, warm_start=w3.u
     ))
-    return ComparisonChain(w1, w2, w3, w4, ball, rhs3)
+    return ComparisonChain(w1, w2, w3, w4, rhs3)

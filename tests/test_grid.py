@@ -27,11 +27,8 @@ from potlab.grid import (
     hessian,
     largest_median,
     median,
-    read_measure,
     read_raster,
-    truncate,
     w11_distance,
-    write_measure,
     write_raster,
 )
 
@@ -201,16 +198,7 @@ def test_median_constant_and_affine(grid):
     assert m == pytest.approx(0.5, abs=grid.h)
 
 
-# -- truncation and W^{1,1} ---------------------------------------------------
-
-def test_truncate(grid):
-    assert np.all(truncate(GridFunction.constant(grid, 5.0), 3.0).values == 3.0)
-    assert np.all(truncate(GridFunction.constant(grid, -5.0), 3.0).values == -3.0)
-    f = f_of(grid, lambda X, Y: X - 0.5)
-    assert np.array_equal(truncate(f, 2.0).values, f.values)
-    with pytest.raises(DataError):
-        truncate(f, 0.0)
-
+# -- W^{1,1} ---------------------------------------------------------------
 
 def test_w11_distance(grid):
     f = f_of(grid, lambda X, Y: X)
@@ -247,15 +235,6 @@ def test_ball_mass_additive_and_monotone():
     c, r = (0.5, 0.5), 0.4
     assert ball_mass(both, c, r) == ball_mass(mu1, c, r) + ball_mass(mu2, c, r)
     assert ball_mass(both, c, 0.2) <= ball_mass(both, c, 0.4)
-
-
-def test_total_variation():
-    g = Grid2D(32)
-    mu = MeasureData(
-        atoms=[(0.5, 0.5, 2.0), (0.25, 0.25, -1.0)],
-        density=GridFunction.constant(g, 1.0),
-    )
-    assert mu.total_variation == pytest.approx(3.0 + 1.0, rel=1e-12)
 
 
 def test_negative_density_rejected():
@@ -324,19 +303,6 @@ def test_raster_roundtrip(tmp_path):
     back = read_raster(path)
     assert back.grid.matches(g)
     assert np.allclose(back.values, f.values, rtol=0, atol=1e-16)
-
-
-def test_measure_roundtrip(tmp_path):
-    g = Grid2D(32)
-    mu = MeasureData(
-        atoms=[(0.5, 0.5, 1.0), (0.25, 0.75, -0.5)],
-        density=GridFunction.constant(g, 0.3),
-    )
-    path = tmp_path / "measure.txt"
-    write_measure(path, mu)
-    back = read_measure(path)
-    assert back.atoms == mu.atoms
-    assert np.allclose(back.density.values, 0.3)
 
 
 def test_grid_validation():

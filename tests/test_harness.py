@@ -209,7 +209,7 @@ def test_assemblies_monotone_in_data(dirac_context):
     # enlarge the obstacle kernel pointwise
     od = ctx.od
     fatter = dataclasses.replace(
-        ctx, od=type(od)(od.psi, od.kernel.with_values(od.kernel.values + 0.5))
+        ctx, od=type(od)(od.kernel.with_values(od.kernel.values + 0.5))
     )
     assert mstar_rhs(fatter, x, R) >= base_vals["mstar"]
     assert sharp_gradient_rhs(fatter, x, R, 0.3) >= base_vals["sharp"]
@@ -219,7 +219,7 @@ def test_assemblies_monotone_in_data(dirac_context):
     louder = dataclasses.replace(
         ctx,
         modulus=fieldmod.OscillationModulus(
-            om.gamma_prime, om.radii, om.values + 0.1, om.dini_exponent
+            om.radii, om.values + 0.1, om.dini_exponent
         ),
     )
     assert mstar_rhs(louder, x, R) >= base_vals["mstar"]
@@ -511,6 +511,15 @@ def test_cli_solve_infeasible_exits_one(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(bad)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_verify_oversized_estimate_radius_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "wide.ini"
+    path.write_text(DIRAC.replace("run = gradient_bounds",
+                                  "run = gradient_bounds\nestimate_radius = 0.3"))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "estimate_radius 0.3" in err
 
 
 def test_cli_potential_csv(dirac_config, tmp_path):

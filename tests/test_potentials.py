@@ -13,6 +13,7 @@ from potlab.grid import (
     disk_integral,
     gradient,
 )
+from potlab.harness.cli import main
 from potlab.orlicz import PowerGrowth
 from potlab.potentials import (
     ObstacleDensity,
@@ -23,7 +24,6 @@ from potlab.potentials import (
     sharp_maximal,
     sharp_maximal_vector,
     wolff,
-    wolff_detail,
     wolff_psi,
 )
 
@@ -52,18 +52,41 @@ def test_wolff_homogeneity_exact():
         assert scaled == pytest.approx(lam ** (1.0 / (wp.p - 1.0)) * base, rel=1e-12)
 
 
-def test_wolff_truncation_flag_and_divergence():
+ATOM_CONFIG = """
+[growth]
+kind = power
+p = 2.0
+
+[measure]
+atoms = 0.5 0.5 1.0
+
+[boundary]
+preset = fundamental
+
+[grid]
+n = 48
+"""
+
+
+def test_wolff_truncation_flag_and_divergence(tmp_path):
     # atom at the evaluation point: the tail below r_min carries mass and
     # the value grows like r_min^-(n - beta p)/(p-1) as r_min shrinks
     wp1 = WolffParams(0.5, 2.0, 0.5, r_min=1e-3)
     wp2 = WolffParams(0.5, 2.0, 0.5, r_min=5e-4)
-    v1, t1 = wolff_detail(ATOM, (0.0, 0.0), wp1)
-    v2, t2 = wolff_detail(ATOM, (0.0, 0.0), wp2)
-    assert t1 and t2
+    v1 = wolff(ATOM, (0.0, 0.0), wp1)
+    v2 = wolff(ATOM, (0.0, 0.0), wp2)
     assert v2 / v1 == pytest.approx(2.0, rel=5e-3)
-    # away from the atom the truncated tail is empty
-    _, t3 = wolff_detail(ATOM, (0.1, 0.0), wp1)
-    assert not t3
+    # `potlab potential` flags exactly the points whose dropped tail
+    # [0, r_min) holds the atom, r_min = 2h, in both of its tables
+    config = tmp_path / "atom.ini"
+    config.write_text(ATOM_CONFIG)
+    assert main(["potential", "--config", str(config), "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "wolff.csv", delimiter=",", skiprows=1)
+    near = np.hypot(rows[:, 0] - 0.5, rows[:, 1] - 0.5) <= 2.0 / 48
+    assert near.any() and not near.all()
+    assert np.array_equal(rows[:, 3] == 1, near)
+    maximal = np.loadtxt(tmp_path / "maximal.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(maximal[:, 3], rows[:, 3])
 
 
 def test_wolff_range_error():

@@ -18,7 +18,7 @@ from potlab.errors import (
 )
 from potlab.field import VectorField, affine_coefficient, constant_coefficient, jump_coefficient
 from potlab.grid import Grid2D, GridFunction, MeasureData, disk_integral
-from potlab.orlicz import PowerGrowth, TabulatedGrowth
+from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth, TabulatedGrowth
 from potlab.solver import (
     ObstacleProblem,
     SolverConfig,
@@ -206,11 +206,14 @@ def test_accepted_energy_increase_raises(monkeypatch):
         solve_vi(_contact_problem(48), CFG)
 
 
+TABULATED_P25 = TabulatedGrowth(np.geomspace(1e-6, 1e3, 600), np.geomspace(1e-6, 1e3, 600) ** 1.5)
+
+
 @pytest.mark.parametrize(
     "growth",
-    [PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.0),
-     TabulatedGrowth(np.geomspace(1e-6, 1e3, 600), np.geomspace(1e-6, 1e3, 600) ** 1.5)],
-    ids=["p2", "p3", "p4", "tabulated"],
+    [PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.0), TABULATED_P25,
+     RegularizedPowerGrowth(3.0, 0.5), RegularizedPowerGrowth(4.0, 0.5)],
+    ids=["p2", "p3", "p4", "tabulated", "regularized-p3", "regularized-p4"],
 )
 def test_hessian_matches_divergence_difference(growth):
     n = 24
@@ -229,6 +232,21 @@ def test_hessian_matches_divergence_difference(growth):
     fd = ((plus - minus) / (2 * delta))[unknown]
     got = H @ v[unknown]
     assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("growth", [PowerGrowth(3.0), TABULATED_P25], ids=["p3", "tabulated"])
+def test_hessian_eigenvalue_floor(growth):
+    # the assembled Newton matrix is symmetric positive definite on the
+    # unknowns, so each projected Newton step is a descent direction
+    n = 16
+    g = Grid2D(n)
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2, (n, n))
+    omega = 1.0 + 0.5 * rng.random((n - 1, n - 1))
+    unknown = g.interior_mask() & (rng.random((n, n)) < 0.8)
+    H = solver._hessian(u, omega, growth, 0.5 / g.h, 1e-16, unknown).toarray()
+    assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
+    assert np.linalg.eigvalsh(H).min() > 0
 
 
 def test_cell_gradient_of_checkerboard_is_zero():
@@ -389,7 +407,8 @@ def test_mollify_negative_mass_preserved():
     mu = MeasureData(atoms=[(0.5, 0.5, -2.0)])
     f = mollify_measure(mu, 4, g)
     assert float(f.values.sum()) * g.h**2 == pytest.approx(-2.0, abs=1e-10)
-    assert float(np.abs(f.values).sum()) * g.h**2 <= mu.total_variation + 1e-10
+    total_variation = sum(abs(m) for _, _, m in mu.atoms)
+    assert float(np.abs(f.values).sum()) * g.h**2 <= total_variation + 1e-10
 
 
 # -- mollification sequences ------------------------------------------------------
