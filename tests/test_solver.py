@@ -212,8 +212,9 @@ TABULATED_P25 = TabulatedGrowth(np.geomspace(1e-6, 1e3, 600), np.geomspace(1e-6,
 @pytest.mark.parametrize(
     "growth",
     [PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.0), TABULATED_P25,
-     RegularizedPowerGrowth(3.0, 0.5), RegularizedPowerGrowth(4.0, 0.5)],
-    ids=["p2", "p3", "p4", "tabulated", "regularized-p3", "regularized-p4"],
+     RegularizedPowerGrowth(2.0, 0.5), RegularizedPowerGrowth(3.0, 0.5),
+     RegularizedPowerGrowth(4.0, 0.5)],
+    ids=["p2", "p3", "p4", "tabulated", "regularized-p2", "regularized-p3", "regularized-p4"],
 )
 def test_hessian_matches_divergence_difference(growth):
     n = 24
