@@ -9,12 +9,14 @@ suite runs compare in one command:
 
     python scripts/compare_reports.py OLD NEW
 
-Without --seed every config uses its own seed.  Exit status 1 when a
+Each config's `== name` line is followed by the verify output and the
+config's wall seconds.  Without --seed every config uses its own seed.  Exit status 1 when a
 check fails or a config cannot run, 2 on a usage error, else 0.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from potlab.harness.cli import main as potlab
@@ -31,7 +33,9 @@ def main(argv=None) -> int:
     ok = True
     for path in sorted(CONFIGS.glob("*.ini")):
         print(f"== {path.name}")
+        t0 = time.perf_counter()
         ok &= potlab(["verify", "--config", str(path), "--out", str(args.out / path.stem), *seed]) == 0
+        print(f"wall {time.perf_counter() - t0:.2f} s")
     return 0 if ok else 1
 
 

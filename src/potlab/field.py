@@ -201,24 +201,20 @@ class OscillationModulus:
 
 
 def dini_integral(om: OscillationModulus, r: float, alpha_hat: float = 0.0,
-                  weight=None) -> tuple[float, float]:
+                  weight=None) -> float:
     """int_{r_min}^{r} omega(rho)^q rho^(-alpha_hat) w(rho) drho/rho with
-    q the stored Dini exponent 1/(1+sg), by log-trapezoid over the samples.
-
-    Returns (value, r_min); the truncation radius is reported so both
-    sides of any comparison can share it.  ``alpha_hat`` may be negative,
-    which shifts the measure to drho/rho^(1+alpha_hat).
+    q the stored Dini exponent 1/(1+sg) and r_min the modulus's first
+    radius, by log-trapezoid over the samples.  ``alpha_hat`` may be
+    negative, which shifts the measure to drho/rho^(1+alpha_hat).
     """
     if om.radii.size == 0:
         raise StateError("modulus holds no samples")
     keep = om.radii <= r * (1 + 1e-12)
     radii = om.radii[keep]
     vals = om.values[keep]
-    r_min = float(om.radii[0])
     if radii.size < 2:
-        return 0.0, r_min
+        return 0.0
     integrand = vals**om.dini_exponent * radii ** (-alpha_hat)
     if weight is not None:
         integrand = integrand * np.asarray([weight(rho) for rho in radii], dtype=float)
-    value = float(np.trapezoid(integrand, np.log(radii)))
-    return value, r_min
+    return float(np.trapezoid(integrand, np.log(radii)))

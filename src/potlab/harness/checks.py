@@ -65,10 +65,8 @@ __all__ = [
     "SolveCache",
     "EstimateContext",
     "build_context",
-    "mstar_rhs",
     "maximal_sum_rhs",
     "sharp_gradient_rhs",
-    "pointwise_gradient_rhs",
     "gradient_oscillation_rhs",
     "excess_rhs_with_errors",
     "fit_excess_decay",
@@ -182,19 +180,37 @@ class RatioStudy:
 class SolveCache:
     """Memo for solved instances; keys are value tuples, builders pure.
 
+    A key is ``(Instance.key, kind, *params)``: the realized problem, the
+    kind of value and that value's own parameters, never the check that
+    asks, so checks that need one solve share it.  One cache serves one
+    config's checks, whose mollification levels and ``gamma_prime`` are
+    fixed across it.
+
     Checks share one cache across ``--jobs`` threads: a per-key lock makes
     the first thread to ask build the value while the others wait for it.
+    ``hits`` and ``misses`` count the gets that found a value and the
+    ones that built it.
     """
 
     def __init__(self):
         self._store: dict = {}
         self._locks: dict = {}
+        self._count_lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
 
     def get(self, key, builder):
+        built = False
         if key not in self._store:
             with self._locks.setdefault(key, threading.Lock()):
                 if key not in self._store:
                     self._store[key] = builder()
+                    built = True
+        with self._count_lock:
+            if built:
+                self.misses += 1
+            else:
+                self.hits += 1
         return self._store[key]
 
 
@@ -229,18 +245,18 @@ def usable_levels(cfg: ExperimentConfig, inst: Instance) -> list[int]:
     return ok
 
 
-def primary_solution(cfg: ExperimentConfig, cache: SolveCache, inst: Instance, tag) -> Solution:
+def primary_solution(cfg: ExperimentConfig, cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: the finest mollification level when the
     measure carries atoms, a direct solve on the density otherwise."""
     if inst.measure is not None and inst.measure.atoms:
-        levels = usable_levels(cfg, inst)
+        levels = tuple(usable_levels(cfg, inst))
         seq = cache.get(
-            (tag, "opseq", tuple(levels)),
+            (inst.key, "opseq", levels),
             lambda: solve_op_sequence(inst.problem(), levels, inst.solver),
         )
         return seq.finest
     rhs = inst.measure.density if inst.measure is not None else None
-    return cache.get((tag, "vi"), lambda: solve_vi(inst.problem(rhs=rhs), inst.solver))
+    return cache.get((inst.key, "vi"), lambda: solve_vi(inst.problem(rhs=rhs), inst.solver))
 
 
 def _param(cfg: ExperimentConfig, key: str, default):
@@ -311,6 +327,13 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
     )
 
 
+def primary_context(cfg: ExperimentConfig, cache: SolveCache, inst: Instance,
+                    r_max: float) -> EstimateContext:
+    """``build_context`` of the instance's own solution, memoised."""
+    sol = primary_solution(cfg, cache, inst)
+    return cache.get((inst.key, "ctx", r_max), lambda: build_context(inst, sol, r_max))
+
+
 def _dini_weight(ctx: EstimateContext, x):
     gpsi = ctx.gpsi
     growth = ctx.inst.growth
@@ -322,8 +345,7 @@ def _dini_weight(ctx: EstimateContext, x):
 def _dini_term(ctx: EstimateContext, x, r: float, alpha_hat: float) -> float:
     if ctx.gpsi is None or ctx.modulus.is_zero():
         return 0.0
-    value, _ = dini_integral(ctx.modulus, r, alpha_hat, weight=_dini_weight(ctx, x))
-    return value
+    return dini_integral(ctx.modulus, r, alpha_hat, weight=_dini_weight(ctx, x))
 
 
 def _wolff_pair(ctx: EstimateContext, x, beta: float, p: float, R: float):
@@ -335,18 +357,10 @@ def _wolff_pair(ctx: EstimateContext, x, beta: float, p: float, R: float):
     return wmu, wps
 
 
-def mstar_rhs(ctx: EstimateContext, x, R: float) -> float:
-    """Gradient-average bound: avg_{B_R}|Du| + Wolff pair at (1/(ig+1),
-    ig+1) over 2R + the drho/rho Dini-coefficient integral."""
-    ig = ctx.inst.growth.ig
-    avg = ball_average(ctx.du_mag, x, R)
-    wmu, wps = _wolff_pair(ctx, x, 1.0 / (ig + 1.0), ig + 1.0, 2.0 * R)
-    return avg + wmu + wps + _dini_term(ctx, x, 2.0 * R, 0.0)
-
-
 def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float:
-    """Bound for M^#_alpha(u) + M_{1-alpha}(Du); at alpha = 1 this reduces
-    exactly to mstar_rhs."""
+    """Bound for M^#_alpha(u) + M_{1-alpha}(Du).  At alpha = 1 it is the
+    pointwise bound for |Du(x)|: avg_{B_R}|Du| + the Wolff pair at
+    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral."""
     ig = ctx.inst.growth.ig
     term1 = R ** (1.0 - alpha) * ball_average(ctx.du_mag, x, R)
     beta = 1.0 - alpha + alpha / (ig + 1.0)
@@ -372,11 +386,6 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float
     wmu, wps = _wolff_pair(ctx, x, 1.0 / (ig + 1.0), ig + 1.0, 2.0 * R)
     dini = _dini_term(ctx, x, 2.0 * R, alpha)
     return term1 + mmu + mps + wmu + wps + dini
-
-
-def pointwise_gradient_rhs(ctx: EstimateContext, x, R: float) -> float:
-    """Bound for |Du(x)|; the same assembly as mstar_rhs."""
-    return mstar_rhs(ctx, x, R)
 
 
 def gradient_oscillation_rhs(ctx: EstimateContext, x0, x, y, R: float, alpha: float) -> float:
@@ -460,33 +469,18 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     study = RatioStudy()
     notes: list[str] = []
     for n in cfg.meshes():
-        prev: Solution | None = None
         for s in cfg.sweep_axis("scale"):
             inst = build_instance(cfg, n, rhs_scale=float(s))
-            ig = inst.growth.ig
-            key = ("cmp", n, float(s))
-            measure_form = inst.measure is not None and inst.measure.atoms and inst.measure.density is None
             if inst.measure is None:
                 study.add(center, R, 0.0, 0.0)
                 notes.append("no right-hand data; check skipped")
                 continue
-            if measure_form:
-                sol = primary_solution(cfg, cache, inst, key)
-            else:
-                f = inst.measure.density
-                warm = prev.u if prev is not None else None
-                sol = cache.get(
-                    (key, "vi"),
-                    lambda: solve_vi(inst.problem(rhs=f), inst.solver, warm_start=warm),
-                )
-            prev = sol
-            w = cache.get(
-                (key, "homog-ball"),
-                lambda: solve_vi(
-                    replace(inst.problem(rhs=None), boundary=sol.u),
-                    inst.solver, ball=(center, R), warm_start=sol.u,
-                ),
-            )
+            ig = inst.growth.ig
+            # atoms make the primary solution a mollification limit, whose
+            # bound is the measure form
+            measure_form = bool(inst.measure.atoms)
+            sol = primary_solution(cfg, cache, inst)
+            w = _homogeneous_ball(cache, inst, sol, (center, R))
             lhs = ball_average(grad_distance_field(sol.u, w.u), center, R)
             if measure_form:
                 rhs = (ball_mass(inst.measure, center, R) / R) ** (1.0 / ig)
@@ -498,18 +492,22 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
             if measure_form:
                 off = _param(cfg, "off_center", (0.78, 0.5))
                 r_off = _param(cfg, "off_radius", 0.1)
-                w_off = cache.get(
-                    (key, "homog-off"),
-                    lambda: solve_vi(
-                        replace(inst.problem(rhs=None), boundary=sol.u),
-                        inst.solver, ball=(off, r_off), warm_start=sol.u,
-                    ),
-                )
+                w_off = _homogeneous_ball(cache, inst, sol, (off, r_off))
                 lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
                 mass_off = ball_mass(inst.measure, off, r_off)
                 study.add(off, r_off, lhs_off, (mass_off / r_off) ** (1 / ig),
                           exact_tol=10 * inst.solver.tol)
     return study.report("comparison_inhomogeneous", notes=notes)
+
+
+def _homogeneous_ball(cache: SolveCache, inst: Instance, sol: Solution, ball) -> Solution:
+    """The homogeneous obstacle problem on the ball with the primary
+    solution ``sol`` as its trace."""
+    return cache.get(
+        (inst.key, "homog-ball", ball),
+        lambda: solve_vi(replace(inst.problem(rhs=None), boundary=sol.u),
+                         inst.solver, ball=ball, warm_start=sol.u),
+    )
 
 
 def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -525,16 +523,16 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     for n in cfg.meshes():
         for amp in amplitudes:
             inst = build_instance(cfg, n, amplitude=amp)
-            key = ("frz", n, amp)
-            sol = primary_solution(cfg, cache, inst, key)
-            ctx = cache.get((key, "ctx"), lambda: build_context(inst, sol, 2 * R))
+            sol = primary_solution(cfg, cache, inst)
+            ctx = primary_context(cfg, cache, inst, 2 * R)
 
-            def frozen_row(ball_center, ball_R, stage, cell=None):
+            def frozen_row(ball_center, ball_R, cell=None):
+                ball = (ball_center, ball_R)
                 w = cache.get(
-                    (key, "frozen", stage),
+                    (inst.key, "frozen", ball),
                     lambda: solve_frozen(
                         replace(inst.problem(rhs=None), boundary=sol.u),
-                        (ball_center, ball_R), inst.solver, warm_start=sol.u,
+                        ball, inst.solver, warm_start=sol.u,
                     ),
                 )
                 lhs = ball_average(
@@ -551,16 +549,9 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
                 study.add(ball_center, ball_R, lhs, rhs, exact_tol=10 * inst.solver.tol,
                           cell=cell)
 
-            frozen_row(center, R, "main", cell=(n, amp))
-            frozen_row(side_center, side_R, "side")
+            frozen_row(center, R, cell=(n, amp))
+            frozen_row(side_center, side_R)
     return study.report("frozen_coefficient")
-
-
-def _contact_solution(cfg, cache, n, s) -> tuple[Instance, Solution]:
-    inst = build_instance(cfg, n, data_scale=float(s))
-    key = ("contact", n, float(s))
-    sol = primary_solution(cfg, cache, inst, key)
-    return inst, sol
 
 
 def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -572,7 +563,8 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
     study = RatioStudy()
     for n in cfg.meshes():
         for s in cfg.sweep_axis("scale"):
-            inst, sol = _contact_solution(cfg, cache, n, s)
+            inst = build_instance(cfg, n, data_scale=float(s))
+            sol = primary_solution(cfg, cache, inst)
             growth = inst.growth
             psi = inst.obstacle
             G_dpsi = _G_obstacle_gradient(inst)
@@ -605,7 +597,8 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     study = RatioStudy()
     for n in cfg.meshes():
         for s in cfg.sweep_axis("scale"):
-            inst, sol = _contact_solution(cfg, cache, n, s)
+            inst = build_instance(cfg, n, data_scale=float(s))
+            sol = primary_solution(cfg, cache, inst)
             growth = inst.growth
             # shift data so u >= 0; the homogeneous problem is invariant
             shift = min(0.0, float(sol.u.values.min()))
@@ -634,7 +627,8 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     R = _param(cfg, "radius", 0.3)
     study = RatioStudy()
     for n in cfg.meshes():
-        inst, sol = _contact_solution(cfg, cache, n, 1.0)
+        inst = build_instance(cfg, n)
+        sol = primary_solution(cfg, cache, inst)
         growth = inst.growth
         fields = {
             "solution": sol.u,
@@ -676,8 +670,7 @@ def _homogeneous_fit(cfg, cache, n):
     R = _param(cfg, "decay_radius", 0.28)
     hcfg = _homogeneous_config(cfg)
     inst = build_instance(hcfg, n)
-    key = ("homog-decay", n)
-    sol = cache.get((key, "eq"), lambda: solve_equation(inst.problem(), inst.solver))
+    sol = cache.get((inst.key, "eq"), lambda: solve_equation(inst.problem(), inst.solver))
     gx, gy, _ = grad_fields(sol.u)
     radii = radius_ladder(max(6 * inst.grid.h, R / 8), R, 16)
     beta_hat, pref, resid, exc = fit_excess_decay(gx, gy, center, radii)
@@ -718,12 +711,11 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
     notes: list[str] = []
     for n in cfg.meshes():
         inst = build_instance(cfg, n)
-        key = ("full", n)
-        sol = primary_solution(cfg, cache, inst, key)
-        ctx = cache.get((key, "ctx", R), lambda: build_context(inst, sol, 2 * R))
+        sol = primary_solution(cfg, cache, inst)
+        ctx = primary_context(cfg, cache, inst, 2 * R)
         beta_hat = _homogeneous_fit(cfg, cache, n)[2]
         chain = cache.get(
-            (key, "chain", center, R),
+            (inst.key, "chain", (center, R)),
             lambda: comparison_chain(inst.problem(rhs=None), (center, R),
                                      inst.solver, outer=sol),
         )
@@ -810,10 +802,7 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
     study = RatioStudy()
     alpha0_gap = 0.0
     for n in cfg.meshes():
-        inst = build_instance(cfg, n)
-        key = ("full", n)
-        sol = primary_solution(cfg, cache, inst, key)
-        ctx = cache.get((key, "ctx", R), lambda: build_context(inst, sol, 2 * R))
+        ctx = primary_context(cfg, cache, build_instance(cfg, n), 2 * R)
         for alpha in alphas:
             for x in points:
                 lhs1 = (
@@ -866,13 +855,10 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
     study = RatioStudy()
     swap_gap = 0.0
     for n in cfg.meshes():
-        inst = build_instance(cfg, n)
-        key = ("full", n)
-        sol = primary_solution(cfg, cache, inst, key)
-        ctx = cache.get((key, "ctx", R), lambda: build_context(inst, sol, 2 * R))
+        ctx = primary_context(cfg, cache, build_instance(cfg, n), 2 * R)
         for x0, ang in zip(points, angles):
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))
-            study.add(x0, R, lhs, pointwise_gradient_rhs(ctx, x0, R), cell=n)
+            study.add(x0, R, lhs, maximal_sum_rhs(ctx, x0, R, 1.0), cell=n)
             d = np.array([np.cos(ang), np.sin(ang)]) * R / 8.0
             x = (x0[0] + d[0], x0[1] + d[1])
             y = (x0[0] - d[0], x0[1] - d[1])

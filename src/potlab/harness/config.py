@@ -39,7 +39,6 @@ _DEFAULT_SWEEP = {
     "scale": [1.0, 4.0, 16.0],
     "level": [2, 4, 8, 16],
     "amplitude": [0.2, 0.4],
-    "epsilon": [1e-8],
 }
 
 
@@ -151,13 +150,13 @@ def build_growth(cfg: ExperimentConfig) -> GrowthFunction:
     return make_growth(kind, **spec)
 
 
-def build_coefficient(cfg: ExperimentConfig, amplitude: float | None = None) -> CoefficientField:
-    spec = dict(cfg.coefficient)
+def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
+    """The field of a [coefficient] section (``spec``, which may carry a
+    swept amplitude)."""
     if "file" in spec:
         return coefficient_from_raster(read_raster(cfg.base_dir / spec["file"]))
+    spec = dict(spec)
     preset = str(spec.pop("preset", "constant"))
-    if amplitude is not None and preset in ("jump", "checkerboard"):
-        spec["amplitude"] = amplitude
     return make_coefficient(preset, **spec)
 
 
@@ -270,6 +269,7 @@ class Instance:
     measure: MeasureData | None
     boundary: GridFunction
     solver: SolverConfig
+    key: tuple  # names the realized problem; see build_instance
 
     def problem(self, rhs=_USE_MEASURE) -> ObstacleProblem:
         return ObstacleProblem(
@@ -282,27 +282,34 @@ class Instance:
 
 def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
                    data_scale: float = 1.0, rhs_scale: float = 1.0,
-                   amplitude: float | None = None,
-                   epsilon: float | None = None) -> Instance:
+                   amplitude: float | None = None) -> Instance:
     """Realize the config on a mesh.
 
     ``data_scale`` multiplies boundary, obstacle, and measure together
     (the full-data scaling); ``rhs_scale`` multiplies the measure only.
+    A single-value ``[sweep] epsilon`` pins the solver's regularization.
+    The key holds what realizes the problem and nothing else: the mesh,
+    both scales, the problem sections (with the amplitude applied), the
+    directory their files are read from, and the solver settings; never
+    ``check_params`` or the sweep, so checks that sample differently
+    share every solve.
     """
     grid = build_grid(cfg, n)
     growth = build_growth(cfg)
-    coefficient = build_coefficient(cfg, amplitude)
-    vf = VectorField(growth, coefficient)
+    coef = dict(cfg.coefficient)
+    if amplitude is not None and coef.get("preset") in ("jump", "checkerboard"):
+        coef["amplitude"] = amplitude
+    vf = VectorField(growth, build_coefficient(cfg, coef))
     obstacle = build_obstacle(cfg, grid, data_scale)
     measure = build_measure(cfg, grid, data_scale * rhs_scale)
     boundary = build_boundary(cfg, grid, growth, measure, data_scale)
     solver = cfg.solver
-    if epsilon is None:
-        eps_axis = cfg.sweep.get("epsilon", [])
-        if len(eps_axis) == 1:
-            epsilon = float(eps_axis[0])
-    if epsilon is not None:
-        solver = replace(solver, epsilon=epsilon)
+    eps_axis = cfg.sweep.get("epsilon", [])
+    if len(eps_axis) == 1:
+        solver = replace(solver, epsilon=float(eps_axis[0]))
+    sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
+    key = ((grid.n, grid.side, grid.origin), float(data_scale), float(rhs_scale),
+           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), solver)
     return Instance(
         config=cfg,
         grid=grid,
@@ -312,4 +319,5 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
         measure=measure,
         boundary=boundary,
         solver=solver,
+        key=key,
     )

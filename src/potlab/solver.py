@@ -125,8 +125,11 @@ class Solution:
     energy_history: list[float]
     complementarity: float
     energy: float
-    converged: bool = True
     stop_reason: str = "converged"  # or "iteration budget", "line search collapsed"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _cell_flux(vals, inv2h, eps2):
@@ -392,7 +395,6 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
         energy_history=en_hist,
         complementarity=comp,
         energy=E,
-        converged=stop == "converged",
         stop_reason=stop,
     )
     if not sol.converged:
@@ -419,18 +421,17 @@ def solve_equation(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,
 
 
 def solve_frozen(prob: ObstacleProblem, ball, cfg: SolverConfig | None = None, *,
-                 warm_start=None, freeze_ball=None) -> Solution:
+                 warm_start=None) -> Solution:
     """Solve on the ball with the coefficient replaced by its ball average.
 
     For the coefficient-times-kernel field this realizes the frozen field
     exactly: a_bar(eta) = mean(omega) * kernel(|eta|) * eta.
     """
     grid = prob.grid
-    freeze_ball = freeze_ball or ball
-    if not grid.contains_ball(*freeze_ball):
+    if not grid.contains_ball(*ball):
         raise DomainError("freeze ball exits the domain")
     n = grid.n
-    omega_cells = np.full((n - 1, n - 1), frozen_coefficient_value(prob, freeze_ball))
+    omega_cells = np.full((n - 1, n - 1), frozen_coefficient_value(prob, ball))
     return _solve(prob, cfg or SolverConfig(), ball, warm_start, omega_cells=omega_cells)
 
 

@@ -18,8 +18,6 @@ from potlab.harness.checks import (
     build_context,
     gradient_oscillation_rhs,
     maximal_sum_rhs,
-    mstar_rhs,
-    pointwise_gradient_rhs,
     run_checks,
     sample_points,
     sharp_gradient_rhs,
@@ -179,22 +177,11 @@ def dirac_context(tmp_path_factory):
     return build_context(inst, seq.finest, 0.3)
 
 
-def test_alpha_one_reduces_to_gradient_average_bound(dirac_context):
-    ctx = dirac_context
-    x, R = (0.5, 0.3), 0.15
-    assert maximal_sum_rhs(ctx, x, R, 1.0) == pytest.approx(
-        mstar_rhs(ctx, x, R), rel=1e-12
-    )
-    assert pointwise_gradient_rhs(ctx, x, R) == pytest.approx(
-        mstar_rhs(ctx, x, R), rel=1e-12
-    )
-
-
 def test_assemblies_monotone_in_data(dirac_context):
     ctx = dirac_context
     x, R = (0.5, 0.3), 0.15
     base_vals = {
-        "mstar": mstar_rhs(ctx, x, R),
+        "mstar": maximal_sum_rhs(ctx, x, R, 1.0),
         "max": maximal_sum_rhs(ctx, x, R, 0.3),
         "sharp": sharp_gradient_rhs(ctx, x, R, 0.3),
     }
@@ -203,7 +190,7 @@ def test_assemblies_monotone_in_data(dirac_context):
     bigger = dataclasses.replace(
         ctx, inst=dataclasses.replace(ctx.inst, measure=ctx.inst.measure.scaled(2.0))
     )
-    assert mstar_rhs(bigger, x, R) >= base_vals["mstar"]
+    assert maximal_sum_rhs(bigger, x, R, 1.0) >= base_vals["mstar"]
     assert maximal_sum_rhs(bigger, x, R, 0.3) >= base_vals["max"]
     assert sharp_gradient_rhs(bigger, x, R, 0.3) >= base_vals["sharp"]
     # enlarge the obstacle kernel pointwise
@@ -211,7 +198,7 @@ def test_assemblies_monotone_in_data(dirac_context):
     fatter = dataclasses.replace(
         ctx, od=type(od)(od.kernel.with_values(od.kernel.values + 0.5))
     )
-    assert mstar_rhs(fatter, x, R) >= base_vals["mstar"]
+    assert maximal_sum_rhs(fatter, x, R, 1.0) >= base_vals["mstar"]
     assert sharp_gradient_rhs(fatter, x, R, 0.3) >= base_vals["sharp"]
     # enlarge the coefficient modulus pointwise
     import potlab.field as fieldmod
@@ -222,7 +209,7 @@ def test_assemblies_monotone_in_data(dirac_context):
             om.radii, om.values + 0.1, om.dini_exponent
         ),
     )
-    assert mstar_rhs(louder, x, R) >= base_vals["mstar"]
+    assert maximal_sum_rhs(louder, x, R, 1.0) >= base_vals["mstar"]
     assert sharp_gradient_rhs(louder, x, R, 0.3) >= base_vals["sharp"]
 
 
@@ -323,10 +310,10 @@ def test_gradient_bounds_fails_on_mesh_dependent_bound(tmp_path, monkeypatch):
     cache = SolveCache()
     honest = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
     assert honest.passed
-    rhs = checks.pointwise_gradient_rhs
+    rhs = checks.maximal_sum_rhs
     monkeypatch.setattr(
-        checks, "pointwise_gradient_rhs",
-        lambda ctx, x, R: rhs(ctx, x, R) * (ctx.inst.grid.n / 32) ** 2,
+        checks, "maximal_sum_rhs",
+        lambda ctx, x, R, alpha: rhs(ctx, x, R, alpha) * (ctx.inst.grid.n / 32) ** 2,
     )
     wrong = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
     assert wrong.passed is False
@@ -460,12 +447,20 @@ def test_comparison_check_skips_without_data(tmp_path):
     assert any("skipped" in note for note in rep.notes)
 
 
-def test_run_checks_parallel_matches_serial(tiny_config):
-    cfg = load_config(tiny_config)
-    serial = run_checks(cfg, names=["comparison_inhomogeneous", "sobolev_median"])
-    parallel = run_checks(
-        cfg, names=["comparison_inhomogeneous", "sobolev_median"], jobs=2
-    )
+@pytest.mark.parametrize("text, names", [
+    pytest.param(TINY, ["comparison_inhomogeneous", "sobolev_median"], id="tiny"),
+    # both checks ask for the unit-scale mollification sequence: one
+    # thread builds it while the other waits
+    pytest.param(DIRAC, ["comparison_inhomogeneous", "gradient_bounds"], id="dirac"),
+])
+def test_run_checks_parallel_matches_serial(tmp_path, text, names):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    cfg = load_config(path)
+    cfg.check_params["points"] = 4
+    serial = run_checks(cfg, names=names)
+    parallel = run_checks(cfg, names=names, jobs=2)
+    assert len(serial) == len(parallel) == 2
     for a, b in zip(serial, parallel):
         assert a.name == b.name
         assert [(r.lhs, r.rhs, r.ratio) for r in a.rows] == [
@@ -634,6 +629,61 @@ def test_solve_cache_builds_a_key_once_across_threads():
         sys.setswitchinterval(interval)
     assert calls == [1]
     assert results == [1] * threads
+    # one get built the value, every other found it: no count was lost
+    assert (cache.misses, cache.hits) == (1, threads - 1)
+
+
+def test_checks_share_the_primary_sequence(dirac_config, monkeypatch):
+    # comparison_inhomogeneous solves the unit-scale mollification sequence
+    # among its data scalings; gradient_bounds asks for the same problem
+    # and must find it in the cache instead of solving it again
+    cfg = load_config(dirac_config)
+    cfg.check_params["points"] = 2
+    sequences = []
+    solve = checks.solve_op_sequence
+    monkeypatch.setattr(checks, "solve_op_sequence",
+                        lambda prob, levels, solver: sequences.append(levels)
+                        or solve(prob, levels, solver))
+    cache = SolveCache()
+    CHECKS["comparison_inhomogeneous"](cfg, cache, np.random.default_rng([5, 0]))
+    scales = cfg.sweep_axis("scale")
+    assert len(sequences) == len(scales) == 3
+    # per scale: the sequence and two homogeneous ball solves
+    assert cache.misses == 3 * len(scales)
+    CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 1]))
+    assert len(sequences) == 3
+    # new: the homogeneous fit's equation and the estimate context only
+    assert cache.misses == 3 * len(scales) + 2
+    assert cache.hits >= 1
+
+
+def test_instance_key_names_the_realized_problem(dirac_config, tmp_path):
+    import copy
+
+    cfg = load_config(dirac_config)
+    base = build_instance(cfg, 48).key
+    hash(base)
+    assert build_instance(cfg, 48, rhs_scale=1.0).key == base
+    assert build_instance(cfg, 48, data_scale=1.0).key == base
+    assert build_instance(cfg, 48, rhs_scale=4.0).key != base
+    assert build_instance(cfg, 48, data_scale=4.0).key != build_instance(
+        cfg, 48, rhs_scale=4.0).key
+    assert build_instance(cfg, 64).key != base
+    assert build_instance(checks._homogeneous_config(cfg), 48).key != base
+    # how the checks sample never enters the key
+    other = copy.copy(cfg)
+    other.check_params = {**cfg.check_params, "points": 1, "estimate_radius": 0.1}
+    other.sweep = {**cfg.sweep, "scale": [2.0]}
+    assert build_instance(other, 48).key == base
+    # an explicit amplitude equal to the config's is the config's problem
+    path = tmp_path / "jump.ini"
+    path.write_text(TINY.replace(
+        "[coefficient]\npreset = constant\n",
+        "[coefficient]\npreset = jump\namplitude = 0.2\n",
+    ))
+    jump = load_config(path)
+    assert build_instance(jump, 32, amplitude=0.2).key == build_instance(jump, 32).key
+    assert build_instance(jump, 32, amplitude=0.4).key != build_instance(jump, 32).key
 
 
 def test_report_rhs_floor_flagging():
@@ -644,3 +694,4 @@ def test_report_rhs_floor_flagging():
     cache.get("k", lambda: calls.append(1) or 7)
     cache.get("k", lambda: calls.append(1) or 8)
     assert calls == [1]
+    assert (cache.misses, cache.hits) == (1, 1)
