@@ -73,6 +73,8 @@ def cmd_solve(args) -> int:
         fh.write(f"energy {sol.energy:.12g}\n")
         fh.write(f"complementarity {sol.complementarity:.12g}\n")
         fh.write(f"residual {sol.residual_history[-1]:.12g}\n")
+        fh.write(f"factorizations {sol.factorizations}\n")
+        fh.write(f"krylov_iterations {sol.krylov_iterations}\n")
     print(f"solved in {sol.iterations} iterations; wrote {out / 'solution.txt'}")
     return 0
 

@@ -15,7 +15,15 @@ decoupled in the interior).  Minimization over {u >= psi, u = h on the
 pinned set} is a projected Newton (primal-dual active-set) method.
 Each step fixes the active set, the free nodes on the obstacle whose
 residual pushes into it, and solves the sparse 9-point Hessian system of
-the cell energy on the other free nodes (one sparse LU per step).  The
+the cell energy on the other free nodes.  Each continuation level holds
+the sparse LU of its latest factorization with the unknown set it was
+built on.  A step whose unknown set is the held one solves its system by
+conjugate gradients preconditioned with that lagged LU (Knoll-Keyes,
+J. Comput. Phys. 193, 2004) to a fixed tight relative residual; any other
+step, and a CG that misses (it falls behind the pace that reaches the
+tolerance within an iteration cap, or meets nonpositive curvature or a
+non-finite value), factors the Hessian afresh, and after a miss the level
+factors every step.  The LU lives only as long as its level.  The
 step is searched along the projected path max(u + t d, psi), halving t
 until the Armijo condition holds, so every accepted step decreases the
 energy.  On meshes with even n and n/2 >= 32 the start is first replaced
@@ -24,7 +32,9 @@ start, obstacle and data), prolonged bilinearly; this coarse-to-fine
 continuation keeps the Newton step count nearly flat in n.  The solver
 converges when the projected residual satisfies both  h * ||pr||_2 <= tol
 and  max |pr| <= 10 tol,  so the reported complementarity bound holds by
-construction.  ``Solution.stop_reason`` says why a solve stopped.
+construction.  ``Solution.stop_reason`` says why a solve stopped, and
+``factorizations`` and ``krylov_iterations`` count the linear algebra of
+all its levels.
 
 Ball-restricted solves pin every node outside the ball to the trace
 donor, realizing "w = u on the ball boundary" without a second mesh.
@@ -69,6 +79,9 @@ _BACKTRACK = 0.5             # step shrink factor of the Armijo line search
 _SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 _MAX_HALVINGS = 60           # line-search steps before the search counts as collapsed
 _COARSEST = 32               # smallest n of a continuation level
+_CG_MAX_ITER = 12            # CG steps on a lagged LU before the solve counts as a miss
+_CG_RTOL = 1e-10             # CG stops at ||H d + r|| <= _CG_RTOL ||r||
+_CG_MISSES = 1               # CG misses after which a level factors every step
 
 # the four nodes of a cell in `_cell_flux` order (a, b, c, d) and the
 # signs of their weights in the cell gradient (dux, duy)
@@ -125,6 +138,8 @@ class Solution:
     energy_history: list[float]
     complementarity: float
     energy: float
+    factorizations: int             # sparse LUs, summed over the continuation levels
+    krylov_iterations: int          # lagged-LU CG iterations, summed over the levels
     stop_reason: str = "converged"  # or "iteration budget", "line search collapsed"
 
     @property
@@ -252,6 +267,39 @@ def _hessian(vals, omega_cells, growth, inv2h, eps2, unknown):
     return H
 
 
+def _lagged_cg(H, b, lu):
+    """Solve H x = b by conjugate gradients preconditioned with ``lu``, the
+    factorization of an earlier Hessian on the same unknowns.  Returns
+    (x, iterations); x is None on a miss: a relative residual that falls
+    behind the pace 2 _CG_RTOL^(k/_CG_MAX_ITER) (the shape of the classical
+    CG bound, reaching the tolerance by the cap), nonpositive curvature
+    p.Hp, or a non-finite value."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = lu.solve(r)
+    p = z.copy()
+    rz = float(r @ z)
+    norm_b = float(np.linalg.norm(b))
+    for k in range(1, _CG_MAX_ITER + 1):
+        Hp = H @ p
+        curv = float(p @ Hp)
+        if not (np.isfinite(curv) and curv > 0.0):
+            return None, k
+        alpha = rz / curv
+        x += alpha * p
+        r -= alpha * Hp
+        rel = float(np.linalg.norm(r)) / norm_b
+        if rel <= _CG_RTOL:
+            return x, k
+        if rel > 2.0 * _CG_RTOL ** (k / _CG_MAX_ITER):
+            return None, k
+        z = lu.solve(r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return None, _CG_MAX_ITER
+
+
 def _block_mean(a):
     """Means over the 2x2 node blocks: the restriction to Grid2D(n/2)."""
     return 0.25 * (a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
@@ -271,23 +319,24 @@ def _prolong(c):
 
 def _coarse_start(grid, growth, omega_cells, f, start, psi, free, cfg):
     """Warm start from the same problem solved on Grid2D(n/2), prolonged,
-    with the pinned nodes reset and the obstacle projected; None when no
-    2x2 block is entirely free.  The coarse solve need not converge."""
+    with the pinned nodes reset and the obstacle projected, and the coarse
+    Solution; None when no 2x2 block is entirely free.  The coarse solve
+    need not converge."""
     coarse_free = _block_mean(free.astype(float)) == 1.0
     if not coarse_free.any():
         return None
     coarse = Grid2D(grid.n // 2, grid.side, grid.origin)
-    uc = _minimize(
+    sol = _minimize(
         coarse, growth, omega_cells[1::2, 1::2],
         None if f is None else _block_mean(f),
         _block_mean(start),
         None if psi is None else _block_mean(psi),
         coarse_free, cfg,
-    )[0]
-    u = np.where(free, _prolong(uc), start)
+    )
+    u = np.where(free, _prolong(sol.u.values), start)
     if psi is not None:
         u[free] = np.maximum(u[free], psi[free])
-    return u
+    return u, sol
 
 
 def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
@@ -305,11 +354,15 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         return l2, l2 <= cfg.tol and linf <= 10.0 * cfg.tol
 
     E, resid = objective(u)
+    factorizations = krylov = 0
     if grid.n % 2 == 0 and grid.n // 2 >= _COARSEST and not stationary(u, resid)[1]:
         warm = _coarse_start(grid, growth, omega_cells, f, u, psi, free, cfg)
         if warm is not None:
-            u = warm
+            u, coarse = warm
+            factorizations, krylov = coarse.factorizations, coarse.krylov_iterations
             E, resid = objective(u)
+    lu = lu_unknown = None
+    misses = 0
     res_hist: list[float] = []
     en_hist: list[float] = [E]
     stop = "iteration budget"
@@ -323,10 +376,27 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         if it >= cfg.max_iter:
             break
         unknown = free if psi is None else free & ~((u <= psi) & (resid > 0))
-        d = np.zeros_like(u)
+        if lu is not None and not np.array_equal(unknown, lu_unknown):
+            lu = None  # freed before the next Hessian is assembled
         H = _hessian(u, omega_cells, growth, objective.inv2h, objective.eps2, unknown)
-        d[unknown] = splu(H, permc_spec="MMD_AT_PLUS_A",
-                          options={"SymmetricMode": True}).solve(-resid[unknown])
+        b = -resid[unknown]
+        step = None
+        if lu is not None:
+            step, cg_iters = _lagged_cg(H, b, lu)
+            krylov += cg_iters
+            if step is None:
+                lu = None
+                misses += 1
+        if step is None:
+            lu = splu(H, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+            factorizations += 1
+            step = lu.solve(b)
+            lu_unknown = unknown
+            if misses >= _CG_MISSES:
+                lu = None
+        del H  # not held while the next step's Hessian is assembled
+        d = np.zeros_like(u)
+        d[unknown] = step
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = u + t * d
@@ -348,8 +418,17 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         en_hist.append(E)
         it += 1
 
-    comp = _complementarity(u, resid, psi, free)
-    return u, it, res_hist, en_hist, comp, E, stop
+    return Solution(
+        u=GridFunction(grid, u),
+        iterations=it,
+        residual_history=res_hist,
+        energy_history=en_hist,
+        complementarity=_complementarity(u, resid, psi, free),
+        energy=E,
+        factorizations=factorizations,
+        krylov_iterations=krylov,
+        stop_reason=stop,
+    )
 
 
 def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
@@ -385,22 +464,11 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
         raise DataError("trace donor lies below the obstacle on pinned nodes")
     if omega_cells is None:
         omega_cells = prob.field.coefficient.on_cells(grid)
-    u, iters, res_hist, en_hist, comp, E, stop = _minimize(
-        grid, prob.field.growth, omega_cells, f, start, psi, free, cfg
-    )
-    sol = Solution(
-        u=GridFunction(grid, u),
-        iterations=iters,
-        residual_history=res_hist,
-        energy_history=en_hist,
-        complementarity=comp,
-        energy=E,
-        stop_reason=stop,
-    )
+    sol = _minimize(grid, prob.field.growth, omega_cells, f, start, psi, free, cfg)
     if not sol.converged:
         raise IterationLimitError(
-            f"stopped by {stop} after {iters} iterations "
-            f"(projected residual {res_hist[-1]:.3e}, tol {cfg.tol:.1e})",
+            f"stopped by {sol.stop_reason} after {sol.iterations} iterations "
+            f"(projected residual {sol.residual_history[-1]:.3e}, tol {cfg.tol:.1e})",
             last=sol,
         )
     return sol

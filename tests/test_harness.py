@@ -497,8 +497,11 @@ def test_cli_solve_writes_artifacts(tiny_config, tmp_path):
     out = tmp_path / "sol"
     assert main(["solve", "--config", str(tiny_config), "--out", str(out)]) == 0
     assert (out / "solution.txt").exists()
-    diag = (out / "diagnostics.txt").read_text()
+    diag = dict(line.split() for line in (out / "diagnostics.txt").read_text().splitlines())
     assert "complementarity" in diag
+    # p = 2 on one level: one Newton step, one factorization, no CG
+    assert diag["factorizations"] == diag["iterations"] == "1"
+    assert diag["krylov_iterations"] == "0"
 
 
 def test_cli_solve_infeasible_exits_one(tmp_path):

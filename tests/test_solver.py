@@ -206,6 +206,81 @@ def test_accepted_energy_increase_raises(monkeypatch):
         solve_vi(_contact_problem(48), CFG)
 
 
+def _record_levels(monkeypatch, events):
+    """Append to ``events`` the Solution of every continuation level as it
+    returns, and "lu", "cg" or "miss" for each factorization and each
+    lagged-LU CG solve in between."""
+    minimize, splu, cg = solver._minimize, solver.splu, solver._lagged_cg
+
+    def level(*a):
+        sol = minimize(*a)
+        events.append(sol)
+        return sol
+
+    def factor(*a, **k):
+        events.append("lu")
+        return splu(*a, **k)
+
+    def krylov(*a):
+        x, its = cg(*a)
+        events.append("miss" if x is None else "cg")
+        return x, its
+
+    monkeypatch.setattr(solver, "_minimize", level)
+    monkeypatch.setattr(solver, "splu", factor)
+    monkeypatch.setattr(solver, "_lagged_cg", krylov)
+
+
+def test_lagged_lu_saves_factorizations(monkeypatch):
+    levels = []
+    _record_levels(monkeypatch, levels)
+    sol = solve_vi(_contact_problem(128), SolverConfig(tol=1e-8))
+    steps = sum(s.iterations for s in levels if isinstance(s, solver.Solution))
+    assert sol.factorizations < steps
+    assert sol.krylov_iterations > 0
+
+
+def test_lagged_cg_keeps_the_newton_iterates(monkeypatch):
+    cfg = SolverConfig(tol=1e-8)
+    lagged = solve_vi(_contact_problem(128), cfg)
+    levels = []
+    _record_levels(monkeypatch, levels)
+    monkeypatch.setattr(solver, "_CG_MAX_ITER", 0)
+    fresh = solve_vi(_contact_problem(128), cfg)
+    # with no CG iterations allowed, every Newton step factors its Hessian
+    assert fresh.krylov_iterations == 0
+    assert fresh.factorizations == sum(
+        s.iterations for s in levels if isinstance(s, solver.Solution))
+    assert fresh.iterations == lagged.iterations
+    assert len(fresh.residual_history) == len(lagged.residual_history)
+    # a loose CG still converges, but its intermediate residuals drift
+    np.testing.assert_allclose(lagged.residual_history, fresh.residual_history, rtol=1e-4)
+    scale = np.abs(fresh.u.values).max()
+    assert np.abs(lagged.u.values - fresh.u.values).max() <= 1e-9 * scale
+
+
+def test_cg_miss_refactors_the_rest_of_its_level(monkeypatch):
+    # p = 4 Hessians move too fast between steps for the lagged LU
+    events = []
+    _record_levels(monkeypatch, events)
+    g = Grid2D(64)
+    bdata = ring_only(g, lambda X, Y: X + 0.3 * np.sin(2 * np.pi * Y))
+    sol = solve_equation(ObstacleProblem(field=unit_field(4.0), boundary=bdata), CFG)
+    assert sol.converged
+    missed, level = 0, []
+    for e in events:
+        if not isinstance(e, solver.Solution):
+            level.append(e)
+            continue
+        # one "lu" or "cg" per Newton step ("miss" is followed by its step's "lu")
+        assert level.count("lu") + level.count("cg") == e.iterations
+        if "miss" in level:
+            missed += 1
+            assert set(level[level.index("miss") + 1:]) == {"lu"}
+        level = []
+    assert missed > 0
+
+
 TABULATED_P25 = TabulatedGrowth(np.geomspace(1e-6, 1e3, 600), np.geomspace(1e-6, 1e3, 600) ** 1.5)
 
 
