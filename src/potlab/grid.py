@@ -344,7 +344,7 @@ class MeasureData:
 
 def ball_mass(mu: MeasureData, center, radius: float) -> float:
     """|mu| of the closed ball: atom masses within the exact distance plus
-    the cut-cell integral of |density| (node-center-in-disk rule)."""
+    the cut-cell integral of the density (node-center-in-disk rule)."""
     return float(ball_masses(mu, center, (radius,))[0])
 
 
@@ -360,8 +360,7 @@ def ball_masses(mu: MeasureData, center, radii) -> np.ndarray:
         for radius in radii
     ], dtype=float)
     if mu.density is not None:
-        dens = mu.density.with_values(np.abs(mu.density.values))
-        out += disk_integrals(dens, center, radii)
+        out += disk_integrals(mu.density, center, radii)
     return out
 
 

@@ -379,10 +379,10 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float
         raise DataError("alpha too large for the maximal term (needs alpha <= 1/ig)")
     mmu = 0.0
     if ctx.inst.measure is not None:
-        mmu = frac_maximal(ctx.inst.measure, x, beta_m, R, r_min=ctx.r_min) ** (1.0 / ig)
+        mmu = _g_inverse(ctx.inst, frac_maximal(ctx.inst.measure, x, beta_m, R, r_min=ctx.r_min))
     mps = 0.0
     if ctx.od is not None:
-        mps = obstacle_maximal(ctx.od, x, beta_m, R, r_min=ctx.r_min) ** (1.0 / ig)
+        mps = _g_inverse(ctx.inst, obstacle_maximal(ctx.od, x, beta_m, R, r_min=ctx.r_min))
     wmu, wps = _wolff_pair(ctx, x, 1.0 / (ig + 1.0), ig + 1.0, 2.0 * R)
     dini = _dini_term(ctx, x, 2.0 * R, alpha)
     return term1 + mmu + mps + wmu + wps + dini
@@ -405,20 +405,23 @@ def gradient_oscillation_rhs(ctx: EstimateContext, x0, x, y, R: float, alpha: fl
     return base + (wx + wy) * d**alpha + (dx + dy) * d**alpha
 
 
-def measure_error_term(ctx: EstimateContext, x, R: float) -> float:
+def _g_inverse(inst: Instance, s: float) -> float:
+    """s^(1/ig), the power surrogate for g^{-1}(s) in every data term."""
+    return s ** (1.0 / inst.growth.ig)
+
+
+def measure_error_term(inst: Instance, x, R: float) -> float:
     """(|mu|(closed B_R) / R^(n-1))^(1/ig); zero without measure data."""
-    if ctx.inst.measure is None:
+    if inst.measure is None:
         return 0.0
-    ig = ctx.inst.growth.ig
-    return (ball_mass(ctx.inst.measure, x, R) / R ** (2 - 1)) ** (1.0 / ig)
+    return _g_inverse(inst, ball_mass(inst.measure, x, R) / R ** (2 - 1))
 
 
 def obstacle_error_term(ctx: EstimateContext, x, R: float) -> float:
     """(R avg_{B_R} obstacle kernel)^(1/ig); zero without an obstacle."""
     if ctx.od is None:
         return 0.0
-    ig = ctx.inst.growth.ig
-    return (R * ball_average(ctx.od.kernel, x, R)) ** (1.0 / ig)
+    return _g_inverse(ctx.inst, R * ball_average(ctx.od.kernel, x, R))
 
 
 def coefficient_error_term(ctx: EstimateContext, mag: GridFunction, x,
@@ -442,7 +445,7 @@ def excess_rhs_with_errors(ctx: EstimateContext, x, R: float, rho: float,
     decay = (rho / R) ** beta_hat * excess_R
     amp = (R / rho) ** 2
     return decay + amp * (
-        measure_error_term(ctx, x, R) + obstacle_error_term(ctx, x, R)
+        measure_error_term(ctx.inst, x, R) + obstacle_error_term(ctx, x, R)
     ) + amp * coefficient_error_term(ctx, ctx.du_mag, x, R, R)
 
 
@@ -475,7 +478,6 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
                 study.add(center, R, 0.0, 0.0)
                 notes.append("no right-hand data; check skipped")
                 continue
-            ig = inst.growth.ig
             # atoms make the primary solution a mollification limit, whose
             # bound is the measure form
             measure_form = bool(inst.measure.atoms)
@@ -483,10 +485,9 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
             w = _homogeneous_ball(cache, inst, sol, (center, R))
             lhs = ball_average(grad_distance_field(sol.u, w.u), center, R)
             if measure_form:
-                rhs = (ball_mass(inst.measure, center, R) / R) ** (1.0 / ig)
+                rhs = measure_error_term(inst, center, R)
             else:
-                absf = inst.measure.density.with_values(np.abs(inst.measure.density.values))
-                rhs = (R * ball_average(absf, center, R)) ** (1.0 / ig)
+                rhs = _g_inverse(inst, R * ball_average(inst.measure.density, center, R))
             study.add(center, R, lhs, rhs, exact_tol=10 * inst.solver.tol,
                       cell=(n, float(s)))
             if measure_form:
@@ -494,8 +495,7 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
                 r_off = _param(cfg, "off_radius", 0.1)
                 w_off = _homogeneous_ball(cache, inst, sol, (off, r_off))
                 lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
-                mass_off = ball_mass(inst.measure, off, r_off)
-                study.add(off, r_off, lhs_off, (mass_off / r_off) ** (1 / ig),
+                study.add(off, r_off, lhs_off, measure_error_term(inst, off, r_off),
                           exact_tol=10 * inst.solver.tol)
     return study.report("comparison_inhomogeneous", notes=notes)
 
@@ -742,13 +742,12 @@ def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
     shape that controls it: the measure term for the inhomogeneity removal,
     the coefficient modulus for the freezing step, and the obstacle flux
     for the two equation transitions."""
-    ig = inst.growth.ig
     tol = 10 * inst.solver.tol
     half = R / 2.0
     out = []
     # inhomogeneity removal
     lhs1 = ball_average(grad_distance_field(sol.u, chain.w1.u), center, R)
-    rhs1 = measure_error_term(ctx, center, R)
+    rhs1 = measure_error_term(inst, center, R)
     out.append(study.add(center, R, lhs1, rhs1, exact_tol=tol, tag="chain-w1"))
     # coefficient freezing
     lhs2 = ball_average(grad_distance_field(chain.w1.u, chain.w2.u), center, half)
@@ -759,9 +758,9 @@ def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
     if chain.obstacle_flux is not None:
         flux = chain.obstacle_flux
         flux_field = flux.with_values(np.abs(flux.values) + 1.0)
-        rhs34 = (half * ball_average(flux_field, center, half)) ** (1.0 / ig)
+        rhs34 = _g_inverse(inst, half * ball_average(flux_field, center, half))
     else:
-        rhs34 = (half * 1.0) ** (1.0 / ig)
+        rhs34 = _g_inverse(inst, half * 1.0)
     for label, a, b in (("chain-w3", chain.w2, chain.w3), ("chain-w4", chain.w3, chain.w4)):
         lhs = ball_average(grad_distance_field(a.u, b.u), center, half)
         out.append(study.add(center, half, lhs, rhs34, exact_tol=tol, tag=label))

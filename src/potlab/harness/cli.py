@@ -61,11 +61,8 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     inst = build_instance(cfg)
     rhs = inst.measure
-    if rhs is not None and rhs.atoms:
-        level = max(usable_levels(cfg, inst))
-        rhs = mollify_measure(rhs, level, inst.grid)
-    elif rhs is not None:
-        rhs = rhs.density  # already an integrable function
+    if rhs is not None:
+        rhs = mollify_measure(rhs, max(usable_levels(cfg, inst)), inst.grid)
     sol = solve_vi(inst.problem(rhs=rhs), inst.solver)
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:

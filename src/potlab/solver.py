@@ -53,6 +53,7 @@ from .errors import (
     DataError,
     DomainError,
     EnergyIncreaseError,
+    GridMismatchError,
     IterationLimitError,
     LevelError,
 )
@@ -510,9 +511,9 @@ def frozen_coefficient_value(prob: ObstacleProblem, ball) -> float:
 
 
 def mollify_measure(mu: MeasureData, level: int, grid: Grid2D | None = None) -> GridFunction:
-    """Convolve the measure with the normalized bump (1 - |x/r|^2)^2 of
-    radius r = 1/(4 level); atom splats are renormalized on the grid so the
-    mass is preserved exactly."""
+    """Bounded data for ``mu`` at ``level``: each atom becomes the normalized
+    bump (1 - |x/r|^2)^2 of radius r = 1/(4 level), renormalized on the grid
+    so its mass is exact; a density is already bounded and is added as is."""
     if level < 1 or int(level) != level:
         raise DataError("mollification level must be a positive integer")
     if grid is None:
@@ -535,30 +536,9 @@ def mollify_measure(mu: MeasureData, level: int, grid: Grid2D | None = None) -> 
         s = float(w.sum()) * grid.h**2
         out += (mass / s) * w
     if mu.density is not None:
-        dens = mu.density.values
-        support = np.abs(dens) > 0
-        if support.any():
-            ii, jj = np.nonzero(support)
-            margin = min(
-                grid.xs[ii].min() - grid.origin[0],
-                grid.origin[0] + grid.side - grid.xs[ii].max(),
-                grid.ys[jj].min() - grid.origin[1],
-                grid.origin[1] + grid.side - grid.ys[jj].max(),
-            )
-            if margin <= rb:
-                raise LevelError("density support within the bump radius of the boundary")
-            mrad = int(np.floor(rb / grid.h))
-            off = np.arange(-mrad, mrad + 1) * grid.h
-            DX, DY = np.meshgrid(off, off, indexing="ij")
-            rho2 = (DX**2 + DY**2) / rb**2
-            K = np.where(rho2 < 1.0, (1.0 - np.minimum(rho2, 1.0)) ** 2, 0.0)
-            K /= K.sum()
-            # zero-padded 'same' convolution as one shifted sum per offset
-            # inside the bump (K is symmetric, so no flip is needed)
-            pad = np.pad(dens, mrad)
-            n = grid.n
-            for di, dj in zip(*np.nonzero(K)):
-                out += K[di, dj] * pad[di:di + n, dj:dj + n]
+        if not mu.density.grid.matches(grid):
+            raise GridMismatchError("measure density and target grid differ")
+        out += mu.density.values
     return GridFunction(grid, out)
 
 

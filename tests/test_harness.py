@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from potlab.harness.config import build_instance, load_config
 from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth
 from potlab.potentials import radial_potential_profile
 from potlab.solver import solve_op_sequence
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 TINY = """
 [growth]
@@ -219,10 +222,8 @@ def test_measure_scaling_identity(dirac_context):
     from potlab.harness.checks import measure_error_term
     ctx = dirac_context
     x, R = (0.5, 0.3), 0.15
-    base = measure_error_term(ctx, x, R)
-    scaled = dataclasses.replace(
-        ctx, inst=dataclasses.replace(ctx.inst, measure=ctx.inst.measure.scaled(4.0))
-    )
+    base = measure_error_term(ctx.inst, x, R)
+    scaled = dataclasses.replace(ctx.inst, measure=ctx.inst.measure.scaled(4.0))
     ig = ctx.inst.growth.ig
     assert measure_error_term(scaled, x, R) == pytest.approx(
         4.0 ** (1.0 / ig) * base, rel=1e-12
@@ -483,6 +484,36 @@ def test_all_checks_registered():
 
 
 # -- CLI -----------------------------------------------------------------------------
+
+@pytest.fixture
+def dirac_with_density(tmp_path):
+    """The shipped dirac config with a constant density next to its atom,
+    on the n = 64 mesh only."""
+    text = (CONFIGS / "dirac.ini").read_text()
+    for old, new in (("atoms = 0.5 0.5 1.0\n", "atoms = 0.5 0.5 1.0\ndensity = 1.0\n"),
+                     ("[grid]\nn = 128\n", "[grid]\nn = 64\n"),
+                     ("n = 64, 128\n", "n = 64\n")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "dirac_density.ini"
+    path.write_text(text)
+    return path
+
+
+def test_cli_verify_atoms_plus_density(dirac_with_density, tmp_path):
+    # the density reaches the boundary; only the atom is mollified
+    out = tmp_path / "v"
+    assert main(["verify", "--config", str(dirac_with_density), "--out", str(out)]) == 0
+    rows = [line.split() for line in (out / "summary.txt").read_text().splitlines()[1:]
+            if not line.startswith(" ")]
+    assert len(rows) == 4 and all(row[-1] == "ok" for row in rows)
+
+
+def test_cli_solve_atoms_plus_density(dirac_with_density, tmp_path):
+    out = tmp_path / "s"
+    assert main(["solve", "--config", str(dirac_with_density), "--out", str(out)]) == 0
+    assert (out / "solution.txt").exists()
+
 
 def test_cli_verify_deterministic(tiny_config, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -13,6 +13,7 @@ from potlab.errors import (
     DataError,
     DomainError,
     EnergyIncreaseError,
+    GridMismatchError,
     IterationLimitError,
     LevelError,
 )
@@ -432,40 +433,27 @@ def test_mollify_support_containment():
     assert inside == pytest.approx(1.0, abs=1e-10)
 
 
-def test_mollify_density_identity_limit():
-    g = Grid2D(96)
-    dens = GridFunction.from_callable(
-        g,
-        lambda X, Y: np.where(
-            (X - 0.5) ** 2 + (Y - 0.5) ** 2 < 0.09,
-            np.exp(-10 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)) - np.exp(-0.9),
-            0.0,
-        ),
-    )
-    mu = MeasureData(density=dens)
-    dists = []
+def test_mollify_passes_density_through():
+    # only atoms are mollified: a density, here one that reaches the
+    # boundary, is added to the bumps unchanged
+    g = Grid2D(64)
+    dens = GridFunction.from_callable(g, lambda X, Y: 1.0 + X * Y)
+    atoms = [(0.5, 0.5, 1.0), (0.3, 0.6, 0.5)]
     for level in (2, 4, 8):
-        f = mollify_measure(mu, level, g)
-        dists.append(float(np.abs(f.values - dens.values).sum() * g.h**2))
-    assert dists[2] < dists[1] < dists[0]
+        bumps = mollify_measure(MeasureData(atoms=atoms), level, g)
+        f = mollify_measure(MeasureData(atoms=atoms, density=dens), level, g)
+        assert np.array_equal(f.values, bumps.values + dens.values)
+        assert np.array_equal(mollify_measure(MeasureData(density=dens), level).values,
+                              dens.values)
 
 
-def test_mollify_density_matches_convolution():
-    from scipy.signal import convolve2d
-
-    for n, level in ((64, 2), (96, 4), (128, 8)):
-        g = Grid2D(n)
-        dens = np.random.default_rng(n).random((n, n))
-        dens[~((np.abs(g.X - 0.5) < 0.2) & (np.abs(g.Y - 0.5) < 0.2))] = 0.0
-        f = mollify_measure(MeasureData(density=GridFunction(g, dens)), level, g)
-        rb = 1.0 / (4 * level)
-        mrad = int(np.floor(rb / g.h))
-        off = np.arange(-mrad, mrad + 1) * g.h
-        DX, DY = np.meshgrid(off, off, indexing="ij")
-        rho2 = (DX**2 + DY**2) / rb**2
-        K = np.where(rho2 < 1.0, (1.0 - np.minimum(rho2, 1.0)) ** 2, 0.0)
-        ref = convolve2d(dens, K / K.sum(), mode="same")
-        assert np.abs(f.values - ref).max() <= 1e-13 * np.abs(ref).max()
+def test_mollify_density_on_another_grid():
+    coarse = Grid2D(32)
+    dens = GridFunction.from_callable(
+        coarse, lambda X, Y: np.where(np.hypot(X - 0.5, Y - 0.5) < 0.2, 1.0, 0.0)
+    )
+    with pytest.raises(GridMismatchError):
+        mollify_measure(MeasureData(density=dens), 2, Grid2D(64))
 
 
 def test_mollify_level_errors():
@@ -502,23 +490,19 @@ def test_op_sequence_zero_measure_matches_homogeneous():
 
 
 def test_op_sequence_smooth_density_plateaus():
+    # a density is not mollified, so every level solves the same problem
+    # and the warm-started levels return the first level's solution
     g = Grid2D(64)
-    dens = GridFunction.from_callable(
+    mu = MeasureData(density=GridFunction.from_callable(
         g, lambda X, Y: 1.0 + np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y) * 0.5
-    )
-    # cut off near the boundary so every level stays mollifiable
-    taper = GridFunction.from_callable(
-        g,
-        lambda X, Y: np.where(
-            (np.minimum(X, 1 - X) > 0.2) & (np.minimum(Y, 1 - Y) > 0.2), 1.0, 0.0
-        ),
-    )
-    mu = MeasureData(density=dens.with_values(dens.values * taper.values))
+    ))
     zero = GridFunction.constant(g, 0.0)
     seq = solve_op_sequence(
         ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=mu), [2, 4, 8], CFG
     )
-    assert all(d < 0.05 for d in seq.distances)
+    first = seq.solutions[0].u.values
+    assert all(np.array_equal(sol.u.values, first) for sol in seq.solutions)
+    assert seq.distances == [0.0, 0.0]
 
 
 def test_op_sequence_requires_increasing_levels():
