@@ -5,9 +5,11 @@ Every `check_*.csv` and `summary.txt` under OLD is matched with the file
 at the same relative path under NEW.  For each file the script prints
 whether the rows and flags (CSV) or the rows and verdicts (summary)
 agree, and the largest relative difference |a - b| / max(|a|, |b|) of
-each numeric column; files whose bytes match print as byte-identical.  Summary notes are compared as text and reported,
-but they are rounded copies of numbers compared elsewhere and do not
-fail the comparison.
+each numeric column; files whose bytes match print as byte-identical.
+Summary notes are compared as text and reported, but they are rounded
+copies of numbers compared elsewhere and do not fail the comparison.
+The last two lines count the byte-identical files among all files seen
+on either side and give the verdict.
 
 Usage: python scripts/compare_reports.py OLD NEW
 
@@ -82,9 +84,8 @@ def compare_rows(old: list[dict], new: list[dict], exact, numeric) -> tuple[list
 
 
 def compare_file(rel: Path, old: Path, new: Path) -> bool:
-    if old.read_bytes() == new.read_bytes():
-        print(f"ok   {rel}: byte-identical")
-        return True
+    """Rows, flags and verdicts exactly, numbers to LIMIT, of two files
+    whose bytes differ."""
     if rel.name == "summary.txt":
         (a, notes_a), (b, notes_b) = read_summary(old), read_summary(new)
         problems, worst = compare_rows(a, b, ("check", "rows", "pass"), SUMMARY_NUMERIC)
@@ -125,8 +126,15 @@ def main(argv) -> int:
     for rel in sorted(old_files ^ new_files):
         print(f"FAIL {rel}: only under {old_root if rel in old_files else new_root}")
         ok = False
+    identical = 0
     for rel in sorted(old_files & new_files):
-        ok &= compare_file(rel, old_root / rel, new_root / rel)
+        old, new = old_root / rel, new_root / rel
+        if old.read_bytes() == new.read_bytes():
+            print(f"ok   {rel}: byte-identical")
+            identical += 1
+        else:
+            ok &= compare_file(rel, old, new)
+    print(f"{identical} of {len(old_files | new_files)} files byte-identical")
     print("reports agree" if ok else "reports differ")
     return 0 if ok else 1
 

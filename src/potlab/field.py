@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, StateError
+from .errors import DataError, DomainError, ResolutionError, StateError
 from .grid import GridFunction, Grid2D, ball_offsets
 from .orlicz import GrowthFunction
 
@@ -146,9 +146,9 @@ class VectorField:
             raise DataError("gamma_prime must exceed 1")
         if r_max > grid.side / 2 + 1e-12:
             raise DomainError("modulus radius above half the domain width")
-        if r_max < 2 * grid.h:
-            raise DomainError("modulus radius below the 2h resolution floor")
-        radii = np.geomspace(2 * grid.h, r_max, 16)
+        if not grid.resolves(r_max):
+            raise ResolutionError("modulus radius below the 2h resolution floor")
+        radii = np.geomspace(grid.r_min, r_max, 16)
         om = self.coefficient.on_nodes(grid)
         idx = np.arange(0, grid.n, max(1, grid.n // 16))
         xs, ys = grid.xs[idx], grid.ys[idx]

@@ -4,12 +4,13 @@ Nodes sit at cell centers of an n-by-n square grid; the outermost node
 ring doubles as the Dirichlet trace.  Ball queries snap their center to
 the nearest node and reuse offset tables cached per radius/h, so repeated
 ladder evaluations cost one fancy-indexing gather per (center, radius).
-Measure mass queries keep the exact center (``disk_mask``): atom
-membership is a closed-ball distance test and cut cells follow the
-node-center-in-disk rule.  They take a whole radius ladder at once
+Measure mass queries keep the exact center (``disk_mask``): atoms and
+cut cells (node-center-in-disk) belong to a disk by the same closed-ball
+rule as the offset tables.  They take a whole radius ladder at once
 (``disk_integrals``, ``ball_masses``), summing each disk over its own
 node box of one squared-distance table, so every mass is bitwise the
-full-grid masked sum.
+full-grid masked sum.  ``Grid2D`` states the 2h resolution floor once
+(``r_min``, ``resolves``); every radius filter and inner cutoff asks it.
 """
 
 from __future__ import annotations
@@ -65,12 +66,18 @@ class Grid2D:
         if self.side <= 0:
             raise DataError("side must be positive")
         self.h = self.side / self.n
+        # the resolution floor: the smallest radius a ball query resolves
+        self.r_min = 2.0 * self.h
         ax = self.origin[0] + (np.arange(self.n) + 0.5) * self.h
         ay = self.origin[1] + (np.arange(self.n) + 0.5) * self.h
         self.xs, self.ys = ax, ay
         self.X, self.Y = np.meshgrid(ax, ay, indexing="ij")
         for arr in (self.xs, self.ys, self.X, self.Y):
             arr.flags.writeable = False
+
+    def resolves(self, radius: float) -> bool:
+        """Whether a ball of this radius is at or above the 2h floor."""
+        return radius >= self.r_min - _EPS
 
     def node_position(self, ix: int, iy: int) -> tuple[float, float]:
         return float(self.xs[ix]), float(self.ys[iy])
@@ -160,6 +167,11 @@ class GridFunction:
         return f"GridFunction(n={self.grid.n}, range=[{self.values.min():.3g}, {self.values.max():.3g}])"
 
 
+def _in_closed_ball(d2, radius):
+    """The closed-ball rule of every membership test: d^2 <= r^2 (1 + 1e-12)."""
+    return d2 <= radius**2 * (1.0 + 1e-12)
+
+
 @functools.lru_cache(maxsize=512)
 def ball_offsets(ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only node offsets (di, dj) of a node-centered disk whose radius
@@ -173,7 +185,7 @@ def ball_offsets(ratio: float) -> tuple[np.ndarray, np.ndarray]:
     m = int(np.floor(ratio + _EPS))
     rng = np.arange(-m, m + 1)
     di, dj = np.meshgrid(rng, rng, indexing="ij")
-    keep = (di.astype(float) ** 2 + dj.astype(float) ** 2) <= ratio**2 * (1.0 + 1e-12)
+    keep = _in_closed_ball(di.astype(float) ** 2 + dj.astype(float) ** 2, ratio)
     di, dj = di[keep].ravel(), dj[keep].ravel()
     di.flags.writeable = False
     dj.flags.writeable = False
@@ -185,9 +197,9 @@ def ball_nodes(grid: Grid2D, center, radius: float) -> tuple[np.ndarray, np.ndar
 
     Requires radius >= 2h and the (snapped) ball inside the domain.
     """
-    if radius < 2.0 * grid.h - _EPS:
+    if not grid.resolves(radius):
         raise ResolutionError(
-            f"radius {radius:.4g} below the 2h resolution floor ({2 * grid.h:.4g})"
+            f"radius {radius:.4g} below the 2h resolution floor ({grid.r_min:.4g})"
         )
     ix, iy = grid.nearest_node(center)
     cx, cy = grid.node_position(ix, iy)
@@ -223,7 +235,7 @@ def disk_mask(grid: Grid2D, center, radius: float) -> np.ndarray:
 
     The disk may exit the domain; nodes outside it are simply absent.
     """
-    return (grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2 <= radius**2 * (1 + 1e-12)
+    return _in_closed_ball((grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2, radius)
 
 
 def _node_span(origin: float, h: float, n: int, lo: float, hi: float) -> tuple[int, int]:
@@ -264,7 +276,7 @@ def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
         a, b = _node_span(g.origin[0], g.h, g.n, cx - radius, cx + radius)
         c, d = _node_span(g.origin[1], g.h, g.n, cy - radius, cy + radius)
         box = (slice(a - i0, b - i0), slice(c - j0, d - j0))
-        out[k] = vals[box][d2[box] <= radius**2 * (1 + 1e-12)].sum() * g.h * g.h
+        out[k] = vals[box][_in_closed_ball(d2[box], radius)].sum() * g.h * g.h
     return out
 
 
@@ -343,8 +355,9 @@ class MeasureData:
 
 
 def ball_mass(mu: MeasureData, center, radius: float) -> float:
-    """|mu| of the closed ball: atom masses within the exact distance plus
-    the cut-cell integral of the density (node-center-in-disk rule)."""
+    """|mu| of the closed ball: atom masses by the closed-ball rule of
+    every membership test here, plus the cut-cell integral of the density
+    (node-center-in-disk rule)."""
     return float(ball_masses(mu, center, (radius,))[0])
 
 
@@ -354,9 +367,9 @@ def ball_masses(mu: MeasureData, center, radii) -> np.ndarray:
     if min(radii) <= 0:
         raise DataError("ball_mass needs a positive radius")
     cx, cy = center
-    atoms = [(np.hypot(x - cx, y - cy), abs(m)) for x, y, m in mu.atoms]
+    atoms = [((x - cx) ** 2 + (y - cy) ** 2, abs(m)) for x, y, m in mu.atoms]
     out = np.array([
-        sum(m for d, m in atoms if d <= radius + _EPS * max(1.0, radius))
+        sum(m for d2, m in atoms if _in_closed_ball(d2, radius))
         for radius in radii
     ], dtype=float)
     if mu.density is not None:

@@ -239,9 +239,9 @@ def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
 
 def usable_levels(cfg: ExperimentConfig, inst: Instance) -> list[int]:
     levels = sorted({int(l) for l in cfg.sweep_axis("level")})
-    ok = [l for l in levels if 1.0 / (4 * l) >= 2 * inst.grid.h - 1e-12]
+    ok = [l for l in levels if inst.grid.resolves(1.0 / (4 * l))]
     if not ok:
-        ok = [max(1, int(1.0 / (8 * inst.grid.h)))]
+        ok = [max(1, int(1.0 / (4 * inst.grid.r_min)))]
     return ok
 
 
@@ -289,7 +289,8 @@ def sample_points(rng, count: int, lo: float, hi: float, atoms=(), min_sep: floa
 class EstimateContext:
     """Everything the pointwise-estimate assemblies consume, built once per
     solved instance: gradient fields, obstacle density, the G(|Dpsi|) +
-    G(|psi|) field, the oscillation modulus, and the shared inner cutoff."""
+    G(|psi|) field and the oscillation modulus.  The inner cutoff of every
+    ladder is the grid's resolution floor, ``inst.grid.r_min``."""
 
     inst: Instance
     u: GridFunction
@@ -299,7 +300,6 @@ class EstimateContext:
     od: ObstacleDensity | None
     gpsi: GridFunction | None
     modulus: OscillationModulus
-    r_min: float
 
 
 def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateContext:
@@ -323,7 +323,6 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
         od=od,
         gpsi=gpsi,
         modulus=modulus,
-        r_min=2.0 * inst.grid.h,
     )
 
 
@@ -334,22 +333,19 @@ def primary_context(cfg: ExperimentConfig, cache: SolveCache, inst: Instance,
     return cache.get((inst.key, "ctx", r_max), lambda: build_context(inst, sol, r_max))
 
 
-def _dini_weight(ctx: EstimateContext, x):
-    gpsi = ctx.gpsi
-    growth = ctx.inst.growth
-    def weight(rho):
-        return float(growth.G_inverse(ball_average(gpsi, x, rho)))
-    return weight
-
-
 def _dini_term(ctx: EstimateContext, x, r: float, alpha_hat: float) -> float:
+    """The Dini integral of the modulus weighted by G^{-1}(avg_{B_rho} gpsi)."""
     if ctx.gpsi is None or ctx.modulus.is_zero():
         return 0.0
-    return dini_integral(ctx.modulus, r, alpha_hat, weight=_dini_weight(ctx, x))
+    growth = ctx.inst.growth
+    return dini_integral(
+        ctx.modulus, r, alpha_hat,
+        weight=lambda rho: float(growth.G_inverse(ball_average(ctx.gpsi, x, rho))),
+    )
 
 
 def _wolff_pair(ctx: EstimateContext, x, beta: float, p: float, R: float):
-    wp = WolffParams(beta, p, R, r_min=ctx.r_min)
+    wp = WolffParams(beta, p, R, r_min=ctx.inst.grid.r_min)
     wmu = 0.0
     if ctx.inst.measure is not None:
         wmu = wolff(ctx.inst.measure, x, wp)
@@ -379,10 +375,11 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float
         raise DataError("alpha too large for the maximal term (needs alpha <= 1/ig)")
     mmu = 0.0
     if ctx.inst.measure is not None:
-        mmu = _g_inverse(ctx.inst, frac_maximal(ctx.inst.measure, x, beta_m, R, r_min=ctx.r_min))
+        mmu = _g_inverse(ctx.inst, frac_maximal(ctx.inst.measure, x, beta_m, R,
+                                                r_min=ctx.inst.grid.r_min))
     mps = 0.0
     if ctx.od is not None:
-        mps = _g_inverse(ctx.inst, obstacle_maximal(ctx.od, x, beta_m, R, r_min=ctx.r_min))
+        mps = _g_inverse(ctx.inst, obstacle_maximal(ctx.od, x, beta_m, R))
     wmu, wps = _wolff_pair(ctx, x, 1.0 / (ig + 1.0), ig + 1.0, 2.0 * R)
     dini = _dini_term(ctx, x, 2.0 * R, alpha)
     return term1 + mmu + mps + wmu + wps + dini
@@ -570,7 +567,7 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
             G_dpsi = _G_obstacle_gradient(inst)
             _, _, mag = grad_fields(sol.u)
             G_du = sol.u.with_values(growth.G(mag.values))
-            radii = [R for R in (R0, R0 / 2, R0 / 4) if R / 2 >= 2 * inst.grid.h]
+            radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(R / 2)]
             for R in radii:
                 lam = ball_average(sol.u, center, R)
                 lhs = ball_average(G_du, center, R / 2)
@@ -610,7 +607,7 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
                 psi_term = inst.obstacle.with_values(
                     _G_obstacle_gradient(inst) + growth.G(np.abs(psi_shift))
                 )
-            radii = [R for R in (R0, R0 / 2, R0 / 4) if 3 * R / 4 >= 2 * inst.grid.h]
+            radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(3 * R / 4)]
             for R in radii:
                 lhs = ball_average(G_du, center, 3 * R / 4)
                 rhs = float(growth.G(ball_average(mag, center, R)))
@@ -777,8 +774,10 @@ def _estimate_alphas(cfg, cache, ig) -> list[float]:
 
 
 def _estimate_points(cfg, inst: Instance, rng, R):
-    h_coarse = 1.0 / min(cfg.meshes())
-    margin = 2 * R + 2 * h_coarse + 1e-6
+    """Seeded points 2R plus the floor of ``inst`` (the coarsest mesh's
+    instance) away from the boundary, clear of every atom."""
+    r_min = inst.grid.r_min
+    margin = 2 * R + r_min + 1e-6
     if margin > 1.0 - margin:
         raise DataError(
             f"estimate_radius {R:g} leaves no room for sample points: the box "
@@ -787,7 +786,7 @@ def _estimate_points(cfg, inst: Instance, rng, R):
     atoms = inst.measure.atoms if inst.measure is not None else ()
     count = int(_param(cfg, "points", 25))
     return sample_points(rng, count, margin, 1.0 - margin, atoms,
-                         min_sep=max(0.05, 2 * h_coarse))
+                         min_sep=max(0.05, r_min))
 
 
 def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -805,13 +804,12 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
         for alpha in alphas:
             for x in points:
                 lhs1 = (
-                    sharp_maximal(ctx.u, x, alpha, R, r_min=ctx.r_min)
-                    + frac_maximal(ctx.du_mag, x, 1.0 - alpha, R, r_min=ctx.r_min)
+                    sharp_maximal(ctx.u, x, alpha, R)
+                    + frac_maximal(ctx.du_mag, x, 1.0 - alpha, R)
                 )
                 rhs1 = maximal_sum_rhs(ctx, x, R, alpha)
                 study.add(x, R, lhs1, rhs1, cell=(n, alpha), family="maximal_sum")
-                lhs2 = sharp_maximal_vector((ctx.du_x, ctx.du_y), x, alpha, R,
-                                            r_min=ctx.r_min)
+                lhs2 = sharp_maximal_vector((ctx.du_x, ctx.du_y), x, alpha, R)
                 rhs2 = sharp_gradient_rhs(ctx, x, R, alpha)
                 study.add(x, R, lhs2, rhs2, cell=(n, alpha), family="sharp_gradient",
                           tag="sharp-gradient")
@@ -831,7 +829,7 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
 def _direct_beta0(ctx: EstimateContext, x, R: float) -> float:
     """Independent recomputation of the alpha = 0 left side: the plain
     (Fefferman-Stein / Hardy-Littlewood style) ladder suprema."""
-    radii = radius_ladder(ctx.r_min, R, 24)
+    radii = radius_ladder(ctx.inst.grid.r_min, R, 24)
     best_sharp = 0.0
     best_frac = 0.0
     for rho in radii:

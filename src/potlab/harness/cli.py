@@ -87,9 +87,9 @@ def cmd_potential(args) -> int:
     rng = np.random.default_rng([seed, 97])
     ig = inst.growth.ig
     R = 0.25
-    r_min = 2 * inst.grid.h
+    r_min = inst.grid.r_min
     wp = WolffParams(1.0 / (ig + 1.0), ig + 1.0, R, r_min=r_min)
-    pts = sample_points(rng, 64, R + 2 * inst.grid.h, 1.0 - R - 2 * inst.grid.h)
+    pts = sample_points(rng, 64, R + r_min, 1.0 - R - r_min)
     wolff_rows, maximal_rows = [], []
     for x in pts:
         # mass below the cutoff makes both values lower bounds
@@ -103,11 +103,11 @@ def cmd_potential(args) -> int:
     return 0
 
 
-def _report_cycle(cfg, names, seed, jobs, out: Path, prefix: str = "") -> bool:
+def _report_cycle(cfg, names, seed, jobs, out: Path) -> bool:
     reports = run_checks(cfg, names, seed=seed, jobs=jobs)
     for rep in reports:
-        write_check_csv(out / f"{prefix}check_{rep.name}.csv", rep)
-    write_summary(out / f"{prefix}summary.txt", reports)
+        write_check_csv(out / f"check_{rep.name}.csv", rep)
+    write_summary(out / "summary.txt", reports)
     return all(r.passed for r in reports)
 
 

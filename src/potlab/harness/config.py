@@ -67,13 +67,21 @@ class ExperimentConfig:
         return [int(n) for n in self.sweep_axis("n")]
 
     def with_sweep_cell(self, **axes) -> "ExperimentConfig":
-        sweep = dict(self.sweep)
-        updates = {}
-        for k, v in axes.items():
-            sweep[k] = [v]
-            if k == "gamma_prime":
-                updates["gamma_prime"] = float(v)
-        return replace(self, sweep=sweep, **updates)
+        sweep = {**self.sweep, **{k: [v] for k, v in axes.items()}}
+        return _apply_single_sweep_values(replace(self, sweep=sweep))
+
+
+def _apply_single_sweep_values(cfg: ExperimentConfig) -> ExperimentConfig:
+    """A ``[sweep]`` axis of ``epsilon`` or ``gamma_prime`` with one value
+    sets the solver's regularization or the modulus exponent of the run."""
+    updates = {}
+    eps = cfg.sweep.get("epsilon", [])
+    if len(eps) == 1:
+        updates["solver"] = replace(cfg.solver, epsilon=float(eps[0]))
+    gamma = cfg.sweep.get("gamma_prime", [])
+    if len(gamma) == 1:
+        updates["gamma_prime"] = float(gamma[0])
+    return replace(cfg, **updates)
 
 
 def _parse_scalar(text: str):
@@ -124,7 +132,7 @@ def load_config(path) -> ExperimentConfig:
         cfg.check_params = checks
     if parser.has_section("sweep"):
         cfg.sweep = {k: _parse_list(v) for k, v in parser.items("sweep")}
-    return cfg
+    return _apply_single_sweep_values(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,6 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
 
     ``data_scale`` multiplies boundary, obstacle, and measure together
     (the full-data scaling); ``rhs_scale`` multiplies the measure only.
-    A single-value ``[sweep] epsilon`` pins the solver's regularization.
     The key holds what realizes the problem and nothing else: the mesh,
     both scales, the problem sections (with the amplitude applied), the
     directory their files are read from, and the solver settings; never
@@ -303,13 +310,9 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
     obstacle = build_obstacle(cfg, grid, data_scale)
     measure = build_measure(cfg, grid, data_scale * rhs_scale)
     boundary = build_boundary(cfg, grid, growth, measure, data_scale)
-    solver = cfg.solver
-    eps_axis = cfg.sweep.get("epsilon", [])
-    if len(eps_axis) == 1:
-        solver = replace(solver, epsilon=float(eps_axis[0]))
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
     key = ((grid.n, grid.side, grid.origin), float(data_scale), float(rhs_scale),
-           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), solver)
+           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver)
     return Instance(
         config=cfg,
         grid=grid,
@@ -318,6 +321,6 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
         obstacle=obstacle,
         measure=measure,
         boundary=boundary,
-        solver=solver,
+        solver=cfg.solver,
         key=key,
     )

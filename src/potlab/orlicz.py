@@ -15,8 +15,9 @@ Supported kinds:
 * ``tabulated``         monotone cubic interpolation of (t, g(t)) samples
 
 Power and regularized kinds use closed forms for G and G^{-1}; the
-tabulated kind integrates its interpolant.  All evaluators accept scalars
-or numpy arrays.
+tabulated kind integrates its interpolant.  Every other inverse (g^{-1},
+S^{-1}, the tabulated G^{-1}) is one log-space bisection.  All evaluators
+accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -86,38 +87,19 @@ class GrowthFunction:
         raise NotImplementedError
 
     def g_inverse(self, s):
-        """Invert g by log-space bisection with a Newton polish.
+        """Invert g by log-space bisection.
 
         The bracket comes from the index sandwich around t = 1:
         g(1) beta^ig <= g(beta) <= g(1) beta^sg for beta >= 1, mirrored
-        below 1.
+        below 1, widened by a factor 2 on each side.
         """
-        arr = _checked(s, "s")
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        if np.any(pos):
-            out[pos] = self._g_inverse_pos(arr[pos])
-        return _like(out, s)
-
-    def _g_inverse_pos(self, s):
-        g1 = float(self.g(1.0))
-        r = s / g1
-        lo = np.where(r >= 1.0, r ** (1.0 / self.sg), r ** (1.0 / self.ig))
-        hi = np.where(r >= 1.0, r ** (1.0 / self.ig), r ** (1.0 / self.sg))
-        lo = lo * 0.5
-        hi = hi * 2.0
-        llo, lhi = np.log(lo), np.log(hi)
-        for _ in range(64):
-            mid = 0.5 * (llo + lhi)
-            too_low = self.g(np.exp(mid)) < s
-            llo = np.where(too_low, mid, llo)
-            lhi = np.where(too_low, lhi, mid)
-        t = np.exp(0.5 * (llo + lhi))
-        for _ in range(3):
-            d = self.dg(t)
-            step = np.where(d > 0, (self.g(t) - s) / np.where(d > 0, d, 1.0), 0.0)
-            t = np.clip(t - step, np.exp(llo) * 0.5, np.exp(lhi) * 2.0)
-        return t
+        def invert(s):
+            r = s / float(self.g(1.0))
+            up = r >= 1.0
+            lo = np.where(up, r ** (1.0 / self.sg), r ** (1.0 / self.ig)) * 0.5
+            hi = np.where(up, r ** (1.0 / self.ig), r ** (1.0 / self.sg)) * 2.0
+            return _bisect_increasing(self.g, s, lo, hi)
+        return _map_positive(s, invert)
 
     def conjugate(self, s):
         """Young conjugate G*(s) = s g^{-1}(s) - G(g^{-1}(s)).
@@ -126,13 +108,10 @@ class GrowthFunction:
         is differentiable and strictly convex, so the sup over t is
         attained where g(t) = s.
         """
-        arr = _checked(s, "s")
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        if np.any(pos):
-            t = self.g_inverse(arr[pos])
-            out[pos] = arr[pos] * t - self.G(t)
-        return _like(np.maximum(out, 0.0), s)
+        def legendre(s):
+            t = self.g_inverse(s)
+            return np.maximum(s * t - self.G(t), 0.0)
+        return _map_positive(s, legendre)
 
     def S(self, t, n: int):
         """Sobolev companion S(t) = G(t) (G(t)/t)^(-1/n) for t > 0."""
@@ -146,14 +125,9 @@ class GrowthFunction:
 
     def S_inverse(self, s, n: int):
         """Invert the strictly increasing map t -> S(t, n) by bisection."""
-        arr = _checked(s, "s")
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        if np.any(pos):
-            out[pos] = _bisect_increasing(
-                lambda t: self.S(t, n), arr[pos], 1e-14, 1e14
-            )
-        return _like(out, s)
+        return _map_positive(
+            s, lambda s: _bisect_increasing(lambda t: self.S(t, n), s, 1e-14, 1e14)
+        )
 
     def _index_sample_range(self):
         return 1e-8, 1e8
@@ -366,15 +340,12 @@ class TabulatedGrowth(GrowthFunction):
         return _like(out, t)
 
     def G_inverse(self, s):
-        arr = _checked(s, "s")
         t_lo, t_hi = self.nodes[0] * 1e-6, self.nodes[-1] * 1e6
-        if np.any(arr > self.G(t_hi)) or np.any((arr > 0) & (arr < self.G(t_lo))):
-            raise RangeError("value outside the invertible range of the table")
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        if np.any(pos):
-            out[pos] = _bisect_increasing(self.G, arr[pos], t_lo, t_hi)
-        return _like(out, s)
+        def invert(s):
+            if np.any(s > self.G(t_hi)) or np.any(s < self.G(t_lo)):
+                raise RangeError("value outside the invertible range of the table")
+            return _bisect_increasing(self.G, s, t_lo, t_hi)
+        return _map_positive(s, invert)
 
     def _index_sample_range(self):
         return float(self.nodes[0]), float(self.nodes[-1])
@@ -391,7 +362,20 @@ class TabulatedGrowth(GrowthFunction):
         return cls(data[:, 0], data[:, 1], allow_sublinear=allow_sublinear)
 
 
+def _map_positive(s, fn):
+    """Validate ``s`` and map its positive entries through ``fn``; zero
+    stays zero.  The bisection inverses and the conjugate go through here."""
+    arr = _checked(s, "s")
+    out = np.zeros_like(arr)
+    pos = arr > 0
+    if np.any(pos):
+        out[pos] = fn(arr[pos])
+    return _like(out, s)
+
+
 def _bisect_increasing(fn, s, lo, hi, iters=80):
+    """Solve fn(t) = s for an increasing fn by bisection in log t inside
+    the bracket [lo, hi], given per entry of s or once for all."""
     llo = np.full_like(s, np.log(lo))
     lhi = np.full_like(s, np.log(hi))
     for _ in range(iters):

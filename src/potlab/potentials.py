@@ -156,7 +156,7 @@ def _ladder_for(R: float, r_min: float | None, grid) -> np.ndarray:
     if r_min is None:
         if grid is None:
             raise DataError("need either a grid (for the 2h cutoff) or an explicit r_min")
-        r_min = 2.0 * grid.h
+        r_min = grid.r_min
     if R < r_min:
         raise RangeError(f"maximal-operator radius {R:g} below the cutoff {r_min:g}")
     if R == r_min:

@@ -521,9 +521,9 @@ def mollify_measure(mu: MeasureData, level: int, grid: Grid2D | None = None) -> 
             raise DataError("atom-only measures need an explicit grid to mollify on")
         grid = mu.density.grid
     rb = 1.0 / (4.0 * level)
-    if rb < 2.0 * grid.h - 1e-12:
+    if not grid.resolves(rb):
         raise LevelError(
-            f"bump radius {rb:.4g} below the 2h resolution floor ({2 * grid.h:.4g})"
+            f"bump radius {rb:.4g} below the 2h resolution floor ({grid.r_min:.4g})"
         )
     out = np.zeros((grid.n, grid.n))
     for ax, ay, mass in mu.atoms:

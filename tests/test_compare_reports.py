@@ -42,8 +42,8 @@ def run(tmp_path, **change) -> int:
 def test_identical_trees_agree_byte_for_byte(tmp_path, capsys):
     assert run(tmp_path) == 0
     out = capsys.readouterr().out
-    assert out.count("byte-identical") == 2
-    assert "reports agree" in out
+    assert out.count("byte-identical") == 3
+    assert out.endswith("2 of 2 files byte-identical\nreports agree\n")
 
 
 def test_flipped_flag_fails(tmp_path, capsys):
@@ -56,3 +56,4 @@ def test_numeric_change_against_the_limit(tmp_path, capsys, rel, code):
     assert run(tmp_path, lhs=LHS * (1 + rel)) == code
     out = capsys.readouterr().out
     assert "check_gradient_bounds.csv: rows and flags equal" in out
+    assert "1 of 2 files byte-identical\n" in out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from potlab.errors import DomainError, StateError
+from potlab.errors import DomainError, ResolutionError, StateError
 from potlab.field import (
     CoefficientField,
     OscillationModulus,
@@ -172,6 +172,15 @@ def test_omega_modulus_guards():
     g = Grid2D(64)
     with pytest.raises(DomainError):
         field(2.0).oscillation_modulus(g, 0.9)
+
+
+def test_oscillation_ladder_resolution_floor():
+    g = Grid2D(64)
+    vf = field(2.0, jump_coefficient(0.3, 0.47))
+    radii, _ = vf.oscillation_ladder(g, 2 * g.h)
+    assert radii[0] == radii[-1] == 2 * g.h
+    with pytest.raises(ResolutionError):
+        vf.oscillation_ladder(g, 2 * g.h * (1 - 1e-9))
 
 
 def _reference_ladder(vf, g, r_max, gamma_prime):

@@ -160,6 +160,18 @@ def test_ball_average_guards(grid):
         ball_average(f, (0.1, 0.5), 0.3)
 
 
+def test_resolution_floor_at_2h(grid):
+    # exactly 2h is resolved; a radius just below it is refused
+    assert grid.r_min == 2 * grid.h
+    assert grid.resolves(grid.r_min)
+    ii, jj = ball_nodes(grid, (0.5, 0.5), grid.r_min)
+    assert ii.size == 13  # the node-center disk of radius 2 mesh widths
+    below = grid.r_min * (1 - 1e-9)
+    assert not grid.resolves(below)
+    with pytest.raises(ResolutionError):
+        ball_nodes(grid, (0.5, 0.5), below)
+
+
 def test_ball_index_count_matches_disk_area():
     g = Grid2D(128)
     for r in (0.1, 0.2, 0.37):

@@ -591,6 +591,26 @@ def test_sweep_cell_pins_epsilon_and_gamma(tiny_config):
     assert inst.solver.epsilon == 1e-6
 
 
+def test_single_sweep_values_apply_like_solver_settings(tmp_path):
+    # [sweep] gamma_prime = 4 must reach the run exactly as
+    # [solver] gamma_prime = 4 does, and differ from the default 2
+    base = (CONFIGS / "jump.ini").read_text().replace("n = 64, 128", "n = 32")
+    variants = {
+        "default": base,
+        "solver": base.replace("[solver]\n", "[solver]\ngamma_prime = 4\n"),
+        "sweep": base + "gamma_prime = 4\n",
+    }
+    csv = {}
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        out = tmp_path / name
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        csv[name] = (out / "check_frozen_coefficient.csv").read_bytes()
+    assert csv["sweep"] == csv["solver"]
+    assert csv["sweep"] != csv["default"]
+
+
 def test_cli_runs_as_module_once(tmp_path):
     # the harness package must not import the cli module, or `python -m`
     # finds it in sys.modules and warns that it runs twice

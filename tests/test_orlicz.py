@@ -67,6 +67,21 @@ def test_inverse_roundtrip(t, p, mu):
     assert g.G_inverse(g.G(t)) == pytest.approx(t, rel=1e-10)
 
 
+_NODES = np.geomspace(1e-3, 1e3, 200)
+
+
+@pytest.mark.parametrize("growth", [
+    PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.5),
+    RegularizedPowerGrowth(3.0, 0.5), RegularizedPowerGrowth(4.0, 1e-2),
+    TabulatedGrowth(_NODES, _NODES + _NODES**2),
+])
+def test_g_inverse_roundtrip(growth):
+    t = np.geomspace(1e-6, 1e6, 481)
+    assert np.all(np.abs(growth.g_inverse(growth.g(t)) / t - 1.0) <= 1e-12)
+    assert growth.g_inverse(0.0) == 0.0
+    assert isinstance(growth.g_inverse(growth.g(2.0)), float)
+
+
 def test_young_conjugate_examples():
     assert PowerGrowth(2.0).conjugate(1.0) == pytest.approx(0.5)
     assert PowerGrowth(3.0).conjugate(4.0) == pytest.approx(
