@@ -138,7 +138,8 @@ class VectorField:
         """Per-radius suprema of the gamma'-mean oscillation of omega.
 
         Returns (radii, sup-values) on 16 radii log-spaced from 2h to
-        r_max; the running maximum of the values is the modulus omega(r).
+        r_max, or on the single radius 2h when r_max is at that floor; the
+        running maximum of the values is the modulus omega(r).
         Centers run over the nodes of stride n // 16 whose ball stays
         inside the domain; a radius with no such center gets 0.
         """
@@ -148,7 +149,10 @@ class VectorField:
             raise DomainError("modulus radius above half the domain width")
         if not grid.resolves(r_max):
             raise ResolutionError("modulus radius below the 2h resolution floor")
-        radii = np.geomspace(grid.r_min, r_max, 16)
+        if r_max > grid.r_min:
+            radii = np.geomspace(grid.r_min, r_max, 16)
+        else:
+            radii = np.array([grid.r_min])
         om = self.coefficient.on_nodes(grid)
         idx = np.arange(0, grid.n, max(1, grid.n // 16))
         xs, ys = grid.xs[idx], grid.ys[idx]

@@ -50,9 +50,9 @@ from ..potentials import (
 from ..solver import (
     Solution,
     comparison_chain,
+    mollify_measure,
     solve_equation,
     solve_frozen,
-    solve_op_sequence,
     solve_vi,
 )
 from .config import ExperimentConfig, Instance, build_instance
@@ -237,26 +237,23 @@ def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
     return u1.with_values(np.hypot(g1x.values - g2x.values, g1y.values - g2y.values))
 
 
-def usable_levels(cfg: ExperimentConfig, inst: Instance) -> list[int]:
-    levels = sorted({int(l) for l in cfg.sweep_axis("level")})
+def finest_level(cfg: ExperimentConfig, inst: Instance) -> int:
+    """The finest configured mollification level whose bump radius
+    1/(4 level) the grid resolves; the finest resolvable level if none is."""
+    levels = [int(l) for l in cfg.sweep_axis("level")]
     ok = [l for l in levels if inst.grid.resolves(1.0 / (4 * l))]
-    if not ok:
-        ok = [max(1, int(1.0 / (4 * inst.grid.r_min)))]
-    return ok
+    return max(ok) if ok else max(1, int(1.0 / (4 * inst.grid.r_min)))
 
 
 def primary_solution(cfg: ExperimentConfig, cache: SolveCache, inst: Instance) -> Solution:
-    """The instance's own solution: the finest mollification level when the
-    measure carries atoms, a direct solve on the density otherwise."""
-    if inst.measure is not None and inst.measure.atoms:
-        levels = tuple(usable_levels(cfg, inst))
-        seq = cache.get(
-            (inst.key, "opseq", levels),
-            lambda: solve_op_sequence(inst.problem(), levels, inst.solver),
-        )
-        return seq.finest
-    rhs = inst.measure.density if inst.measure is not None else None
-    return cache.get((inst.key, "vi"), lambda: solve_vi(inst.problem(rhs=rhs), inst.solver))
+    """The instance's own solution: one solve on the measure mollified at
+    the finest level (atoms become bumps, a density passes unchanged)."""
+    def solve():
+        rhs = inst.measure
+        if rhs is not None:
+            rhs = mollify_measure(rhs, finest_level(cfg, inst), inst.grid)
+        return solve_vi(inst.problem(rhs=rhs), inst.solver)
+    return cache.get((inst.key, "vi"), solve)
 
 
 def _param(cfg: ExperimentConfig, key: str, default):

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``solve`` (one solve, raster + diagnostics), ``potential``
-(batch Wolff evaluation, CSV), ``verify`` (run the config's check list),
-``sweep`` (cross-product over the sweep axes, one report set per cell).
+Subcommands: ``solve`` (the solution that ``verify`` checks, raster +
+diagnostics), ``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
+the config's check list), ``sweep`` (cross-product over the sweep axes, one
+report set per cell).
 Exit codes: 0 all checks pass, 1 check failure or bad data, 2 usage error.
 """
 
@@ -18,8 +19,14 @@ import numpy as np
 from ..errors import PotlabError
 from ..grid import ball_mass, write_raster
 from ..potentials import WolffParams, frac_maximal, wolff, write_potential_csv
-from ..solver import mollify_measure, solve_vi
-from .checks import run_checks, sample_points, usable_levels, write_check_csv, write_summary
+from .checks import (
+    SolveCache,
+    primary_solution,
+    run_checks,
+    sample_points,
+    write_check_csv,
+    write_summary,
+)
 from .config import build_instance, load_config
 
 __all__ = ["main", "console_entry"]
@@ -59,11 +66,7 @@ def _outdir(args) -> Path:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg)
-    rhs = inst.measure
-    if rhs is not None:
-        rhs = mollify_measure(rhs, max(usable_levels(cfg, inst)), inst.grid)
-    sol = solve_vi(inst.problem(rhs=rhs), inst.solver)
+    sol = primary_solution(cfg, SolveCache(), build_instance(cfg))
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:
         fh.write(f"iterations {sol.iterations}\n")

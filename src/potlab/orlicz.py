@@ -22,8 +22,6 @@ accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError, RangeError
@@ -236,13 +234,12 @@ class TabulatedGrowth(GrowthFunction):
     Inside the table, g is the monotone cubic (PCHIP) interpolant and G its
     exact antiderivative; outside, both continue by the power law fitted to
     the edge pair of nodes.  Tables whose estimated lower index falls below
-    1 are rejected unless ``allow_sublinear`` is set, in which case a
-    warning is issued instead.
+    1 are rejected.
     """
 
     kind = "tabulated"
 
-    def __init__(self, nodes, values, allow_sublinear: bool = False):
+    def __init__(self, nodes, values):
         from scipy.interpolate import PchipInterpolator
 
         nodes = np.asarray(nodes, dtype=float)
@@ -270,16 +267,7 @@ class TabulatedGrowth(GrowthFunction):
         self.ig = min(lo, self._e_lo, self._e_hi)
         self.sg = max(hi, self._e_lo, self._e_hi)
         if self.ig < 1.0 - 1e-9:
-            if allow_sublinear:
-                warnings.warn(
-                    f"tabulated growth has lower index {self.ig:.4f} < 1",
-                    stacklevel=2,
-                )
-            else:
-                raise DataError(
-                    f"tabulated growth has lower index {self.ig:.4f} < 1; "
-                    "pass allow_sublinear=True to accept it anyway"
-                )
+            raise DataError(f"tabulated growth has lower index {self.ig:.4f} < 1")
         # cumulative integral below the first node, by the edge power law
         self._G0 = values[0] * nodes[0] / (self._e_lo + 1.0)
         self._GN = self._G0 + float(self._anti(nodes[-1]) - self._anti(nodes[0]))
@@ -354,12 +342,12 @@ class TabulatedGrowth(GrowthFunction):
         return f"TabulatedGrowth({self.nodes.size} nodes)"
 
     @classmethod
-    def from_file(cls, path, allow_sublinear: bool = False) -> "TabulatedGrowth":
+    def from_file(cls, path) -> "TabulatedGrowth":
         """Load a two-column text file of (t, g(t)) samples."""
         data = np.loadtxt(path, dtype=float)
         if data.ndim != 2 or data.shape[1] != 2:
             raise DataError("expected a two-column (t, g) table")
-        return cls(data[:, 0], data[:, 1], allow_sublinear=allow_sublinear)
+        return cls(data[:, 0], data[:, 1])
 
 
 def _map_positive(s, fn):
@@ -395,13 +383,8 @@ def make_growth(kind: str, **params) -> GrowthFunction:
         return RegularizedPowerGrowth(params["p"], params.get("mu", 0.0))
     if kind == "tabulated":
         if "file" in params:
-            return TabulatedGrowth.from_file(
-                params["file"], allow_sublinear=params.get("allow_sublinear", False)
-            )
-        return TabulatedGrowth(
-            params["nodes"], params["values"],
-            allow_sublinear=params.get("allow_sublinear", False),
-        )
+            return TabulatedGrowth.from_file(params["file"])
+        return TabulatedGrowth(params["nodes"], params["values"])
     raise DataError(f"unknown growth kind {kind!r}")
 
 

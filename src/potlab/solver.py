@@ -510,16 +510,12 @@ def frozen_coefficient_value(prob: ObstacleProblem, ball) -> float:
     return float(prob.field.coefficient.on_nodes(grid)[disk_mask(grid, *ball)].mean())
 
 
-def mollify_measure(mu: MeasureData, level: int, grid: Grid2D | None = None) -> GridFunction:
+def mollify_measure(mu: MeasureData, level: int, grid: Grid2D) -> GridFunction:
     """Bounded data for ``mu`` at ``level``: each atom becomes the normalized
     bump (1 - |x/r|^2)^2 of radius r = 1/(4 level), renormalized on the grid
     so its mass is exact; a density is already bounded and is added as is."""
     if level < 1 or int(level) != level:
         raise DataError("mollification level must be a positive integer")
-    if grid is None:
-        if mu.density is None:
-            raise DataError("atom-only measures need an explicit grid to mollify on")
-        grid = mu.density.grid
     rb = 1.0 / (4.0 * level)
     if not grid.resolves(rb):
         raise LevelError(
@@ -571,8 +567,10 @@ def solve_op_sequence(prob: ObstacleProblem, levels, cfg: SolverConfig | None = 
         try:
             f = mollify_measure(prob.rhs, lvl, prob.grid)
             sol = solve_vi(replace(prob, rhs=f), cfg, warm_start=prev)
-        except (LevelError, IterationLimitError) as exc:
-            raise type(exc)(f"level {lvl}: {exc}") from exc
+        except LevelError as exc:
+            raise LevelError(f"level {lvl}: {exc}") from exc
+        except IterationLimitError as exc:
+            raise IterationLimitError(f"level {lvl}: {exc}", last=exc.last) from exc
         if prev is not None:
             distances.append(w11_distance(prev, sol.u))
         solutions.append(sol)

@@ -183,6 +183,14 @@ def test_oscillation_ladder_resolution_floor():
         vf.oscillation_ladder(g, 2 * g.h * (1 - 1e-9))
 
 
+def test_oscillation_modulus_at_the_resolution_floor():
+    # a one-radius modulus: its Dini integral is 0 at any radius
+    g = Grid2D(64)
+    om = field(2.0, jump_coefficient(0.3, 0.47)).oscillation_modulus(g, 2 * g.h)
+    assert om.radii.tolist() == [2 * g.h]
+    assert dini_integral(om, 0.3) == 0.0
+
+
 def _reference_ladder(vf, g, r_max, gamma_prime):
     """The ladder written out per ball with the snapped-center gather."""
     radii = np.geomspace(2 * g.h, r_max, 16)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from potlab.errors import DataError
+from potlab.grid import read_raster
 from potlab.harness import checks
 from potlab.harness.checks import (
     CHECKS,
@@ -171,13 +172,24 @@ def test_sample_points_deterministic_and_clear_of_atoms():
 # -- assemblies -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def dirac_context(tmp_path_factory):
+def dirac_solved(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "dirac.ini"
     path.write_text(DIRAC)
     cfg = load_config(path)
     inst = build_instance(cfg, 48)
-    seq = solve_op_sequence(inst.problem(), [2, 4], inst.solver)
-    return build_context(inst, seq.finest, 0.3)
+    return inst, solve_op_sequence(inst.problem(), [2, 4], inst.solver).finest
+
+
+@pytest.fixture(scope="module")
+def dirac_context(dirac_solved):
+    return build_context(*dirac_solved, 0.3)
+
+
+def test_context_at_the_resolution_floor(dirac_solved):
+    # at r_max = 2h the context builds a one-radius modulus
+    inst, sol = dirac_solved
+    ctx = build_context(inst, sol, inst.grid.r_min)
+    assert ctx.modulus.radii.tolist() == [inst.grid.r_min]
 
 
 def test_assemblies_monotone_in_data(dirac_context):
@@ -515,6 +527,15 @@ def test_cli_solve_atoms_plus_density(dirac_with_density, tmp_path):
     assert (out / "solution.txt").exists()
 
 
+def test_cli_solve_writes_the_verified_solution(tmp_path):
+    # `potlab solve` and the checks reach the solution by the same path
+    path = CONFIGS / "dirac.ini"
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    cfg = load_config(path)
+    verified = checks.primary_solution(cfg, SolveCache(), build_instance(cfg))
+    assert np.array_equal(read_raster(tmp_path / "solution.txt").values, verified.u.values)
+
+
 def test_cli_verify_deterministic(tiny_config, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["verify", "--config", str(tiny_config), "--out", str(out1)]) == 0
@@ -687,25 +708,29 @@ def test_solve_cache_builds_a_key_once_across_threads():
     assert (cache.misses, cache.hits) == (1, threads - 1)
 
 
-def test_checks_share_the_primary_sequence(dirac_config, monkeypatch):
-    # comparison_inhomogeneous solves the unit-scale mollification sequence
-    # among its data scalings; gradient_bounds asks for the same problem
-    # and must find it in the cache instead of solving it again
+def test_checks_share_the_primary_solve(dirac_config, monkeypatch):
+    # comparison_inhomogeneous makes the unit-scale primary solve among its
+    # data scalings; gradient_bounds asks for the same problem and must
+    # find it in the cache instead of solving it again
     cfg = load_config(dirac_config)
     cfg.check_params["points"] = 2
-    sequences = []
-    solve = checks.solve_op_sequence
-    monkeypatch.setattr(checks, "solve_op_sequence",
-                        lambda prob, levels, solver: sequences.append(levels)
-                        or solve(prob, levels, solver))
+    primary = []  # whole-grid solves; the ball solves pass a ball
+    solve = checks.solve_vi
+
+    def counting_solve(prob, solver, **kw):
+        if kw.get("ball") is None:
+            primary.append(prob)
+        return solve(prob, solver, **kw)
+
+    monkeypatch.setattr(checks, "solve_vi", counting_solve)
     cache = SolveCache()
     CHECKS["comparison_inhomogeneous"](cfg, cache, np.random.default_rng([5, 0]))
     scales = cfg.sweep_axis("scale")
-    assert len(sequences) == len(scales) == 3
-    # per scale: the sequence and two homogeneous ball solves
+    assert len(primary) == len(scales) == 3
+    # per scale: the primary solve and two homogeneous ball solves
     assert cache.misses == 3 * len(scales)
     CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 1]))
-    assert len(sequences) == 3
+    assert len(primary) == 3
     # new: the homogeneous fit's equation and the estimate context only
     assert cache.misses == 3 * len(scales) + 2
     assert cache.hits >= 1

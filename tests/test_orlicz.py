@@ -274,8 +274,6 @@ def test_tabulated_rejects_sublinear():
     v = np.sqrt(t)  # elasticity 1/2 < 1
     with pytest.raises(DataError):
         TabulatedGrowth(t, v)
-    with pytest.warns(UserWarning):
-        TabulatedGrowth(t, v, allow_sublinear=True)
 
 
 def test_tabulated_needs_three_nodes():

@@ -443,7 +443,7 @@ def test_mollify_passes_density_through():
         bumps = mollify_measure(MeasureData(atoms=atoms), level, g)
         f = mollify_measure(MeasureData(atoms=atoms, density=dens), level, g)
         assert np.array_equal(f.values, bumps.values + dens.values)
-        assert np.array_equal(mollify_measure(MeasureData(density=dens), level).values,
+        assert np.array_equal(mollify_measure(MeasureData(density=dens), level, g).values,
                               dens.values)
 
 
@@ -512,6 +512,18 @@ def test_op_sequence_requires_increasing_levels():
     prob = ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=mu)
     with pytest.raises(DataError):
         solve_op_sequence(prob, [4, 2], CFG)
+
+
+def test_op_sequence_iteration_limit_keeps_the_last_iterate():
+    g = Grid2D(48)
+    mu = MeasureData(atoms=[(0.5, 0.5, 1.0)])
+    zero = GridFunction.constant(g, 0.0)
+    prob = ObstacleProblem(field=unit_field(3.0), boundary=zero, rhs=mu)
+    with pytest.raises(IterationLimitError) as info:
+        solve_op_sequence(prob, [2, 4], SolverConfig(tol=1e-9, max_iter=1))
+    assert str(info.value).startswith("level 2: stopped by iteration budget")
+    assert info.value.last.stop_reason == "iteration budget"
+    assert info.value.last.iterations == 1
 
 
 # -- frozen solves and chains -------------------------------------------------------
