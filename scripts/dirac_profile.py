@@ -17,7 +17,13 @@ from potlab.field import VectorField, constant_coefficient
 from potlab.grid import Grid2D, GridFunction, MeasureData, gradient
 from potlab.orlicz import PowerGrowth
 from potlab.potentials import radial_potential_profile
-from potlab.solver import ObstacleProblem, SolverConfig, mollify_measure, solve_equation
+from potlab.solver import (
+    ObstacleProblem,
+    SolverConfig,
+    finest_level,
+    mollify_measure,
+    solve_equation,
+)
 
 
 def main() -> int:
@@ -26,8 +32,7 @@ def main() -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     grid = Grid2D(n)
     mu = MeasureData(atoms=[(0.5, 0.5, 1.0)])
-    level = max(2, int(1.0 / (8 * grid.h)))
-    f = mollify_measure(mu, level, grid)
+    f = mollify_measure(mu, finest_level(grid), grid)
     rows = []
     for p in (2.0, 4.0):
         growth = PowerGrowth(p)

@@ -2,9 +2,9 @@
 
 The constants in the target inequalities are non-constructive, so every
 check is ratio-based: it computes both sides at sampled balls or points
-and records each LHS/RHS ratio in a ``RatioStudy``.  A sweep cell's
-empirical constant is its worst ratio (radius ladders and sample points
-aggregate per cell), and cells group into families of one inequality.
+and records each LHS/RHS ratio in a ``RatioStudy``.  A cell's empirical
+constant is its worst ratio (radius ladders and sample points aggregate
+per cell), and cells group into families of one inequality.
 Rows whose right side would vanish are flagged instead of divided;
 exact-match rows additionally assert that the left side sits at
 solver-tolerance level.
@@ -50,12 +50,13 @@ from ..potentials import (
 from ..solver import (
     Solution,
     comparison_chain,
+    finest_level,
     mollify_measure,
     solve_equation,
     solve_frozen,
     solve_vi,
 )
-from .config import ExperimentConfig, Instance, build_instance
+from .config import ExperimentConfig, Instance, build_instance, typed_value
 
 __all__ = [
     "DRIFT_LIMIT",
@@ -237,32 +238,23 @@ def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
     return u1.with_values(np.hypot(g1x.values - g2x.values, g1y.values - g2y.values))
 
 
-def finest_level(cfg: ExperimentConfig, inst: Instance) -> int:
-    """The finest configured mollification level whose bump radius
-    1/(4 level) the grid resolves; the finest resolvable level if none is."""
-    levels = [int(l) for l in cfg.sweep_axis("level")]
-    ok = [l for l in levels if inst.grid.resolves(1.0 / (4 * l))]
-    return max(ok) if ok else max(1, int(1.0 / (4 * inst.grid.r_min)))
-
-
 def primary_solution(cfg: ExperimentConfig, cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: one solve on the measure mollified at
     the finest level (atoms become bumps, a density passes unchanged)."""
     def solve():
         rhs = inst.measure
         if rhs is not None:
-            rhs = mollify_measure(rhs, finest_level(cfg, inst), inst.grid)
+            level = finest_level(inst.grid, cfg.sweep_axis("level"))
+            rhs = mollify_measure(rhs, level, inst.grid)
         return solve_vi(inst.problem(rhs=rhs), inst.solver)
     return cache.get((inst.key, "vi"), solve)
 
 
 def _param(cfg: ExperimentConfig, key: str, default):
-    raw = cfg.check_params.get(key, default)
-    if isinstance(default, tuple) and isinstance(raw, str):
-        return tuple(float(t) for t in raw.split())
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    """The ``[checks]`` value of ``key``, of ``default``'s kind."""
+    if key not in cfg.check_params:
+        return default
+    return typed_value("checks", key, cfg.check_params[key], default)
 
 
 def sample_points(rng, count: int, lo: float, hi: float, atoms=(), min_sep: float = 0.05):
@@ -512,10 +504,8 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     side_center = _param(cfg, "side_center", (0.33, 0.5))
     side_R = _param(cfg, "side_radius", 0.15)
     study = RatioStudy()
-    oscillating = cfg.coefficient.get("preset") in ("jump", "checkerboard")
-    amplitudes = cfg.sweep_axis("amplitude") if oscillating else [None]
     for n in cfg.meshes():
-        for amp in amplitudes:
+        for amp in cfg.amplitudes():
             inst = build_instance(cfg, n, amplitude=amp)
             sol = primary_solution(cfg, cache, inst)
             ctx = primary_context(cfg, cache, inst, 2 * R)
@@ -781,7 +771,7 @@ def _estimate_points(cfg, inst: Instance, rng, R):
             f"[{margin:.4g}, {1.0 - margin:.4g}] keeping 2R + 2h from the boundary is empty"
         )
     atoms = inst.measure.atoms if inst.measure is not None else ()
-    count = int(_param(cfg, "points", 25))
+    count = _param(cfg, "points", 25)
     return sample_points(rng, count, margin, 1.0 - margin, atoms,
                          min_sep=max(0.05, r_min))
 

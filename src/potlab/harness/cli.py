@@ -2,15 +2,15 @@
 
 Subcommands: ``solve`` (the solution that ``verify`` checks, raster +
 diagnostics), ``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
-the config's check list), ``sweep`` (cross-product over the sweep axes, one
-report set per cell).
+the config's check list over every cell of its ``[sweep]`` axes, one report
+set gated on the drift across those cells).  Each subcommand takes only the
+flags it reads.
 Exit codes: 0 all checks pass, 1 check failure or bad data, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -32,28 +32,20 @@ from .config import build_instance, load_config
 __all__ = ["main", "console_entry"]
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="sample-point seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel check jobs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="potlab",
         description="obstacle problems with Orlicz growth: solves, potentials, estimate checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("solve", cmd_solve),
-        ("potential", cmd_potential),
-        ("verify", cmd_verify),
-        ("sweep", cmd_sweep),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
+    solve, potential, verify = (sub.add_parser(name) for name in ("solve", "potential", "verify"))
+    for p, fn in ((solve, cmd_solve), (potential, cmd_potential), (verify, cmd_verify)):
+        p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--out", default="out", help="output directory")
         p.set_defaults(fn=fn)
+    for p in (potential, verify):
+        p.add_argument("--seed", type=int, default=None, help="sample-point seed")
+    verify.add_argument("--jobs", type=int, default=1, help="parallel check jobs")
     return parser
 
 
@@ -106,41 +98,16 @@ def cmd_potential(args) -> int:
     return 0
 
 
-def _report_cycle(cfg, names, seed, jobs, out: Path) -> bool:
-    reports = run_checks(cfg, names, seed=seed, jobs=jobs)
-    for rep in reports:
-        write_check_csv(out / f"check_{rep.name}.csv", rep)
-    write_summary(out / "summary.txt", reports)
-    return all(r.passed for r in reports)
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
     seed = cfg.seed if args.seed is None else args.seed
-    ok = _report_cycle(cfg, cfg.checks or None, seed, args.jobs, out)
+    reports = run_checks(cfg, cfg.checks or None, seed=seed, jobs=args.jobs)
+    for rep in reports:
+        write_check_csv(out / f"check_{rep.name}.csv", rep)
+    write_summary(out / "summary.txt", reports)
+    ok = all(r.passed for r in reports)
     print(f"verify: {'all checks passed' if ok else 'CHECK FAILURES'}; reports in {out}")
-    return 0 if ok else 1
-
-
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    out = _outdir(args)
-    seed = cfg.seed if args.seed is None else args.seed
-    axes = {k: v for k, v in cfg.sweep.items() if v}
-    if not axes:
-        print("config has no sweep axes", file=sys.stderr)
-        return 1
-    names = sorted(axes)
-    ok = True
-    for values in itertools.product(*(axes[k] for k in names)):
-        cell = dict(zip(names, values))
-        cell_cfg = cfg.with_sweep_cell(**cell)
-        tag = "_".join(f"{k}{v}" for k, v in cell.items())
-        cell_dir = out / f"cell_{tag}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        ok &= _report_cycle(cell_cfg, cfg.checks or None, seed, args.jobs, cell_dir)
-    print(f"sweep: {'all cells passed' if ok else 'CELL FAILURES'}; reports in {out}")
     return 0 if ok else 1
 
 

@@ -2,15 +2,16 @@
 
 A config file holds sections [growth], [coefficient], [obstacle],
 [measure], [grid], [solver], [checks], [sweep], and optionally [boundary]
-for the Dirichlet trace preset.  ``build_instance`` realizes the config at
-a chosen mesh with optional data scalings, producing the immutable bundle
-the checks and the CLI consume.
+for the Dirichlet trace preset.  [sweep] lists values of the axes the
+checks cross (``SWEEP_AXES``); every other setting has one value per run.
+``build_instance`` realizes the config at a chosen mesh with optional data
+scalings, producing the immutable bundle the checks and the CLI consume.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,20 @@ from ..potentials import radial_potential_profile
 from ..solver import ObstacleProblem, SolverConfig
 
 __all__ = [
+    "SWEEP_AXES",
     "ExperimentConfig",
     "Instance",
     "load_config",
+    "typed_value",
     "build_instance",
 ]
+
+# the axes the checks cross (``sweep_axis``); a setting such as the solver's
+# epsilon has one value per run and lives in [solver]
+SWEEP_AXES = ("n", "scale", "level", "amplitude", "alpha")
+_SOLVER_KEYS = ("epsilon", "tol", "max_iter", "gamma_prime", "seed")
+# the coefficient presets whose amplitude the ``amplitude`` axis sweeps
+_AMPLITUDE_PRESETS = ("jump", "checkerboard")
 
 _DEFAULT_SWEEP = {
     "n": [64, 128],
@@ -66,22 +76,28 @@ class ExperimentConfig:
     def meshes(self) -> list[int]:
         return [int(n) for n in self.sweep_axis("n")]
 
-    def with_sweep_cell(self, **axes) -> "ExperimentConfig":
-        sweep = {**self.sweep, **{k: [v] for k, v in axes.items()}}
-        return _apply_single_sweep_values(replace(self, sweep=sweep))
+    def amplitudes(self) -> list:
+        """The swept coefficient amplitudes; ``[None]`` for a preset that
+        takes none."""
+        if self.coefficient.get("preset") in _AMPLITUDE_PRESETS:
+            return self.sweep_axis("amplitude")
+        return [None]
 
 
-def _apply_single_sweep_values(cfg: ExperimentConfig) -> ExperimentConfig:
-    """A ``[sweep]`` axis of ``epsilon`` or ``gamma_prime`` with one value
-    sets the solver's regularization or the modulus exponent of the run."""
-    updates = {}
-    eps = cfg.sweep.get("epsilon", [])
-    if len(eps) == 1:
-        updates["solver"] = replace(cfg.solver, epsilon=float(eps[0]))
-    gamma = cfg.sweep.get("gamma_prime", [])
-    if len(gamma) == 1:
-        updates["gamma_prime"] = float(gamma[0])
-    return replace(cfg, **updates)
+def typed_value(section: str, key: str, raw, default):
+    """A parsed config value as ``default``'s kind: a point (tuple default)
+    is exactly two numbers, anything else one number cast to the default's
+    type; a value of another kind is a ``DataError`` naming the key."""
+    try:
+        if isinstance(default, tuple):
+            x, y = (float(t) for t in (raw.split() if isinstance(raw, str) else raw))
+            return (x, y)
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            return type(default)(raw)
+    except (TypeError, ValueError):
+        pass
+    kind = "a point (two numbers)" if isinstance(default, tuple) else "a number"
+    raise DataError(f"[{section}] {key} must be {kind}, got {raw!r}")
 
 
 def _parse_scalar(text: str):
@@ -107,7 +123,11 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(str(path))
+    except configparser.Error as exc:
+        raise DataError(f"malformed config: {exc}") from None
+    if not found:
         raise DataError(f"cannot read config file {path}")
     cfg = ExperimentConfig(base_dir=path.parent)
     for name in ("growth", "coefficient", "obstacle", "measure", "boundary", "grid"):
@@ -115,16 +135,17 @@ def load_config(path) -> ExperimentConfig:
         if sec:
             setattr(cfg, name, sec)
     sol = _section(parser, "solver")
-    if sol:
-        cfg.solver = SolverConfig(
-            epsilon=float(sol.get("epsilon", SolverConfig.epsilon)),
-            tol=float(sol.get("tol", SolverConfig.tol)),
-            max_iter=int(sol.get("max_iter", SolverConfig.max_iter)),
-        )
-        if "gamma_prime" in sol:
-            cfg.gamma_prime = float(sol["gamma_prime"])
-        if "seed" in sol:
-            cfg.seed = int(sol["seed"])
+
+    def setting(key, default):
+        return typed_value("solver", key, sol[key], default) if key in sol else default
+
+    cfg.solver = SolverConfig(
+        epsilon=setting("epsilon", SolverConfig.epsilon),
+        tol=setting("tol", SolverConfig.tol),
+        max_iter=setting("max_iter", SolverConfig.max_iter),
+    )
+    cfg.gamma_prime = setting("gamma_prime", cfg.gamma_prime)
+    cfg.seed = setting("seed", cfg.seed)
     checks = _section(parser, "checks")
     if checks:
         run = checks.pop("run", "")
@@ -132,7 +153,13 @@ def load_config(path) -> ExperimentConfig:
         cfg.check_params = checks
     if parser.has_section("sweep"):
         cfg.sweep = {k: _parse_list(v) for k, v in parser.items("sweep")}
-    return _apply_single_sweep_values(cfg)
+    for key in cfg.sweep:
+        if key not in SWEEP_AXES:
+            hint = f"; set {key} under [solver]" if key in _SOLVER_KEYS else ""
+            raise DataError(
+                f"[sweep] {key} is not an axis (axes: {', '.join(SWEEP_AXES)}){hint}"
+            )
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +331,7 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
     grid = build_grid(cfg, n)
     growth = build_growth(cfg)
     coef = dict(cfg.coefficient)
-    if amplitude is not None and coef.get("preset") in ("jump", "checkerboard"):
+    if amplitude is not None and coef.get("preset") in _AMPLITUDE_PRESETS:
         coef["amplitude"] = amplitude
     vf = VectorField(growth, build_coefficient(cfg, coef))
     obstacle = build_obstacle(cfg, grid, data_scale)

@@ -67,6 +67,7 @@ __all__ = [
     "solve_vi",
     "solve_equation",
     "solve_frozen",
+    "finest_level",
     "mollify_measure",
     "solve_op_sequence",
     "OPSequence",
@@ -510,13 +511,25 @@ def frozen_coefficient_value(prob: ObstacleProblem, ball) -> float:
     return float(prob.field.coefficient.on_nodes(grid)[disk_mask(grid, *ball)].mean())
 
 
+def _bump_radius(level: int) -> float:
+    """The radius of the bump an atom becomes at mollification ``level``."""
+    return 1.0 / (4.0 * level)
+
+
+def finest_level(grid: Grid2D, levels=()) -> int:
+    """The finest of ``levels`` whose bump radius the grid resolves; the
+    finest level the grid resolves if none of them is."""
+    ok = [l for l in map(int, levels) if grid.resolves(_bump_radius(l))]
+    return max(ok) if ok else max(1, int(_bump_radius(1) / grid.r_min))
+
+
 def mollify_measure(mu: MeasureData, level: int, grid: Grid2D) -> GridFunction:
     """Bounded data for ``mu`` at ``level``: each atom becomes the normalized
     bump (1 - |x/r|^2)^2 of radius r = 1/(4 level), renormalized on the grid
     so its mass is exact; a density is already bounded and is added as is."""
     if level < 1 or int(level) != level:
         raise DataError("mollification level must be a positive integer")
-    rb = 1.0 / (4.0 * level)
+    rb = _bump_radius(level)
     if not grid.resolves(rb):
         raise LevelError(
             f"bump radius {rb:.4g} below the 2h resolution floor ({grid.r_min:.4g})"

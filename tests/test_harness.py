@@ -581,14 +581,6 @@ def test_cli_potential_csv(dirac_config, tmp_path):
         assert len(lines) == 65
 
 
-def test_cli_sweep_emits_cells(tiny_config, tmp_path):
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(tiny_config), "--out", str(out)]) == 0
-    cells = sorted(p.name for p in out.iterdir() if p.is_dir())
-    assert len(cells) == 4  # n in {24, 32} x scale in {1, 4}
-    assert (out / cells[0] / "check_comparison_inhomogeneous.csv").exists()
-
-
 def test_coefficient_from_raster_config(tiny_config, tmp_path):
     import potlab.grid as gridmod
     g = gridmod.Grid2D(32)
@@ -603,23 +595,12 @@ def test_coefficient_from_raster_config(tiny_config, tmp_path):
     assert np.allclose(got, 1.0 + 0.5 * inst.grid.X, atol=1e-9)
 
 
-def test_sweep_cell_pins_epsilon_and_gamma(tiny_config):
-    cfg = load_config(tiny_config)
-    cell = cfg.with_sweep_cell(epsilon=1e-6, gamma_prime=3.0, n=24)
-    assert cell.gamma_prime == 3.0
-    assert cell.meshes() == [24]
-    inst = build_instance(cell)
-    assert inst.solver.epsilon == 1e-6
-
-
-def test_single_sweep_values_apply_like_solver_settings(tmp_path):
-    # [sweep] gamma_prime = 4 must reach the run exactly as
-    # [solver] gamma_prime = 4 does, and differ from the default 2
+def test_solver_gamma_prime_reaches_verify(tmp_path):
+    # [solver] gamma_prime = 4 must reach the run and differ from the default 2
     base = (CONFIGS / "jump.ini").read_text().replace("n = 64, 128", "n = 32")
     variants = {
         "default": base,
         "solver": base.replace("[solver]\n", "[solver]\ngamma_prime = 4\n"),
-        "sweep": base + "gamma_prime = 4\n",
     }
     csv = {}
     for name, text in variants.items():
@@ -628,8 +609,42 @@ def test_single_sweep_values_apply_like_solver_settings(tmp_path):
         out = tmp_path / name
         assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
         csv[name] = (out / "check_frozen_coefficient.csv").read_bytes()
-    assert csv["sweep"] == csv["solver"]
-    assert csv["sweep"] != csv["default"]
+    assert csv["solver"] != csv["default"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # [sweep] names only the axes verify crosses; a setting lives in [solver]
+    ("[sweep]\n", "[sweep]\ngamma_prime = 4\n", "set gamma_prime under [solver]"),
+    ("[sweep]\n", "[sweep]\nepsilon = 1e-6\n", "set epsilon under [solver]"),
+    ("[sweep]\n", "[sweep]\nmesh = 32\n", "[sweep] mesh is not an axis"),
+    ("[checks]\n", "[checks]\ncenter = 0.5\n", "[checks] center must be"),
+    ("[checks]\n", "[checks]\ncenter = 0.5 0.5 0.5\n", "[checks] center must be"),
+    ("[checks]\n", "[checks]\nradius = wide\n", "[checks] radius must be"),
+    ("tol = 1e-8", "tol = abc", "[solver] tol must be"),
+    ("tol = 1e-8", "tol = 1e-8\ntol = 1e-9", "option 'tol'"),
+])
+def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad_value.ini"
+    path.write_text((CONFIGS / "poisson.ini").read_text().replace(old, new))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_frozen_check_crosses_amplitudes_of_oscillating_presets(tmp_path):
+    # two balls per (mesh, amplitude) cell; a constant coefficient has no
+    # amplitude to cross, so it runs one cell per mesh
+    rows = {}
+    for preset in ("jump", "constant"):
+        text = TINY.replace(
+            "[coefficient]\npreset = constant\n", f"[coefficient]\npreset = {preset}\n"
+        ).replace("run = comparison_inhomogeneous", "run = frozen_coefficient")
+        path = tmp_path / f"{preset}.ini"
+        path.write_text(text)
+        cfg = load_config(path)
+        cfg.sweep = {"n": [24], "amplitude": [0.2, 0.4]}
+        rows[preset] = len(run_checks(cfg)[0].rows)
+    assert rows == {"jump": 4, "constant": 2}
 
 
 def test_cli_runs_as_module_once(tmp_path):
@@ -657,6 +672,13 @@ def test_cli_usage_errors():
     assert main([]) == 2
     assert main(["unknown-command"]) == 2
     assert main(["verify"]) == 2  # --config is required
+    # each subcommand takes only the flags it reads; verify alone crosses
+    # the [sweep] axes
+    config = ["--config", "unread.ini"]
+    assert main(["sweep", *config]) == 2
+    assert main(["solve", *config, "--seed", "1"]) == 2
+    assert main(["solve", *config, "--jobs", "8"]) == 2
+    assert main(["potential", *config, "--jobs", "8"]) == 2
 
 
 def test_cli_bad_config_exits_one(tmp_path):
