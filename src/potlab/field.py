@@ -10,6 +10,7 @@ over all balls up to radius r, and Dini-type integrals of that modulus.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,8 @@ class CoefficientField:
         return self.at(grid.X, grid.Y)
 
     def on_cells(self, grid: Grid2D) -> np.ndarray:
-        cx = grid.origin[0] + (np.arange(grid.n - 1) + 1.0) * grid.h
-        cy = grid.origin[1] + (np.arange(grid.n - 1) + 1.0) * grid.h
-        CX, CY = np.meshgrid(cx, cy, indexing="ij")
+        c = (np.arange(grid.n - 1) + 1.0) * grid.h
+        CX, CY = np.meshgrid(c, c, indexing="ij")
         return self.at(CX, CY)
 
     def __repr__(self):
@@ -113,10 +113,18 @@ _COEFFICIENT_PRESETS = {
 
 
 def make_coefficient(preset: str, **params) -> CoefficientField:
+    """A coefficient preset by name; a parameter it does not take is a
+    ``DataError`` naming it."""
     preset = preset.strip().lower()
     if preset not in _COEFFICIENT_PRESETS:
         raise DataError(f"unknown coefficient preset {preset!r}")
-    return _COEFFICIENT_PRESETS[preset](**params)
+    build = _COEFFICIENT_PRESETS[preset]
+    # a preset's **kw are CoefficientField's clamp bounds
+    takes = [k for k in inspect.signature(build).parameters if k != "kw"] + ["c_low", "c_high"]
+    for key in params:
+        if key not in takes:
+            raise DataError(f"{preset} coefficient takes no {key} (it takes {', '.join(takes)})")
+    return build(**params)
 
 
 class VectorField:
@@ -145,7 +153,7 @@ class VectorField:
         """
         if gamma_prime <= 1.0:
             raise DataError("gamma_prime must exceed 1")
-        if r_max > grid.side / 2 + 1e-12:
+        if r_max > 0.5 + 1e-12:
             raise DomainError("modulus radius above half the domain width")
         if not grid.resolves(r_max):
             raise ResolutionError("modulus radius below the 2h resolution floor")
@@ -155,18 +163,16 @@ class VectorField:
             radii = np.array([grid.r_min])
         om = self.coefficient.on_nodes(grid)
         idx = np.arange(0, grid.n, max(1, grid.n // 16))
-        xs, ys = grid.xs[idx], grid.ys[idx]
-        (x0, y0), side = grid.origin, grid.side
+        cs = grid.xs[idx]
         sups = np.zeros_like(radii)
         for k, rho in enumerate(radii):
             # the centers are nodes and each ball stays inside the domain,
             # so the offsets index om directly; one gather per row of centers
             di, dj = ball_offsets(rho / grid.h)
-            ics = idx[(x0 + rho <= xs) & (xs <= x0 + side - rho)]
-            jcs = idx[(y0 + rho <= ys) & (ys <= y0 + side - rho)]
+            centers = idx[(rho <= cs) & (cs <= 1.0 - rho)]
             best = 0.0
-            for ic in ics:
-                vals = om[ic + di, jcs[:, None] + dj]
+            for ic in centers:
+                vals = om[ic + di, centers[:, None] + dj]
                 dev = np.abs(vals - vals.mean(axis=1, keepdims=True))
                 best = max(best, float(np.mean(dev**gamma_prime, axis=1).max()))
             # t -> t^(1/gamma') is increasing: the max commutes with it

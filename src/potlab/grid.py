@@ -1,16 +1,18 @@
 """Uniform 2D discretization: scalar fields, stencils, balls, and measures.
 
-Nodes sit at cell centers of an n-by-n square grid; the outermost node
-ring doubles as the Dirichlet trace.  Ball queries snap their center to
-the nearest node and reuse offset tables cached per radius/h, so repeated
-ladder evaluations cost one fancy-indexing gather per (center, radius).
-Measure mass queries keep the exact center (``disk_mask``): atoms and
-cut cells (node-center-in-disk) belong to a disk by the same closed-ball
-rule as the offset tables.  They take a whole radius ladder at once
-(``disk_integrals``, ``ball_masses``), summing each disk over its own
-node box of one squared-distance table, so every mass is bitwise the
-full-grid masked sum.  ``Grid2D`` states the 2h resolution floor once
-(``r_min``, ``resolves``); every radius filter and inner cutoff asks it.
+The domain is the unit square (the estimates are local: meshes vary, the
+domain does not).  Nodes sit at cell centers of an n-by-n grid; the
+outermost node ring doubles as the Dirichlet trace.  Ball queries snap
+their center to the nearest node and reuse offset tables cached per
+radius/h, so repeated ladder evaluations cost one fancy-indexing gather
+per (center, radius).  Measure mass queries keep the exact center
+(``disk_mask``): atoms and cut cells (node-center-in-disk) belong to a
+disk by the same closed-ball rule as the offset tables.  They take a
+whole radius ladder at once (``disk_integrals``, ``ball_masses``),
+summing each disk over its own node box of one squared-distance table,
+so every mass is bitwise the full-grid masked sum.  ``Grid2D`` states
+the 2h resolution floor once (``r_min``, ``resolves``); every radius
+filter and inner cutoff asks it.
 """
 
 from __future__ import annotations
@@ -54,25 +56,19 @@ _EPS = 1e-12
 
 @dataclass
 class Grid2D:
-    """Square grid with n cells per axis and nodes at the cell centers."""
+    """The unit square with n cells per axis and nodes at the cell centers."""
 
     n: int
-    side: float = 1.0
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.n < 16:
             raise DataError("grids need at least 16 cells per axis")
-        if self.side <= 0:
-            raise DataError("side must be positive")
-        self.h = self.side / self.n
+        self.h = 1.0 / self.n
         # the resolution floor: the smallest radius a ball query resolves
         self.r_min = 2.0 * self.h
-        ax = self.origin[0] + (np.arange(self.n) + 0.5) * self.h
-        ay = self.origin[1] + (np.arange(self.n) + 0.5) * self.h
-        self.xs, self.ys = ax, ay
-        self.X, self.Y = np.meshgrid(ax, ay, indexing="ij")
-        for arr in (self.xs, self.ys, self.X, self.Y):
+        self.xs = self.ys = (np.arange(self.n) + 0.5) * self.h
+        self.X, self.Y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        for arr in (self.xs, self.X, self.Y):
             arr.flags.writeable = False
 
     def resolves(self, radius: float) -> bool:
@@ -86,35 +82,22 @@ class Grid2D:
         x, y = point
         if not self.contains_point(point):
             raise DomainError(f"point {point} outside domain")
-        ix = min(max(int(round((x - self.origin[0]) / self.h - 0.5)), 0), self.n - 1)
-        iy = min(max(int(round((y - self.origin[1]) / self.h - 0.5)), 0), self.n - 1)
+        ix = min(max(int(round(x / self.h - 0.5)), 0), self.n - 1)
+        iy = min(max(int(round(y / self.h - 0.5)), 0), self.n - 1)
         return ix, iy
 
     def contains_point(self, point) -> bool:
         x, y = point
-        return (
-            self.origin[0] - _EPS <= x <= self.origin[0] + self.side + _EPS
-            and self.origin[1] - _EPS <= y <= self.origin[1] + self.side + _EPS
-        )
+        return -_EPS <= x <= 1.0 + _EPS and -_EPS <= y <= 1.0 + _EPS
 
     def contains_ball(self, center, radius: float) -> bool:
         x, y = center
-        slack = _EPS * max(1.0, self.side)
-        return (
-            x - radius >= self.origin[0] - slack
-            and x + radius <= self.origin[0] + self.side + slack
-            and y - radius >= self.origin[1] - slack
-            and y + radius <= self.origin[1] + self.side + slack
-        )
+        return (x - radius >= -_EPS and x + radius <= 1.0 + _EPS
+                and y - radius >= -_EPS and y + radius <= 1.0 + _EPS)
 
     def boundary_distance(self, point) -> float:
         x, y = point
-        return min(
-            x - self.origin[0],
-            self.origin[0] + self.side - x,
-            y - self.origin[1],
-            self.origin[1] + self.side - y,
-        )
+        return min(x, 1.0 - x, y, 1.0 - y)
 
     def interior_mask(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=bool)
@@ -123,14 +106,6 @@ class Grid2D:
 
     def ring_mask(self) -> np.ndarray:
         return ~self.interior_mask()
-
-    def matches(self, other: "Grid2D") -> bool:
-        return (
-            self.n == other.n
-            and abs(self.side - other.side) < _EPS
-            and abs(self.origin[0] - other.origin[0]) < _EPS
-            and abs(self.origin[1] - other.origin[1]) < _EPS
-        )
 
 
 class GridFunction:
@@ -238,12 +213,12 @@ def disk_mask(grid: Grid2D, center, radius: float) -> np.ndarray:
     return _in_closed_ball((grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2, radius)
 
 
-def _node_span(origin: float, h: float, n: int, lo: float, hi: float) -> tuple[int, int]:
+def _node_span(h: float, n: int, lo: float, hi: float) -> tuple[int, int]:
     """Slice bounds of the nodes with coordinate in [lo, hi], widened by
     one node on each side (so rounding never drops a boundary node) and
     clipped to the grid."""
-    start = math.ceil((lo - origin) / h - 0.5) - 1
-    stop = math.floor((hi - origin) / h - 0.5) + 2
+    start = math.ceil(lo / h - 0.5) - 1
+    stop = math.floor(hi / h - 0.5) + 2
     return min(max(start, 0), n), min(max(stop, 0), n)
 
 
@@ -267,14 +242,14 @@ def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
     g = f.grid
     cx, cy = center
     top = max(radii)
-    i0, i1 = _node_span(g.origin[0], g.h, g.n, cx - top, cx + top)
-    j0, j1 = _node_span(g.origin[1], g.h, g.n, cy - top, cy + top)
+    i0, i1 = _node_span(g.h, g.n, cx - top, cx + top)
+    j0, j1 = _node_span(g.h, g.n, cy - top, cy + top)
     d2 = ((g.xs[i0:i1] - cx) ** 2)[:, None] + ((g.ys[j0:j1] - cy) ** 2)[None, :]
     vals = f.values[i0:i1, j0:j1]
     out = np.empty(len(radii))
     for k, radius in enumerate(radii):
-        a, b = _node_span(g.origin[0], g.h, g.n, cx - radius, cx + radius)
-        c, d = _node_span(g.origin[1], g.h, g.n, cy - radius, cy + radius)
+        a, b = _node_span(g.h, g.n, cx - radius, cx + radius)
+        c, d = _node_span(g.h, g.n, cy - radius, cy + radius)
         box = (slice(a - i0, b - i0), slice(c - j0, d - j0))
         out[k] = vals[box][_in_closed_ball(d2[box], radius)].sum() * g.h * g.h
     return out
@@ -317,7 +292,7 @@ def hessian(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
 
 def w11_distance(f: GridFunction, g2: GridFunction) -> float:
     """int |f - g2| + int |Df - Dg2| by the midpoint rule on nodes."""
-    if not f.grid.matches(g2.grid):
+    if f.grid != g2.grid:
         raise GridMismatchError("w11_distance needs both functions on one grid")
     h2 = f.grid.h**2
     d0 = np.abs(f.values - g2.values).sum() * h2
@@ -383,7 +358,7 @@ def ball_masses(mu: MeasureData, center, radii) -> np.ndarray:
 def write_raster(path, f: GridFunction) -> None:
     g = f.grid
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.n} {g.origin[0]:.17g} {g.origin[1]:.17g} {g.side:.17g}\n")
+        fh.write(f"{g.n} {g.n} 0 0 1\n")
         for row in f.values:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
@@ -393,12 +368,11 @@ def read_raster(path) -> GridFunction:
         header = fh.readline().split()
         if len(header) != 5:
             raise DataError("raster header must be 'nx ny x0 y0 side'")
-        nx, ny = int(header[0]), int(header[1])
-        if nx != ny:
-            raise DataError("only square rasters are supported")
-        x0, y0, side = (float(v) for v in header[2:])
+        n = int(header[0])
+        if int(header[1]) != n or tuple(float(v) for v in header[2:]) != (0.0, 0.0, 1.0):
+            raise DataError("rasters are square grids of the unit square: header 'n n 0 0 1'")
         values = np.loadtxt(fh, dtype=float)
-    if values.shape != (nx, ny):
-        raise DataError(f"raster body has shape {values.shape}, expected ({nx}, {ny})")
-    return GridFunction(Grid2D(nx, side, (x0, y0)), values)
+    if values.shape != (n, n):
+        raise DataError(f"raster body has shape {values.shape}, expected ({n}, {n})")
+    return GridFunction(Grid2D(n), values)
 

@@ -56,7 +56,7 @@ from ..solver import (
     solve_frozen,
     solve_vi,
 )
-from .config import ExperimentConfig, Instance, build_instance, typed_value
+from .config import CHECK_KEYS, ExperimentConfig, Instance, build_instance, typed_value
 
 __all__ = [
     "DRIFT_LIMIT",
@@ -251,7 +251,9 @@ def primary_solution(cfg: ExperimentConfig, cache: SolveCache, inst: Instance) -
 
 
 def _param(cfg: ExperimentConfig, key: str, default):
-    """The ``[checks]`` value of ``key``, of ``default``'s kind."""
+    """The ``[checks]`` value of ``key`` (one of ``CHECK_KEYS``), of ``default``'s kind."""
+    if key not in CHECK_KEYS:
+        raise KeyError(f"[checks] {key} is not declared in CHECK_KEYS")
     if key not in cfg.check_params:
         return default
     return typed_value("checks", key, cfg.check_params[key], default)

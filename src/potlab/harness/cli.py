@@ -3,8 +3,10 @@
 Subcommands: ``solve`` (the solution that ``verify`` checks, raster +
 diagnostics), ``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
 the config's check list over every cell of its ``[sweep]`` axes, one report
-set gated on the drift across those cells).  Each subcommand takes only the
-flags it reads.
+set gated on the drift across those cells).  ``solve`` and ``potential``
+realize the config on its finest ``[sweep] n`` mesh, so ``solve`` writes a
+solution that ``verify`` checks.  Each subcommand takes only the flags it
+reads.
 Exit codes: 0 all checks pass, 1 check failure or bad data, 2 usage error.
 """
 
@@ -58,7 +60,7 @@ def _outdir(args) -> Path:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    sol = primary_solution(cfg, SolveCache(), build_instance(cfg))
+    sol = primary_solution(cfg, SolveCache(), build_instance(cfg, max(cfg.meshes())))
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:
         fh.write(f"iterations {sol.iterations}\n")
@@ -74,7 +76,7 @@ def cmd_solve(args) -> int:
 def cmd_potential(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg)
+    inst = build_instance(cfg, max(cfg.meshes()))
     if inst.measure is None:
         print("config carries no measure; nothing to evaluate", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
 """Experiment configuration: INI-style files and instance builders.
 
 A config file holds sections [growth], [coefficient], [obstacle],
-[measure], [grid], [solver], [checks], [sweep], and optionally [boundary]
-for the Dirichlet trace preset.  [sweep] lists values of the axes the
-checks cross (``SWEEP_AXES``); every other setting has one value per run.
-``build_instance`` realizes the config at a chosen mesh with optional data
+[measure], [solver], [checks], [sweep], and optionally [boundary] for the
+Dirichlet trace preset; any other section, [solver] or [checks] key is a
+``DataError`` naming it.  [sweep] lists values of the axes the checks
+cross (``SWEEP_AXES``), its n the meshes of the unit square; every other
+setting has one value per run.  ``build_instance`` realizes the config at a chosen mesh with optional data
 scalings, producing the immutable bundle the checks and the CLI consume.
 """
 
@@ -30,6 +31,7 @@ from ..solver import ObstacleProblem, SolverConfig
 
 __all__ = [
     "SWEEP_AXES",
+    "CHECK_KEYS",
     "ExperimentConfig",
     "Instance",
     "load_config",
@@ -40,7 +42,14 @@ __all__ = [
 # the axes the checks cross (``sweep_axis``); a setting such as the solver's
 # epsilon has one value per run and lives in [solver]
 SWEEP_AXES = ("n", "scale", "level", "amplitude", "alpha")
+# the [checks] keys besides ``run``: the parameters the checks read, each
+# through ``checks._param``, which refuses any other
+CHECK_KEYS = ("center", "radius", "off_center", "off_radius", "side_center", "side_radius",
+              "decay_center", "decay_radius", "errors_center", "errors_radius",
+              "estimate_radius", "points")
 _SOLVER_KEYS = ("epsilon", "tol", "max_iter", "gamma_prime", "seed")
+_SECTIONS = ("growth", "coefficient", "obstacle", "measure", "boundary",
+             "solver", "checks", "sweep")
 # the coefficient presets whose amplitude the ``amplitude`` axis sweeps
 _AMPLITUDE_PRESETS = ("jump", "checkerboard")
 
@@ -59,7 +68,6 @@ class ExperimentConfig:
     obstacle: dict = field(default_factory=lambda: {"preset": "none"})
     measure: dict = field(default_factory=dict)
     boundary: dict = field(default_factory=lambda: {"preset": "zero"})
-    grid: dict = field(default_factory=lambda: {"n": 128, "side": 1.0})
     solver: SolverConfig = field(default_factory=SolverConfig)
     checks: list = field(default_factory=list)
     check_params: dict = field(default_factory=dict)
@@ -119,6 +127,12 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict:
         return {}
     return {k: _parse_scalar(v) for k, v in parser.items(name)}
 
+def _refuse_unknown(label: str, names, known, what: str = "a key", hint=lambda name: "") -> None:
+    for name in names:
+        if name not in known:
+            raise DataError(f"{label.format(name)} is not {what} "
+                            f"(known: {', '.join(known)}){hint(name)}")
+
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
@@ -129,12 +143,15 @@ def load_config(path) -> ExperimentConfig:
         raise DataError(f"malformed config: {exc}") from None
     if not found:
         raise DataError(f"cannot read config file {path}")
+    _refuse_unknown("[{}]", parser.sections(), _SECTIONS, "a section", lambda name: (
+        "; the domain is the unit square and the meshes are [sweep] n" if name == "grid" else ""))
     cfg = ExperimentConfig(base_dir=path.parent)
-    for name in ("growth", "coefficient", "obstacle", "measure", "boundary", "grid"):
+    for name in ("growth", "coefficient", "obstacle", "measure", "boundary"):
         sec = _section(parser, name)
         if sec:
             setattr(cfg, name, sec)
     sol = _section(parser, "solver")
+    _refuse_unknown("[solver] {}", sol, _SOLVER_KEYS)
 
     def setting(key, default):
         return typed_value("solver", key, sol[key], default) if key in sol else default
@@ -150,32 +167,20 @@ def load_config(path) -> ExperimentConfig:
     if checks:
         run = checks.pop("run", "")
         cfg.checks = [tok.strip() for tok in str(run).split(",") if tok.strip()]
+        _refuse_unknown("[checks] {}", checks, ("run", *CHECK_KEYS))
         cfg.check_params = checks
     if parser.has_section("sweep"):
         cfg.sweep = {k: _parse_list(v) for k, v in parser.items("sweep")}
-    for key in cfg.sweep:
-        if key not in SWEEP_AXES:
-            hint = f"; set {key} under [solver]" if key in _SOLVER_KEYS else ""
-            raise DataError(
-                f"[sweep] {key} is not an axis (axes: {', '.join(SWEEP_AXES)}){hint}"
-            )
+    _refuse_unknown("[sweep] {}", cfg.sweep, SWEEP_AXES, "an axis", lambda key: (
+        f"; set {key} under [solver]" if key in _SOLVER_KEYS else ""))
+    for key, values in cfg.sweep.items():
+        if not values:
+            raise DataError(f"[sweep] {key} lists no value")
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # builders
-
-def build_grid(cfg: ExperimentConfig, n: int | None = None) -> Grid2D:
-    spec = cfg.grid
-    n = int(n if n is not None else spec.get("n", 128))
-    side = float(spec.get("side", 1.0))
-    origin = spec.get("origin", "0 0")
-    if isinstance(origin, str):
-        ox, oy = (float(t) for t in origin.split())
-    else:
-        ox = oy = float(origin)
-    return Grid2D(n, side, (ox, oy))
-
 
 def build_growth(cfg: ExperimentConfig) -> GrowthFunction:
     spec = dict(cfg.growth)
@@ -315,10 +320,10 @@ class Instance:
         )
 
 
-def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
+def build_instance(cfg: ExperimentConfig, n: int, *,
                    data_scale: float = 1.0, rhs_scale: float = 1.0,
                    amplitude: float | None = None) -> Instance:
-    """Realize the config on a mesh.
+    """Realize the config on the n-cell mesh of the unit square.
 
     ``data_scale`` multiplies boundary, obstacle, and measure together
     (the full-data scaling); ``rhs_scale`` multiplies the measure only.
@@ -328,7 +333,7 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
     ``check_params`` or the sweep, so checks that sample differently
     share every solve.
     """
-    grid = build_grid(cfg, n)
+    grid = Grid2D(int(n))
     growth = build_growth(cfg)
     coef = dict(cfg.coefficient)
     if amplitude is not None and coef.get("preset") in _AMPLITUDE_PRESETS:
@@ -338,7 +343,7 @@ def build_instance(cfg: ExperimentConfig, n: int | None = None, *,
     measure = build_measure(cfg, grid, data_scale * rhs_scale)
     boundary = build_boundary(cfg, grid, growth, measure, data_scale)
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
-    key = ((grid.n, grid.side, grid.origin), float(data_scale), float(rhs_scale),
+    key = (grid.n, float(data_scale), float(rhs_scale),
            *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver)
     return Instance(
         config=cfg,

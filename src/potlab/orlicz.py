@@ -22,6 +22,8 @@ accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError, RangeError
@@ -174,7 +176,7 @@ class RegularizedPowerGrowth(GrowthFunction):
 
     kind = "regularized_power"
 
-    def __init__(self, p: float, mu: float):
+    def __init__(self, p: float, mu: float = 0.0):
         if not np.isfinite(p) or p < 2.0:
             raise DataError("regularized power growth requires p >= 2")
         if not np.isfinite(mu) or mu < 0.0:
@@ -374,18 +376,26 @@ def _bisect_increasing(fn, s, lo, hi, iters=80):
     return np.exp(0.5 * (llo + lhi))
 
 
+_GROWTH_KINDS = {
+    "power": PowerGrowth,
+    "regularized_power": RegularizedPowerGrowth,
+    "tabulated": lambda file: TabulatedGrowth.from_file(file),
+}
+
+
 def make_growth(kind: str, **params) -> GrowthFunction:
-    """Factory used by config loading: kind name plus parameters."""
+    """Factory used by config loading: a kind name plus the parameters of
+    its constructor (``file`` for ``tabulated``); a missing or unknown
+    parameter is a ``DataError`` naming it."""
     kind = kind.strip().lower()
-    if kind == "power":
-        return PowerGrowth(params["p"])
-    if kind == "regularized_power":
-        return RegularizedPowerGrowth(params["p"], params.get("mu", 0.0))
-    if kind == "tabulated":
-        if "file" in params:
-            return TabulatedGrowth.from_file(params["file"])
-        return TabulatedGrowth(params["nodes"], params["values"])
-    raise DataError(f"unknown growth kind {kind!r}")
+    if kind not in _GROWTH_KINDS:
+        raise DataError(f"unknown growth kind {kind!r}")
+    build = _GROWTH_KINDS[kind]
+    try:
+        inspect.signature(build).bind(**params)
+    except TypeError as exc:
+        raise DataError(f"{kind} growth: {exc}") from None
+    return build(**params)
 
 
 def estimate_indices(gf: GrowthFunction, samples: int = 4096):

@@ -118,9 +118,9 @@ class ObstacleProblem:
 
     def __post_init__(self):
         g = self.boundary.grid
-        if self.obstacle is not None and not self.obstacle.grid.matches(g):
+        if self.obstacle is not None and self.obstacle.grid != g:
             raise DataError("obstacle and boundary live on different grids")
-        if isinstance(self.rhs, GridFunction) and not self.rhs.grid.matches(g):
+        if isinstance(self.rhs, GridFunction) and self.rhs.grid != g:
             raise DataError("rhs and boundary live on different grids")
         if self.obstacle is not None:
             ring = g.ring_mask()
@@ -327,7 +327,7 @@ def _coarse_start(grid, growth, omega_cells, f, start, psi, free, cfg):
     coarse_free = _block_mean(free.astype(float)) == 1.0
     if not coarse_free.any():
         return None
-    coarse = Grid2D(grid.n // 2, grid.side, grid.origin)
+    coarse = Grid2D(grid.n // 2)
     sol = _minimize(
         coarse, growth, omega_cells[1::2, 1::2],
         None if f is None else _block_mean(f),
@@ -545,7 +545,7 @@ def mollify_measure(mu: MeasureData, level: int, grid: Grid2D) -> GridFunction:
         s = float(w.sum()) * grid.h**2
         out += (mass / s) * w
     if mu.density is not None:
-        if not mu.density.grid.matches(grid):
+        if mu.density.grid != grid:
             raise GridMismatchError("measure density and target grid differ")
         out += mu.density.values
     return GridFunction(grid, out)

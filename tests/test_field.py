@@ -201,7 +201,7 @@ def _reference_ladder(vf, g, r_max, gamma_prime):
         for ic in idx:
             for jc in idx:
                 cx, cy = g.xs[ic], g.ys[jc]
-                if not (rho <= cx <= g.side - rho and rho <= cy <= g.side - rho):
+                if not (rho <= cx <= 1.0 - rho and rho <= cy <= 1.0 - rho):
                     continue
                 vals = om[ball_nodes(g, (cx, cy), rho)]
                 osc = float(np.mean(np.abs(vals - vals.mean()) ** gamma_prime)

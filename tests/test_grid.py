@@ -43,18 +43,15 @@ def f_of(grid, fn):
 
 
 def test_nearest_node_matches_clipped_rounding():
-    g = Grid2D(48, side=2.0, origin=(-1.0, 0.5))
+    g = Grid2D(48)
     rng = np.random.default_rng(5)
     pts = np.concatenate([
-        g.origin + g.side * rng.random((400, 2)),
-        [g.origin, (g.origin[0] + g.side, g.origin[1] + g.side), (0.0, 1.5)],
+        rng.random((400, 2)),
+        [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
         np.stack([g.xs[:2] + 0.5 * g.h, g.ys[-2:] + 0.5 * g.h], axis=1),
     ])
     for x, y in pts:
-        want = tuple(
-            int(np.clip(round((c - o) / g.h - 0.5), 0, g.n - 1))
-            for c, o in ((x, g.origin[0]), (y, g.origin[1]))
-        )
+        want = tuple(int(np.clip(round(c / g.h - 0.5), 0, g.n - 1)) for c in (x, y))
         got = g.nearest_node((x, y))
         assert got == want
         assert all(type(i) is int for i in got)
@@ -308,20 +305,29 @@ def test_ball_masses_equal_atom_sum_plus_density_integral():
 # -- I/O -------------------------------------------------------------------------
 
 def test_raster_roundtrip(tmp_path):
-    g = Grid2D(32, side=2.0, origin=(-1.0, -1.0))
+    g = Grid2D(32)
     f = f_of(g, lambda X, Y: np.sin(X) + Y)
     path = tmp_path / "field.txt"
     write_raster(path, f)
+    assert path.read_text().splitlines()[0] == "32 32 0 0 1"
     back = read_raster(path)
-    assert back.grid.matches(g)
+    assert back.grid == g
     assert np.allclose(back.values, f.values, rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("header", ["32 32 -1 -1 2", "32 32 0 0 2", "32 32 0.5 0 1"])
+def test_raster_off_the_unit_square_is_a_data_error(tmp_path, header):
+    path = tmp_path / "field.txt"
+    write_raster(path, GridFunction.constant(Grid2D(32), 1.0))
+    body = path.read_text().split("\n", 1)[1]
+    path.write_text(f"{header}\n{body}")
+    with pytest.raises(DataError, match="unit square"):
+        read_raster(path)
 
 
 def test_grid_validation():
     with pytest.raises(DataError):
         Grid2D(8)
-    with pytest.raises(DataError):
-        Grid2D(32, side=-1.0)
 
 
 def test_gridfunction_immutable(grid):

@@ -51,9 +51,6 @@ density = 1.0
 [boundary]
 preset = zero
 
-[grid]
-n = 32
-
 [solver]
 tol = 1e-7
 
@@ -83,9 +80,6 @@ atoms = 0.5 0.5 1.0
 
 [boundary]
 preset = fundamental
-
-[grid]
-n = 48
 
 [solver]
 tol = 1e-7
@@ -503,7 +497,6 @@ def dirac_with_density(tmp_path):
     on the n = 64 mesh only."""
     text = (CONFIGS / "dirac.ini").read_text()
     for old, new in (("atoms = 0.5 0.5 1.0\n", "atoms = 0.5 0.5 1.0\ndensity = 1.0\n"),
-                     ("[grid]\nn = 128\n", "[grid]\nn = 64\n"),
                      ("n = 64, 128\n", "n = 64\n")):
         assert old in text
         text = text.replace(old, new)
@@ -532,8 +525,14 @@ def test_cli_solve_writes_the_verified_solution(tmp_path):
     path = CONFIGS / "dirac.ini"
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
     cfg = load_config(path)
-    verified = checks.primary_solution(cfg, SolveCache(), build_instance(cfg))
+    verified = checks.primary_solution(cfg, SolveCache(), build_instance(cfg, max(cfg.meshes())))
     assert np.array_equal(read_raster(tmp_path / "solution.txt").values, verified.u.values)
+
+
+def test_cli_solve_writes_the_finest_swept_mesh(tiny_config, tmp_path):
+    # [sweep] n = 24, 32: the written solution is the one verify checks at 32
+    assert main(["solve", "--config", str(tiny_config), "--out", str(tmp_path)]) == 0
+    assert read_raster(tmp_path / "solution.txt").grid.n == 32
 
 
 def test_cli_verify_deterministic(tiny_config, tmp_path):
@@ -622,6 +621,13 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
     ("[checks]\n", "[checks]\nradius = wide\n", "[checks] radius must be"),
     ("tol = 1e-8", "tol = abc", "[solver] tol must be"),
     ("tol = 1e-8", "tol = 1e-8\ntol = 1e-9", "option 'tol'"),
+    # the vocabulary is closed: a misspelt section or key is named
+    ("[solver]\n", "[grdi]\nn = 64\n\n[solver]\n", "[grdi] is not a section"),
+    ("tol = 1e-8", "tolerance = 1e-3", "[solver] tolerance is not a key"),
+    ("[checks]\n", "[checks]\nradisu = 0.2\n", "[checks] radisu is not a key"),
+    ("n = 64, 128", "n =", "[sweep] n lists no value"),
+    # the domain is the unit square and the meshes are [sweep] n
+    ("[solver]\n", "[grid]\nn = 128\n\n[solver]\n", "the meshes are [sweep] n"),
 ])
 def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad_value.ini"
@@ -629,6 +635,29 @@ def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # growth and coefficient parameters are named when missing or unknown
+    ("p = 2.0\n", "", "power growth: missing a required argument: 'p'"),
+    ("p = 2.0\n", "p = 2.0\nmu = 0.1\n", "power growth: got an unexpected keyword argument 'mu'"),
+    ("value = 1.0", "valu = 1.0", "constant coefficient takes no valu"),
+])
+def test_cli_solve_bad_parameter_exits_one(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad_parameter.ini"
+    path.write_text((CONFIGS / "poisson.ini").read_text().replace(old, new))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_config_loads_and_builds(path):
+    # the benchmark loads shipped configs in its set-up: each stays inside
+    # the closed vocabulary and realizes on its coarsest mesh
+    cfg = load_config(path)
+    assert cfg.checks
+    build_instance(cfg, min(cfg.meshes()))
 
 
 def test_frozen_check_crosses_amplitudes_of_oscillating_presets(tmp_path):

@@ -63,7 +63,7 @@ atoms = 0.5 0.5 1.0
 [boundary]
 preset = fundamental
 
-[grid]
+[sweep]
 n = 48
 """
 
