@@ -25,7 +25,6 @@ from .orlicz import (
     PowerGrowth,
     RegularizedPowerGrowth,
     TabulatedGrowth,
-    make_growth,
 )
 from .grid import Grid2D, GridFunction, MeasureData
 from .field import CoefficientField, OscillationModulus, VectorField

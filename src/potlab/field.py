@@ -10,7 +10,6 @@ over all balls up to radius r, and Dini-type integrals of that modulus.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ __all__ = [
     "jump_coefficient",
     "checkerboard_coefficient",
     "coefficient_from_raster",
-    "make_coefficient",
+    "COEFFICIENT_PRESETS",
     "VectorField",
     "OscillationModulus",
     "dini_integral",
@@ -104,27 +103,14 @@ def coefficient_from_raster(gf: GridFunction, **kw) -> CoefficientField:
     return CoefficientField(fn, label="raster", **kw)
 
 
-_COEFFICIENT_PRESETS = {
+# the coefficient presets by name; each preset's **kw are the clamp bounds
+# of ``CoefficientField``
+COEFFICIENT_PRESETS = {
     "constant": constant_coefficient,
     "affine": affine_coefficient,
     "jump": jump_coefficient,
     "checkerboard": checkerboard_coefficient,
 }
-
-
-def make_coefficient(preset: str, **params) -> CoefficientField:
-    """A coefficient preset by name; a parameter it does not take is a
-    ``DataError`` naming it."""
-    preset = preset.strip().lower()
-    if preset not in _COEFFICIENT_PRESETS:
-        raise DataError(f"unknown coefficient preset {preset!r}")
-    build = _COEFFICIENT_PRESETS[preset]
-    # a preset's **kw are CoefficientField's clamp bounds
-    takes = [k for k in inspect.signature(build).parameters if k != "kw"] + ["c_low", "c_high"]
-    for key in params:
-        if key not in takes:
-            raise DataError(f"{preset} coefficient takes no {key} (it takes {', '.join(takes)})")
-    return build(**params)
 
 
 class VectorField:

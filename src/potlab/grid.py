@@ -364,14 +364,18 @@ def write_raster(path, f: GridFunction) -> None:
 
 
 def read_raster(path) -> GridFunction:
+    """A ``write_raster`` file; any header or body it cannot parse is a ``DataError``."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5:
-            raise DataError("raster header must be 'nx ny x0 y0 side'")
-        n = int(header[0])
-        if int(header[1]) != n or tuple(float(v) for v in header[2:]) != (0.0, 0.0, 1.0):
-            raise DataError("rasters are square grids of the unit square: header 'n n 0 0 1'")
-        values = np.loadtxt(fh, dtype=float)
+        try:
+            header = fh.readline().split()
+            if len(header) != 5:
+                raise DataError("raster header must be 'nx ny x0 y0 side'")
+            n, ny = map(int, header[:2])
+            if ny != n or tuple(map(float, header[2:])) != (0.0, 0.0, 1.0):
+                raise DataError("rasters are square grids of the unit square: header 'n n 0 0 1'")
+            values = np.loadtxt(fh, dtype=float)
+        except ValueError as exc:
+            raise DataError(f"malformed raster: {exc}") from None
     if values.shape != (n, n):
         raise DataError(f"raster body has shape {values.shape}, expected ({n}, {n})")
     return GridFunction(Grid2D(n), values)

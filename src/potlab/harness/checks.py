@@ -640,13 +640,8 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
 
 
 def _homogeneous_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    return replace(
-        cfg,
-        coefficient={"preset": "constant"},
-        obstacle={"preset": "none"},
-        measure={},
-        boundary={"preset": "sin_affine"},
-    )
+    """Constant coefficient, no obstacle or measure, an oscillating trace."""
+    return replace(cfg, coefficient={}, obstacle={}, measure={}, boundary={"preset": "sin_affine"})
 
 
 def _homogeneous_fit(cfg, cache, n):

@@ -1,37 +1,39 @@
 """Experiment configuration: INI-style files and instance builders.
 
-A config file holds sections [growth], [coefficient], [obstacle],
-[measure], [solver], [checks], [sweep], and optionally [boundary] for the
-Dirichlet trace preset; any other section, [solver] or [checks] key is a
-``DataError`` naming it.  [sweep] lists values of the axes the checks
-cross (``SWEEP_AXES``), its n the meshes of the unit square; every other
-setting has one value per run.  ``build_instance`` realizes the config at a chosen mesh with optional data
+A config file holds the problem sections [growth], [coefficient],
+[obstacle], [measure], [boundary] and the run sections [solver],
+[checks], [sweep]; a section or key outside that vocabulary is a
+``DataError`` naming it.  One binder, ``_realize``, turns every problem
+section into its object: the section's preset (``kind`` for [growth])
+picks a builder from the section's table, and each other key binds a
+keyword parameter of that builder, typed against the parameter's
+default.  [sweep] lists values of the axes the checks cross
+(``SWEEP_AXES``), its n the meshes of the unit square.
+``build_instance`` realizes the config at one mesh with optional data
 scalings, producing the immutable bundle the checks and the CLI consume.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError
-from ..field import (
-    CoefficientField,
-    VectorField,
-    coefficient_from_raster,
-    make_coefficient,
-)
+from ..field import COEFFICIENT_PRESETS, CoefficientField, VectorField, coefficient_from_raster
 from ..grid import Grid2D, GridFunction, MeasureData, read_raster
-from ..orlicz import GrowthFunction, make_growth
+from ..orlicz import GROWTH_KINDS, GrowthFunction
 from ..potentials import radial_potential_profile
 from ..solver import ObstacleProblem, SolverConfig
 
 __all__ = [
     "SWEEP_AXES",
     "CHECK_KEYS",
+    "OBSTACLE_PRESETS",
+    "BOUNDARY_PRESETS",
     "ExperimentConfig",
     "Instance",
     "load_config",
@@ -48,8 +50,8 @@ CHECK_KEYS = ("center", "radius", "off_center", "off_radius", "side_center", "si
               "decay_center", "decay_radius", "errors_center", "errors_radius",
               "estimate_radius", "points")
 _SOLVER_KEYS = ("epsilon", "tol", "max_iter", "gamma_prime", "seed")
-_SECTIONS = ("growth", "coefficient", "obstacle", "measure", "boundary",
-             "solver", "checks", "sweep")
+_PROBLEM_SECTIONS = ("growth", "coefficient", "obstacle", "measure", "boundary")
+_SECTIONS = (*_PROBLEM_SECTIONS, "solver", "checks", "sweep")
 # the coefficient presets whose amplitude the ``amplitude`` axis sweeps
 _AMPLITUDE_PRESETS = ("jump", "checkerboard")
 
@@ -63,11 +65,12 @@ _DEFAULT_SWEEP = {
 
 @dataclass
 class ExperimentConfig:
-    growth: dict = field(default_factory=lambda: {"kind": "power", "p": 2.0})
-    coefficient: dict = field(default_factory=lambda: {"preset": "constant"})
-    obstacle: dict = field(default_factory=lambda: {"preset": "none"})
+    # an absent problem section builds its default preset (power, p = 2)
+    growth: dict = field(default_factory=lambda: {"p": 2.0})
+    coefficient: dict = field(default_factory=dict)
+    obstacle: dict = field(default_factory=dict)
     measure: dict = field(default_factory=dict)
-    boundary: dict = field(default_factory=lambda: {"preset": "zero"})
+    boundary: dict = field(default_factory=dict)
     solver: SolverConfig = field(default_factory=SolverConfig)
     checks: list = field(default_factory=list)
     check_params: dict = field(default_factory=dict)
@@ -82,7 +85,7 @@ class ExperimentConfig:
         return list(_DEFAULT_SWEEP.get(name, []))
 
     def meshes(self) -> list[int]:
-        return [int(n) for n in self.sweep_axis("n")]
+        return self.sweep_axis("n")
 
     def amplitudes(self) -> list:
         """The swept coefficient amplitudes; ``[None]`` for a preset that
@@ -94,17 +97,22 @@ class ExperimentConfig:
 
 def typed_value(section: str, key: str, raw, default):
     """A parsed config value as ``default``'s kind: a point (tuple default)
-    is exactly two numbers, anything else one number cast to the default's
-    type; a value of another kind is a ``DataError`` naming the key."""
+    is exactly two numbers, text (str default) any value, an int an
+    integral number, anything else a number; a value of another kind is a
+    ``DataError`` naming the key."""
     try:
         if isinstance(default, tuple):
             x, y = (float(t) for t in (raw.split() if isinstance(raw, str) else raw))
             return (x, y)
+        if isinstance(default, str):
+            return str(raw)
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return type(default)(raw)
+            if not isinstance(default, int) or float(raw).is_integer():
+                return type(default)(raw)
     except (TypeError, ValueError):
         pass
-    kind = "a point (two numbers)" if isinstance(default, tuple) else "a number"
+    kind = ("a point (two numbers)" if isinstance(default, tuple)
+            else "an integer" if isinstance(default, int) else "a number")
     raise DataError(f"[{section}] {key} must be {kind}, got {raw!r}")
 
 
@@ -115,8 +123,6 @@ def _parse_scalar(text: str):
             return cast(text)
         except ValueError:
             pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
     return text
 
 def _parse_list(text: str) -> list:
@@ -146,7 +152,7 @@ def load_config(path) -> ExperimentConfig:
     _refuse_unknown("[{}]", parser.sections(), _SECTIONS, "a section", lambda name: (
         "; the domain is the unit square and the meshes are [sweep] n" if name == "grid" else ""))
     cfg = ExperimentConfig(base_dir=path.parent)
-    for name in ("growth", "coefficient", "obstacle", "measure", "boundary"):
+    for name in _PROBLEM_SECTIONS:
         sec = _section(parser, name)
         if sec:
             setattr(cfg, name, sec)
@@ -176,122 +182,138 @@ def load_config(path) -> ExperimentConfig:
     for key, values in cfg.sweep.items():
         if not values:
             raise DataError(f"[sweep] {key} lists no value")
+        # meshes and mollification levels are counts; the other axes numbers
+        kind = 0 if key in ("n", "level") else 0.0
+        cfg.sweep[key] = [typed_value("sweep", key, v, kind) for v in values]
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: one binder, and a table of presets per problem section
+
+def _realize(cfg: ExperimentConfig, section: str, presets: dict, spec: dict, default,
+             key: str | None = "preset", **context):
+    """The object a problem section names: ``spec[key]`` (else ``default``;
+    always ``default`` when ``key`` is None) picks a builder from
+    ``presets``, and each other key of ``spec`` binds a keyword parameter
+    of it, typed against the parameter's default (a number if it has none).
+    ``file``, ``path`` and a non-numeric ``density`` name a file under the
+    config's directory.  ``context`` fills the parameters a config cannot
+    set; an unreadable file is a ``DataError`` naming it."""
+    spec = dict(spec)
+    name = default if key is None else spec.pop(key, default)
+    label = section if name is None else f"{name} {section}"
+    if name not in presets:
+        raise DataError(f"unknown {section} {key} {name!r} (known: {', '.join(presets)})")
+    build = presets[name]
+    params = {p.name: p for p in inspect.signature(build).parameters.values()
+              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+    settable = [k for k in params if k not in context]
+    args = {k: v for k, v in context.items() if k in params}
+    for k, raw in spec.items():
+        if k not in settable:
+            raise DataError(f"{label} takes no {k} (it takes {', '.join(settable) or 'no key'})")
+        if k in ("file", "path") or (k == "density" and isinstance(raw, str)):
+            args[k] = cfg.base_dir / str(raw)
+        else:
+            d = params[k].default
+            args[k] = typed_value(section, k, raw, 0.0 if d in (None, params[k].empty) else d)
+    for k in settable:
+        if k not in args and params[k].default is params[k].empty:
+            raise DataError(f"{label}: missing a required argument: '{k}'")
+    try:
+        return build(**args)
+    except (OSError, DataError) as exc:
+        files = [v for v in args.values() if isinstance(v, Path)]
+        if not files:
+            raise
+        reason = (exc.strerror or "cannot be read") if isinstance(exc, OSError) else exc
+        raise DataError(f"{label}: {files[0]}: {reason}") from None
+
+
+def _affine(ax, ay, b):
+    return lambda X, Y: ax * X + ay * Y + b
+
+
+def _quadratic(height=0.2, curvature=1.5, cx=0.5, cy=0.5):
+    return lambda X, Y: height - curvature * ((X - cx) ** 2 + (Y - cy) ** 2)
+
+
+def _bump(height=0.25, radius=0.3, cx=0.5, cy=0.5, floor=-0.05):
+    def fn(X, Y):
+        rho2 = ((X - cx) ** 2 + (Y - cy) ** 2) / radius**2
+        return floor + height * np.where(rho2 < 1, (1 - np.minimum(rho2, 1)) ** 2, 0.0)
+    return fn
+
+
+def _fundamental(growth, measure, c0=1.0):
+    """The radial potential of the measure's first atom."""
+    if measure is None or not measure.atoms:
+        raise DataError("fundamental boundary preset needs an atom in the measure")
+    ax, ay, mass = measure.atoms[0]
+    return lambda X, Y: radial_potential_profile(growth, abs(mass), np.hypot(X - ax, Y - ay),
+                                                 c0=c0)
+
+
+# obstacle and boundary presets: each builds a function of the node
+# coordinates (X, Y), or reads a raster; ``none`` is no obstacle
+OBSTACLE_PRESETS = {
+    "none": lambda: None,
+    "affine": lambda ax=0.1, ay=0.0, b=-1.0: _affine(ax, ay, b),
+    "quadratic": _quadratic,
+    "bump": _bump,
+    "file": read_raster,
+}
+BOUNDARY_PRESETS = {
+    "zero": lambda: lambda X, Y: np.zeros_like(X),
+    "constant": lambda value=0.0: lambda X, Y: np.full_like(X, value),
+    "affine": lambda ax=1.0, ay=0.0, b=0.0: _affine(ax, ay, b),
+    "sin_affine": lambda amp=0.3, k=1.0: lambda X, Y: X + amp * np.sin(2 * np.pi * k * Y),
+    "fundamental": _fundamental,
+    "file": read_raster,
+}
+# a [coefficient] section that names a file is the raster's coefficient
+_COEFFICIENTS = {**COEFFICIENT_PRESETS,
+                 "file": lambda file: coefficient_from_raster(read_raster(file))}
+
+
+def _measure(grid, scale, atoms="", density=None) -> MeasureData | None:
+    """Atoms ``x y mass; ...`` plus a constant or raster density, the
+    masses and the density times ``scale``; None when both are absent."""
+    points = []
+    for chunk in filter(str.strip, atoms.split(";")):
+        try:
+            x, y, m = (float(t) for t in chunk.split())
+        except ValueError:
+            raise DataError(f"[measure] atoms: each atom is three numbers 'x y mass', "
+                            f"got {chunk.strip()!r}") from None
+        points.append((x, y, m * scale))
+    if density is not None:
+        density = _on_grid(read_raster(density) if isinstance(density, Path)
+                           else GridFunction.constant(grid, density), grid, scale)
+    if not points and density is None:
+        return None
+    return MeasureData(points, density)
+
+
+def _on_grid(made, grid: Grid2D, scale: float) -> GridFunction | None:
+    """A preset's function of the node coordinates, or a raster, on the mesh
+    times ``scale``; no obstacle (None) stays None."""
+    if made is None:
+        return None
+    gf = made if isinstance(made, GridFunction) else GridFunction.from_callable(grid, made)
+    return gf.with_values(gf.values * scale)
+
 
 def build_growth(cfg: ExperimentConfig) -> GrowthFunction:
-    spec = dict(cfg.growth)
-    kind = str(spec.pop("kind", "power"))
-    if "file" in spec:
-        spec["file"] = str(cfg.base_dir / spec["file"])
-    return make_growth(kind, **spec)
+    return _realize(cfg, "growth", GROWTH_KINDS, cfg.growth, "power", key="kind")
 
 
 def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
     """The field of a [coefficient] section (``spec``, which may carry a
     swept amplitude)."""
-    if "file" in spec:
-        return coefficient_from_raster(read_raster(cfg.base_dir / spec["file"]))
-    spec = dict(spec)
-    preset = str(spec.pop("preset", "constant"))
-    return make_coefficient(preset, **spec)
-
-
-def build_obstacle(cfg: ExperimentConfig, grid: Grid2D, scale: float = 1.0) -> GridFunction | None:
-    spec = dict(cfg.obstacle)
-    preset = str(spec.pop("preset", "none")).lower()
-    if preset == "none":
-        return None
-    if preset == "affine":
-        ax = float(spec.get("ax", 0.1))
-        ay = float(spec.get("ay", 0.0))
-        b = float(spec.get("b", -1.0))
-        fn = lambda X, Y: ax * X + ay * Y + b
-    elif preset == "quadratic":
-        height = float(spec.get("height", 0.2))
-        curv = float(spec.get("curvature", 1.5))
-        cx = float(spec.get("cx", 0.5))
-        cy = float(spec.get("cy", 0.5))
-        fn = lambda X, Y: height - curv * ((X - cx) ** 2 + (Y - cy) ** 2)
-    elif preset == "bump":
-        height = float(spec.get("height", 0.25))
-        radius = float(spec.get("radius", 0.3))
-        cx = float(spec.get("cx", 0.5))
-        cy = float(spec.get("cy", 0.5))
-        floor = float(spec.get("floor", -0.05))
-        def fn(X, Y):
-            rho2 = ((X - cx) ** 2 + (Y - cy) ** 2) / radius**2
-            return floor + height * np.where(rho2 < 1, (1 - np.minimum(rho2, 1)) ** 2, 0.0)
-    elif preset == "file":
-        return read_raster(cfg.base_dir / spec["path"])
-    else:
-        raise DataError(f"unknown obstacle preset {preset!r}")
-    gf = GridFunction.from_callable(grid, fn)
-    return gf.with_values(gf.values * scale)
-
-
-def build_measure(cfg: ExperimentConfig, grid: Grid2D, scale: float = 1.0) -> MeasureData | None:
-    spec = cfg.measure
-    if not spec:
-        return None
-    atoms = []
-    raw = str(spec.get("atoms", "")).strip()
-    if raw:
-        for chunk in raw.split(";"):
-            parts = chunk.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise DataError(f"atom spec needs 'x y mass', got {chunk!r}")
-            x, y, m = (float(t) for t in parts)
-            atoms.append((x, y, m * scale))
-    density = None
-    dens = spec.get("density", "none")
-    if isinstance(dens, (int, float)):
-        density = GridFunction.constant(grid, float(dens) * scale)
-    elif str(dens).lower() not in ("none", ""):
-        density = read_raster(cfg.base_dir / str(dens))
-        density = density.with_values(density.values * scale)
-    if not atoms and density is None:
-        return None
-    return MeasureData(atoms, density)
-
-
-def build_boundary(cfg: ExperimentConfig, grid: Grid2D, growth: GrowthFunction,
-                   measure: MeasureData | None, scale: float = 1.0) -> GridFunction:
-    spec = dict(cfg.boundary)
-    preset = str(spec.get("preset", "zero")).lower()
-    if preset == "zero":
-        fn = lambda X, Y: np.zeros_like(X)
-    elif preset == "constant":
-        v = float(spec.get("value", 0.0))
-        fn = lambda X, Y: np.full_like(X, v)
-    elif preset == "affine":
-        ax = float(spec.get("ax", 1.0))
-        ay = float(spec.get("ay", 0.0))
-        b = float(spec.get("b", 0.0))
-        fn = lambda X, Y: ax * X + ay * Y + b
-    elif preset == "sin_affine":
-        amp = float(spec.get("amp", 0.3))
-        k = float(spec.get("k", 1.0))
-        fn = lambda X, Y: X + amp * np.sin(2 * np.pi * k * Y)
-    elif preset in ("fundamental", "radial"):
-        if measure is None or not measure.atoms:
-            raise DataError("fundamental boundary preset needs an atom in the measure")
-        ax_, ay_, mass = measure.atoms[0]
-        c0 = float(spec.get("c0", 1.0))
-        def fn(X, Y):
-            R = np.hypot(X - ax_, Y - ay_)
-            return radial_potential_profile(growth, abs(mass), R, c0=c0)
-    elif preset == "file":
-        return read_raster(cfg.base_dir / spec["path"])
-    else:
-        raise DataError(f"unknown boundary preset {preset!r}")
-    gf = GridFunction.from_callable(grid, fn)
-    return gf.with_values(gf.values * scale)
+    return _realize(cfg, "coefficient", _COEFFICIENTS, spec,
+                    "file" if "file" in spec else "constant")
 
 
 _USE_MEASURE = object()
@@ -336,12 +358,15 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
     grid = Grid2D(int(n))
     growth = build_growth(cfg)
     coef = dict(cfg.coefficient)
-    if amplitude is not None and coef.get("preset") in _AMPLITUDE_PRESETS:
+    if amplitude is not None:
         coef["amplitude"] = amplitude
     vf = VectorField(growth, build_coefficient(cfg, coef))
-    obstacle = build_obstacle(cfg, grid, data_scale)
-    measure = build_measure(cfg, grid, data_scale * rhs_scale)
-    boundary = build_boundary(cfg, grid, growth, measure, data_scale)
+    measure = _realize(cfg, "measure", {None: _measure}, cfg.measure, None, key=None,
+                       grid=grid, scale=data_scale * rhs_scale)
+    obstacle = _on_grid(_realize(cfg, "obstacle", OBSTACLE_PRESETS, cfg.obstacle, "none"),
+                        grid, data_scale)
+    boundary = _on_grid(_realize(cfg, "boundary", BOUNDARY_PRESETS, cfg.boundary, "zero",
+                                 growth=growth, measure=measure), grid, data_scale)
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
     key = (grid.n, float(data_scale), float(rhs_scale),
            *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver)

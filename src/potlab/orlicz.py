@@ -22,8 +22,6 @@ accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError, RangeError
@@ -33,7 +31,7 @@ __all__ = [
     "PowerGrowth",
     "RegularizedPowerGrowth",
     "TabulatedGrowth",
-    "make_growth",
+    "GROWTH_KINDS",
     "estimate_indices",
 ]
 
@@ -346,7 +344,11 @@ class TabulatedGrowth(GrowthFunction):
     @classmethod
     def from_file(cls, path) -> "TabulatedGrowth":
         """Load a two-column text file of (t, g(t)) samples."""
-        data = np.loadtxt(path, dtype=float)
+        with open(path) as fh:
+            try:
+                data = np.loadtxt(fh, dtype=float)
+            except ValueError as exc:
+                raise DataError(f"malformed table: {exc}") from None
         if data.ndim != 2 or data.shape[1] != 2:
             raise DataError("expected a two-column (t, g) table")
         return cls(data[:, 0], data[:, 1])
@@ -376,26 +378,13 @@ def _bisect_increasing(fn, s, lo, hi, iters=80):
     return np.exp(0.5 * (llo + lhi))
 
 
-_GROWTH_KINDS = {
+# the growth kinds by name: each builds from its keyword parameters (a
+# ``tabulated`` growth from the file of its samples)
+GROWTH_KINDS = {
     "power": PowerGrowth,
     "regularized_power": RegularizedPowerGrowth,
     "tabulated": lambda file: TabulatedGrowth.from_file(file),
 }
-
-
-def make_growth(kind: str, **params) -> GrowthFunction:
-    """Factory used by config loading: a kind name plus the parameters of
-    its constructor (``file`` for ``tabulated``); a missing or unknown
-    parameter is a ``DataError`` naming it."""
-    kind = kind.strip().lower()
-    if kind not in _GROWTH_KINDS:
-        raise DataError(f"unknown growth kind {kind!r}")
-    build = _GROWTH_KINDS[kind]
-    try:
-        inspect.signature(build).bind(**params)
-    except TypeError as exc:
-        raise DataError(f"{kind} growth: {exc}") from None
-    return build(**params)
 
 
 def estimate_indices(gf: GrowthFunction, samples: int = 4096):

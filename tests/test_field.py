@@ -13,9 +13,9 @@ from potlab.field import (
     constant_coefficient,
     dini_integral,
     jump_coefficient,
-    make_coefficient,
 )
 from potlab.grid import Grid2D, GridFunction, ball_average, ball_nodes
+from potlab.harness.config import ExperimentConfig, build_coefficient
 from potlab.orlicz import PowerGrowth
 
 
@@ -270,11 +270,12 @@ def test_dini_integral_empty():
 
 
 def test_make_coefficient_presets():
+    cfg = ExperimentConfig()
     for preset in ("constant", "affine", "jump", "checkerboard"):
-        c = make_coefficient(preset)
+        c = build_coefficient(cfg, {"preset": preset})
         assert 0 < c.c_low <= c.c_high
     g = Grid2D(32)
-    vals = make_coefficient("jump", amplitude=0.3).on_nodes(g)
+    vals = build_coefficient(cfg, {"preset": "jump", "amplitude": 0.3}).on_nodes(g)
     assert set(np.round(np.unique(vals), 10)) == {0.7, 1.3}
 
 

@@ -325,6 +325,16 @@ def test_raster_off_the_unit_square_is_a_data_error(tmp_path, header):
         read_raster(path)
 
 
+@pytest.mark.parametrize("text", ["a b 0 0 1\n1 2\n", "16 16 0 0 1\n" + "1 x\n" * 16])
+def test_malformed_raster_is_a_data_error(tmp_path, text):
+    # a raster is outside input: a header or body that is not numbers is
+    # bad data, not a ValueError
+    path = tmp_path / "field.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match="malformed raster"):
+        read_raster(path)
+
+
 def test_grid_validation():
     with pytest.raises(DataError):
         Grid2D(8)

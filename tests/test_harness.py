@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from potlab.errors import DataError
-from potlab.grid import read_raster
+from potlab.field import COEFFICIENT_PRESETS
+from potlab.grid import Grid2D, GridFunction, read_raster, write_raster
 from potlab.harness import checks
 from potlab.harness.checks import (
     CHECKS,
@@ -27,8 +28,14 @@ from potlab.harness.checks import (
     write_summary,
 )
 from potlab.harness.cli import main
-from potlab.harness.config import build_instance, load_config
-from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth
+from potlab.harness.config import (
+    BOUNDARY_PRESETS,
+    OBSTACLE_PRESETS,
+    ExperimentConfig,
+    build_instance,
+    load_config,
+)
+from potlab.orlicz import GROWTH_KINDS, PowerGrowth, RegularizedPowerGrowth
 from potlab.potentials import radial_potential_profile
 from potlab.solver import solve_op_sequence
 
@@ -594,6 +601,46 @@ def test_coefficient_from_raster_config(tiny_config, tmp_path):
     assert np.allclose(got, 1.0 + 0.5 * inst.grid.X, atol=1e-9)
 
 
+def test_raster_data_scales_with_the_data(tiny_config, tmp_path):
+    # a raster obstacle or boundary is data like a preset's: data_scale
+    # multiplies it
+    raster = tmp_path / "psi.txt"
+    write_raster(raster, GridFunction.from_callable(Grid2D(32), lambda X, Y: 0.1 * X * Y))
+    cfg = load_config(tiny_config)
+    cfg.obstacle = cfg.boundary = {"preset": "file", "path": raster.name}
+    inst = build_instance(cfg, 32, data_scale=4.0)
+    assert np.array_equal(inst.obstacle.values, 4.0 * read_raster(raster).values)
+    assert np.array_equal(inst.boundary.values, 4.0 * read_raster(raster).values)
+
+
+def test_every_preset_builds_from_its_required_keys(tmp_path):
+    # every entry of every table realizes on the smallest mesh, given only
+    # the keys it cannot default
+    raster = tmp_path / "raster.txt"
+    write_raster(raster, GridFunction.from_callable(Grid2D(16), lambda X, Y: 1.0 + X * Y))
+    t = np.geomspace(1e-3, 1e3, 16)
+    np.savetxt(tmp_path / "table.txt", np.column_stack([t, t**2]))
+    tables = [
+        ("growth", "kind", GROWTH_KINDS,
+         {"power": {"p": 3.0}, "regularized_power": {"p": 3.0}, "tabulated": {"file": "table.txt"}}),
+        ("coefficient", "preset", [*COEFFICIENT_PRESETS, "file"], {"file": {"file": raster.name}}),
+        ("obstacle", "preset", OBSTACLE_PRESETS, {"file": {"path": raster.name}}),
+        ("boundary", "preset", BOUNDARY_PRESETS, {"file": {"path": raster.name}}),
+    ]
+    for section, key, names, required in tables:
+        for name in names:
+            # fundamental needs an atom: every instance carries one
+            cfg = ExperimentConfig(base_dir=tmp_path, measure={"atoms": "0.5 0.5 1.0"})
+            setattr(cfg, section, {key: name, **required.get(name, {})})
+            inst = build_instance(cfg, 16)
+            assert inst.grid.n == inst.boundary.grid.n == 16
+            assert (inst.obstacle is None) == (section != "obstacle" or name == "none")
+    for measure in ({}, {"density": 1.0}, {"density": raster.name},
+                    {"atoms": "0.5 0.5 1.0; 0.25 0.75 2.0", "density": 1.0}):
+        inst = build_instance(ExperimentConfig(base_dir=tmp_path, measure=measure), 16)
+        assert (inst.measure is None) == (not measure)
+
+
 def test_solver_gamma_prime_reaches_verify(tmp_path):
     # [solver] gamma_prime = 4 must reach the run and differ from the default 2
     base = (CONFIGS / "jump.ini").read_text().replace("n = 64, 128", "n = 32")
@@ -628,6 +675,24 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
     ("n = 64, 128", "n =", "[sweep] n lists no value"),
     # the domain is the unit square and the meshes are [sweep] n
     ("[solver]\n", "[grid]\nn = 128\n\n[solver]\n", "the meshes are [sweep] n"),
+    # meshes and levels are integers, the other axes numbers; an integer
+    # setting takes no fraction
+    ("n = 64, 128", "n = 64, abc", "[sweep] n must be an integer, got 'abc'"),
+    ("n = 64, 128", "n = 64.5", "[sweep] n must be an integer, got 64.5"),
+    ("n = 64, 128", "n = 64\nlevel = 2.5", "[sweep] level must be an integer, got 2.5"),
+    ("scale = 1, 4, 16", "scale = 1, x", "[sweep] scale must be a number, got 'x'"),
+    ("tol = 1e-8", "tol = 1e-8\nmax_iter = 2.7", "[solver] max_iter must be an integer, got 2.7"),
+    # every problem section is closed and typed, and its files are read
+    ("preset = none", "preset = quadratic\nheigth = -2.0", "quadratic obstacle takes no heigth"),
+    ("value = 1.0", "value = abc", "[coefficient] value must be a number, got 'abc'"),
+    ("value = 1.0", "value = 1.0\nc_low = 0.1", "constant coefficient takes no c_low (it takes value)"),
+    ("density = 1.0", "atoms = 0.5 0.5 one", "[measure] atoms: each atom is three numbers"),
+    ("density = 1.0", "density = 1.0\nmass = 2.0", "measure takes no mass (it takes atoms, density)"),
+    ("preset = zero", "preset = zero\nc1 = 1.0", "zero boundary takes no c1"),
+    ("preset = none", "preset = file\npath = absent.txt", "absent.txt: No such file or directory"),
+    ("kind = power\np = 2.0", "kind = tabulated\nfile = absent.txt",
+     "absent.txt: No such file or directory"),
+    ("preset = zero", "preset = radial", "unknown boundary preset 'radial'"),
 ])
 def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad_value.ini"
@@ -640,7 +705,7 @@ def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
 @pytest.mark.parametrize("old, new, message", [
     # growth and coefficient parameters are named when missing or unknown
     ("p = 2.0\n", "", "power growth: missing a required argument: 'p'"),
-    ("p = 2.0\n", "p = 2.0\nmu = 0.1\n", "power growth: got an unexpected keyword argument 'mu'"),
+    ("p = 2.0\n", "p = 2.0\nmu = 0.1\n", "power growth takes no mu (it takes p)"),
     ("value = 1.0", "valu = 1.0", "constant coefficient takes no valu"),
 ])
 def test_cli_solve_bad_parameter_exits_one(tmp_path, capsys, old, new, message):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from potlab.errors import DataError, DomainError, InsufficientDataError, RangeError
+from potlab.harness.config import ExperimentConfig, build_growth
 from potlab.orlicz import (
     PowerGrowth,
     RegularizedPowerGrowth,
     TabulatedGrowth,
     estimate_indices,
-    make_growth,
 )
 
 
@@ -289,15 +289,21 @@ def test_tabulated_range_error():
 
 
 def test_make_growth_factory(tmp_path):
-    assert make_growth("power", p=3.0).sg == 2.0
-    assert make_growth("regularized_power", p=3.0, mu=1.0).ig == 1.0
+    def growth(**spec):
+        return build_growth(ExperimentConfig(growth=spec, base_dir=tmp_path))
+
+    assert growth(kind="power", p=3.0).sg == 2.0
+    assert growth(kind="regularized_power", p=3.0, mu=1.0).ig == 1.0
     t, v = _power_table()
     path = tmp_path / "table.txt"
     np.savetxt(path, np.column_stack([t, v]))
-    tab = make_growth("tabulated", file=str(path))
+    tab = growth(kind="tabulated", file=path.name)
     assert tab.kind == "tabulated"
     with pytest.raises(DataError):
-        make_growth("unknown")
+        growth(kind="unknown")
+    path.write_text("1 2\n3 four\n")
+    with pytest.raises(DataError, match="table.txt: malformed table"):
+        growth(kind="tabulated", file=path.name)
 
 
 def test_power_requires_p_at_least_two():
