@@ -56,7 +56,7 @@ from ..solver import (
     solve_frozen,
     solve_vi,
 )
-from .config import CHECK_KEYS, ExperimentConfig, Instance, build_instance, typed_value
+from .config import CHECK_KEYS, ExperimentConfig, Instance, build_instance, cells, typed_value
 
 __all__ = [
     "DRIFT_LIMIT",
@@ -138,18 +138,18 @@ class RatioStudy:
             row.flag = f"{row.flag} {tag}" if row.flag else tag
         self.rows.append(row)
         if cell is not None and row.ratio is not None:
-            cells = self.families.setdefault(family, {})
-            cells[cell] = max(cells.get(cell, row.ratio), row.ratio)
+            worst = self.families.setdefault(family, {})
+            worst[cell] = max(worst.get(cell, row.ratio), row.ratio)
         return row
 
     def drift(self) -> float | None:
         """Largest over smallest positive cell constant, pooled over every
         cell; None below two such cells."""
-        return _drift(v for cells in self.families.values() for v in cells.values())
+        return _drift(v for worst in self.families.values() for v in worst.values())
 
     def family_drifts(self) -> dict:
         """Drift within each family, keyed by family."""
-        return {fam: _drift(cells.values()) for fam, cells in self.families.items()}
+        return {fam: _drift(worst.values()) for fam, worst in self.families.items()}
 
     def passed(self) -> bool:
         """The gate, without the check's own extra condition."""
@@ -459,32 +459,29 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     R = _param(cfg, "radius", 0.25)
     study = RatioStudy()
     notes: list[str] = []
-    for n in cfg.meshes():
-        for s in cfg.sweep_axis("scale"):
-            inst = build_instance(cfg, n, rhs_scale=float(s))
-            if inst.measure is None:
-                study.add(center, R, 0.0, 0.0)
-                notes.append("no right-hand data; check skipped")
-                continue
-            # atoms make the primary solution a mollification limit, whose
-            # bound is the measure form
-            measure_form = bool(inst.measure.atoms)
-            sol = primary_solution(cfg, cache, inst)
-            w = _homogeneous_ball(cache, inst, sol, (center, R))
-            lhs = ball_average(grad_distance_field(sol.u, w.u), center, R)
-            if measure_form:
-                rhs = measure_error_term(inst, center, R)
-            else:
-                rhs = _g_inverse(inst, R * ball_average(inst.measure.density, center, R))
-            study.add(center, R, lhs, rhs, exact_tol=10 * inst.solver.tol,
-                      cell=(n, float(s)))
-            if measure_form:
-                off = _param(cfg, "off_center", (0.78, 0.5))
-                r_off = _param(cfg, "off_radius", 0.1)
-                w_off = _homogeneous_ball(cache, inst, sol, (off, r_off))
-                lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
-                study.add(off, r_off, lhs_off, measure_error_term(inst, off, r_off),
-                          exact_tol=10 * inst.solver.tol)
+    for cell, inst in cells(cfg, "scale", scale="rhs_scale"):
+        if inst.measure is None:
+            study.add(center, R, 0.0, 0.0)
+            notes.append("no right-hand data; check skipped")
+            continue
+        # atoms make the primary solution a mollification limit, whose
+        # bound is the measure form
+        measure_form = bool(inst.measure.atoms)
+        sol = primary_solution(cfg, cache, inst)
+        w = _homogeneous_ball(cache, inst, sol, (center, R))
+        lhs = ball_average(grad_distance_field(sol.u, w.u), center, R)
+        if measure_form:
+            rhs = measure_error_term(inst, center, R)
+        else:
+            rhs = _g_inverse(inst, R * ball_average(inst.measure.density, center, R))
+        study.add(center, R, lhs, rhs, exact_tol=10 * inst.solver.tol, cell=cell)
+        if measure_form:
+            off = _param(cfg, "off_center", (0.78, 0.5))
+            r_off = _param(cfg, "off_radius", 0.1)
+            w_off = _homogeneous_ball(cache, inst, sol, (off, r_off))
+            lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
+            study.add(off, r_off, lhs_off, measure_error_term(inst, off, r_off),
+                      exact_tol=10 * inst.solver.tol)
     return study.report("comparison_inhomogeneous", notes=notes)
 
 
@@ -506,37 +503,27 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     side_center = _param(cfg, "side_center", (0.33, 0.5))
     side_R = _param(cfg, "side_radius", 0.15)
     study = RatioStudy()
-    for n in cfg.meshes():
-        for amp in cfg.amplitudes():
-            inst = build_instance(cfg, n, amplitude=amp)
-            sol = primary_solution(cfg, cache, inst)
-            ctx = primary_context(cfg, cache, inst, 2 * R)
-
-            def frozen_row(ball_center, ball_R, cell=None):
-                ball = (ball_center, ball_R)
-                w = cache.get(
-                    (inst.key, "frozen", ball),
-                    lambda: solve_frozen(
-                        replace(inst.problem(rhs=None), boundary=sol.u),
-                        ball, inst.solver, warm_start=sol.u,
-                    ),
-                )
-                lhs = ball_average(
-                    grad_distance_field(sol.u, w.u), ball_center, ball_R
-                )
-                # a ball the coefficient is constant on: freezing is a no-op
-                # and the left side must sit at solver tolerance; constancy
-                # is decided on the node set the frozen solve averages over
-                om = inst.field.coefficient.on_nodes(inst.grid)
-                rhs = 0.0
-                if float(np.ptp(om[disk_mask(inst.grid, ball_center, ball_R)])) > 1e-12:
-                    rhs = coefficient_error_term(ctx, ctx.du_mag, ball_center,
-                                                 ball_R, 2 * ball_R)
-                study.add(ball_center, ball_R, lhs, rhs, exact_tol=10 * inst.solver.tol,
-                          cell=cell)
-
-            frozen_row(center, R, cell=(n, amp))
-            frozen_row(side_center, side_R)
+    for cell, inst in cells(cfg, "amplitude"):
+        sol = primary_solution(cfg, cache, inst)
+        ctx = primary_context(cfg, cache, inst, 2 * R)
+        # the side ball's row belongs to no cell
+        for ball_center, ball_R, ball_cell in ((center, R, cell), (side_center, side_R, None)):
+            ball = (ball_center, ball_R)
+            w = cache.get(
+                (inst.key, "frozen", ball),
+                lambda: solve_frozen(replace(inst.problem(rhs=None), boundary=sol.u),
+                                     ball, inst.solver, warm_start=sol.u),
+            )
+            lhs = ball_average(grad_distance_field(sol.u, w.u), ball_center, ball_R)
+            # a ball the coefficient is constant on: freezing is a no-op
+            # and the left side must sit at solver tolerance; constancy
+            # is decided on the node set the frozen solve averages over
+            om = inst.field.coefficient.on_nodes(inst.grid)
+            rhs = 0.0
+            if float(np.ptp(om[disk_mask(inst.grid, ball_center, ball_R)])) > 1e-12:
+                rhs = coefficient_error_term(ctx, ctx.du_mag, ball_center, ball_R, 2 * ball_R)
+            study.add(ball_center, ball_R, lhs, rhs, exact_tol=10 * inst.solver.tol,
+                      cell=ball_cell)
     return study.report("frozen_coefficient")
 
 
@@ -547,30 +534,27 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
     center = _param(cfg, "center", (0.5, 0.5))
     R0 = _param(cfg, "radius", 0.36)
     study = RatioStudy()
-    for n in cfg.meshes():
-        for s in cfg.sweep_axis("scale"):
-            inst = build_instance(cfg, n, data_scale=float(s))
-            sol = primary_solution(cfg, cache, inst)
-            growth = inst.growth
-            psi = inst.obstacle
-            G_dpsi = _G_obstacle_gradient(inst)
-            _, _, mag = grad_fields(sol.u)
-            G_du = sol.u.with_values(growth.G(mag.values))
-            radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(R / 2)]
-            for R in radii:
-                lam = ball_average(sol.u, center, R)
-                lhs = ball_average(G_du, center, R / 2)
-                rhs = ball_average(
-                    sol.u.with_values(growth.G(np.abs(sol.u.values - lam) / R)), center, R
+    for cell, inst in cells(cfg, "scale"):
+        sol = primary_solution(cfg, cache, inst)
+        growth = inst.growth
+        psi = inst.obstacle
+        G_dpsi = _G_obstacle_gradient(inst)
+        _, _, mag = grad_fields(sol.u)
+        G_du = sol.u.with_values(growth.G(mag.values))
+        radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(R / 2)]
+        for R in radii:
+            lam = ball_average(sol.u, center, R)
+            lhs = ball_average(G_du, center, R / 2)
+            rhs = ball_average(
+                sol.u.with_values(growth.G(np.abs(sol.u.values - lam) / R)), center, R
+            )
+            if psi is not None:
+                rhs += ball_average(
+                    psi.with_values(growth.G(np.abs(psi.values) / R) + G_dpsi), center, R
                 )
-                if psi is not None:
-                    rhs += ball_average(
-                        psi.with_values(growth.G(np.abs(psi.values) / R) + G_dpsi),
-                        center, R,
-                    )
-                # the cell's constant is the worst ratio over the radius
-                # ladder (at slack radii the bound is simply not sharp)
-                study.add(center, R, lhs, rhs, cell=(n, float(s)))
+            # the cell's constant is the worst ratio over the radius
+            # ladder (at slack radii the bound is simply not sharp)
+            study.add(center, R, lhs, rhs, cell=cell)
     return study.report("caccioppoli", extra=study.drift() is not None)
 
 
@@ -581,28 +565,26 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     center = _param(cfg, "center", (0.5, 0.5))
     R0 = _param(cfg, "radius", 0.36)
     study = RatioStudy()
-    for n in cfg.meshes():
-        for s in cfg.sweep_axis("scale"):
-            inst = build_instance(cfg, n, data_scale=float(s))
-            sol = primary_solution(cfg, cache, inst)
-            growth = inst.growth
-            # shift data so u >= 0; the homogeneous problem is invariant
-            shift = min(0.0, float(sol.u.values.min()))
-            _, _, mag = grad_fields(sol.u)
-            G_du = sol.u.with_values(growth.G(mag.values))
-            psi_term = None
-            if inst.obstacle is not None:
-                psi_shift = inst.obstacle.values - shift
-                psi_term = inst.obstacle.with_values(
-                    _G_obstacle_gradient(inst) + growth.G(np.abs(psi_shift))
-                )
-            radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(3 * R / 4)]
-            for R in radii:
-                lhs = ball_average(G_du, center, 3 * R / 4)
-                rhs = float(growth.G(ball_average(mag, center, R)))
-                if psi_term is not None:
-                    rhs += ball_average(psi_term, center, R)
-                study.add(center, R, lhs, rhs, cell=(n, float(s)))
+    for cell, inst in cells(cfg, "scale"):
+        sol = primary_solution(cfg, cache, inst)
+        growth = inst.growth
+        # shift data so u >= 0; the homogeneous problem is invariant
+        shift = min(0.0, float(sol.u.values.min()))
+        _, _, mag = grad_fields(sol.u)
+        G_du = sol.u.with_values(growth.G(mag.values))
+        psi_term = None
+        if inst.obstacle is not None:
+            psi_shift = inst.obstacle.values - shift
+            psi_term = inst.obstacle.with_values(
+                _G_obstacle_gradient(inst) + growth.G(np.abs(psi_shift))
+            )
+        radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(3 * R / 4)]
+        for R in radii:
+            lhs = ball_average(G_du, center, 3 * R / 4)
+            rhs = float(growth.G(ball_average(mag, center, R)))
+            if psi_term is not None:
+                rhs += ball_average(psi_term, center, R)
+            study.add(center, R, lhs, rhs, cell=cell)
     return study.report("reverse_holder", extra=study.drift() is not None)
 
 
@@ -612,8 +594,7 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     center = _param(cfg, "center", (0.5, 0.5))
     R = _param(cfg, "radius", 0.3)
     study = RatioStudy()
-    for n in cfg.meshes():
-        inst = build_instance(cfg, n)
+    for n, inst in cells(cfg):
         sol = primary_solution(cfg, cache, inst)
         growth = inst.growth
         fields = {
@@ -644,18 +625,16 @@ def _homogeneous_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, coefficient={}, obstacle={}, measure={}, boundary={"preset": "sin_affine"})
 
 
-def _homogeneous_fit(cfg, cache, n):
-    """Excess-decay fit of the homogeneous equation at the config's decay
-    ball: (inst, radii, beta_hat, prefactor, residual, excess values)."""
+def _homogeneous_fit(cfg, cache, inst: Instance):
+    """Excess-decay fit of ``inst``, an instance of ``_homogeneous_config(cfg)``,
+    at the config's decay ball: (radii, beta_hat, prefactor, residual,
+    excess values)."""
     center = _param(cfg, "decay_center", (0.38, 0.31))
     R = _param(cfg, "decay_radius", 0.28)
-    hcfg = _homogeneous_config(cfg)
-    inst = build_instance(hcfg, n)
     sol = cache.get((inst.key, "eq"), lambda: solve_equation(inst.problem(), inst.solver))
     gx, gy, _ = grad_fields(sol.u)
     radii = radius_ladder(max(6 * inst.grid.h, R / 8), R, 16)
-    beta_hat, pref, resid, exc = fit_excess_decay(gx, gy, center, radii)
-    return inst, radii, beta_hat, pref, resid, exc
+    return (radii, *fit_excess_decay(gx, gy, center, radii))
 
 
 def check_excess_decay_homogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -666,8 +645,8 @@ def check_excess_decay_homogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     study = RatioStudy()
     summary: dict = {}
     passed = True
-    for n in cfg.meshes():
-        inst, radii, beta_hat, pref, resid, exc = _homogeneous_fit(cfg, cache, n)
+    for n, inst in cells(_homogeneous_config(cfg)):
+        radii, beta_hat, pref, resid, exc = _homogeneous_fit(cfg, cache, inst)
         if exc[-1] <= 10 * inst.solver.tol:
             study.rows.append(CheckRow(center, R, exc[-1], 0.0, None, "trivial-skip"))
             continue
@@ -690,11 +669,10 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
     R = _param(cfg, "errors_radius", 0.2)
     study = RatioStudy()
     notes: list[str] = []
-    for n in cfg.meshes():
-        inst = build_instance(cfg, n)
+    for (n, inst), (_, hinst) in zip(cells(cfg), cells(_homogeneous_config(cfg))):
         sol = primary_solution(cfg, cache, inst)
         ctx = primary_context(cfg, cache, inst, 2 * R)
-        beta_hat = _homogeneous_fit(cfg, cache, n)[2]
+        beta_hat = _homogeneous_fit(cfg, cache, hinst)[1]
         chain = cache.get(
             (inst.key, "chain", (center, R)),
             lambda: comparison_chain(inst.problem(rhs=None), (center, R),
@@ -748,18 +726,14 @@ def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
     return out
 
 
-def _estimate_alphas(cfg, cache, ig) -> list[float]:
-    axis = cfg.sweep_axis("alpha")
-    if axis:
-        return [float(a) for a in axis]
-    beta_hat = _homogeneous_fit(cfg, cache, min(cfg.meshes()))[2]
-    alpha_hat = min(0.5 * beta_hat, 0.4, 0.9 / ig)
-    return [0.0, alpha_hat / 2, alpha_hat]
-
-
-def _estimate_points(cfg, inst: Instance, rng, R):
-    """Seeded points 2R plus the floor of ``inst`` (the coarsest mesh's
-    instance) away from the boundary, clear of every atom."""
+def _estimate_setup(cfg, cache, rng):
+    """The estimate checks' cells, radius R, seeded points and alphas.  The
+    points keep 2R plus the coarsest cell's floor from the boundary and
+    clear every atom; without an alpha axis the alphas follow the
+    homogeneous excess-decay exponent on the coarsest mesh."""
+    cell_list = list(cells(cfg))
+    R = _param(cfg, "estimate_radius", 0.15)
+    inst = min((inst for _, inst in cell_list), key=lambda i: i.grid.n)
     r_min = inst.grid.r_min
     margin = 2 * R + r_min + 1e-6
     if margin > 1.0 - margin:
@@ -768,23 +742,25 @@ def _estimate_points(cfg, inst: Instance, rng, R):
             f"[{margin:.4g}, {1.0 - margin:.4g}] keeping 2R + 2h from the boundary is empty"
         )
     atoms = inst.measure.atoms if inst.measure is not None else ()
-    count = _param(cfg, "points", 25)
-    return sample_points(rng, count, margin, 1.0 - margin, atoms,
-                         min_sep=max(0.05, r_min))
+    points = sample_points(rng, _param(cfg, "points", 25), margin, 1.0 - margin, atoms,
+                           min_sep=max(0.05, r_min))
+    alphas = [float(a) for a in cfg.sweep_axis("alpha")]
+    if not alphas:
+        hinst = build_instance(_homogeneous_config(cfg), inst.grid.n)
+        alpha_hat = min(0.5 * _homogeneous_fit(cfg, cache, hinst)[1], 0.4, 0.9 / inst.growth.ig)
+        alphas = [0.0, alpha_hat / 2, alpha_hat]
+    return cell_list, R, points, alphas
 
 
 def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Maximal-function estimates: the sharp/fractional maximal sums of u
     and Du against the Wolff + Dini assemblies, swept over meshes and the
     admissible alpha range."""
-    R = _param(cfg, "estimate_radius", 0.15)
-    first = build_instance(cfg, min(cfg.meshes()))
-    points = _estimate_points(cfg, first, rng, R)
-    alphas = _estimate_alphas(cfg, cache, first.growth.ig)
+    cell_list, R, points, alphas = _estimate_setup(cfg, cache, rng)
     study = RatioStudy()
     alpha0_gap = 0.0
-    for n in cfg.meshes():
-        ctx = primary_context(cfg, cache, build_instance(cfg, n), 2 * R)
+    for n, inst in cell_list:
+        ctx = primary_context(cfg, cache, inst, 2 * R)
         for alpha in alphas:
             for x in points:
                 lhs1 = (
@@ -827,16 +803,13 @@ def _direct_beta0(ctx: EstimateContext, x, R: float) -> float:
 def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Pointwise gradient bound |Du(x0)| <= RHS and the oscillation bound
     |Du(x) - Du(y)| <= RHS at seeded points and symmetric pairs."""
-    R = _param(cfg, "estimate_radius", 0.15)
-    first = build_instance(cfg, min(cfg.meshes()))
-    points = _estimate_points(cfg, first, rng, R)
+    cell_list, R, points, alphas = _estimate_setup(cfg, cache, rng)
     angles = rng.uniform(0.0, 2 * np.pi, size=len(points))
-    alphas = _estimate_alphas(cfg, cache, first.growth.ig)
     alpha = max(alphas)
     study = RatioStudy()
     swap_gap = 0.0
-    for n in cfg.meshes():
-        ctx = primary_context(cfg, cache, build_instance(cfg, n), 2 * R)
+    for n, inst in cell_list:
+        ctx = primary_context(cfg, cache, inst, 2 * R)
         for x0, ang in zip(points, angles):
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))
             study.add(x0, R, lhs, maximal_sum_rhs(ctx, x0, R, 1.0), cell=n)

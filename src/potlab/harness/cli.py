@@ -2,11 +2,11 @@
 
 Subcommands: ``solve`` (the solution that ``verify`` checks, raster +
 diagnostics), ``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
-the config's check list over every cell of its ``[sweep]`` axes, one report
-set gated on the drift across those cells).  ``solve`` and ``potential``
-realize the config on its finest ``[sweep] n`` mesh, so ``solve`` writes a
-solution that ``verify`` checks.  Each subcommand takes only the flags it
-reads.
+the config's check list, each check over the ``[sweep]`` cells it crosses
+through ``config.cells``, one report set gated on the drift across those
+cells).  ``solve`` and ``potential`` realize the config on its finest
+``[sweep] n`` mesh, so ``solve`` writes a solution that ``verify`` checks.
+Each subcommand takes only the flags it reads.
 Exit codes: 0 all checks pass, 1 check failure or bad data, 2 usage error.
 """
 

@@ -7,16 +7,17 @@ A config file holds the problem sections [growth], [coefficient],
 section into its object: the section's preset (``kind`` for [growth])
 picks a builder from the section's table, and each other key binds a
 keyword parameter of that builder, typed against the parameter's
-default.  [sweep] lists values of the axes the checks cross
-(``SWEEP_AXES``), its n the meshes of the unit square.
-``build_instance`` realizes the config at one mesh with optional data
-scalings, producing the immutable bundle the checks and the CLI consume.
+default.  [sweep] lists values of the ``SWEEP_AXES``, its n the meshes of
+the unit square.  ``build_instance`` realizes the config at one mesh with
+optional data scalings, producing the immutable bundle the checks and the
+CLI consume; ``cells`` realizes it in every cell a check crosses.
 """
 
 from __future__ import annotations
 
 import configparser
 import inspect
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,10 +40,12 @@ __all__ = [
     "load_config",
     "typed_value",
     "build_instance",
+    "cells",
 ]
 
-# the axes the checks cross (``sweep_axis``); a setting such as the solver's
-# epsilon has one value per run and lives in [solver]
+# the [sweep] axes: ``cells`` crosses n, scale and amplitude; alpha is the
+# estimate checks' exponent loop and level caps the mollification level.  A
+# setting such as the solver's epsilon has one value per run, in [solver]
 SWEEP_AXES = ("n", "scale", "level", "amplitude", "alpha")
 # the [checks] keys besides ``run``: the parameters the checks read, each
 # through ``checks._param``, which refuses any other
@@ -86,13 +89,6 @@ class ExperimentConfig:
 
     def meshes(self) -> list[int]:
         return self.sweep_axis("n")
-
-    def amplitudes(self) -> list:
-        """The swept coefficient amplitudes; ``[None]`` for a preset that
-        takes none."""
-        if self.coefficient.get("preset") in _AMPLITUDE_PRESETS:
-            return self.sweep_axis("amplitude")
-        return [None]
 
 
 def typed_value(section: str, key: str, raw, default):
@@ -289,19 +285,23 @@ def _measure(grid, scale, atoms="", density=None) -> MeasureData | None:
                             f"got {chunk.strip()!r}") from None
         points.append((x, y, m * scale))
     if density is not None:
-        density = _on_grid(read_raster(density) if isinstance(density, Path)
+        density = _on_grid("measure", read_raster(density) if isinstance(density, Path)
                            else GridFunction.constant(grid, density), grid, scale)
     if not points and density is None:
         return None
     return MeasureData(points, density)
 
 
-def _on_grid(made, grid: Grid2D, scale: float) -> GridFunction | None:
+def _on_grid(section: str, made, grid: Grid2D, scale: float) -> GridFunction | None:
     """A preset's function of the node coordinates, or a raster, on the mesh
-    times ``scale``; no obstacle (None) stays None."""
+    times ``scale``; no obstacle (None) stays None.  A raster is not
+    resampled: one on another mesh is a ``DataError``."""
     if made is None:
         return None
     gf = made if isinstance(made, GridFunction) else GridFunction.from_callable(grid, made)
+    if gf.grid != grid:
+        raise DataError(f"[{section}] raster is on the n = {gf.grid.n} mesh, not the "
+                        f"cell's n = {grid.n}; a raster is not resampled")
     return gf.with_values(gf.values * scale)
 
 
@@ -363,10 +363,11 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
     vf = VectorField(growth, build_coefficient(cfg, coef))
     measure = _realize(cfg, "measure", {None: _measure}, cfg.measure, None, key=None,
                        grid=grid, scale=data_scale * rhs_scale)
-    obstacle = _on_grid(_realize(cfg, "obstacle", OBSTACLE_PRESETS, cfg.obstacle, "none"),
+    obstacle = _on_grid("obstacle", _realize(cfg, "obstacle", OBSTACLE_PRESETS, cfg.obstacle,
+                                             "none"), grid, data_scale)
+    boundary = _on_grid("boundary", _realize(cfg, "boundary", BOUNDARY_PRESETS, cfg.boundary,
+                                             "zero", growth=growth, measure=measure),
                         grid, data_scale)
-    boundary = _on_grid(_realize(cfg, "boundary", BOUNDARY_PRESETS, cfg.boundary, "zero",
-                                 growth=growth, measure=measure), grid, data_scale)
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
     key = (grid.n, float(data_scale), float(rhs_scale),
            *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver)
@@ -381,3 +382,19 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
         solver=cfg.solver,
         key=key,
     )
+
+
+def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
+    """``(cell, inst)`` for every cell of the [sweep] meshes crossed with
+    ``axes`` ("scale", "amplitude"), meshes outermost and then the axes in
+    the order given; a cell is ``n`` alone or ``(n, *values)``.  ``scale``
+    names the ``build_instance`` keyword the scale axis drives; amplitude
+    is swept only on the ``_AMPLITUDE_PRESETS`` and is ``None`` otherwise."""
+    values = {"scale": [float(s) for s in cfg.sweep_axis("scale")],
+              "amplitude": (cfg.sweep_axis("amplitude")
+                            if cfg.coefficient.get("preset") in _AMPLITUDE_PRESETS else [None])}
+    keyword = {"scale": scale, "amplitude": "amplitude"}
+    for n in cfg.sweep_axis("n"):
+        for combo in itertools.product(*(values[a] for a in axes)):
+            inst = build_instance(cfg, n, **{keyword[a]: v for a, v in zip(axes, combo)})
+            yield ((n, *combo) if axes else n), inst

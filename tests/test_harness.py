@@ -33,6 +33,7 @@ from potlab.harness.config import (
     OBSTACLE_PRESETS,
     ExperimentConfig,
     build_instance,
+    cells,
     load_config,
 )
 from potlab.orlicz import GROWTH_KINDS, PowerGrowth, RegularizedPowerGrowth
@@ -613,6 +614,50 @@ def test_raster_data_scales_with_the_data(tiny_config, tmp_path):
     assert np.array_equal(inst.boundary.values, 4.0 * read_raster(raster).values)
 
 
+@pytest.mark.parametrize("section, old, new, sign", [
+    # the obstacle stays below the zero trace, a density is nonnegative
+    ("obstacle", "preset = none", "preset = file\npath = raster.txt", -1.0),
+    # without a source nothing else ties the solve to the cell's mesh
+    ("boundary", "density = 1.0\n\n[boundary]\npreset = zero",
+     "\n[boundary]\npreset = file\npath = raster.txt", 1.0),
+    ("measure", "density = 1.0", "density = raster.txt", 1.0),
+], ids=["obstacle", "boundary", "density"])
+def test_raster_off_the_cells_mesh_is_refused(tmp_path, capsys, section, old, new, sign):
+    # a raster is not resampled: a cell on another mesh is a data error
+    # naming the section and both meshes, not a solve on the raster's mesh
+    write_raster(tmp_path / "raster.txt",
+                 GridFunction.from_callable(Grid2D(64), lambda X, Y: sign * (0.1 + X * Y)))
+    text = (CONFIGS / "poisson.ini").read_text().replace(old, new).replace(
+        "run = comparison_inhomogeneous", "run = sobolev_median")
+    path = tmp_path / "raster.ini"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"[{section}] raster is on the n = 64 mesh, not the cell's n = 128" in err[0]
+    path.write_text(text.replace("n = 64, 128", "n = 64"))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cells_cross_the_meshes_outermost():
+    cfg = ExperimentConfig(sweep={"n": [32, 16], "scale": [1, 4], "amplitude": [0.2, 0.4]})
+    assert [cell for cell, _ in cells(cfg)] == [32, 16]
+    assert [cell for cell, _ in cells(cfg, "scale")] == [(32, 1.0), (32, 4.0),
+                                                         (16, 1.0), (16, 4.0)]
+    for cell, inst in cells(cfg, "scale", "amplitude"):
+        assert len(cell) == 3 and inst.grid.n == cell[0]
+    # scale drives the named build_instance keyword: key = (n, data_scale, rhs_scale, ...)
+    assert [inst.key[1:3] for _, inst in cells(cfg, "scale")] == [(1.0, 1.0), (4.0, 1.0)] * 2
+    assert [inst.key[1:3] for _, inst in cells(cfg, "scale", scale="rhs_scale")] == [
+        (1.0, 1.0), (1.0, 4.0)] * 2
+    # only an oscillating preset has an amplitude to sweep
+    assert [cell for cell, _ in cells(cfg, "amplitude")] == [(32, None), (16, None)]
+    cfg.coefficient = {"preset": "jump"}
+    swept = list(cells(cfg, "amplitude"))
+    assert [cell for cell, _ in swept] == [(32, 0.2), (32, 0.4), (16, 0.2), (16, 0.4)]
+    assert [dict(inst.key[4])["amplitude"] for _, inst in swept] == [0.2, 0.4] * 2
+
+
 def test_every_preset_builds_from_its_required_keys(tmp_path):
     # every entry of every table realizes on the smallest mesh, given only
     # the keys it cannot default
@@ -719,10 +764,11 @@ def test_cli_solve_bad_parameter_exits_one(tmp_path, capsys, old, new, message):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
 def test_shipped_config_loads_and_builds(path):
     # the benchmark loads shipped configs in its set-up: each stays inside
-    # the closed vocabulary and realizes on its coarsest mesh
+    # the closed vocabulary and realizes in every cell the checks cross
     cfg = load_config(path)
     assert cfg.checks
-    build_instance(cfg, min(cfg.meshes()))
+    for cell, inst in cells(cfg, "scale", "amplitude"):
+        assert inst.grid.n == inst.boundary.grid.n == cell[0]
 
 
 def test_frozen_check_crosses_amplitudes_of_oscillating_presets(tmp_path):
