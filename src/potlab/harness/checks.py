@@ -37,12 +37,9 @@ from ..field import OscillationModulus, dini_integral
 from ..grid import GridFunction, ball_average, ball_mass, disk_mask, gradient, median
 from ..potentials import (
     ObstacleDensity,
+    PointLadder,
     WolffParams,
-    frac_maximal,
-    obstacle_maximal,
     radius_ladder,
-    sharp_maximal,
-    sharp_maximal_vector,
     vector_excess,
     wolff,
     wolff_psi,
@@ -175,7 +172,7 @@ class RatioStudy:
         """The check's report: the gate and-ed with ``extra``; ``summary``
         entries extend or override the study's summary."""
         return CheckReport(name, self.rows, {**self.summary(), **summary},
-                           self.passed() and extra, list(notes or []))
+                           bool(self.passed() and extra), list(notes or []))
 
 
 class SolveCache:
@@ -344,33 +341,46 @@ def _wolff_pair(ctx: EstimateContext, x, beta: float, p: float, R: float):
     return wmu, wps
 
 
-def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float:
+def point_ladder(ctx: EstimateContext, x, R: float) -> PointLadder:
+    """x's ``PointLadder`` up to R for u, Du, the obstacle kernel and the measure."""
+    return PointLadder.gather(ctx.u, (ctx.du_x, ctx.du_y), ctx.du_mag, x, R,
+                              od=ctx.od, measure=ctx.inst.measure)
+
+
+def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, *,
+                    ladder: PointLadder | None = None) -> float:
     """Bound for M^#_alpha(u) + M_{1-alpha}(Du).  At alpha = 1 it is the
     pointwise bound for |Du(x)|: avg_{B_R}|Du| + the Wolff pair at
-    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral."""
+    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral.
+    A ``ladder`` of x up to R supplies avg_{B_R}|Du| (its top ball)."""
     ig = ctx.inst.growth.ig
-    term1 = R ** (1.0 - alpha) * ball_average(ctx.du_mag, x, R)
+    avg = float(ladder.du_mean[-1]) if ladder is not None else ball_average(ctx.du_mag, x, R)
+    term1 = R ** (1.0 - alpha) * avg
     beta = 1.0 - alpha + alpha / (ig + 1.0)
     wmu, wps = _wolff_pair(ctx, x, beta, ig + 1.0, 2.0 * R)
     dini = _dini_term(ctx, x, 2.0 * R, alpha - 1.0)
     return term1 + wmu + wps + dini
 
 
-def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float:
+def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float, *,
+                       ladder: PointLadder | None = None) -> float:
     """Bound for M^#_alpha(Du): maximal terms to the power 1/ig, the Wolff
-    pair at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral."""
+    pair at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral.
+    avg_{B_R}|Du| and the maximal terms are read from x's ladder up to R,
+    gathered here unless given."""
     ig = ctx.inst.growth.ig
-    term1 = R ** (-alpha) * ball_average(ctx.du_mag, x, R)
+    if ladder is None:
+        ladder = point_ladder(ctx, x, R)
+    term1 = R ** (-alpha) * float(ladder.du_mean[-1])
     beta_m = 1.0 - alpha * ig
     if beta_m < 0:
         raise DataError("alpha too large for the maximal term (needs alpha <= 1/ig)")
     mmu = 0.0
     if ctx.inst.measure is not None:
-        mmu = _g_inverse(ctx.inst, frac_maximal(ctx.inst.measure, x, beta_m, R,
-                                                r_min=ctx.inst.grid.r_min))
+        mmu = _g_inverse(ctx.inst, ladder.measure_maximal(beta_m))
     mps = 0.0
     if ctx.od is not None:
-        mps = _g_inverse(ctx.inst, obstacle_maximal(ctx.od, x, beta_m, R))
+        mps = _g_inverse(ctx.inst, ladder.obstacle_maximal(beta_m))
     wmu, wps = _wolff_pair(ctx, x, 1.0 / (ig + 1.0), ig + 1.0, 2.0 * R)
     dini = _dini_term(ctx, x, 2.0 * R, alpha)
     return term1 + mmu + mps + wmu + wps + dini
@@ -458,11 +468,11 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     center = _param(cfg, "center", (0.5, 0.5))
     R = _param(cfg, "radius", 0.25)
     study = RatioStudy()
-    notes: list[str] = []
+    skipped = False
     for cell, inst in cells(cfg, "scale", scale="rhs_scale"):
         if inst.measure is None:
             study.add(center, R, 0.0, 0.0)
-            notes.append("no right-hand data; check skipped")
+            skipped = True
             continue
         # atoms make the primary solution a mollification limit, whose
         # bound is the measure form
@@ -482,7 +492,8 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
             lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
             study.add(off, r_off, lhs_off, measure_error_term(inst, off, r_off),
                       exact_tol=10 * inst.solver.tol)
-    return study.report("comparison_inhomogeneous", notes=notes)
+    return study.report("comparison_inhomogeneous",
+                        notes=["no right-hand data; check skipped"] if skipped else [])
 
 
 def _homogeneous_ball(cache: SolveCache, inst: Instance, sol: Solution, ball) -> Solution:
@@ -761,16 +772,14 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
     alpha0_gap = 0.0
     for n, inst in cell_list:
         ctx = primary_context(cfg, cache, inst, 2 * R)
+        ladders = [point_ladder(ctx, x, R) for x in points]
         for alpha in alphas:
-            for x in points:
-                lhs1 = (
-                    sharp_maximal(ctx.u, x, alpha, R)
-                    + frac_maximal(ctx.du_mag, x, 1.0 - alpha, R)
-                )
-                rhs1 = maximal_sum_rhs(ctx, x, R, alpha)
+            for x, ladder in zip(points, ladders):
+                lhs1 = ladder.sharp_maximal(alpha) + ladder.frac_maximal(1.0 - alpha)
+                rhs1 = maximal_sum_rhs(ctx, x, R, alpha, ladder=ladder)
                 study.add(x, R, lhs1, rhs1, cell=(n, alpha), family="maximal_sum")
-                lhs2 = sharp_maximal_vector((ctx.du_x, ctx.du_y), x, alpha, R)
-                rhs2 = sharp_gradient_rhs(ctx, x, R, alpha)
+                lhs2 = ladder.sharp_maximal_vector(alpha)
+                rhs2 = sharp_gradient_rhs(ctx, x, R, alpha, ladder=ladder)
                 study.add(x, R, lhs2, rhs2, cell=(n, alpha), family="sharp_gradient",
                           tag="sharp-gradient")
                 if alpha == 0.0:

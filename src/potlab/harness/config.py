@@ -389,10 +389,14 @@ def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
     ``axes`` ("scale", "amplitude"), meshes outermost and then the axes in
     the order given; a cell is ``n`` alone or ``(n, *values)``.  ``scale``
     names the ``build_instance`` keyword the scale axis drives; amplitude
-    is swept only on the ``_AMPLITUDE_PRESETS`` and is ``None`` otherwise."""
-    values = {"scale": [float(s) for s in cfg.sweep_axis("scale")],
-              "amplitude": (cfg.sweep_axis("amplitude")
-                            if cfg.coefficient.get("preset") in _AMPLITUDE_PRESETS else [None])}
+    is swept only on the ``_AMPLITUDE_PRESETS`` and is ``None`` otherwise,
+    and without ``[sweep] amplitude`` the section's own amplitude, when it
+    sets one, is the axis's one value."""
+    amplitudes = [None]
+    if cfg.coefficient.get("preset") in _AMPLITUDE_PRESETS:
+        own = "amplitude" in cfg.coefficient and "amplitude" not in cfg.sweep
+        amplitudes = [cfg.coefficient["amplitude"]] if own else cfg.sweep_axis("amplitude")
+    values = {"scale": [float(s) for s in cfg.sweep_axis("scale")], "amplitude": amplitudes}
     keyword = {"scale": scale, "amplitude": "amplitude"}
     for n in cfg.sweep_axis("n"):
         for combo in itertools.product(*(values[a] for a in axes)):

@@ -5,7 +5,11 @@ decade) truncated at an inner cutoff r_min (default 2h): the continuum
 limit rho -> 0 is not resolvable on a grid, and keeping the same
 truncation on both sides of every inequality preserves ratio-based
 verification.  The maximal operators read each ball's node values with
-one gather per radius (the snapped-centre rule of ``ball_nodes``).  The Wolff
+the snapped-centre rule of ``ball_nodes``.  A ``PointLadder`` makes one
+gather per (point, radius) and every per-ball statistic (the oscillation
+of u, the mean of |Du|, the vector excess of Du, the mean of the obstacle
+kernel) reads it, so each exponent costs only a sup over the stored
+ladder.  The Wolff
 quadrature takes a point's masses for the whole ladder in one batched
 call, and inserts breakpoints at the exact atom distances so the mass
 jumps of Dirac measures do not contaminate the log-trapezoid rule.  The
@@ -46,6 +50,7 @@ __all__ = [
     "sharp_maximal_vector",
     "vector_excess",
     "obstacle_maximal",
+    "PointLadder",
     "radius_ladder",
     "radial_potential_profile",
     "write_potential_csv",
@@ -164,43 +169,70 @@ def _ladder_for(R: float, r_min: float | None, grid) -> np.ndarray:
     return radius_ladder(r_min, R)
 
 
+def _check_exponent(name: str, value: float) -> None:
+    if not (0.0 <= value <= N_DIM):
+        raise DataError(f"{name} must lie in [0, n]")
+
+
+# The per-ball statistics and the ladder sups below are the one formula of
+# each maximal operator: the single-point operators and ``PointLadder``
+# both call them, with scalar powers of the np.float64 radii in ladder
+# order, so the two give bitwise equal values.
+
+def _oscillation(vals: np.ndarray):
+    """Mean oscillation of a ball's node values about their mean."""
+    return np.abs(vals - vals.mean()).mean()
+
+
+def _abs_mean(vals: np.ndarray):
+    """Mean of |f| over a ball's node values."""
+    return np.abs(vals).mean()
+
+
+def _vector_oscillation(vx: np.ndarray, vy: np.ndarray) -> float:
+    """Mean euclidean distance of a ball's vectors to their componentwise means."""
+    return float(np.hypot(vx - vx.mean(), vy - vy.mean()).mean())
+
+
+def _sup(radii, power: float, stats) -> float:
+    """sup over the ladder of rho^power times a per-ball statistic."""
+    return float(max(rho**power * s for rho, s in zip(radii, stats)))
+
+
+def _mass_sup(radii, power: float, masses) -> float:
+    """sup over the ladder of rho^power times mass / |B_rho|."""
+    return float(max(rho**power * m / (np.pi * rho**2) for rho, m in zip(radii, masses)))
+
+
 def frac_maximal(obj, x, beta: float, R: float, *, r_min: float | None = None) -> float:
     """Restricted fractional maximal function: sup over the ladder of
     rho^beta times the ball average of |f| (functions) or mass/|B_rho|
     (measures)."""
-    if not (0.0 <= beta <= N_DIM):
-        raise DataError("beta must lie in [0, n]")
+    _check_exponent("beta", beta)
     if isinstance(obj, MeasureData):
         grid = obj.density.grid if obj.density is not None else None
         radii = _ladder_for(R, r_min, grid)
-        masses = ball_masses(obj, x, radii)
-        vals = [rho**beta * m / (np.pi * rho**2) for rho, m in zip(radii, masses)]
-        return float(max(vals))
+        return _mass_sup(radii, beta, ball_masses(obj, x, radii))
     f: GridFunction = obj
     radii = _ladder_for(R, r_min, f.grid)
-    vals = [rho**beta * np.abs(f.values[ball_nodes(f.grid, x, rho)]).mean() for rho in radii]
-    return float(max(vals))
+    return _sup(radii, beta, [_abs_mean(f.values[ball_nodes(f.grid, x, rho)]) for rho in radii])
 
 
 def sharp_maximal(f: GridFunction, x, alpha: float, R: float, *,
                   r_min: float | None = None) -> float:
     """Restricted sharp maximal function: sup of rho^(-alpha) times the
     mean oscillation of f over B_rho(x)."""
-    if not (0.0 <= alpha <= N_DIM):
-        raise DataError("alpha must lie in [0, n]")
-    best = 0.0
-    for rho in _ladder_for(R, r_min, f.grid):
-        vals = f.values[ball_nodes(f.grid, x, rho)]
-        best = max(best, rho ** (-alpha) * np.abs(vals - vals.mean()).mean())
-    return float(best)
+    _check_exponent("alpha", alpha)
+    radii = _ladder_for(R, r_min, f.grid)
+    return _sup(radii, -alpha,
+                [_oscillation(f.values[ball_nodes(f.grid, x, rho)]) for rho in radii])
 
 
 def vector_excess(fx: GridFunction, fy: GridFunction, center, radius: float) -> float:
     """Mean oscillation of a vector field over a ball: the mean euclidean
     distance to the componentwise ball means."""
     ii, jj = ball_nodes(fx.grid, center, radius)
-    vx, vy = fx.values[ii, jj], fy.values[ii, jj]
-    return float(np.hypot(vx - vx.mean(), vy - vy.mean()).mean())
+    return _vector_oscillation(fx.values[ii, jj], fy.values[ii, jj])
 
 
 def sharp_maximal_vector(components, x, alpha: float, R: float, *,
@@ -208,10 +240,9 @@ def sharp_maximal_vector(components, x, alpha: float, R: float, *,
     """Sharp maximal function of a vector field (oscillation by
     ``vector_excess``)."""
     fx, fy = components
-    if not (0.0 <= alpha <= N_DIM):
-        raise DataError("alpha must lie in [0, n]")
+    _check_exponent("alpha", alpha)
     radii = _ladder_for(R, r_min, fx.grid)
-    return float(max(rho ** (-alpha) * vector_excess(fx, fy, x, rho) for rho in radii))
+    return _sup(radii, -alpha, [vector_excess(fx, fy, x, rho) for rho in radii])
 
 
 def obstacle_maximal(od: ObstacleDensity, x, beta: float, R: float, *,
@@ -219,6 +250,80 @@ def obstacle_maximal(od: ObstacleDensity, x, beta: float, R: float, *,
     """sup of rho^beta times the ball average of the obstacle kernel (which
     is >= 1, so this is its fractional maximal function)."""
     return frac_maximal(od.kernel, x, beta, R, r_min=r_min)
+
+
+@dataclass(frozen=True)
+class PointLadder:
+    """Every per-ball statistic the maximal operators read at one point x,
+    for each radius of ``radius_ladder(grid.r_min, R)``.
+
+    Each ball B_rho(x) is gathered once (``ball_nodes``) and every field
+    statistic reads the same nodes; the measure's masses come from one
+    ``ball_masses`` call.  The statistics do not depend on the exponent, so
+    each maximal operator at each exponent is only a sup over the stored
+    ladder, bitwise equal to the single-point operator of the same name.
+    The top ball is B_R(x) itself, so ``du_mean[-1]`` is avg_{B_R}|Du|.
+    """
+
+    radii: np.ndarray
+    u_oscillation: np.ndarray  # mean oscillation of u
+    du_mean: np.ndarray  # mean of |Du|
+    du_excess: np.ndarray  # vector_excess of (Du_x, Du_y)
+    kernel_mean: np.ndarray | None  # mean of the obstacle kernel
+    masses: np.ndarray | None  # |mu| of the closed ball
+
+    @classmethod
+    def gather(cls, u: GridFunction, du, du_mag: GridFunction, x, R: float, *,
+               od: ObstacleDensity | None = None,
+               measure: MeasureData | None = None) -> "PointLadder":
+        """The ladder of x for u, its gradient ``du = (Du_x, Du_y)`` and
+        ``du_mag = |Du|``, plus the obstacle kernel and the measure when given."""
+        grid = u.grid
+        radii = _ladder_for(R, None, grid)
+        du_x, du_y = (c.values for c in du)
+        stats = []
+        for rho in radii:
+            ii, jj = ball_nodes(grid, x, rho)
+            stats.append((
+                _oscillation(u.values[ii, jj]),
+                _abs_mean(du_mag.values[ii, jj]),
+                _vector_oscillation(du_x[ii, jj], du_y[ii, jj]),
+                _abs_mean(od.kernel.values[ii, jj]) if od is not None else 0.0,
+            ))
+        osc, mean, excess, kernel = (np.array(col) for col in zip(*stats))
+        return cls(
+            radii=radii,
+            u_oscillation=osc,
+            du_mean=mean,
+            du_excess=excess,
+            kernel_mean=kernel if od is not None else None,
+            masses=ball_masses(measure, x, radii) if measure is not None else None,
+        )
+
+    def sharp_maximal(self, alpha: float) -> float:
+        """``sharp_maximal(u, x, alpha, R)``."""
+        _check_exponent("alpha", alpha)
+        return _sup(self.radii, -alpha, self.u_oscillation)
+
+    def frac_maximal(self, beta: float) -> float:
+        """``frac_maximal(|Du|, x, beta, R)``."""
+        _check_exponent("beta", beta)
+        return _sup(self.radii, beta, self.du_mean)
+
+    def sharp_maximal_vector(self, alpha: float) -> float:
+        """``sharp_maximal_vector((Du_x, Du_y), x, alpha, R)``."""
+        _check_exponent("alpha", alpha)
+        return _sup(self.radii, -alpha, self.du_excess)
+
+    def obstacle_maximal(self, beta: float) -> float:
+        """``obstacle_maximal(od, x, beta, R)``."""
+        _check_exponent("beta", beta)
+        return _sup(self.radii, beta, self.kernel_mean)
+
+    def measure_maximal(self, beta: float) -> float:
+        """``frac_maximal(mu, x, beta, R, r_min=grid.r_min)``."""
+        _check_exponent("beta", beta)
+        return _mass_sup(self.radii, beta, self.masses)
 
 
 def radial_potential_profile(growth: GrowthFunction, mass: float, r, *,

@@ -11,7 +11,7 @@ import pytest
 
 from potlab.errors import DataError
 from potlab.field import COEFFICIENT_PRESETS
-from potlab.grid import Grid2D, GridFunction, read_raster, write_raster
+from potlab.grid import Grid2D, GridFunction, ball_average, read_raster, write_raster
 from potlab.harness import checks
 from potlab.harness.checks import (
     CHECKS,
@@ -37,7 +37,13 @@ from potlab.harness.config import (
     load_config,
 )
 from potlab.orlicz import GROWTH_KINDS, PowerGrowth, RegularizedPowerGrowth
-from potlab.potentials import radial_potential_profile
+from potlab.potentials import (
+    frac_maximal,
+    obstacle_maximal,
+    radial_potential_profile,
+    sharp_maximal,
+    sharp_maximal_vector,
+)
 from potlab.solver import solve_op_sequence
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -379,6 +385,96 @@ def test_check_fails_on_wrong_wolff_terms(dirac_two_meshes, monkeypatch, check, 
     assert CHECKS[check](cfg, cache, np.random.default_rng([5, 0])).passed is False
 
 
+LADDER_POINTS = ((0.5, 0.53), (0.47, 0.49), (0.3, 0.35), (0.68, 0.62))
+
+
+def _assert_ladder_equals_operators(ctx, x, R, alphas):
+    # every sup of a point's ladder is bitwise the single-point operator
+    ladder = checks.point_ladder(ctx, x, R)
+    r_min = ctx.inst.grid.r_min
+    assert float(ladder.du_mean[-1]) == ball_average(ctx.du_mag, x, R)
+    for alpha in alphas:
+        beta = 1.0 - alpha
+        assert ladder.sharp_maximal(alpha) == sharp_maximal(ctx.u, x, alpha, R)
+        assert ladder.frac_maximal(beta) == frac_maximal(ctx.du_mag, x, beta, R)
+        assert ladder.sharp_maximal_vector(alpha) == sharp_maximal_vector(
+            (ctx.du_x, ctx.du_y), x, alpha, R)
+        assert ladder.obstacle_maximal(beta) == obstacle_maximal(ctx.od, x, beta, R)
+        assert ladder.measure_maximal(beta) == frac_maximal(
+            ctx.inst.measure, x, beta, R, r_min=r_min)
+        assert maximal_sum_rhs(ctx, x, R, alpha, ladder=ladder) == maximal_sum_rhs(
+            ctx, x, R, alpha)
+        assert sharp_gradient_rhs(ctx, x, R, alpha, ladder=ladder) == sharp_gradient_rhs(
+            ctx, x, R, alpha)
+
+
+@pytest.mark.parametrize("measure, boundary", [("atoms = 0.5 0.5 1.0", "fundamental"),
+                                               ("density = 1.0", "zero")])
+def test_point_ladder_equals_the_maximal_operators(tmp_path, measure, boundary):
+    # the test DIRAC instance (atom and obstacle) and its density twin at
+    # n = 64; the first two points sit next to the atom
+    path = tmp_path / "ladder.ini"
+    path.write_text(DIRAC.replace("atoms = 0.5 0.5 1.0", measure)
+                    .replace("preset = fundamental", f"preset = {boundary}")
+                    .replace("[sweep]\nn = 48", "[sweep]\nn = 64"))
+    cfg = load_config(path)
+    inst = build_instance(cfg, 64)
+    ctx = checks.primary_context(cfg, SolveCache(), inst, 0.3)
+    assert ctx.od is not None and (ctx.inst.measure.density is not None) == (measure[0] == "d")
+    for x in LADDER_POINTS:
+        _assert_ladder_equals_operators(ctx, x, 0.15, (0.0, 0.2, 0.5, 1.0))
+
+
+def test_maximal_estimates_fails_on_a_wrong_ladder(dirac_two_meshes, monkeypatch):
+    # a ladder statistic off by 1% moves the alpha = 0 sum away from the
+    # independent _direct_beta0; the consistency gap must catch it
+    cfg, cache = dirac_two_meshes
+    honest = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
+    assert honest.passed and honest.summary["alpha0_consistency_gap"] <= 1e-12
+    import dataclasses
+    gather = checks.point_ladder
+
+    def wrong(ctx, x, R):
+        ladder = gather(ctx, x, R)
+        return dataclasses.replace(ladder, u_oscillation=ladder.u_oscillation * 1.01)
+
+    monkeypatch.setattr(checks, "point_ladder", wrong)
+    rep = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
+    assert rep.passed is False
+    assert rep.summary["alpha0_consistency_gap"] > 1e-4
+    assert max(rep.summary["drift_maximal_sum"], rep.summary["drift_sharp_gradient"]) < 3
+
+
+def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch):
+    # the ball gathers of maximal_estimates must not grow with the number
+    # of alphas: each point's ladder is gathered once per mesh
+    import potlab.grid as gridmod
+    original = gridmod.ball_nodes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("potlab") and \
+                vars(mod).get("ball_nodes") is original:
+            monkeypatch.setattr(mod, "ball_nodes", counted)
+    cache = SolveCache()
+    counts = []
+    for alphas in ("0, 0.2", "0, 0.2", "0, 0.1, 0.2"):
+        path = tmp_path / "alphas.ini"
+        path.write_text(DIRAC.replace("level = 2, 4", f"level = 2, 4\nalpha = {alphas}"))
+        cfg = load_config(path)
+        cfg.check_params["points"] = 4
+        calls.clear()
+        CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
+        counts.append(len(calls))
+    # the first run also builds the context; the later two run on the cache
+    assert counts[1] > 0
+    assert counts[2] <= counts[1]
+
+
 # -- check running / reports -------------------------------------------------------
 
 def test_run_checks_and_reports(tiny_config, tmp_path):
@@ -656,6 +752,26 @@ def test_cells_cross_the_meshes_outermost():
     swept = list(cells(cfg, "amplitude"))
     assert [cell for cell, _ in swept] == [(32, 0.2), (32, 0.4), (16, 0.2), (16, 0.4)]
     assert [dict(inst.key[4])["amplitude"] for _, inst in swept] == [0.2, 0.4] * 2
+
+
+def test_section_amplitude_is_the_amplitude_axis_default():
+    # without [sweep] amplitude the section's own amplitude is the one
+    # cell value per mesh, not the default sweep 0.2, 0.4
+    cfg = ExperimentConfig(coefficient={"preset": "jump", "amplitude": 0.3})
+    own = list(cells(cfg, "amplitude"))
+    assert [cell for cell, _ in own] == [(64, 0.3), (128, 0.3)]
+    assert [dict(inst.key[4])["amplitude"] for _, inst in own] == [0.3, 0.3]
+    # a swept amplitude still replaces it
+    cfg.sweep = {"n": [16], "amplitude": [0.1, 0.5]}
+    assert [cell for cell, _ in cells(cfg, "amplitude")] == [(16, 0.1), (16, 0.5)]
+
+
+def test_comparison_without_right_hand_data_notes_once():
+    # 2 meshes x 3 source scales skip: one degenerate row each, one note
+    cfg = ExperimentConfig(sweep={"n": [16, 32]})
+    rep = run_checks(cfg, names=["comparison_inhomogeneous"])[0]
+    assert len(rep.rows) == 6
+    assert rep.notes == ["no right-hand data; check skipped"]
 
 
 def test_every_preset_builds_from_its_required_keys(tmp_path):
