@@ -347,30 +347,25 @@ def point_ladder(ctx: EstimateContext, x, R: float) -> PointLadder:
                               od=ctx.od, measure=ctx.inst.measure)
 
 
-def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, *,
-                    ladder: PointLadder | None = None) -> float:
+def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float:
     """Bound for M^#_alpha(u) + M_{1-alpha}(Du).  At alpha = 1 it is the
     pointwise bound for |Du(x)|: avg_{B_R}|Du| + the Wolff pair at
-    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral.
-    A ``ladder`` of x up to R supplies avg_{B_R}|Du| (its top ball)."""
+    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral."""
     ig = ctx.inst.growth.ig
-    avg = float(ladder.du_mean[-1]) if ladder is not None else ball_average(ctx.du_mag, x, R)
-    term1 = R ** (1.0 - alpha) * avg
+    term1 = R ** (1.0 - alpha) * ball_average(ctx.du_mag, x, R)
     beta = 1.0 - alpha + alpha / (ig + 1.0)
     wmu, wps = _wolff_pair(ctx, x, beta, ig + 1.0, 2.0 * R)
     dini = _dini_term(ctx, x, 2.0 * R, alpha - 1.0)
     return term1 + wmu + wps + dini
 
 
-def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float, *,
-                       ladder: PointLadder | None = None) -> float:
+def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
+                       ladder: PointLadder) -> float:
     """Bound for M^#_alpha(Du): maximal terms to the power 1/ig, the Wolff
     pair at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral.
-    avg_{B_R}|Du| and the maximal terms are read from x's ladder up to R,
-    gathered here unless given."""
+    avg_{B_R}|Du| and the maximal terms are read from ``ladder``, x's
+    ``point_ladder`` up to R."""
     ig = ctx.inst.growth.ig
-    if ladder is None:
-        ladder = point_ladder(ctx, x, R)
     term1 = R ** (-alpha) * float(ladder.du_mean[-1])
     beta_m = 1.0 - alpha * ig
     if beta_m < 0:
@@ -776,10 +771,10 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
         for alpha in alphas:
             for x, ladder in zip(points, ladders):
                 lhs1 = ladder.sharp_maximal(alpha) + ladder.frac_maximal(1.0 - alpha)
-                rhs1 = maximal_sum_rhs(ctx, x, R, alpha, ladder=ladder)
+                rhs1 = maximal_sum_rhs(ctx, x, R, alpha)
                 study.add(x, R, lhs1, rhs1, cell=(n, alpha), family="maximal_sum")
                 lhs2 = ladder.sharp_maximal_vector(alpha)
-                rhs2 = sharp_gradient_rhs(ctx, x, R, alpha, ladder=ladder)
+                rhs2 = sharp_gradient_rhs(ctx, x, R, alpha, ladder)
                 study.add(x, R, lhs2, rhs2, cell=(n, alpha), family="sharp_gradient",
                           tag="sharp-gradient")
                 if alpha == 0.0:
