@@ -38,11 +38,9 @@ from ..grid import GridFunction, ball_average, ball_mass, disk_mask, gradient, m
 from ..potentials import (
     ObstacleDensity,
     PointLadder,
-    WolffParams,
+    WolffLadder,
     radius_ladder,
     vector_excess,
-    wolff,
-    wolff_psi,
 )
 from ..solver import (
     Solution,
@@ -253,7 +251,10 @@ def _param(cfg: ExperimentConfig, key: str, default):
         raise KeyError(f"[checks] {key} is not declared in CHECK_KEYS")
     if key not in cfg.check_params:
         return default
-    return typed_value("checks", key, cfg.check_params[key], default)
+    value = typed_value("checks", key, cfg.check_params[key], default)
+    if (key == "points" and value < 1) or (key.endswith("radius") and value <= 0):
+        raise DataError(f"[checks] {key} must be positive, got {value!r}")
+    return value
 
 
 def sample_points(rng, count: int, lo: float, hi: float, atoms=(), min_sep: float = 0.05):
@@ -332,13 +333,18 @@ def _dini_term(ctx: EstimateContext, x, r: float, alpha_hat: float) -> float:
     )
 
 
-def _wolff_pair(ctx: EstimateContext, x, beta: float, p: float, R: float):
-    wp = WolffParams(beta, p, R, r_min=ctx.inst.grid.r_min)
-    wmu = 0.0
-    if ctx.inst.measure is not None:
-        wmu = wolff(ctx.inst.measure, x, wp)
-    wps = wolff_psi(ctx.od, x, wp) if ctx.od is not None else 0.0
-    return wmu, wps
+def wolff_ladders(ctx: EstimateContext, x, R: float):
+    """x's ``WolffLadder`` of the measure and of the obstacle density over
+    [2h, 2R], the Wolff range of every estimate; None for an absent one."""
+    measures = (ctx.inst.measure, ctx.od.measure if ctx.od is not None else None)
+    return tuple(None if mu is None else WolffLadder.gather(mu, x, ctx.inst.grid.r_min, 2.0 * R)
+                 for mu in measures)
+
+
+def _wolff_pair(ctx: EstimateContext, ladders, beta: float, p: float):
+    """(W^mu, W^psi) at (beta, p) of a point's ``wolff_ladders``, 0 for an
+    absent one; the seam that the negative controls of the Wolff terms patch."""
+    return tuple(0.0 if ladder is None else ladder.potential(beta, p) for ladder in ladders)
 
 
 def point_ladder(ctx: EstimateContext, x, R: float) -> PointLadder:
@@ -347,24 +353,25 @@ def point_ladder(ctx: EstimateContext, x, R: float) -> PointLadder:
                               od=ctx.od, measure=ctx.inst.measure)
 
 
-def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float) -> float:
+def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, ladders) -> float:
     """Bound for M^#_alpha(u) + M_{1-alpha}(Du).  At alpha = 1 it is the
     pointwise bound for |Du(x)|: avg_{B_R}|Du| + the Wolff pair at
-    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral."""
+    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral.
+    ``ladders`` are x's ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
     term1 = R ** (1.0 - alpha) * ball_average(ctx.du_mag, x, R)
     beta = 1.0 - alpha + alpha / (ig + 1.0)
-    wmu, wps = _wolff_pair(ctx, x, beta, ig + 1.0, 2.0 * R)
+    wmu, wps = _wolff_pair(ctx, ladders, beta, ig + 1.0)
     dini = _dini_term(ctx, x, 2.0 * R, alpha - 1.0)
     return term1 + wmu + wps + dini
 
 
 def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
-                       ladder: PointLadder) -> float:
+                       ladder: PointLadder, ladders) -> float:
     """Bound for M^#_alpha(Du): maximal terms to the power 1/ig, the Wolff
     pair at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral.
     avg_{B_R}|Du| and the maximal terms are read from ``ladder``, x's
-    ``point_ladder`` up to R."""
+    ``point_ladder`` up to R, the Wolff pair from x's ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
     term1 = R ** (-alpha) * float(ladder.du_mean[-1])
     beta_m = 1.0 - alpha * ig
@@ -376,13 +383,15 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
     mps = 0.0
     if ctx.od is not None:
         mps = _g_inverse(ctx.inst, ladder.obstacle_maximal(beta_m))
-    wmu, wps = _wolff_pair(ctx, x, 1.0 / (ig + 1.0), ig + 1.0, 2.0 * R)
+    wmu, wps = _wolff_pair(ctx, ladders, 1.0 / (ig + 1.0), ig + 1.0)
     dini = _dini_term(ctx, x, 2.0 * R, alpha)
     return term1 + mmu + mps + wmu + wps + dini
 
 
-def gradient_oscillation_rhs(ctx: EstimateContext, x0, x, y, R: float, alpha: float) -> float:
-    """Bound for |Du(x) - Du(y)|, symmetric in x and y by construction."""
+def gradient_oscillation_rhs(ctx: EstimateContext, x0, x, y, R: float, alpha: float,
+                             ladders_x, ladders_y) -> float:
+    """Bound for |Du(x) - Du(y)|, symmetric in x and y by construction;
+    ``ladders_x`` and ``ladders_y`` are the points' ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
     d = float(np.hypot(x[0] - y[0], x[1] - y[1]))
     if d == 0.0:
@@ -391,8 +400,8 @@ def gradient_oscillation_rhs(ctx: EstimateContext, x0, x, y, R: float, alpha: fl
     if beta <= 0:
         raise DataError("alpha too large for the oscillation Wolff pair")
     base = ball_average(ctx.du_mag, x0, R) * (d / R) ** alpha
-    wx = sum(_wolff_pair(ctx, x, beta, ig + 1.0, 2.0 * R))
-    wy = sum(_wolff_pair(ctx, y, beta, ig + 1.0, 2.0 * R))
+    wx = sum(_wolff_pair(ctx, ladders_x, beta, ig + 1.0))
+    wy = sum(_wolff_pair(ctx, ladders_y, beta, ig + 1.0))
     dx = _dini_term(ctx, x, 2.0 * R, alpha)
     dy = _dini_term(ctx, y, 2.0 * R, alpha)
     return base + (wx + wy) * d**alpha + (dx + dy) * d**alpha
@@ -767,21 +776,20 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
     alpha0_gap = 0.0
     for n, inst in cell_list:
         ctx = primary_context(cfg, cache, inst, 2 * R)
-        ladders = [point_ladder(ctx, x, R) for x in points]
+        gathered = [(x, point_ladder(ctx, x, R), wolff_ladders(ctx, x, R)) for x in points]
+        for x, ladder, _ in gathered:
+            lhs0 = ladder.sharp_maximal(0.0) + ladder.frac_maximal(1.0)
+            direct = _direct_beta0(ctx, x, R)
+            alpha0_gap = max(alpha0_gap, abs(lhs0 - direct) / max(abs(direct), 1e-300))
         for alpha in alphas:
-            for x, ladder in zip(points, ladders):
+            for x, ladder, wolffs in gathered:
                 lhs1 = ladder.sharp_maximal(alpha) + ladder.frac_maximal(1.0 - alpha)
-                rhs1 = maximal_sum_rhs(ctx, x, R, alpha)
+                rhs1 = maximal_sum_rhs(ctx, x, R, alpha, wolffs)
                 study.add(x, R, lhs1, rhs1, cell=(n, alpha), family="maximal_sum")
                 lhs2 = ladder.sharp_maximal_vector(alpha)
-                rhs2 = sharp_gradient_rhs(ctx, x, R, alpha, ladder)
+                rhs2 = sharp_gradient_rhs(ctx, x, R, alpha, ladder, wolffs)
                 study.add(x, R, lhs2, rhs2, cell=(n, alpha), family="sharp_gradient",
                           tag="sharp-gradient")
-                if alpha == 0.0:
-                    direct = _direct_beta0(ctx, x, R)
-                    alpha0_gap = max(
-                        alpha0_gap, abs(lhs1 - direct) / max(abs(direct), 1e-300)
-                    )
     return study.report(
         "maximal_estimates", extra=alpha0_gap <= 1e-12,
         notes=[f"alpha values: {', '.join(f'{a:.4g}' for a in alphas)}"],
@@ -816,15 +824,17 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
         ctx = primary_context(cfg, cache, inst, 2 * R)
         for x0, ang in zip(points, angles):
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))
-            study.add(x0, R, lhs, maximal_sum_rhs(ctx, x0, R, 1.0), cell=n)
+            study.add(x0, R, lhs, maximal_sum_rhs(ctx, x0, R, 1.0, wolff_ladders(ctx, x0, R)),
+                      cell=n)
             d = np.array([np.cos(ang), np.sin(ang)]) * R / 8.0
             x = (x0[0] + d[0], x0[1] + d[1])
             y = (x0[0] - d[0], x0[1] - d[1])
             dux = np.array([ctx.du_x.at_node(x), ctx.du_y.at_node(x)])
             duy = np.array([ctx.du_x.at_node(y), ctx.du_y.at_node(y)])
             lhs_osc = float(np.linalg.norm(dux - duy))
-            rhs_osc = gradient_oscillation_rhs(ctx, x0, x, y, R, alpha)
-            rhs_swapped = gradient_oscillation_rhs(ctx, x0, y, x, R, alpha)
+            wx, wy = wolff_ladders(ctx, x, R), wolff_ladders(ctx, y, R)
+            rhs_osc = gradient_oscillation_rhs(ctx, x0, x, y, R, alpha, wx, wy)
+            rhs_swapped = gradient_oscillation_rhs(ctx, x0, y, x, R, alpha, wy, wx)
             swap_gap = max(
                 swap_gap, abs(rhs_osc - rhs_swapped) / max(rhs_osc, 1e-300)
             )

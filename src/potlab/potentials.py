@@ -9,12 +9,11 @@ the snapped-centre rule of ``ball_nodes``.  A ``PointLadder`` makes one
 gather per (point, radius) and every per-ball statistic (the oscillation
 of u, the mean of |Du|, the vector excess of Du, the mean of the obstacle
 kernel) reads it, so each exponent costs only a sup over the stored
-ladder.  The Wolff
-quadrature takes a point's masses for the whole ladder in one batched
-call, and inserts breakpoints at the exact atom distances so the mass
-jumps of Dirac measures do not contaminate the log-trapezoid rule.  The
-obstacle density memoises each point's mass ladder, which depends only on
-(x, r_min, R), so every beta reuses it.
+ladder.  A ``WolffLadder`` likewise takes a measure's masses for the whole
+ladder in one batched call, with breakpoints at the exact atom distances so
+the mass jumps of Dirac measures do not contaminate the log-trapezoid rule;
+every (beta, p) reads the same gather.  The obstacle density is a measure
+without atoms, so its potential is the same ladder of its kernel masses.
 The radial potential of a centered source (the exact solution the
 ``fundamental`` boundary preset and the radial scripts use) lives here
 too.
@@ -33,7 +32,6 @@ from .grid import (
     MeasureData,
     ball_masses,
     ball_nodes,
-    disk_integrals,
     gradient,
     hessian,
 )
@@ -42,6 +40,7 @@ from .orlicz import GrowthFunction, PowerGrowth
 __all__ = [
     "N_DIM",
     "WolffParams",
+    "WolffLadder",
     "ObstacleDensity",
     "wolff",
     "wolff_psi",
@@ -72,12 +71,14 @@ class WolffParams:
     r_min: float = 1e-3
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= N_DIM):
-            raise DataError("beta must lie in (0, n]")
-        if self.p <= 1.0:
-            raise DataError("p must exceed 1")
+        _check_wolff_exponents(self.beta, self.p)
         if self.r_min <= 0:
             raise DataError("r_min must be positive")
+
+
+def _check_wolff_exponents(beta: float, p: float) -> None:
+    if not (0.0 < beta <= N_DIM) or p <= 1.0:
+        raise DataError(f"Wolff exponents need beta in (0, n] and p > 1, got {beta:g}, {p:g}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -93,12 +94,6 @@ def radius_ladder(r_min: float, R: float, per_decade: int = 24) -> np.ndarray:
     return ladder
 
 
-def _kernel_masses(kernel: GridFunction, x, r_min: float, R: float) -> np.ndarray:
-    masses = disk_integrals(kernel, x, radius_ladder(r_min, R))
-    masses.flags.writeable = False
-    return masses
-
-
 class ObstacleDensity:
     """The obstacle's measure-like density: g(|Dpsi|)/|Dpsi| |D^2 psi| + 1.
 
@@ -110,11 +105,7 @@ class ObstacleDensity:
         if np.any(kernel.values < 1.0 - 1e-12):
             raise DataError("obstacle kernel must respect the +1 floor")
         self.kernel = kernel
-        # bound to the kernel, not to self: no reference cycle, so the memo
-        # goes with the instance
-        self._masses = functools.lru_cache(maxsize=256)(
-            functools.partial(_kernel_masses, kernel)
-        )
+        self.measure = MeasureData([], kernel)  # no atoms: the measure of wolff_psi
 
     @classmethod
     def build(cls, psi: GridFunction, growth: GrowthFunction) -> "ObstacleDensity":
@@ -125,36 +116,44 @@ class ObstacleDensity:
         kern = growth.kernel(mag) * hess_l1 + 1.0
         return cls(psi.with_values(kern))
 
-    def masses(self, x, r_min: float, R: float) -> np.ndarray:
-        """Read-only kernel masses of B_rho(x) for every rho of
-        ``radius_ladder(r_min, R)``, memoised per (x, r_min, R) in a
-        bounded LRU."""
-        return self._masses((float(x[0]), float(x[1])), float(r_min), float(R))
 
+@dataclass(frozen=True)
+class WolffLadder:
+    """One measure's masses of B_rho(x) for every rho of ``radius_ladder(r_min,
+    R)``, broken at each atom distance in (r_min, R).  The masses do not
+    depend on (beta, p), so every potential of x reads one gather."""
 
-def _wolff_quadrature(radii: np.ndarray, masses: np.ndarray, wp: WolffParams) -> float:
-    """Log-trapezoid rule of (mass(rho) / rho^(n - beta p))^(1/(p-1))."""
-    expo = N_DIM - wp.beta * wp.p
-    integrand = (masses / radii**expo) ** (1.0 / (wp.p - 1.0))
-    return float(np.trapezoid(integrand, np.log(radii)))
+    radii: np.ndarray
+    masses: np.ndarray  # |mu| of the closed ball
+
+    @classmethod
+    def gather(cls, mu: MeasureData, x, r_min: float, R: float) -> "WolffLadder":
+        radii = radius_ladder(r_min, R)
+        extra = []
+        for ax, ay, _ in mu.atoms:
+            d = float(np.hypot(ax - x[0], ay - x[1]))
+            if r_min < d < R:
+                extra.extend([d * (1.0 - 1e-9), d])
+        if extra:
+            radii = np.unique(np.concatenate([radii, np.asarray(extra)]))
+        return cls(radii, ball_masses(mu, x, radii))
+
+    def potential(self, beta: float, p: float) -> float:
+        """W_{beta,p}(x, R): the log-trapezoid rule of
+        (mass(rho) / rho^(n - beta p))^(1/(p-1))."""
+        _check_wolff_exponents(beta, p)
+        integrand = (self.masses / self.radii ** (N_DIM - beta * p)) ** (1.0 / (p - 1.0))
+        return float(np.trapezoid(integrand, np.log(self.radii)))
 
 
 def wolff(mu: MeasureData, x, wp: WolffParams) -> float:
-    """The potential over [r_min, R]; the ladder breaks at every atom distance."""
-    radii = radius_ladder(wp.r_min, wp.R)
-    extra = []
-    for ax, ay, _ in mu.atoms:
-        d = float(np.hypot(ax - x[0], ay - x[1]))
-        if wp.r_min < d < wp.R:
-            extra.extend([d * (1.0 - 1e-9), d])
-    if extra:
-        radii = np.unique(np.concatenate([radii, np.asarray(extra)]))
-    return _wolff_quadrature(radii, ball_masses(mu, x, radii), wp)
+    """The potential over [r_min, R] of x's ``WolffLadder``."""
+    return WolffLadder.gather(mu, x, wp.r_min, wp.R).potential(wp.beta, wp.p)
 
 
 def wolff_psi(od: ObstacleDensity, x, wp: WolffParams) -> float:
-    """The obstacle density's potential over [r_min, R] (no breakpoints)."""
-    return _wolff_quadrature(radius_ladder(wp.r_min, wp.R), od.masses(x, wp.r_min, wp.R), wp)
+    """The obstacle density's potential over [r_min, R]: ``wolff`` of its measure."""
+    return wolff(od.measure, x, wp)
 
 
 def _ladder_for(R: float, r_min: float | None, grid) -> np.ndarray:

@@ -25,6 +25,7 @@ from potlab.harness.checks import (
     run_checks,
     sample_points,
     sharp_gradient_rhs,
+    wolff_ladders,
     write_check_csv,
     write_summary,
 )
@@ -204,26 +205,33 @@ def test_context_at_the_resolution_floor(dirac_solved):
 def test_assemblies_monotone_in_data(dirac_context):
     ctx = dirac_context
     x, R = (0.5, 0.3), 0.15
+
+    def maximal_sum(c, alpha):
+        return maximal_sum_rhs(c, x, R, alpha, wolff_ladders(c, x, R))
+
+    def sharp_gradient(c):
+        return sharp_gradient_rhs(c, x, R, 0.3, point_ladder(c, x, R), wolff_ladders(c, x, R))
+
     base_vals = {
-        "mstar": maximal_sum_rhs(ctx, x, R, 1.0),
-        "max": maximal_sum_rhs(ctx, x, R, 0.3),
-        "sharp": sharp_gradient_rhs(ctx, x, R, 0.3, point_ladder(ctx, x, R)),
+        "mstar": maximal_sum(ctx, 1.0),
+        "max": maximal_sum(ctx, 0.3),
+        "sharp": sharp_gradient(ctx),
     }
     # enlarge the measure: every assembly may only grow
     import dataclasses
     bigger = dataclasses.replace(
         ctx, inst=dataclasses.replace(ctx.inst, measure=ctx.inst.measure.scaled(2.0))
     )
-    assert maximal_sum_rhs(bigger, x, R, 1.0) >= base_vals["mstar"]
-    assert maximal_sum_rhs(bigger, x, R, 0.3) >= base_vals["max"]
-    assert sharp_gradient_rhs(bigger, x, R, 0.3, point_ladder(bigger, x, R)) >= base_vals["sharp"]
+    assert maximal_sum(bigger, 1.0) >= base_vals["mstar"]
+    assert maximal_sum(bigger, 0.3) >= base_vals["max"]
+    assert sharp_gradient(bigger) >= base_vals["sharp"]
     # enlarge the obstacle kernel pointwise
     od = ctx.od
     fatter = dataclasses.replace(
         ctx, od=type(od)(od.kernel.with_values(od.kernel.values + 0.5))
     )
-    assert maximal_sum_rhs(fatter, x, R, 1.0) >= base_vals["mstar"]
-    assert sharp_gradient_rhs(fatter, x, R, 0.3, point_ladder(fatter, x, R)) >= base_vals["sharp"]
+    assert maximal_sum(fatter, 1.0) >= base_vals["mstar"]
+    assert sharp_gradient(fatter) >= base_vals["sharp"]
     # enlarge the coefficient modulus pointwise
     import potlab.field as fieldmod
     om = ctx.modulus
@@ -233,8 +241,8 @@ def test_assemblies_monotone_in_data(dirac_context):
             om.radii, om.values + 0.1, om.dini_exponent
         ),
     )
-    assert maximal_sum_rhs(louder, x, R, 1.0) >= base_vals["mstar"]
-    assert sharp_gradient_rhs(louder, x, R, 0.3, point_ladder(louder, x, R)) >= base_vals["sharp"]
+    assert maximal_sum(louder, 1.0) >= base_vals["mstar"]
+    assert sharp_gradient(louder) >= base_vals["sharp"]
 
 
 def test_measure_scaling_identity(dirac_context):
@@ -255,8 +263,9 @@ def test_oscillation_rhs_symmetric(dirac_context):
     ctx = dirac_context
     x0 = (0.5, 0.3)
     x, y = (0.52, 0.31), (0.48, 0.29)
-    a = gradient_oscillation_rhs(ctx, x0, x, y, 0.15, 0.3)
-    b = gradient_oscillation_rhs(ctx, x0, y, x, 0.15, 0.3)
+    wx, wy = wolff_ladders(ctx, x, 0.15), wolff_ladders(ctx, y, 0.15)
+    a = gradient_oscillation_rhs(ctx, x0, x, y, 0.15, 0.3, wx, wy)
+    b = gradient_oscillation_rhs(ctx, x0, y, x, 0.15, 0.3, wy, wx)
     assert a == b
 
 
@@ -335,7 +344,8 @@ def test_gradient_bounds_fails_on_mesh_dependent_bound(tmp_path, monkeypatch):
     rhs = checks.maximal_sum_rhs
     monkeypatch.setattr(
         checks, "maximal_sum_rhs",
-        lambda ctx, x, R, alpha: rhs(ctx, x, R, alpha) * (ctx.inst.grid.n / 32) ** 2,
+        lambda ctx, x, R, alpha, ladders:
+            rhs(ctx, x, R, alpha, ladders) * (ctx.inst.grid.n / 32) ** 2,
     )
     wrong = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
     assert wrong.passed is False
@@ -356,12 +366,12 @@ def dirac_two_meshes(tmp_path_factory):
 WOLFF_PAIR = checks._wolff_pair
 
 
-def _drop_wolff(ctx, x, beta, p, R):
+def _drop_wolff(ctx, ladders, beta, p):
     return 0.0, 0.0
 
 
-def _wolff_times_n(ctx, x, beta, p, R):
-    wmu, wps = WOLFF_PAIR(ctx, x, beta, p, R)
+def _wolff_times_n(ctx, ladders, beta, p):
+    wmu, wps = WOLFF_PAIR(ctx, ladders, beta, p)
     scale = ctx.inst.grid.n / 32
     return wmu * scale, wps * scale
 
@@ -424,40 +434,46 @@ def test_point_ladder_equals_the_maximal_operators(tmp_path, measure, boundary):
 
 def test_maximal_estimates_fails_on_a_wrong_ladder(dirac_two_meshes, monkeypatch):
     # a ladder statistic off by 1% moves the alpha = 0 sum away from the
-    # independent _direct_beta0; the consistency gap must catch it
-    cfg, cache = dirac_two_meshes
-    honest = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
-    assert honest.passed and honest.summary["alpha0_consistency_gap"] <= 1e-12
+    # independent _direct_beta0; the consistency gap must catch it, also
+    # when [sweep] alpha omits 0
     import dataclasses
+    cfg, cache = dirac_two_meshes
+    no_alpha0 = dataclasses.replace(cfg, sweep={**cfg.sweep, "alpha": [0.1, 0.2]})
     gather = checks.point_ladder
 
     def wrong(ctx, x, R):
         ladder = gather(ctx, x, R)
         return dataclasses.replace(ladder, u_oscillation=ladder.u_oscillation * 1.01)
 
-    monkeypatch.setattr(checks, "point_ladder", wrong)
-    rep = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
-    assert rep.passed is False
-    assert rep.summary["alpha0_consistency_gap"] > 1e-4
-    assert max(rep.summary["drift_maximal_sum"], rep.summary["drift_sharp_gradient"]) < 3
+    for run_cfg in (cfg, no_alpha0):
+        monkeypatch.setattr(checks, "point_ladder", gather)
+        honest = CHECKS["maximal_estimates"](run_cfg, cache, np.random.default_rng([5, 0]))
+        assert honest.passed and honest.summary["alpha0_consistency_gap"] <= 1e-12
+        monkeypatch.setattr(checks, "point_ladder", wrong)
+        rep = CHECKS["maximal_estimates"](run_cfg, cache, np.random.default_rng([5, 0]))
+        assert rep.passed is False
+        assert rep.summary["alpha0_consistency_gap"] > 1e-4
+        assert max(rep.summary["drift_maximal_sum"], rep.summary["drift_sharp_gradient"]) < 3
 
 
 def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch):
-    # each point's ladder is gathered once per mesh, so an added alpha adds
-    # at most one ball per point and mesh: avg_{B_R}|Du| of maximal_sum_rhs
-    # (a ladder regathered per alpha adds a whole ladder per point)
+    # each point's ladders are gathered once per mesh, so an added alpha adds
+    # at most one ball per point and mesh, avg_{B_R}|Du| of maximal_sum_rhs,
+    # and no mass gather (a ladder regathered per alpha adds a whole ladder
+    # per point)
     import potlab.grid as gridmod
-    original = gridmod.ball_nodes
-    calls = []
+    calls = {"ball_nodes": [], "ball_masses": []}
+    for name, log in calls.items():
+        original = getattr(gridmod, name)
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+        def counted(*args, _original=original, _log=log, **kwargs):
+            _log.append(None)
+            return _original(*args, **kwargs)
 
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("potlab") and \
-                vars(mod).get("ball_nodes") is original:
-            monkeypatch.setattr(mod, "ball_nodes", counted)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("potlab") and \
+                    vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
     cache = SolveCache()
     counts = []
     for alphas in ("0, 0.2", "0, 0.2", "0, 0.1, 0.2"):
@@ -465,12 +481,15 @@ def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch
         path.write_text(DIRAC.replace("level = 2, 4", f"level = 2, 4\nalpha = {alphas}"))
         cfg = load_config(path)
         cfg.check_params["points"] = 4
-        calls.clear()
+        for log in calls.values():
+            log.clear()
         CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
-        counts.append(len(calls))
+        counts.append({name: len(log) for name, log in calls.items()})
     # the first run also builds the context; the later two run on the cache
-    assert counts[1] > 0
-    assert counts[2] - counts[1] <= cfg.check_params["points"] * len(cfg.meshes())
+    assert counts[1]["ball_nodes"] > 0 and counts[1]["ball_masses"] > 0
+    nodes_added = counts[2]["ball_nodes"] - counts[1]["ball_nodes"]
+    assert nodes_added <= cfg.check_params["points"] * len(cfg.meshes())
+    assert counts[2]["ball_masses"] == counts[1]["ball_masses"]
 
 
 # -- check running / reports -------------------------------------------------------
@@ -825,6 +844,14 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
     ("[checks]\n", "[checks]\ncenter = 0.5\n", "[checks] center must be"),
     ("[checks]\n", "[checks]\ncenter = 0.5 0.5 0.5\n", "[checks] center must be"),
     ("[checks]\n", "[checks]\nradius = wide\n", "[checks] radius must be"),
+    # a count of sample points is at least 1 and a radius is positive
+    ("run = comparison_inhomogeneous", "run = gradient_bounds\npoints = 0",
+     "[checks] points must be positive, got 0"),
+    ("run = comparison_inhomogeneous", "run = gradient_bounds\npoints = -3",
+     "[checks] points must be positive, got -3"),
+    ("[checks]\n", "[checks]\nradius = -0.36\n", "[checks] radius must be positive, got -0.36"),
+    ("run = comparison_inhomogeneous", "run = maximal_estimates\nestimate_radius = -0.1",
+     "[checks] estimate_radius must be positive, got -0.1"),
     ("tol = 1e-8", "tol = abc", "[solver] tol must be"),
     ("tol = 1e-8", "tol = 1e-8\ntol = 1e-9", "option 'tol'"),
     # the vocabulary is closed: a misspelt section or key is named

@@ -17,6 +17,7 @@ from potlab.harness.cli import main
 from potlab.orlicz import PowerGrowth
 from potlab.potentials import (
     ObstacleDensity,
+    WolffLadder,
     WolffParams,
     frac_maximal,
     obstacle_maximal,
@@ -291,7 +292,7 @@ def test_wolff_dyadic_sum_consistency():
 
 
 def _wolff_psi_per_radius(od, x, wp):
-    # one disk integral per radius: the formula the memoised ladder replaces
+    # one disk integral per radius: the formula the batched ladder replaces
     radii = radius_ladder(wp.r_min, wp.R)
     masses = np.array([disk_integral(od.kernel, x, rho) for rho in radii])
     integrand = (masses / radii ** (2 - wp.beta * wp.p)) ** (1.0 / (wp.p - 1.0))
@@ -299,8 +300,7 @@ def _wolff_psi_per_radius(od, x, wp):
 
 
 def test_wolff_psi_independent_of_beta_order():
-    # the obstacle masses are memoised per (x, r_min, R): every call order
-    # of beta, memo hits and misses alike, gives the per-radius values
+    # every call order of beta gives the per-radius values
     g = Grid2D(48)
     psi = GridFunction.from_callable(g, lambda X, Y: 0.3 - (X - 0.4) ** 2 - 0.5 * (Y - 0.6) ** 4)
     growth = PowerGrowth(3.0)
@@ -311,9 +311,28 @@ def test_wolff_psi_independent_of_beta_order():
         od = ObstacleDensity.build(psi, growth)
         for i in order:
             assert wolff_psi(od, x, params[i]) == want[i]
-    masses = od.masses(x, 2 * g.h, 0.3)
-    assert od.masses(x, 2 * g.h, 0.3) is masses
-    assert not masses.flags.writeable
+
+
+def test_one_wolff_ladder_is_every_potential_bitwise():
+    # one gather of a point's masses serves every (beta, p), bitwise equal
+    # to wolff and wolff_psi; the atoms sit below, inside and beyond (r_min, R)
+    g = Grid2D(48)
+    dens = GridFunction.from_callable(g, lambda X, Y: 1.0 + X * Y)
+    atoms = [(0.5, 0.5, 1.0), (0.61, 0.5, 0.4), (0.95, 0.95, 2.0)]
+    psi = GridFunction.from_callable(g, lambda X, Y: 0.3 - (X - 0.4) ** 2 - 0.5 * (Y - 0.6) ** 4)
+    od = ObstacleDensity.build(psi, PowerGrowth(3.0))
+    x, r_min, R = (0.51, 0.5), 2 * g.h, 0.3
+    for mu in (MeasureData(atoms), MeasureData(atoms, dens), MeasureData([], dens), od.measure):
+        ladder = WolffLadder.gather(mu, x, r_min, R)
+        for beta, p in ((0.3, 3.0), (0.5, 2.0), (0.9, 3.0), (2.0, 1.5)):
+            wp = WolffParams(beta, p, R, r_min=r_min)
+            assert ladder.potential(beta, p) == wolff(mu, x, wp)
+            if mu is od.measure:
+                assert ladder.potential(beta, p) == wolff_psi(od, x, wp)
+    # only the atom at distance 0.1 breaks the ladder
+    with_atoms = WolffLadder.gather(MeasureData(atoms), x, r_min, R)
+    assert len(with_atoms.radii) == len(radius_ladder(r_min, R)) + 2
+    assert np.array_equal(WolffLadder.gather(od.measure, x, r_min, R).radii, radius_ladder(r_min, R))
 
 
 def test_radius_ladder_endpoints():
