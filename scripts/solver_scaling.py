@@ -6,8 +6,9 @@ Usage: python scripts/solver_scaling.py
 Solves the problem of `configs/contact.ini` (p = 3, obstacle
 0.2 - 1.5 |x - (0.5, 0.5)|^2, zero trace, tol 1e-8) once at each of
 n = 64, 128 and 256, and prints one row per n: the fine-level Newton
-steps, the sparse LU factorizations and the CG iterations of all
-continuation levels (the solver's own `Solution` counters), the wall
+steps, the sparse LU factorizations, the CG iterations and the L + U
+nonzeros of all continuation levels (the solver's own `Solution`
+counters), the wall
 seconds of the solve and the peak RSS of the process.  Each n runs in a
 fresh worker process, so each row's peak RSS belongs to its n alone
 (interpreter and imports included).
@@ -40,15 +41,17 @@ def solve_once(n):
     sol = solve_vi(prob, SolverConfig(tol=1e-8, epsilon=1e-8))
     wall = time.perf_counter() - t0
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return sol.iterations, sol.factorizations, sol.krylov_iterations, wall, rss_mb
+    return sol.iterations, sol.factorizations, sol.krylov_iterations, sol.lu_nnz, wall, rss_mb
 
 
 def main() -> int:
-    print(f"{'n':>5} {'newton':>7} {'LUs':>5} {'CG iters':>9} {'wall s':>8} {'peak RSS MB':>12}")
+    print(f"{'n':>5} {'newton':>7} {'LUs':>5} {'CG iters':>9} {'LU nnz':>10} {'wall s':>8} "
+          f"{'peak RSS MB':>12}")
     for n in SIZES:
         with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
-            steps, lus, cg, wall, rss = pool.submit(solve_once, n).result()
-        print(f"{n:>5} {steps:>7} {lus:>5} {cg:>9} {wall:>8.2f} {rss:>12.0f}", flush=True)
+            steps, lus, cg, nnz, wall, rss = pool.submit(solve_once, n).result()
+        print(f"{n:>5} {steps:>7} {lus:>5} {cg:>9} {nnz:>10} {wall:>8.2f} {rss:>12.0f}",
+              flush=True)
     return 0
 
 

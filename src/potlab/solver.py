@@ -15,26 +15,30 @@ decoupled in the interior).  Minimization over {u >= psi, u = h on the
 pinned set} is a projected Newton (primal-dual active-set) method.
 Each step fixes the active set, the free nodes on the obstacle whose
 residual pushes into it, and solves the sparse 9-point Hessian system of
-the cell energy on the other free nodes.  Each continuation level holds
-the sparse LU of its latest factorization with the unknown set it was
-built on.  A step whose unknown set is the held one solves its system by
-conjugate gradients preconditioned with that lagged LU (Knoll-Keyes,
-J. Comput. Phys. 193, 2004) to a fixed tight relative residual; any other
-step, and a CG that misses (it falls behind the pace that reaches the
-tolerance within an iteration cap, or meets nonpositive curvature or a
-non-finite value), factors the Hessian afresh, and after a miss the level
-factors every step.  The LU lives only as long as its level.  The
-step is searched along the projected path max(u + t d, psi), halving t
-until the Armijo condition holds, so every accepted step decreases the
-energy.  On meshes with even n and n/2 >= 32 the start is first replaced
-by the solution of the same problem on Grid2D(n/2) (2x2 block means of
-start, obstacle and data), prolonged bilinearly; this coarse-to-fine
-continuation keeps the Newton step count nearly flat in n.  The solver
+the cell energy on the other free nodes.  Each continuation level numbers
+its free nodes once, in a nested-dissection order of the node box, and
+builds the Hessian's CSC pattern on them; a step gathers the stencil
+coefficients into it, drops the active rows and columns, and SuperLU
+factors in that order.  The level holds the pattern and its latest LU
+with the unknown set it was built on, both freed with the level.  A step
+whose unknown set is the held one solves its system by conjugate
+gradients preconditioned with that lagged LU (Knoll-Keyes, J. Comput.
+Phys. 193, 2004) to a fixed tight relative residual; any other step, and
+a CG that misses (it falls behind the pace that reaches the tolerance
+within an iteration cap, or meets nonpositive curvature or a non-finite
+value), factors the Hessian afresh, and after a miss the level factors
+every step.  The step is searched along the projected path
+max(u + t d, psi), halving t until the Armijo condition holds, so every
+accepted step decreases the energy.  On meshes with even n and
+n/2 >= 32 the start is first replaced by the solution of the same problem
+on Grid2D(n/2) (2x2 block means of start, obstacle and data), prolonged
+bilinearly; this coarse-to-fine continuation keeps the Newton step count
+nearly flat in n.  The solver
 converges when the projected residual satisfies both  h * ||pr||_2 <= tol
 and  max |pr| <= 10 tol,  so the reported complementarity bound holds by
 construction.  ``Solution.stop_reason`` says why a solve stopped, and
-``factorizations`` and ``krylov_iterations`` count the linear algebra of
-all its levels.
+``factorizations``, ``krylov_iterations`` and ``lu_nnz`` count the linear
+algebra of all its levels.
 
 Ball-restricted solves pin every node outside the ball to the trace
 donor, realizing "w = u on the ball boundary" without a second mesh.
@@ -42,6 +46,7 @@ donor, realizing "w = u on the ball boundary" without a second mesh.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,12 +90,6 @@ _CG_MAX_ITER = 12            # CG steps on a lagged LU before the solve counts a
 _CG_RTOL = 1e-10             # CG stops at ||H d + r|| <= _CG_RTOL ||r||
 _CG_MISSES = 1               # CG misses after which a level factors every step
 
-# the four nodes of a cell in `_cell_flux` order (a, b, c, d) and the
-# signs of their weights in the cell gradient (dux, duy)
-_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
-_WX = (-1.0, 1.0, -1.0, 1.0)
-_WY = (-1.0, -1.0, 1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -99,8 +98,11 @@ class SolverConfig:
     max_iter: int = 100          # Newton steps on the finest level
 
     def __post_init__(self):
-        if self.tol <= 0 or self.epsilon < 0:
-            raise DataError("need tol > 0 and epsilon >= 0")
+        for key, ok, need in (("tol", 0 < self.tol < np.inf, "positive and finite"),
+                              ("epsilon", 0 <= self.epsilon < np.inf, "nonnegative and finite"),
+                              ("max_iter", self.max_iter >= 1, "at least 1")):
+            if not ok:
+                raise DataError(f"[solver] {key} must be {need}, got {getattr(self, key):g}")
 
 
 @dataclass
@@ -142,6 +144,7 @@ class Solution:
     energy: float
     factorizations: int             # sparse LUs, summed over the continuation levels
     krylov_iterations: int          # lagged-LU CG iterations, summed over the levels
+    lu_nnz: int                     # nonzeros of L + U of every LU, summed over the levels
     stop_reason: str = "converged"  # or "iteration budget", "line search collapsed"
 
     @property
@@ -222,51 +225,102 @@ def _complementarity(u, resid, psi, free):
     return float(np.abs(np.minimum(gap, r)).max())
 
 
-def _hessian(vals, omega_cells, growth, inv2h, eps2, unknown):
-    """The Jacobian of `_divergence` in the nodes of ``unknown`` (numbered
-    in row-major order), as a CSC matrix.
+@functools.lru_cache(maxsize=8)
+def _dissection_order(n: int) -> np.ndarray:
+    """The n x n node box's flat indices in geometric nested-dissection order
+    (George, SIAM J. Numer. Anal. 10, 1973): a box's middle line across its
+    longer side comes after both halves, each ordered alike, down to boxes
+    of side 2; one line separates them, as the 9-point stencil couples only
+    nodes at distance 1.  Read-only: the levels on n-node meshes share it."""
+    def cut(box):
+        if max(box.shape) <= 2:
+            return [box.ravel()]
+        if box.shape[0] < box.shape[1]:
+            box = box.T
+        m = box.shape[0] // 2
+        return cut(box[:m]) + cut(box[m + 1:]) + [box[m]]
+
+    order = np.concatenate(cut(np.arange(n * n).reshape(n, n)))
+    order.flags.writeable = False
+    return order
+
+
+class _Pattern:
+    """The CSC structure of the 9-point Hessian on a level's free nodes,
+    ``nodes`` in `_dissection_order`, built once per level: entry k of
+    column ``cols[k]`` lies in row ``rows[k]`` and holds entry ``src[k]``
+    of `_hessian`'s flat coefficients."""
+
+    def __init__(self, free):
+        order = _dissection_order(free.shape[0])
+        self.nodes = order[free.ravel()[order]]
+        pos = np.full(free.shape, -1, dtype=np.int32)
+        pos.flat[self.nodes] = np.arange(self.nodes.size, dtype=np.int32)
+        # the positions (-1 off the free set) of the node pairs of `_hessian`'s blocks
+        ends = [(pos, pos), (pos[:-1, :], pos[1:, :]), (pos[:, :-1], pos[:, 1:]),
+                (pos[:-1, :-1], pos[1:, 1:]), (pos[1:, :-1], pos[:-1, 1:])]
+        a, b = (np.concatenate([pair[k].ravel() for pair in ends]) for k in (0, 1))
+        src = np.flatnonzero((a >= 0) & (b >= 0)).astype(np.int32)
+        a, b = a[src], b[src]
+        off = a != b
+        # scipy's COO -> CSC conversion sorts the entries by column and row
+        pattern = sp.csc_matrix((np.concatenate([src, src[off]]),
+                                 (np.concatenate([a, b[off]]), np.concatenate([b, a[off]]))),
+                                shape=(self.nodes.size,) * 2)
+        pattern.sort_indices()
+        self.rows, self.src = pattern.indices, pattern.data
+        self.cols = np.repeat(np.arange(self.nodes.size, dtype=np.int32), np.diff(pattern.indptr))
+        self._last = None
+
+    def restrict(self, unknown):
+        """(nodes, indices, indptr, src) on ``unknown``, the other free nodes
+        dropped; the last result is kept, as steps mostly repeat the set."""
+        if self._last is None or not np.array_equal(unknown, self._last[0]):
+            keep = unknown.ravel()[self.nodes]
+            entry = keep[self.rows] & keep[self.cols]
+            number = (np.cumsum(keep) - 1).astype(np.int32)
+            indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int32)
+            np.cumsum(np.bincount(self.cols[entry], minlength=keep.size)[keep], out=indptr[1:])
+            self._last = unknown.copy(), (self.nodes[keep], number[self.rows[entry]],
+                                          indptr, self.src[entry])
+        return self._last[1]
+
+
+def _hessian(vals, omega_cells, growth, inv2h, eps2, pattern, unknown):
+    """The Jacobian of `_divergence` in the nodes of ``unknown``, numbered
+    in the pattern's order, as a CSC matrix.
 
     Per cell it is omega [kappa I + (g'(m) - kappa)/m^2 xi xi^T] with
-    kappa = g(m)/m and xi = Du_c, pulled back through the cell stencil;
-    the rank-one term is dropped where m = 0.
+    kappa = g(m)/m and xi = Du_c, pulled back through the cell stencil
+    (corner weights -s, t, -t, s; s, t = (dux +- duy)/2h); the rank-one
+    term is dropped where m = 0.  The coefficients come in five blocks: the
+    diagonal and the pairs (i, j)-(i+1, j), (i, j)-(i, j+1),
+    (i, j)-(i+1, j+1), (i+1, j)-(i, j+1).
     """
     dux, duy, m = _cell_flux(vals, inv2h, eps2)
     kappa = growth.kernel(m)
     rho = np.zeros_like(m)
     pos = m > 0
     rho[pos] = (growth.dg(m[pos]) - kappa[pos]) / (m[pos] * m[pos])
-    iso = omega_cells * kappa * inv2h**2
+    iso = 2.0 * omega_cells * kappa * inv2h**2
     rank1 = omega_cells * rho
+    s, t = inv2h * (dux + duy), inv2h * (dux - duy)
+    ss, tt, st = rank1 * s * s + iso, rank1 * t * t + iso, rank1 * s * t
     n = vals.shape[0]
-    number = np.full(vals.shape, -1, dtype=np.int32)
-    count = int(unknown.sum())
-    number[unknown] = np.arange(count, dtype=np.int32)
-    nodes = [number[i:n - 1 + i, j:n - 1 + j] for i, j in _CORNERS]
-    keep = [k >= 0 for k in nodes]
-    proj = [inv2h * (wx * dux + wy * duy) for wx, wy in zip(_WX, _WY)]
-    rows, cols, data = [], [], []
-    for a in range(4):
-        for b in range(4):
-            both = keep[a] & keep[b]
-            val = rank1 * proj[a] * proj[b]
-            cross = _WX[a] * _WX[b] + _WY[a] * _WY[b]
-            if cross:
-                val += cross * iso
-            rows.append(nodes[a][both])
-            cols.append(nodes[b][both])
-            data.append(val[both])
-    H = sp.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(count, count),
-    )
+    diag, down, right = np.zeros((n, n)), np.zeros((n - 1, n)), np.zeros((n, n - 1))
+    for i, j, c in ((0, 0, ss), (1, 1, ss), (1, 0, tt), (0, 1, tt)):
+        diag[i:n - 1 + i, j:n - 1 + j] += c
+    for i in (0, 1):
+        down[:, i:n - 1 + i] -= st
+        right[i:n - 1 + i] += st
+    nodes, indices, indptr, src = pattern.restrict(unknown)
     # a node whose four cells all have m = 0 (epsilon = 0, p > 2) has no
     # curvature; give it the largest diagonal, a stable gradient step
-    diag = H.diagonal()
-    flat = diag <= 0
-    if flat.any():
-        H = H + sp.diags(np.where(flat, diag.max() if diag.max() > 0 else 1.0, 0.0),
-                         format="csc")
-    return H
+    d = diag.flat[nodes]
+    if (d <= 0).any():
+        diag.flat[nodes[d <= 0]] += d.max() if d.max() > 0 else 1.0
+    coef = np.concatenate([diag.ravel(), down.ravel(), right.ravel(), -ss.ravel(), -tt.ravel()])
+    return sp.csc_matrix((coef[src], indices, indptr), shape=(nodes.size, nodes.size))
 
 
 def _lagged_cg(H, b, lu):
@@ -356,13 +410,15 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         return l2, l2 <= cfg.tol and linf <= 10.0 * cfg.tol
 
     E, resid = objective(u)
-    factorizations = krylov = 0
+    factorizations = krylov = lu_nnz = 0
     if grid.n % 2 == 0 and grid.n // 2 >= _COARSEST and not stationary(u, resid)[1]:
         warm = _coarse_start(grid, growth, omega_cells, f, u, psi, free, cfg)
         if warm is not None:
             u, coarse = warm
-            factorizations, krylov = coarse.factorizations, coarse.krylov_iterations
+            factorizations, krylov, lu_nnz = (coarse.factorizations, coarse.krylov_iterations,
+                                              coarse.lu_nnz)
             E, resid = objective(u)
+    pattern = _Pattern(free)
     lu = lu_unknown = None
     misses = 0
     res_hist: list[float] = []
@@ -380,8 +436,9 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         unknown = free if psi is None else free & ~((u <= psi) & (resid > 0))
         if lu is not None and not np.array_equal(unknown, lu_unknown):
             lu = None  # freed before the next Hessian is assembled
-        H = _hessian(u, omega_cells, growth, objective.inv2h, objective.eps2, unknown)
-        b = -resid[unknown]
+        H = _hessian(u, omega_cells, growth, objective.inv2h, objective.eps2, pattern, unknown)
+        nodes = pattern.restrict(unknown)[0]
+        b = -resid.flat[nodes]
         step = None
         if lu is not None:
             step, cg_iters = _lagged_cg(H, b, lu)
@@ -390,15 +447,16 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
                 lu = None
                 misses += 1
         if step is None:
-            lu = splu(H, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+            lu = splu(H, permc_spec="NATURAL", options={"SymmetricMode": True})
             factorizations += 1
+            lu_nnz += lu.nnz
             step = lu.solve(b)
             lu_unknown = unknown
             if misses >= _CG_MISSES:
                 lu = None
         del H  # not held while the next step's Hessian is assembled
         d = np.zeros_like(u)
-        d[unknown] = step
+        d.flat[nodes] = step
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = u + t * d
@@ -429,6 +487,7 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         energy=E,
         factorizations=factorizations,
         krylov_iterations=krylov,
+        lu_nnz=lu_nnz,
         stop_reason=stop,
     )
 

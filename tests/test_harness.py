@@ -674,6 +674,7 @@ def test_cli_solve_writes_artifacts(tiny_config, tmp_path):
     # p = 2 on one level: one Newton step, one factorization, no CG
     assert diag["factorizations"] == diag["iterations"] == "1"
     assert diag["krylov_iterations"] == "0"
+    assert int(diag["lu_nnz"]) > 0
 
 
 def test_cli_solve_infeasible_exits_one(tmp_path):
@@ -854,6 +855,13 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
      "[checks] estimate_radius must be positive, got -0.1"),
     ("tol = 1e-8", "tol = abc", "[solver] tol must be"),
     ("tol = 1e-8", "tol = 1e-8\ntol = 1e-9", "option 'tol'"),
+    # a solver setting is finite, and the solver takes at least one step
+    ("tol = 1e-8", "tol = inf", "[solver] tol must be positive and finite, got inf"),
+    ("tol = 1e-8", "tol = nan", "[solver] tol must be positive and finite, got nan"),
+    ("epsilon = 1e-8", "epsilon = nan", "[solver] epsilon must be nonnegative and finite, got nan"),
+    ("epsilon = 1e-8", "epsilon = inf", "[solver] epsilon must be nonnegative and finite, got inf"),
+    ("tol = 1e-8", "tol = 1e-8\nmax_iter = -3", "[solver] max_iter must be at least 1, got -3"),
+    ("tol = 1e-8", "tol = 1e-8\nmax_iter = 0", "[solver] max_iter must be at least 1, got 0"),
     # the vocabulary is closed: a misspelt section or key is named
     ("[solver]\n", "[grdi]\nn = 64\n\n[solver]\n", "[grdi] is not a section"),
     ("tol = 1e-8", "tolerance = 1e-3", "[solver] tolerance is not a key"),

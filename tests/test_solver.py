@@ -283,15 +283,118 @@ def test_cg_miss_refactors_the_rest_of_its_level(monkeypatch):
 
 
 TABULATED_P25 = TabulatedGrowth(np.geomspace(1e-6, 1e3, 600), np.geomspace(1e-6, 1e3, 600) ** 1.5)
+GROWTHS = [PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.0), TABULATED_P25,
+           RegularizedPowerGrowth(2.0, 0.5), RegularizedPowerGrowth(3.0, 0.5),
+           RegularizedPowerGrowth(4.0, 0.5)]
+GROWTH_IDS = ["p2", "p3", "p4", "tabulated", "regularized-p2", "regularized-p3",
+              "regularized-p4"]
+
+# the four nodes of a cell in `_cell_flux` order (a, b, c, d) and the
+# signs of their weights in the cell gradient (dux, duy)
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+_WX = (-1.0, 1.0, -1.0, 1.0)
+_WY = (-1.0, -1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize(
-    "growth",
-    [PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.0), TABULATED_P25,
-     RegularizedPowerGrowth(2.0, 0.5), RegularizedPowerGrowth(3.0, 0.5),
-     RegularizedPowerGrowth(4.0, 0.5)],
-    ids=["p2", "p3", "p4", "tabulated", "regularized-p2", "regularized-p3", "regularized-p4"],
-)
+def _coo_hessian(vals, omega_cells, growth, inv2h, eps2, unknown):
+    """Reference assembly: the Jacobian of `_divergence` in the nodes of
+    ``unknown`` numbered in row-major order, summed from the 4x4 cell
+    blocks as COO triplets."""
+    dux, duy, m = solver._cell_flux(vals, inv2h, eps2)
+    kappa = growth.kernel(m)
+    rho = np.zeros_like(m)
+    pos = m > 0
+    rho[pos] = (growth.dg(m[pos]) - kappa[pos]) / (m[pos] * m[pos])
+    iso = omega_cells * kappa * inv2h**2
+    rank1 = omega_cells * rho
+    n = vals.shape[0]
+    number = np.full(vals.shape, -1, dtype=np.int32)
+    count = int(unknown.sum())
+    number[unknown] = np.arange(count, dtype=np.int32)
+    nodes = [number[i:n - 1 + i, j:n - 1 + j] for i, j in _CORNERS]
+    keep = [k >= 0 for k in nodes]
+    proj = [inv2h * (wx * dux + wy * duy) for wx, wy in zip(_WX, _WY)]
+    rows, cols, data = [], [], []
+    for a in range(4):
+        for b in range(4):
+            both = keep[a] & keep[b]
+            val = rank1 * proj[a] * proj[b]
+            cross = _WX[a] * _WX[b] + _WY[a] * _WY[b]
+            if cross:
+                val += cross * iso
+            rows.append(nodes[a][both])
+            cols.append(nodes[b][both])
+            data.append(val[both])
+    H = sp.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(count, count),
+    )
+    diag = H.diagonal()
+    flat = diag <= 0
+    if flat.any():
+        H = H + sp.diags(np.where(flat, diag.max() if diag.max() > 0 else 1.0, 0.0),
+                         format="csc")
+    return H
+
+
+def _level_hessian(u, omega, growth, inv2h, eps2, unknown, free):
+    """The solver's Hessian on ``unknown`` with the pattern of the level
+    whose free set is ``free``, and its nodes (flat indices, in order)."""
+    pattern = solver._Pattern(free)
+    H = solver._hessian(u, omega, growth, inv2h, eps2, pattern, unknown)
+    return H, pattern.restrict(unknown)[0]
+
+
+@pytest.mark.parametrize("growth", GROWTHS, ids=GROWTH_IDS)
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("where", ["interior", "disk"])
+def test_pattern_hessian_matches_coo_assembly(growth, n, where):
+    g = Grid2D(n)
+    rng = np.random.default_rng(n)
+    free = (g.interior_mask() if where == "interior"
+            else solver._ball_free_mask(g, ((0.45, 0.55), 0.3)))
+    u = np.sin(3 * g.X) * np.cos(2 * g.Y) + 0.1 * rng.standard_normal((n, n))
+    u[n // 3:n // 2, n // 3:n // 2] = 0.5  # a flat patch: m = 0 cells at epsilon = 0
+    omega = 1.0 + 0.5 * rng.random((n - 1, n - 1))
+    for eps2, share in ((1e-16, 1.0), (0.0, 0.7), (1e-16, 0.4)):
+        unknown = free & (rng.random((n, n)) < share)
+        H, nodes = _level_hessian(u, omega, growth, 0.5 / g.h, eps2, unknown, free)
+        ref = _coo_hessian(u, omega, growth, 0.5 / g.h, eps2, unknown)
+        # the reference numbers the unknowns row-major; put it in the pattern's order
+        perm = (np.cumsum(unknown.ravel()) - 1)[nodes]
+        ref = ref[perm][:, perm]
+        assert H.shape == ref.shape == (unknown.sum(),) * 2
+        assert np.abs((H - ref).toarray()).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [16, 33, 64, 128])
+def test_dissection_order_is_a_permutation(n):
+    order = solver._dissection_order(n)
+    assert np.array_equal(np.sort(order), np.arange(n * n))
+    assert not order.flags.writeable
+
+
+def test_dissection_order_fills_less_than_minimum_degree(monkeypatch):
+    # the first fine-level Hessian of the n = 128 contact problem, factored
+    # in the dissection order and by SuperLU's own minimum-degree ordering;
+    # Solution.lu_nnz sums the fill of every factorization
+    factors = []
+    splu = solver.splu
+
+    def factor(H, **k):
+        lu = splu(H, **k)
+        factors.append((H, lu.nnz))
+        return lu
+
+    monkeypatch.setattr(solver, "splu", factor)
+    sol = solve_vi(_contact_problem(128), SolverConfig(tol=1e-8))
+    assert sol.lu_nnz == sum(nnz for _, nnz in factors)
+    H, nnz = next((H, nnz) for H, nnz in factors if H.shape[0] > 64 * 64)
+    mmd = splu(H, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    assert nnz < mmd.nnz
+
+
+@pytest.mark.parametrize("growth", GROWTHS, ids=GROWTH_IDS)
 def test_hessian_matches_divergence_difference(growth):
     n = 24
     g = Grid2D(n)
@@ -300,14 +403,14 @@ def test_hessian_matches_divergence_difference(growth):
     omega = 1.0 + 0.5 * rng.random((n - 1, n - 1))
     unknown = g.interior_mask() & (rng.random((n, n)) < 0.8)
     inv2h, eps2 = 0.5 / g.h, 1e-16
-    H = solver._hessian(u, omega, growth, inv2h, eps2, unknown)
+    H, nodes = _level_hessian(u, omega, growth, inv2h, eps2, unknown, g.interior_mask())
     v = np.zeros((n, n))
     v[unknown] = rng.standard_normal(int(unknown.sum()))
     delta = 1e-6
     plus = solver._divergence(u + delta * v, omega, growth, inv2h, eps2)[0]
     minus = solver._divergence(u - delta * v, omega, growth, inv2h, eps2)[0]
-    fd = ((plus - minus) / (2 * delta))[unknown]
-    got = H @ v[unknown]
+    fd = ((plus - minus) / (2 * delta)).flat[nodes]
+    got = H @ v.flat[nodes]
     assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
@@ -321,7 +424,8 @@ def test_hessian_eigenvalue_floor(growth):
     u = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2, (n, n))
     omega = 1.0 + 0.5 * rng.random((n - 1, n - 1))
     unknown = g.interior_mask() & (rng.random((n, n)) < 0.8)
-    H = solver._hessian(u, omega, growth, 0.5 / g.h, 1e-16, unknown).toarray()
+    H = _level_hessian(u, omega, growth, 0.5 / g.h, 1e-16, unknown, g.interior_mask())[0]
+    H = H.toarray()
     assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
     assert np.linalg.eigvalsh(H).min() > 0
 
