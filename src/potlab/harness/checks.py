@@ -17,8 +17,8 @@ One gate decides every ratio check.  It passes when all of these hold:
   constant) below ``DRIFT_LIMIT`` = 3, across meshes, data scalings and
   parameter values;
 * at least one row is a ratio cell or an ``exact-match``;
-* the check's own extra condition holds (an alpha = 0 consistency gap,
-  a swap symmetry, or a measured drift).
+* the check's own extra condition holds (an alpha = 0 consistency gap
+  or a measured drift).
 
 ``excess_decay_homogeneous`` is a fit check: its verdict is its
 power-law fit criterion, and the study only carries its rows.
@@ -353,13 +353,14 @@ def point_ladder(ctx: EstimateContext, x, R: float) -> PointLadder:
                               od=ctx.od, measure=ctx.inst.measure)
 
 
-def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, ladders) -> float:
+def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, du_avg: float,
+                    ladders) -> float:
     """Bound for M^#_alpha(u) + M_{1-alpha}(Du).  At alpha = 1 it is the
     pointwise bound for |Du(x)|: avg_{B_R}|Du| + the Wolff pair at
     (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral.
-    ``ladders`` are x's ``wolff_ladders``."""
+    ``du_avg`` is avg_{B_R(x)}|Du| and ``ladders`` are x's ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
-    term1 = R ** (1.0 - alpha) * ball_average(ctx.du_mag, x, R)
+    term1 = R ** (1.0 - alpha) * du_avg
     beta = 1.0 - alpha + alpha / (ig + 1.0)
     wmu, wps = _wolff_pair(ctx, ladders, beta, ig + 1.0)
     dini = _dini_term(ctx, x, 2.0 * R, alpha - 1.0)
@@ -388,10 +389,11 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
     return term1 + mmu + mps + wmu + wps + dini
 
 
-def gradient_oscillation_rhs(ctx: EstimateContext, x0, x, y, R: float, alpha: float,
-                             ladders_x, ladders_y) -> float:
-    """Bound for |Du(x) - Du(y)|, symmetric in x and y by construction;
-    ``ladders_x`` and ``ladders_y`` are the points' ``wolff_ladders``."""
+def gradient_oscillation_rhs(ctx: EstimateContext, du_avg: float, x, y, R: float,
+                             alpha: float, ladders_x, ladders_y) -> float:
+    """Bound for |Du(x) - Du(y)| at x, y near x0, symmetric in x and y by
+    construction; ``du_avg`` is avg_{B_R(x0)}|Du| and ``ladders_x`` and
+    ``ladders_y`` are the points' ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
     d = float(np.hypot(x[0] - y[0], x[1] - y[1]))
     if d == 0.0:
@@ -399,7 +401,7 @@ def gradient_oscillation_rhs(ctx: EstimateContext, x0, x, y, R: float, alpha: fl
     beta = -alpha + (1.0 + alpha) / (1.0 + ig)
     if beta <= 0:
         raise DataError("alpha too large for the oscillation Wolff pair")
-    base = ball_average(ctx.du_mag, x0, R) * (d / R) ** alpha
+    base = du_avg * (d / R) ** alpha
     wx = sum(_wolff_pair(ctx, ladders_x, beta, ig + 1.0))
     wy = sum(_wolff_pair(ctx, ladders_y, beta, ig + 1.0))
     dx = _dini_term(ctx, x, 2.0 * R, alpha)
@@ -701,11 +703,11 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
                 for r in stages
             )
         )
-        excess_R = vector_excess(ctx.du_x, ctx.du_y, center, R)
+        # the ladder ends at R, so its last excess is the decay term's excess_R
         radii = radius_ladder(max(6 * inst.grid.h, R / 10), R, 12)
-        for rho in radii:
-            lhs = vector_excess(ctx.du_x, ctx.du_y, center, rho)
-            rhs = excess_rhs_with_errors(ctx, center, R, rho, beta_hat, excess_R)
+        excess = [vector_excess(ctx.du_x, ctx.du_y, center, rho) for rho in radii]
+        for rho, lhs in zip(radii, excess):
+            rhs = excess_rhs_with_errors(ctx, center, R, rho, beta_hat, excess[-1])
             study.add(center, rho, lhs, rhs, cell=n)
     return study.report("excess_decay_with_errors", notes=notes)
 
@@ -784,7 +786,7 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
         for alpha in alphas:
             for x, ladder, wolffs in gathered:
                 lhs1 = ladder.sharp_maximal(alpha) + ladder.frac_maximal(1.0 - alpha)
-                rhs1 = maximal_sum_rhs(ctx, x, R, alpha, wolffs)
+                rhs1 = maximal_sum_rhs(ctx, x, R, alpha, float(ladder.du_mean[-1]), wolffs)
                 study.add(x, R, lhs1, rhs1, cell=(n, alpha), family="maximal_sum")
                 lhs2 = ladder.sharp_maximal_vector(alpha)
                 rhs2 = sharp_gradient_rhs(ctx, x, R, alpha, ladder, wolffs)
@@ -819,31 +821,25 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
     angles = rng.uniform(0.0, 2 * np.pi, size=len(points))
     alpha = max(alphas)
     study = RatioStudy()
-    swap_gap = 0.0
     for n, inst in cell_list:
         ctx = primary_context(cfg, cache, inst, 2 * R)
         for x0, ang in zip(points, angles):
+            du_avg = ball_average(ctx.du_mag, x0, R)
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))
-            study.add(x0, R, lhs, maximal_sum_rhs(ctx, x0, R, 1.0, wolff_ladders(ctx, x0, R)),
-                      cell=n)
+            rhs = maximal_sum_rhs(ctx, x0, R, 1.0, du_avg, wolff_ladders(ctx, x0, R))
+            study.add(x0, R, lhs, rhs, cell=n)
             d = np.array([np.cos(ang), np.sin(ang)]) * R / 8.0
             x = (x0[0] + d[0], x0[1] + d[1])
             y = (x0[0] - d[0], x0[1] - d[1])
             dux = np.array([ctx.du_x.at_node(x), ctx.du_y.at_node(x)])
             duy = np.array([ctx.du_x.at_node(y), ctx.du_y.at_node(y)])
             lhs_osc = float(np.linalg.norm(dux - duy))
-            wx, wy = wolff_ladders(ctx, x, R), wolff_ladders(ctx, y, R)
-            rhs_osc = gradient_oscillation_rhs(ctx, x0, x, y, R, alpha, wx, wy)
-            rhs_swapped = gradient_oscillation_rhs(ctx, x0, y, x, R, alpha, wy, wx)
-            swap_gap = max(
-                swap_gap, abs(rhs_osc - rhs_swapped) / max(rhs_osc, 1e-300)
-            )
+            rhs_osc = gradient_oscillation_rhs(ctx, du_avg, x, y, R, alpha,
+                                               wolff_ladders(ctx, x, R), wolff_ladders(ctx, y, R))
             study.add(x, float(np.hypot(x[0] - y[0], x[1] - y[1])), lhs_osc, rhs_osc,
                       tag="oscillation")
-    return study.report(
-        "gradient_bounds", extra=swap_gap <= 1e-12,
-        notes=[f"oscillation exponent alpha = {alpha:.4g}"], swap_symmetry_gap=swap_gap,
-    )
+    return study.report("gradient_bounds",
+                        notes=[f"oscillation exponent alpha = {alpha:.4g}"])
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
     for p in (potential, verify):
         p.add_argument("--seed", type=int, default=None, help="sample-point seed")
-    verify.add_argument("--jobs", type=int, default=1, help="parallel check jobs")
+    verify.add_argument("--jobs", type=_jobs, default=1, help="parallel check jobs (at least 1)")
     return parser
+
+
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: an integer of at least 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _outdir(args) -> Path:

@@ -10,8 +10,8 @@ companion S(t) = G(t) * (G(t)/t)^(-1/n).
 Supported kinds:
 
 * ``power(p)``          g(t) = t^(p-1), indices (p-1, p-1)
-* ``regularized_power`` g(t) = (mu + t^2)^((p-2)/2) t, indices (1, p-1)
-  for mu > 0 and (p-1, p-1) for mu = 0
+* ``regularized_power`` g(t) = (mu + t^2)^((p-2)/2) t with mu > 0,
+  indices (1, p-1); at mu = 0 it is ``power``
 * ``tabulated``         monotone cubic interpolation of (t, g(t)) samples
 
 Power and regularized kinds use closed forms for G and G^{-1}; the
@@ -148,10 +148,7 @@ class PowerGrowth(GrowthFunction):
         return _like(arr ** (self.p - 1.0), t)
 
     def dg(self, t):
-        arr = _checked(t)
-        if self.p == 2.0:
-            return _like(np.ones_like(arr), t)
-        return _like((self.p - 1.0) * arr ** (self.p - 2.0), t)
+        return _like((self.p - 1.0) * _checked(t) ** (self.p - 2.0), t)
 
     @property
     def kernel0(self) -> float:
@@ -170,21 +167,18 @@ class PowerGrowth(GrowthFunction):
 
 
 class RegularizedPowerGrowth(GrowthFunction):
-    """g(t) = (mu + t^2)^((p-2)/2) t; the classical regularized p-kernel."""
+    """g(t) = (mu + t^2)^((p-2)/2) t, mu > 0; the classical regularized p-kernel."""
 
     kind = "regularized_power"
 
-    def __init__(self, p: float, mu: float = 0.0):
+    def __init__(self, p: float, mu: float):
         if not np.isfinite(p) or p < 2.0:
             raise DataError("regularized power growth requires p >= 2")
-        if not np.isfinite(mu) or mu < 0.0:
-            raise DataError("regularization parameter mu must be >= 0")
+        if not np.isfinite(mu) or mu <= 0.0:
+            raise DataError("regularized power growth requires mu > 0 (mu = 0 is kind = power)")
         self.p = float(p)
         self.mu = float(mu)
-        if self.mu == 0.0 or self.p == 2.0:
-            self.ig = 1.0 if self.p == 2.0 else self.p - 1.0
-        else:
-            self.ig = 1.0
+        self.ig = 1.0
         self.sg = self.p - 1.0
 
     def g(self, t):
@@ -200,14 +194,10 @@ class RegularizedPowerGrowth(GrowthFunction):
 
     @property
     def kernel0(self) -> float:
-        if self.p == 2.0:
-            return 1.0
         return self.mu ** ((self.p - 2.0) / 2.0)
 
     def G(self, t):
         arr = _checked(t)
-        if self.mu == 0.0:
-            return _like(arr**self.p / self.p, t)
         # mu^(p/2) [ (1 + t^2/mu)^(p/2) - 1 ] / p without cancellation
         mp = self.mu ** (self.p / 2.0)
         val = mp * np.expm1((self.p / 2.0) * np.log1p(arr**2 / self.mu)) / self.p
@@ -215,8 +205,6 @@ class RegularizedPowerGrowth(GrowthFunction):
 
     def G_inverse(self, s):
         arr = _checked(s, "s")
-        if self.mu == 0.0:
-            return _like((self.p * arr) ** (1.0 / self.p), s)
         # (mu + t^2)^(p/2) = p s + mu^(p/2); expm1/log1p guard the small-s
         # cancellation in (..)^(2/p) - mu.
         mp = self.mu ** (self.p / 2.0)
@@ -272,37 +260,28 @@ class TabulatedGrowth(GrowthFunction):
         self._G0 = values[0] * nodes[0] / (self._e_lo + 1.0)
         self._GN = self._G0 + float(self._anti(nodes[-1]) - self._anti(nodes[0]))
 
-    def g(self, t):
+    def _by_range(self, t, inside, below, above):
+        """``inside`` on the table's range [t_0, t_N]; beyond it, ``below``
+        and ``above`` of t / t_0 and t / t_N, the edge power laws."""
         arr = _checked(t)
         out = np.empty_like(arr)
-        t0, tN = self.nodes[0], self.nodes[-1]
-        below = arr < t0
-        above = arr > tN
-        mid = ~below & ~above
-        out[mid] = self._interp(arr[mid])
-        out[below] = self.values[0] * (arr[below] / t0) ** self._e_lo
-        out[above] = self.values[-1] * (arr[above] / tN) ** self._e_hi
+        lo, hi = arr < self.nodes[0], arr > self.nodes[-1]
+        mid = ~lo & ~hi
+        out[mid] = inside(arr[mid])
+        out[lo] = below(arr[lo] / self.nodes[0])
+        out[hi] = above(arr[hi] / self.nodes[-1])
         return _like(out, t)
 
+    def g(self, t):
+        (v0, vN), e0, eN = self.values[[0, -1]], self._e_lo, self._e_hi
+        return self._by_range(t, self._interp, lambda r: v0 * r**e0, lambda r: vN * r**eN)
+
     def dg(self, t):
-        arr = _checked(t)
-        out = np.empty_like(arr)
-        t0, tN = self.nodes[0], self.nodes[-1]
-        below = arr < t0
-        above = arr > tN
-        mid = ~below & ~above
-        out[mid] = self._dinterp(arr[mid])
+        (t0, tN), (v0, vN) = self.nodes[[0, -1]], self.values[[0, -1]]
+        e0, eN = self._e_lo, self._e_hi
         with np.errstate(divide="ignore"):
-            out[below] = (
-                self._e_lo
-                * self.values[0]
-                * (arr[below] / t0) ** (self._e_lo - 1.0)
-                / t0
-            )
-        out[above] = (
-            self._e_hi * self.values[-1] * (arr[above] / tN) ** (self._e_hi - 1.0) / tN
-        )
-        return _like(out, t)
+            return self._by_range(t, self._dinterp, lambda r: e0 * v0 * r ** (e0 - 1.0) / t0,
+                                  lambda r: eN * vN * r ** (eN - 1.0) / tN)
 
     @property
     def kernel0(self) -> float:
@@ -311,21 +290,11 @@ class TabulatedGrowth(GrowthFunction):
         return float(self.values[0] / self.nodes[0])
 
     def G(self, t):
-        arr = _checked(t)
-        out = np.empty_like(arr)
-        t0, tN = self.nodes[0], self.nodes[-1]
-        below = arr < t0
-        above = arr > tN
-        mid = ~below & ~above
-        out[below] = self._G0 * (arr[below] / t0) ** (self._e_lo + 1.0)
-        out[mid] = self._G0 + (self._anti(arr[mid]) - self._anti(t0))
-        out[above] = self._GN + (
-            self.values[-1]
-            * tN
-            / (self._e_hi + 1.0)
-            * ((arr[above] / tN) ** (self._e_hi + 1.0) - 1.0)
-        )
-        return _like(out, t)
+        (t0, tN), vN = self.nodes[[0, -1]], self.values[-1]
+        e0, eN = self._e_lo, self._e_hi
+        return self._by_range(t, lambda x: self._G0 + (self._anti(x) - self._anti(t0)),
+                              lambda r: self._G0 * r ** (e0 + 1.0),
+                              lambda r: self._GN + (vN * tN / (eN + 1.0) * (r ** (eN + 1.0) - 1.0)))
 
     def G_inverse(self, s):
         t_lo, t_hi = self.nodes[0] * 1e-6, self.nodes[-1] * 1e6

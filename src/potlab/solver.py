@@ -16,9 +16,9 @@ pinned set} is a projected Newton (primal-dual active-set) method.
 Each step fixes the active set, the free nodes on the obstacle whose
 residual pushes into it, and solves the sparse 9-point Hessian system of
 the cell energy on the other free nodes.  Each continuation level numbers
-its free nodes once, in a nested-dissection order of the node box, and
-builds the Hessian's CSC pattern on them; a step gathers the stencil
-coefficients into it, drops the active rows and columns, and SuperLU
+its free nodes once, at its first step, in a nested-dissection order of the
+node box, and builds the Hessian's CSC pattern on them; a step gathers the
+stencil coefficients into it, drops the active rows and columns, and SuperLU
 factors in that order.  The level holds the pattern and its latest LU
 with the unknown set it was built on, both freed with the level.  A step
 whose unknown set is the held one solves its system by conjugate
@@ -41,7 +41,8 @@ construction.  ``Solution.stop_reason`` says why a solve stopped, and
 algebra of all its levels.
 
 Ball-restricted solves pin every node outside the ball to the trace
-donor, realizing "w = u on the ball boundary" without a second mesh.
+donor, realizing "w = u on the ball boundary" without a second mesh; a
+frozen solve is the ball solve of the frozen problem, ``frozen_problem``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .errors import (
     IterationLimitError,
     LevelError,
 )
-from .field import VectorField
+from .field import VectorField, constant_coefficient
 from .grid import Grid2D, GridFunction, MeasureData, disk_mask, w11_distance
 
 __all__ = [
@@ -72,6 +73,7 @@ __all__ = [
     "solve_vi",
     "solve_equation",
     "solve_frozen",
+    "frozen_problem",
     "finest_level",
     "mollify_measure",
     "solve_op_sequence",
@@ -418,8 +420,7 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
             factorizations, krylov, lu_nnz = (coarse.factorizations, coarse.krylov_iterations,
                                               coarse.lu_nnz)
             E, resid = objective(u)
-    pattern = _Pattern(free)
-    lu = lu_unknown = None
+    pattern = lu = lu_unknown = None
     misses = 0
     res_hist: list[float] = []
     en_hist: list[float] = [E]
@@ -433,6 +434,7 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
             break
         if it >= cfg.max_iter:
             break
+        pattern = pattern or _Pattern(free)  # not before: a stationary start needs none
         unknown = free if psi is None else free & ~((u <= psi) & (resid > 0))
         if lu is not None and not np.array_equal(unknown, lu_unknown):
             lu = None  # freed before the next Hessian is assembled
@@ -499,8 +501,7 @@ def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
     return grid.interior_mask() & disk_mask(grid, center, radius)
 
 
-def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
-           omega_cells=None) -> Solution:
+def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Solution:
     grid = prob.grid
     if isinstance(prob.rhs, MeasureData):
         raise DataError(
@@ -523,9 +524,8 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
     start = np.where(free, start, prob.boundary.values)
     if psi is not None and np.any(start[~free] < psi[~free] - 1e-12):
         raise DataError("trace donor lies below the obstacle on pinned nodes")
-    if omega_cells is None:
-        omega_cells = prob.field.coefficient.on_cells(grid)
-    sol = _minimize(grid, prob.field.growth, omega_cells, f, start, psi, free, cfg)
+    sol = _minimize(grid, prob.field.growth, prob.field.coefficient.on_cells(grid),
+                    f, start, psi, free, cfg)
     if not sol.converged:
         raise IterationLimitError(
             f"stopped by {sol.stop_reason} after {sol.iterations} iterations "
@@ -551,23 +551,20 @@ def solve_equation(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,
 
 def solve_frozen(prob: ObstacleProblem, ball, cfg: SolverConfig | None = None, *,
                  warm_start=None) -> Solution:
-    """Solve on the ball with the coefficient replaced by its ball average.
+    """Solve ``frozen_problem(prob, ball)`` on the ball."""
+    return _solve(frozen_problem(prob, ball), cfg or SolverConfig(), ball, warm_start)
 
-    For the coefficient-times-kernel field this realizes the frozen field
-    exactly: a_bar(eta) = mean(omega) * kernel(|eta|) * eta.
-    """
+
+def frozen_problem(prob: ObstacleProblem, ball) -> ObstacleProblem:
+    """``prob`` with omega replaced by its node mean over the ball: for the
+    coefficient-times-kernel field, exactly a_bar(eta) = mean(omega) kernel(|eta|) eta."""
     grid = prob.grid
     if not grid.contains_ball(*ball):
         raise DomainError("freeze ball exits the domain")
-    n = grid.n
-    omega_cells = np.full((n - 1, n - 1), frozen_coefficient_value(prob, ball))
-    return _solve(prob, cfg or SolverConfig(), ball, warm_start, omega_cells=omega_cells)
-
-
-def frozen_coefficient_value(prob: ObstacleProblem, ball) -> float:
-    """The constant the frozen solve uses: node mean of omega over the ball."""
-    grid = prob.grid
-    return float(prob.field.coefficient.on_nodes(grid)[disk_mask(grid, *ball)].mean())
+    coef = prob.field.coefficient
+    mean = float(coef.on_nodes(grid)[disk_mask(grid, *ball)].mean())
+    frozen = constant_coefficient(mean, c_low=coef.c_low, c_high=coef.c_high)
+    return replace(prob, field=VectorField(prob.field.growth, frozen))
 
 
 def _bump_radius(level: int) -> float:
@@ -693,9 +690,8 @@ def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = Non
         replace(prob, boundary=w1.u, rhs=None), half, cfg, warm_start=w1.u
     ))
     if prob.obstacle is not None:
-        n = grid.n
-        omega_cells = np.full((n - 1, n - 1), frozen_coefficient_value(prob, half))
-        flux = apply_operator(grid, prob.field.growth, omega_cells,
+        frozen = frozen_problem(prob, half).field
+        flux = apply_operator(grid, frozen.growth, frozen.coefficient.on_cells(grid),
                               prob.obstacle.values, cfg.epsilon)
         rhs3 = GridFunction(grid, flux)
     else:

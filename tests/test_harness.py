@@ -38,7 +38,7 @@ from potlab.harness.config import (
     cells,
     load_config,
 )
-from potlab.orlicz import GROWTH_KINDS, PowerGrowth, RegularizedPowerGrowth
+from potlab.orlicz import GROWTH_KINDS, GrowthFunction, PowerGrowth, RegularizedPowerGrowth
 from potlab.potentials import (
     frac_maximal,
     obstacle_maximal,
@@ -164,7 +164,14 @@ def test_radial_profile_p4_power():
 def test_radial_profile_generic_matches_power():
     # the quadrature path for a non-power growth that happens to be a power
     r = np.array([0.2, 0.6])
-    generic = radial_potential_profile(RegularizedPowerGrowth(3.0, 0.0), 1.0, r)
+    class Power3(GrowthFunction):
+        # g(t) = t^2 outside PowerGrowth: the profile takes its quadrature path
+        ig = sg = 2.0
+
+        def g(self, t):
+            return PowerGrowth(3.0).g(t)
+
+    generic = radial_potential_profile(Power3(), 1.0, r)
     closed = radial_potential_profile(PowerGrowth(3.0), 1.0, r)
     assert np.allclose(generic, closed, rtol=1e-6)
 
@@ -207,7 +214,8 @@ def test_assemblies_monotone_in_data(dirac_context):
     x, R = (0.5, 0.3), 0.15
 
     def maximal_sum(c, alpha):
-        return maximal_sum_rhs(c, x, R, alpha, wolff_ladders(c, x, R))
+        return maximal_sum_rhs(c, x, R, alpha, ball_average(c.du_mag, x, R),
+                               wolff_ladders(c, x, R))
 
     def sharp_gradient(c):
         return sharp_gradient_rhs(c, x, R, 0.3, point_ladder(c, x, R), wolff_ladders(c, x, R))
@@ -264,8 +272,9 @@ def test_oscillation_rhs_symmetric(dirac_context):
     x0 = (0.5, 0.3)
     x, y = (0.52, 0.31), (0.48, 0.29)
     wx, wy = wolff_ladders(ctx, x, 0.15), wolff_ladders(ctx, y, 0.15)
-    a = gradient_oscillation_rhs(ctx, x0, x, y, 0.15, 0.3, wx, wy)
-    b = gradient_oscillation_rhs(ctx, x0, y, x, 0.15, 0.3, wy, wx)
+    du_avg = ball_average(ctx.du_mag, x0, 0.15)
+    a = gradient_oscillation_rhs(ctx, du_avg, x, y, 0.15, 0.3, wx, wy)
+    b = gradient_oscillation_rhs(ctx, du_avg, y, x, 0.15, 0.3, wy, wx)
     assert a == b
 
 
@@ -344,8 +353,8 @@ def test_gradient_bounds_fails_on_mesh_dependent_bound(tmp_path, monkeypatch):
     rhs = checks.maximal_sum_rhs
     monkeypatch.setattr(
         checks, "maximal_sum_rhs",
-        lambda ctx, x, R, alpha, ladders:
-            rhs(ctx, x, R, alpha, ladders) * (ctx.inst.grid.n / 32) ** 2,
+        lambda ctx, x, R, alpha, du_avg, ladders:
+            rhs(ctx, x, R, alpha, du_avg, ladders) * (ctx.inst.grid.n / 32) ** 2,
     )
     wrong = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
     assert wrong.passed is False
@@ -361,6 +370,23 @@ def dirac_two_meshes(tmp_path_factory):
     cfg = load_config(path)
     cfg.check_params["points"] = 4
     return cfg, SolveCache()
+
+
+def test_gradient_bounds_evaluates_each_pair_once(dirac_two_meshes, monkeypatch):
+    # one oscillation bound per pair and mesh: the bound is symmetric by
+    # construction (test_oscillation_rhs_symmetric), so nothing swaps it
+    cfg, cache = dirac_two_meshes
+    calls = []
+    rhs = checks.gradient_oscillation_rhs
+
+    def counted(*args):
+        calls.append(None)
+        return rhs(*args)
+
+    monkeypatch.setattr(checks, "gradient_oscillation_rhs", counted)
+    rep = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
+    pairs = [r for r in rep.rows if "oscillation" in r.flag.split()]
+    assert len(calls) == len(pairs) == cfg.check_params["points"] * len(cfg.meshes())
 
 
 WOLFF_PAIR = checks._wolff_pair
@@ -457,10 +483,10 @@ def test_maximal_estimates_fails_on_a_wrong_ladder(dirac_two_meshes, monkeypatch
 
 
 def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch):
-    # each point's ladders are gathered once per mesh, so an added alpha adds
-    # at most one ball per point and mesh, avg_{B_R}|Du| of maximal_sum_rhs,
-    # and no mass gather (a ladder regathered per alpha adds a whole ladder
-    # per point)
+    # each point's ladders are gathered once per mesh, and avg_{B_R}|Du| of
+    # maximal_sum_rhs is read from the point's ladder, so an added alpha adds
+    # no ball and no mass gather (a ladder regathered per alpha adds a whole
+    # ladder per point)
     import potlab.grid as gridmod
     calls = {"ball_nodes": [], "ball_masses": []}
     for name, log in calls.items():
@@ -487,8 +513,7 @@ def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch
         counts.append({name: len(log) for name, log in calls.items()})
     # the first run also builds the context; the later two run on the cache
     assert counts[1]["ball_nodes"] > 0 and counts[1]["ball_masses"] > 0
-    nodes_added = counts[2]["ball_nodes"] - counts[1]["ball_nodes"]
-    assert nodes_added <= cfg.check_params["points"] * len(cfg.meshes())
+    assert counts[2]["ball_nodes"] == counts[1]["ball_nodes"]
     assert counts[2]["ball_masses"] == counts[1]["ball_masses"]
 
 
@@ -801,7 +826,8 @@ def test_every_preset_builds_from_its_required_keys(tmp_path):
     np.savetxt(tmp_path / "table.txt", np.column_stack([t, t**2]))
     tables = [
         ("growth", "kind", GROWTH_KINDS,
-         {"power": {"p": 3.0}, "regularized_power": {"p": 3.0}, "tabulated": {"file": "table.txt"}}),
+         {"power": {"p": 3.0}, "regularized_power": {"p": 3.0, "mu": 1.0},
+          "tabulated": {"file": "table.txt"}}),
         ("coefficient", "preset", [*COEFFICIENT_PRESETS, "file"], {"file": {"file": raster.name}}),
         ("obstacle", "preset", OBSTACLE_PRESETS, {"file": {"path": raster.name}}),
         ("boundary", "preset", BOUNDARY_PRESETS, {"file": {"path": raster.name}}),
@@ -887,6 +913,10 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
     ("kind = power\np = 2.0", "kind = tabulated\nfile = absent.txt",
      "absent.txt: No such file or directory"),
     ("preset = zero", "preset = radial", "unknown boundary preset 'radial'"),
+    # mu = 0 is kind = power; regularized_power needs mu > 0
+    ("kind = power", "kind = regularized_power", "missing a required argument: 'mu'"),
+    ("kind = power", "kind = regularized_power\nmu = 0",
+     "requires mu > 0 (mu = 0 is kind = power)"),
 ])
 def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad_value.ini"
@@ -901,6 +931,9 @@ def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
     ("p = 2.0\n", "", "power growth: missing a required argument: 'p'"),
     ("p = 2.0\n", "p = 2.0\nmu = 0.1\n", "power growth takes no mu (it takes p)"),
     ("value = 1.0", "valu = 1.0", "constant coefficient takes no valu"),
+    ("kind = power", "kind = regularized_power", "missing a required argument: 'mu'"),
+    ("kind = power", "kind = regularized_power\nmu = 0.0",
+     "requires mu > 0 (mu = 0 is kind = power)"),
 ])
 def test_cli_solve_bad_parameter_exits_one(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad_parameter.ini"
@@ -957,7 +990,7 @@ def test_cli_runs_as_module_once(tmp_path):
     assert "verify" in proc.stdout
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     assert main([]) == 2
     assert main(["unknown-command"]) == 2
     assert main(["verify"]) == 2  # --config is required
@@ -968,6 +1001,11 @@ def test_cli_usage_errors():
     assert main(["solve", *config, "--seed", "1"]) == 2
     assert main(["solve", *config, "--jobs", "8"]) == 2
     assert main(["potential", *config, "--jobs", "8"]) == 2
+    # verify runs at least one job; fewer is refused before the config is read
+    for jobs in ("0", "-3"):
+        capsys.readouterr()
+        assert main(["verify", *config, "--jobs", jobs]) == 2
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exits_one(tmp_path):
@@ -985,7 +1023,6 @@ def test_gradient_bounds_small_instance(dirac_config):
     rep = reports[0]
     assert rep.name == "gradient_bounds"
     assert rep.passed
-    assert rep.summary["swap_symmetry_gap"] <= 1e-12
     assert all(r.ratio is None or r.ratio > 0 for r in rep.rows)
 
 

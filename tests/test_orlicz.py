@@ -63,7 +63,7 @@ def test_inverse_G_closed_forms():
        st.sampled_from([0.0, 0.3, 1.0]))
 @settings(max_examples=200, deadline=None)
 def test_inverse_roundtrip(t, p, mu):
-    g = RegularizedPowerGrowth(p, mu)
+    g = PowerGrowth(p) if mu == 0.0 else RegularizedPowerGrowth(p, mu)
     assert g.G_inverse(g.G(t)) == pytest.approx(t, rel=1e-10)
 
 
@@ -311,6 +311,21 @@ def test_power_requires_p_at_least_two():
         PowerGrowth(1.5)
     with pytest.raises(DataError):
         RegularizedPowerGrowth(3.0, -1.0)
+
+
+@pytest.mark.parametrize("growth", [
+    PowerGrowth(2.0), PowerGrowth(2.5), PowerGrowth(3.0), PowerGrowth(4.0),
+    RegularizedPowerGrowth(2.0, 0.5), RegularizedPowerGrowth(2.5, 1e-3),
+    RegularizedPowerGrowth(3.0, 1.0), RegularizedPowerGrowth(3.5, 0.1),
+    RegularizedPowerGrowth(4.0, 0.5),
+    TabulatedGrowth(_NODES, _NODES + _NODES**2),
+], ids=repr)
+def test_growth_is_finite_at_zero(growth):
+    # every kind extends g, g' and g(t)/t to t = 0 by finite values
+    t = np.array([0.0, 1e-300, 1e-8, 1.0])
+    for method in (growth.g, growth.dg, growth.kernel):
+        assert np.all(np.isfinite(method(t)))
+        assert np.isfinite(method(0.0))
 
 
 def test_check_indices_on_log_grid():

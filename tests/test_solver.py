@@ -17,7 +17,13 @@ from potlab.errors import (
     IterationLimitError,
     LevelError,
 )
-from potlab.field import VectorField, affine_coefficient, constant_coefficient, jump_coefficient
+from potlab.field import (
+    CoefficientField,
+    VectorField,
+    affine_coefficient,
+    constant_coefficient,
+    jump_coefficient,
+)
 from potlab.grid import Grid2D, GridFunction, MeasureData, disk_integral
 from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth, TabulatedGrowth
 from potlab.solver import (
@@ -25,7 +31,7 @@ from potlab.solver import (
     SolverConfig,
     apply_operator,
     comparison_chain,
-    frozen_coefficient_value,
+    frozen_problem,
     mollify_measure,
     solve_equation,
     solve_frozen,
@@ -651,8 +657,45 @@ def test_frozen_average_of_affine_coefficient():
     coeff = affine_coefficient(1.0, 0.0, 1.0)
     vf = VectorField(PowerGrowth(2.0), coeff)
     prob = ObstacleProblem(field=vf, boundary=GridFunction.constant(g, 0.0))
-    got = frozen_coefficient_value(prob, ((0.4, 0.5), 0.2))
+    got = float(frozen_problem(prob, ((0.4, 0.5), 0.2)).field.coefficient.at(0.4, 0.5))
     assert got == pytest.approx(1.4, abs=2 * g.h)
+
+
+def test_freeze_ball_leaving_the_domain_is_refused_before_any_mean():
+    # the domain is checked before the coefficient is read over the ball
+    def unread(X, Y):
+        raise AssertionError("coefficient read for a ball outside the domain")
+
+    g = Grid2D(48)
+    field = VectorField(PowerGrowth(2.0), CoefficientField(unread))
+    prob = ObstacleProblem(field=field, boundary=GridFunction.constant(g, 0.0))
+    ball = ((0.9, 0.5), 0.3)
+    with pytest.raises(DomainError, match="freeze ball exits the domain"):
+        frozen_problem(prob, ball)
+    with pytest.raises(DomainError, match="freeze ball exits the domain"):
+        solve_frozen(prob, ball, CFG)
+
+
+def test_stationary_start_builds_no_pattern(monkeypatch):
+    # a level builds its Hessian pattern at its first Newton step, so a
+    # start that already meets the stopping test builds none
+    built = []
+    original = solver._Pattern.__init__
+
+    def counted(self, free):
+        built.append(None)
+        original(self, free)
+
+    monkeypatch.setattr(solver._Pattern, "__init__", counted)
+    g = Grid2D(64)
+    zero = GridFunction.constant(g, 0.0)
+    sol = solve_vi(ObstacleProblem(field=unit_field(3.0), boundary=zero), CFG)
+    assert sol.converged and sol.iterations == 0
+    assert built == []
+    # the counter sees the patterns of a solve that steps: one per level
+    sol = solve_equation(ObstacleProblem(field=unit_field(3.0),
+                                         boundary=ring_only(g, lambda X, Y: X)), CFG)
+    assert sol.iterations > 0 and len(built) == 2
 
 
 def test_chain_collapses_without_data():
