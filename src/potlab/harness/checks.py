@@ -176,11 +176,10 @@ class RatioStudy:
 class SolveCache:
     """Memo for solved instances; keys are value tuples, builders pure.
 
-    A key is ``(Instance.key, kind, *params)``: the realized problem, the
-    kind of value and that value's own parameters, never the check that
-    asks, so checks that need one solve share it.  One cache serves one
-    config's checks, whose mollification levels and ``gamma_prime`` are
-    fixed across it.
+    A key is ``(Instance.key, kind, *params)``: the realized instance
+    (every input its solves and contexts read), the kind of value and that
+    value's own parameters, never the check that asks, so checks that need
+    one solve share it.
 
     Checks share one cache across ``--jobs`` threads: a per-key lock makes
     the first thread to ask build the value while the others wait for it.
@@ -233,14 +232,14 @@ def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
     return u1.with_values(np.hypot(g1x.values - g2x.values, g1y.values - g2y.values))
 
 
-def primary_solution(cfg: ExperimentConfig, cache: SolveCache, inst: Instance) -> Solution:
+def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: one solve on the measure mollified at
-    the finest level (atoms become bumps, a density passes unchanged)."""
+    the finest level its mesh resolves, ``finest_level(inst.grid)`` (atoms
+    become bumps, a density passes unchanged)."""
     def solve():
         rhs = inst.measure
         if rhs is not None:
-            level = finest_level(inst.grid, cfg.sweep_axis("level"))
-            rhs = mollify_measure(rhs, level, inst.grid)
+            rhs = mollify_measure(rhs, finest_level(inst.grid), inst.grid)
         return solve_vi(inst.problem(rhs=rhs), inst.solver)
     return cache.get((inst.key, "vi"), solve)
 
@@ -301,7 +300,7 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
             _G_obstacle_gradient(inst) + inst.growth.G(np.abs(inst.obstacle.values))
         )
     modulus = inst.field.oscillation_modulus(
-        inst.grid, r_max, gamma_prime=inst.config.gamma_prime
+        inst.grid, r_max, gamma_prime=inst.gamma_prime
     )
     return EstimateContext(
         inst=inst,
@@ -315,10 +314,9 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
     )
 
 
-def primary_context(cfg: ExperimentConfig, cache: SolveCache, inst: Instance,
-                    r_max: float) -> EstimateContext:
+def primary_context(cache: SolveCache, inst: Instance, r_max: float) -> EstimateContext:
     """``build_context`` of the instance's own solution, memoised."""
-    sol = primary_solution(cfg, cache, inst)
+    sol = primary_solution(cache, inst)
     return cache.get((inst.key, "ctx", r_max), lambda: build_context(inst, sol, r_max))
 
 
@@ -483,7 +481,7 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
         # atoms make the primary solution a mollification limit, whose
         # bound is the measure form
         measure_form = bool(inst.measure.atoms)
-        sol = primary_solution(cfg, cache, inst)
+        sol = primary_solution(cache, inst)
         w = _homogeneous_ball(cache, inst, sol, (center, R))
         lhs = ball_average(grad_distance_field(sol.u, w.u), center, R)
         if measure_form:
@@ -521,8 +519,9 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     side_R = _param(cfg, "side_radius", 0.15)
     study = RatioStudy()
     for cell, inst in cells(cfg, "amplitude"):
-        sol = primary_solution(cfg, cache, inst)
-        ctx = primary_context(cfg, cache, inst, 2 * R)
+        sol = primary_solution(cache, inst)
+        ctx = primary_context(cache, inst, 2 * R)
+        om = inst.field.coefficient.on_nodes(inst.grid)
         # the side ball's row belongs to no cell
         for ball_center, ball_R, ball_cell in ((center, R, cell), (side_center, side_R, None)):
             ball = (ball_center, ball_R)
@@ -535,7 +534,6 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
             # a ball the coefficient is constant on: freezing is a no-op
             # and the left side must sit at solver tolerance; constancy
             # is decided on the node set the frozen solve averages over
-            om = inst.field.coefficient.on_nodes(inst.grid)
             rhs = 0.0
             if float(np.ptp(om[disk_mask(inst.grid, ball_center, ball_R)])) > 1e-12:
                 rhs = coefficient_error_term(ctx, ctx.du_mag, ball_center, ball_R, 2 * ball_R)
@@ -552,7 +550,7 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
     R0 = _param(cfg, "radius", 0.36)
     study = RatioStudy()
     for cell, inst in cells(cfg, "scale"):
-        sol = primary_solution(cfg, cache, inst)
+        sol = primary_solution(cache, inst)
         growth = inst.growth
         psi = inst.obstacle
         G_dpsi = _G_obstacle_gradient(inst)
@@ -583,7 +581,7 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     R0 = _param(cfg, "radius", 0.36)
     study = RatioStudy()
     for cell, inst in cells(cfg, "scale"):
-        sol = primary_solution(cfg, cache, inst)
+        sol = primary_solution(cache, inst)
         growth = inst.growth
         # shift data so u >= 0; the homogeneous problem is invariant
         shift = min(0.0, float(sol.u.values.min()))
@@ -612,7 +610,7 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     R = _param(cfg, "radius", 0.3)
     study = RatioStudy()
     for n, inst in cells(cfg):
-        sol = primary_solution(cfg, cache, inst)
+        sol = primary_solution(cache, inst)
         growth = inst.growth
         fields = {
             "solution": sol.u,
@@ -687,8 +685,8 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
     study = RatioStudy()
     notes: list[str] = []
     for (n, inst), (_, hinst) in zip(cells(cfg), cells(_homogeneous_config(cfg))):
-        sol = primary_solution(cfg, cache, inst)
-        ctx = primary_context(cfg, cache, inst, 2 * R)
+        sol = primary_solution(cache, inst)
+        ctx = primary_context(cache, inst, 2 * R)
         beta_hat = _homogeneous_fit(cfg, cache, hinst)[1]
         chain = cache.get(
             (inst.key, "chain", (center, R)),
@@ -777,7 +775,7 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
     study = RatioStudy()
     alpha0_gap = 0.0
     for n, inst in cell_list:
-        ctx = primary_context(cfg, cache, inst, 2 * R)
+        ctx = primary_context(cache, inst, 2 * R)
         gathered = [(x, point_ladder(ctx, x, R), wolff_ladders(ctx, x, R)) for x in points]
         for x, ladder, _ in gathered:
             lhs0 = ladder.sharp_maximal(0.0) + ladder.frac_maximal(1.0)
@@ -822,7 +820,7 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
     alpha = max(alphas)
     study = RatioStudy()
     for n, inst in cell_list:
-        ctx = primary_context(cfg, cache, inst, 2 * R)
+        ctx = primary_context(cache, inst, 2 * R)
         for x0, ang in zip(points, angles):
             du_avg = ball_average(ctx.du_mag, x0, R)
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))

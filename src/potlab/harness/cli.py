@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``solve`` (the solution that ``verify`` checks, raster +
-diagnostics), ``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
+diagnostics, with the mollification level when the measure has atoms),
+``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
 the config's check list, each check over the ``[sweep]`` cells it crosses
 through ``config.cells``, one report set gated on the drift across those
 cells).  ``solve`` and ``potential`` realize the config on its finest
@@ -21,6 +22,7 @@ import numpy as np
 from ..errors import PotlabError
 from ..grid import ball_mass, write_raster
 from ..potentials import WolffParams, frac_maximal, wolff, write_potential_csv
+from ..solver import finest_level
 from .checks import (
     SolveCache,
     primary_solution,
@@ -68,9 +70,13 @@ def _outdir(args) -> Path:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    sol = primary_solution(cfg, SolveCache(), build_instance(cfg, max(cfg.meshes())))
+    inst = build_instance(cfg, max(cfg.meshes()))
+    sol = primary_solution(SolveCache(), inst)
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:
+        # only atoms are mollified: a density is solved as it is
+        if inst.measure is not None and inst.measure.atoms:
+            fh.write(f"mollification_level {finest_level(inst.grid)}\n")
         fh.write(f"iterations {sol.iterations}\n")
         fh.write(f"energy {sol.energy:.12g}\n")
         fh.write(f"complementarity {sol.complementarity:.12g}\n")

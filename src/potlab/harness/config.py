@@ -8,9 +8,11 @@ section into its object: the section's preset (``kind`` for [growth])
 picks a builder from the section's table, and each other key binds a
 keyword parameter of that builder, typed against the parameter's
 default.  [sweep] lists values of the ``SWEEP_AXES``, its n the meshes of
-the unit square.  ``build_instance`` realizes the config at one mesh with
-optional data scalings, producing the immutable bundle the checks and the
-CLI consume; ``cells`` realizes it in every cell a check crosses.
+the unit square; the mollification level is not a setting, since each
+mesh solves the finest level it resolves (``solver.finest_level``).
+``build_instance`` realizes the config at one mesh with optional data
+scalings, producing the immutable bundle the checks and the CLI consume;
+``cells`` realizes it in every cell a check crosses.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ __all__ = [
 ]
 
 # the [sweep] axes: ``cells`` crosses n, scale and amplitude; alpha is the
-# estimate checks' exponent loop and level caps the mollification level.  A
-# setting such as the solver's epsilon has one value per run, in [solver]
-SWEEP_AXES = ("n", "scale", "level", "amplitude", "alpha")
+# estimate checks' exponent loop.  A setting such as the solver's epsilon
+# has one value per run, in [solver]
+SWEEP_AXES = ("n", "scale", "amplitude", "alpha")
 # the [checks] keys besides ``run``: the parameters the checks read, each
 # through ``checks._param``, which refuses any other
 CHECK_KEYS = ("center", "radius", "off_center", "off_radius", "side_center", "side_radius",
@@ -58,11 +60,10 @@ _SECTIONS = (*_PROBLEM_SECTIONS, "solver", "checks", "sweep")
 # the coefficient presets whose amplitude the ``amplitude`` axis sweeps
 _AMPLITUDE_PRESETS = ("jump", "checkerboard")
 
+# every check crosses meshes, and data scaling is the default evidence
 _DEFAULT_SWEEP = {
     "n": [64, 128],
     "scale": [1.0, 4.0, 16.0],
-    "level": [2, 4, 8, 16],
-    "amplitude": [0.2, 0.4],
 }
 
 
@@ -174,13 +175,18 @@ def load_config(path) -> ExperimentConfig:
     if parser.has_section("sweep"):
         cfg.sweep = {k: _parse_list(v) for k, v in parser.items("sweep")}
     _refuse_unknown("[sweep] {}", cfg.sweep, SWEEP_AXES, "an axis", lambda key: (
-        f"; set {key} under [solver]" if key in _SOLVER_KEYS else ""))
+        f"; set {key} under [solver]" if key in _SOLVER_KEYS else
+        "; each mesh solves the finest mollification level it resolves" if key == "level"
+        else ""))
     for key, values in cfg.sweep.items():
         if not values:
             raise DataError(f"[sweep] {key} lists no value")
-        # meshes and mollification levels are counts; the other axes numbers
-        kind = 0 if key in ("n", "level") else 0.0
+        # meshes are counts; the other axes numbers
+        kind = 0 if key == "n" else 0.0
         cfg.sweep[key] = [typed_value("sweep", key, v, kind) for v in values]
+    if "amplitude" in cfg.sweep and "amplitude" in cfg.coefficient:
+        raise DataError("[coefficient] amplitude is overridden by [sweep] amplitude; "
+                        "set one of them")
     return cfg
 
 
@@ -323,7 +329,6 @@ _USE_MEASURE = object()
 class Instance:
     """A config realized at one mesh: everything a solve or a check needs."""
 
-    config: ExperimentConfig
     grid: Grid2D
     growth: GrowthFunction
     field: VectorField
@@ -331,7 +336,8 @@ class Instance:
     measure: MeasureData | None
     boundary: GridFunction
     solver: SolverConfig
-    key: tuple  # names the realized problem; see build_instance
+    gamma_prime: float  # the oscillation modulus's exponent
+    key: tuple  # names the inputs of every field above; see build_instance
 
     def problem(self, rhs=_USE_MEASURE) -> ObstacleProblem:
         return ObstacleProblem(
@@ -349,11 +355,11 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
 
     ``data_scale`` multiplies boundary, obstacle, and measure together
     (the full-data scaling); ``rhs_scale`` multiplies the measure only.
-    The key holds what realizes the problem and nothing else: the mesh,
+    The key holds what realizes the instance and nothing else: the mesh,
     both scales, the problem sections (with the amplitude applied), the
-    directory their files are read from, and the solver settings; never
-    ``check_params`` or the sweep, so checks that sample differently
-    share every solve.
+    directory their files are read from, the solver settings and
+    ``gamma_prime``; never ``check_params`` or the sweep, so checks that
+    sample differently share every solve.
     """
     grid = Grid2D(int(n))
     growth = build_growth(cfg)
@@ -370,9 +376,9 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
                         grid, data_scale)
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
     key = (grid.n, float(data_scale), float(rhs_scale),
-           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver)
+           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver,
+           float(cfg.gamma_prime))
     return Instance(
-        config=cfg,
         grid=grid,
         growth=growth,
         field=vf,
@@ -380,6 +386,7 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
         measure=measure,
         boundary=boundary,
         solver=cfg.solver,
+        gamma_prime=cfg.gamma_prime,
         key=key,
     )
 
@@ -388,14 +395,13 @@ def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
     """``(cell, inst)`` for every cell of the [sweep] meshes crossed with
     ``axes`` ("scale", "amplitude"), meshes outermost and then the axes in
     the order given; a cell is ``n`` alone or ``(n, *values)``.  ``scale``
-    names the ``build_instance`` keyword the scale axis drives; amplitude
-    is swept only on the ``_AMPLITUDE_PRESETS`` and is ``None`` otherwise,
-    and without ``[sweep] amplitude`` the section's own amplitude, when it
-    sets one, is the axis's one value."""
-    amplitudes = [None]
-    if cfg.coefficient.get("preset") in _AMPLITUDE_PRESETS:
-        own = "amplitude" in cfg.coefficient and "amplitude" not in cfg.sweep
-        amplitudes = [cfg.coefficient["amplitude"]] if own else cfg.sweep_axis("amplitude")
+    names the ``build_instance`` keyword the scale axis drives.  Amplitude
+    is ``[sweep] amplitude`` on the ``_AMPLITUDE_PRESETS`` when the config
+    lists it; otherwise it has one value, the section's own amplitude
+    (``None``, the preset's default, when the section sets none)."""
+    amplitudes = [cfg.coefficient.get("amplitude")]
+    if cfg.coefficient.get("preset") in _AMPLITUDE_PRESETS and "amplitude" in cfg.sweep:
+        amplitudes = cfg.sweep["amplitude"]
     values = {"scale": [float(s) for s in cfg.sweep_axis("scale")], "amplitude": amplitudes}
     keyword = {"scale": scale, "amplitude": "amplitude"}
     for n in cfg.sweep_axis("n"):

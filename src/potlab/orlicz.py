@@ -245,9 +245,10 @@ class TabulatedGrowth(GrowthFunction):
         self._interp = PchipInterpolator(nodes, values)
         self._dinterp = self._interp.derivative()
         self._anti = self._interp.antiderivative()
-        self._e_lo = float(
-            np.log(values[1] / values[0]) / np.log(nodes[1] / nodes[0])
-        )
+        e_lo = float(np.log(values[1] / values[0]) / np.log(nodes[1] / nodes[0]))
+        # a lower edge within 1e-12 of linear is linear, so that dg(0) and
+        # kernel0 both read values[0] / nodes[0]
+        self._e_lo = 1.0 if abs(e_lo - 1.0) <= 1e-12 else e_lo
         self._e_hi = float(
             np.log(values[-1] / values[-2]) / np.log(nodes[-1] / nodes[-2])
         )
@@ -285,7 +286,7 @@ class TabulatedGrowth(GrowthFunction):
 
     @property
     def kernel0(self) -> float:
-        if self._e_lo > 1.0 + 1e-12:
+        if self._e_lo > 1.0:
             return 0.0
         return float(self.values[0] / self.nodes[0])
 

@@ -42,7 +42,8 @@ algebra of all its levels.
 
 Ball-restricted solves pin every node outside the ball to the trace
 donor, realizing "w = u on the ball boundary" without a second mesh; a
-frozen solve is the ball solve of the frozen problem, ``frozen_problem``.
+frozen solve is the ball solve of the frozen problem, ``frozen_problem``;
+the comparison chain builds its frozen problem once and solves w2-w4 on it.
 """
 
 from __future__ import annotations
@@ -572,11 +573,12 @@ def _bump_radius(level: int) -> float:
     return 1.0 / (4.0 * level)
 
 
-def finest_level(grid: Grid2D, levels=()) -> int:
-    """The finest of ``levels`` whose bump radius the grid resolves; the
-    finest level the grid resolves if none of them is."""
-    ok = [l for l in map(int, levels) if grid.resolves(_bump_radius(l))]
-    return max(ok) if ok else max(1, int(_bump_radius(1) / grid.r_min))
+def finest_level(grid: Grid2D) -> int:
+    """The largest mollification level whose bump radius the grid resolves."""
+    level = 1
+    while grid.resolves(_bump_radius(level + 1)):
+        level += 1
+    return level
 
 
 def mollify_measure(mu: MeasureData, level: int, grid: Grid2D) -> GridFunction:
@@ -686,20 +688,22 @@ def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = Non
     w1 = stage("w1", lambda: solve_vi(
         replace(prob, boundary=donor, rhs=None), cfg, ball=ball, warm_start=donor
     ))
-    w2 = stage("w2", lambda: solve_frozen(
-        replace(prob, boundary=w1.u, rhs=None), half, cfg, warm_start=w1.u
-    ))
+    # the frozen problem on B_{R/2} with trace w1, built once for w2-w4
+    def frozen_w2():
+        frozen = frozen_problem(replace(prob, boundary=w1.u, rhs=None), half)
+        return frozen, solve_vi(frozen, cfg, ball=half, warm_start=w1.u)
+
+    frozen, w2 = stage("w2", frozen_w2)
     if prob.obstacle is not None:
-        frozen = frozen_problem(prob, half).field
-        flux = apply_operator(grid, frozen.growth, frozen.coefficient.on_cells(grid),
+        flux = apply_operator(grid, frozen.field.growth, frozen.field.coefficient.on_cells(grid),
                               prob.obstacle.values, cfg.epsilon)
         rhs3 = GridFunction(grid, flux)
     else:
         rhs3 = None
-    w3 = stage("w3", lambda: solve_frozen(
-        replace(prob, boundary=w1.u, obstacle=None, rhs=rhs3), half, cfg, warm_start=w1.u
+    w3 = stage("w3", lambda: solve_equation(
+        replace(frozen, obstacle=None, rhs=rhs3), cfg, ball=half, warm_start=w1.u
     ))
-    w4 = stage("w4", lambda: solve_frozen(
-        replace(prob, boundary=w1.u, obstacle=None, rhs=None), half, cfg, warm_start=w3.u
+    w4 = stage("w4", lambda: solve_equation(
+        replace(frozen, obstacle=None), cfg, ball=half, warm_start=w3.u
     ))
     return ComparisonChain(w1, w2, w3, w4, rhs3)

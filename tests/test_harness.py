@@ -33,7 +33,9 @@ from potlab.harness.cli import main
 from potlab.harness.config import (
     BOUNDARY_PRESETS,
     OBSTACLE_PRESETS,
+    SWEEP_AXES,
     ExperimentConfig,
+    Instance,
     build_instance,
     cells,
     load_config,
@@ -105,7 +107,6 @@ run = gradient_bounds
 
 [sweep]
 n = 48
-level = 2, 4
 """
 
 
@@ -452,10 +453,61 @@ def test_point_ladder_equals_the_maximal_operators(tmp_path, measure, boundary):
                     .replace("[sweep]\nn = 48", "[sweep]\nn = 64"))
     cfg = load_config(path)
     inst = build_instance(cfg, 64)
-    ctx = checks.primary_context(cfg, SolveCache(), inst, 0.3)
+    ctx = checks.primary_context(SolveCache(), inst, 0.3)
     assert ctx.od is not None and (ctx.inst.measure.density is not None) == (measure[0] == "d")
     for x in LADDER_POINTS:
         _assert_ladder_equals_operators(ctx, x, 0.15, (0.0, 0.2, 0.5, 1.0))
+
+
+def _plain_ball(grid, center, rho, snap):
+    """The nodes of the closed ball d^2 <= rho^2 (1 + 1e-12) around the
+    center, snapped to the nearest node by rounding when ``snap``: a mask
+    over the full grid from the node coordinates alone."""
+    cx, cy = center
+    if snap:
+        cx, cy = grid.xs[int(round(cx * grid.n - 0.5))], grid.ys[int(round(cy * grid.n - 0.5))]
+    d2 = (grid.xs[:, None] - cx) ** 2 + (grid.ys[None, :] - cy) ** 2
+    return d2 <= rho**2 * (1.0 + 1e-12)
+
+
+def _plain_mass(mu, grid, x, rho):
+    """|mu| of the closed ball B_rho(x): the atoms inside it plus the
+    density summed over the unsnapped ball's nodes times h^2."""
+    mass = sum(abs(m) for ax, ay, m in mu.atoms
+               if (ax - x[0]) ** 2 + (ay - x[1]) ** 2 <= rho**2 * (1.0 + 1e-12))
+    if mu.density is not None:
+        mass += mu.density.values[_plain_ball(grid, x, rho, snap=False)].sum() / grid.n**2
+    return mass
+
+
+@pytest.mark.parametrize("measure, boundary", [("atoms = 0.5 0.5 1.0", "fundamental"),
+                                               ("density = 1.0", "zero")])
+def test_ladders_equal_a_plain_full_grid_loop(tmp_path, measure, boundary):
+    # each PointLadder column and each WolffLadder mass against a loop
+    # over the whole grid that shares no helper with the ladders, at n = 64
+    # and points next to and away from the atom
+    path = tmp_path / "ladder.ini"
+    path.write_text(DIRAC.replace("atoms = 0.5 0.5 1.0", measure)
+                    .replace("preset = fundamental", f"preset = {boundary}"))
+    inst = build_instance(load_config(path), 64)
+    ctx = checks.primary_context(SolveCache(), inst, 0.3)
+    g, R = inst.grid, 0.15
+    for x in LADDER_POINTS:
+        ladder = point_ladder(ctx, x, R)
+        want = []
+        for rho in ladder.radii:
+            ball = _plain_ball(g, x, rho, snap=True)
+            u, vx, vy = ctx.u.values[ball], ctx.du_x.values[ball], ctx.du_y.values[ball]
+            want.append((np.abs(u - u.mean()).mean(), np.abs(ctx.du_mag.values[ball]).mean(),
+                         np.hypot(vx - vx.mean(), vy - vy.mean()).mean(),
+                         ctx.od.kernel.values[ball].mean(), _plain_mass(inst.measure, g, x, rho)))
+        got = np.column_stack([ladder.u_oscillation, ladder.du_mean, ladder.du_excess,
+                               ladder.kernel_mean, ladder.masses])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for mu, wolff_ladder in zip((inst.measure, ctx.od.measure), wolff_ladders(ctx, x, R)):
+            np.testing.assert_allclose(
+                wolff_ladder.masses, [_plain_mass(mu, g, x, rho) for rho in wolff_ladder.radii],
+                rtol=1e-12, atol=0)
 
 
 def test_maximal_estimates_fails_on_a_wrong_ladder(dirac_two_meshes, monkeypatch):
@@ -504,7 +556,7 @@ def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch
     counts = []
     for alphas in ("0, 0.2", "0, 0.2", "0, 0.1, 0.2"):
         path = tmp_path / "alphas.ini"
-        path.write_text(DIRAC.replace("level = 2, 4", f"level = 2, 4\nalpha = {alphas}"))
+        path.write_text(DIRAC.replace("n = 48\n", f"n = 48\nalpha = {alphas}\n"))
         cfg = load_config(path)
         cfg.check_params["points"] = 4
         for log in calls.values():
@@ -671,7 +723,7 @@ def test_cli_solve_writes_the_verified_solution(tmp_path):
     path = CONFIGS / "dirac.ini"
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
     cfg = load_config(path)
-    verified = checks.primary_solution(cfg, SolveCache(), build_instance(cfg, max(cfg.meshes())))
+    verified = checks.primary_solution(SolveCache(), build_instance(cfg, max(cfg.meshes())))
     assert np.array_equal(read_raster(tmp_path / "solution.txt").values, verified.u.values)
 
 
@@ -700,6 +752,18 @@ def test_cli_solve_writes_artifacts(tiny_config, tmp_path):
     assert diag["factorizations"] == diag["iterations"] == "1"
     assert diag["krylov_iterations"] == "0"
     assert int(diag["lu_nnz"]) > 0
+    # a density is solved unmollified: no level to report
+    assert "mollification_level" not in diag
+
+
+def test_cli_solve_writes_the_mollification_level(tmp_path):
+    # the atom of the DIRAC data at n = 64 is solved as its level-8 bump
+    path = tmp_path / "dirac64.ini"
+    path.write_text(DIRAC.replace("[sweep]\nn = 48", "[sweep]\nn = 64"))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    diag = dict(line.split() for line in (tmp_path / "s" / "diagnostics.txt").read_text()
+                .splitlines())
+    assert diag["mollification_level"] == "8"
 
 
 def test_cli_solve_infeasible_exits_one(tmp_path):
@@ -809,6 +873,28 @@ def test_section_amplitude_is_the_amplitude_axis_default():
     assert [cell for cell, _ in cells(cfg, "amplitude")] == [(16, 0.1), (16, 0.5)]
 
 
+def test_amplitude_has_one_source():
+    # without [sweep] amplitude a jump or checkerboard preset has one cell
+    # per mesh at the section's amplitude, the preset's 0.2 when it sets none
+    for preset in ("jump", "checkerboard"):
+        cfg = ExperimentConfig(coefficient={"preset": preset})
+        got = list(cells(cfg, "amplitude"))
+        assert [cell for cell, _ in got] == [(64, None), (128, None)]
+        for _, inst in got:
+            assert set(np.unique(inst.field.coefficient.on_nodes(inst.grid))) == {0.8, 1.2}
+
+
+def test_amplitude_set_twice_is_refused(tmp_path, capsys):
+    # a [coefficient] amplitude that [sweep] amplitude would override
+    path = tmp_path / "jump.ini"
+    path.write_text((CONFIGS / "jump.ini").read_text()
+                    .replace("preset = jump\n", "preset = jump\namplitude = 0.3\n"))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "[coefficient] amplitude" in err[0] and "[sweep] amplitude" in err[0]
+
+
 def test_comparison_without_right_hand_data_notes_once():
     # 2 meshes x 3 source scales skip: one degenerate row each, one note
     cfg = ExperimentConfig(sweep={"n": [16, 32]})
@@ -895,11 +981,13 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
     ("n = 64, 128", "n =", "[sweep] n lists no value"),
     # the domain is the unit square and the meshes are [sweep] n
     ("[solver]\n", "[grid]\nn = 128\n\n[solver]\n", "the meshes are [sweep] n"),
-    # meshes and levels are integers, the other axes numbers; an integer
-    # setting takes no fraction
+    # meshes are integers, the other axes numbers; an integer setting takes
+    # no fraction
     ("n = 64, 128", "n = 64, abc", "[sweep] n must be an integer, got 'abc'"),
     ("n = 64, 128", "n = 64.5", "[sweep] n must be an integer, got 64.5"),
-    ("n = 64, 128", "n = 64\nlevel = 2.5", "[sweep] level must be an integer, got 2.5"),
+    # the mollification level is a function of the mesh, not an axis
+    ("n = 64, 128", "n = 64\nlevel = 2.5", "[sweep] level is not an axis (known: n, scale, "
+     "amplitude, alpha); each mesh solves the finest mollification level it resolves"),
     ("scale = 1, 4, 16", "scale = 1, x", "[sweep] scale must be a number, got 'x'"),
     ("tol = 1e-8", "tol = 1e-8\nmax_iter = 2.7", "[solver] max_iter must be an integer, got 2.7"),
     # every problem section is closed and typed, and its files are read
@@ -1111,6 +1199,30 @@ def test_instance_key_names_the_realized_problem(dirac_config, tmp_path):
     jump = load_config(path)
     assert build_instance(jump, 32, amplitude=0.2).key == build_instance(jump, 32).key
     assert build_instance(jump, 32, amplitude=0.4).key != build_instance(jump, 32).key
+
+
+def test_instance_key_names_gamma_prime(dirac_config):
+    # the estimate context's modulus reads gamma_prime, so two configs that
+    # differ only there share no cached context
+    import dataclasses
+
+    cfg = load_config(dirac_config)
+    other = dataclasses.replace(cfg, gamma_prime=3.0)
+    assert build_instance(other, 48).gamma_prime == 3.0
+    assert build_instance(other, 48).key != build_instance(cfg, 48).key
+    assert build_instance(other, 48).key[4] == build_instance(cfg, 48).key[4]
+
+
+def test_instances_and_primary_solves_read_no_config():
+    # an Instance carries every input of its solves and contexts, and the
+    # mollification level is no sweep axis
+    import dataclasses
+    import inspect
+
+    assert "config" not in {f.name for f in dataclasses.fields(Instance)}
+    for fn in (checks.primary_solution, checks.primary_context):
+        assert "cfg" not in inspect.signature(fn).parameters
+    assert SWEEP_AXES == ("n", "scale", "amplitude", "alpha")
 
 
 def test_report_rhs_floor_flagging():

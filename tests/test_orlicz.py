@@ -319,6 +319,8 @@ def test_power_requires_p_at_least_two():
     RegularizedPowerGrowth(3.0, 1.0), RegularizedPowerGrowth(3.5, 0.1),
     RegularizedPowerGrowth(4.0, 0.5),
     TabulatedGrowth(_NODES, _NODES + _NODES**2),
+    # linear: the fitted lower edge exponent rounds to 1 - 2e-16
+    TabulatedGrowth(np.geomspace(1e-3, 1e3, 9), 1.5 * np.geomspace(1e-3, 1e3, 9)),
 ], ids=repr)
 def test_growth_is_finite_at_zero(growth):
     # every kind extends g, g' and g(t)/t to t = 0 by finite values
@@ -326,6 +328,17 @@ def test_growth_is_finite_at_zero(growth):
     for method in (growth.g, growth.dg, growth.kernel):
         assert np.all(np.isfinite(method(t)))
         assert np.isfinite(method(0.0))
+
+
+def test_linear_table_has_one_slope_at_zero():
+    # a linear table g = c t has g'(0) = g(t)/t = c however its fitted
+    # lower edge exponent rounds: dg and kernel0 read one rule
+    rng = np.random.default_rng(400)
+    for _ in range(400):
+        lo = 10 ** rng.uniform(-4, 0)
+        t = np.geomspace(lo, lo * 10 ** rng.uniform(1, 4), 9)
+        growth = TabulatedGrowth(t, 10 ** rng.uniform(-2, 2) * t)
+        assert growth.dg(0.0) == growth.kernel0 == growth.values[0] / growth.nodes[0]
 
 
 def test_check_indices_on_log_grid():

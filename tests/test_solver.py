@@ -566,6 +566,19 @@ def test_mollify_density_on_another_grid():
         mollify_measure(MeasureData(density=dens), 2, Grid2D(64))
 
 
+@pytest.mark.parametrize("n", [16, 24, 32, 48, 64, 96, 128, 256])
+def test_finest_level_is_a_function_of_the_mesh(n):
+    # the largest level whose bump 1/(4 level) the mesh resolves; no list
+    # of levels caps it
+    import inspect
+
+    assert list(inspect.signature(solver.finest_level).parameters) == ["grid"]
+    g = Grid2D(n)
+    level = solver.finest_level(g)
+    assert g.resolves(1.0 / (4 * level)) and not g.resolves(1.0 / (4 * (level + 1)))
+    assert {64: 8, 128: 16, 256: 32}.get(n, level) == level
+
+
 def test_mollify_level_errors():
     g = Grid2D(64)
     near_edge = MeasureData(atoms=[(0.05, 0.5, 1.0)])
@@ -718,6 +731,44 @@ def test_chain_affine_obstacle_flux_free():
     # affine obstacle flux is divergence-free: the driven and homogeneous
     # frozen equations coincide
     assert np.abs(chain.w3.u.values - chain.w4.u.values).max() < 10 * CFG.tol
+
+
+def test_chain_freezes_the_coefficient_once(monkeypatch):
+    # w2-w4 solve one frozen problem, whose mean is one full-grid
+    # coefficient evaluation; each stage and the obstacle flux are bitwise
+    # the solves of frozen_problem that solve_frozen makes per stage
+    from dataclasses import replace
+
+    g = Grid2D(48)
+    vf = VectorField(PowerGrowth(2.0), jump_coefficient(0.3, position=0.45))
+    psi = GridFunction.from_callable(g, lambda X, Y: 0.2 - 1.5 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
+    prob = ObstacleProblem(field=vf, boundary=ring_only(g, lambda X, Y: X), obstacle=psi)
+    outer = solve_vi(prob, CFG)
+    ball = ((0.5, 0.5), 0.2)
+    half = ((0.5, 0.5), 0.1)
+    calls = []
+    on_nodes = CoefficientField.on_nodes
+
+    def counted(self, grid):
+        calls.append(grid)
+        return on_nodes(self, grid)
+
+    monkeypatch.setattr(CoefficientField, "on_nodes", counted)
+    chain = comparison_chain(prob, ball, CFG, outer=outer)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    w1 = solve_vi(replace(prob, boundary=outer.u, rhs=None), CFG, ball=ball, warm_start=outer.u)
+    w2 = solve_frozen(replace(prob, boundary=w1.u, rhs=None), half, CFG, warm_start=w1.u)
+    frozen = frozen_problem(prob, half).field
+    flux = GridFunction(g, apply_operator(g, frozen.growth, frozen.coefficient.on_cells(g),
+                                          psi.values, CFG.epsilon))
+    w3 = solve_frozen(replace(prob, boundary=w1.u, obstacle=None, rhs=flux), half, CFG,
+                      warm_start=w1.u)
+    w4 = solve_frozen(replace(prob, boundary=w1.u, obstacle=None, rhs=None), half, CFG,
+                      warm_start=w3.u)
+    for got, want in ((chain.w1, w1), (chain.w2, w2), (chain.w3, w3), (chain.w4, w4)):
+        assert np.array_equal(got.u.values, want.u.values)
+    assert np.array_equal(chain.obstacle_flux.values, flux.values)
 
 
 def test_chain_error_names_stage():
