@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Compare two trees of `potlab verify` reports.
+"""Compare two trees of `potlab verify` reports and `potlab solve` diagnostics.
 
-Every `check_*.csv` and `summary.txt` under OLD is matched with the file
-at the same relative path under NEW.  For each file the script prints
-whether the rows and flags (CSV) or the rows and verdicts (summary)
-agree, and the largest relative difference |a - b| / max(|a|, |b|) of
-each numeric column; files whose bytes match print as byte-identical.
+Every `check_*.csv`, `summary.txt` and `diagnostics.txt` under OLD is
+matched with the file at the same relative path under NEW.  For each file
+the script prints whether the rows and flags (CSV), the rows and verdicts
+(summary) or the solver counts (diagnostics: every line but energy,
+complementarity and residual) agree, and the largest relative difference
+|a - b| / max(|a|, |b|) of each numeric column or line; files whose bytes
+match print as byte-identical.
 Summary notes are compared as text and reported, but they are rounded
 copies of numbers compared elsewhere and do not fail the comparison.
 The last two lines count the byte-identical files among all files seen
@@ -14,8 +16,8 @@ on either side and give the verdict.
 Usage: python scripts/compare_reports.py OLD NEW
 
 Exit status 1 when a file is missing on either side, a verdict, row
-count or flag changed, or a numeric difference exceeds 1e-6; 2 on a
-usage error; else 0.
+count, flag or solver count changed, or a numeric difference exceeds
+1e-6; 2 on a usage error; else 0.
 """
 
 import csv
@@ -27,6 +29,7 @@ from pathlib import Path
 LIMIT = 1e-6
 CSV_NUMERIC = ("point_x", "point_y", "radius", "lhs", "rhs", "ratio")
 SUMMARY_NUMERIC = ("max_ratio", "drift")
+DIAGNOSTICS_NUMERIC = ("energy", "complementarity", "residual")
 
 
 def rel_diff(a: str, b: str) -> float:
@@ -69,6 +72,11 @@ def read_summary(path: Path) -> tuple[list[dict], list[str]]:
     return rows, notes
 
 
+def read_diagnostics(path: Path) -> dict:
+    """The `name value` lines of a diagnostics file."""
+    return dict(line.split() for line in path.read_text().splitlines())
+
+
 def compare_rows(old: list[dict], new: list[dict], exact, numeric) -> tuple[list[str], dict]:
     """Changes in the exact columns and the largest difference per numeric one."""
     problems = []
@@ -90,6 +98,15 @@ def compare_file(rel: Path, old: Path, new: Path) -> bool:
         (a, notes_a), (b, notes_b) = read_summary(old), read_summary(new)
         problems, worst = compare_rows(a, b, ("check", "rows", "pass"), SUMMARY_NUMERIC)
         what = "checks, rows and verdicts"
+    elif rel.name == "diagnostics.txt":
+        a, b = read_diagnostics(old), read_diagnostics(new)
+        names = sorted(a.keys() | b.keys())
+        a, b = ({k: d.get(k, "") for k in names} for d in (a, b))
+        notes_a = notes_b = None
+        problems, worst = compare_rows(
+            [a], [b], [k for k in names if k not in DIAGNOSTICS_NUMERIC],
+            [k for k in names if k in DIAGNOSTICS_NUMERIC])
+        what = "solver counts"
     else:
         a, b = read_csv(old), read_csv(new)
         notes_a = notes_b = None
@@ -110,7 +127,7 @@ def compare_file(rel: Path, old: Path, new: Path) -> bool:
 
 
 def report_files(root: Path) -> set[Path]:
-    return {p.relative_to(root) for pattern in ("check_*.csv", "summary.txt")
+    return {p.relative_to(root) for pattern in ("check_*.csv", "summary.txt", "diagnostics.txt")
             for p in root.rglob(pattern)}
 
 

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Run `potlab verify` on every shipped config.
+"""Run `potlab verify` and `potlab solve` on every shipped config.
 
 Usage: python scripts/run_standard_suite.py [--seed N] OUT
 
 Each config's reports go to OUT/<config name>/ in the layout that
-`potlab verify --out` writes (`check_*.csv` and `summary.txt`), so two
-suite runs compare in one command:
+`potlab verify --out` writes (`check_*.csv` and `summary.txt`), next to
+the `solution.txt` and `diagnostics.txt` of `potlab solve --out`, so two
+suite runs, solver counters included, compare in one command:
 
     python scripts/compare_reports.py OLD NEW
 
-Each config's `== name` line is followed by the verify output and the
-config's wall seconds.  Without --seed every config uses its own seed.  Exit status 1 when a
-check fails or a config cannot run, 2 on a usage error, else 0.
+Each config's `== name` line is followed by the verify and solve output
+and the config's wall seconds.  Without --seed every config uses its own
+seed.  Exit status 1 when a check fails or a config cannot run, 2 on a
+usage error, else 0.
 """
 
 import argparse
@@ -34,7 +36,9 @@ def main(argv=None) -> int:
     for path in sorted(CONFIGS.glob("*.ini")):
         print(f"== {path.name}")
         t0 = time.perf_counter()
-        ok &= potlab(["verify", "--config", str(path), "--out", str(args.out / path.stem), *seed]) == 0
+        where = ["--config", str(path), "--out", str(args.out / path.stem)]
+        ok &= potlab(["verify", *where, *seed]) == 0
+        ok &= potlab(["solve", *where]) == 0
         print(f"wall {time.perf_counter() - t0:.2f} s")
     return 0 if ok else 1
 

@@ -70,7 +70,7 @@ def _outdir(args) -> Path:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg, max(cfg.meshes()))
+    inst = build_instance(cfg, max(cfg.sweep_axis("n")))
     sol = primary_solution(SolveCache(), inst)
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:
@@ -91,7 +91,7 @@ def cmd_solve(args) -> int:
 def cmd_potential(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg, max(cfg.meshes()))
+    inst = build_instance(cfg, max(cfg.sweep_axis("n")))
     if inst.measure is None:
         print("config carries no measure; nothing to evaluate", file=sys.stderr)
         return 1

@@ -88,9 +88,6 @@ class ExperimentConfig:
             return list(self.sweep[name])
         return list(_DEFAULT_SWEEP.get(name, []))
 
-    def meshes(self) -> list[int]:
-        return self.sweep_axis("n")
-
 
 def typed_value(section: str, key: str, raw, default):
     """A parsed config value as ``default``'s kind: a point (tuple default)

@@ -216,6 +216,11 @@ class RegularizedPowerGrowth(GrowthFunction):
         return f"RegularizedPowerGrowth(p={self.p}, mu={self.mu})"
 
 
+# a table's lower index may fall this far below 1 (a fitted exponent's
+# rounding), and a lower edge exponent this close to 1 is read as linear
+_LINEAR_TOL = 1e-9
+
+
 class TabulatedGrowth(GrowthFunction):
     """Growth function given by samples (t_i, g(t_i)) with t_i increasing.
 
@@ -246,16 +251,16 @@ class TabulatedGrowth(GrowthFunction):
         self._dinterp = self._interp.derivative()
         self._anti = self._interp.antiderivative()
         e_lo = float(np.log(values[1] / values[0]) / np.log(nodes[1] / nodes[0]))
-        # a lower edge within 1e-12 of linear is linear, so that dg(0) and
-        # kernel0 both read values[0] / nodes[0]
-        self._e_lo = 1.0 if abs(e_lo - 1.0) <= 1e-12 else e_lo
+        # a lower edge within the index check's tolerance of linear is
+        # linear, so that dg(0) and kernel0 both read values[0] / nodes[0]
+        self._e_lo = 1.0 if abs(e_lo - 1.0) <= _LINEAR_TOL else e_lo
         self._e_hi = float(
             np.log(values[-1] / values[-2]) / np.log(nodes[-1] / nodes[-2])
         )
         lo, hi = estimate_indices(self)
         self.ig = min(lo, self._e_lo, self._e_hi)
         self.sg = max(hi, self._e_lo, self._e_hi)
-        if self.ig < 1.0 - 1e-9:
+        if self.ig < 1.0 - _LINEAR_TOL:
             raise DataError(f"tabulated growth has lower index {self.ig:.4f} < 1")
         # cumulative integral below the first node, by the edge power law
         self._G0 = values[0] * nodes[0] / (self._e_lo + 1.0)

@@ -12,7 +12,10 @@ on every cell and adds nothing to the cell energy; only the pinned ring
 holds that mode (for p = 2 the Hessian couples each node to its diagonal
 neighbours only, so the sublattices i + j even and i + j odd are
 decoupled in the interior).  Minimization over {u >= psi, u = h on the
-pinned set} is a projected Newton (primal-dual active-set) method.
+pinned set} is a projected Newton (primal-dual active-set) method.  An
+equation is the obstacle problem with psi = -inf, and absent data is f = 0:
+both are solved by the same loop, in which no node of an equation is ever
+active (Hintermueller-Ito-Kunisch, SIAM J. Optim. 13, 2003).
 Each step fixes the active set, the free nodes on the obstacle whose
 residual pushes into it, and solves the sparse 9-point Hessian system of
 the cell energy on the other free nodes.  Each continuation level numbers
@@ -190,42 +193,15 @@ def apply_operator(grid: Grid2D, growth, omega_cells, values, epsilon: float = 0
     return _divergence(values, omega_cells, growth, 0.5 / grid.h, epsilon**2)[0]
 
 
-class _Objective:
-    def __init__(self, grid, growth, omega_cells, f, free, epsilon):
-        self.growth = growth
-        self.omega = omega_cells
-        self.f = f
-        self.free = free
-        self.h2 = grid.h**2
-        self.inv2h = 0.5 / grid.h
-        self.eps2 = epsilon**2
-
-    def __call__(self, vals):
-        """Return (energy, residual)."""
-        r, m = _divergence(vals, self.omega, self.growth, self.inv2h, self.eps2)
-        E = float((self.omega * self.growth.G(m)).sum())
-        if self.f is not None:
-            E -= float((self.f[self.free] * vals[self.free]).sum())
-            r = r - self.f
-        return E * self.h2, r
-
-
 def _projected_residual(resid, u, psi, free):
     pr = np.where(free, resid, 0.0)
-    if psi is not None:
-        active = free & (u <= psi)
-        pr[active] = np.minimum(pr[active], 0.0)
+    active = free & (u <= psi)
+    pr[active] = np.minimum(pr[active], 0.0)
     return pr
 
 
 def _complementarity(u, resid, psi, free):
-    r = resid[free]
-    if r.size == 0:
-        return 0.0
-    if psi is None:
-        return float(np.abs(r).max())
-    gap = (u - psi)[free]
-    return float(np.abs(np.minimum(gap, r)).max())
+    return float(np.abs(np.minimum((u - psi)[free], resid[free])).max())
 
 
 @functools.lru_cache(maxsize=8)
@@ -385,32 +361,30 @@ def _coarse_start(grid, growth, omega_cells, f, start, psi, free, cfg):
     if not coarse_free.any():
         return None
     coarse = Grid2D(grid.n // 2)
-    sol = _minimize(
-        coarse, growth, omega_cells[1::2, 1::2],
-        None if f is None else _block_mean(f),
-        _block_mean(start),
-        None if psi is None else _block_mean(psi),
-        coarse_free, cfg,
-    )
+    sol = _minimize(coarse, growth, omega_cells[1::2, 1::2], _block_mean(f),
+                    _block_mean(start), _block_mean(psi), coarse_free, cfg)
     u = np.where(free, _prolong(sol.u.values), start)
-    if psi is not None:
-        u[free] = np.maximum(u[free], psi[free])
+    u[free] = np.maximum(u[free], psi[free])
     return u, sol
 
 
 def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
     h = grid.h
     h2 = h * h
+    inv2h, eps2 = 0.5 / h, cfg.epsilon**2
     u = np.array(start, dtype=float)
-    if psi is not None:
-        u[free] = np.maximum(u[free], psi[free])
-    objective = _Objective(grid, growth, omega_cells, f, free, cfg.epsilon)
+    u[free] = np.maximum(u[free], psi[free])
+
+    def objective(vals):
+        """(energy, residual)."""
+        r, m = _divergence(vals, omega_cells, growth, inv2h, eps2)
+        E = float((omega_cells * growth.G(m)).sum()) - float((f[free] * vals[free]).sum())
+        return E * h2, r - f
 
     def stationary(u, resid):
         pr = _projected_residual(resid, u, psi, free)
         l2 = h * float(np.linalg.norm(pr))
-        linf = float(np.abs(pr).max()) if pr.size else 0.0
-        return l2, l2 <= cfg.tol and linf <= 10.0 * cfg.tol
+        return l2, l2 <= cfg.tol and float(np.abs(pr).max()) <= 10.0 * cfg.tol
 
     E, resid = objective(u)
     factorizations = krylov = lu_nnz = 0
@@ -436,10 +410,10 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         if it >= cfg.max_iter:
             break
         pattern = pattern or _Pattern(free)  # not before: a stationary start needs none
-        unknown = free if psi is None else free & ~((u <= psi) & (resid > 0))
+        unknown = free & ~((u <= psi) & (resid > 0))
         if lu is not None and not np.array_equal(unknown, lu_unknown):
             lu = None  # freed before the next Hessian is assembled
-        H = _hessian(u, omega_cells, growth, objective.inv2h, objective.eps2, pattern, unknown)
+        H = _hessian(u, omega_cells, growth, inv2h, eps2, pattern, unknown)
         nodes = pattern.restrict(unknown)[0]
         b = -resid.flat[nodes]
         step = None
@@ -463,8 +437,7 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = u + t * d
-            if psi is not None:
-                np.maximum(cand, psi, out=cand, where=unknown)
+            np.maximum(cand, psi, out=cand, where=unknown)
             Ec, rc = objective(cand)
             dec = h2 * float(np.sum(resid * (cand - u)))
             if Ec <= E + _SUFFICIENT_DECREASE * dec + 1e-14 * (abs(E) + 1e-300):
@@ -509,21 +482,20 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Soluti
             "raw measure data cannot be solved directly; mollify it first "
             "or use solve_op_sequence"
         )
-    f = prob.rhs.values if prob.rhs is not None else None
-    psi = prob.obstacle.values if prob.obstacle is not None else None
+    # an equation is the obstacle problem with psi = -inf, and no data is f = 0
+    psi = np.full((grid.n,) * 2, -np.inf) if prob.obstacle is None else prob.obstacle.values
+    f = np.zeros((grid.n,) * 2) if prob.rhs is None else prob.rhs.values
     free = grid.interior_mask() if ball is None else _ball_free_mask(grid, ball)
     if not free.any():
         raise DataError("no free nodes to solve for")
-    if warm_start is not None:
-        start = warm_start.values if isinstance(warm_start, GridFunction) else np.asarray(warm_start)
-        start = np.array(start, dtype=float)
-    else:
-        start = np.array(prob.boundary.values, dtype=float)
-        if psi is not None:
-            start = np.maximum(start, psi)
+    start = prob.boundary if warm_start is None else warm_start
+    if start.grid != grid:
+        raise GridMismatchError(
+            f"warm start on Grid2D(n={start.grid.n}) for a problem on Grid2D(n={grid.n})"
+        )
     # pinned nodes come from the trace donor and are never touched
-    start = np.where(free, start, prob.boundary.values)
-    if psi is not None and np.any(start[~free] < psi[~free] - 1e-12):
+    start = np.where(free, start.values, prob.boundary.values)
+    if np.any(start[~free] < psi[~free] - 1e-12):
         raise DataError("trace donor lies below the obstacle on pinned nodes")
     sol = _minimize(grid, prob.field.growth, prob.field.coefficient.on_cells(grid),
                     f, start, psi, free, cfg)
@@ -544,7 +516,8 @@ def solve_vi(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,
 
 def solve_equation(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,
                    ball=None, warm_start=None) -> Solution:
-    """Same minimization without the obstacle projection."""
+    """The obstacle problem with psi = -inf: the same minimization, with
+    no node ever active."""
     if prob.obstacle is not None:
         raise DataError("solve_equation expects a problem without obstacle")
     return _solve(prob, cfg or SolverConfig(), ball, warm_start)

@@ -57,3 +57,32 @@ def test_numeric_change_against_the_limit(tmp_path, capsys, rel, code):
     out = capsys.readouterr().out
     assert "check_gradient_bounds.csv: rows and flags equal" in out
     assert "1 of 2 files byte-identical\n" in out
+
+
+ENERGY = -0.0123456789012
+DIAGNOSTICS = ("iterations 5\nenergy {energy:.12g}\ncomplementarity 3.1e-10\nresidual 2.2e-09\n"
+               "factorizations {factorizations}\nkrylov_iterations 37\nlu_nnz 390080\n")
+
+
+def run_diagnostics(tmp_path, energy=ENERGY, factorizations=7) -> int:
+    """Compare trees that also hold a `potlab solve` diagnostics file."""
+    old = write_tree(tmp_path / "old")
+    new = write_tree(tmp_path / "new")
+    for root, e, k in ((old, ENERGY, 7), (new, energy, factorizations)):
+        (root / "dirac" / "diagnostics.txt").write_text(
+            DIAGNOSTICS.format(energy=e, factorizations=k))
+    return compare_reports.main(["compare_reports.py", str(old), str(new)])
+
+
+def test_changed_solver_count_fails(tmp_path, capsys):
+    assert run_diagnostics(tmp_path, factorizations=8) == 1
+    out = capsys.readouterr().out
+    assert "FAIL dirac/diagnostics.txt: solver counts differ" in out
+    assert "factorizations: '7' -> '8'" in out
+
+
+def test_energy_within_the_limit_passes(tmp_path, capsys):
+    assert run_diagnostics(tmp_path, energy=ENERGY * (1 + 1e-9)) == 0
+    out = capsys.readouterr().out
+    assert "ok   dirac/diagnostics.txt: solver counts equal" in out
+    assert out.endswith("2 of 3 files byte-identical\nreports agree\n")

@@ -130,7 +130,7 @@ def test_load_config(tiny_config):
     assert cfg.checks == ["comparison_inhomogeneous"]
     assert cfg.sweep["n"] == [24, 32]
     assert cfg.solver.tol == 1e-7
-    assert cfg.meshes() == [24, 32]
+    assert cfg.sweep_axis("n") == [24, 32]
 
 
 def test_load_config_missing(tmp_path):
@@ -387,7 +387,7 @@ def test_gradient_bounds_evaluates_each_pair_once(dirac_two_meshes, monkeypatch)
     monkeypatch.setattr(checks, "gradient_oscillation_rhs", counted)
     rep = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
     pairs = [r for r in rep.rows if "oscillation" in r.flag.split()]
-    assert len(calls) == len(pairs) == cfg.check_params["points"] * len(cfg.meshes())
+    assert len(calls) == len(pairs) == cfg.check_params["points"] * len(cfg.sweep_axis("n"))
 
 
 WOLFF_PAIR = checks._wolff_pair
@@ -723,7 +723,7 @@ def test_cli_solve_writes_the_verified_solution(tmp_path):
     path = CONFIGS / "dirac.ini"
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
     cfg = load_config(path)
-    verified = checks.primary_solution(SolveCache(), build_instance(cfg, max(cfg.meshes())))
+    verified = checks.primary_solution(SolveCache(), build_instance(cfg, max(cfg.sweep_axis("n"))))
     assert np.array_equal(read_raster(tmp_path / "solution.txt").values, verified.u.values)
 
 

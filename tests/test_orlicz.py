@@ -313,6 +313,9 @@ def test_power_requires_p_at_least_two():
         RegularizedPowerGrowth(3.0, -1.0)
 
 
+_T9 = np.geomspace(1e-3, 1e3, 9)
+
+
 @pytest.mark.parametrize("growth", [
     PowerGrowth(2.0), PowerGrowth(2.5), PowerGrowth(3.0), PowerGrowth(4.0),
     RegularizedPowerGrowth(2.0, 0.5), RegularizedPowerGrowth(2.5, 1e-3),
@@ -321,6 +324,9 @@ def test_power_requires_p_at_least_two():
     TabulatedGrowth(_NODES, _NODES + _NODES**2),
     # linear: the fitted lower edge exponent rounds to 1 - 2e-16
     TabulatedGrowth(np.geomspace(1e-3, 1e3, 9), 1.5 * np.geomspace(1e-3, 1e3, 9)),
+    # a lower index the index check accepts below 1 reads as linear at 0
+    pytest.param(TabulatedGrowth(_T9, _T9 ** (1 - 1e-10)),
+                 id="TabulatedGrowth(9 nodes, exponent 1 - 1e-10)"),
 ], ids=repr)
 def test_growth_is_finite_at_zero(growth):
     # every kind extends g, g' and g(t)/t to t = 0 by finite values

@@ -1,5 +1,7 @@
 """Variational-inequality solver: oracles, invariants, mollification, chains."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -132,6 +134,41 @@ def test_null_rhs_vi_equals_equation():
     vi = solve_vi(ObstacleProblem(field=unit_field(3.0), boundary=bdata, obstacle=low), CFG)
     eq = solve_equation(ObstacleProblem(field=unit_field(3.0), boundary=bdata), CFG)
     assert np.abs(vi.u.values - eq.u.values).max() < 10 * CFG.tol
+
+
+def _same_solution(a, b):
+    """Every Solution field equal, the iterate bit for bit."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "u":
+            assert x.grid == y.grid and x.values.tobytes() == y.values.tobytes()
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("ball", [None, ((0.5, 0.5), 0.3)], ids=["interior", "ball"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_equation_is_the_obstacle_problem_at_minus_infinity(monkeypatch, p, ball):
+    # one loop: no obstacle solves as an obstacle no node reaches, and no
+    # data as zero data, down to the last bit; n = 64 runs the coarse start
+    coarse = []
+    start = solver._coarse_start
+    monkeypatch.setattr(solver, "_coarse_start", lambda *a: coarse.append(1) or start(*a))
+    g = Grid2D(64)
+    bdata = GridFunction.from_callable(g, lambda X, Y: X + 0.2 * np.sin(2 * np.pi * Y))
+    prob = ObstacleProblem(field=unit_field(p), boundary=bdata)
+    eq = solve_equation(prob, CFG, ball=ball)
+    low = replace(prob, obstacle=GridFunction.constant(g, -1e3))
+    _same_solution(eq, solve_vi(low, CFG, ball=ball))
+    zero = replace(prob, rhs=GridFunction.constant(g, 0.0))
+    _same_solution(eq, solve_equation(zero, CFG, ball=ball))
+    assert len(coarse) == 3
+
+
+def test_warm_start_on_another_mesh_is_refused():
+    prob = ObstacleProblem(field=unit_field(2.0), boundary=GridFunction.constant(Grid2D(32), 0.0))
+    with pytest.raises(GridMismatchError, match=r"Grid2D\(n=64\).*Grid2D\(n=32\)"):
+        solve_equation(prob, CFG, warm_start=GridFunction.constant(Grid2D(64), 0.0))
 
 
 def test_feasibility_and_trace():
@@ -737,7 +774,6 @@ def test_chain_freezes_the_coefficient_once(monkeypatch):
     # w2-w4 solve one frozen problem, whose mean is one full-grid
     # coefficient evaluation; each stage and the obstacle flux are bitwise
     # the solves of frozen_problem that solve_frozen makes per stage
-    from dataclasses import replace
 
     g = Grid2D(48)
     vf = VectorField(PowerGrowth(2.0), jump_coefficient(0.3, position=0.45))
