@@ -11,8 +11,8 @@ suite runs, solver counters included, compare in one command:
     python scripts/compare_reports.py OLD NEW
 
 Each config's `== name` line is followed by the verify and solve output
-and the config's wall seconds.  Without --seed every config uses its own
-seed.  Exit status 1 when a check fails or a config cannot run, 2 on a
+and the config's wall seconds.  Without --seed `potlab verify` draws from
+its default seed.  Exit status 1 when a check fails or a config cannot run, 2 on a
 usage error, else 0.
 """
 

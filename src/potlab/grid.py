@@ -258,8 +258,6 @@ def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
 def gradient(f: GridFunction) -> tuple[GridFunction, GridFunction]:
     """Centered differences in the interior, second-order one-sided on the
     boundary ring; exact for affine fields."""
-    if f.grid.n < 3:
-        raise DataError("gradient needs at least 3 nodes per axis")
     gx = np.gradient(f.values, f.grid.h, axis=0, edge_order=2)
     gy = np.gradient(f.values, f.grid.h, axis=1, edge_order=2)
     return f.with_values(gx), f.with_values(gy)
@@ -280,8 +278,6 @@ def hessian(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
     The mixed derivative is the y-difference of the x-difference, which is
     symmetric in the two orders because the difference operators commute.
     """
-    if f.grid.n < 5:
-        raise DataError("hessian needs at least 5 nodes per axis")
     h = f.grid.h
     hxx = _second_diff(f.values, h, axis=0)
     hyy = _second_diff(f.values, h, axis=1)

@@ -26,8 +26,6 @@ power-law fit criterion, and the study only carries its rows.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,6 +52,7 @@ from ..solver import (
 from .config import CHECK_KEYS, ExperimentConfig, Instance, build_instance, cells, typed_value
 
 __all__ = [
+    "DEFAULT_SEED",
     "DRIFT_LIMIT",
     "CheckRow",
     "CheckReport",
@@ -75,6 +74,8 @@ __all__ = [
 
 _RHS_FLOOR = 1e-14
 DRIFT_LIMIT = 3.0
+# the sample-point seed of ``run_checks`` and of ``potlab --seed``
+DEFAULT_SEED = 12345
 
 
 @dataclass
@@ -179,33 +180,21 @@ class SolveCache:
     A key is ``(Instance.key, kind, *params)``: the realized instance
     (every input its solves and contexts read), the kind of value and that
     value's own parameters, never the check that asks, so checks that need
-    one solve share it.
-
-    Checks share one cache across ``--jobs`` threads: a per-key lock makes
-    the first thread to ask build the value while the others wait for it.
-    ``hits`` and ``misses`` count the gets that found a value and the
-    ones that built it.
+    one solve share it.  ``hits`` and ``misses`` count the gets that found
+    a value and the ones that built it.
     """
 
     def __init__(self):
         self._store: dict = {}
-        self._locks: dict = {}
-        self._count_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key, builder):
-        built = False
-        if key not in self._store:
-            with self._locks.setdefault(key, threading.Lock()):
-                if key not in self._store:
-                    self._store[key] = builder()
-                    built = True
-        with self._count_lock:
-            if built:
-                self.misses += 1
-            else:
-                self.hits += 1
+        if key in self._store:
+            self.hits += 1
+        else:
+            self._store[key] = builder()
+            self.misses += 1
         return self._store[key]
 
 
@@ -856,28 +845,19 @@ CHECKS = {
 }
 
 
-def run_checks(cfg: ExperimentConfig, names=None, seed=None, jobs: int = 1):
-    """Run the named checks (default: the config's list) over one shared
-    solve cache; reports come back in request order regardless of jobs."""
+def run_checks(cfg: ExperimentConfig, names=None, seed: int = DEFAULT_SEED):
+    """Run the named checks (default: the config's list) one at a time, in
+    request order, over one shared solve cache; check ``i`` draws its
+    sample points from ``default_rng([seed, i])``."""
     names = list(names if names is not None else cfg.checks)
     if not names:
         raise DataError("no checks requested")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise DataError(f"unknown checks: {', '.join(unknown)}")
-    seed = cfg.seed if seed is None else int(seed)
     cache = SolveCache()
-
-    def run_one(idx_name):
-        idx, name = idx_name
-        rng = np.random.default_rng([seed, idx])
-        return CHECKS[name](cfg, cache, rng)
-
-    tasks = list(enumerate(names))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, tasks))
-    return [run_one(t) for t in tasks]
+    return [CHECKS[name](cfg, cache, np.random.default_rng([seed, idx]))
+            for idx, name in enumerate(names)]
 
 
 def _fmt(v) -> str:

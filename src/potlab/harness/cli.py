@@ -24,6 +24,7 @@ from ..grid import ball_mass, write_raster
 from ..potentials import WolffParams, frac_maximal, wolff, write_potential_csv
 from ..solver import finest_level
 from .checks import (
+    DEFAULT_SEED,
     SolveCache,
     primary_solution,
     run_checks,
@@ -48,17 +49,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.set_defaults(fn=fn)
     for p in (potential, verify):
-        p.add_argument("--seed", type=int, default=None, help="sample-point seed")
-    verify.add_argument("--jobs", type=_jobs, default=1, help="parallel check jobs (at least 1)")
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                       help=f"sample-point seed, at least 0 (default {DEFAULT_SEED})")
+    # perfbench/workloads.py passes --jobs 1, so the flag still parses
+    verify.add_argument("--jobs", type=int, choices=[1], default=1,
+                        help="checks run one at a time: only 1")
     return parser
 
 
-def _jobs(text: str) -> int:
-    """A ``--jobs`` value: an integer of at least 1."""
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer of at least 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
 
 
 def _outdir(args) -> Path:
@@ -95,8 +99,7 @@ def cmd_potential(args) -> int:
     if inst.measure is None:
         print("config carries no measure; nothing to evaluate", file=sys.stderr)
         return 1
-    seed = cfg.seed if args.seed is None else args.seed
-    rng = np.random.default_rng([seed, 97])
+    rng = np.random.default_rng([args.seed, 97])
     ig = inst.growth.ig
     R = 0.25
     r_min = inst.grid.r_min
@@ -118,8 +121,7 @@ def cmd_potential(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    seed = cfg.seed if args.seed is None else args.seed
-    reports = run_checks(cfg, cfg.checks or None, seed=seed, jobs=args.jobs)
+    reports = run_checks(cfg, seed=args.seed)
     for rep in reports:
         write_check_csv(out / f"check_{rep.name}.csv", rep)
     write_summary(out / "summary.txt", reports)

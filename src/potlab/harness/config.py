@@ -54,7 +54,7 @@ SWEEP_AXES = ("n", "scale", "amplitude", "alpha")
 CHECK_KEYS = ("center", "radius", "off_center", "off_radius", "side_center", "side_radius",
               "decay_center", "decay_radius", "errors_center", "errors_radius",
               "estimate_radius", "points")
-_SOLVER_KEYS = ("epsilon", "tol", "max_iter", "gamma_prime", "seed")
+_SOLVER_KEYS = ("epsilon", "tol", "max_iter", "gamma_prime")
 _PROBLEM_SECTIONS = ("growth", "coefficient", "obstacle", "measure", "boundary")
 _SECTIONS = (*_PROBLEM_SECTIONS, "solver", "checks", "sweep")
 # the coefficient presets whose amplitude the ``amplitude`` axis sweeps
@@ -80,7 +80,6 @@ class ExperimentConfig:
     check_params: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
     gamma_prime: float = 2.0
-    seed: int = 12345
     base_dir: Path = field(default_factory=Path)
 
     def sweep_axis(self, name: str) -> list:
@@ -151,7 +150,8 @@ def load_config(path) -> ExperimentConfig:
         if sec:
             setattr(cfg, name, sec)
     sol = _section(parser, "solver")
-    _refuse_unknown("[solver] {}", sol, _SOLVER_KEYS)
+    _refuse_unknown("[solver] {}", sol, _SOLVER_KEYS, hint=lambda name: (
+        "; the sample seed is --seed" if name == "seed" else ""))
 
     def setting(key, default):
         return typed_value("solver", key, sol[key], default) if key in sol else default
@@ -162,7 +162,6 @@ def load_config(path) -> ExperimentConfig:
         max_iter=setting("max_iter", SolverConfig.max_iter),
     )
     cfg.gamma_prime = setting("gamma_prime", cfg.gamma_prime)
-    cfg.seed = setting("seed", cfg.seed)
     checks = _section(parser, "checks")
     if checks:
         run = checks.pop("run", "")
@@ -173,6 +172,7 @@ def load_config(path) -> ExperimentConfig:
         cfg.sweep = {k: _parse_list(v) for k, v in parser.items("sweep")}
     _refuse_unknown("[sweep] {}", cfg.sweep, SWEEP_AXES, "an axis", lambda key: (
         f"; set {key} under [solver]" if key in _SOLVER_KEYS else
+        "; the sample seed is --seed" if key == "seed" else
         "; each mesh solves the finest mollification level it resolves" if key == "level"
         else ""))
     for key, values in cfg.sweep.items():

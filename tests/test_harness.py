@@ -1,9 +1,6 @@
 """Config loading, RHS assemblies, checks, reports, and the CLI."""
 
 import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -652,27 +649,6 @@ def test_comparison_check_skips_without_data(tmp_path):
     assert any("skipped" in note for note in rep.notes)
 
 
-@pytest.mark.parametrize("text, names", [
-    pytest.param(TINY, ["comparison_inhomogeneous", "sobolev_median"], id="tiny"),
-    # both checks ask for the unit-scale mollification sequence: one
-    # thread builds it while the other waits
-    pytest.param(DIRAC, ["comparison_inhomogeneous", "gradient_bounds"], id="dirac"),
-])
-def test_run_checks_parallel_matches_serial(tmp_path, text, names):
-    path = tmp_path / "cfg.ini"
-    path.write_text(text)
-    cfg = load_config(path)
-    cfg.check_params["points"] = 4
-    serial = run_checks(cfg, names=names)
-    parallel = run_checks(cfg, names=names, jobs=2)
-    assert len(serial) == len(parallel) == 2
-    for a, b in zip(serial, parallel):
-        assert a.name == b.name
-        assert [(r.lhs, r.rhs, r.ratio) for r in a.rows] == [
-            (r.lhs, r.rhs, r.ratio) for r in b.rows
-        ]
-
-
 def test_all_checks_registered():
     assert set(CHECKS) == {
         "comparison_inhomogeneous",
@@ -954,6 +930,10 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
     ("[sweep]\n", "[sweep]\ngamma_prime = 4\n", "set gamma_prime under [solver]"),
     ("[sweep]\n", "[sweep]\nepsilon = 1e-6\n", "set epsilon under [solver]"),
     ("[sweep]\n", "[sweep]\nmesh = 32\n", "[sweep] mesh is not an axis"),
+    # the sample seed has one source, verify's and potential's --seed
+    ("tol = 1e-8", "tol = 1e-8\nseed = 4", "[solver] seed is not a key (known: epsilon, tol, "
+     "max_iter, gamma_prime); the sample seed is --seed"),
+    ("[sweep]\n", "[sweep]\nseed = 4\n", "the sample seed is --seed"),
     ("[checks]\n", "[checks]\ncenter = 0.5\n", "[checks] center must be"),
     ("[checks]\n", "[checks]\ncenter = 0.5 0.5 0.5\n", "[checks] center must be"),
     ("[checks]\n", "[checks]\nradius = wide\n", "[checks] radius must be"),
@@ -1089,11 +1069,17 @@ def test_cli_usage_errors(capsys):
     assert main(["solve", *config, "--seed", "1"]) == 2
     assert main(["solve", *config, "--jobs", "8"]) == 2
     assert main(["potential", *config, "--jobs", "8"]) == 2
-    # verify runs at least one job; fewer is refused before the config is read
-    for jobs in ("0", "-3"):
+    # verify runs its checks one at a time; any other --jobs is refused
+    # before the config is read
+    for jobs in ("0", "-3", "2"):
         capsys.readouterr()
         assert main(["verify", *config, "--jobs", jobs]) == 2
-        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert f"argument --jobs: invalid choice: {jobs}" in capsys.readouterr().err
+    # a sample seed is at least 0
+    for command in ("verify", "potential"):
+        capsys.readouterr()
+        assert main([command, *config, "--seed", "-1"]) == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exits_one(tmp_path):
@@ -1112,36 +1098,6 @@ def test_gradient_bounds_small_instance(dirac_config):
     assert rep.name == "gradient_bounds"
     assert rep.passed
     assert all(r.ratio is None or r.ratio > 0 for r in rep.rows)
-
-
-def test_solve_cache_builds_a_key_once_across_threads():
-    # --jobs > 1 shares one cache: threads that ask for the same key at
-    # once must run its builder once and all get its value
-    cache = SolveCache()
-    threads = 4
-    barrier = threading.Barrier(threads, timeout=10)
-    calls = []
-
-    def builder():
-        calls.append(1)
-        time.sleep(0.05)
-        return len(calls)
-
-    def ask(_):
-        barrier.wait()
-        return cache.get(("full", 32), builder)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(ask, range(threads), timeout=10))
-    finally:
-        sys.setswitchinterval(interval)
-    assert calls == [1]
-    assert results == [1] * threads
-    # one get built the value, every other found it: no count was lost
-    assert (cache.misses, cache.hits) == (1, threads - 1)
 
 
 def test_checks_share_the_primary_solve(dirac_config, monkeypatch):
@@ -1234,3 +1190,18 @@ def test_report_rhs_floor_flagging():
     cache.get("k", lambda: calls.append(1) or 8)
     assert calls == [1]
     assert (cache.misses, cache.hits) == (1, 1)
+
+
+def test_solve_cache_counts_a_miss_after_its_builder_returns():
+    # a builder that raises stores nothing and counts nothing; the next get
+    # of its key builds again
+    cache = SolveCache()
+
+    def fail():
+        raise DataError("no solve")
+
+    with pytest.raises(DataError):
+        cache.get("k", fail)
+    assert (cache.misses, cache.hits) == (0, 0)
+    assert cache.get("k", lambda: 7) == 7
+    assert (cache.misses, cache.hits) == (1, 0)

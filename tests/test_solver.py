@@ -85,6 +85,30 @@ def test_unregularized_degenerate_kernel_from_flat_start():
     assert np.abs(sol.u.values - g.X).max() < 1e-7
 
 
+def _flat_start_power(p):
+    # zero trace and f = 1: the start is flat, so every cell has m = epsilon
+    g = Grid2D(48)
+    return ObstacleProblem(field=unit_field(p), boundary=GridFunction.constant(g, 0.0),
+                           rhs=GridFunction.constant(g, 1.0))
+
+
+@pytest.mark.parametrize("p, epsilon", [(4.0, 1e-8), (4.5, 1e-4), (5.0, 1e-4)])
+def test_degenerate_kernel_from_flat_start_converges(p, epsilon):
+    sol = solve_equation(_flat_start_power(p), SolverConfig(epsilon=epsilon))
+    assert sol.converged
+
+
+_EPSILON_CONTINUATION = ("the line search collapses after 0 iterations from a flat start at "
+                         "epsilon = 1e-8; ROADMAP item 11's epsilon continuation mends it")
+
+
+@pytest.mark.xfail(strict=True, raises=IterationLimitError, reason=_EPSILON_CONTINUATION)
+@pytest.mark.parametrize("p", [4.5, 5.0, 6.0])
+def test_degenerate_kernel_from_flat_start_at_tiny_epsilon(p):
+    sol = solve_equation(_flat_start_power(p), SolverConfig(epsilon=1e-8))
+    assert sol.converged
+
+
 def test_zero_problem():
     g = Grid2D(48)
     zero = GridFunction.constant(g, 0.0)
