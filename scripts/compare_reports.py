@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Compare two trees of `potlab verify` reports and `potlab solve` diagnostics.
+"""Compare two trees of `potlab verify` reports, `potlab solve` diagnostics
+and `potlab potential` CSVs.
 
-Every `check_*.csv`, `summary.txt` and `diagnostics.txt` under OLD is
-matched with the file at the same relative path under NEW.  For each file
-the script prints whether the rows and flags (CSV), the rows and verdicts
-(summary) or the solver counts (diagnostics: every line but energy,
-complementarity and residual) agree, and the largest relative difference
+Every `check_*.csv`, `summary.txt`, `diagnostics.txt`, `wolff.csv` and
+`maximal.csv` under OLD is matched with the file at the same relative path
+under NEW.  For each file the script prints whether the rows and flags
+(check CSV), the rows and verdicts (summary), the solver counts
+(diagnostics: every line but energy, complementarity and residual) or the
+rows and truncation flags (potential CSV) agree, and the largest relative difference
 |a - b| / max(|a|, |b|) of each numeric column or line; files whose bytes
 match print as byte-identical.
 Summary notes are compared as text and reported, but they are rounded
@@ -30,6 +32,8 @@ LIMIT = 1e-6
 CSV_NUMERIC = ("point_x", "point_y", "radius", "lhs", "rhs", "ratio")
 SUMMARY_NUMERIC = ("max_ratio", "drift")
 DIAGNOSTICS_NUMERIC = ("energy", "complementarity", "residual")
+POTENTIAL_FILES = ("wolff.csv", "maximal.csv")
+POTENTIAL_NUMERIC = ("x", "y", "value")
 
 
 def rel_diff(a: str, b: str) -> float:
@@ -107,6 +111,11 @@ def compare_file(rel: Path, old: Path, new: Path) -> bool:
             [a], [b], [k for k in names if k not in DIAGNOSTICS_NUMERIC],
             [k for k in names if k in DIAGNOSTICS_NUMERIC])
         what = "solver counts"
+    elif rel.name in POTENTIAL_FILES:
+        a, b = read_csv(old), read_csv(new)
+        notes_a = notes_b = None
+        problems, worst = compare_rows(a, b, ("truncation_flag",), POTENTIAL_NUMERIC)
+        what = "rows and truncation flags"
     else:
         a, b = read_csv(old), read_csv(new)
         notes_a = notes_b = None
@@ -127,8 +136,8 @@ def compare_file(rel: Path, old: Path, new: Path) -> bool:
 
 
 def report_files(root: Path) -> set[Path]:
-    return {p.relative_to(root) for pattern in ("check_*.csv", "summary.txt", "diagnostics.txt")
-            for p in root.rglob(pattern)}
+    patterns = ("check_*.csv", "summary.txt", "diagnostics.txt", *POTENTIAL_FILES)
+    return {p.relative_to(root) for pattern in patterns for p in root.rglob(pattern)}
 
 
 def main(argv) -> int:

@@ -302,7 +302,8 @@ def w11_distance(f: GridFunction, g2: GridFunction) -> float:
 class MeasureData:
     """Radon measure: Dirac atoms plus an optional absolutely continuous
     grid density.  Atoms must lie strictly inside the domain the measure is
-    used on; that is checked when a grid is available."""
+    used on; that is checked when a grid is available.  ``MeasureData()``
+    is the zero measure, the data of a problem without any."""
 
     atoms: list[tuple[float, float, float]] = field(default_factory=list)
     density: GridFunction | None = None
@@ -316,6 +317,10 @@ class MeasureData:
             for x, y, _ in self.atoms:
                 if g.boundary_distance((x, y)) <= 0:
                     raise DataError(f"atom at ({x}, {y}) not strictly inside the domain")
+
+    def is_empty(self) -> bool:
+        """No atoms and no density: a problem given no data."""
+        return not self.atoms and self.density is None
 
     def scaled(self, factor: float) -> "MeasureData":
         atoms = [(x, y, m * factor) for x, y, m in self.atoms]

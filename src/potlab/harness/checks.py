@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..field import OscillationModulus, dini_integral
-from ..grid import GridFunction, ball_average, ball_mass, disk_mask, gradient, median
+from ..grid import GridFunction, MeasureData, ball_average, ball_mass, disk_mask, gradient, median
 from ..potentials import (
     ObstacleDensity,
     PointLadder,
@@ -208,9 +208,7 @@ def grad_fields(u: GridFunction):
 
 
 def _G_obstacle_gradient(inst: Instance):
-    """G(|Dpsi|) on the nodes; None without an obstacle."""
-    if inst.obstacle is None:
-        return None
+    """G(|Dpsi|) on the nodes of the instance's obstacle."""
     px, py = gradient(inst.obstacle)
     return inst.growth.G(np.hypot(px.values, py.values))
 
@@ -224,11 +222,9 @@ def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
 def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: one solve on the measure mollified at
     the finest level its mesh resolves, ``finest_level(inst.grid)`` (atoms
-    become bumps, a density passes unchanged)."""
+    become bumps, a density passes unchanged, the zero measure is f = 0)."""
     def solve():
-        rhs = inst.measure
-        if rhs is not None:
-            rhs = mollify_measure(rhs, finest_level(inst.grid), inst.grid)
+        rhs = mollify_measure(inst.measure, finest_level(inst.grid), inst.grid)
         return solve_vi(inst.problem(rhs=rhs), inst.solver)
     return cache.get((inst.key, "vi"), solve)
 
@@ -265,26 +261,29 @@ def sample_points(rng, count: int, lo: float, hi: float, atoms=(), min_sep: floa
 @dataclass
 class EstimateContext:
     """Everything the pointwise-estimate assemblies consume, built once per
-    solved instance: gradient fields, obstacle density, the G(|Dpsi|) +
-    G(|psi|) field and the oscillation modulus.  The inner cutoff of every
-    ladder is the grid's resolution floor, ``inst.grid.r_min``."""
+    solved instance: gradient fields, the obstacle measure (no atoms, the
+    obstacle kernel as density), the G(|Dpsi|) + G(|psi|) field, both zero
+    without an obstacle, and the oscillation modulus.  The inner cutoff of
+    every ladder is the grid's resolution floor, ``inst.grid.r_min``."""
 
     inst: Instance
     u: GridFunction
     du_x: GridFunction
     du_y: GridFunction
     du_mag: GridFunction
-    od: ObstacleDensity | None
-    gpsi: GridFunction | None
+    obstacle_measure: MeasureData
+    gpsi: GridFunction
     modulus: OscillationModulus
 
 
 def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateContext:
+    """The context of ``solution``; the one place that decides about the obstacle."""
     gx, gy, mag = grad_fields(solution.u)
-    od = None
-    gpsi = None
-    if inst.obstacle is not None:
-        od = ObstacleDensity.build(inst.obstacle, inst.growth)
+    if inst.obstacle is None:
+        gpsi = GridFunction.constant(inst.grid, 0.0)
+        obstacle_measure = MeasureData([], gpsi)
+    else:
+        obstacle_measure = ObstacleDensity.build(inst.obstacle, inst.growth).measure
         gpsi = inst.obstacle.with_values(
             _G_obstacle_gradient(inst) + inst.growth.G(np.abs(inst.obstacle.values))
         )
@@ -297,7 +296,7 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
         du_x=gx,
         du_y=gy,
         du_mag=mag,
-        od=od,
+        obstacle_measure=obstacle_measure,
         gpsi=gpsi,
         modulus=modulus,
     )
@@ -311,7 +310,7 @@ def primary_context(cache: SolveCache, inst: Instance, r_max: float) -> Estimate
 
 def _dini_term(ctx: EstimateContext, x, r: float, alpha_hat: float) -> float:
     """The Dini integral of the modulus weighted by G^{-1}(avg_{B_rho} gpsi)."""
-    if ctx.gpsi is None or ctx.modulus.is_zero():
+    if ctx.modulus.is_zero():
         return 0.0
     growth = ctx.inst.growth
     return dini_integral(
@@ -321,23 +320,23 @@ def _dini_term(ctx: EstimateContext, x, r: float, alpha_hat: float) -> float:
 
 
 def wolff_ladders(ctx: EstimateContext, x, R: float):
-    """x's ``WolffLadder`` of the measure and of the obstacle density over
-    [2h, 2R], the Wolff range of every estimate; None for an absent one."""
-    measures = (ctx.inst.measure, ctx.od.measure if ctx.od is not None else None)
-    return tuple(None if mu is None else WolffLadder.gather(mu, x, ctx.inst.grid.r_min, 2.0 * R)
-                 for mu in measures)
+    """x's ``WolffLadder`` of the measure and of the obstacle measure over
+    [2h, 2R], the Wolff range of every estimate."""
+    return tuple(WolffLadder.gather(mu, x, ctx.inst.grid.r_min, 2.0 * R)
+                 for mu in (ctx.inst.measure, ctx.obstacle_measure))
 
 
 def _wolff_pair(ctx: EstimateContext, ladders, beta: float, p: float):
-    """(W^mu, W^psi) at (beta, p) of a point's ``wolff_ladders``, 0 for an
-    absent one; the seam that the negative controls of the Wolff terms patch."""
-    return tuple(0.0 if ladder is None else ladder.potential(beta, p) for ladder in ladders)
+    """(W^mu, W^psi) at (beta, p) of a point's ``wolff_ladders``; a zero
+    measure's potential is 0.0.  The seam that the negative controls of the
+    Wolff terms patch."""
+    return tuple(ladder.potential(beta, p) for ladder in ladders)
 
 
 def point_ladder(ctx: EstimateContext, x, R: float) -> PointLadder:
     """x's ``PointLadder`` up to R for u, Du, the obstacle kernel and the measure."""
     return PointLadder.gather(ctx.u, (ctx.du_x, ctx.du_y), ctx.du_mag, x, R,
-                              od=ctx.od, measure=ctx.inst.measure)
+                              kernel=ctx.obstacle_measure.density, measure=ctx.inst.measure)
 
 
 def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, du_avg: float,
@@ -365,12 +364,8 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
     beta_m = 1.0 - alpha * ig
     if beta_m < 0:
         raise DataError("alpha too large for the maximal term (needs alpha <= 1/ig)")
-    mmu = 0.0
-    if ctx.inst.measure is not None:
-        mmu = _g_inverse(ctx.inst, ladder.measure_maximal(beta_m))
-    mps = 0.0
-    if ctx.od is not None:
-        mps = _g_inverse(ctx.inst, ladder.obstacle_maximal(beta_m))
+    mmu = _g_inverse(ctx.inst, ladder.measure_maximal(beta_m))
+    mps = _g_inverse(ctx.inst, ladder.obstacle_maximal(beta_m))
     wmu, wps = _wolff_pair(ctx, ladders, 1.0 / (ig + 1.0), ig + 1.0)
     dini = _dini_term(ctx, x, 2.0 * R, alpha)
     return term1 + mmu + mps + wmu + wps + dini
@@ -402,17 +397,13 @@ def _g_inverse(inst: Instance, s: float) -> float:
 
 
 def measure_error_term(inst: Instance, x, R: float) -> float:
-    """(|mu|(closed B_R) / R^(n-1))^(1/ig); zero without measure data."""
-    if inst.measure is None:
-        return 0.0
+    """(|mu|(closed B_R) / R^(n-1))^(1/ig); zero for the zero measure."""
     return _g_inverse(inst, ball_mass(inst.measure, x, R) / R ** (2 - 1))
 
 
 def obstacle_error_term(ctx: EstimateContext, x, R: float) -> float:
     """(R avg_{B_R} obstacle kernel)^(1/ig); zero without an obstacle."""
-    if ctx.od is None:
-        return 0.0
-    return _g_inverse(ctx.inst, R * ball_average(ctx.od.kernel, x, R))
+    return _g_inverse(ctx.inst, R * ball_average(ctx.obstacle_measure.density, x, R))
 
 
 def coefficient_error_term(ctx: EstimateContext, mag: GridFunction, x,
@@ -425,8 +416,7 @@ def coefficient_error_term(ctx: EstimateContext, mag: GridFunction, x,
         return 0.0
     omR = float(np.interp(r_omega, om.radii, om.values))
     bracket = ball_average(mag, x, r_avg)
-    if ctx.gpsi is not None:
-        bracket += float(ctx.inst.growth.G_inverse(ball_average(ctx.gpsi, x, r_avg)))
+    bracket += float(ctx.inst.growth.G_inverse(ball_average(ctx.gpsi, x, r_avg)))
     return omR**om.dini_exponent * bracket
 
 
@@ -463,7 +453,7 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     study = RatioStudy()
     skipped = False
     for cell, inst in cells(cfg, "scale", scale="rhs_scale"):
-        if inst.measure is None:
+        if inst.measure.is_empty():
             study.add(center, R, 0.0, 0.0)
             skipped = True
             continue
@@ -494,7 +484,7 @@ def _homogeneous_ball(cache: SolveCache, inst: Instance, sol: Solution, ball) ->
     solution ``sol`` as its trace."""
     return cache.get(
         (inst.key, "homog-ball", ball),
-        lambda: solve_vi(replace(inst.problem(rhs=None), boundary=sol.u),
+        lambda: solve_vi(replace(inst.problem(), boundary=sol.u),
                          inst.solver, ball=ball, warm_start=sol.u),
     )
 
@@ -516,7 +506,7 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
             ball = (ball_center, ball_R)
             w = cache.get(
                 (inst.key, "frozen", ball),
-                lambda: solve_frozen(replace(inst.problem(rhs=None), boundary=sol.u),
+                lambda: solve_frozen(replace(inst.problem(), boundary=sol.u),
                                      ball, inst.solver, warm_start=sol.u),
             )
             lhs = ball_average(grad_distance_field(sol.u, w.u), ball_center, ball_R)
@@ -542,7 +532,7 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
         sol = primary_solution(cache, inst)
         growth = inst.growth
         psi = inst.obstacle
-        G_dpsi = _G_obstacle_gradient(inst)
+        G_dpsi = None if psi is None else _G_obstacle_gradient(inst)
         _, _, mag = grad_fields(sol.u)
         G_du = sol.u.with_values(growth.G(mag.values))
         radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(R / 2)]
@@ -679,7 +669,7 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
         beta_hat = _homogeneous_fit(cfg, cache, hinst)[1]
         chain = cache.get(
             (inst.key, "chain", (center, R)),
-            lambda: comparison_chain(inst.problem(rhs=None), (center, R),
+            lambda: comparison_chain(inst.problem(), (center, R),
                                      inst.solver, outer=sol),
         )
         stages = _chain_stage_rows(study, inst, ctx, chain, sol, center, R)
@@ -718,12 +708,9 @@ def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
     out.append(study.add(center, half, lhs2, rhs2, exact_tol=tol, tag="chain-w2"))
     # obstacle-flux transitions: both gaps are controlled by
     # (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
-    if chain.obstacle_flux is not None:
-        flux = chain.obstacle_flux
-        flux_field = flux.with_values(np.abs(flux.values) + 1.0)
-        rhs34 = _g_inverse(inst, half * ball_average(flux_field, center, half))
-    else:
-        rhs34 = _g_inverse(inst, half * 1.0)
+    flux = chain.obstacle_flux
+    flux_field = flux.with_values(np.abs(flux.values) + 1.0)
+    rhs34 = _g_inverse(inst, half * ball_average(flux_field, center, half))
     for label, a, b in (("chain-w3", chain.w2, chain.w3), ("chain-w4", chain.w3, chain.w4)):
         lhs = ball_average(grad_distance_field(a.u, b.u), center, half)
         out.append(study.add(center, half, lhs, rhs34, exact_tol=tol, tag=label))
@@ -745,9 +732,8 @@ def _estimate_setup(cfg, cache, rng):
             f"estimate_radius {R:g} leaves no room for sample points: the box "
             f"[{margin:.4g}, {1.0 - margin:.4g}] keeping 2R + 2h from the boundary is empty"
         )
-    atoms = inst.measure.atoms if inst.measure is not None else ()
-    points = sample_points(rng, _param(cfg, "points", 25), margin, 1.0 - margin, atoms,
-                           min_sep=max(0.05, r_min))
+    points = sample_points(rng, _param(cfg, "points", 25), margin, 1.0 - margin,
+                           inst.measure.atoms, min_sep=max(0.05, r_min))
     alphas = [float(a) for a in cfg.sweep_axis("alpha")]
     if not alphas:
         hinst = build_instance(_homogeneous_config(cfg), inst.grid.n)

@@ -8,7 +8,8 @@ through ``config.cells``, one report set gated on the drift across those
 cells).  ``solve`` and ``potential`` realize the config on its finest
 ``[sweep] n`` mesh, so ``solve`` writes a solution that ``verify`` checks.
 Each subcommand takes only the flags it reads.
-Exit codes: 0 all checks pass, 1 check failure or bad data, 2 usage error.
+Exit codes: 0 all checks pass, 1 check failure, bad data or an output that
+cannot be written (one ``error:`` line), 2 usage error.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def cmd_solve(args) -> int:
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:
         # only atoms are mollified: a density is solved as it is
-        if inst.measure is not None and inst.measure.atoms:
+        if inst.measure.atoms:
             fh.write(f"mollification_level {finest_level(inst.grid)}\n")
         fh.write(f"iterations {sol.iterations}\n")
         fh.write(f"energy {sol.energy:.12g}\n")
@@ -96,7 +97,7 @@ def cmd_potential(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
     inst = build_instance(cfg, max(cfg.sweep_axis("n")))
-    if inst.measure is None:
+    if inst.measure.is_empty():
         print("config carries no measure; nothing to evaluate", file=sys.stderr)
         return 1
     rng = np.random.default_rng([args.seed, 97])
@@ -140,6 +141,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except PotlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an unreadable config or raster is a DataError: this is the output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

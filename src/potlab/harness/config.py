@@ -247,7 +247,7 @@ def _bump(height=0.25, radius=0.3, cx=0.5, cy=0.5, floor=-0.05):
 
 def _fundamental(growth, measure, c0=1.0):
     """The radial potential of the measure's first atom."""
-    if measure is None or not measure.atoms:
+    if not measure.atoms:
         raise DataError("fundamental boundary preset needs an atom in the measure")
     ax, ay, mass = measure.atoms[0]
     return lambda X, Y: radial_potential_profile(growth, abs(mass), np.hypot(X - ax, Y - ay),
@@ -276,9 +276,10 @@ _COEFFICIENTS = {**COEFFICIENT_PRESETS,
                  "file": lambda file: coefficient_from_raster(read_raster(file))}
 
 
-def _measure(grid, scale, atoms="", density=None) -> MeasureData | None:
-    """Atoms ``x y mass; ...`` plus a constant or raster density, the
-    masses and the density times ``scale``; None when both are absent."""
+def _measure(grid, scale, atoms="", density=None) -> MeasureData:
+    """Atoms ``x y mass; ...``, each strictly inside the unit square, plus a
+    constant or raster density, the masses and the density times
+    ``scale``; the zero measure ``MeasureData()`` when both are absent."""
     points = []
     for chunk in filter(str.strip, atoms.split(";")):
         try:
@@ -286,12 +287,13 @@ def _measure(grid, scale, atoms="", density=None) -> MeasureData | None:
         except ValueError:
             raise DataError(f"[measure] atoms: each atom is three numbers 'x y mass', "
                             f"got {chunk.strip()!r}") from None
+        if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
+            raise DataError(f"[measure] atom ({x:g}, {y:g}) is not strictly inside "
+                            f"the unit square")
         points.append((x, y, m * scale))
     if density is not None:
         density = _on_grid("measure", read_raster(density) if isinstance(density, Path)
                            else GridFunction.constant(grid, density), grid, scale)
-    if not points and density is None:
-        return None
     return MeasureData(points, density)
 
 
@@ -319,9 +321,6 @@ def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
                     "file" if "file" in spec else "constant")
 
 
-_USE_MEASURE = object()
-
-
 @dataclass
 class Instance:
     """A config realized at one mesh: everything a solve or a check needs."""
@@ -330,19 +329,18 @@ class Instance:
     growth: GrowthFunction
     field: VectorField
     obstacle: GridFunction | None
-    measure: MeasureData | None
+    measure: MeasureData  # the zero measure without [measure] data
     boundary: GridFunction
     solver: SolverConfig
     gamma_prime: float  # the oscillation modulus's exponent
     key: tuple  # names the inputs of every field above; see build_instance
 
-    def problem(self, rhs=_USE_MEASURE) -> ObstacleProblem:
-        return ObstacleProblem(
-            field=self.field,
-            boundary=self.boundary,
-            obstacle=self.obstacle,
-            rhs=self.measure if rhs is _USE_MEASURE else rhs,
-        )
+    def problem(self, rhs=None) -> ObstacleProblem:
+        """The instance's obstacle problem with right side ``rhs``, no data
+        by default: the measure is solved only mollified
+        (``checks.primary_solution``) or as a sequence (``solve_op_sequence``)."""
+        return ObstacleProblem(field=self.field, boundary=self.boundary,
+                               obstacle=self.obstacle, rhs=rhs)
 
 
 def build_instance(cfg: ExperimentConfig, n: int, *,

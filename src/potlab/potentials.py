@@ -262,21 +262,22 @@ class PointLadder:
     each maximal operator at each exponent is only a sup over the stored
     ladder, bitwise equal to the single-point operator of the same name.
     The top ball is B_R(x) itself, so ``du_mean[-1]`` is avg_{B_R}|Du|.
+    A zero kernel or the zero measure gives zero columns, whose maximal
+    operators read 0.0.
     """
 
     radii: np.ndarray
     u_oscillation: np.ndarray  # mean oscillation of u
     du_mean: np.ndarray  # mean of |Du|
     du_excess: np.ndarray  # vector_excess of (Du_x, Du_y)
-    kernel_mean: np.ndarray | None  # mean of the obstacle kernel
-    masses: np.ndarray | None  # |mu| of the closed ball
+    kernel_mean: np.ndarray  # mean of the obstacle kernel
+    masses: np.ndarray  # |mu| of the closed ball
 
     @classmethod
     def gather(cls, u: GridFunction, du, du_mag: GridFunction, x, R: float, *,
-               od: ObstacleDensity | None = None,
-               measure: MeasureData | None = None) -> "PointLadder":
-        """The ladder of x for u, its gradient ``du = (Du_x, Du_y)`` and
-        ``du_mag = |Du|``, plus the obstacle kernel and the measure when given."""
+               kernel: GridFunction, measure: MeasureData) -> "PointLadder":
+        """The ladder of x for u, its gradient ``du = (Du_x, Du_y)``,
+        ``du_mag = |Du|``, the obstacle kernel and the measure."""
         grid = u.grid
         radii = _ladder_for(R, None, grid)
         du_x, du_y = (c.values for c in du)
@@ -287,16 +288,16 @@ class PointLadder:
                 _oscillation(u.values[ii, jj]),
                 _abs_mean(du_mag.values[ii, jj]),
                 _vector_oscillation(du_x[ii, jj], du_y[ii, jj]),
-                _abs_mean(od.kernel.values[ii, jj]) if od is not None else 0.0,
+                _abs_mean(kernel.values[ii, jj]),
             ))
-        osc, mean, excess, kernel = (np.array(col) for col in zip(*stats))
+        osc, mean, excess, kernel_mean = (np.array(col) for col in zip(*stats))
         return cls(
             radii=radii,
             u_oscillation=osc,
             du_mean=mean,
             du_excess=excess,
-            kernel_mean=kernel if od is not None else None,
-            masses=ball_masses(measure, x, radii) if measure is not None else None,
+            kernel_mean=kernel_mean,
+            masses=ball_masses(measure, x, radii),
         )
 
     def sharp_maximal(self, alpha: float) -> float:
@@ -315,7 +316,7 @@ class PointLadder:
         return _sup(self.radii, -alpha, self.du_excess)
 
     def obstacle_maximal(self, beta: float) -> float:
-        """``obstacle_maximal(od, x, beta, R)``."""
+        """``obstacle_maximal(od, x, beta, R)`` of the kernel's ``ObstacleDensity``."""
         _check_exponent("beta", beta)
         return _sup(self.radii, beta, self.kernel_mean)
 

@@ -632,14 +632,15 @@ class ComparisonChain:
     w4  frozen-coefficient homogeneous equation on B_{R/2}.
 
     ``obstacle_flux`` is the frozen operator applied to the obstacle, the
-    right side of w3 (None without an obstacle).
+    right side of w3; zero without an obstacle, so that w3 is w4's equation
+    with f = 0.
     """
 
     w1: Solution
     w2: Solution
     w3: Solution
     w4: Solution
-    obstacle_flux: GridFunction | None
+    obstacle_flux: GridFunction
 
 
 def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = None, *,
@@ -672,7 +673,7 @@ def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = Non
                               prob.obstacle.values, cfg.epsilon)
         rhs3 = GridFunction(grid, flux)
     else:
-        rhs3 = None
+        rhs3 = GridFunction.constant(grid, 0.0)
     w3 = stage("w3", lambda: solve_equation(
         replace(frozen, obstacle=None, rhs=rhs3), cfg, ball=half, warm_start=w1.u
     ))

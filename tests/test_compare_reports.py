@@ -86,3 +86,33 @@ def test_energy_within_the_limit_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ok   dirac/diagnostics.txt: solver counts equal" in out
     assert out.endswith("2 of 3 files byte-identical\nreports agree\n")
+
+
+VALUE = 2.41365120982
+POTENTIAL = "x,y,value,truncation_flag\n0.431,0.552,{value},{flag}\n0.602,0.381,1.25,0\n"
+
+
+def run_potential(tmp_path, value=VALUE, flag=0) -> int:
+    """Compare trees that also hold the `potlab potential` CSVs."""
+    old = write_tree(tmp_path / "old")
+    new = write_tree(tmp_path / "new")
+    for root, v, f in ((old, VALUE, 0), (new, value, flag)):
+        for name in ("wolff.csv", "maximal.csv"):
+            (root / "dirac" / name).write_text(POTENTIAL.format(value=f"{v:.12g}", flag=f))
+    return compare_reports.main(["compare_reports.py", str(old), str(new)])
+
+
+@pytest.mark.parametrize("value, flag, code", [
+    (VALUE, 0, 0), (VALUE * (1 + 1e-9), 0, 0), (VALUE * (1 + 1e-5), 0, 1), (VALUE, 1, 1)])
+def test_potential_csvs_compare_flags_exactly_and_values_to_the_limit(
+        tmp_path, capsys, value, flag, code):
+    assert run_potential(tmp_path, value, flag) == code
+    out = capsys.readouterr().out
+    if value == VALUE and not flag:
+        assert out.endswith("4 of 4 files byte-identical\nreports agree\n")
+    elif flag:
+        assert "FAIL dirac/wolff.csv: rows and truncation flags differ" in out
+        assert "row 1 truncation_flag: '0' -> '1'" in out
+    else:
+        assert "dirac/maximal.csv: rows and truncation flags equal" in out
+        assert "2 of 4 files byte-identical\n" in out

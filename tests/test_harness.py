@@ -1,6 +1,7 @@
 """Config loading, RHS assemblies, checks, reports, and the CLI."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from potlab.errors import DataError
 from potlab.field import COEFFICIENT_PRESETS
-from potlab.grid import Grid2D, GridFunction, ball_average, read_raster, write_raster
+from potlab.grid import Grid2D, GridFunction, MeasureData, ball_average, read_raster, write_raster
 from potlab.harness import checks
 from potlab.harness.checks import (
     CHECKS,
@@ -39,13 +40,14 @@ from potlab.harness.config import (
 )
 from potlab.orlicz import GROWTH_KINDS, GrowthFunction, PowerGrowth, RegularizedPowerGrowth
 from potlab.potentials import (
+    ObstacleDensity,
     frac_maximal,
     obstacle_maximal,
     radial_potential_profile,
     sharp_maximal,
     sharp_maximal_vector,
 )
-from potlab.solver import solve_op_sequence
+from potlab.solver import comparison_chain, solve_frozen, solve_op_sequence
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -192,7 +194,7 @@ def dirac_solved(tmp_path_factory):
     path.write_text(DIRAC)
     cfg = load_config(path)
     inst = build_instance(cfg, 48)
-    return inst, solve_op_sequence(inst.problem(), [2, 4], inst.solver).finest
+    return inst, solve_op_sequence(inst.problem(rhs=inst.measure), [2, 4], inst.solver).finest
 
 
 @pytest.fixture(scope="module")
@@ -232,9 +234,9 @@ def test_assemblies_monotone_in_data(dirac_context):
     assert maximal_sum(bigger, 0.3) >= base_vals["max"]
     assert sharp_gradient(bigger) >= base_vals["sharp"]
     # enlarge the obstacle kernel pointwise
-    od = ctx.od
+    kernel = ctx.obstacle_measure.density
     fatter = dataclasses.replace(
-        ctx, od=type(od)(od.kernel.with_values(od.kernel.values + 0.5))
+        ctx, obstacle_measure=MeasureData([], kernel.with_values(kernel.values + 0.5))
     )
     assert maximal_sum(fatter, 1.0) >= base_vals["mstar"]
     assert sharp_gradient(fatter) >= base_vals["sharp"]
@@ -274,6 +276,63 @@ def test_oscillation_rhs_symmetric(dirac_context):
     a = gradient_oscillation_rhs(ctx, du_avg, x, y, 0.15, 0.3, wx, wy)
     b = gradient_oscillation_rhs(ctx, du_avg, y, x, 0.15, 0.3, wy, wx)
     assert a == b
+
+
+# -- absent data is zero data -------------------------------------------------------
+
+# neither a measure nor an obstacle; the jump coefficient has a nonzero
+# modulus, so the Dini terms integrate the zero G(|Dpsi|) + G(|psi|) field
+# instead of taking the zero-modulus fast path
+NO_DATA = ExperimentConfig(coefficient={"preset": "jump", "amplitude": 0.3},
+                           boundary={"preset": "sin_affine"}, sweep={"n": [32]})
+
+
+@pytest.fixture(scope="module")
+def no_data_solved():
+    cache = SolveCache()
+    inst = build_instance(NO_DATA, 32)
+    return checks.primary_solution(cache, inst), checks.primary_context(cache, inst, 0.3)
+
+
+def test_absent_data_adds_zero_to_every_estimate(no_data_solved):
+    _, ctx = no_data_solved
+    assert ctx.inst.measure.is_empty() and ctx.inst.obstacle is None
+    assert not ctx.modulus.is_zero()
+    x, R = (0.45, 0.55), 0.15
+    ladders = wolff_ladders(ctx, x, R)
+    ladder = point_ladder(ctx, x, R)
+    du_avg = float(ladder.du_mean[-1])
+    for beta in (0.5, 0.25):
+        assert checks._wolff_pair(ctx, ladders, beta, 2.0) == (0.0, 0.0)
+    assert checks.measure_error_term(ctx.inst, x, R) == 0.0
+    assert checks.obstacle_error_term(ctx, x, R) == 0.0
+    om = ctx.modulus
+    assert checks.coefficient_error_term(ctx, ctx.du_mag, x, R, R) == (
+        float(np.interp(R, om.radii, om.values)) ** om.dini_exponent
+        * ball_average(ctx.du_mag, x, R))
+    # the sums are bitwise the terms that need no data
+    for alpha in (0.0, 0.3, 1.0):
+        assert maximal_sum_rhs(ctx, x, R, alpha, du_avg, ladders) == R ** (1.0 - alpha) * du_avg
+    for alpha in (0.0, 0.3):
+        assert sharp_gradient_rhs(ctx, x, R, alpha, ladder, ladders) == R ** (-alpha) * du_avg
+
+
+def test_chain_without_an_obstacle_has_a_zero_flux(no_data_solved):
+    sol, ctx = no_data_solved
+    inst = ctx.inst
+    center, R = (0.5, 0.5), 0.2
+    half = (center, R / 2)
+    prob = inst.problem()
+    chain = comparison_chain(prob, (center, R), inst.solver, outer=sol)
+    assert not chain.obstacle_flux.values.any()
+    # w3 is driven by the zero flux: bitwise the frozen solve without data
+    w3 = solve_frozen(replace(prob, boundary=chain.w1.u), half, inst.solver,
+                      warm_start=chain.w1.u)
+    assert np.array_equal(chain.w3.u.values, w3.u.values)
+    rows = checks._chain_stage_rows(RatioStudy(), inst, ctx, chain, sol, center, R)
+    assert rows[0].rhs == 0.0  # no measure: the inhomogeneity term is zero
+    assert [r.flag.split()[-1] for r in rows[2:]] == ["chain-w3", "chain-w4"]
+    assert all(r.rhs == checks._g_inverse(inst, R / 2) for r in rows[2:])
 
 
 # -- the ratio-stability gate ------------------------------------------------------
@@ -434,7 +493,8 @@ def _assert_ladder_equals_operators(ctx, x, R, alphas):
         assert ladder.frac_maximal(beta) == frac_maximal(ctx.du_mag, x, beta, R)
         assert ladder.sharp_maximal_vector(alpha) == sharp_maximal_vector(
             (ctx.du_x, ctx.du_y), x, alpha, R)
-        assert ladder.obstacle_maximal(beta) == obstacle_maximal(ctx.od, x, beta, R)
+        assert ladder.obstacle_maximal(beta) == obstacle_maximal(
+            ObstacleDensity(ctx.obstacle_measure.density), x, beta, R)
         assert ladder.measure_maximal(beta) == frac_maximal(
             ctx.inst.measure, x, beta, R, r_min=r_min)
 
@@ -451,7 +511,8 @@ def test_point_ladder_equals_the_maximal_operators(tmp_path, measure, boundary):
     cfg = load_config(path)
     inst = build_instance(cfg, 64)
     ctx = checks.primary_context(SolveCache(), inst, 0.3)
-    assert ctx.od is not None and (ctx.inst.measure.density is not None) == (measure[0] == "d")
+    assert ctx.obstacle_measure.density.values.min() >= 1.0
+    assert (ctx.inst.measure.density is not None) == (measure[0] == "d")
     for x in LADDER_POINTS:
         _assert_ladder_equals_operators(ctx, x, 0.15, (0.0, 0.2, 0.5, 1.0))
 
@@ -497,11 +558,13 @@ def test_ladders_equal_a_plain_full_grid_loop(tmp_path, measure, boundary):
             u, vx, vy = ctx.u.values[ball], ctx.du_x.values[ball], ctx.du_y.values[ball]
             want.append((np.abs(u - u.mean()).mean(), np.abs(ctx.du_mag.values[ball]).mean(),
                          np.hypot(vx - vx.mean(), vy - vy.mean()).mean(),
-                         ctx.od.kernel.values[ball].mean(), _plain_mass(inst.measure, g, x, rho)))
+                         ctx.obstacle_measure.density.values[ball].mean(),
+                         _plain_mass(inst.measure, g, x, rho)))
         got = np.column_stack([ladder.u_oscillation, ladder.du_mean, ladder.du_excess,
                                ladder.kernel_mean, ladder.masses])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        for mu, wolff_ladder in zip((inst.measure, ctx.od.measure), wolff_ladders(ctx, x, R)):
+        for mu, wolff_ladder in zip((inst.measure, ctx.obstacle_measure),
+                                    wolff_ladders(ctx, x, R)):
             np.testing.assert_allclose(
                 wolff_ladder.masses, [_plain_mass(mu, g, x, rho) for rho in wolff_ladder.radii],
                 rtol=1e-12, atol=0)
@@ -767,6 +830,37 @@ def test_cli_potential_csv(dirac_config, tmp_path):
         assert len(lines) == 65
 
 
+def test_cli_potential_without_measure_exits_one(tmp_path, capsys):
+    path = tmp_path / "nodata.ini"
+    path.write_text(TINY.replace("[measure]\ndensity = 1.0\n", ""))
+    out = tmp_path / "pot"
+    assert main(["potential", "--config", str(path), "--out", str(out)]) == 1
+    assert "config carries no measure" in capsys.readouterr().err
+    assert not (out / "wolff.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "potential", "verify"])
+@pytest.mark.parametrize("atom", ["1.5 0.5", "0.5 1.0"])
+def test_atom_outside_the_unit_square_is_refused(tmp_path, capsys, command, atom):
+    # the error names the atom, not the bump its mollification would make
+    path = tmp_path / "outside.ini"
+    path.write_text(DIRAC.replace("atoms = 0.5 0.5 1.0", f"atoms = {atom} 1.0"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    x, y = (float(t) for t in atom.split())
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [measure] atom ({x:g}, {y:g}) is not strictly inside the unit square"]
+    assert not (tmp_path / "o" / "wolff.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "potential", "verify"])
+def test_out_that_cannot_be_written_is_one_error_line(dirac_config, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out, reason in ((taken, "File exists"), (taken / "sub", "Not a directory")):
+        assert main([command, "--config", str(dirac_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out}: {reason}"]
+
+
 def test_coefficient_from_raster_config(tiny_config, tmp_path):
     import potlab.grid as gridmod
     g = gridmod.Grid2D(32)
@@ -905,7 +999,7 @@ def test_every_preset_builds_from_its_required_keys(tmp_path):
     for measure in ({}, {"density": 1.0}, {"density": raster.name},
                     {"atoms": "0.5 0.5 1.0; 0.25 0.75 2.0", "density": 1.0}):
         inst = build_instance(ExperimentConfig(base_dir=tmp_path, measure=measure), 16)
-        assert (inst.measure is None) == (not measure)
+        assert inst.measure.is_empty() == (not measure)
 
 
 def test_solver_gamma_prime_reaches_verify(tmp_path):
