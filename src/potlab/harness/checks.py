@@ -49,7 +49,7 @@ from ..solver import (
     solve_frozen,
     solve_vi,
 )
-from .config import CHECK_KEYS, ExperimentConfig, Instance, build_instance, cells, typed_value
+from .config import ExperimentConfig, Instance, build_instance, cells
 
 __all__ = [
     "DEFAULT_SEED",
@@ -229,18 +229,6 @@ def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     return cache.get((inst.key, "vi"), solve)
 
 
-def _param(cfg: ExperimentConfig, key: str, default):
-    """The ``[checks]`` value of ``key`` (one of ``CHECK_KEYS``), of ``default``'s kind."""
-    if key not in CHECK_KEYS:
-        raise KeyError(f"[checks] {key} is not declared in CHECK_KEYS")
-    if key not in cfg.check_params:
-        return default
-    value = typed_value("checks", key, cfg.check_params[key], default)
-    if (key == "points" and value < 1) or (key.endswith("radius") and value <= 0):
-        raise DataError(f"[checks] {key} must be positive, got {value!r}")
-    return value
-
-
 def sample_points(rng, count: int, lo: float, hi: float, atoms=(), min_sep: float = 0.05):
     """Seeded interior sample points, kept clear of every atom."""
     pts = []
@@ -287,9 +275,7 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
         gpsi = inst.obstacle.with_values(
             _G_obstacle_gradient(inst) + inst.growth.G(np.abs(inst.obstacle.values))
         )
-    modulus = inst.field.oscillation_modulus(
-        inst.grid, r_max, gamma_prime=inst.gamma_prime
-    )
+    modulus = inst.field.oscillation_modulus(inst.grid, r_max)
     return EstimateContext(
         inst=inst,
         u=solution.u,
@@ -445,11 +431,15 @@ def fit_excess_decay(gx: GridFunction, gy: GridFunction, x0, radii):
 # ---------------------------------------------------------------------------
 # checks
 
+# the comparison's ball, and the off-centre ball a measure's comparison reads
+_COMPARISON_BALL = ((0.5, 0.5), 0.25)
+_COMPARISON_OFF_BALL = ((0.78, 0.5), 0.1)
+
+
 def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Inhomogeneous-vs-homogeneous comparison: avg_{B_R}|Du - Dw| against
     (R avg|f|)^(1/ig), or the (mass/R^{n-1})^(1/ig) form for measures."""
-    center = _param(cfg, "center", (0.5, 0.5))
-    R = _param(cfg, "radius", 0.25)
+    center, R = _COMPARISON_BALL
     study = RatioStudy()
     skipped = False
     for cell, inst in cells(cfg, "scale", scale="rhs_scale"):
@@ -469,8 +459,7 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
             rhs = _g_inverse(inst, R * ball_average(inst.measure.density, center, R))
         study.add(center, R, lhs, rhs, exact_tol=10 * inst.solver.tol, cell=cell)
         if measure_form:
-            off = _param(cfg, "off_center", (0.78, 0.5))
-            r_off = _param(cfg, "off_radius", 0.1)
+            off, r_off = _COMPARISON_OFF_BALL
             w_off = _homogeneous_ball(cache, inst, sol, (off, r_off))
             lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
             study.add(off, r_off, lhs_off, measure_error_term(inst, off, r_off),
@@ -489,21 +478,21 @@ def _homogeneous_ball(cache: SolveCache, inst: Instance, sol: Solution, ball) ->
     )
 
 
+# the frozen comparison's ball, and a ball beside it that belongs to no cell
+_FROZEN_BALL = ((0.5, 0.5), 0.2)
+_FROZEN_SIDE_BALL = ((0.33, 0.5), 0.15)
+
+
 def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Frozen-coefficient comparison: avg_{B_R}|Du - Dw| against
     omega(R)^(1/(1+sg)) {avg_{B_2R}|Du| + G^{-1}[avg(G|Dpsi| + G|psi|)]}."""
-    center = _param(cfg, "center", (0.5, 0.5))
-    R = _param(cfg, "radius", 0.2)
-    side_center = _param(cfg, "side_center", (0.33, 0.5))
-    side_R = _param(cfg, "side_radius", 0.15)
     study = RatioStudy()
     for cell, inst in cells(cfg, "amplitude"):
         sol = primary_solution(cache, inst)
-        ctx = primary_context(cache, inst, 2 * R)
+        ctx = primary_context(cache, inst, 2 * _FROZEN_BALL[1])
         om = inst.field.coefficient.on_nodes(inst.grid)
-        # the side ball's row belongs to no cell
-        for ball_center, ball_R, ball_cell in ((center, R, cell), (side_center, side_R, None)):
-            ball = (ball_center, ball_R)
+        for ball, ball_cell in ((_FROZEN_BALL, cell), (_FROZEN_SIDE_BALL, None)):
+            ball_center, ball_R = ball
             w = cache.get(
                 (inst.key, "frozen", ball),
                 lambda: solve_frozen(replace(inst.problem(), boundary=sol.u),
@@ -521,12 +510,15 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     return study.report("frozen_coefficient")
 
 
+# the largest ball of the energy bound's radius ladder
+_CACCIOPPOLI_BALL = ((0.5, 0.5), 0.36)
+
+
 def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Energy bound on the half ball: avg_{B_{R/2}} G(|Du|) against
     avg_{B_R} G(|u - lambda|/R) + avg[G(|psi|/R) + G(|Dpsi|)], with lambda
     the ball mean of u."""
-    center = _param(cfg, "center", (0.5, 0.5))
-    R0 = _param(cfg, "radius", 0.36)
+    center, R0 = _CACCIOPPOLI_BALL
     study = RatioStudy()
     for cell, inst in cells(cfg, "scale"):
         sol = primary_solution(cache, inst)
@@ -552,12 +544,15 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
     return study.report("caccioppoli", extra=study.drift() is not None)
 
 
+# the largest ball of the reverse Hoelder bound's radius ladder
+_REVERSE_HOLDER_BALL = ((0.5, 0.5), 0.36)
+
+
 def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Reverse Hoelder bound: avg_{B_{3R/4}} G(|Du|) against
     G(avg_{B_R}|Du|) + avg[G(|Dpsi|) + G(|psi|)] for the shifted problem
     with u >= 0."""
-    center = _param(cfg, "center", (0.5, 0.5))
-    R0 = _param(cfg, "radius", 0.36)
+    center, R0 = _REVERSE_HOLDER_BALL
     study = RatioStudy()
     for cell, inst in cells(cfg, "scale"):
         sol = primary_solution(cache, inst)
@@ -582,11 +577,14 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     return study.report("reverse_holder", extra=study.drift() is not None)
 
 
+# the median bound's ball
+_SOBOLEV_BALL = ((0.5, 0.5), 0.3)
+
+
 def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Median-based Sobolev bound: G^{-1}(avg G(|u - m(u)|/R)) against
     S^{-1}(avg S(|Du|)) for the solved field and two synthetic fields."""
-    center = _param(cfg, "center", (0.5, 0.5))
-    R = _param(cfg, "radius", 0.3)
+    center, R = _SOBOLEV_BALL
     study = RatioStudy()
     for n, inst in cells(cfg):
         sol = primary_solution(cache, inst)
@@ -619,12 +617,15 @@ def _homogeneous_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, coefficient={}, obstacle={}, measure={}, boundary={"preset": "sin_affine"})
 
 
-def _homogeneous_fit(cfg, cache, inst: Instance):
-    """Excess-decay fit of ``inst``, an instance of ``_homogeneous_config(cfg)``,
-    at the config's decay ball: (radii, beta_hat, prefactor, residual,
-    excess values)."""
-    center = _param(cfg, "decay_center", (0.38, 0.31))
-    R = _param(cfg, "decay_radius", 0.28)
+# the ball of the homogeneous excess-decay fit
+_DECAY_BALL = ((0.38, 0.31), 0.28)
+
+
+def _homogeneous_fit(cache, inst: Instance):
+    """Excess-decay fit of ``inst``, an instance of ``_homogeneous_config``,
+    on ``_DECAY_BALL``: (radii, beta_hat, prefactor, residual, excess
+    values)."""
+    center, R = _DECAY_BALL
     sol = cache.get((inst.key, "eq"), lambda: solve_equation(inst.problem(), inst.solver))
     gx, gy, _ = grad_fields(sol.u)
     radii = radius_ladder(max(6 * inst.grid.h, R / 8), R, 16)
@@ -634,13 +635,12 @@ def _homogeneous_fit(cfg, cache, inst: Instance):
 def check_excess_decay_homogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Power-law decay of the gradient excess for the constant-coefficient
     homogeneous equation; reports the fitted exponent and log residual."""
-    center = _param(cfg, "decay_center", (0.38, 0.31))
-    R = _param(cfg, "decay_radius", 0.28)
+    center, R = _DECAY_BALL
     study = RatioStudy()
     summary: dict = {}
     passed = True
     for n, inst in cells(_homogeneous_config(cfg)):
-        radii, beta_hat, pref, resid, exc = _homogeneous_fit(cfg, cache, inst)
+        radii, beta_hat, pref, resid, exc = _homogeneous_fit(cache, inst)
         if exc[-1] <= 10 * inst.solver.tol:
             study.rows.append(CheckRow(center, R, exc[-1], 0.0, None, "trivial-skip"))
             continue
@@ -656,17 +656,20 @@ def check_excess_decay_homogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     return CheckReport("excess_decay_homogeneous", study.rows, summary, passed)
 
 
+# the ball of the perturbed excess decay and its comparison chain
+_ERRORS_BALL = ((0.58, 0.58), 0.2)
+
+
 def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Excess decay for the full instance: the ladder excess against the
     decay term plus measure, obstacle, and coefficient error terms."""
-    center = _param(cfg, "errors_center", (0.58, 0.58))
-    R = _param(cfg, "errors_radius", 0.2)
+    center, R = _ERRORS_BALL
     study = RatioStudy()
     notes: list[str] = []
     for (n, inst), (_, hinst) in zip(cells(cfg), cells(_homogeneous_config(cfg))):
         sol = primary_solution(cache, inst)
         ctx = primary_context(cache, inst, 2 * R)
-        beta_hat = _homogeneous_fit(cfg, cache, hinst)[1]
+        beta_hat = _homogeneous_fit(cache, hinst)[1]
         chain = cache.get(
             (inst.key, "chain", (center, R)),
             lambda: comparison_chain(inst.problem(), (center, R),
@@ -717,29 +720,27 @@ def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
     return out
 
 
+# the estimate checks' ball radius, and their sample points without [checks] points
+_ESTIMATE_RADIUS = 0.15
+_POINTS = 25
+
+
 def _estimate_setup(cfg, cache, rng):
     """The estimate checks' cells, radius R, seeded points and alphas.  The
-    points keep 2R plus the coarsest cell's floor from the boundary and
-    clear every atom; without an alpha axis the alphas follow the
-    homogeneous excess-decay exponent on the coarsest mesh."""
+    points keep 2R plus the coarsest cell's floor from the boundary (a box
+    of at least [0.425, 0.575], as every mesh has n >= 16) and clear every
+    atom; the alphas follow the homogeneous excess-decay exponent on the
+    coarsest mesh."""
     cell_list = list(cells(cfg))
-    R = _param(cfg, "estimate_radius", 0.15)
+    R = _ESTIMATE_RADIUS
     inst = min((inst for _, inst in cell_list), key=lambda i: i.grid.n)
     r_min = inst.grid.r_min
     margin = 2 * R + r_min + 1e-6
-    if margin > 1.0 - margin:
-        raise DataError(
-            f"estimate_radius {R:g} leaves no room for sample points: the box "
-            f"[{margin:.4g}, {1.0 - margin:.4g}] keeping 2R + 2h from the boundary is empty"
-        )
-    points = sample_points(rng, _param(cfg, "points", 25), margin, 1.0 - margin,
+    points = sample_points(rng, cfg.check_params.get("points", _POINTS), margin, 1.0 - margin,
                            inst.measure.atoms, min_sep=max(0.05, r_min))
-    alphas = [float(a) for a in cfg.sweep_axis("alpha")]
-    if not alphas:
-        hinst = build_instance(_homogeneous_config(cfg), inst.grid.n)
-        alpha_hat = min(0.5 * _homogeneous_fit(cfg, cache, hinst)[1], 0.4, 0.9 / inst.growth.ig)
-        alphas = [0.0, alpha_hat / 2, alpha_hat]
-    return cell_list, R, points, alphas
+    hinst = build_instance(_homogeneous_config(cfg), inst.grid.n)
+    alpha_hat = min(0.5 * _homogeneous_fit(cache, hinst)[1], 0.4, 0.9 / inst.growth.ig)
+    return cell_list, R, points, [0.0, alpha_hat / 2, alpha_hat]
 
 
 def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:

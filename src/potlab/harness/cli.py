@@ -75,7 +75,7 @@ def _outdir(args) -> Path:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg, max(cfg.sweep_axis("n")))
+    inst = build_instance(cfg, max(cfg.sweep["n"]))
     sol = primary_solution(SolveCache(), inst)
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:
@@ -96,7 +96,7 @@ def cmd_solve(args) -> int:
 def cmd_potential(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg, max(cfg.sweep_axis("n")))
+    inst = build_instance(cfg, max(cfg.sweep["n"]))
     if inst.measure.is_empty():
         print("config carries no measure; nothing to evaluate", file=sys.stderr)
         return 1

@@ -7,9 +7,11 @@ A config file holds the problem sections [growth], [coefficient],
 section into its object: the section's preset (``kind`` for [growth])
 picks a builder from the section's table, and each other key binds a
 keyword parameter of that builder, typed against the parameter's
-default.  [sweep] lists values of the ``SWEEP_AXES``, its n the meshes of
-the unit square; the mollification level is not a setting, since each
-mesh solves the finest level it resolves (``solver.finest_level``).
+default.  [sweep] lists the ``SWEEP_AXES`` values a run crosses, with no
+defaults: n, the meshes of the unit square, is required, and an unlisted
+scale is 1.  The mollification level is not a setting, since each mesh
+solves the finest level it resolves (``solver.finest_level``).  [checks]
+holds ``run`` and ``points``; each check's ball is a constant next to it.
 ``build_instance`` realizes the config at one mesh with optional data
 scalings, producing the immutable bundle the checks and the CLI consume;
 ``cells`` realizes it in every cell a check crosses.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,26 +48,17 @@ __all__ = [
     "cells",
 ]
 
-# the [sweep] axes: ``cells`` crosses n, scale and amplitude; alpha is the
-# estimate checks' exponent loop.  A setting such as the solver's epsilon
-# has one value per run, in [solver]
-SWEEP_AXES = ("n", "scale", "amplitude", "alpha")
-# the [checks] keys besides ``run``: the parameters the checks read, each
-# through ``checks._param``, which refuses any other
-CHECK_KEYS = ("center", "radius", "off_center", "off_radius", "side_center", "side_radius",
-              "decay_center", "decay_radius", "errors_center", "errors_radius",
-              "estimate_radius", "points")
-_SOLVER_KEYS = ("epsilon", "tol", "max_iter", "gamma_prime")
+# the [sweep] axes, each a list of the values ``cells`` crosses.  A setting
+# such as the solver's epsilon has one value per run, in [solver]
+SWEEP_AXES = ("n", "scale", "amplitude")
+# the [checks] keys besides ``run``: the estimate checks' count of sample
+# points, a positive integer in ``check_params``
+CHECK_KEYS = ("points",)
+_SOLVER_KEYS = ("epsilon", "tol", "max_iter")
 _PROBLEM_SECTIONS = ("growth", "coefficient", "obstacle", "measure", "boundary")
 _SECTIONS = (*_PROBLEM_SECTIONS, "solver", "checks", "sweep")
 # the coefficient presets whose amplitude the ``amplitude`` axis sweeps
 _AMPLITUDE_PRESETS = ("jump", "checkerboard")
-
-# every check crosses meshes, and data scaling is the default evidence
-_DEFAULT_SWEEP = {
-    "n": [64, 128],
-    "scale": [1.0, 4.0, 16.0],
-}
 
 
 @dataclass
@@ -79,33 +73,21 @@ class ExperimentConfig:
     checks: list = field(default_factory=list)
     check_params: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
-    gamma_prime: float = 2.0
     base_dir: Path = field(default_factory=Path)
-
-    def sweep_axis(self, name: str) -> list:
-        if name in self.sweep:
-            return list(self.sweep[name])
-        return list(_DEFAULT_SWEEP.get(name, []))
 
 
 def typed_value(section: str, key: str, raw, default):
-    """A parsed config value as ``default``'s kind: a point (tuple default)
-    is exactly two numbers, text (str default) any value, an int an
-    integral number, anything else a number; a value of another kind is a
-    ``DataError`` naming the key."""
-    try:
-        if isinstance(default, tuple):
-            x, y = (float(t) for t in (raw.split() if isinstance(raw, str) else raw))
-            return (x, y)
-        if isinstance(default, str):
-            return str(raw)
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            if not isinstance(default, int) or float(raw).is_integer():
-                return type(default)(raw)
-    except (TypeError, ValueError):
-        pass
-    kind = ("a point (two numbers)" if isinstance(default, tuple)
-            else "an integer" if isinstance(default, int) else "a number")
+    """A parsed config value as ``default``'s kind: text (str default) any
+    value, an int an integral number, anything else a finite number; a
+    value of another kind is a ``DataError`` naming the key."""
+    if isinstance(default, str):
+        return str(raw)
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise DataError(f"[{section}] {key} must be a finite number, got {raw!r}")
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if not isinstance(default, int) or float(raw).is_integer():
+            return type(default)(raw)
+    kind = "an integer" if isinstance(default, int) else "a number"
     raise DataError(f"[{section}] {key} must be {kind}, got {raw!r}")
 
 
@@ -152,28 +134,24 @@ def load_config(path) -> ExperimentConfig:
     sol = _section(parser, "solver")
     _refuse_unknown("[solver] {}", sol, _SOLVER_KEYS, hint=lambda name: (
         "; the sample seed is --seed" if name == "seed" else ""))
-
-    def setting(key, default):
-        return typed_value("solver", key, sol[key], default) if key in sol else default
-
-    cfg.solver = SolverConfig(
-        epsilon=setting("epsilon", SolverConfig.epsilon),
-        tol=setting("tol", SolverConfig.tol),
-        max_iter=setting("max_iter", SolverConfig.max_iter),
-    )
-    cfg.gamma_prime = setting("gamma_prime", cfg.gamma_prime)
+    cfg.solver = SolverConfig(**{key: typed_value("solver", key, value, getattr(SolverConfig, key))
+                                 for key, value in sol.items()})
     checks = _section(parser, "checks")
-    if checks:
-        run = checks.pop("run", "")
-        cfg.checks = [tok.strip() for tok in str(run).split(",") if tok.strip()]
-        _refuse_unknown("[checks] {}", checks, ("run", *CHECK_KEYS))
-        cfg.check_params = checks
+    run = checks.pop("run", "")
+    cfg.checks = [tok.strip() for tok in str(run).split(",") if tok.strip()]
+    _refuse_unknown("[checks] {}", checks, ("run", *CHECK_KEYS))
+    if "points" in checks:
+        checks["points"] = typed_value("checks", "points", checks["points"], 0)
+        if checks["points"] < 1:
+            raise DataError(f"[checks] points must be positive, got {checks['points']}")
+    cfg.check_params = checks
     if parser.has_section("sweep"):
         cfg.sweep = {k: _parse_list(v) for k, v in parser.items("sweep")}
     _refuse_unknown("[sweep] {}", cfg.sweep, SWEEP_AXES, "an axis", lambda key: (
         f"; set {key} under [solver]" if key in _SOLVER_KEYS else
         "; the sample seed is --seed" if key == "seed" else
-        "; each mesh solves the finest mollification level it resolves" if key == "level"
+        "; each mesh solves the finest mollification level it resolves" if key == "level" else
+        "; the estimate checks' alphas follow the homogeneous excess-decay fit" if key == "alpha"
         else ""))
     for key, values in cfg.sweep.items():
         if not values:
@@ -181,9 +159,16 @@ def load_config(path) -> ExperimentConfig:
         # meshes are counts; the other axes numbers
         kind = 0 if key == "n" else 0.0
         cfg.sweep[key] = [typed_value("sweep", key, v, kind) for v in values]
-    if "amplitude" in cfg.sweep and "amplitude" in cfg.coefficient:
-        raise DataError("[coefficient] amplitude is overridden by [sweep] amplitude; "
-                        "set one of them")
+    if "n" not in cfg.sweep:
+        raise DataError("[sweep] n is missing: a config lists the meshes it solves on")
+    if "amplitude" in cfg.sweep:
+        if "amplitude" in cfg.coefficient:
+            raise DataError("[coefficient] amplitude is overridden by [sweep] amplitude; "
+                            "set one of them")
+        preset = _coefficient_preset(cfg.coefficient)
+        if preset not in _AMPLITUDE_PRESETS:
+            raise DataError(f"[sweep] amplitude sweeps a {' or '.join(_AMPLITUDE_PRESETS)} "
+                            f"coefficient; the {preset} coefficient has no amplitude")
     return cfg
 
 
@@ -290,6 +275,9 @@ def _measure(grid, scale, atoms="", density=None) -> MeasureData:
         if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
             raise DataError(f"[measure] atom ({x:g}, {y:g}) is not strictly inside "
                             f"the unit square")
+        if not math.isfinite(m):
+            raise DataError(f"[measure] atoms: the mass of atom ({x:g}, {y:g}) must be a "
+                            f"finite number, got {m!r}")
         points.append((x, y, m * scale))
     if density is not None:
         density = _on_grid("measure", read_raster(density) if isinstance(density, Path)
@@ -314,11 +302,15 @@ def build_growth(cfg: ExperimentConfig) -> GrowthFunction:
     return _realize(cfg, "growth", GROWTH_KINDS, cfg.growth, "power", key="kind")
 
 
+def _coefficient_preset(spec: dict) -> str:
+    """A [coefficient] section's preset; without one, ``file`` or ``constant``."""
+    return spec.get("preset", "file" if "file" in spec else "constant")
+
+
 def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
     """The field of a [coefficient] section (``spec``, which may carry a
     swept amplitude)."""
-    return _realize(cfg, "coefficient", _COEFFICIENTS, spec,
-                    "file" if "file" in spec else "constant")
+    return _realize(cfg, "coefficient", _COEFFICIENTS, spec, _coefficient_preset(spec))
 
 
 @dataclass
@@ -332,7 +324,6 @@ class Instance:
     measure: MeasureData  # the zero measure without [measure] data
     boundary: GridFunction
     solver: SolverConfig
-    gamma_prime: float  # the oscillation modulus's exponent
     key: tuple  # names the inputs of every field above; see build_instance
 
     def problem(self, rhs=None) -> ObstacleProblem:
@@ -352,9 +343,9 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
     (the full-data scaling); ``rhs_scale`` multiplies the measure only.
     The key holds what realizes the instance and nothing else: the mesh,
     both scales, the problem sections (with the amplitude applied), the
-    directory their files are read from, the solver settings and
-    ``gamma_prime``; never ``check_params`` or the sweep, so checks that
-    sample differently share every solve.
+    directory their files are read from and the solver settings; never
+    ``check_params`` or the sweep, so checks that sample differently
+    share every solve.
     """
     grid = Grid2D(int(n))
     growth = build_growth(cfg)
@@ -371,8 +362,7 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
                         grid, data_scale)
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
     key = (grid.n, float(data_scale), float(rhs_scale),
-           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver,
-           float(cfg.gamma_prime))
+           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver)
     return Instance(
         grid=grid,
         growth=growth,
@@ -381,7 +371,6 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
         measure=measure,
         boundary=boundary,
         solver=cfg.solver,
-        gamma_prime=cfg.gamma_prime,
         key=key,
     )
 
@@ -390,16 +379,17 @@ def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
     """``(cell, inst)`` for every cell of the [sweep] meshes crossed with
     ``axes`` ("scale", "amplitude"), meshes outermost and then the axes in
     the order given; a cell is ``n`` alone or ``(n, *values)``.  ``scale``
-    names the ``build_instance`` keyword the scale axis drives.  Amplitude
-    is ``[sweep] amplitude`` on the ``_AMPLITUDE_PRESETS`` when the config
-    lists it; otherwise it has one value, the section's own amplitude
-    (``None``, the preset's default, when the section sets none)."""
+    names the ``build_instance`` keyword the scale axis drives; an
+    unlisted scale is the one value 1.  Amplitude is ``[sweep] amplitude``
+    on the ``_AMPLITUDE_PRESETS`` when the config lists it; otherwise it
+    has one value, the section's own amplitude (``None``, the preset's
+    default, when the section sets none)."""
     amplitudes = [cfg.coefficient.get("amplitude")]
     if cfg.coefficient.get("preset") in _AMPLITUDE_PRESETS and "amplitude" in cfg.sweep:
         amplitudes = cfg.sweep["amplitude"]
-    values = {"scale": [float(s) for s in cfg.sweep_axis("scale")], "amplitude": amplitudes}
+    values = {"scale": [float(s) for s in cfg.sweep.get("scale", [1.0])], "amplitude": amplitudes}
     keyword = {"scale": scale, "amplitude": "amplitude"}
-    for n in cfg.sweep_axis("n"):
+    for n in cfg.sweep["n"]:
         for combo in itertools.product(*(values[a] for a in axes)):
             inst = build_instance(cfg, n, **{keyword[a]: v for a, v in zip(axes, combo)})
             yield ((n, *combo) if axes else n), inst

@@ -129,7 +129,6 @@ def test_load_config(tiny_config):
     assert cfg.checks == ["comparison_inhomogeneous"]
     assert cfg.sweep["n"] == [24, 32]
     assert cfg.solver.tol == 1e-7
-    assert cfg.sweep_axis("n") == [24, 32]
 
 
 def test_load_config_missing(tmp_path):
@@ -443,7 +442,7 @@ def test_gradient_bounds_evaluates_each_pair_once(dirac_two_meshes, monkeypatch)
     monkeypatch.setattr(checks, "gradient_oscillation_rhs", counted)
     rep = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
     pairs = [r for r in rep.rows if "oscillation" in r.flag.split()]
-    assert len(calls) == len(pairs) == cfg.check_params["points"] * len(cfg.sweep_axis("n"))
+    assert len(calls) == len(pairs) == cfg.check_params["points"] * len(cfg.sweep["n"])
 
 
 WOLFF_PAIR = checks._wolff_pair
@@ -572,26 +571,22 @@ def test_ladders_equal_a_plain_full_grid_loop(tmp_path, measure, boundary):
 
 def test_maximal_estimates_fails_on_a_wrong_ladder(dirac_two_meshes, monkeypatch):
     # a ladder statistic off by 1% moves the alpha = 0 sum away from the
-    # independent _direct_beta0; the consistency gap must catch it, also
-    # when [sweep] alpha omits 0
+    # independent _direct_beta0; the consistency gap must catch it
     import dataclasses
     cfg, cache = dirac_two_meshes
-    no_alpha0 = dataclasses.replace(cfg, sweep={**cfg.sweep, "alpha": [0.1, 0.2]})
     gather = checks.point_ladder
 
     def wrong(ctx, x, R):
         ladder = gather(ctx, x, R)
         return dataclasses.replace(ladder, u_oscillation=ladder.u_oscillation * 1.01)
 
-    for run_cfg in (cfg, no_alpha0):
-        monkeypatch.setattr(checks, "point_ladder", gather)
-        honest = CHECKS["maximal_estimates"](run_cfg, cache, np.random.default_rng([5, 0]))
-        assert honest.passed and honest.summary["alpha0_consistency_gap"] <= 1e-12
-        monkeypatch.setattr(checks, "point_ladder", wrong)
-        rep = CHECKS["maximal_estimates"](run_cfg, cache, np.random.default_rng([5, 0]))
-        assert rep.passed is False
-        assert rep.summary["alpha0_consistency_gap"] > 1e-4
-        assert max(rep.summary["drift_maximal_sum"], rep.summary["drift_sharp_gradient"]) < 3
+    honest = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
+    assert honest.passed and honest.summary["alpha0_consistency_gap"] <= 1e-12
+    monkeypatch.setattr(checks, "point_ladder", wrong)
+    rep = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
+    assert rep.passed is False
+    assert rep.summary["alpha0_consistency_gap"] > 1e-4
+    assert max(rep.summary["drift_maximal_sum"], rep.summary["drift_sharp_gradient"]) < 3
 
 
 def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch):
@@ -612,13 +607,16 @@ def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch
             if getattr(mod, "__name__", "").startswith("potlab") and \
                     vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
+    path = tmp_path / "dirac.ini"
+    path.write_text(DIRAC)
+    cfg = load_config(path)
+    cfg.check_params["points"] = 4
     cache = SolveCache()
+    setup = checks._estimate_setup
     counts = []
-    for alphas in ("0, 0.2", "0, 0.2", "0, 0.1, 0.2"):
-        path = tmp_path / "alphas.ini"
-        path.write_text(DIRAC.replace("n = 48\n", f"n = 48\nalpha = {alphas}\n"))
-        cfg = load_config(path)
-        cfg.check_params["points"] = 4
+    for alphas in ([0.0, 0.2], [0.0, 0.2], [0.0, 0.1, 0.2]):
+        monkeypatch.setattr(checks, "_estimate_setup",
+                            lambda *args, _alphas=alphas: (*setup(*args)[:3], _alphas))
         for log in calls.values():
             log.clear()
         CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
@@ -668,24 +666,21 @@ def test_frozen_check_on_checkerboard(tmp_path):
 
 
 def test_frozen_check_decides_constancy_on_the_solved_disk(tmp_path):
-    # jump at x = 0.46, side ball B_0.15(0.34, 0.5) at n = 32: the
-    # snapped-center node set ends at x = 0.453 and sees a constant
+    # jump at x = 0.45, side ball B_0.15(0.33, 0.5) at n = 33: the
+    # snapped-center node set ends at x = 0.439 and sees a constant
     # coefficient, while the exact-center disk the frozen solve averages
-    # over reaches the node at x = 0.484 across the jump
+    # over reaches the node at x = 0.470 across the jump
     text = TINY.replace(
         "[coefficient]\npreset = constant\n",
-        "[coefficient]\npreset = jump\nposition = 0.46\n",
-    ).replace(
-        "run = comparison_inhomogeneous",
-        "run = frozen_coefficient\nside_center = 0.34 0.5\nside_radius = 0.15",
-    )
-    path = tmp_path / "jump046.ini"
+        "[coefficient]\npreset = jump\nposition = 0.45\n",
+    ).replace("run = comparison_inhomogeneous", "run = frozen_coefficient")
+    path = tmp_path / "jump045.ini"
     path.write_text(text)
     cfg = load_config(path)
-    cfg.sweep["n"] = [32]
+    cfg.sweep["n"] = [33]
     cfg.sweep["amplitude"] = [0.2]
     rep = run_checks(cfg)[0]
-    side = [r for r in rep.rows if r.point == (0.34, 0.5)]
+    side = [r for r in rep.rows if r.point == checks._FROZEN_SIDE_BALL[0]]
     assert len(side) == 1
     assert side[0].flag == ""
     assert side[0].ratio is not None and side[0].ratio > 0
@@ -762,7 +757,7 @@ def test_cli_solve_writes_the_verified_solution(tmp_path):
     path = CONFIGS / "dirac.ini"
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
     cfg = load_config(path)
-    verified = checks.primary_solution(SolveCache(), build_instance(cfg, max(cfg.sweep_axis("n"))))
+    verified = checks.primary_solution(SolveCache(), build_instance(cfg, max(cfg.sweep["n"])))
     assert np.array_equal(read_raster(tmp_path / "solution.txt").values, verified.u.values)
 
 
@@ -810,15 +805,6 @@ def test_cli_solve_infeasible_exits_one(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(bad)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-
-
-def test_cli_verify_oversized_estimate_radius_is_a_data_error(tmp_path, capsys):
-    path = tmp_path / "wide.ini"
-    path.write_text(DIRAC.replace("run = gradient_bounds",
-                                  "run = gradient_bounds\nestimate_radius = 0.3"))
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "estimate_radius 0.3" in err
 
 
 def test_cli_potential_csv(dirac_config, tmp_path):
@@ -934,7 +920,8 @@ def test_cells_cross_the_meshes_outermost():
 def test_section_amplitude_is_the_amplitude_axis_default():
     # without [sweep] amplitude the section's own amplitude is the one
     # cell value per mesh, not the default sweep 0.2, 0.4
-    cfg = ExperimentConfig(coefficient={"preset": "jump", "amplitude": 0.3})
+    cfg = ExperimentConfig(coefficient={"preset": "jump", "amplitude": 0.3},
+                           sweep={"n": [64, 128]})
     own = list(cells(cfg, "amplitude"))
     assert [cell for cell, _ in own] == [(64, 0.3), (128, 0.3)]
     assert [dict(inst.key[4])["amplitude"] for _, inst in own] == [0.3, 0.3]
@@ -947,7 +934,7 @@ def test_amplitude_has_one_source():
     # without [sweep] amplitude a jump or checkerboard preset has one cell
     # per mesh at the section's amplitude, the preset's 0.2 when it sets none
     for preset in ("jump", "checkerboard"):
-        cfg = ExperimentConfig(coefficient={"preset": preset})
+        cfg = ExperimentConfig(coefficient={"preset": preset}, sweep={"n": [64, 128]})
         got = list(cells(cfg, "amplitude"))
         assert [cell for cell, _ in got] == [(64, None), (128, None)]
         for _, inst in got:
@@ -965,9 +952,38 @@ def test_amplitude_set_twice_is_refused(tmp_path, capsys):
     assert "[coefficient] amplitude" in err[0] and "[sweep] amplitude" in err[0]
 
 
+def test_data_scale_is_an_exact_symmetry_at_p3():
+    # p = 3 power growth is 2-homogeneous and contact.ini has f = 0, so
+    # scaling boundary and obstacle together by s scales the solution by s.
+    # Measured at n = 32: max|u_s - s u_1| / max|s u_1| is 1.4e-16 at s = 4
+    # and 4.6e-12 at s = 16, with 14% of the nodes in contact
+    cfg = load_config(CONFIGS / "contact.ini")
+    cache = SolveCache()
+    inst = build_instance(cfg, 32)
+    u1 = checks.primary_solution(cache, inst).u.values
+    for s in (4.0, 16.0):
+        scaled = build_instance(cfg, 32, data_scale=s)
+        us = checks.primary_solution(cache, scaled).u.values
+        assert np.mean(us - scaled.obstacle.values <= 1e-9) > 0.1
+        assert np.abs(us - s * u1).max() <= inst.solver.tol * np.abs(s * u1).max()
+
+
+@pytest.mark.parametrize("name", ["poisson.ini", "dirac.ini"])
+def test_comparison_ratios_are_invariant_under_rhs_scale_at_p2(name):
+    # at p = 2 the problem is linear in the data, so |Du - Dw| and the data
+    # term both scale by the source scale.  Measured at n = 32: the three
+    # cells' ratios agree to 4e-16 relative
+    cfg = load_config(CONFIGS / name)
+    cfg.sweep["n"] = [32]
+    rep = CHECKS["comparison_inhomogeneous"](cfg, SolveCache(), np.random.default_rng(0))
+    ratios = [r.ratio for r in rep.rows if r.ratio is not None]
+    assert cfg.sweep["scale"] == [1.0, 4.0, 16.0] and len(ratios) == 3
+    assert max(ratios) / min(ratios) - 1.0 <= 1e-10
+
+
 def test_comparison_without_right_hand_data_notes_once():
     # 2 meshes x 3 source scales skip: one degenerate row each, one note
-    cfg = ExperimentConfig(sweep={"n": [16, 32]})
+    cfg = ExperimentConfig(sweep={"n": [16, 32], "scale": [1.0, 4.0, 16.0]})
     rep = run_checks(cfg, names=["comparison_inhomogeneous"])[0]
     assert len(rep.rows) == 6
     assert rep.notes == ["no right-hand data; check skipped"]
@@ -1002,50 +1018,53 @@ def test_every_preset_builds_from_its_required_keys(tmp_path):
         assert inst.measure.is_empty() == (not measure)
 
 
-def test_solver_gamma_prime_reaches_verify(tmp_path):
-    # [solver] gamma_prime = 4 must reach the run and differ from the default 2
-    base = (CONFIGS / "jump.ini").read_text().replace("n = 64, 128", "n = 32")
-    variants = {
-        "default": base,
-        "solver": base.replace("[solver]\n", "[solver]\ngamma_prime = 4\n"),
-    }
-    csv = {}
-    for name, text in variants.items():
-        path = tmp_path / f"{name}.ini"
-        path.write_text(text)
-        out = tmp_path / name
-        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
-        csv[name] = (out / "check_frozen_coefficient.csv").read_bytes()
-    assert csv["solver"] != csv["default"]
-
-
 @pytest.mark.parametrize("old, new, message", [
     # [sweep] names only the axes verify crosses; a setting lives in [solver]
-    ("[sweep]\n", "[sweep]\ngamma_prime = 4\n", "set gamma_prime under [solver]"),
+    ("[sweep]\n", "[sweep]\ngamma_prime = 4\n", "[sweep] gamma_prime is not an axis"),
     ("[sweep]\n", "[sweep]\nepsilon = 1e-6\n", "set epsilon under [solver]"),
     ("[sweep]\n", "[sweep]\nmesh = 32\n", "[sweep] mesh is not an axis"),
+    # the estimate checks' alphas follow the homogeneous fit: no axis
+    ("[sweep]\n", "[sweep]\nalpha = 0.1, 0.2\n", "[sweep] alpha is not an axis (known: n, "
+     "scale, amplitude); the estimate checks' alphas follow the homogeneous excess-decay fit"),
+    # a config lists its meshes: no hidden default
+    ("n = 64, 128\n", "", "[sweep] n is missing"),
+    # an amplitude sweep that the preset would ignore names the preset
+    ("n = 64, 128", "n = 64, 128\namplitude = 0.2, 0.4", "[sweep] amplitude sweeps a jump or "
+     "checkerboard coefficient; the constant coefficient has no amplitude"),
     # the sample seed has one source, verify's and potential's --seed
     ("tol = 1e-8", "tol = 1e-8\nseed = 4", "[solver] seed is not a key (known: epsilon, tol, "
-     "max_iter, gamma_prime); the sample seed is --seed"),
+     "max_iter); the sample seed is --seed"),
     ("[sweep]\n", "[sweep]\nseed = 4\n", "the sample seed is --seed"),
-    ("[checks]\n", "[checks]\ncenter = 0.5\n", "[checks] center must be"),
-    ("[checks]\n", "[checks]\ncenter = 0.5 0.5 0.5\n", "[checks] center must be"),
-    ("[checks]\n", "[checks]\nradius = wide\n", "[checks] radius must be"),
-    # a count of sample points is at least 1 and a radius is positive
+    # the oscillation modulus's exponent is no solver setting
+    ("tol = 1e-8", "tol = 1e-8\ngamma_prime = 4", "[solver] gamma_prime is not a key"),
+    # [checks] is run and points: each check's ball is a constant next to it
+    ("[checks]\n", "[checks]\ncenter = 0.5\n", "[checks] center is not a key"),
+    ("[checks]\n", "[checks]\ncenter = 0.5 0.5 0.5\n", "[checks] center is not a key"),
+    ("[checks]\n", "[checks]\nradius = wide\n", "[checks] radius is not a key"),
+    # a count of sample points is at least 1
     ("run = comparison_inhomogeneous", "run = gradient_bounds\npoints = 0",
      "[checks] points must be positive, got 0"),
     ("run = comparison_inhomogeneous", "run = gradient_bounds\npoints = -3",
      "[checks] points must be positive, got -3"),
-    ("[checks]\n", "[checks]\nradius = -0.36\n", "[checks] radius must be positive, got -0.36"),
+    ("[checks]\n", "[checks]\nradius = -0.36\n",
+     "[checks] radius is not a key (known: run, points)"),
     ("run = comparison_inhomogeneous", "run = maximal_estimates\nestimate_radius = -0.1",
-     "[checks] estimate_radius must be positive, got -0.1"),
+     "[checks] estimate_radius is not a key (known: run, points)"),
     ("tol = 1e-8", "tol = abc", "[solver] tol must be"),
     ("tol = 1e-8", "tol = 1e-8\ntol = 1e-9", "option 'tol'"),
-    # a solver setting is finite, and the solver takes at least one step
-    ("tol = 1e-8", "tol = inf", "[solver] tol must be positive and finite, got inf"),
-    ("tol = 1e-8", "tol = nan", "[solver] tol must be positive and finite, got nan"),
-    ("epsilon = 1e-8", "epsilon = nan", "[solver] epsilon must be nonnegative and finite, got nan"),
-    ("epsilon = 1e-8", "epsilon = inf", "[solver] epsilon must be nonnegative and finite, got inf"),
+    # a number is finite wherever it is set, and the solver takes at least
+    # one step
+    ("tol = 1e-8", "tol = inf", "[solver] tol must be a finite number, got inf"),
+    ("tol = 1e-8", "tol = nan", "[solver] tol must be a finite number, got nan"),
+    ("epsilon = 1e-8", "epsilon = nan", "[solver] epsilon must be a finite number, got nan"),
+    ("epsilon = 1e-8", "epsilon = inf", "[solver] epsilon must be a finite number, got inf"),
+    ("value = 1.0", "value = nan", "[coefficient] value must be a finite number, got nan"),
+    ("density = 1.0", "density = inf", "[measure] density must be a finite number, got inf"),
+    ("density = 1.0", "atoms = 0.5 0.5 nan",
+     "[measure] atoms: the mass of atom (0.5, 0.5) must be a finite number, got nan"),
+    ("preset = none", "preset = quadratic\ncurvature = inf",
+     "[obstacle] curvature must be a finite number, got inf"),
+    ("scale = 1, 4, 16", "scale = nan", "[sweep] scale must be a finite number, got nan"),
     ("tol = 1e-8", "tol = 1e-8\nmax_iter = -3", "[solver] max_iter must be at least 1, got -3"),
     ("tol = 1e-8", "tol = 1e-8\nmax_iter = 0", "[solver] max_iter must be at least 1, got 0"),
     # the vocabulary is closed: a misspelt section or key is named
@@ -1061,7 +1080,7 @@ def test_solver_gamma_prime_reaches_verify(tmp_path):
     ("n = 64, 128", "n = 64.5", "[sweep] n must be an integer, got 64.5"),
     # the mollification level is a function of the mesh, not an axis
     ("n = 64, 128", "n = 64\nlevel = 2.5", "[sweep] level is not an axis (known: n, scale, "
-     "amplitude, alpha); each mesh solves the finest mollification level it resolves"),
+     "amplitude); each mesh solves the finest mollification level it resolves"),
     ("scale = 1, 4, 16", "scale = 1, x", "[sweep] scale must be a number, got 'x'"),
     ("tol = 1e-8", "tol = 1e-8\nmax_iter = 2.7", "[solver] max_iter must be an integer, got 2.7"),
     # every problem section is closed and typed, and its files are read
@@ -1200,6 +1219,7 @@ def test_checks_share_the_primary_solve(dirac_config, monkeypatch):
     # find it in the cache instead of solving it again
     cfg = load_config(dirac_config)
     cfg.check_params["points"] = 2
+    cfg.sweep["scale"] = [1.0, 4.0, 16.0]
     primary = []  # whole-grid solves; the ball solves pass a ball
     solve = checks.solve_vi
 
@@ -1211,7 +1231,7 @@ def test_checks_share_the_primary_solve(dirac_config, monkeypatch):
     monkeypatch.setattr(checks, "solve_vi", counting_solve)
     cache = SolveCache()
     CHECKS["comparison_inhomogeneous"](cfg, cache, np.random.default_rng([5, 0]))
-    scales = cfg.sweep_axis("scale")
+    scales = cfg.sweep["scale"]
     assert len(primary) == len(scales) == 3
     # per scale: the primary solve and two homogeneous ball solves
     assert cache.misses == 3 * len(scales)
@@ -1237,7 +1257,7 @@ def test_instance_key_names_the_realized_problem(dirac_config, tmp_path):
     assert build_instance(checks._homogeneous_config(cfg), 48).key != base
     # how the checks sample never enters the key
     other = copy.copy(cfg)
-    other.check_params = {**cfg.check_params, "points": 1, "estimate_radius": 0.1}
+    other.check_params = {**cfg.check_params, "points": 1}
     other.sweep = {**cfg.sweep, "scale": [2.0]}
     assert build_instance(other, 48).key == base
     # an explicit amplitude equal to the config's is the config's problem
@@ -1251,18 +1271,6 @@ def test_instance_key_names_the_realized_problem(dirac_config, tmp_path):
     assert build_instance(jump, 32, amplitude=0.4).key != build_instance(jump, 32).key
 
 
-def test_instance_key_names_gamma_prime(dirac_config):
-    # the estimate context's modulus reads gamma_prime, so two configs that
-    # differ only there share no cached context
-    import dataclasses
-
-    cfg = load_config(dirac_config)
-    other = dataclasses.replace(cfg, gamma_prime=3.0)
-    assert build_instance(other, 48).gamma_prime == 3.0
-    assert build_instance(other, 48).key != build_instance(cfg, 48).key
-    assert build_instance(other, 48).key[4] == build_instance(cfg, 48).key[4]
-
-
 def test_instances_and_primary_solves_read_no_config():
     # an Instance carries every input of its solves and contexts, and the
     # mollification level is no sweep axis
@@ -1272,7 +1280,7 @@ def test_instances_and_primary_solves_read_no_config():
     assert "config" not in {f.name for f in dataclasses.fields(Instance)}
     for fn in (checks.primary_solution, checks.primary_context):
         assert "cfg" not in inspect.signature(fn).parameters
-    assert SWEEP_AXES == ("n", "scale", "amplitude", "alpha")
+    assert SWEEP_AXES == ("n", "scale", "amplitude")
 
 
 def test_report_rhs_floor_flagging():
