@@ -1,6 +1,7 @@
 """The vector field a(x, eta) = omega(x) * (g(|eta|)/|eta|) * eta.
 
-A spatial coefficient omega, clamped to [c_low, c_high] at load, multiplies
+A spatial coefficient omega with values in [c_low, c_high] (a raster is
+clamped to that range, a config refuses a preset outside it) multiplies
 the radial growth kernel.  The kernel cancels from the field's oscillation:
 |a(x, eta) - mean_B a(., eta)| / g(|eta|) = |omega(x) - mean_B omega| for
 every eta.  So the module measures the field's distance from its ball
@@ -36,16 +37,21 @@ class CoefficientField:
     """Bounded measurable coefficient omega(x), separated from zero.
 
     Values are clamped to [c_low, c_high] on evaluation, which realizes the
-    boundedness requirement for arbitrary user input.
+    boundedness requirement for arbitrary user input.  A preset states its
+    ``span``, the (min, max) of its unclamped values on the unit square, so
+    a config can refuse one that the clamp would change; a raster or a
+    custom function has no span.
     """
 
-    def __init__(self, fn, c_low: float = 0.05, c_high: float = 20.0, label: str = "custom"):
+    def __init__(self, fn, c_low: float = 0.05, c_high: float = 20.0, label: str = "custom",
+                 span: tuple[float, float] | None = None):
         if not (0.0 < c_low <= c_high < np.inf):
             raise DataError("need 0 < c_low <= c_high < inf")
         self._fn = fn
         self.c_low = float(c_low)
         self.c_high = float(c_high)
         self.label = label
+        self.span = span
 
     def at(self, x, y):
         vals = np.asarray(self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
@@ -65,12 +71,15 @@ class CoefficientField:
 
 def constant_coefficient(value: float = 1.0, **kw) -> CoefficientField:
     v = float(value)
-    return CoefficientField(lambda X, Y: np.full_like(X, v), label=f"constant({v:g})", **kw)
+    return CoefficientField(lambda X, Y: np.full_like(X, v), label=f"constant({v:g})",
+                            span=(v, v), **kw)
 
 
 def affine_coefficient(ax: float = 1.0, ay: float = 0.0, b: float = 1.0, **kw) -> CoefficientField:
+    corners = (b, b + ax, b + ay, b + ax + ay)
     return CoefficientField(
-        lambda X, Y: b + ax * X + ay * Y, label=f"affine({ax:g},{ay:g},{b:g})", **kw
+        lambda X, Y: b + ax * X + ay * Y, label=f"affine({ax:g},{ay:g},{b:g})",
+        span=(min(corners), max(corners)), **kw
     )
 
 
@@ -79,14 +88,16 @@ def jump_coefficient(amplitude: float = 0.2, position: float = 0.5, axis: int = 
     def fn(X, Y):
         coord = X if axis == 0 else Y
         return 1.0 + amplitude * np.sign(coord - position)
-    return CoefficientField(fn, label=f"jump({amplitude:g}@{position:g})", **kw)
+    return CoefficientField(fn, label=f"jump({amplitude:g}@{position:g})",
+                            span=(1.0 - abs(amplitude), 1.0 + abs(amplitude)), **kw)
 
 
 def checkerboard_coefficient(amplitude: float = 0.2, period: float = 0.25, **kw) -> CoefficientField:
     def fn(X, Y):
         s = np.sin(2 * np.pi * X / period) * np.sin(2 * np.pi * Y / period)
         return 1.0 + amplitude * np.sign(s)
-    return CoefficientField(fn, label=f"checkerboard({amplitude:g},{period:g})", **kw)
+    return CoefficientField(fn, label=f"checkerboard({amplitude:g},{period:g})",
+                            span=(1.0 - abs(amplitude), 1.0 + abs(amplitude)), **kw)
 
 
 def coefficient_from_raster(gf: GridFunction, **kw) -> CoefficientField:
@@ -135,7 +146,8 @@ class VectorField:
         r_max, or on the single radius 2h when r_max is at that floor; the
         running maximum of the values is the modulus omega(r).
         Centers run over the nodes of stride n // 16 whose ball stays
-        inside the domain; a radius with no such center gets 0.
+        inside the domain; a radius with no such center gets 0, and every
+        radius gets 0 when the coefficient is constant on the nodes.
         """
         if gamma_prime <= 1.0:
             raise DataError("gamma_prime must exceed 1")
@@ -148,6 +160,10 @@ class VectorField:
         else:
             radii = np.array([grid.r_min])
         om = self.coefficient.on_nodes(grid)
+        if om.min() == om.max():
+            # a constant coefficient has the zero modulus; gathering it would
+            # leave the rounding of each ball mean (1e-16) in the sups
+            return radii, np.zeros_like(radii)
         idx = np.arange(0, grid.n, max(1, grid.n // 16))
         cs = grid.xs[idx]
         sups = np.zeros_like(radii)

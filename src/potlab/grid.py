@@ -4,15 +4,16 @@ The domain is the unit square (the estimates are local: meshes vary, the
 domain does not).  Nodes sit at cell centers of an n-by-n grid; the
 outermost node ring doubles as the Dirichlet trace.  Ball queries snap
 their center to the nearest node and reuse offset tables cached per
-radius/h, so repeated ladder evaluations cost one fancy-indexing gather
-per (center, radius).  Measure mass queries keep the exact center
-(``disk_mask``): atoms and cut cells (node-center-in-disk) belong to a
-disk by the same closed-ball rule as the offset tables.  They take a
-whole radius ladder at once (``disk_integrals``, ``ball_masses``),
-summing each disk over its own node box of one squared-distance table,
-so every mass is bitwise the full-grid masked sum.  ``Grid2D`` states
-the 2h resolution floor once (``r_min``, ``resolves``); every radius
-filter and inner cutoff asks it.
+radius/h.  A ball is its snapped center node (``ball_center``) plus the
+offset table of its radius, so the balls of one radius around many
+centers are one fancy-indexing gather.  Measure mass queries keep the
+exact center (``disk_mask``): atoms and cut cells (node-center-in-disk)
+belong to a disk by the same closed-ball rule as the offset tables.  They
+take a whole radius ladder at once (``disk_integrals``, ``ball_masses``):
+one squared-distance table of the largest disk's node box, compared with
+every radius in one step, so every mass is bitwise the full-grid masked
+sum.  ``Grid2D`` states the 2h resolution floor once (``r_min``,
+``resolves``); every radius filter and inner cutoff asks it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "gradient",
     "hessian",
     "ball_average",
+    "ball_center",
     "ball_nodes",
     "ball_offsets",
     "disk_mask",
@@ -142,9 +144,16 @@ class GridFunction:
         return f"GridFunction(n={self.grid.n}, range=[{self.values.min():.3g}, {self.values.max():.3g}])"
 
 
+def _closed_ball_bound(radius: float) -> float:
+    """r^2 (1 + 1e-12), the bound on d^2 of the closed-ball rule.  The radius
+    is squared as a scalar: an array square can differ from it in the last
+    bit."""
+    return radius**2 * (1.0 + 1e-12)
+
+
 def _in_closed_ball(d2, radius):
     """The closed-ball rule of every membership test: d^2 <= r^2 (1 + 1e-12)."""
-    return d2 <= radius**2 * (1.0 + 1e-12)
+    return d2 <= _closed_ball_bound(radius)
 
 
 @functools.lru_cache(maxsize=512)
@@ -167,19 +176,28 @@ def ball_offsets(ratio: float) -> tuple[np.ndarray, np.ndarray]:
     return di, dj
 
 
-def ball_nodes(grid: Grid2D, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices of the disk B_radius(center), center snapped to a node.
+def ball_center(grid: Grid2D, center, radius: float) -> tuple[int, int]:
+    """The node B_radius(center) is centered on: ``center`` snapped to the
+    nearest node.
 
-    Requires radius >= 2h and the (snapped) ball inside the domain.
+    Requires radius >= 2h and the (snapped) ball inside the domain; every
+    ball of a radius in [2h, radius] about the node is then inside too, and
+    its nodes are the node plus ``ball_offsets`` of that radius.
     """
     if not grid.resolves(radius):
         raise ResolutionError(
             f"radius {radius:.4g} below the 2h resolution floor ({grid.r_min:.4g})"
         )
     ix, iy = grid.nearest_node(center)
-    cx, cy = grid.node_position(ix, iy)
-    if not grid.contains_ball((cx, cy), radius):
+    if not grid.contains_ball(grid.node_position(ix, iy), radius):
         raise DomainError(f"ball of radius {radius:.4g} at {center} exits the domain")
+    return ix, iy
+
+
+def ball_nodes(grid: Grid2D, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices of the disk B_radius(center), center snapped to a node
+    (``ball_center``)."""
+    ix, iy = ball_center(grid, center, radius)
     di, dj = ball_offsets(radius / grid.h)
     return ix + di, iy + dj
 
@@ -234,10 +252,10 @@ def disk_integral(f: GridFunction, center, radius: float) -> float:
 def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
     """``disk_integral`` for every radius of a ladder.
 
-    One squared-distance table covers the node box of the largest disk;
-    each radius sums the ``disk_mask`` nodes of its own sub-box.  A sub-box
-    lists those nodes in the full grid's row-major order, so each sum is
-    bitwise the full-grid masked sum.
+    One squared-distance table covers the node box of the largest disk and
+    one comparison with every radius's bound gives each disk's
+    ``disk_mask`` on that box.  The box lists a disk's nodes in the full
+    grid's row-major order, so each sum is bitwise the full-grid masked sum.
     """
     g = f.grid
     cx, cy = center
@@ -246,13 +264,9 @@ def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
     j0, j1 = _node_span(g.h, g.n, cy - top, cy + top)
     d2 = ((g.xs[i0:i1] - cx) ** 2)[:, None] + ((g.ys[j0:j1] - cy) ** 2)[None, :]
     vals = f.values[i0:i1, j0:j1]
-    out = np.empty(len(radii))
-    for k, radius in enumerate(radii):
-        a, b = _node_span(g.h, g.n, cx - radius, cx + radius)
-        c, d = _node_span(g.h, g.n, cy - radius, cy + radius)
-        box = (slice(a - i0, b - i0), slice(c - j0, d - j0))
-        out[k] = vals[box][_in_closed_ball(d2[box], radius)].sum() * g.h * g.h
-    return out
+    bounds = np.array([_closed_ball_bound(radius) for radius in radii])
+    masks = d2[None] <= bounds[:, None, None]
+    return np.array([vals[mask].sum() for mask in masks]) * g.h * g.h
 
 
 def gradient(f: GridFunction) -> tuple[GridFunction, GridFunction]:

@@ -32,7 +32,16 @@ import numpy as np
 
 from ..errors import DataError
 from ..field import OscillationModulus, dini_integral
-from ..grid import GridFunction, MeasureData, ball_average, ball_mass, disk_mask, gradient, median
+from ..grid import (
+    GridFunction,
+    MeasureData,
+    ball_average,
+    ball_mass,
+    ball_nodes,
+    disk_mask,
+    gradient,
+    median,
+)
 from ..potentials import (
     ObstacleDensity,
     PointLadder,
@@ -319,9 +328,10 @@ def _wolff_pair(ctx: EstimateContext, ladders, beta: float, p: float):
     return tuple(ladder.potential(beta, p) for ladder in ladders)
 
 
-def point_ladder(ctx: EstimateContext, x, R: float) -> PointLadder:
-    """x's ``PointLadder`` up to R for u, Du, the obstacle kernel and the measure."""
-    return PointLadder.gather(ctx.u, (ctx.du_x, ctx.du_y), ctx.du_mag, x, R,
+def point_ladders(ctx: EstimateContext, points, R: float) -> list[PointLadder]:
+    """Each point's ``PointLadder`` up to R for u, Du, the obstacle kernel
+    and the measure, gathered together."""
+    return PointLadder.gather(ctx.u, (ctx.du_x, ctx.du_y), ctx.du_mag, points, R,
                               kernel=ctx.obstacle_measure.density, measure=ctx.inst.measure)
 
 
@@ -344,7 +354,7 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
     """Bound for M^#_alpha(Du): maximal terms to the power 1/ig, the Wolff
     pair at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral.
     avg_{B_R}|Du| and the maximal terms are read from ``ladder``, x's
-    ``point_ladder`` up to R, the Wolff pair from x's ``wolff_ladders``."""
+    ``PointLadder`` up to R, the Wolff pair from x's ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
     term1 = R ** (-alpha) * float(ladder.du_mean[-1])
     beta_m = 1.0 - alpha * ig
@@ -752,7 +762,8 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
     alpha0_gap = 0.0
     for n, inst in cell_list:
         ctx = primary_context(cache, inst, 2 * R)
-        gathered = [(x, point_ladder(ctx, x, R), wolff_ladders(ctx, x, R)) for x in points]
+        gathered = [(x, ladder, wolff_ladders(ctx, x, R))
+                    for x, ladder in zip(points, point_ladders(ctx, points, R))]
         for x, ladder, _ in gathered:
             lhs0 = ladder.sharp_maximal(0.0) + ladder.frac_maximal(1.0)
             direct = _direct_beta0(ctx, x, R)
@@ -781,10 +792,11 @@ def _direct_beta0(ctx: EstimateContext, x, R: float) -> float:
     best_sharp = 0.0
     best_frac = 0.0
     for rho in radii:
-        mean = ball_average(ctx.u, x, rho)
-        osc = ball_average(ctx.u.with_values(np.abs(ctx.u.values - mean)), x, rho)
-        best_sharp = max(best_sharp, osc)
-        best_frac = max(best_frac, rho * ball_average(ctx.du_mag, x, rho))
+        ball = ball_nodes(ctx.inst.grid, x, rho)
+        u = ctx.u.values[ball]
+        mean = float(u.mean())
+        best_sharp = max(best_sharp, float(np.abs(u - mean).mean()))
+        best_frac = max(best_frac, rho * float(ctx.du_mag.values[ball].mean()))
     return best_sharp + best_frac
 
 

@@ -159,6 +159,9 @@ def load_config(path) -> ExperimentConfig:
         # meshes are counts; the other axes numbers
         kind = 0 if key == "n" else 0.0
         cfg.sweep[key] = [typed_value("sweep", key, v, kind) for v in values]
+    for s in cfg.sweep.get("scale", []):
+        if s <= 0:
+            raise DataError(f"[sweep] scale must be positive, got {s:g}")
     if "n" not in cfg.sweep:
         raise DataError("[sweep] n is missing: a config lists the meshes it solves on")
     if "amplitude" in cfg.sweep:
@@ -169,6 +172,8 @@ def load_config(path) -> ExperimentConfig:
         if preset not in _AMPLITUDE_PRESETS:
             raise DataError(f"[sweep] amplitude sweeps a {' or '.join(_AMPLITUDE_PRESETS)} "
                             f"coefficient; the {preset} coefficient has no amplitude")
+        for amplitude in cfg.sweep["amplitude"]:
+            build_coefficient(cfg, {**cfg.coefficient, "amplitude": amplitude})
     return cfg
 
 
@@ -309,8 +314,17 @@ def _coefficient_preset(spec: dict) -> str:
 
 def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
     """The field of a [coefficient] section (``spec``, which may carry a
-    swept amplitude)."""
-    return _realize(cfg, "coefficient", _COEFFICIENTS, spec, _coefficient_preset(spec))
+    swept amplitude).  A preset whose values leave [c_low, c_high] is a
+    ``DataError``: only a raster is clamped into that range."""
+    preset = _coefficient_preset(spec)
+    coef = _realize(cfg, "coefficient", _COEFFICIENTS, spec, preset)
+    if coef.span is not None and not coef.c_low <= coef.span[0] <= coef.span[1] <= coef.c_high:
+        settings = ", ".join(f"{k} = {v}" for k, v in spec.items() if k != "preset")
+        raise DataError(f"the {preset} coefficient with {settings} takes values in "
+                        f"[{coef.span[0]:g}, {coef.span[1]:g}], outside its range "
+                        f"[c_low, c_high] = [{coef.c_low:g}, {coef.c_high:g}]; "
+                        f"only a raster coefficient is clamped")
+    return coef
 
 
 @dataclass

@@ -5,18 +5,20 @@ decade) truncated at an inner cutoff r_min (default 2h): the continuum
 limit rho -> 0 is not resolvable on a grid, and keeping the same
 truncation on both sides of every inequality preserves ratio-based
 verification.  The maximal operators read each ball's node values with
-the snapped-centre rule of ``ball_nodes``.  A ``PointLadder`` makes one
-gather per (point, radius) and every per-ball statistic (the oscillation
-of u, the mean of |Du|, the vector excess of Du, the mean of the obstacle
-kernel) reads it, so each exponent costs only a sup over the stored
-ladder.  A ``WolffLadder`` likewise takes a measure's masses for the whole
-ladder in one batched call, with breakpoints at the exact atom distances so
-the mass jumps of Dirac measures do not contaminate the log-trapezoid rule;
-every (beta, p) reads the same gather.  The obstacle density is a measure
-without atoms, so its potential is the same ladder of its kernel masses.
-The radial potential of a centered source (the exact solution the
-``fundamental`` boundary preset and the radial scripts use) lives here
-too.
+the snapped-centre rule of ``ball_nodes``.  ``PointLadder.gather`` takes
+a mesh's whole list of points and makes one gather per (mesh, radius):
+the balls of one radius about every snapped centre are one (points,
+nodes) table, and every per-ball statistic (the oscillation of u, the
+mean of |Du|, the vector excess of Du, the mean of the obstacle kernel)
+is a row-wise reduction of it, so each exponent costs only a sup over a
+point's stored ladder.  A ``WolffLadder`` likewise takes a measure's
+masses for the whole ladder in one batched call, with breakpoints at the
+exact atom distances so the mass jumps of Dirac measures do not
+contaminate the log-trapezoid rule; every (beta, p) reads the same
+gather.  The obstacle density is a measure without atoms, so its
+potential is the same ladder of its kernel masses.  The radial potential
+of a centered source (the exact solution the ``fundamental`` boundary
+preset and the radial scripts use) lives here too.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from .errors import DataError, RangeError
 from .grid import (
     GridFunction,
     MeasureData,
+    ball_center,
     ball_masses,
     ball_nodes,
+    ball_offsets,
     gradient,
     hessian,
 )
@@ -176,21 +180,25 @@ def _check_exponent(name: str, value: float) -> None:
 # The per-ball statistics and the ladder sups below are the one formula of
 # each maximal operator: the single-point operators and ``PointLadder``
 # both call them, with scalar powers of the np.float64 radii in ladder
-# order, so the two give bitwise equal values.
+# order, so the two give bitwise equal values.  A statistic reduces the
+# last axis, one ball's node values: numpy sums each contiguous row of a
+# (points, nodes) table with the same pairwise rule as a single ball's
+# 1-D values, so a row of a batch is bitwise that ball alone.
 
 def _oscillation(vals: np.ndarray):
     """Mean oscillation of a ball's node values about their mean."""
-    return np.abs(vals - vals.mean()).mean()
+    return np.abs(vals - vals.mean(axis=-1, keepdims=True)).mean(axis=-1)
 
 
 def _abs_mean(vals: np.ndarray):
     """Mean of |f| over a ball's node values."""
-    return np.abs(vals).mean()
+    return np.abs(vals).mean(axis=-1)
 
 
-def _vector_oscillation(vx: np.ndarray, vy: np.ndarray) -> float:
+def _vector_oscillation(vx: np.ndarray, vy: np.ndarray):
     """Mean euclidean distance of a ball's vectors to their componentwise means."""
-    return float(np.hypot(vx - vx.mean(), vy - vy.mean()).mean())
+    return np.hypot(vx - vx.mean(axis=-1, keepdims=True),
+                    vy - vy.mean(axis=-1, keepdims=True)).mean(axis=-1)
 
 
 def _sup(radii, power: float, stats) -> float:
@@ -231,7 +239,7 @@ def vector_excess(fx: GridFunction, fy: GridFunction, center, radius: float) -> 
     """Mean oscillation of a vector field over a ball: the mean euclidean
     distance to the componentwise ball means."""
     ii, jj = ball_nodes(fx.grid, center, radius)
-    return _vector_oscillation(fx.values[ii, jj], fy.values[ii, jj])
+    return float(_vector_oscillation(fx.values[ii, jj], fy.values[ii, jj]))
 
 
 def sharp_maximal_vector(components, x, alpha: float, R: float, *,
@@ -256,14 +264,15 @@ class PointLadder:
     """Every per-ball statistic the maximal operators read at one point x,
     for each radius of ``radius_ladder(grid.r_min, R)``.
 
-    Each ball B_rho(x) is gathered once (``ball_nodes``) and every field
-    statistic reads the same nodes; the measure's masses come from one
-    ``ball_masses`` call.  The statistics do not depend on the exponent, so
-    each maximal operator at each exponent is only a sup over the stored
-    ladder, bitwise equal to the single-point operator of the same name.
-    The top ball is B_R(x) itself, so ``du_mean[-1]`` is avg_{B_R}|Du|.
-    A zero kernel or the zero measure gives zero columns, whose maximal
-    operators read 0.0.
+    ``gather`` builds the ladders of a mesh's points together: each ball
+    B_rho(x) is a row of one gather per radius, every field statistic
+    reads the same rows, and the measure's masses come from one
+    ``ball_masses`` call per point.  The statistics do not depend on the
+    exponent, so each maximal operator at each exponent is only a sup over
+    the stored ladder, bitwise equal to the single-point operator of the
+    same name.  The top ball is B_R(x) itself, so ``du_mean[-1]`` is
+    avg_{B_R}|Du|.  A zero kernel or the zero measure gives zero columns,
+    whose maximal operators read 0.0.
     """
 
     radii: np.ndarray
@@ -274,31 +283,31 @@ class PointLadder:
     masses: np.ndarray  # |mu| of the closed ball
 
     @classmethod
-    def gather(cls, u: GridFunction, du, du_mag: GridFunction, x, R: float, *,
-               kernel: GridFunction, measure: MeasureData) -> "PointLadder":
-        """The ladder of x for u, its gradient ``du = (Du_x, Du_y)``,
-        ``du_mag = |Du|``, the obstacle kernel and the measure."""
+    def gather(cls, u: GridFunction, du, du_mag: GridFunction, points, R: float, *,
+               kernel: GridFunction, measure: MeasureData) -> list["PointLadder"]:
+        """The ladder of each of ``points``, in order, for u, its gradient
+        ``du = (Du_x, Du_y)``, ``du_mag = |Du|``, the obstacle kernel and the
+        measure.  A point whose ball B_R exits the domain is a
+        ``DomainError`` naming it."""
         grid = u.grid
         radii = _ladder_for(R, None, grid)
+        # the top ball inside the domain puts every smaller one inside too
+        centers = np.array([ball_center(grid, x, R) for x in points])
+        ix, iy = centers[:, :1], centers[:, 1:]
         du_x, du_y = (c.values for c in du)
-        stats = []
-        for rho in radii:
-            ii, jj = ball_nodes(grid, x, rho)
-            stats.append((
+        stats = np.empty((4, len(points), radii.size))
+        for k, rho in enumerate(radii):
+            di, dj = ball_offsets(rho / grid.h)
+            ii, jj = ix + di, iy + dj
+            stats[:, :, k] = (
                 _oscillation(u.values[ii, jj]),
                 _abs_mean(du_mag.values[ii, jj]),
                 _vector_oscillation(du_x[ii, jj], du_y[ii, jj]),
                 _abs_mean(kernel.values[ii, jj]),
-            ))
-        osc, mean, excess, kernel_mean = (np.array(col) for col in zip(*stats))
-        return cls(
-            radii=radii,
-            u_oscillation=osc,
-            du_mean=mean,
-            du_excess=excess,
-            kernel_mean=kernel_mean,
-            masses=ball_masses(measure, x, radii),
-        )
+            )
+        stats.flags.writeable = False
+        return [cls(radii, *stats[:, p], masses=ball_masses(measure, x, radii))
+                for p, x in enumerate(points)]
 
     def sharp_maximal(self, alpha: float) -> float:
         """``sharp_maximal(u, x, alpha, R)``."""

@@ -150,6 +150,17 @@ def test_omega_modulus_constant_zero():
     assert field(2.0).oscillation_modulus(g, 0.25).values[-1] == 0.0
 
 
+@pytest.mark.parametrize("coeff", [constant_coefficient(0.3), constant_coefficient(0.7),
+                                   jump_coefficient(0.0)])
+def test_constant_coefficient_has_the_zero_modulus(coeff):
+    # the mean of equal node values need not be exact (0.3 gives 1.1e-16
+    # per ball), so a gathered ladder would read a nonzero modulus
+    g = Grid2D(64)
+    radii, sups = field(2.0, coeff).oscillation_ladder(g, 0.25)
+    assert radii.size == 16 and sups.tolist() == [0.0] * 16
+    assert field(2.0, coeff).oscillation_modulus(g, 0.25).is_zero()
+
+
 def test_omega_modulus_jump():
     g = Grid2D(128)
     vf = VectorField(PowerGrowth(2.0), jump_coefficient(0.2))

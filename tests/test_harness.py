@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from potlab.errors import DataError
+from potlab.errors import DataError, DomainError
 from potlab.field import COEFFICIENT_PRESETS
 from potlab.grid import Grid2D, GridFunction, MeasureData, ball_average, read_raster, write_raster
 from potlab.harness import checks
@@ -19,7 +19,7 @@ from potlab.harness.checks import (
     build_context,
     gradient_oscillation_rhs,
     maximal_sum_rhs,
-    point_ladder,
+    point_ladders,
     run_checks,
     sample_points,
     sharp_gradient_rhs,
@@ -217,7 +217,8 @@ def test_assemblies_monotone_in_data(dirac_context):
                                wolff_ladders(c, x, R))
 
     def sharp_gradient(c):
-        return sharp_gradient_rhs(c, x, R, 0.3, point_ladder(c, x, R), wolff_ladders(c, x, R))
+        return sharp_gradient_rhs(c, x, R, 0.3, point_ladders(c, [x], R)[0],
+                                  wolff_ladders(c, x, R))
 
     base_vals = {
         "mstar": maximal_sum(ctx, 1.0),
@@ -299,7 +300,7 @@ def test_absent_data_adds_zero_to_every_estimate(no_data_solved):
     assert not ctx.modulus.is_zero()
     x, R = (0.45, 0.55), 0.15
     ladders = wolff_ladders(ctx, x, R)
-    ladder = point_ladder(ctx, x, R)
+    ladder, = point_ladders(ctx, [x], R)
     du_avg = float(ladder.du_mean[-1])
     for beta in (0.5, 0.25):
         assert checks._wolff_pair(ctx, ladders, beta, 2.0) == (0.0, 0.0)
@@ -481,39 +482,59 @@ def test_check_fails_on_wrong_wolff_terms(dirac_two_meshes, monkeypatch, check, 
 LADDER_POINTS = ((0.5, 0.53), (0.47, 0.49), (0.3, 0.35), (0.68, 0.62))
 
 
-def _assert_ladder_equals_operators(ctx, x, R, alphas):
-    # every sup of a point's ladder is bitwise the single-point operator
-    ladder = checks.point_ladder(ctx, x, R)
+def _assert_ladders_equal_operators(ctx, R, alphas):
+    # every sup of each point's ladder, gathered as one batch, is bitwise
+    # the single-point operator
     r_min = ctx.inst.grid.r_min
-    assert float(ladder.du_mean[-1]) == ball_average(ctx.du_mag, x, R)
-    for alpha in alphas:
-        beta = 1.0 - alpha
-        assert ladder.sharp_maximal(alpha) == sharp_maximal(ctx.u, x, alpha, R)
-        assert ladder.frac_maximal(beta) == frac_maximal(ctx.du_mag, x, beta, R)
-        assert ladder.sharp_maximal_vector(alpha) == sharp_maximal_vector(
-            (ctx.du_x, ctx.du_y), x, alpha, R)
-        assert ladder.obstacle_maximal(beta) == obstacle_maximal(
-            ObstacleDensity(ctx.obstacle_measure.density), x, beta, R)
-        assert ladder.measure_maximal(beta) == frac_maximal(
-            ctx.inst.measure, x, beta, R, r_min=r_min)
+    for x, ladder in zip(LADDER_POINTS, checks.point_ladders(ctx, LADDER_POINTS, R)):
+        assert float(ladder.du_mean[-1]) == ball_average(ctx.du_mag, x, R)
+        for alpha in alphas:
+            beta = 1.0 - alpha
+            assert ladder.sharp_maximal(alpha) == sharp_maximal(ctx.u, x, alpha, R)
+            assert ladder.frac_maximal(beta) == frac_maximal(ctx.du_mag, x, beta, R)
+            assert ladder.sharp_maximal_vector(alpha) == sharp_maximal_vector(
+                (ctx.du_x, ctx.du_y), x, alpha, R)
+            assert ladder.obstacle_maximal(beta) == obstacle_maximal(
+                ObstacleDensity(ctx.obstacle_measure.density), x, beta, R)
+            assert ladder.measure_maximal(beta) == frac_maximal(
+                ctx.inst.measure, x, beta, R, r_min=r_min)
+
+
+def _ladder_context(tmp_path, measure, boundary):
+    """The test DIRAC instance (atom and obstacle), or its density twin, at n = 64."""
+    path = tmp_path / "ladder.ini"
+    path.write_text(DIRAC.replace("atoms = 0.5 0.5 1.0", measure)
+                    .replace("preset = fundamental", f"preset = {boundary}"))
+    return checks.primary_context(SolveCache(), build_instance(load_config(path), 64), 0.3)
 
 
 @pytest.mark.parametrize("measure, boundary", [("atoms = 0.5 0.5 1.0", "fundamental"),
                                                ("density = 1.0", "zero")])
 def test_point_ladder_equals_the_maximal_operators(tmp_path, measure, boundary):
-    # the test DIRAC instance (atom and obstacle) and its density twin at
-    # n = 64; the first two points sit next to the atom
-    path = tmp_path / "ladder.ini"
-    path.write_text(DIRAC.replace("atoms = 0.5 0.5 1.0", measure)
-                    .replace("preset = fundamental", f"preset = {boundary}")
-                    .replace("[sweep]\nn = 48", "[sweep]\nn = 64"))
-    cfg = load_config(path)
-    inst = build_instance(cfg, 64)
-    ctx = checks.primary_context(SolveCache(), inst, 0.3)
+    # the first two points sit next to the atom
+    ctx = _ladder_context(tmp_path, measure, boundary)
     assert ctx.obstacle_measure.density.values.min() >= 1.0
     assert (ctx.inst.measure.density is not None) == (measure[0] == "d")
-    for x in LADDER_POINTS:
-        _assert_ladder_equals_operators(ctx, x, 0.15, (0.0, 0.2, 0.5, 1.0))
+    _assert_ladders_equal_operators(ctx, 0.15, (0.0, 0.2, 0.5, 1.0))
+
+
+def test_a_point_gathered_alone_equals_it_inside_a_batch(tmp_path):
+    # a ladder's columns do not depend on which other points share its gather
+    ctx = _ladder_context(tmp_path, "atoms = 0.5 0.5 1.0", "fundamental")
+    batch = checks.point_ladders(ctx, LADDER_POINTS, 0.15)
+    for x, in_batch in zip(LADDER_POINTS, batch):
+        alone, = checks.point_ladders(ctx, [x], 0.15)
+        for column in ("radii", "u_oscillation", "du_mean", "du_excess", "kernel_mean",
+                       "masses"):
+            assert getattr(alone, column).tolist() == getattr(in_batch, column).tolist()
+
+
+def test_a_batch_with_an_outside_ball_names_that_point(tmp_path):
+    # B_0.15 about (0.1, 0.5) exits the unit square; its neighbours in the
+    # batch do not, and the error names the point that does
+    ctx = _ladder_context(tmp_path, "atoms = 0.5 0.5 1.0", "fundamental")
+    with pytest.raises(DomainError, match=r"radius 0\.15 at \(0\.1, 0\.5\) exits the domain"):
+        checks.point_ladders(ctx, [LADDER_POINTS[0], (0.1, 0.5), LADDER_POINTS[1]], 0.15)
 
 
 def _plain_ball(grid, center, rho, snap):
@@ -543,14 +564,10 @@ def test_ladders_equal_a_plain_full_grid_loop(tmp_path, measure, boundary):
     # each PointLadder column and each WolffLadder mass against a loop
     # over the whole grid that shares no helper with the ladders, at n = 64
     # and points next to and away from the atom
-    path = tmp_path / "ladder.ini"
-    path.write_text(DIRAC.replace("atoms = 0.5 0.5 1.0", measure)
-                    .replace("preset = fundamental", f"preset = {boundary}"))
-    inst = build_instance(load_config(path), 64)
-    ctx = checks.primary_context(SolveCache(), inst, 0.3)
+    ctx = _ladder_context(tmp_path, measure, boundary)
+    inst = ctx.inst
     g, R = inst.grid, 0.15
-    for x in LADDER_POINTS:
-        ladder = point_ladder(ctx, x, R)
+    for x, ladder in zip(LADDER_POINTS, point_ladders(ctx, LADDER_POINTS, R)):
         want = []
         for rho in ladder.radii:
             ball = _plain_ball(g, x, rho, snap=True)
@@ -574,15 +591,15 @@ def test_maximal_estimates_fails_on_a_wrong_ladder(dirac_two_meshes, monkeypatch
     # independent _direct_beta0; the consistency gap must catch it
     import dataclasses
     cfg, cache = dirac_two_meshes
-    gather = checks.point_ladder
+    gather = checks.point_ladders
 
-    def wrong(ctx, x, R):
-        ladder = gather(ctx, x, R)
-        return dataclasses.replace(ladder, u_oscillation=ladder.u_oscillation * 1.01)
+    def wrong(ctx, points, R):
+        return [dataclasses.replace(ladder, u_oscillation=ladder.u_oscillation * 1.01)
+                for ladder in gather(ctx, points, R)]
 
     honest = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
     assert honest.passed and honest.summary["alpha0_consistency_gap"] <= 1e-12
-    monkeypatch.setattr(checks, "point_ladder", wrong)
+    monkeypatch.setattr(checks, "point_ladders", wrong)
     rep = CHECKS["maximal_estimates"](cfg, cache, np.random.default_rng([5, 0]))
     assert rep.passed is False
     assert rep.summary["alpha0_consistency_gap"] > 1e-4
@@ -1082,6 +1099,9 @@ def test_every_preset_builds_from_its_required_keys(tmp_path):
     ("n = 64, 128", "n = 64\nlevel = 2.5", "[sweep] level is not an axis (known: n, scale, "
      "amplitude); each mesh solves the finest mollification level it resolves"),
     ("scale = 1, 4, 16", "scale = 1, x", "[sweep] scale must be a number, got 'x'"),
+    # a zero scale is the zero problem, which has no ratio to gate
+    ("scale = 1, 4, 16", "scale = 0, 1", "[sweep] scale must be positive, got 0"),
+    ("scale = 1, 4, 16", "scale = 1, -4", "[sweep] scale must be positive, got -4"),
     ("tol = 1e-8", "tol = 1e-8\nmax_iter = 2.7", "[solver] max_iter must be an integer, got 2.7"),
     # every problem section is closed and typed, and its files are read
     ("preset = none", "preset = quadratic\nheigth = -2.0", "quadratic obstacle takes no heigth"),
@@ -1105,6 +1125,31 @@ def test_malformed_config_is_a_data_error(tmp_path, capsys, old, new, message):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("config, old, new, message", [
+    ("jump.ini", "amplitude = 0.2, 0.4", "amplitude = 1.5, 0.4",
+     "jump coefficient with position = 0.5, amplitude = 1.5 takes values in [-0.5, 2.5]"),
+    ("jump.ini", "amplitude = 0.2, 0.4", "amplitude = 0.2, -0.96",
+     "amplitude = -0.96 takes values in [0.04, 1.96]"),
+    ("poisson.ini", "value = 1.0", "value = 25",
+     "constant coefficient with value = 25 takes values in [25, 25]"),
+    ("poisson.ini", "preset = constant\nvalue = 1.0", "preset = affine\nax = -1.0",
+     "affine coefficient with ax = -1.0 takes values in [0, 1]"),
+])
+def test_a_preset_coefficient_outside_its_range_is_refused(tmp_path, capsys, config, old, new,
+                                                           message):
+    # the clamp to [c_low, c_high] would solve another coefficient than the
+    # one the config names, so a preset that needs it is an error
+    path = tmp_path / config
+    path.write_text((CONFIGS / config).read_text().replace(old, new))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert "outside its range [c_low, c_high] = [0.05, 20]" in err[0]
+    if config == "jump.ini":  # every swept amplitude is realized at load
+        with pytest.raises(DataError, match="takes values in"):
+            load_config(path)
 
 
 @pytest.mark.parametrize("old, new, message", [
