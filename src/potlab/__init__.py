@@ -41,6 +41,5 @@ from .solver import (
     solve_op_sequence,
     solve_vi,
 )
-from .potentials import ObstacleDensity, WolffParams
 
 __version__ = "0.1.0"

@@ -43,9 +43,9 @@ from ..grid import (
     median,
 )
 from ..potentials import (
-    ObstacleDensity,
     PointLadder,
     WolffLadder,
+    obstacle_kernel,
     radius_ladder,
     vector_excess,
 )
@@ -280,7 +280,7 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
         gpsi = GridFunction.constant(inst.grid, 0.0)
         obstacle_measure = MeasureData([], gpsi)
     else:
-        obstacle_measure = ObstacleDensity.build(inst.obstacle, inst.growth).measure
+        obstacle_measure = MeasureData([], obstacle_kernel(inst.obstacle, inst.growth))
         gpsi = inst.obstacle.with_values(
             _G_obstacle_gradient(inst) + inst.growth.G(np.abs(inst.obstacle.values))
         )
@@ -623,8 +623,9 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
 
 
 def _homogeneous_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Constant coefficient, no obstacle or measure, an oscillating trace."""
-    return replace(cfg, coefficient={}, obstacle={}, measure={}, boundary={"preset": "sin_affine"})
+    """Constant coefficient, no obstacle or measure, an oscillating trace; meshes only."""
+    return replace(cfg, coefficient={}, obstacle={}, measure={}, boundary={"preset": "sin_affine"},
+                   sweep={"n": cfg.sweep["n"]})
 
 
 # the ball of the homogeneous excess-decay fit

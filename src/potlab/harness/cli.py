@@ -5,8 +5,9 @@ diagnostics, with the mollification level when the measure has atoms),
 ``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
 the config's check list, each check over the ``[sweep]`` cells it crosses
 through ``config.cells``, one report set gated on the drift across those
-cells).  ``solve`` and ``potential`` realize the config on its finest
-``[sweep] n`` mesh, so ``solve`` writes a solution that ``verify`` checks.
+cells).  ``solve`` and ``potential`` realize the finest mesh's cell of
+``cells``, so ``solve`` writes a solution that ``verify`` checks;
+``potential`` reads one ``WolffLadder`` per sample point.
 Each subcommand takes only the flags it reads.
 Exit codes: 0 all checks pass, 1 check failure, bad data or an output that
 cannot be written (one ``error:`` line), 2 usage error.
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import PotlabError
-from ..grid import ball_mass, write_raster
-from ..potentials import WolffParams, frac_maximal, wolff, write_potential_csv
+from ..grid import write_raster
+from ..potentials import WolffLadder, frac_maximal, write_potential_csv
 from ..solver import finest_level
 from .checks import (
     DEFAULT_SEED,
@@ -33,7 +34,7 @@ from .checks import (
     write_check_csv,
     write_summary,
 )
-from .config import build_instance, load_config
+from .config import cells, load_config
 
 __all__ = ["main", "console_entry"]
 
@@ -75,7 +76,7 @@ def _outdir(args) -> Path:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg, max(cfg.sweep["n"]))
+    inst = dict(cells(cfg))[max(cfg.sweep["n"])]
     sol = primary_solution(SolveCache(), inst)
     write_raster(out / "solution.txt", sol.u)
     with open(out / "diagnostics.txt", "w") as fh:
@@ -96,7 +97,7 @@ def cmd_solve(args) -> int:
 def cmd_potential(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    inst = build_instance(cfg, max(cfg.sweep["n"]))
+    inst = dict(cells(cfg))[max(cfg.sweep["n"])]
     if inst.measure.is_empty():
         print("config carries no measure; nothing to evaluate", file=sys.stderr)
         return 1
@@ -104,13 +105,13 @@ def cmd_potential(args) -> int:
     ig = inst.growth.ig
     R = 0.25
     r_min = inst.grid.r_min
-    wp = WolffParams(1.0 / (ig + 1.0), ig + 1.0, R, r_min=r_min)
     pts = sample_points(rng, 64, R + r_min, 1.0 - R - r_min)
     wolff_rows, maximal_rows = [], []
     for x in pts:
-        # mass below the cutoff makes both values lower bounds
-        truncated = ball_mass(inst.measure, x, r_min) > 0
-        wolff_rows.append((x[0], x[1], wolff(inst.measure, x, wp), truncated))
+        ladder = WolffLadder.gather(inst.measure, x, r_min, R)
+        # mass within the cutoff, the ladder's first radius, makes both values lower bounds
+        truncated = ladder.masses[0] > 0
+        wolff_rows.append((x[0], x[1], ladder.potential(1.0 / (ig + 1.0), ig + 1.0), truncated))
         mval = frac_maximal(inst.measure, x, 0.0, R, r_min=r_min)
         maximal_rows.append((x[0], x[1], mval, truncated))
     write_potential_csv(out / "wolff.csv", wolff_rows)

@@ -7,11 +7,11 @@ A config file holds the problem sections [growth], [coefficient],
 section into its object: the section's preset (``kind`` for [growth])
 picks a builder from the section's table, and each other key binds a
 keyword parameter of that builder, typed against the parameter's
-default.  [sweep] lists the ``SWEEP_AXES`` values a run crosses, with no
-defaults: n, the meshes of the unit square, is required, and an unlisted
-scale is 1.  The mollification level is not a setting, since each mesh
-solves the finest level it resolves (``solver.finest_level``).  [checks]
-holds ``run`` and ``points``; each check's ball is a constant next to it.
+default.  [sweep] lists each ``SWEEP_AXES`` value a run crosses once, with
+no defaults: n, the meshes, is required, and a check holds an axis it does
+not cross at its first value.  Each mesh solves the finest mollification
+level it resolves (``solver.finest_level``).  [checks] holds ``run`` and
+``points``; each check's ball is a constant next to it.
 ``build_instance`` realizes the config at one mesh with optional data
 scalings, producing the immutable bundle the checks and the CLI consume;
 ``cells`` realizes it in every cell a check crosses.
@@ -115,6 +115,13 @@ def _refuse_unknown(label: str, names, known, what: str = "a key", hint=lambda n
                             f"(known: {', '.join(known)}){hint(name)}")
 
 
+def _refuse_twice(label: str, values: list) -> None:
+    """A list that names a mesh, a scale, an amplitude or a check twice."""
+    twice = [value for i, value in enumerate(values) if value in values[:i]]
+    if twice:
+        raise DataError(f"{label} lists {twice[0]} twice")
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser()
@@ -139,6 +146,7 @@ def load_config(path) -> ExperimentConfig:
     checks = _section(parser, "checks")
     run = checks.pop("run", "")
     cfg.checks = [tok.strip() for tok in str(run).split(",") if tok.strip()]
+    _refuse_twice("[checks] run", cfg.checks)
     _refuse_unknown("[checks] {}", checks, ("run", *CHECK_KEYS))
     if "points" in checks:
         checks["points"] = typed_value("checks", "points", checks["points"], 0)
@@ -159,6 +167,7 @@ def load_config(path) -> ExperimentConfig:
         # meshes are counts; the other axes numbers
         kind = 0 if key == "n" else 0.0
         cfg.sweep[key] = [typed_value("sweep", key, v, kind) for v in values]
+        _refuse_twice(f"[sweep] {key}", cfg.sweep[key])
     for s in cfg.sweep.get("scale", []):
         if s <= 0:
             raise DataError(f"[sweep] scale must be positive, got {s:g}")
@@ -393,17 +402,16 @@ def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
     """``(cell, inst)`` for every cell of the [sweep] meshes crossed with
     ``axes`` ("scale", "amplitude"), meshes outermost and then the axes in
     the order given; a cell is ``n`` alone or ``(n, *values)``.  ``scale``
-    names the ``build_instance`` keyword the scale axis drives; an
-    unlisted scale is the one value 1.  Amplitude is ``[sweep] amplitude``
-    on the ``_AMPLITUDE_PRESETS`` when the config lists it; otherwise it
-    has one value, the section's own amplitude (``None``, the preset's
-    default, when the section sets none)."""
-    amplitudes = [cfg.coefficient.get("amplitude")]
-    if cfg.coefficient.get("preset") in _AMPLITUDE_PRESETS and "amplitude" in cfg.sweep:
-        amplitudes = cfg.sweep["amplitude"]
-    values = {"scale": [float(s) for s in cfg.sweep.get("scale", [1.0])], "amplitude": amplitudes}
+    names the ``build_instance`` keyword the scale axis drives.  An axis
+    not crossed is held at its first value, scale as ``data_scale``; an
+    unlisted scale is 1, an unlisted amplitude the section's own (``None``,
+    the preset's default, when the section sets none)."""
+    values = {"scale": [float(s) for s in cfg.sweep.get("scale", [1.0])],
+              "amplitude": cfg.sweep.get("amplitude", [cfg.coefficient.get("amplitude")])}
     keyword = {"scale": scale, "amplitude": "amplitude"}
+    held = {kw: values[a][0] for a, kw in (("scale", "data_scale"), ("amplitude", "amplitude"))
+            if a not in axes}
     for n in cfg.sweep["n"]:
         for combo in itertools.product(*(values[a] for a in axes)):
-            inst = build_instance(cfg, n, **{keyword[a]: v for a, v in zip(axes, combo)})
+            inst = build_instance(cfg, n, **held, **{keyword[a]: v for a, v in zip(axes, combo)})
             yield ((n, *combo) if axes else n), inst

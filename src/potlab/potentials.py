@@ -1,24 +1,26 @@
 """Wolff potentials and restricted maximal operators.
 
-All radial objects share one log-spaced radius ladder (24 radii per
-decade) truncated at an inner cutoff r_min (default 2h): the continuum
+Each potential takes the paper's arguments: a measure, a point, two
+exponents and a radius.  All radial objects share one log-spaced radius
+ladder (24 radii per decade) from an inner cutoff to R: the continuum
 limit rho -> 0 is not resolvable on a grid, and keeping the same
 truncation on both sides of every inequality preserves ratio-based
-verification.  The maximal operators read each ball's node values with
-the snapped-centre rule of ``ball_nodes``.  ``PointLadder.gather`` takes
-a mesh's whole list of points and makes one gather per (mesh, radius):
-the balls of one radius about every snapped centre are one (points,
-nodes) table, and every per-ball statistic (the oscillation of u, the
-mean of |Du|, the vector excess of Du, the mean of the obstacle kernel)
-is a row-wise reduction of it, so each exponent costs only a sup over a
-point's stored ladder.  A ``WolffLadder`` likewise takes a measure's
-masses for the whole ladder in one batched call, with breakpoints at the
-exact atom distances so the mass jumps of Dirac measures do not
-contaminate the log-trapezoid rule; every (beta, p) reads the same
-gather.  The obstacle density is a measure without atoms, so its
-potential is the same ladder of its kernel masses.  The radial potential
-of a centered source (the exact solution the ``fundamental`` boundary
-preset and the radial scripts use) lives here too.
+verification.  ``_cutoff`` decides every ladder's cutoff: a given r_min,
+else the 2h floor of the data's grid (atoms alone need an r_min).  The
+maximal operators read each ball's node values with the snapped-centre
+rule of ``ball_nodes``.  ``PointLadder.gather`` takes a mesh's whole list
+of points and makes one gather per (mesh, radius): the balls of one radius
+about every snapped centre are one (points, nodes) table, and every
+per-ball statistic (the oscillation of u, the mean of |Du|, the vector
+excess of Du, the mean of the obstacle kernel) is a row-wise reduction of
+it, so each exponent costs only a sup over a point's stored ladder.  A
+``WolffLadder`` likewise takes a measure's masses for the whole ladder in
+one batched call, with breakpoints at the exact atom distances so the mass
+jumps of Dirac measures do not contaminate the log-trapezoid rule; every
+(beta, p) reads the same gather.  ``obstacle_kernel`` is the density of a
+measure without atoms, whose potential is the same ladder of its masses.
+The radial potential of a centered source (the exact solution the
+``fundamental`` boundary preset and the radial scripts use) lives here too.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ from .orlicz import GrowthFunction, PowerGrowth
 
 __all__ = [
     "N_DIM",
-    "WolffParams",
     "WolffLadder",
-    "ObstacleDensity",
+    "obstacle_kernel",
     "wolff",
     "wolff_psi",
     "frac_maximal",
@@ -60,24 +61,6 @@ __all__ = [
 ]
 
 N_DIM = 2  # planar grids only
-
-
-@dataclass(frozen=True)
-class WolffParams:
-    """Quadrature parameters for W_{beta,p}(x, R).
-
-    n - beta*p can take either sign; the log-trapezoid handles both.
-    """
-
-    beta: float
-    p: float
-    R: float
-    r_min: float = 1e-3
-
-    def __post_init__(self):
-        _check_wolff_exponents(self.beta, self.p)
-        if self.r_min <= 0:
-            raise DataError("r_min must be positive")
 
 
 def _check_wolff_exponents(beta: float, p: float) -> None:
@@ -98,27 +81,25 @@ def radius_ladder(r_min: float, R: float, per_decade: int = 24) -> np.ndarray:
     return ladder
 
 
-class ObstacleDensity:
-    """The obstacle's measure-like density: g(|Dpsi|)/|Dpsi| |D^2 psi| + 1.
+def obstacle_kernel(psi: GridFunction, growth: GrowthFunction) -> GridFunction:
+    """g(|Dpsi|)/|Dpsi| |D^2 psi| + 1, |D^2 psi| the entrywise l1 norm of the
+    Hessian: at least 1, as the growth kernel and the norm are nonnegative."""
+    gx, gy = gradient(psi)
+    hxx, hxy, hyy = hessian(psi)
+    hess_l1 = np.abs(hxx.values) + np.abs(hyy.values) + 2.0 * np.abs(hxy.values)
+    return psi.with_values(growth.kernel(np.hypot(gx.values, gy.values)) * hess_l1 + 1.0)
 
-    |D^2 psi| is the entrywise l1 norm of the Hessian, and the +1 floor
-    keeps the kernel at least 1 everywhere.
-    """
 
-    def __init__(self, kernel: GridFunction):
-        if np.any(kernel.values < 1.0 - 1e-12):
-            raise DataError("obstacle kernel must respect the +1 floor")
-        self.kernel = kernel
-        self.measure = MeasureData([], kernel)  # no atoms: the measure of wolff_psi
-
-    @classmethod
-    def build(cls, psi: GridFunction, growth: GrowthFunction) -> "ObstacleDensity":
-        gx, gy = gradient(psi)
-        mag = np.hypot(gx.values, gy.values)
-        hxx, hxy, hyy = hessian(psi)
-        hess_l1 = np.abs(hxx.values) + np.abs(hyy.values) + 2.0 * np.abs(hxy.values)
-        kern = growth.kernel(mag) * hess_l1 + 1.0
-        return cls(psi.with_values(kern))
+def _cutoff(r_min: float | None, grid) -> float:
+    """The inner cutoff of a ladder: ``r_min`` when given, else the 2h floor
+    of ``grid``, the grid the data live on (None for atoms alone)."""
+    if r_min is None:
+        if grid is None:
+            raise DataError("need either a grid (for the 2h cutoff) or an explicit r_min")
+        return grid.r_min
+    if r_min <= 0:
+        raise DataError(f"r_min must be positive, got {r_min:g}")
+    return r_min
 
 
 @dataclass(frozen=True)
@@ -150,21 +131,21 @@ class WolffLadder:
         return float(np.trapezoid(integrand, np.log(self.radii)))
 
 
-def wolff(mu: MeasureData, x, wp: WolffParams) -> float:
-    """The potential over [r_min, R] of x's ``WolffLadder``."""
-    return WolffLadder.gather(mu, x, wp.r_min, wp.R).potential(wp.beta, wp.p)
+def wolff(mu: MeasureData, x, beta: float, p: float, R: float, *,
+          r_min: float | None = None) -> float:
+    """W^mu_{beta,p}(x, R) over [r_min, R]: the potential of x's ``WolffLadder``."""
+    grid = mu.density.grid if mu.density is not None else None
+    return WolffLadder.gather(mu, x, _cutoff(r_min, grid), R).potential(beta, p)
 
 
-def wolff_psi(od: ObstacleDensity, x, wp: WolffParams) -> float:
-    """The obstacle density's potential over [r_min, R]: ``wolff`` of its measure."""
-    return wolff(od.measure, x, wp)
+def wolff_psi(kernel: GridFunction, x, beta: float, p: float, R: float, *,
+              r_min: float | None = None) -> float:
+    """``wolff`` of the measure whose density is the obstacle kernel."""
+    return wolff(MeasureData([], kernel), x, beta, p, R, r_min=r_min)
 
 
 def _ladder_for(R: float, r_min: float | None, grid) -> np.ndarray:
-    if r_min is None:
-        if grid is None:
-            raise DataError("need either a grid (for the 2h cutoff) or an explicit r_min")
-        r_min = grid.r_min
+    r_min = _cutoff(r_min, grid)
     if R < r_min:
         raise RangeError(f"maximal-operator radius {R:g} below the cutoff {r_min:g}")
     if R == r_min:
@@ -252,11 +233,11 @@ def sharp_maximal_vector(components, x, alpha: float, R: float, *,
     return _sup(radii, -alpha, [vector_excess(fx, fy, x, rho) for rho in radii])
 
 
-def obstacle_maximal(od: ObstacleDensity, x, beta: float, R: float, *,
+def obstacle_maximal(kernel: GridFunction, x, beta: float, R: float, *,
                      r_min: float | None = None) -> float:
     """sup of rho^beta times the ball average of the obstacle kernel (which
     is >= 1, so this is its fractional maximal function)."""
-    return frac_maximal(od.kernel, x, beta, R, r_min=r_min)
+    return frac_maximal(kernel, x, beta, R, r_min=r_min)
 
 
 @dataclass(frozen=True)
@@ -325,7 +306,7 @@ class PointLadder:
         return _sup(self.radii, -alpha, self.du_excess)
 
     def obstacle_maximal(self, beta: float) -> float:
-        """``obstacle_maximal(od, x, beta, R)`` of the kernel's ``ObstacleDensity``."""
+        """``obstacle_maximal(kernel, x, beta, R)``."""
         _check_exponent("beta", beta)
         return _sup(self.radii, beta, self.kernel_mean)
 

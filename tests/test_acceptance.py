@@ -16,7 +16,7 @@ from potlab.harness.checks import run_checks
 from potlab.harness.cli import main as cli_main
 from potlab.harness.config import build_instance, load_config
 from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth
-from potlab.potentials import WolffParams, wolff
+from potlab.potentials import wolff
 from potlab.solver import SolverConfig, solve_equation, solve_op_sequence, mollify_measure
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -106,12 +106,11 @@ def test_criterion_3_monotonicity():
 
 def test_criterion_4_wolff_closed_form():
     mu = MeasureData(atoms=[(0.0, 0.0, 1.0)])
-    wp = WolffParams(0.5, 2.0, 0.5, r_min=0.01)
-    value = wolff(mu, (0.1, 0.0), wp)
+    value = wolff(mu, (0.1, 0.0), 0.5, 2.0, 0.5, r_min=0.01)
     ok = abs(value - 8.0) <= 1e-3 * 8.0
     base = value
     for lam in (3.0, 0.5, 16.0):
-        got = wolff(mu.scaled(lam), (0.1, 0.0), wp)
+        got = wolff(mu.scaled(lam), (0.1, 0.0), 0.5, 2.0, 0.5, r_min=0.01)
         ok &= abs(got - lam * base) <= 1e-12 * max(abs(got), 1.0)
     _report(4, ok, f"Dirac potential {value:.6f} vs 8 closed form; scaling exact")
 

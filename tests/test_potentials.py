@@ -14,12 +14,12 @@ from potlab.grid import (
     gradient,
 )
 from potlab.harness.cli import main
-from potlab.orlicz import PowerGrowth
+from potlab.harness.config import OBSTACLE_PRESETS
+from potlab.orlicz import PowerGrowth, RegularizedPowerGrowth, TabulatedGrowth
 from potlab.potentials import (
-    ObstacleDensity,
     WolffLadder,
-    WolffParams,
     frac_maximal,
+    obstacle_kernel,
     obstacle_maximal,
     radius_ladder,
     sharp_maximal,
@@ -33,24 +33,22 @@ ATOM = MeasureData(atoms=[(0.0, 0.0, 1.0)])
 
 def test_wolff_zero_measure():
     mu = MeasureData(atoms=[])
-    wp = WolffParams(0.5, 2.0, 0.5, r_min=0.01)
-    assert wolff(mu, (0.3, 0.3), wp) == 0.0
+    assert wolff(mu, (0.3, 0.3), 0.5, 2.0, 0.5, r_min=0.01) == 0.0
 
 
 def test_wolff_dirac_closed_form():
     # unit atom at distance 0.1, beta = 1/2, p = 2, n = 2: the integrand is
     # rho^-2 above the atom distance, so W over (0, 0.5] equals 10 - 2 = 8
-    wp = WolffParams(0.5, 2.0, 0.5, r_min=0.01)
-    value = wolff(ATOM, (0.1, 0.0), wp)
+    value = wolff(ATOM, (0.1, 0.0), 0.5, 2.0, 0.5, r_min=0.01)
     assert value == pytest.approx(8.0, rel=1e-3)
 
 
 def test_wolff_homogeneity_exact():
-    wp = WolffParams(0.5, 2.0, 0.5, r_min=0.01)
-    base = wolff(ATOM, (0.1, 0.0), wp)
+    beta, p, R = 0.5, 2.0, 0.5
+    base = wolff(ATOM, (0.1, 0.0), beta, p, R, r_min=0.01)
     for lam in (2.0, 10.0, 0.25):
-        scaled = wolff(ATOM.scaled(lam), (0.1, 0.0), wp)
-        assert scaled == pytest.approx(lam ** (1.0 / (wp.p - 1.0)) * base, rel=1e-12)
+        scaled = wolff(ATOM.scaled(lam), (0.1, 0.0), beta, p, R, r_min=0.01)
+        assert scaled == pytest.approx(lam ** (1.0 / (p - 1.0)) * base, rel=1e-12)
 
 
 ATOM_CONFIG = """
@@ -72,10 +70,8 @@ n = 48
 def test_wolff_truncation_flag_and_divergence(tmp_path):
     # atom at the evaluation point: the tail below r_min carries mass and
     # the value grows like r_min^-(n - beta p)/(p-1) as r_min shrinks
-    wp1 = WolffParams(0.5, 2.0, 0.5, r_min=1e-3)
-    wp2 = WolffParams(0.5, 2.0, 0.5, r_min=5e-4)
-    v1 = wolff(ATOM, (0.0, 0.0), wp1)
-    v2 = wolff(ATOM, (0.0, 0.0), wp2)
+    v1 = wolff(ATOM, (0.0, 0.0), 0.5, 2.0, 0.5, r_min=1e-3)
+    v2 = wolff(ATOM, (0.0, 0.0), 0.5, 2.0, 0.5, r_min=5e-4)
     assert v2 / v1 == pytest.approx(2.0, rel=5e-3)
     # `potlab potential` flags exactly the points whose dropped tail
     # [0, r_min) holds the atom, r_min = 2h, in both of its tables
@@ -92,14 +88,48 @@ def test_wolff_truncation_flag_and_divergence(tmp_path):
 
 def test_wolff_range_error():
     with pytest.raises(RangeError):
-        wolff(ATOM, (0.1, 0.0), WolffParams(0.5, 2.0, 0.005, r_min=0.01))
+        wolff(ATOM, (0.1, 0.0), 0.5, 2.0, 0.005, r_min=0.01)
 
 
 def test_wolff_params_validation():
     with pytest.raises(DataError):
-        WolffParams(0.0, 2.0, 0.5)
+        wolff(ATOM, (0.1, 0.0), 0.0, 2.0, 0.5, r_min=0.01)
     with pytest.raises(DataError):
-        WolffParams(0.5, 1.0, 0.5)
+        wolff(ATOM, (0.1, 0.0), 0.5, 1.0, 0.5, r_min=0.01)
+
+
+def test_wolff_of_atoms_alone_needs_a_cutoff():
+    # atoms carry no grid, so no 2h floor: the cutoff must be given
+    with pytest.raises(DataError, match="explicit r_min"):
+        wolff(ATOM, (0.1, 0.0), 0.5, 2.0, 0.5)
+    with pytest.raises(DataError, match="explicit r_min"):
+        frac_maximal(ATOM, (0.1, 0.0), 0.5, 0.5)
+
+
+@pytest.mark.parametrize("r_min", [0.0, -0.01])
+def test_nonpositive_cutoff_is_a_data_error(r_min):
+    g = Grid2D(32)
+    dens = MeasureData([], GridFunction.constant(g, 1.0))
+    kernel = GridFunction.constant(g, 2.0)
+    with pytest.raises(DataError, match="r_min must be positive"):
+        wolff(ATOM, (0.1, 0.0), 0.5, 2.0, 0.5, r_min=r_min)
+    with pytest.raises(DataError, match="r_min must be positive"):
+        wolff_psi(kernel, (0.5, 0.5), 0.5, 2.0, 0.3, r_min=r_min)
+    with pytest.raises(DataError, match="r_min must be positive"):
+        frac_maximal(dens, (0.5, 0.5), 0.5, 0.3, r_min=r_min)
+    with pytest.raises(DataError, match="r_min must be positive"):
+        sharp_maximal(kernel, (0.5, 0.5), 0.5, 0.3, r_min=r_min)
+
+
+def test_default_cutoff_is_the_density_grids_floor():
+    # with a density the default cutoff is its grid's 2h floor, bitwise
+    g = Grid2D(48)
+    dens = GridFunction.from_callable(g, lambda X, Y: 1.0 + X * Y)
+    x = (0.51, 0.47)
+    for mu in (MeasureData([], dens), MeasureData([(0.6, 0.5, 1.0)], dens)):
+        for beta, p in ((0.5, 2.0), (0.3, 3.0)):
+            assert wolff(mu, x, beta, p, 0.3) == wolff(mu, x, beta, p, 0.3, r_min=g.r_min)
+    assert wolff_psi(dens, x, 0.5, 2.0, 0.3) == wolff_psi(dens, x, 0.5, 2.0, 0.3, r_min=g.r_min)
 
 
 def grid_psi(fn, n=128):
@@ -111,32 +141,29 @@ def test_wolff_psi_affine_closed_form():
     # affine obstacle: kernel is identically 1, the ball integral is the
     # disk area, and for beta = 1/2, p = 2 the potential is pi (R - r_min)
     psi = grid_psi(lambda X, Y: 0.3 * X - 0.1)
-    od = ObstacleDensity.build(psi, PowerGrowth(2.0))
-    assert np.allclose(od.kernel.values, 1.0, atol=1e-9)
-    g = psi.grid
-    wp = WolffParams(0.5, 2.0, 0.4, r_min=4 * g.h)
-    got = wolff_psi(od, (0.5, 0.5), wp)
-    assert got == pytest.approx(np.pi * (wp.R - wp.r_min), rel=0.1)
+    kernel = obstacle_kernel(psi, PowerGrowth(2.0))
+    assert np.allclose(kernel.values, 1.0, atol=1e-9)
+    R, r_min = 0.4, 4 * psi.grid.h
+    got = wolff_psi(kernel, (0.5, 0.5), 0.5, 2.0, R, r_min=r_min)
+    assert got == pytest.approx(np.pi * (R - r_min), rel=0.1)
 
 
 def test_wolff_psi_zero_obstacle_kernel_floor():
     psi = grid_psi(lambda X, Y: np.zeros_like(X))
-    od = ObstacleDensity.build(psi, PowerGrowth(2.0))
-    assert np.allclose(od.kernel.values, 1.0, atol=1e-12)
-    affine = ObstacleDensity.build(grid_psi(lambda X, Y: 0.3 * X), PowerGrowth(2.0))
-    wp = WolffParams(0.5, 2.0, 0.3, r_min=0.05)
-    assert wolff_psi(od, (0.5, 0.5), wp) == pytest.approx(
-        wolff_psi(affine, (0.5, 0.5), wp), rel=1e-9
+    kernel = obstacle_kernel(psi, PowerGrowth(2.0))
+    assert np.allclose(kernel.values, 1.0, atol=1e-12)
+    affine = obstacle_kernel(grid_psi(lambda X, Y: 0.3 * X), PowerGrowth(2.0))
+    assert wolff_psi(kernel, (0.5, 0.5), 0.5, 2.0, 0.3, r_min=0.05) == pytest.approx(
+        wolff_psi(affine, (0.5, 0.5), 0.5, 2.0, 0.3, r_min=0.05), rel=1e-9
     )
 
 
 def test_wolff_psi_shift_invariance():
     psi = grid_psi(lambda X, Y: 0.2 - ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
-    od1 = ObstacleDensity.build(psi, PowerGrowth(2.0))
-    od2 = ObstacleDensity.build(psi.with_values(psi.values + 3.7), PowerGrowth(2.0))
-    wp = WolffParams(0.5, 2.0, 0.3, r_min=0.05)
-    assert wolff_psi(od1, (0.5, 0.5), wp) == pytest.approx(
-        wolff_psi(od2, (0.5, 0.5), wp), rel=1e-12
+    k1 = obstacle_kernel(psi, PowerGrowth(2.0))
+    k2 = obstacle_kernel(psi.with_values(psi.values + 3.7), PowerGrowth(2.0))
+    assert wolff_psi(k1, (0.5, 0.5), 0.5, 2.0, 0.3, r_min=0.05) == pytest.approx(
+        wolff_psi(k2, (0.5, 0.5), 0.5, 2.0, 0.3, r_min=0.05), rel=1e-12
     )
 
 
@@ -144,19 +171,36 @@ def test_obstacle_kernel_quadratic():
     # psi = |x - c|^2 / 2 has unit Hessian; the entrywise l1 norm is 2 and
     # the p = 2 kernel is |D^2 psi| + 1 = 3 in the interior
     psi = grid_psi(lambda X, Y: 0.5 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
-    od = ObstacleDensity.build(psi, PowerGrowth(2.0))
-    inner = od.kernel.values[2:-2, 2:-2]
+    kernel = obstacle_kernel(psi, PowerGrowth(2.0))
+    inner = kernel.values[2:-2, 2:-2]
     assert np.allclose(inner, 3.0, atol=1e-8)
-    got = obstacle_maximal(od, (0.5, 0.5), 0.5, 0.3)
+    got = obstacle_maximal(kernel, (0.5, 0.5), 0.5, 0.3)
     assert got == pytest.approx(3.0 * 0.3**0.5, rel=0.02)
+
+
+_T = np.geomspace(1e-3, 1e3, 25)
+
+
+@pytest.mark.parametrize("growth", [
+    PowerGrowth(2.0), PowerGrowth(3.0), PowerGrowth(4.0),
+    RegularizedPowerGrowth(3.0, 0.5), TabulatedGrowth(_T, _T + _T**2),
+], ids=["power2", "power3", "power4", "regularized3", "tabulated"])
+@pytest.mark.parametrize("preset", ["quadratic", "bump", "affine"])
+def test_obstacle_kernel_is_at_least_one(preset, growth):
+    # g(t)/t >= 0 and |D^2 psi|_1 >= 0, so the kernel never drops below its
+    # +1 floor, also where the obstacle is flat, kinked or steep
+    for scale in (1.0, 40.0):
+        psi = grid_psi(OBSTACLE_PRESETS[preset](), n=48)
+        kernel = obstacle_kernel(psi.with_values(scale * psi.values), growth)
+        assert kernel.values.min() >= 1.0
 
 
 def test_obstacle_maximal_affine_and_floor():
     psi = grid_psi(lambda X, Y: 0.3 * X)
-    od = ObstacleDensity.build(psi, PowerGrowth(2.0))
+    kernel = obstacle_kernel(psi, PowerGrowth(2.0))
     R = 0.3
-    assert obstacle_maximal(od, (0.5, 0.5), 0.5, R) == pytest.approx(R**0.5, rel=1e-9)
-    assert obstacle_maximal(od, (0.5, 0.5), 0.0, R) >= 1.0
+    assert obstacle_maximal(kernel, (0.5, 0.5), 0.5, R) == pytest.approx(R**0.5, rel=1e-9)
+    assert obstacle_maximal(kernel, (0.5, 0.5), 0.0, R) >= 1.0
 
 
 def test_frac_maximal_constant_field():
@@ -208,10 +252,10 @@ def test_sharp_maximal_affine_oracle():
 
 def test_obstacle_maximal_is_frac_maximal_of_kernel():
     psi = grid_psi(lambda X, Y: 0.2 - 1.5 * ((X - 0.5) ** 2 + (Y - 0.45) ** 2), n=64)
-    od = ObstacleDensity.build(psi, PowerGrowth(3.0))
+    kernel = obstacle_kernel(psi, PowerGrowth(3.0))
     for x in ((0.5, 0.5), (0.37, 0.6)):
         for beta in (0.0, 0.4, 1.0):
-            assert obstacle_maximal(od, x, beta, 0.2) == frac_maximal(od.kernel, x, beta, 0.2)
+            assert obstacle_maximal(kernel, x, beta, 0.2) == frac_maximal(kernel, x, beta, 0.2)
 
 
 def test_sharp_maximal_vector_equals_componentwise_ball_averages():
@@ -245,7 +289,7 @@ def test_maximal_monotone_in_R():
     g = Grid2D(64)
     f = GridFunction.from_callable(g, lambda X, Y: np.sin(3 * X) + Y**2)
     psi = GridFunction.from_callable(g, lambda X, Y: 0.2 * X * Y)
-    od = ObstacleDensity.build(psi, PowerGrowth(2.0))
+    kernel = obstacle_kernel(psi, PowerGrowth(2.0))
     mu = MeasureData(atoms=[(0.5, 0.5, 1.0)])
     x = (0.5, 0.5)
     for small, big in ((0.15, 0.3), (0.2, 0.4)):
@@ -254,7 +298,8 @@ def test_maximal_monotone_in_R():
         assert frac_maximal(mu, x, 0.3, small, r_min=0.01) <= frac_maximal(
             mu, x, 0.3, big, r_min=0.01
         ) + 1e-15
-        assert obstacle_maximal(od, x, 0.3, small) <= obstacle_maximal(od, x, 0.3, big) + 1e-15
+        assert obstacle_maximal(kernel, x, 0.3, small) <= obstacle_maximal(
+            kernel, x, 0.3, big) + 1e-15
 
 
 def test_sharp_dominated_by_fractional_of_gradient():
@@ -280,22 +325,22 @@ def test_sharp_dominated_by_fractional_of_gradient():
 def test_wolff_dyadic_sum_consistency():
     # the quadrature agrees with the dyadic sum over radii R/2^i within a
     # bounded factor for the Dirac closed form
-    wp = WolffParams(0.5, 2.0, 0.5, r_min=0.01)
+    beta, p, R, r_min = 0.5, 2.0, 0.5, 0.01
     x = (0.1, 0.0)
-    quad = wolff(ATOM, x, wp)
-    total, R_i = 0.0, wp.R
-    while R_i >= wp.r_min:
+    quad = wolff(ATOM, x, beta, p, R, r_min=r_min)
+    total, R_i = 0.0, R
+    while R_i >= r_min:
         mass = ball_mass(ATOM, x, R_i)
-        total += (mass / R_i ** (2 - wp.beta * wp.p)) ** (1.0 / (wp.p - 1.0))
+        total += (mass / R_i ** (2 - beta * p)) ** (1.0 / (p - 1.0))
         R_i /= 2.0
     assert 1.0 / 2.5 <= total / quad <= 2.5
 
 
-def _wolff_psi_per_radius(od, x, wp):
+def _wolff_psi_per_radius(kernel, x, beta, p, R, r_min):
     # one disk integral per radius: the formula the batched ladder replaces
-    radii = radius_ladder(wp.r_min, wp.R)
-    masses = np.array([disk_integral(od.kernel, x, rho) for rho in radii])
-    integrand = (masses / radii ** (2 - wp.beta * wp.p)) ** (1.0 / (wp.p - 1.0))
+    radii = radius_ladder(r_min, R)
+    masses = np.array([disk_integral(kernel, x, rho) for rho in radii])
+    integrand = (masses / radii ** (2 - beta * p)) ** (1.0 / (p - 1.0))
     return float(np.trapezoid(integrand, np.log(radii)))
 
 
@@ -305,12 +350,13 @@ def test_wolff_psi_independent_of_beta_order():
     psi = GridFunction.from_callable(g, lambda X, Y: 0.3 - (X - 0.4) ** 2 - 0.5 * (Y - 0.6) ** 4)
     growth = PowerGrowth(3.0)
     x = (0.41, 0.53)
-    params = [WolffParams(beta, 3.0, 0.3, r_min=2 * g.h) for beta in (0.3, 0.5, 0.9)]
-    want = [_wolff_psi_per_radius(ObstacleDensity.build(psi, growth), x, wp) for wp in params]
+    betas = (0.3, 0.5, 0.9)
+    want = [_wolff_psi_per_radius(obstacle_kernel(psi, growth), x, beta, 3.0, 0.3, 2 * g.h)
+            for beta in betas]
     for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0, 1]):
-        od = ObstacleDensity.build(psi, growth)
+        kernel = obstacle_kernel(psi, growth)
         for i in order:
-            assert wolff_psi(od, x, params[i]) == want[i]
+            assert wolff_psi(kernel, x, betas[i], 3.0, 0.3, r_min=2 * g.h) == want[i]
 
 
 def test_one_wolff_ladder_is_every_potential_bitwise():
@@ -320,19 +366,19 @@ def test_one_wolff_ladder_is_every_potential_bitwise():
     dens = GridFunction.from_callable(g, lambda X, Y: 1.0 + X * Y)
     atoms = [(0.5, 0.5, 1.0), (0.61, 0.5, 0.4), (0.95, 0.95, 2.0)]
     psi = GridFunction.from_callable(g, lambda X, Y: 0.3 - (X - 0.4) ** 2 - 0.5 * (Y - 0.6) ** 4)
-    od = ObstacleDensity.build(psi, PowerGrowth(3.0))
+    kernel = obstacle_kernel(psi, PowerGrowth(3.0))
+    obstacle = MeasureData([], kernel)
     x, r_min, R = (0.51, 0.5), 2 * g.h, 0.3
-    for mu in (MeasureData(atoms), MeasureData(atoms, dens), MeasureData([], dens), od.measure):
+    for mu in (MeasureData(atoms), MeasureData(atoms, dens), MeasureData([], dens), obstacle):
         ladder = WolffLadder.gather(mu, x, r_min, R)
         for beta, p in ((0.3, 3.0), (0.5, 2.0), (0.9, 3.0), (2.0, 1.5)):
-            wp = WolffParams(beta, p, R, r_min=r_min)
-            assert ladder.potential(beta, p) == wolff(mu, x, wp)
-            if mu is od.measure:
-                assert ladder.potential(beta, p) == wolff_psi(od, x, wp)
+            assert ladder.potential(beta, p) == wolff(mu, x, beta, p, R, r_min=r_min)
+            if mu is obstacle:
+                assert ladder.potential(beta, p) == wolff_psi(kernel, x, beta, p, R, r_min=r_min)
     # only the atom at distance 0.1 breaks the ladder
     with_atoms = WolffLadder.gather(MeasureData(atoms), x, r_min, R)
     assert len(with_atoms.radii) == len(radius_ladder(r_min, R)) + 2
-    assert np.array_equal(WolffLadder.gather(od.measure, x, r_min, R).radii, radius_ladder(r_min, R))
+    assert np.array_equal(WolffLadder.gather(obstacle, x, r_min, R).radii, radius_ladder(r_min, R))
 
 
 def test_radius_ladder_endpoints():
