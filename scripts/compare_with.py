@@ -29,6 +29,20 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (("default seed", []), ("--seed 7", ["--seed", "7"]))
 
 
+def extract(rev: str, dest: Path, *paths: str) -> bool:
+    """Extract ``paths`` (default: the whole tree) of git revision ``rev``
+    into ``dest``; False, with an error line, when git cannot."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *paths],
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(f"error: cannot extract {' '.join(paths) or 'the tree'} of {rev}: "
+              f"{archive.stderr.decode().strip()}", file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return True
+
+
 def run_suite(src: Path, seed: list, out: Path) -> None:
     """The standard suite on the package under ``src``, reports to ``out``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -42,17 +56,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="compare reports with another revision")
     parser.add_argument("rev", nargs="?", default="HEAD", help="git revision (default HEAD)")
     args = parser.parse_args(argv)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
-                             capture_output=True)
-    if archive.returncode != 0:
-        print(f"error: cannot extract src/ of {args.rev}: {archive.stderr.decode().strip()}",
-              file=sys.stderr)
-        return 2
     ok = True
     with tempfile.TemporaryDirectory(prefix="compare_with_") as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
+        if not extract(args.rev, tmp / "rev", "src"):
+            return 2
         for label, seed in SEEDS:
             old, new = tmp / label / "old", tmp / label / "new"
             run_suite(tmp / "rev" / "src", seed, old)

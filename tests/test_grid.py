@@ -284,22 +284,30 @@ def test_disk_integrals_equal_full_grid_masked_sums(n):
         assert [disk_integral(f, c, r) for r in radii] == want
 
 
+# twelve atoms of mixed sign and scale: past numpy's 8-way pairwise
+# threshold, so only an atom-by-atom sum in list order matches Python's sum
+_MANY_ATOMS = [(0.3, 0.3, -72.0), (0.5, 0.52, 4.5), (0.7, 0.4, 2.2), (0.45, 0.55, -0.75),
+               (0.2, 0.45, -57.0), (0.6, 0.25, 0.38), (0.46, 0.41, 0.054), (0.8, 0.8, 900.0),
+               (0.35, 0.2, -0.094), (0.55, 0.45, 0.042), (0.4, 0.7, 61.0), (0.65, 0.6, 3.9)]
+
+
 def test_ball_masses_equal_atom_sum_plus_density_integral():
+    # every atom sits exactly at a ladder radius (its distance is a rung)
     g = Grid2D(48)
     dens = GridFunction(g, np.random.default_rng(3).uniform(0.0, 2.0, (48, 48)))
-    mu = MeasureData(atoms=[(0.3, 0.3, 1.0), (0.5, 0.52, -0.25), (0.7, 0.4, 2.0)],
-                     density=dens)
     c = (0.45, 0.4)
-    atom_dists = [np.hypot(x - c[0], y - c[1]) for x, y, _ in mu.atoms]
-    radii = np.unique(np.concatenate([np.geomspace(2 * g.h, 0.6, 40), atom_dists]))
-    for r, got in zip(radii, ball_masses(mu, c, radii)):
-        want = sum(abs(m) for x, y, m in mu.atoms
-                   if np.hypot(x - c[0], y - c[1]) <= r + 1e-12 * max(1.0, r))
-        want += _full_grid_disk_integral(dens.with_values(np.abs(dens.values)), c, r)
-        assert got == float(want)
-        assert ball_mass(mu, c, r) == float(want)
-    with pytest.raises(DataError):
-        ball_masses(mu, c, [0.0, 0.1])
+    for atoms in ([(0.3, 0.3, 1.0), (0.5, 0.52, -0.25), (0.7, 0.4, 2.0)], _MANY_ATOMS):
+        mu = MeasureData(atoms=atoms, density=dens)
+        atom_dists = [np.hypot(x - c[0], y - c[1]) for x, y, _ in mu.atoms]
+        radii = np.unique(np.concatenate([np.geomspace(2 * g.h, 0.6, 40), atom_dists]))
+        for r, got in zip(radii, ball_masses(mu, c, radii)):
+            want = sum(abs(m) for x, y, m in mu.atoms
+                       if np.hypot(x - c[0], y - c[1]) <= r + 1e-12 * max(1.0, r))
+            want += _full_grid_disk_integral(dens.with_values(np.abs(dens.values)), c, r)
+            assert got == float(want)
+            assert ball_mass(mu, c, r) == float(want)
+        with pytest.raises(DataError):
+            ball_masses(mu, c, [0.0, 0.1])
 
 
 # -- I/O -------------------------------------------------------------------------

@@ -9,7 +9,15 @@ import pytest
 
 from potlab.errors import DataError, DomainError
 from potlab.field import COEFFICIENT_PRESETS
-from potlab.grid import Grid2D, GridFunction, MeasureData, ball_average, read_raster, write_raster
+from potlab.grid import (
+    Grid2D,
+    GridFunction,
+    MeasureData,
+    ball_average,
+    ball_nodes,
+    read_raster,
+    write_raster,
+)
 from potlab.harness import checks
 from potlab.harness.checks import (
     CHECKS,
@@ -43,6 +51,7 @@ from potlab.potentials import (
     frac_maximal,
     obstacle_maximal,
     radial_potential_profile,
+    radius_ladder,
     sharp_maximal,
     sharp_maximal_vector,
 )
@@ -605,13 +614,11 @@ def test_maximal_estimates_fails_on_a_wrong_ladder(dirac_two_meshes, monkeypatch
     assert max(rep.summary["drift_maximal_sum"], rep.summary["drift_sharp_gradient"]) < 3
 
 
-def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch):
-    # each point's ladders are gathered once per mesh, and avg_{B_R}|Du| of
-    # maximal_sum_rhs is read from the point's ladder, so an added alpha adds
-    # no ball and no mass gather (a ladder regathered per alpha adds a whole
-    # ladder per point)
+def _count_grid_calls(monkeypatch, *names):
+    """Log each call of the named ``potlab.grid`` functions, through every
+    potlab module that holds them; returns {name: log}."""
     import potlab.grid as gridmod
-    calls = {"ball_nodes": [], "ball_masses": []}
+    calls = {name: [] for name in names}
     for name, log in calls.items():
         original = getattr(gridmod, name)
 
@@ -623,6 +630,43 @@ def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch
             if getattr(mod, "__name__", "").startswith("potlab") and \
                     vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _per_point_beta0(ctx, x, R):
+    # the plain per-point reference: one ball query per (point, radius)
+    radii = radius_ladder(ctx.inst.grid.r_min, R, 24)
+    best_sharp = 0.0
+    best_frac = 0.0
+    for rho in radii:
+        ball = ball_nodes(ctx.inst.grid, x, rho)
+        u = ctx.u.values[ball]
+        mean = float(u.mean())
+        best_sharp = max(best_sharp, float(np.abs(u - mean).mean()))
+        best_frac = max(best_frac, rho * float(ctx.du_mag.values[ball].mean()))
+    return best_sharp + best_frac
+
+
+def test_direct_beta0_is_the_per_point_loop_bitwise(dirac_two_meshes, monkeypatch):
+    # one gather per (mesh, radius) for every point, each point's value
+    # bitwise that of its own loop, and no ball query through ball_nodes
+    cfg, cache = dirac_two_meshes
+    cell_list, R, points, _ = checks._estimate_setup(cfg, cache, np.random.default_rng([5, 0]))
+    contexts = [checks.primary_context(cache, inst, 2 * R) for _, inst in cell_list]
+    want = [[_per_point_beta0(ctx, x, R) for x in points] for ctx in contexts]
+    assert len(contexts) == 2
+    calls = _count_grid_calls(monkeypatch, "ball_nodes")
+    got = [checks._direct_beta0(ctx, points, R) for ctx in contexts]
+    assert got == want
+    assert calls["ball_nodes"] == []
+
+
+def test_maximal_estimates_gathers_per_point_not_per_alpha(tmp_path, monkeypatch):
+    # each point's ladders are gathered once per mesh, and avg_{B_R}|Du| of
+    # maximal_sum_rhs is read from the point's ladder, so an added alpha adds
+    # no ball and no mass gather (a ladder regathered per alpha adds a whole
+    # ladder per point)
+    calls = _count_grid_calls(monkeypatch, "ball_nodes", "ball_masses")
     path = tmp_path / "dirac.ini"
     path.write_text(DIRAC)
     cfg = load_config(path)
