@@ -8,9 +8,10 @@ extracted with `git archive` into a temporary directory.  This checkout's
 `scripts/run_standard_suite.py` then runs once on each `src/` (REV's and
 this checkout's, chosen by PYTHONPATH), at the default seed and at
 `--seed 7`, and `scripts/compare_reports.py` compares each pair of report
-trees.  The script prints each pair's two verdict lines (the count of
-byte-identical files and `reports agree` or `reports differ`) and deletes
-its temporary files.
+trees.  For each pair the script prints the comparison's line of every
+file whose bytes differ, with its detail lines, then the two verdict lines
+(the count of byte-identical files and `reports agree` or `reports
+differ`), and it deletes its temporary files.
 
 Exit status 0 when both pairs read `reports agree`, 1 otherwise, 2 when
 REV cannot be extracted.
@@ -52,6 +53,14 @@ def run_suite(src: Path, seed: list, out: Path) -> None:
         print(f"     note: the suite on {src} exited {done.returncode}")
 
 
+def report_lines(output: str) -> list[str]:
+    """The lines of a ``compare_reports.py`` output that name a change: all
+    but the byte-identical files' lines, so every file whose bytes differ and
+    the two closing verdict lines."""
+    return [line for line in output.strip().splitlines()
+            if not line.endswith(": byte-identical")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="compare reports with another revision")
     parser.add_argument("rev", nargs="?", default="HEAD", help="git revision (default HEAD)")
@@ -68,7 +77,7 @@ def main(argv=None) -> int:
             done = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_reports.py"),
                                    str(old), str(new)], capture_output=True, text=True)
             print(f"{label} ({args.rev} -> this checkout):")
-            for line in done.stdout.strip().splitlines()[-2:]:
+            for line in report_lines(done.stdout):
                 print(f"  {line}")
             ok &= done.returncode == 0
     return 0 if ok else 1

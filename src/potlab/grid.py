@@ -5,11 +5,12 @@ domain does not).  Nodes sit at cell centers of an n-by-n grid; the
 outermost node ring doubles as the Dirichlet trace.  Ball queries snap
 their center to the nearest node and reuse offset tables cached per
 radius/h.  A ball is its snapped center node (``ball_center``) plus the
-offset table of its radius, so the balls of one radius around many
-centers are one fancy-indexing gather.  Measure mass queries keep the
-exact center (``disk_mask``): atoms and cut cells (node-center-in-disk)
-belong to a disk by the same closed-ball rule as the offset tables.  They
-take a whole radius ladder at once (``disk_integrals``, ``ball_masses``):
+offset table of its radius (``ball_nodes``), the node set every ball is
+averaged, solved and frozen over; the balls of one radius around many
+centers are one fancy-indexing gather.  Only mass queries keep the exact
+center: atoms and cut cells (node-center-in-disk) belong to a disk by the
+same closed-ball rule as the offset tables.  They take a whole radius
+ladder at once (``disk_integrals``, ``ball_masses``):
 one squared-distance table of the largest disk's node box, compared with
 every radius in one step, so every mass is bitwise the full-grid masked
 sum.  ``Grid2D`` states the 2h resolution floor once (``r_min``,
@@ -41,7 +42,6 @@ __all__ = [
     "ball_center",
     "ball_nodes",
     "ball_offsets",
-    "disk_mask",
     "disk_integral",
     "disk_integrals",
     "ball_mass",
@@ -223,14 +223,6 @@ def largest_median(values) -> float:
     return float(vals[(k - 1) // 2])
 
 
-def disk_mask(grid: Grid2D, center, radius: float) -> np.ndarray:
-    """Nodes of the closed disk around the exact (unsnapped) center.
-
-    The disk may exit the domain; nodes outside it are simply absent.
-    """
-    return _in_closed_ball((grid.X - center[0]) ** 2 + (grid.Y - center[1]) ** 2, radius)
-
-
 def _node_span(h: float, n: int, lo: float, hi: float) -> tuple[int, int]:
     """Slice bounds of the nodes with coordinate in [lo, hi], widened by
     one node on each side (so rounding never drops a boundary node) and
@@ -253,9 +245,9 @@ def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
     """``disk_integral`` for every radius of a ladder.
 
     One squared-distance table covers the node box of the largest disk and
-    one comparison with every radius's bound gives each disk's
-    ``disk_mask`` on that box.  The box lists a disk's nodes in the full
-    grid's row-major order, so each sum is bitwise the full-grid masked sum.
+    one comparison with every radius's bound gives each disk's nodes on
+    that box.  The box lists a disk's nodes in the full grid's row-major
+    order, so each sum is bitwise the full-grid masked sum.
     """
     g = f.grid
     cx, cy = center

@@ -38,8 +38,8 @@ from ..grid import (
     ball_average,
     ball_center,
     ball_mass,
+    ball_nodes,
     ball_offsets,
-    disk_mask,
     gradient,
     median,
 )
@@ -52,6 +52,7 @@ from ..potentials import (
 )
 from ..solver import (
     Solution,
+    _ball_free_mask,
     comparison_chain,
     finest_level,
     mollify_measure,
@@ -501,23 +502,26 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     for cell, inst in cells(cfg, "amplitude"):
         sol = primary_solution(cache, inst)
         ctx = primary_context(cache, inst, 2 * _FROZEN_BALL[1])
-        om = inst.field.coefficient.on_nodes(inst.grid)
+        coef = inst.field.coefficient
+        om_nodes, om_cells = coef.on_nodes(inst.grid), coef.on_cells(inst.grid)
         for ball, ball_cell in ((_FROZEN_BALL, cell), (_FROZEN_SIDE_BALL, None)):
-            ball_center, ball_R = ball
+            x, R = ball
             w = cache.get(
                 (inst.key, "frozen", ball),
                 lambda: solve_frozen(replace(inst.problem(), boundary=sol.u),
                                      ball, inst.solver, warm_start=sol.u),
             )
-            lhs = ball_average(grad_distance_field(sol.u, w.u), ball_center, ball_R)
-            # a ball the coefficient is constant on: freezing is a no-op
-            # and the left side must sit at solver tolerance; constancy
-            # is decided on the node set the frozen solve averages over
-            rhs = 0.0
-            if float(np.ptp(om[disk_mask(inst.grid, ball_center, ball_R)])) > 1e-12:
-                rhs = coefficient_error_term(ctx, ctx.du_mag, ball_center, ball_R, 2 * ball_R)
-            study.add(ball_center, ball_R, lhs, rhs, exact_tol=10 * inst.solver.tol,
-                      cell=ball_cell)
+            lhs = ball_average(grad_distance_field(sol.u, w.u), x, R)
+            # a ball the coefficient is constant on: freezing is a no-op and
+            # the left side must sit at solver tolerance.  Constancy is
+            # decided on every omega the frozen solve reads: the ball's nodes
+            # (its mean) and each cell with a free corner (its energy)
+            free = _ball_free_mask(inst.grid, ball)
+            read_cells = free[:-1, :-1] | free[1:, :-1] | free[:-1, 1:] | free[1:, 1:]
+            read = np.concatenate([om_nodes[ball_nodes(inst.grid, x, R)], om_cells[read_cells]])
+            rhs = 0.0 if np.ptp(read) <= 1e-12 else coefficient_error_term(
+                ctx, ctx.du_mag, x, R, 2 * R)
+            study.add(x, R, lhs, rhs, exact_tol=10 * inst.solver.tol, cell=ball_cell)
     return study.report("frozen_coefficient")
 
 

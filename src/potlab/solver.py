@@ -43,10 +43,10 @@ construction.  ``Solution.stop_reason`` says why a solve stopped, and
 ``factorizations``, ``krylov_iterations`` and ``lu_nnz`` count the linear
 algebra of all its levels.
 
-Ball-restricted solves pin every node outside the ball to the trace
-donor, realizing "w = u on the ball boundary" without a second mesh; a
-frozen solve is the ball solve of the frozen problem, ``frozen_problem``;
-the comparison chain builds its frozen problem once and solves w2-w4 on it.
+Ball-restricted solves free the ball's ``ball_nodes`` and pin every other
+node to the trace donor, realizing "w = u on the ball boundary" without a
+second mesh; a frozen solve is the ball solve of ``frozen_problem``; the
+comparison chain builds its frozen problem once and solves w2-w4 on it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .errors import (
     LevelError,
 )
 from .field import VectorField, constant_coefficient
-from .grid import Grid2D, GridFunction, MeasureData, disk_mask, w11_distance
+from .grid import Grid2D, GridFunction, MeasureData, ball_nodes, w11_distance
 
 __all__ = [
     "SolverConfig",
@@ -469,10 +469,10 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
 
 
 def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
-    center, radius = ball
-    if not grid.contains_ball(center, radius):
-        raise DomainError(f"solve ball of radius {radius:.4g} at {center} exits the domain")
-    return grid.interior_mask() & disk_mask(grid, center, radius)
+    """The nodes a ball solve frees: the ball's ``ball_nodes`` off the ring."""
+    free = np.zeros((grid.n, grid.n), dtype=bool)
+    free[ball_nodes(grid, *ball)] = True
+    return free & grid.interior_mask()
 
 
 def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Solution:
@@ -530,13 +530,12 @@ def solve_frozen(prob: ObstacleProblem, ball, cfg: SolverConfig | None = None, *
 
 
 def frozen_problem(prob: ObstacleProblem, ball) -> ObstacleProblem:
-    """``prob`` with omega replaced by its node mean over the ball: for the
-    coefficient-times-kernel field, exactly a_bar(eta) = mean(omega) kernel(|eta|) eta."""
+    """``prob`` with omega replaced by its mean over the ball's ``ball_nodes``:
+    for the coefficient-times-kernel field, exactly a_bar(eta) = mean(omega) kernel(|eta|) eta."""
     grid = prob.grid
-    if not grid.contains_ball(*ball):
-        raise DomainError("freeze ball exits the domain")
+    nodes = ball_nodes(grid, *ball)  # a ball outside the domain raises before omega is read
     coef = prob.field.coefficient
-    mean = float(coef.on_nodes(grid)[disk_mask(grid, *ball)].mean())
+    mean = float(coef.on_nodes(grid)[nodes].mean())
     frozen = constant_coefficient(mean, c_low=coef.c_low, c_high=coef.c_high)
     return replace(prob, field=VectorField(prob.field.growth, frozen))
 

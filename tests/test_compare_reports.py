@@ -5,10 +5,18 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
-_spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
-compare_reports = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_reports)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_reports = _load("compare_reports")
+compare_with = _load("compare_with")
 
 LHS = 1.19513870397
 CSV = (
@@ -116,3 +124,23 @@ def test_potential_csvs_compare_flags_exactly_and_values_to_the_limit(
     else:
         assert "dirac/maximal.csv: rows and truncation flags equal" in out
         assert "2 of 4 files byte-identical\n" in out
+
+
+def test_compare_with_prints_every_differing_file(tmp_path, capsys):
+    # a moved number in one file: compare_with names that file and the
+    # verdicts, and drops the byte-identical file's line
+    run(tmp_path, lhs=LHS * (1 + 1e-9))
+    out = capsys.readouterr().out
+    assert compare_with.report_lines(out) == [
+        "ok   dirac/check_gradient_bounds.csv: rows and flags equal; max rel diff "
+        "point_x=0.00e+00 point_y=0.00e+00 radius=0.00e+00 lhs=1.00e-09 rhs=0.00e+00 "
+        "ratio=0.00e+00",
+        "1 of 2 files byte-identical",
+        "reports agree",
+    ]
+    # a flipped flag keeps its detail line
+    run(tmp_path / "flag", flag="degenerate-skip")
+    lines = compare_with.report_lines(capsys.readouterr().out)
+    assert lines[0].startswith("FAIL dirac/check_gradient_bounds.csv: rows and flags differ")
+    assert lines[1:] == ["     row 1 flag: '' -> 'degenerate-skip'",
+                         "1 of 2 files byte-identical", "reports differ"]

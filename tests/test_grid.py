@@ -22,7 +22,6 @@ from potlab.grid import (
     ball_offsets,
     disk_integral,
     disk_integrals,
-    disk_mask,
     gradient,
     hessian,
     largest_median,
@@ -261,9 +260,11 @@ def test_disk_integral_constant(r):
 
 
 def _full_grid_disk_integral(f, center, radius):
-    # the one-mask-per-radius formula the batched ladders must reproduce bitwise
+    # the one-mask-per-radius formula the batched ladders must reproduce
+    # bitwise, with the closed-ball rule written out over the whole grid
     g = f.grid
-    return float(f.values[disk_mask(g, center, radius)].sum() * g.h * g.h)
+    inside = (g.X - center[0]) ** 2 + (g.Y - center[1]) ** 2 <= radius**2 * (1.0 + 1e-12)
+    return float(f.values[inside].sum() * g.h * g.h)
 
 
 @pytest.mark.parametrize("n", [16, 48, 128])
