@@ -6,12 +6,16 @@ Every `check_*.csv`, `summary.txt`, `diagnostics.txt`, `wolff.csv` and
 `maximal.csv` under OLD is matched with the file at the same relative path
 under NEW.  For each file the script prints whether the rows and flags
 (check CSV), the rows and verdicts (summary), the solver counts
-(diagnostics: every line but energy, complementarity and residual) or the
-rows and truncation flags (potential CSV) agree, and the largest relative difference
-|a - b| / max(|a|, |b|) of each numeric column or line; files whose bytes
-match print as byte-identical.
+(diagnostics: every line but start, energy, complementarity and residual)
+or the rows and truncation flags (potential CSV) agree, and the largest
+relative difference |a - b| / max(|a|, |b|) of each numeric column or
+line; files whose bytes match print as byte-identical.
 Summary notes are compared as text and reported, but they are rounded
 copies of numbers compared elsewhere and do not fail the comparison.
+The diagnostics' `start` line (`flat` when a file has none) names the
+solve's warm start.  Two solves from different starts take different
+steps to the same energy: then only the energy is compared, and the
+counts, residual and complementarity are reported without failing.
 The last two lines count the byte-identical files among all files seen
 on either side and give the verdict.
 
@@ -98,18 +102,25 @@ def compare_rows(old: list[dict], new: list[dict], exact, numeric) -> tuple[list
 def compare_file(rel: Path, old: Path, new: Path) -> bool:
     """Rows, flags and verdicts exactly, numbers to LIMIT, of two files
     whose bytes differ."""
+    info = []  # changes that are reported and do not fail
     if rel.name == "summary.txt":
         (a, notes_a), (b, notes_b) = read_summary(old), read_summary(new)
         problems, worst = compare_rows(a, b, ("check", "rows", "pass"), SUMMARY_NUMERIC)
         what = "checks, rows and verdicts"
     elif rel.name == "diagnostics.txt":
         a, b = read_diagnostics(old), read_diagnostics(new)
+        starts = [d.pop("start", "flat") for d in (a, b)]
         names = sorted(a.keys() | b.keys())
         a, b = ({k: d.get(k, "") for k in names} for d in (a, b))
+        # solves from different starts take different steps to the same
+        # energy: each other change is reported
+        same_start = starts[0] == starts[1]
+        numeric = DIAGNOSTICS_NUMERIC if same_start else ("energy",)
+        problems, worst = compare_rows([a], [b], [k for k in names if k not in numeric],
+                                       [k for k in names if k in numeric])
+        if not same_start:
+            info, problems = [f"start: {starts[0]!r} -> {starts[1]!r}", *problems], []
         notes_a = notes_b = None
-        problems, worst = compare_rows(
-            [a], [b], [k for k in names if k not in DIAGNOSTICS_NUMERIC],
-            [k for k in names if k in DIAGNOSTICS_NUMERIC])
         what = "solver counts"
     elif rel.name in POTENTIAL_FILES:
         a, b = read_csv(old), read_csv(new)
@@ -123,9 +134,9 @@ def compare_file(rel: Path, old: Path, new: Path) -> bool:
         what = "rows and flags"
     ok = not problems and all(v <= LIMIT for v in worst.values())
     diffs = " ".join(f"{col}={v:.2e}" for col, v in worst.items())
-    print(f"{'ok  ' if ok else 'FAIL'} {rel}: {what} {'equal' if not problems else 'differ'}; "
-          f"max rel diff {diffs}")
-    for p in problems[:10]:
+    verdict = "differ" if problems else "reported" if info else "equal"
+    print(f"{'ok  ' if ok else 'FAIL'} {rel}: {what} {verdict}; max rel diff {diffs}")
+    for p in problems[:10] + info:
         print(f"     {p}")
     if notes_a != notes_b:
         print("     notes differ (informational):")

@@ -348,12 +348,11 @@ def ball_masses(mu: MeasureData, center, radii) -> np.ndarray:
     taken once, the density integrated by ``disk_integrals``."""
     if min(radii) <= 0:
         raise DataError("ball_mass needs a positive radius")
-    cx, cy = center
-    atoms = [((x - cx) ** 2 + (y - cy) ** 2, abs(m)) for x, y, m in mu.atoms]
-    out = np.array([
-        sum(m for d2, m in atoms if _in_closed_ball(d2, radius))
-        for radius in radii
-    ], dtype=float)
+    out = np.zeros(len(radii))
+    if mu.atoms:  # the obstacle measure has none
+        cx, cy = center
+        atoms = [((x - cx) ** 2 + (y - cy) ** 2, abs(m)) for x, y, m in mu.atoms]
+        out[:] = [sum(m for d2, m in atoms if _in_closed_ball(d2, radius)) for radius in radii]
     if mu.density is not None:
         out += disk_integrals(mu.density, center, radii)
     return out

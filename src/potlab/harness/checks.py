@@ -230,13 +230,21 @@ def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
     return u1.with_values(np.hypot(g1x.values - g2x.values, g1y.values - g2y.values))
 
 
+def _warm_start(cache: SolveCache, inst: Instance, solution):
+    """The warm start of ``inst``'s solve: ``solution(cache, inst.coarse)``'s
+    iterate on the mesh n/2, None (a flat start) without a coarse cell."""
+    return None if inst.coarse is None else solution(cache, inst.coarse).u
+
+
 def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: one solve on the measure mollified at
     the finest level its mesh resolves, ``finest_level(inst.grid)`` (atoms
-    become bumps, a density passes unchanged, the zero measure is f = 0)."""
+    become bumps, a density passes unchanged, the zero measure is f = 0),
+    started from the coarse cell's."""
     def solve():
         rhs = mollify_measure(inst.measure, finest_level(inst.grid), inst.grid)
-        return solve_vi(inst.problem(rhs=rhs), inst.solver)
+        return solve_vi(inst.problem(rhs=rhs), inst.solver,
+                        warm_start=_warm_start(cache, inst, primary_solution))
     return cache.get((inst.key, "vi"), solve)
 
 
@@ -637,13 +645,20 @@ def _homogeneous_config(cfg: ExperimentConfig) -> ExperimentConfig:
 _DECAY_BALL = ((0.38, 0.31), 0.28)
 
 
+def _homogeneous_solution(cache: SolveCache, inst: Instance) -> Solution:
+    """The equation solve of ``inst``, an instance of ``_homogeneous_config``,
+    started from the coarse cell's."""
+    return cache.get((inst.key, "eq"), lambda: solve_equation(
+        inst.problem(), inst.solver,
+        warm_start=_warm_start(cache, inst, _homogeneous_solution)))
+
+
 def _homogeneous_fit(cache, inst: Instance):
     """Excess-decay fit of ``inst``, an instance of ``_homogeneous_config``,
     on ``_DECAY_BALL``: (radii, beta_hat, prefactor, residual, excess
     values)."""
     center, R = _DECAY_BALL
-    sol = cache.get((inst.key, "eq"), lambda: solve_equation(inst.problem(), inst.solver))
-    gx, gy, _ = grad_fields(sol.u)
+    gx, gy, _ = grad_fields(_homogeneous_solution(cache, inst).u)
     radii = radius_ladder(max(6 * inst.grid.h, R / 8), R, 16)
     return (radii, *fit_excess_decay(gx, gy, center, radii))
 

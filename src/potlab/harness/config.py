@@ -10,7 +10,9 @@ keyword parameter of that builder, typed against the parameter's
 default.  [sweep] lists each ``SWEEP_AXES`` value a run crosses once, with
 no defaults: n, the meshes, is required, and a check holds an axis it does
 not cross at its first value.  Each mesh solves the finest mollification
-level it resolves (``solver.finest_level``).  [checks] holds ``run`` and
+level it resolves (``solver.finest_level``), starting from the same
+cell's solution on the mesh n/2 when the sweep lists it: the mesh sweep
+is the continuation.  [checks] holds ``run`` and
 ``points``; each check's ball is a constant next to it.
 ``build_instance`` realizes the config at one mesh with optional data
 scalings, producing the immutable bundle the checks and the CLI consume;
@@ -338,7 +340,9 @@ def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
 
 @dataclass
 class Instance:
-    """A config realized at one mesh: everything a solve or a check needs."""
+    """A config realized at one mesh: everything a solve or a check needs.
+    ``coarse`` is the same cell on the mesh n/2 when [sweep] n lists it:
+    the checks start this cell's solves from that cell's cached solutions."""
 
     grid: Grid2D
     growth: GrowthFunction
@@ -348,6 +352,7 @@ class Instance:
     boundary: GridFunction
     solver: SolverConfig
     key: tuple  # names the inputs of every field above; see build_instance
+    coarse: Instance | None = None
 
     def problem(self, rhs=None) -> ObstacleProblem:
         """The instance's obstacle problem with right side ``rhs``, no data
@@ -364,11 +369,14 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
 
     ``data_scale`` multiplies boundary, obstacle, and measure together
     (the full-data scaling); ``rhs_scale`` multiplies the measure only.
-    The key holds what realizes the instance and nothing else: the mesh,
-    both scales, the problem sections (with the amplitude applied), the
-    directory their files are read from and the solver settings; never
-    ``check_params`` or the sweep, so checks that sample differently
-    share every solve.
+    The instance links to ``coarse``, the same cell built on the mesh n/2,
+    when [sweep] n lists that mesh.  The key holds what realizes the
+    instance and its solves and nothing else: the mesh, both scales, the
+    problem sections (with the amplitude applied), the directory their
+    files are read from, the solver settings and last the coarse cell's
+    key (None without one), as a solve starts from that cell's solution;
+    never ``check_params`` or the other axes, so checks that sample
+    differently share every solve.
     """
     grid = Grid2D(int(n))
     growth = build_growth(cfg)
@@ -383,9 +391,14 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
     boundary = _on_grid("boundary", _realize(cfg, "boundary", BOUNDARY_PRESETS, cfg.boundary,
                                              "zero", growth=growth, measure=measure),
                         grid, data_scale)
+    coarse = None
+    if grid.n % 2 == 0 and grid.n // 2 in cfg.sweep.get("n", ()):
+        coarse = build_instance(cfg, grid.n // 2, data_scale=data_scale, rhs_scale=rhs_scale,
+                                amplitude=amplitude)
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
     key = (grid.n, float(data_scale), float(rhs_scale),
-           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver)
+           *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver,
+           None if coarse is None else coarse.key)
     return Instance(
         grid=grid,
         growth=growth,
@@ -395,6 +408,7 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
         boundary=boundary,
         solver=cfg.solver,
         key=key,
+        coarse=coarse,
     )
 
 

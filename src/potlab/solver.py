@@ -32,11 +32,14 @@ within an iteration cap, or meets nonpositive curvature or a non-finite
 value), factors the Hessian afresh, and after a miss the level factors
 every step.  The step is searched along the projected path
 max(u + t d, psi), halving t until the Armijo condition holds, so every
-accepted step decreases the energy.  On meshes with even n and
-n/2 >= 32 the start is first replaced by the solution of the same problem
-on Grid2D(n/2) (2x2 block means of start, obstacle and data), prolonged
-bilinearly; this coarse-to-fine continuation keeps the Newton step count
-nearly flat in n.  The solver
+accepted step decreases the energy.  A warm start on the problem's mesh
+is polished as it is; one on Grid2D(n/2), such as the solution of the
+same cell one mesh coarser, is prolonged bilinearly onto the free nodes
+(the pinned ones reset, the obstacle projected) and then polished.  Only a
+flat start, on meshes with even n and n/2 >= 32, is first replaced by the
+solution of the same problem on Grid2D(n/2) (2x2 block means of start,
+obstacle and data), prolonged the same way; this coarse-to-fine
+continuation keeps the Newton step count nearly flat in n.  The solver
 converges when the projected residual satisfies both  h * ||pr||_2 <= tol
 and  max |pr| <= 10 tol,  so the reported complementarity bound holds by
 construction.  ``Solution.stop_reason`` says why a solve stopped, and
@@ -352,23 +355,28 @@ def _prolong(c):
     return axis0(axis0(c).T).T
 
 
+def _prolonged(coarse, start, psi, free):
+    """A start from values on Grid2D(n/2): ``coarse`` prolonged on the free
+    nodes, ``start`` on the pinned ones, the obstacle projected."""
+    u = np.where(free, _prolong(coarse), start)
+    u[free] = np.maximum(u[free], psi[free])
+    return u
+
+
 def _coarse_start(grid, growth, omega_cells, f, start, psi, free, cfg):
-    """Warm start from the same problem solved on Grid2D(n/2), prolonged,
-    with the pinned nodes reset and the obstacle projected, and the coarse
-    Solution; None when no 2x2 block is entirely free.  The coarse solve
-    need not converge."""
+    """Warm start from the same problem solved on Grid2D(n/2), prolonged by
+    `_prolonged`, and the coarse Solution; None when no 2x2 block is
+    entirely free.  The coarse solve need not converge."""
     coarse_free = _block_mean(free.astype(float)) == 1.0
     if not coarse_free.any():
         return None
     coarse = Grid2D(grid.n // 2)
     sol = _minimize(coarse, growth, omega_cells[1::2, 1::2], _block_mean(f),
-                    _block_mean(start), _block_mean(psi), coarse_free, cfg)
-    u = np.where(free, _prolong(sol.u.values), start)
-    u[free] = np.maximum(u[free], psi[free])
-    return u, sol
+                    _block_mean(start), _block_mean(psi), coarse_free, cfg, True)
+    return _prolonged(sol.u.values, start, psi, free), sol
 
 
-def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
+def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
     h = grid.h
     h2 = h * h
     inv2h, eps2 = 0.5 / h, cfg.epsilon**2
@@ -388,7 +396,8 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg):
 
     E, resid = objective(u)
     factorizations = krylov = lu_nnz = 0
-    if grid.n % 2 == 0 and grid.n // 2 >= _COARSEST and not stationary(u, resid)[1]:
+    if (cascade and grid.n % 2 == 0 and grid.n // 2 >= _COARSEST
+            and not stationary(u, resid)[1]):
         warm = _coarse_start(grid, growth, omega_cells, f, u, psi, free, cfg)
         if warm is not None:
             u, coarse = warm
@@ -489,16 +498,22 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Soluti
     if not free.any():
         raise DataError("no free nodes to solve for")
     start = prob.boundary if warm_start is None else warm_start
-    if start.grid != grid:
-        raise GridMismatchError(
-            f"warm start on Grid2D(n={start.grid.n}) for a problem on Grid2D(n={grid.n})"
-        )
     # pinned nodes come from the trace donor and are never touched
-    start = np.where(free, start.values, prob.boundary.values)
-    if np.any(start[~free] < psi[~free] - 1e-12):
+    trace = prob.boundary.values
+    if start.grid == grid:
+        start = np.where(free, start.values, trace)
+    elif 2 * start.grid.n == grid.n:
+        start = _prolonged(start.values, trace, psi, free)
+    else:
+        raise GridMismatchError(
+            f"warm start on Grid2D(n={start.grid.n}) for a problem on Grid2D(n={grid.n}), "
+            f"not on that mesh or the one half as fine"
+        )
+    if np.any(trace[~free] < psi[~free] - 1e-12):
         raise DataError("trace donor lies below the obstacle on pinned nodes")
+    # only a flat start runs the coarse cascade: a warm start is already close
     sol = _minimize(grid, prob.field.growth, prob.field.coefficient.on_cells(grid),
-                    f, start, psi, free, cfg)
+                    f, start, psi, free, cfg, warm_start is None)
     if not sol.converged:
         raise IterationLimitError(
             f"stopped by {sol.stop_reason} after {sol.iterations} iterations "

@@ -72,13 +72,14 @@ DIAGNOSTICS = ("iterations 5\nenergy {energy:.12g}\ncomplementarity 3.1e-10\nres
                "factorizations {factorizations}\nkrylov_iterations 37\nlu_nnz 390080\n")
 
 
-def run_diagnostics(tmp_path, energy=ENERGY, factorizations=7) -> int:
-    """Compare trees that also hold a `potlab solve` diagnostics file."""
+def run_diagnostics(tmp_path, energy=ENERGY, factorizations=7, start=None) -> int:
+    """Compare trees that also hold a `potlab solve` diagnostics file; the
+    new one with a `start` line when ``start`` is given."""
     old = write_tree(tmp_path / "old")
     new = write_tree(tmp_path / "new")
-    for root, e, k in ((old, ENERGY, 7), (new, energy, factorizations)):
+    for root, e, k, s in ((old, ENERGY, 7, None), (new, energy, factorizations, start)):
         (root / "dirac" / "diagnostics.txt").write_text(
-            DIAGNOSTICS.format(energy=e, factorizations=k))
+            ("" if s is None else f"start {s}\n") + DIAGNOSTICS.format(energy=e, factorizations=k))
     return compare_reports.main(["compare_reports.py", str(old), str(new)])
 
 
@@ -94,6 +95,24 @@ def test_energy_within_the_limit_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ok   dirac/diagnostics.txt: solver counts equal" in out
     assert out.endswith("2 of 3 files byte-identical\nreports agree\n")
+
+
+def test_a_flat_start_line_is_a_file_without_one(tmp_path, capsys):
+    assert run_diagnostics(tmp_path, start="flat", factorizations=8) == 1
+    assert "factorizations: '7' -> '8'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("energy, code", [(ENERGY, 0), (ENERGY * (1 + 1e-5), 1)])
+def test_another_start_reports_its_counts_and_compares_the_energy(tmp_path, capsys, energy,
+                                                                  code):
+    # a solve from the coarse cell takes fewer steps to the same energy
+    assert run_diagnostics(tmp_path, energy, factorizations=3, start="n=64") == code
+    lines = capsys.readouterr().out.splitlines()
+    verdict = "ok  " if code == 0 else "FAIL"
+    assert lines[1].startswith(f"{verdict} dirac/diagnostics.txt: solver counts reported; "
+                               f"max rel diff energy=")
+    assert lines[2:4] == ["     start: 'flat' -> 'n=64'",
+                          "     row 1 factorizations: '7' -> '3'"]
 
 
 VALUE = 2.41365120982

@@ -894,6 +894,8 @@ def test_cli_solve_writes_artifacts(tiny_config, tmp_path):
     assert (out / "solution.txt").exists()
     diag = dict(line.split() for line in (out / "diagnostics.txt").read_text().splitlines())
     assert "complementarity" in diag
+    # [sweep] n = 24, 32 lists no n = 16 cell to start from
+    assert diag["start"] == "flat"
     # p = 2 on one level: one Newton step, one factorization, no CG
     assert diag["factorizations"] == diag["iterations"] == "1"
     assert diag["krylov_iterations"] == "0"
@@ -910,6 +912,22 @@ def test_cli_solve_writes_the_mollification_level(tmp_path):
     diag = dict(line.split() for line in (tmp_path / "s" / "diagnostics.txt").read_text()
                 .splitlines())
     assert diag["mollification_level"] == "8"
+
+
+def test_cli_solve_counts_the_finest_cell_alone(tmp_path):
+    # [sweep] n = 32, 64: the n = 64 cell starts from the n = 32 one, whose
+    # factorizations are its own
+    path = tmp_path / "dirac.ini"
+    path.write_text(DIRAC.replace("[sweep]\nn = 48", "[sweep]\nn = 32, 64"))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    diag = dict(line.split() for line in (tmp_path / "s" / "diagnostics.txt").read_text()
+                .splitlines())
+    assert diag["start"] == "n=32"
+    fine = build_instance(load_config(path), 64)
+    sol = checks.primary_solution(SolveCache(), fine)
+    assert diag["factorizations"] == str(sol.factorizations)
+    assert sol.factorizations < checks.primary_solution(
+        SolveCache(), replace(fine, coarse=None)).factorizations
 
 
 def test_cli_solve_infeasible_exits_one(tmp_path):
@@ -1477,6 +1495,58 @@ def test_instances_and_primary_solves_read_no_config():
     for fn in (checks.primary_solution, checks.primary_context):
         assert "cfg" not in inspect.signature(fn).parameters
     assert SWEEP_AXES == ("n", "scale", "amplitude")
+
+
+def _dirac_sweep(tmp_path, meshes: str):
+    path = tmp_path / f"dirac_{meshes.replace(', ', '_')}.ini"
+    path.write_text(DIRAC.replace("n = 48", f"n = {meshes}"))
+    return load_config(path)
+
+
+def test_a_cell_starts_from_the_cached_solution_one_mesh_coarser(tmp_path, monkeypatch):
+    # [sweep] n = 32, 64: the n = 64 primary and equation solves each start
+    # from the n = 32 cell's cached solution, which is solved once
+    cfg = _dirac_sweep(tmp_path, "32, 64")
+    starts = []
+    for name in ("solve_vi", "solve_equation"):
+        def recording(prob, solver, fn=getattr(checks, name), **kw):
+            starts.append((prob.grid.n, kw.get("warm_start")))
+            return fn(prob, solver, **kw)
+        monkeypatch.setattr(checks, name, recording)
+    (_, coarse), (_, fine) = cells(cfg)
+    assert coarse.coarse is None and fine.coarse.key == coarse.key
+    hcfg = checks._homogeneous_config(cfg)
+    cache = SolveCache()
+    checks.primary_solution(cache, fine)
+    checks._homogeneous_solution(cache, build_instance(hcfg, 64))
+    assert cache.misses == 4
+    assert [n for n, _ in starts] == [32, 64, 32, 64]
+    assert starts[0][1] is None and starts[2][1] is None
+    assert starts[1][1] is checks.primary_solution(cache, coarse).u
+    assert starts[3][1] is checks._homogeneous_solution(cache, build_instance(hcfg, 32)).u
+    # the n = 32 cells found their solves in the cache
+    assert (cache.misses, len(starts)) == (4, 4)
+
+
+def test_a_sweep_without_the_half_mesh_links_no_coarse_cell(tmp_path):
+    linked = build_instance(_dirac_sweep(tmp_path, "32, 64"), 64)
+    alone = build_instance(_dirac_sweep(tmp_path, "48, 64"), 64)
+    assert alone.coarse is None and linked.coarse.grid.n == 32
+    # the link is the key's last entry, the only one that differs
+    assert alone.key != linked.key and alone.key[:-1] == linked.key[:-1]
+
+
+def test_the_sweep_order_does_not_change_a_cell(tmp_path):
+    # n = 64, 32 solves the n = 32 cell first, for the n = 64 cell's start,
+    # and finds it in the cache when its own turn comes
+    solved = []
+    for meshes in ("32, 64", "64, 32"):
+        cache = SolveCache()
+        solved.append({n: checks.primary_solution(cache, inst).u.values
+                       for n, inst in cells(_dirac_sweep(tmp_path, meshes))})
+        assert cache.misses == 2
+    for n in (32, 64):
+        assert np.array_equal(solved[0][n], solved[1][n])
 
 
 def test_report_rhs_floor_flagging():

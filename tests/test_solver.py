@@ -299,6 +299,49 @@ def _record_levels(monkeypatch, events):
     monkeypatch.setattr(solver, "_lagged_cg", krylov)
 
 
+def _levels(events):
+    return [e for e in events if isinstance(e, solver.Solution)]
+
+
+def test_warm_start_on_the_mesh_half_as_fine_is_prolonged_and_polished(monkeypatch):
+    cfg = SolverConfig(tol=1e-8)
+    flat = solve_vi(_contact_problem(64), cfg)
+    coarse = solve_vi(_contact_problem(32), cfg)
+    events = []
+    _record_levels(monkeypatch, events)
+    warm = solve_vi(_contact_problem(64), cfg, warm_start=coarse.u)
+    # one level, on the problem's own mesh: the coarse solve is the start
+    assert [s.u.grid for s in _levels(events)] == [Grid2D(64)]
+    assert np.abs(warm.u.values - flat.u.values).max() <= cfg.tol
+    assert warm.factorizations < flat.factorizations
+
+
+def test_warm_start_on_the_problem_mesh_runs_no_coarse_level(monkeypatch):
+    # the flat start's own values, passed as a warm start, skip the cascade
+    prob = _contact_problem(64)
+    events = []
+    _record_levels(monkeypatch, events)
+    sol = solve_vi(prob, CFG, warm_start=prob.boundary)
+    assert sol.converged
+    assert [s.u.grid for s in _levels(events)] == [Grid2D(64)]
+
+
+def test_warm_start_on_a_quarter_mesh_is_refused():
+    with pytest.raises(GridMismatchError, match=r"Grid2D\(n=16\).*Grid2D\(n=64\)"):
+        solve_vi(_contact_problem(64), CFG, warm_start=GridFunction.constant(Grid2D(16), 0.0))
+
+
+def test_flat_start_keeps_its_coarse_cascade(monkeypatch):
+    # n = 128 from a flat start: the n = 32 and n = 64 levels, then its own,
+    # with the step and linear-algebra counts of the solver before warm
+    # starts across meshes
+    events = []
+    _record_levels(monkeypatch, events)
+    sol = solve_vi(_contact_problem(128), CFG)
+    assert [s.u.grid.n for s in _levels(events)] == [32, 64, 128]
+    assert (sol.iterations, sol.factorizations, sol.krylov_iterations) == (5, 10, 49)
+
+
 def test_lagged_lu_saves_factorizations(monkeypatch):
     levels = []
     _record_levels(monkeypatch, levels)
