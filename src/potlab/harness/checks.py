@@ -456,8 +456,46 @@ _COMPARISON_BALL = ((0.5, 0.5), 0.25)
 _COMPARISON_OFF_BALL = ((0.78, 0.5), 0.1)
 
 
+def comparison_w1(cache: SolveCache, inst: Instance, ball) -> Solution:
+    """w1 on ``ball``, the homogeneous obstacle problem with the instance's
+    own solution as its trace: every check that compares on the ball reads it."""
+    sol = primary_solution(cache, inst)
+    return cache.get((inst.key, "w1", ball), lambda: solve_vi(
+        replace(inst.problem(), boundary=sol.u), inst.solver, ball=ball, warm_start=sol.u))
+
+
+def _inhomogeneity_row(study: RatioStudy, cache: SolveCache, inst: Instance, ball,
+                       data: float, **row) -> CheckRow:
+    """Record avg_B|Du - Dw1| on ``ball`` against the data term ``data``;
+    ``row`` holds ``RatioStudy.add``'s cell, family and tag."""
+    x, R = ball
+    lhs = ball_average(grad_distance_field(primary_solution(cache, inst).u,
+                                           comparison_w1(cache, inst, ball).u), x, R)
+    return study.add(x, R, lhs, data, exact_tol=10 * inst.solver.tol, **row)
+
+
+def _frozen_row(study: RatioStudy, ctx: EstimateContext, w1: Solution, w2: Solution,
+                ball, **row) -> CheckRow:
+    """Record avg_{B_r}|Dw1 - Dw2| on ``ball`` = B_r, w2 frozen on it, against
+    omega(r)^(1/(1+sg)) {avg_{B_2r}|Dw1| + G^{-1}[avg(G|Dpsi| + G|psi|)]},
+    or against 0 (an exact match) when omega is one value on all the frozen
+    solve reads: the ball's nodes (its mean) and each cell with a free
+    corner (its energy)."""
+    inst = ctx.inst
+    x, r = ball
+    coef = inst.field.coefficient
+    free = _ball_free_mask(inst.grid, ball)
+    read_cells = free[:-1, :-1] | free[1:, :-1] | free[:-1, 1:] | free[1:, 1:]
+    read = np.concatenate([coef.on_nodes(inst.grid)[ball_nodes(inst.grid, x, r)],
+                           coef.on_cells(inst.grid)[read_cells]])
+    lhs = ball_average(grad_distance_field(w1.u, w2.u), x, r)
+    rhs = 0.0 if np.ptp(read) <= 1e-12 else coefficient_error_term(
+        ctx, grad_fields(w1.u)[2], x, r, 2 * r)
+    return study.add(x, r, lhs, rhs, exact_tol=10 * inst.solver.tol, **row)
+
+
 def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
-    """Inhomogeneous-vs-homogeneous comparison: avg_{B_R}|Du - Dw| against
+    """Inhomogeneous-vs-homogeneous comparison: avg_{B_R}|Du - Dw1| against
     (R avg|f|)^(1/ig), or the (mass/R^{n-1})^(1/ig) form for measures."""
     center, R = _COMPARISON_BALL
     study = RatioStudy()
@@ -466,36 +504,17 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
         if inst.measure.is_empty():
             study.add(center, R, 0.0, 0.0)
             skipped = True
-            continue
-        # atoms make the primary solution a mollification limit, whose
-        # bound is the measure form
-        measure_form = bool(inst.measure.atoms)
-        sol = primary_solution(cache, inst)
-        w = _homogeneous_ball(cache, inst, sol, (center, R))
-        lhs = ball_average(grad_distance_field(sol.u, w.u), center, R)
-        if measure_form:
-            rhs = measure_error_term(inst, center, R)
+        elif inst.measure.atoms:
+            # atoms make the primary solution a mollification limit, whose
+            # bound is the measure form
+            for ball, ball_cell in ((_COMPARISON_BALL, cell), (_COMPARISON_OFF_BALL, None)):
+                _inhomogeneity_row(study, cache, inst, ball,
+                                   measure_error_term(inst, *ball), cell=ball_cell)
         else:
-            rhs = _g_inverse(inst, R * ball_average(inst.measure.density, center, R))
-        study.add(center, R, lhs, rhs, exact_tol=10 * inst.solver.tol, cell=cell)
-        if measure_form:
-            off, r_off = _COMPARISON_OFF_BALL
-            w_off = _homogeneous_ball(cache, inst, sol, (off, r_off))
-            lhs_off = ball_average(grad_distance_field(sol.u, w_off.u), off, r_off)
-            study.add(off, r_off, lhs_off, measure_error_term(inst, off, r_off),
-                      exact_tol=10 * inst.solver.tol)
+            data = _g_inverse(inst, R * ball_average(inst.measure.density, center, R))
+            _inhomogeneity_row(study, cache, inst, _COMPARISON_BALL, data, cell=cell)
     return study.report("comparison_inhomogeneous",
                         notes=["no right-hand data; check skipped"] if skipped else [])
-
-
-def _homogeneous_ball(cache: SolveCache, inst: Instance, sol: Solution, ball) -> Solution:
-    """The homogeneous obstacle problem on the ball with the primary
-    solution ``sol`` as its trace."""
-    return cache.get(
-        (inst.key, "homog-ball", ball),
-        lambda: solve_vi(replace(inst.problem(), boundary=sol.u),
-                         inst.solver, ball=ball, warm_start=sol.u),
-    )
 
 
 # the frozen comparison's ball, and a ball beside it that belongs to no cell
@@ -504,32 +523,16 @@ _FROZEN_SIDE_BALL = ((0.33, 0.5), 0.15)
 
 
 def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
-    """Frozen-coefficient comparison: avg_{B_R}|Du - Dw| against
-    omega(R)^(1/(1+sg)) {avg_{B_2R}|Du| + G^{-1}[avg(G|Dpsi| + G|psi|)]}."""
+    """Frozen-coefficient comparison on each ball B_R: w1(B_R) against w2,
+    the frozen solve of w1(B_R) on the same ball, by ``_frozen_row``."""
     study = RatioStudy()
     for cell, inst in cells(cfg, "amplitude"):
-        sol = primary_solution(cache, inst)
         ctx = primary_context(cache, inst, 2 * _FROZEN_BALL[1])
-        coef = inst.field.coefficient
-        om_nodes, om_cells = coef.on_nodes(inst.grid), coef.on_cells(inst.grid)
         for ball, ball_cell in ((_FROZEN_BALL, cell), (_FROZEN_SIDE_BALL, None)):
-            x, R = ball
-            w = cache.get(
-                (inst.key, "frozen", ball),
-                lambda: solve_frozen(replace(inst.problem(), boundary=sol.u),
-                                     ball, inst.solver, warm_start=sol.u),
-            )
-            lhs = ball_average(grad_distance_field(sol.u, w.u), x, R)
-            # a ball the coefficient is constant on: freezing is a no-op and
-            # the left side must sit at solver tolerance.  Constancy is
-            # decided on every omega the frozen solve reads: the ball's nodes
-            # (its mean) and each cell with a free corner (its energy)
-            free = _ball_free_mask(inst.grid, ball)
-            read_cells = free[:-1, :-1] | free[1:, :-1] | free[:-1, 1:] | free[1:, 1:]
-            read = np.concatenate([om_nodes[ball_nodes(inst.grid, x, R)], om_cells[read_cells]])
-            rhs = 0.0 if np.ptp(read) <= 1e-12 else coefficient_error_term(
-                ctx, ctx.du_mag, x, R, 2 * R)
-            study.add(x, R, lhs, rhs, exact_tol=10 * inst.solver.tol, cell=ball_cell)
+            w1 = comparison_w1(cache, inst, ball)
+            w2 = cache.get((inst.key, "w2", ball), lambda: solve_frozen(
+                replace(inst.problem(), boundary=w1.u), ball, inst.solver, warm_start=w1.u))
+            _frozen_row(study, ctx, w1, w2, ball, cell=ball_cell)
     return study.report("frozen_coefficient")
 
 
@@ -698,15 +701,12 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
     study = RatioStudy()
     notes: list[str] = []
     for (n, inst), (_, hinst) in zip(cells(cfg), cells(_homogeneous_config(cfg))):
-        sol = primary_solution(cache, inst)
         ctx = primary_context(cache, inst, 2 * R)
         beta_hat = _homogeneous_fit(cache, hinst)[1]
-        chain = cache.get(
-            (inst.key, "chain", (center, R)),
-            lambda: comparison_chain(inst.problem(), (center, R),
-                                     inst.solver, outer=sol),
-        )
-        stages = _chain_stage_rows(study, inst, ctx, chain, sol, center, R)
+        w1 = comparison_w1(cache, inst, _ERRORS_BALL)
+        chain = cache.get((inst.key, "chain", _ERRORS_BALL), lambda: comparison_chain(
+            inst.problem(), _ERRORS_BALL, inst.solver, w1=w1))
+        stages = _chain_stage_rows(study, cache, n, ctx, chain, center, R)
         notes.append(
             f"n={n} chain stage ratios: "
             + " ".join(
@@ -723,23 +723,19 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
     return study.report("excess_decay_with_errors", notes=notes)
 
 
-def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
-                      chain, sol, center, R: float) -> list[CheckRow]:
-    """Record one row per comparison-chain stage, each against the bound
-    shape that controls it: the measure term for the inhomogeneity removal,
-    the coefficient modulus for the freezing step, and the obstacle flux
-    for the two equation transitions."""
-    tol = 10 * inst.solver.tol
+def _chain_stage_rows(study: RatioStudy, cache: SolveCache, cell, ctx: EstimateContext,
+                      chain, center, R: float) -> list[CheckRow]:
+    """Record one row per comparison-chain stage in ``cell``, each stage its
+    own family: the inhomogeneity and frozen rows, then the obstacle flux
+    against the two equation transitions."""
+    inst = ctx.inst
     half = R / 2.0
-    out = []
-    # inhomogeneity removal
-    lhs1 = ball_average(grad_distance_field(sol.u, chain.w1.u), center, R)
-    rhs1 = measure_error_term(inst, center, R)
-    out.append(study.add(center, R, lhs1, rhs1, exact_tol=tol, tag="chain-w1"))
-    # coefficient freezing
-    lhs2 = ball_average(grad_distance_field(chain.w1.u, chain.w2.u), center, half)
-    rhs2 = coefficient_error_term(ctx, grad_fields(chain.w1.u)[2], center, half, R)
-    out.append(study.add(center, half, lhs2, rhs2, exact_tol=tol, tag="chain-w2"))
+    out = [
+        _inhomogeneity_row(study, cache, inst, (center, R), measure_error_term(inst, center, R),
+                           cell=cell, family="chain-w1", tag="chain-w1"),
+        _frozen_row(study, ctx, chain.w1, chain.w2, (center, half),
+                    cell=cell, family="chain-w2", tag="chain-w2"),
+    ]
     # obstacle-flux transitions: both gaps are controlled by
     # (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
     flux = chain.obstacle_flux
@@ -747,7 +743,8 @@ def _chain_stage_rows(study: RatioStudy, inst: Instance, ctx: EstimateContext,
     rhs34 = _g_inverse(inst, half * ball_average(flux_field, center, half))
     for label, a, b in (("chain-w3", chain.w2, chain.w3), ("chain-w4", chain.w3, chain.w4)):
         lhs = ball_average(grad_distance_field(a.u, b.u), center, half)
-        out.append(study.add(center, half, lhs, rhs34, exact_tol=tol, tag=label))
+        out.append(study.add(center, half, lhs, rhs34, exact_tol=10 * inst.solver.tol,
+                             cell=cell, family=label, tag=label))
     return out
 
 

@@ -49,7 +49,8 @@ algebra of all its levels.
 Ball-restricted solves free the ball's ``ball_nodes`` and pin every other
 node to the trace donor, realizing "w = u on the ball boundary" without a
 second mesh; a frozen solve is the ball solve of ``frozen_problem``; the
-comparison chain builds its frozen problem once and solves w2-w4 on it.
+comparison chain takes w1 solved, builds its frozen problem once and
+solves w2-w4 on it.
 """
 
 from __future__ import annotations
@@ -658,13 +659,13 @@ class ComparisonChain:
 
 
 def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = None, *,
-                     outer: Solution | GridFunction) -> ComparisonChain:
+                     w1: Solution) -> ComparisonChain:
+    """The chain on ``ball`` from its solved first stage ``w1``."""
     center, radius = ball
     grid = prob.grid
     if not grid.contains_ball(center, 2 * radius):
         raise DomainError("comparison chain needs the doubled ball inside the domain")
     cfg = cfg or SolverConfig()
-    donor = outer.u if isinstance(outer, Solution) else outer
     half = (center, radius / 2.0)
 
     def stage(name, fn):
@@ -673,9 +674,6 @@ def comparison_chain(prob: ObstacleProblem, ball, cfg: SolverConfig | None = Non
         except (IterationLimitError, DataError, DomainError) as exc:
             raise ChainError(name, exc) from exc
 
-    w1 = stage("w1", lambda: solve_vi(
-        replace(prob, boundary=donor, rhs=None), cfg, ball=ball, warm_start=donor
-    ))
     # the frozen problem on B_{R/2} with trace w1, built once for w2-w4
     def frozen_w2():
         frozen = frozen_problem(replace(prob, boundary=w1.u, rhs=None), half)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from potlab import solver
 from potlab.errors import DataError, DomainError
 from potlab.field import COEFFICIENT_PRESETS, VectorField
 from potlab.grid import (
@@ -306,7 +307,7 @@ NO_DATA = ExperimentConfig(coefficient={"preset": "jump", "amplitude": 0.3},
 def no_data_solved():
     cache = SolveCache()
     inst = build_instance(NO_DATA, 32)
-    return checks.primary_solution(cache, inst), checks.primary_context(cache, inst, 0.3)
+    return cache, checks.primary_context(cache, inst, 0.3)
 
 
 def test_absent_data_adds_zero_to_every_estimate(no_data_solved):
@@ -333,18 +334,19 @@ def test_absent_data_adds_zero_to_every_estimate(no_data_solved):
 
 
 def test_chain_without_an_obstacle_has_a_zero_flux(no_data_solved):
-    sol, ctx = no_data_solved
+    cache, ctx = no_data_solved
     inst = ctx.inst
     center, R = (0.5, 0.5), 0.2
     half = (center, R / 2)
     prob = inst.problem()
-    chain = comparison_chain(prob, (center, R), inst.solver, outer=sol)
+    w1 = checks.comparison_w1(cache, inst, (center, R))
+    chain = comparison_chain(prob, (center, R), inst.solver, w1=w1)
     assert not chain.obstacle_flux.values.any()
     # w3 is driven by the zero flux: bitwise the frozen solve without data
     w3 = solve_frozen(replace(prob, boundary=chain.w1.u), half, inst.solver,
                       warm_start=chain.w1.u)
     assert np.array_equal(chain.w3.u.values, w3.u.values)
-    rows = checks._chain_stage_rows(RatioStudy(), inst, ctx, chain, sol, center, R)
+    rows = checks._chain_stage_rows(RatioStudy(), cache, 32, ctx, chain, center, R)
     assert rows[0].rhs == 0.0  # no measure: the inhomogeneity term is zero
     assert [r.flag.split()[-1] for r in rows[2:]] == ["chain-w3", "chain-w4"]
     assert all(r.rhs == checks._g_inverse(inst, R / 2) for r in rows[2:])
@@ -776,14 +778,64 @@ def test_frozen_check_sees_a_jump_just_past_the_side_ball(tmp_path, n, position)
     assert rep.passed
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "frozen_coefficient compares u, which carries the [measure] data, with the "
-    "homogeneous frozen solve: on the side ball, where the coefficient is constant, "
-    "the data alone make |Du - Dw| about 6e-2 against a right side of 0, so the row "
-    "is failed; the chain's w1 -> w2 stage compares two homogeneous solves instead"))
 def test_frozen_check_passes_with_data_on_a_constant_ball(tmp_path):
+    # the check freezes w1, not u: the [measure] data part u from w1, so a
+    # frozen solve of u would differ from u on the side ball, where the
+    # coefficient is constant and the right side is 0
     rep = run_checks(_jump_config(tmp_path, 0.5, 64, "\n[measure]\ndensity = 1.0\n"))[0]
     assert rep.passed
+    side = [r for r in rep.rows if r.point == checks._FROZEN_SIDE_BALL[0]]
+    assert len(side) == 2 and all(r.flag == "exact-match" for r in side)
+
+
+def _stage_rows(rep, stage):
+    return [r for r in rep.rows if r.flag.split()[-1:] == [f"chain-{stage}"]]
+
+
+def test_chain_freezes_by_the_frozen_rule(tmp_path):
+    # with the jump at x = 0.75, omega is one value on all that the chain's
+    # frozen solve on the half ball B_0.1(0.58, 0.58) reads, so freezing is
+    # a no-op and each mesh's w2 row must be an exact match, as in
+    # frozen_coefficient
+    path = tmp_path / "jump.ini"
+    path.write_text((CONFIGS / "jump.ini").read_text().replace("position = 0.5", "position = 0.75"))
+    rep = run_checks(load_config(path), names=["excess_decay_with_errors"])[0]
+    w2 = _stage_rows(rep, "w2")
+    assert len(w2) == 2 and all(r.flag == "exact-match chain-w2" for r in w2)
+    assert rep.passed
+
+
+def test_excess_decay_with_errors_solves_one_w1_per_ball(monkeypatch):
+    # the chain reads the cached w1 of its ball, the only solve on that ball
+    balls = []
+    _solve = solver._solve
+
+    def logged(prob, cfg, ball, warm_start):
+        balls.append(ball)
+        return _solve(prob, cfg, ball, warm_start)
+
+    monkeypatch.setattr(solver, "_solve", logged)
+    cfg, cache = load_config(CONFIGS / "dirac.ini"), SolveCache()
+    CHECKS["excess_decay_with_errors"](cfg, cache, np.random.default_rng(0))
+    ball = checks._ERRORS_BALL
+    keys = [inst.key for _, inst in cells(cfg)]
+    assert [(k[0], k[2]) for k in cache._store if k[1] == "w1"] == [(key, ball) for key in keys]
+    for key in keys:
+        assert cache._store[(key, "chain", ball)].w1 is cache._store[(key, "w1", ball)]
+    assert balls.count(ball) == len(keys)
+
+
+def test_excess_decay_with_errors_fails_on_mesh_dependent_chain_bound(monkeypatch):
+    # each chain stage is its own family with one cell per mesh, so a stage
+    # bound off by (n/32)^2 drifts 4x between n = 64 and 128
+    cfg, cache = load_config(CONFIGS / "dirac.ini"), SolveCache()
+    honest = CHECKS["excess_decay_with_errors"](cfg, cache, np.random.default_rng(0))
+    assert honest.passed
+    distance = checks.grad_distance_field
+    monkeypatch.setattr(checks, "grad_distance_field", lambda u1, u2: u1.with_values(
+        distance(u1, u2).values * (u1.grid.n / 32) ** 2))
+    wrong = CHECKS["excess_decay_with_errors"](cfg, cache, np.random.default_rng(0))
+    assert wrong.passed is False
 
 
 def test_cli_verify_deterministic_on_estimates(dirac_config, tmp_path):

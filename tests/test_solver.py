@@ -821,7 +821,9 @@ def test_chain_collapses_without_data():
     bdata = ring_only(g, lambda X, Y: X)
     prob = ObstacleProblem(field=unit_field(2.0), boundary=bdata)
     outer = solve_equation(prob, CFG)
-    chain = comparison_chain(prob, ((0.5, 0.5), 0.2), CFG, outer=outer)
+    ball = ((0.5, 0.5), 0.2)
+    w1 = solve_vi(replace(prob, boundary=outer.u), CFG, ball=ball, warm_start=outer.u)
+    chain = comparison_chain(prob, ball, CFG, w1=w1)
     for stage in (chain.w1, chain.w2, chain.w3, chain.w4):
         assert np.abs(stage.u.values - outer.u.values).max() < 10 * CFG.tol
 
@@ -832,7 +834,9 @@ def test_chain_affine_obstacle_flux_free():
     psi = GridFunction.from_callable(g, lambda X, Y: 0.1 * X - 5.0)
     prob = ObstacleProblem(field=unit_field(3.0), boundary=bdata, obstacle=psi)
     outer = solve_vi(prob, CFG)
-    chain = comparison_chain(prob, ((0.5, 0.5), 0.2), CFG, outer=outer)
+    ball = ((0.5, 0.5), 0.2)
+    w1 = solve_vi(replace(prob, boundary=outer.u), CFG, ball=ball, warm_start=outer.u)
+    chain = comparison_chain(prob, ball, CFG, w1=w1)
     # affine obstacle flux is divergence-free: the driven and homogeneous
     # frozen equations coincide
     assert np.abs(chain.w3.u.values - chain.w4.u.values).max() < 10 * CFG.tol
@@ -850,6 +854,7 @@ def test_chain_freezes_the_coefficient_once(monkeypatch):
     outer = solve_vi(prob, CFG)
     ball = ((0.5, 0.5), 0.2)
     half = ((0.5, 0.5), 0.1)
+    w1 = solve_vi(replace(prob, boundary=outer.u, rhs=None), CFG, ball=ball, warm_start=outer.u)
     calls = []
     on_nodes = CoefficientField.on_nodes
 
@@ -858,10 +863,9 @@ def test_chain_freezes_the_coefficient_once(monkeypatch):
         return on_nodes(self, grid)
 
     monkeypatch.setattr(CoefficientField, "on_nodes", counted)
-    chain = comparison_chain(prob, ball, CFG, outer=outer)
+    chain = comparison_chain(prob, ball, CFG, w1=w1)
     assert len(calls) == 1
     monkeypatch.undo()
-    w1 = solve_vi(replace(prob, boundary=outer.u, rhs=None), CFG, ball=ball, warm_start=outer.u)
     w2 = solve_frozen(replace(prob, boundary=w1.u, rhs=None), half, CFG, warm_start=w1.u)
     frozen = frozen_problem(prob, half).field
     flux = GridFunction(g, apply_operator(g, frozen.growth, frozen.coefficient.on_cells(g),
@@ -876,23 +880,28 @@ def test_chain_freezes_the_coefficient_once(monkeypatch):
 
 
 def test_chain_error_names_stage():
+    # w1 comes solved; freezing the jump on the half ball moves w2 further
+    # than two Newton steps reach at p = 3
     g = Grid2D(48)
-    f = GridFunction.constant(g, 2.0)
-    zero = GridFunction.constant(g, 0.0)
-    prob = ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=f)
+    vf = VectorField(PowerGrowth(3.0), jump_coefficient(0.3, position=0.45))
+    prob = ObstacleProblem(field=vf, boundary=ring_only(g, lambda X, Y: X))
     outer = solve_vi(prob, CFG)
-    bad = SolverConfig(tol=1e-14, max_iter=2)
+    ball = ((0.5, 0.5), 0.2)
+    w1 = solve_vi(replace(prob, boundary=outer.u), CFG, ball=ball, warm_start=outer.u)
+    bad = SolverConfig(tol=CFG.tol, max_iter=2)
     with pytest.raises(ChainError) as info:
-        comparison_chain(prob, ((0.5, 0.5), 0.2), bad, outer=outer)
-    assert info.value.stage == "w1"
+        comparison_chain(prob, ball, bad, w1=w1)
+    assert info.value.stage == "w2"
 
 
 def test_chain_needs_doubled_ball():
     g = Grid2D(48)
     zero = GridFunction.constant(g, 0.0)
     prob = ObstacleProblem(field=unit_field(2.0), boundary=zero)
+    ball = ((0.2, 0.5), 0.15)
+    w1 = solve_vi(prob, CFG, ball=ball)
     with pytest.raises(DomainError):
-        comparison_chain(prob, ((0.2, 0.5), 0.15), CFG, outer=zero)
+        comparison_chain(prob, ball, CFG, w1=w1)
 
 
 def test_ball_solve_requires_containment():
