@@ -707,13 +707,9 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
         chain = cache.get((inst.key, "chain", _ERRORS_BALL), lambda: comparison_chain(
             inst.problem(), _ERRORS_BALL, inst.solver, w1=w1))
         stages = _chain_stage_rows(study, cache, n, ctx, chain, center, R)
-        notes.append(
-            f"n={n} chain stage ratios: "
-            + " ".join(
-                f"{r.flag.split('-')[-1]}={'degenerate' if r.ratio is None else format(r.ratio, '.3g')}"
-                for r in stages
-            )
-        )
+        notes.append(f"n={n} chain stage ratios: " + " ".join(
+            f"{stage}={'degenerate' if r.ratio is None else format(r.ratio, '.3g')}"
+            for stage, r in stages.items()))
         # the ladder ends at R, so its last excess is the decay term's excess_R
         radii = radius_ladder(max(6 * inst.grid.h, R / 10), R, 12)
         excess = [vector_excess(ctx.du_x, ctx.du_y, center, rho) for rho in radii]
@@ -724,27 +720,31 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
 
 
 def _chain_stage_rows(study: RatioStudy, cache: SolveCache, cell, ctx: EstimateContext,
-                      chain, center, R: float) -> list[CheckRow]:
-    """Record one row per comparison-chain stage in ``cell``, each stage its
-    own family: the inhomogeneity and frozen rows, then the obstacle flux
-    against the two equation transitions."""
+                      chain, center, R: float) -> dict[str, CheckRow]:
+    """Record one row per comparison-chain stage in ``cell``, keyed by the
+    stage, each stage its own family ``chain-<stage>``: the inhomogeneity
+    and frozen rows, then the obstacle flux against the two equation
+    transitions."""
     inst = ctx.inst
     half = R / 2.0
-    out = [
-        _inhomogeneity_row(study, cache, inst, (center, R), measure_error_term(inst, center, R),
-                           cell=cell, family="chain-w1", tag="chain-w1"),
-        _frozen_row(study, ctx, chain.w1, chain.w2, (center, half),
-                    cell=cell, family="chain-w2", tag="chain-w2"),
-    ]
+
+    def row(stage):
+        return {"cell": cell, "family": f"chain-{stage}", "tag": f"chain-{stage}"}
+
+    out = {
+        "w1": _inhomogeneity_row(study, cache, inst, (center, R),
+                                 measure_error_term(inst, center, R), **row("w1")),
+        "w2": _frozen_row(study, ctx, chain.w1, chain.w2, (center, half), **row("w2")),
+    }
     # obstacle-flux transitions: both gaps are controlled by
     # (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
     flux = chain.obstacle_flux
     flux_field = flux.with_values(np.abs(flux.values) + 1.0)
     rhs34 = _g_inverse(inst, half * ball_average(flux_field, center, half))
-    for label, a, b in (("chain-w3", chain.w2, chain.w3), ("chain-w4", chain.w3, chain.w4)):
+    for stage, a, b in (("w3", chain.w2, chain.w3), ("w4", chain.w3, chain.w4)):
         lhs = ball_average(grad_distance_field(a.u, b.u), center, half)
-        out.append(study.add(center, half, lhs, rhs34, exact_tol=10 * inst.solver.tol,
-                             cell=cell, family=label, tag=label))
+        out[stage] = study.add(center, half, lhs, rhs34, exact_tol=10 * inst.solver.tol,
+                               **row(stage))
     return out
 
 

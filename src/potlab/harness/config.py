@@ -355,9 +355,9 @@ class Instance:
     coarse: Instance | None = None
 
     def problem(self, rhs=None) -> ObstacleProblem:
-        """The instance's obstacle problem with right side ``rhs``, no data
-        by default: the measure is solved only mollified
-        (``checks.primary_solution``) or as a sequence (``solve_op_sequence``)."""
+        """The instance's obstacle problem with bounded right side ``rhs``,
+        no data by default: the measure enters only mollified, at one level
+        (``checks.primary_solution``) or per level (``solve_op_sequence``)."""
         return ObstacleProblem(field=self.field, boundary=self.boundary,
                                obstacle=self.obstacle, rhs=rhs)
 

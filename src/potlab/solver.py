@@ -46,11 +46,17 @@ construction.  ``Solution.stop_reason`` says why a solve stopped, and
 ``factorizations``, ``krylov_iterations`` and ``lu_nnz`` count the linear
 algebra of all its levels.
 
-Ball-restricted solves free the ball's ``ball_nodes`` and pin every other
-node to the trace donor, realizing "w = u on the ball boundary" without a
-second mesh; a frozen solve is the ball solve of ``frozen_problem``; the
-comparison chain takes w1 solved, builds its frozen problem once and
-solves w2-w4 on it.
+A problem holds bounded data, a grid function.  A measure is solved only
+through its mollifications (Boccardo-Gallouet, J. Funct. Anal. 87, 1989):
+``mollify_measure`` gives the data of one level, and ``solve_op_sequence``
+takes the measure and solves one level after another.
+
+A full solve pins the ring; a ball-restricted solve frees the ball's
+``ball_nodes`` and pins every other node to the trace donor, realizing
+"w = u on the ball boundary" without a second mesh; a solve refuses a
+donor below the obstacle on a node it pins.  A frozen solve is the ball
+solve of ``frozen_problem``; the comparison chain takes w1 solved, builds
+its frozen problem once and solves w2-w4 on it.
 """
 
 from __future__ import annotations
@@ -117,27 +123,28 @@ class SolverConfig:
 
 @dataclass
 class ObstacleProblem:
-    """Problem instance: field, Dirichlet trace, optional obstacle, data.
+    """Problem instance: field, Dirichlet trace, optional obstacle, bounded data.
 
     The trace is a full grid function whose outermost ring (or, for ball
-    solves, everything outside the ball) supplies the pinned values.
+    solves, everything outside the ball) supplies the pinned values; the
+    solve checks them against the obstacle.  The data is a grid function:
+    a measure enters only mollified (`mollify_measure`, `solve_op_sequence`).
     """
 
     field: VectorField
     boundary: GridFunction
     obstacle: GridFunction | None = None
-    rhs: GridFunction | MeasureData | None = None
+    rhs: GridFunction | None = None
 
     def __post_init__(self):
+        if self.rhs is not None and not isinstance(self.rhs, GridFunction):
+            raise DataError(f"rhs must be bounded data on the grid, not "
+                            f"{type(self.rhs).__name__}; mollify a measure with mollify_measure")
         g = self.boundary.grid
         if self.obstacle is not None and self.obstacle.grid != g:
             raise DataError("obstacle and boundary live on different grids")
-        if isinstance(self.rhs, GridFunction) and self.rhs.grid != g:
+        if self.rhs is not None and self.rhs.grid != g:
             raise DataError("rhs and boundary live on different grids")
-        if self.obstacle is not None:
-            ring = g.ring_mask()
-            if np.any(self.boundary.values[ring] < self.obstacle.values[ring] - 1e-12):
-                raise DataError("boundary trace lies below the obstacle")
 
     @property
     def grid(self) -> Grid2D:
@@ -487,20 +494,15 @@ def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
 
 def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Solution:
     grid = prob.grid
-    if isinstance(prob.rhs, MeasureData):
-        raise DataError(
-            "raw measure data cannot be solved directly; mollify it first "
-            "or use solve_op_sequence"
-        )
     # an equation is the obstacle problem with psi = -inf, and no data is f = 0
     psi = np.full((grid.n,) * 2, -np.inf) if prob.obstacle is None else prob.obstacle.values
     f = np.zeros((grid.n,) * 2) if prob.rhs is None else prob.rhs.values
     free = grid.interior_mask() if ball is None else _ball_free_mask(grid, ball)
-    if not free.any():
-        raise DataError("no free nodes to solve for")
-    start = prob.boundary if warm_start is None else warm_start
     # pinned nodes come from the trace donor and are never touched
     trace = prob.boundary.values
+    if np.any(trace[~free] < psi[~free] - 1e-12):
+        raise DataError("trace donor lies below the obstacle on pinned nodes")
+    start = prob.boundary if warm_start is None else warm_start
     if start.grid == grid:
         start = np.where(free, start.values, trace)
     elif 2 * start.grid.n == grid.n:
@@ -510,8 +512,6 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Soluti
             f"warm start on Grid2D(n={start.grid.n}) for a problem on Grid2D(n={grid.n}), "
             f"not on that mesh or the one half as fine"
         )
-    if np.any(trace[~free] < psi[~free] - 1e-12):
-        raise DataError("trace donor lies below the obstacle on pinned nodes")
     # only a flat start runs the coarse cascade: a warm start is already close
     sol = _minimize(grid, prob.field.growth, prob.field.coefficient.on_cells(grid),
                     f, start, psi, free, cfg, warm_start is None)
@@ -610,21 +610,20 @@ class OPSequence:
         return self.solutions[-1]
 
 
-def solve_op_sequence(prob: ObstacleProblem, levels, cfg: SolverConfig | None = None) -> OPSequence:
-    """Solve the variational inequality for each mollification level of the
-    measure, warm-starting each level with the previous solution."""
+def solve_op_sequence(prob: ObstacleProblem, mu: MeasureData, levels,
+                      cfg: SolverConfig | None = None) -> OPSequence:
+    """Solve ``prob`` with data ``mu`` mollified at each level, warm-starting
+    each level with the previous solution; ``prob``'s own data is replaced."""
     levels = [int(l) for l in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise DataError("mollification levels must be increasing")
-    if not isinstance(prob.rhs, MeasureData):
-        raise DataError("solve_op_sequence needs measure data on the right-hand side")
     cfg = cfg or SolverConfig()
     solutions: list[Solution] = []
     distances: list[float] = []
     prev = None
     for lvl in levels:
         try:
-            f = mollify_measure(prob.rhs, lvl, prob.grid)
+            f = mollify_measure(mu, lvl, prob.grid)
             sol = solve_vi(replace(prob, rhs=f), cfg, warm_start=prev)
         except LevelError as exc:
             raise LevelError(f"level {lvl}: {exc}") from exc

@@ -38,7 +38,7 @@ def dirac_seq_128(dirac_cfg):
     shared by the solver-oracle and approximation-sequence criteria."""
     t0 = time.monotonic()
     inst = build_instance(dirac_cfg, 128)
-    seq = solve_op_sequence(inst.problem(rhs=inst.measure), [2, 4, 8, 16], inst.solver)
+    seq = solve_op_sequence(inst.problem(), inst.measure, [2, 4, 8, 16], inst.solver)
     return inst, seq, time.monotonic() - t0
 
 

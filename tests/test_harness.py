@@ -209,7 +209,7 @@ def dirac_solved(tmp_path_factory):
     path.write_text(DIRAC)
     cfg = load_config(path)
     inst = build_instance(cfg, 48)
-    return inst, solve_op_sequence(inst.problem(rhs=inst.measure), [2, 4], inst.solver).finest
+    return inst, solve_op_sequence(inst.problem(), inst.measure, [2, 4], inst.solver).finest
 
 
 @pytest.fixture(scope="module")
@@ -347,9 +347,10 @@ def test_chain_without_an_obstacle_has_a_zero_flux(no_data_solved):
                       warm_start=chain.w1.u)
     assert np.array_equal(chain.w3.u.values, w3.u.values)
     rows = checks._chain_stage_rows(RatioStudy(), cache, 32, ctx, chain, center, R)
-    assert rows[0].rhs == 0.0  # no measure: the inhomogeneity term is zero
-    assert [r.flag.split()[-1] for r in rows[2:]] == ["chain-w3", "chain-w4"]
-    assert all(r.rhs == checks._g_inverse(inst, R / 2) for r in rows[2:])
+    assert list(rows) == ["w1", "w2", "w3", "w4"]
+    assert rows["w1"].rhs == 0.0  # no measure: the inhomogeneity term is zero
+    assert [rows[s].flag.split()[-1] for s in ("w3", "w4")] == ["chain-w3", "chain-w4"]
+    assert all(rows[s].rhs == checks._g_inverse(inst, R / 2) for s in ("w3", "w4"))
 
 
 # -- the ratio-stability gate ------------------------------------------------------
@@ -838,6 +839,46 @@ def test_excess_decay_with_errors_fails_on_mesh_dependent_chain_bound(monkeypatc
     assert wrong.passed is False
 
 
+def test_chain_obstacle_flux_rows_see_contact(tmp_path, monkeypatch):
+    # dirac.ini with a bump obstacle touched inside the chain's half ball
+    # B_0.1(0.58, 0.58): w2, w3 and w4 differ, so the flux rows are ratio
+    # rows that can drift
+    text = (CONFIGS / "dirac.ini").read_text()
+    for old, new in (
+        ("preset = quadratic\nheight = -2.0\ncurvature = -0.5",
+         "preset = bump\nheight = 1.5\nradius = 0.12\ncx = 0.6\ncy = 0.6\nfloor = 0.0"),
+        ("run = comparison_inhomogeneous, excess_decay_with_errors, maximal_estimates, "
+         "gradient_bounds", "run = excess_decay_with_errors"),
+        ("n = 64, 128\nscale = 1, 4, 16", "n = 64, 128"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "bump.ini"
+    path.write_text(text)
+    cfg, cache = load_config(path), SolveCache()
+    center, half = checks._ERRORS_BALL[0], checks._ERRORS_BALL[1] / 2
+    for _, inst in cells(cfg):
+        u = checks.primary_solution(cache, inst).u.values
+        contact = inst.grid.interior_mask() & (u <= inst.obstacle.values)
+        assert contact.any()
+        assert np.hypot(inst.grid.X[contact] - center[0],
+                        inst.grid.Y[contact] - center[1]).max() < half
+    honest = CHECKS["excess_decay_with_errors"](cfg, cache, np.random.default_rng(0))
+    w3, w4 = _stage_rows(honest, "w3"), _stage_rows(honest, "w4")
+    assert len(w3) == len(w4) == 2
+    assert all(r.ratio is not None for r in w3 + w4)
+    assert all(a.lhs != b.lhs for a, b in zip(w3, w4))
+    assert honest.passed
+    distance = checks.grad_distance_field
+    monkeypatch.setattr(checks, "grad_distance_field", lambda u1, u2: u1.with_values(
+        distance(u1, u2).values * (u1.grid.n / 32) ** 2))
+    wrong = CHECKS["excess_decay_with_errors"](cfg, cache, np.random.default_rng(0))
+    assert wrong.passed is False
+    for stage in ("w3", "w4"):  # each flux row alone drifts past the gate
+        lo, hi = sorted(r.ratio for r in _stage_rows(wrong, stage))
+        assert hi / lo >= checks.DRIFT_LIMIT
+
+
 def test_cli_verify_deterministic_on_estimates(dirac_config, tmp_path):
     # the heaviest code path: mollification sweeps, Wolff and maximal
     # assemblies, seeded points; two runs must agree to the byte
@@ -982,11 +1023,14 @@ def test_cli_solve_counts_the_finest_cell_alone(tmp_path):
         SolveCache(), replace(fine, coarse=None)).factorizations
 
 
-def test_cli_solve_infeasible_exits_one(tmp_path):
+def test_cli_solve_infeasible_exits_one(tmp_path, capsys):
+    # the solve, not the problem's construction, refuses the trace
     bad = TINY.replace("preset = none", "preset = quadratic\nheight = 3.0\ncurvature = 0.0")
     path = tmp_path / "bad.ini"
     path.write_text(bad)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "below the obstacle" in err[0]
 
 
 def test_cli_potential_csv(dirac_config, tmp_path):

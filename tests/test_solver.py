@@ -220,11 +220,28 @@ def test_energy_monotone_along_iterates():
 
 
 def test_infeasible_boundary_raises():
+    # the trace is checked once, by the solve, on the ring it pins
     g = Grid2D(48)
     psi = GridFunction.constant(g, 1.0)
     bdata = GridFunction.constant(g, 0.0)
-    with pytest.raises(DataError):
-        ObstacleProblem(field=unit_field(2.0), boundary=bdata, obstacle=psi)
+    prob = ObstacleProblem(field=unit_field(2.0), boundary=bdata, obstacle=psi)
+    with pytest.raises(DataError, match="below the obstacle"):
+        solve_vi(prob, CFG)
+
+
+def test_infeasible_trace_off_the_ball_raises():
+    # the donor is above psi on the ring and on the ball but below it at one
+    # node that a ball solve pins and a full solve frees
+    g = Grid2D(48)
+    psi = GridFunction.constant(g, 0.0)
+    ball = ((0.5, 0.5), 0.2)
+    donor = np.ones((g.n, g.n))
+    donor[10, 10] = -1.0
+    assert not solver._ball_free_mask(g, ball)[10, 10] and g.interior_mask()[10, 10]
+    prob = ObstacleProblem(field=unit_field(2.0), boundary=GridFunction(g, donor), obstacle=psi)
+    assert solve_vi(prob, CFG).converged
+    with pytest.raises(DataError, match="below the obstacle"):
+        solve_vi(prob, CFG, ball=ball)
 
 
 def test_iteration_limit_carries_last_iterate():
@@ -587,11 +604,13 @@ def test_kkt_conditions_hold(n, p, height, curvature, trace, source):
 
 
 def test_raw_measure_rejected():
+    # a problem holds bounded data only: a measure is refused when the
+    # problem is built, by an error that names the mollification
     g = Grid2D(48)
     zero = GridFunction.constant(g, 0.0)
     mu = MeasureData(atoms=[(0.5, 0.5, 1.0)])
-    with pytest.raises(DataError):
-        solve_vi(ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=mu), CFG)
+    with pytest.raises(DataError, match="mollify_measure"):
+        ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=mu)
 
 
 def test_rotational_symmetry():
@@ -708,9 +727,8 @@ def test_op_sequence_zero_measure_matches_homogeneous():
     g = Grid2D(48)
     bdata = ring_only(g, lambda X, Y: X)
     mu = MeasureData(density=GridFunction.constant(g, 0.0))
-    seq = solve_op_sequence(
-        ObstacleProblem(field=unit_field(2.0), boundary=bdata, rhs=mu), [2, 4], CFG
-    )
+    seq = solve_op_sequence(ObstacleProblem(field=unit_field(2.0), boundary=bdata), mu,
+                            [2, 4], CFG)
     hom = solve_equation(ObstacleProblem(field=unit_field(2.0), boundary=bdata), CFG)
     for sol in seq.solutions:
         assert np.abs(sol.u.values - hom.u.values).max() < 10 * CFG.tol
@@ -724,9 +742,8 @@ def test_op_sequence_smooth_density_plateaus():
         g, lambda X, Y: 1.0 + np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y) * 0.5
     ))
     zero = GridFunction.constant(g, 0.0)
-    seq = solve_op_sequence(
-        ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=mu), [2, 4, 8], CFG
-    )
+    seq = solve_op_sequence(ObstacleProblem(field=unit_field(2.0), boundary=zero), mu,
+                            [2, 4, 8], CFG)
     first = seq.solutions[0].u.values
     assert all(np.array_equal(sol.u.values, first) for sol in seq.solutions)
     assert seq.distances == [0.0, 0.0]
@@ -736,18 +753,18 @@ def test_op_sequence_requires_increasing_levels():
     g = Grid2D(48)
     mu = MeasureData(atoms=[(0.5, 0.5, 1.0)])
     zero = GridFunction.constant(g, 0.0)
-    prob = ObstacleProblem(field=unit_field(2.0), boundary=zero, rhs=mu)
+    prob = ObstacleProblem(field=unit_field(2.0), boundary=zero)
     with pytest.raises(DataError):
-        solve_op_sequence(prob, [4, 2], CFG)
+        solve_op_sequence(prob, mu, [4, 2], CFG)
 
 
 def test_op_sequence_iteration_limit_keeps_the_last_iterate():
     g = Grid2D(48)
     mu = MeasureData(atoms=[(0.5, 0.5, 1.0)])
     zero = GridFunction.constant(g, 0.0)
-    prob = ObstacleProblem(field=unit_field(3.0), boundary=zero, rhs=mu)
+    prob = ObstacleProblem(field=unit_field(3.0), boundary=zero)
     with pytest.raises(IterationLimitError) as info:
-        solve_op_sequence(prob, [2, 4], SolverConfig(tol=1e-9, max_iter=1))
+        solve_op_sequence(prob, mu, [2, 4], SolverConfig(tol=1e-9, max_iter=1))
     assert str(info.value).startswith("level 2: stopped by iteration budget")
     assert info.value.last.stop_reason == "iteration budget"
     assert info.value.last.iterations == 1

@@ -28,4 +28,5 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
     for owner, attr, original in patched:
         assert _current(owner, attr) is original, attr
     names = {attr for _, attr, _ in patched}
-    assert {"mollify_measure", "disk_integral", "ball_mass", "obstacle_maximal"} <= names
+    assert {"mollify_measure", "solve_op_sequence", "disk_integral", "ball_mass",
+            "obstacle_maximal"} <= names
