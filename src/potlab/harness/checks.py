@@ -208,6 +208,10 @@ class SolveCache:
             self.misses += 1
         return self._store[key]
 
+    def values(self) -> list:
+        """The cached values, in the order they were built."""
+        return list(self._store.values())
+
 
 # ---------------------------------------------------------------------------
 # shared field helpers
@@ -231,16 +235,22 @@ def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
 
 
 def _warm_start(cache: SolveCache, inst: Instance, solution):
-    """The warm start of ``inst``'s solve: ``solution(cache, inst.coarse)``'s
-    iterate on the mesh n/2, None (a flat start) without a coarse cell."""
-    return None if inst.coarse is None else solution(cache, inst.coarse).u
+    """The warm start of ``inst``'s solve: ``solution(cache, base)``'s
+    iterate times the factor of ``inst.start = (base, factor)``, on the
+    same mesh (a scale link) or on the mesh n/2 (a mesh link, factor 1);
+    None (a flat start) without a link."""
+    if inst.start is None:
+        return None
+    base, factor = inst.start
+    u = solution(cache, base).u
+    return u if factor == 1.0 else u.with_values(factor * u.values)
 
 
 def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: one solve on the measure mollified at
     the finest level its mesh resolves, ``finest_level(inst.grid)`` (atoms
     become bumps, a density passes unchanged, the zero measure is f = 0),
-    started from the coarse cell's."""
+    started from the linked cell's (``_warm_start``)."""
     def solve():
         rhs = mollify_measure(inst.measure, finest_level(inst.grid), inst.grid)
         return solve_vi(inst.problem(rhs=rhs), inst.solver,
@@ -650,7 +660,7 @@ _DECAY_BALL = ((0.38, 0.31), 0.28)
 
 def _homogeneous_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The equation solve of ``inst``, an instance of ``_homogeneous_config``,
-    started from the coarse cell's."""
+    started from the linked cell's (``_warm_start``)."""
     return cache.get((inst.key, "eq"), lambda: solve_equation(
         inst.problem(), inst.solver,
         warm_start=_warm_start(cache, inst, _homogeneous_solution)))
@@ -868,17 +878,19 @@ CHECKS = {
 }
 
 
-def run_checks(cfg: ExperimentConfig, names=None, seed: int = DEFAULT_SEED):
+def run_checks(cfg: ExperimentConfig, names=None, seed: int = DEFAULT_SEED,
+               cache: SolveCache | None = None):
     """Run the named checks (default: the config's list) one at a time, in
-    request order, over one shared solve cache; check ``i`` draws its
-    sample points from ``default_rng([seed, i])``."""
+    request order, over one shared solve cache (``cache``, a new one by
+    default); check ``i`` draws its sample points from
+    ``default_rng([seed, i])``."""
     names = list(names if names is not None else cfg.checks)
     if not names:
         raise DataError("no checks requested")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise DataError(f"unknown checks: {', '.join(unknown)}")
-    cache = SolveCache()
+    cache = SolveCache() if cache is None else cache
     return [CHECKS[name](cfg, cache, np.random.default_rng([seed, idx]))
             for idx, name in enumerate(names)]
 

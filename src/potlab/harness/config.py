@@ -10,9 +10,11 @@ keyword parameter of that builder, typed against the parameter's
 default.  [sweep] lists each ``SWEEP_AXES`` value a run crosses once, with
 no defaults: n, the meshes, is required, and a check holds an axis it does
 not cross at its first value.  Each mesh solves the finest mollification
-level it resolves (``solver.finest_level``), starting from the same
-cell's solution on the mesh n/2 when the sweep lists it: the mesh sweep
-is the continuation.  [checks] holds ``run`` and
+level it resolves (``solver.finest_level``).  Each cell starts its solves
+from one linked cell's solution: a cell at data scale s from the same
+mesh's cell at the sweep's first scale s0, times s/s0, and otherwise the
+same cell on the mesh n/2 when the sweep lists it, so the scale and mesh
+sweeps are the continuation.  [checks] holds ``run`` and
 ``points``; each check's ball is a constant next to it.
 ``build_instance`` realizes the config at one mesh with optional data
 scalings, producing the immutable bundle the checks and the CLI consume;
@@ -341,8 +343,9 @@ def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
 @dataclass
 class Instance:
     """A config realized at one mesh: everything a solve or a check needs.
-    ``coarse`` is the same cell on the mesh n/2 when [sweep] n lists it:
-    the checks start this cell's solves from that cell's cached solutions."""
+    ``start`` is ``(base, factor)``, the linked cell of ``build_instance``:
+    the checks start this cell's solves from ``factor`` times that cell's
+    cached solutions; None starts them flat."""
 
     grid: Grid2D
     growth: GrowthFunction
@@ -352,7 +355,7 @@ class Instance:
     boundary: GridFunction
     solver: SolverConfig
     key: tuple  # names the inputs of every field above; see build_instance
-    coarse: Instance | None = None
+    start: tuple[Instance, float] | None = None
 
     def problem(self, rhs=None) -> ObstacleProblem:
         """The instance's obstacle problem with bounded right side ``rhs``,
@@ -369,16 +372,44 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
 
     ``data_scale`` multiplies boundary, obstacle, and measure together
     (the full-data scaling); ``rhs_scale`` multiplies the measure only.
-    The instance links to ``coarse``, the same cell built on the mesh n/2,
-    when [sweep] n lists that mesh.  The key holds what realizes the
-    instance and its solves and nothing else: the mesh, both scales, the
-    problem sections (with the amplitude applied), the directory their
-    files are read from, the solver settings and last the coarse cell's
-    key (None without one), as a solve starts from that cell's solution;
+    The instance links to one cell, ``start``, by the first rule that
+    applies:
+
+    * scale link: with ``rhs_scale`` 1 and ``data_scale`` s other than the
+      sweep's first scale s0 (1 without a scale axis), the same mesh and
+      amplitude at s0, with factor s/s0.  Its solution times s/s0 meets
+      this cell's trace and lies above its obstacle, and for a power growth
+      with no measure it is this cell's solution;
+    * mesh link: the same cell on the mesh n/2 when [sweep] n lists it,
+      with factor 1;
+    * otherwise no link: the solves start flat.
+
+    The key holds what realizes the instance and its solves and nothing
+    else: the mesh, both scales, the problem sections (with the amplitude
+    applied), the directory their files are read from, the solver
+    settings, the link's factor and last the linked cell's key (None and
+    None without a link), as a solve starts from that cell's solution;
     never ``check_params`` or the other axes, so checks that sample
     differently share every solve.
     """
-    grid = Grid2D(int(n))
+    return _cell(cfg, {}, int(n), float(data_scale), float(rhs_scale), amplitude)
+
+
+def _cell(cfg: ExperimentConfig, built: dict, n: int, data_scale: float, rhs_scale: float,
+          amplitude) -> Instance:
+    """The cell ``(n, data_scale, rhs_scale, amplitude)``, realized once per
+    ``built``, the memo of one ``cells`` or ``build_instance`` call, which
+    its linked cells share."""
+    spec = (n, data_scale, rhs_scale, amplitude)
+    if spec not in built:
+        built[spec] = _realize_cell(cfg, built, *spec)
+    return built[spec]
+
+
+def _realize_cell(cfg: ExperimentConfig, built: dict, n: int, data_scale: float,
+                  rhs_scale: float, amplitude) -> Instance:
+    """The cell's instance, linked by ``build_instance``'s rule."""
+    grid = Grid2D(n)
     growth = build_growth(cfg)
     coef = dict(cfg.coefficient)
     if amplitude is not None:
@@ -391,14 +422,17 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
     boundary = _on_grid("boundary", _realize(cfg, "boundary", BOUNDARY_PRESETS, cfg.boundary,
                                              "zero", growth=growth, measure=measure),
                         grid, data_scale)
-    coarse = None
-    if grid.n % 2 == 0 and grid.n // 2 in cfg.sweep.get("n", ()):
-        coarse = build_instance(cfg, grid.n // 2, data_scale=data_scale, rhs_scale=rhs_scale,
-                                amplitude=amplitude)
+    s0 = float(cfg.sweep.get("scale", [1.0])[0])
+    if rhs_scale == 1.0 and data_scale != s0:
+        start = (_cell(cfg, built, n, s0, rhs_scale, amplitude), data_scale / s0)
+    elif n % 2 == 0 and n // 2 in cfg.sweep.get("n", ()):
+        start = (_cell(cfg, built, n // 2, data_scale, rhs_scale, amplitude), 1.0)
+    else:
+        start = None
     sections = (cfg.growth, coef, cfg.obstacle, cfg.measure, cfg.boundary)
-    key = (grid.n, float(data_scale), float(rhs_scale),
+    key = (grid.n, data_scale, rhs_scale,
            *(tuple(sorted(sec.items())) for sec in sections), str(cfg.base_dir), cfg.solver,
-           None if coarse is None else coarse.key)
+           *((None, None) if start is None else (start[1], start[0].key)))
     return Instance(
         grid=grid,
         growth=growth,
@@ -408,7 +442,7 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
         boundary=boundary,
         solver=cfg.solver,
         key=key,
-        coarse=coarse,
+        start=start,
     )
 
 
@@ -425,7 +459,11 @@ def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
     keyword = {"scale": scale, "amplitude": "amplitude"}
     held = {kw: values[a][0] for a, kw in (("scale", "data_scale"), ("amplitude", "amplitude"))
             if a not in axes}
+    built: dict = {}  # each cell, a linked one included, is realized once
     for n in cfg.sweep["n"]:
         for combo in itertools.product(*(values[a] for a in axes)):
-            inst = build_instance(cfg, n, **held, **{keyword[a]: v for a, v in zip(axes, combo)})
+            args = {"data_scale": 1.0, "rhs_scale": 1.0, **held,
+                    **{keyword[a]: v for a, v in zip(axes, combo)}}
+            inst = _cell(cfg, built, int(n), args["data_scale"], args["rhs_scale"],
+                         args["amplitude"])
             yield ((n, *combo) if axes else n), inst

@@ -19,7 +19,7 @@ from potlab.grid import (
     read_raster,
     write_raster,
 )
-from potlab.harness import checks
+from potlab.harness import checks, config
 from potlab.harness.checks import (
     CHECKS,
     CheckRow,
@@ -63,6 +63,7 @@ from potlab.solver import (
     frozen_problem,
     solve_frozen,
     solve_op_sequence,
+    solve_vi,
 )
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -1020,7 +1021,7 @@ def test_cli_solve_counts_the_finest_cell_alone(tmp_path):
     sol = checks.primary_solution(SolveCache(), fine)
     assert diag["factorizations"] == str(sol.factorizations)
     assert sol.factorizations < checks.primary_solution(
-        SolveCache(), replace(fine, coarse=None)).factorizations
+        SolveCache(), replace(fine, start=None)).factorizations
 
 
 def test_cli_solve_infeasible_exits_one(tmp_path, capsys):
@@ -1203,14 +1204,17 @@ def test_data_scale_is_an_exact_symmetry_at_p3():
     # p = 3 power growth is 2-homogeneous and contact.ini has f = 0, so
     # scaling boundary and obstacle together by s scales the solution by s.
     # Measured at n = 32: max|u_s - s u_1| / max|s u_1| is 1.4e-16 at s = 4
-    # and 4.6e-12 at s = 16, with 14% of the nodes in contact
+    # and 4.6e-12 at s = 16, with 14% of the nodes in contact.  The scaled
+    # cells' own solves start from s u_1 (their scale link), so the scaled
+    # problems are solved here from a flat start
     cfg = load_config(CONFIGS / "contact.ini")
-    cache = SolveCache()
     inst = build_instance(cfg, 32)
-    u1 = checks.primary_solution(cache, inst).u.values
+    u1 = checks.primary_solution(SolveCache(), inst).u.values
     for s in (4.0, 16.0):
         scaled = build_instance(cfg, 32, data_scale=s)
-        us = checks.primary_solution(cache, scaled).u.values
+        flat = solve_vi(scaled.problem(), scaled.solver)
+        assert flat.iterations > 0
+        us = flat.u.values
         assert np.mean(us - scaled.obstacle.values <= 1e-9) > 0.1
         assert np.abs(us - s * u1).max() <= inst.solver.tol * np.abs(s * u1).max()
 
@@ -1568,8 +1572,13 @@ def test_instance_key_names_the_realized_problem(dirac_config, tmp_path):
     # how the checks sample never enters the key
     other = copy.copy(cfg)
     other.check_params = {**cfg.check_params, "points": 1}
-    other.sweep = {**cfg.sweep, "scale": [2.0]}
     assert build_instance(other, 48).key == base
+    # the sweep's first scale enters it only through the scale link: a cell
+    # at scale 1 of a sweep that starts at 2 starts from that cell, halved
+    other.sweep = {**cfg.sweep, "scale": [2.0]}
+    linked = build_instance(other, 48).key
+    assert linked[:-2] == base[:-2]
+    assert linked[-2:] == (0.5, build_instance(other, 48, data_scale=2.0).key)
     # an explicit amplitude equal to the config's is the config's problem
     path = tmp_path / "jump.ini"
     path.write_text(TINY.replace(
@@ -1610,7 +1619,7 @@ def test_a_cell_starts_from_the_cached_solution_one_mesh_coarser(tmp_path, monke
             return fn(prob, solver, **kw)
         monkeypatch.setattr(checks, name, recording)
     (_, coarse), (_, fine) = cells(cfg)
-    assert coarse.coarse is None and fine.coarse.key == coarse.key
+    assert coarse.start is None and fine.start[0].key == coarse.key and fine.start[1] == 1.0
     hcfg = checks._homogeneous_config(cfg)
     cache = SolveCache()
     checks.primary_solution(cache, fine)
@@ -1627,9 +1636,11 @@ def test_a_cell_starts_from_the_cached_solution_one_mesh_coarser(tmp_path, monke
 def test_a_sweep_without_the_half_mesh_links_no_coarse_cell(tmp_path):
     linked = build_instance(_dirac_sweep(tmp_path, "32, 64"), 64)
     alone = build_instance(_dirac_sweep(tmp_path, "48, 64"), 64)
-    assert alone.coarse is None and linked.coarse.grid.n == 32
-    # the link is the key's last entry, the only one that differs
-    assert alone.key != linked.key and alone.key[:-1] == linked.key[:-1]
+    assert alone.start is None and linked.start[0].grid.n == 32
+    # the link is the key's last two entries (factor, linked key), the only
+    # ones that differ
+    assert alone.key != linked.key and alone.key[:-2] == linked.key[:-2]
+    assert alone.key[-2:] == (None, None) and linked.key[-2:] == (1.0, linked.start[0].key)
 
 
 def test_the_sweep_order_does_not_change_a_cell(tmp_path):
@@ -1643,6 +1654,87 @@ def test_the_sweep_order_does_not_change_a_cell(tmp_path):
         assert cache.misses == 2
     for n in (32, 64):
         assert np.array_equal(solved[0][n], solved[1][n])
+
+
+def _contact_sweep(tmp_path, scales: str = "1, 4, 16"):
+    path = tmp_path / f"contact_{scales.replace(', ', '_')}.ini"
+    path.write_text((CONFIGS / "contact.ini").read_text()
+                    .replace("n = 64, 128", "n = 32, 64").replace("scale = 1, 4, 16",
+                                                                  f"scale = {scales}"))
+    return load_config(path)
+
+
+def test_a_scaled_cell_links_to_its_mesh_at_the_first_scale(tmp_path):
+    # a cell at data scale s starts from the same mesh's cell at the first
+    # scale s0, times s/s0; the first-scale cells keep the mesh link
+    for scales, factors in (("1, 4, 16", {4.0: 4.0, 16.0: 16.0}),
+                            ("4, 1, 16", {1.0: 0.25, 16.0: 4.0})):
+        swept = dict(cells(_contact_sweep(tmp_path, scales), "scale"))
+        s0 = float(scales.split(",")[0])
+        assert swept[(32, s0)].start is None
+        assert swept[(64, s0)].start[0] is swept[(32, s0)] and swept[(64, s0)].start[1] == 1.0
+        for n in (32, 64):
+            for s, factor in factors.items():
+                base, got = swept[(n, s)].start
+                assert base is swept[(n, s0)] and got == factor
+
+
+def test_rhs_and_amplitude_cells_keep_the_mesh_link():
+    # their data are not a multiple of the first cell's: every cell on
+    # n = 128 starts from its own cell on n = 64, which starts flat
+    for name, axes in (("dirac.ini", ("scale",)), ("poisson.ini", ("scale",)),
+                       ("jump.ini", ("amplitude",))):
+        swept = dict(cells(load_config(CONFIGS / name), *axes, scale="rhs_scale"))
+        assert len(swept) == (6 if axes == ("scale",) else 4)
+        for (n, value), inst in swept.items():
+            if n == 64:
+                assert inst.start is None
+            else:
+                base, factor = inst.start
+                assert base is swept[(64, value)] and factor == 1.0
+
+
+def test_a_scaled_solve_starts_from_the_first_scale_solution_times_the_factor(tmp_path,
+                                                                             monkeypatch):
+    # each scaled primary solve starts from factor * u_base, u_base the
+    # cached solution of the same mesh's first-scale cell; p = 3 with f = 0
+    # is 2-homogeneous, so that start is the solution up to the tolerance
+    starts = []
+    solve = checks.solve_vi
+
+    def recording(prob, solver, **kw):
+        sol = solve(prob, solver, **kw)
+        starts.append((kw.get("warm_start"), sol))
+        return sol
+    monkeypatch.setattr(checks, "solve_vi", recording)
+    swept = dict(cells(_contact_sweep(tmp_path), "scale"))
+    cache = SolveCache()
+    factorizations = 0
+    for n in (32, 64):
+        u_base = checks.primary_solution(cache, swept[(n, 1.0)]).u
+        for s in (4.0, 16.0):
+            starts.clear()
+            sol = checks.primary_solution(cache, swept[(n, s)])
+            [(warm, solved)] = starts
+            assert solved is sol and sol.converged
+            assert warm.grid == u_base.grid and np.array_equal(warm.values, s * u_base.values)
+            factorizations += sol.factorizations
+    assert factorizations <= 2
+
+
+def test_cells_realize_each_cell_once(tmp_path, monkeypatch):
+    # the first-scale cells are each linked to by two scaled cells and the
+    # n = 64 cells to the n = 32 ones; each is still realized once
+    realized = []
+    realize = config._realize_cell
+
+    def counting(cfg, built, *spec):
+        realized.append(spec)
+        return realize(cfg, built, *spec)
+    monkeypatch.setattr(config, "_realize_cell", counting)
+    swept = list(cells(load_config(CONFIGS / "contact.ini"), "scale"))
+    assert len(swept) == 6 and len(realized) == 6
+    assert sorted(realized) == sorted((n, s, 1.0, None) for n, s in (cell for cell, _ in swept))
 
 
 def test_report_rhs_floor_flagging():
