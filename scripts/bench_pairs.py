@@ -12,7 +12,8 @@ every workload unless W names one).  For each workload, pair k
 (k = 1..N, default 10) runs `perfbench/run.py --workload W --seed k
 --seconds run_seconds --trace 0` once in each tree, each tree with its own
 `perfbench/`; odd pairs run REV first, even pairs this checkout first, so
-neither side always runs on a warmer host.
+neither side always runs on a warmer host.  Each pair prints one line with
+every end-to-end metric of both sides, in the order they ran.
 
 For each workload and end-to-end metric the script prints REV's and this
 checkout's median [lower quartile, upper quartile], the change of the
@@ -68,6 +69,14 @@ def summarize(metrics, pairs):
     return rows
 
 
+def pair_line(workload: str, seed: int, metrics, results) -> str:
+    """Pair ``seed``'s line: each side of ``results`` (side -> metric values,
+    in run order) with every end-to-end metric of ``metrics``."""
+    return f"{workload} pair {seed}: " + "  ".join(
+        f"{side} " + " ".join(f"{m['name']} {values[m['name']]:.4g}" for m in metrics)
+        for side, values in results.items())
+
+
 def format_table(rev: str, summaries) -> str:
     """A markdown table of ``summaries``, a list of (workload, pair count,
     ``summarize`` rows)."""
@@ -94,7 +103,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
-    first = metrics[0]["name"]
     summaries, failed = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         tree = Path(tmp) / "rev"
@@ -112,11 +120,10 @@ def main(argv=None) -> int:
                     return 1
                 for side, result in results.items():
                     fails[side] += result["failed"]
-                pairs.append(tuple({k: v["value"] for k, v in results[side]["metrics"].items()}
-                                   for side in ("rev", "change")))
-                print(f"{workload} pair {seed}: " + "  ".join(
-                    f"{side} {first} {results[side]['metrics'][first]['value']:.4g}"
-                    for side, _ in order), flush=True)
+                values = {side: {k: v["value"] for k, v in result["metrics"].items()}
+                          for side, result in results.items()}
+                pairs.append((values["rev"], values["change"]))
+                print(pair_line(workload, seed, metrics, values), flush=True)
             summaries.append((workload, len(pairs), summarize(metrics, pairs)))
             failed.append(f"{workload}: {args.rev} {fails['rev']}, change {fails['change']}")
     print(f"\n{args.pairs} pairs per workload at --seconds {seconds:g}, median [quartiles]:")

@@ -9,6 +9,13 @@ Rows whose right side would vanish are flagged instead of divided;
 exact-match rows additionally assert that the left side sits at
 solver-tolerance level.
 
+A right side is a dict of named terms, one per summand of the paper's
+bound (``du``, ``wolff_mu``, ``wolff_psi``, ``dini``, ...), and
+``RatioStudy.add`` alone sums it, left to right in insertion order.  A
+negative control wraps ``RatioStudy.add`` and drops, rescales or raises to
+a power one named term of every row with a cell: one case per row of
+``test_check_fails_on_wrong_bound`` in ``tests/test_harness.py``.
+
 One gate decides every ratio check.  It passes when all of these hold:
 
 * no row is flagged ``failed``;
@@ -128,12 +135,14 @@ class RatioStudy:
         self.rows: list[CheckRow] = []
         self.families: dict = {}  # family -> {cell: worst ratio}
 
-    def add(self, point, radius, lhs, rhs, *, exact_tol=None, cell=None,
+    def add(self, point, radius, lhs, terms: dict, *, exact_tol=None, cell=None,
             family=None, tag: str = "") -> CheckRow:
-        """Record lhs against rhs.  A right side at or below the floor is
-        not divided: the row is flagged ``degenerate-skip``, or, given
-        ``exact_tol``, ``exact-match`` when lhs <= exact_tol and ``failed``
-        otherwise.  ``tag`` is appended to the flag."""
+        """Record lhs against ``terms``, the right side's named summands,
+        added left to right (``{}`` is 0.0).  A right side at or below the
+        floor is not divided: the row is flagged ``degenerate-skip``, or,
+        given ``exact_tol``, ``exact-match`` when lhs <= exact_tol and
+        ``failed`` otherwise.  ``tag`` is appended to the flag."""
+        rhs = sum(terms.values(), 0.0)
         if rhs > _RHS_FLOOR:
             row = CheckRow(point, radius, lhs, rhs, lhs / rhs)
         else:
@@ -341,13 +350,6 @@ def wolff_ladders(ctx: EstimateContext, x, R: float):
                  for mu in (ctx.inst.measure, ctx.obstacle_measure))
 
 
-def _wolff_pair(ctx: EstimateContext, ladders, beta: float, p: float):
-    """(W^mu, W^psi) at (beta, p) of a point's ``wolff_ladders``; a zero
-    measure's potential is 0.0.  The seam that the negative controls of the
-    Wolff terms patch."""
-    return tuple(ladder.potential(beta, p) for ladder in ladders)
-
-
 def point_ladders(ctx: EstimateContext, points, R: float) -> list[PointLadder]:
     """Each point's ``PointLadder`` up to R for u, Du, the obstacle kernel
     and the measure, gathered together."""
@@ -356,55 +358,56 @@ def point_ladders(ctx: EstimateContext, points, R: float) -> list[PointLadder]:
 
 
 def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, du_avg: float,
-                    ladders) -> float:
+                    ladders) -> dict:
     """Bound for M^#_alpha(u) + M_{1-alpha}(Du).  At alpha = 1 it is the
-    pointwise bound for |Du(x)|: avg_{B_R}|Du| + the Wolff pair at
-    (1/(ig+1), ig+1) over 2R + the drho/rho Dini-coefficient integral.
-    ``du_avg`` is avg_{B_R(x)}|Du| and ``ladders`` are x's ``wolff_ladders``."""
+    pointwise bound for |Du(x)|: ``du`` = avg_{B_R}|Du|, the Wolff pair
+    ``wolff_mu``, ``wolff_psi`` at (1/(ig+1), ig+1) over 2R, and ``dini``,
+    the drho/rho Dini-coefficient integral.  ``du_avg`` is avg_{B_R(x)}|Du|
+    and ``ladders`` are x's ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
-    term1 = R ** (1.0 - alpha) * du_avg
     beta = 1.0 - alpha + alpha / (ig + 1.0)
-    wmu, wps = _wolff_pair(ctx, ladders, beta, ig + 1.0)
-    dini = _dini_term(ctx, x, 2.0 * R, alpha - 1.0)
-    return term1 + wmu + wps + dini
+    wmu, wps = (wolff.potential(beta, ig + 1.0) for wolff in ladders)
+    return {"du": R ** (1.0 - alpha) * du_avg, "wolff_mu": wmu, "wolff_psi": wps,
+            "dini": _dini_term(ctx, x, 2.0 * R, alpha - 1.0)}
 
 
 def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
-                       ladder: PointLadder, ladders) -> float:
-    """Bound for M^#_alpha(Du): maximal terms to the power 1/ig, the Wolff
-    pair at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral.
+                       ladder: PointLadder, ladders) -> dict:
+    """Bound for M^#_alpha(Du): ``du`` = R^-alpha avg_{B_R}|Du|, the maximal
+    terms ``maximal_mu``, ``maximal_psi`` to the power 1/ig, the Wolff pair
+    at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral.
     avg_{B_R}|Du| and the maximal terms are read from ``ladder``, x's
     ``PointLadder`` up to R, the Wolff pair from x's ``wolff_ladders``."""
     ig = ctx.inst.growth.ig
-    term1 = R ** (-alpha) * float(ladder.du_mean[-1])
     beta_m = 1.0 - alpha * ig
     if beta_m < 0:
         raise DataError("alpha too large for the maximal term (needs alpha <= 1/ig)")
-    mmu = _g_inverse(ctx.inst, ladder.measure_maximal(beta_m))
-    mps = _g_inverse(ctx.inst, ladder.obstacle_maximal(beta_m))
-    wmu, wps = _wolff_pair(ctx, ladders, 1.0 / (ig + 1.0), ig + 1.0)
-    dini = _dini_term(ctx, x, 2.0 * R, alpha)
-    return term1 + mmu + mps + wmu + wps + dini
+    wmu, wps = (wolff.potential(1.0 / (ig + 1.0), ig + 1.0) for wolff in ladders)
+    return {"du": R ** (-alpha) * float(ladder.du_mean[-1]),
+            "maximal_mu": _g_inverse(ctx.inst, ladder.measure_maximal(beta_m)),
+            "maximal_psi": _g_inverse(ctx.inst, ladder.obstacle_maximal(beta_m)),
+            "wolff_mu": wmu, "wolff_psi": wps, "dini": _dini_term(ctx, x, 2.0 * R, alpha)}
 
 
 def gradient_oscillation_rhs(ctx: EstimateContext, du_avg: float, x, y, R: float,
-                             alpha: float, ladders_x, ladders_y) -> float:
+                             alpha: float, ladders_x, ladders_y) -> dict:
     """Bound for |Du(x) - Du(y)| at x, y near x0, symmetric in x and y by
-    construction; ``du_avg`` is avg_{B_R(x0)}|Du| and ``ladders_x`` and
-    ``ladders_y`` are the points' ``wolff_ladders``."""
+    construction: ``du`` = ``du_avg`` (d/R)^alpha, ``du_avg`` = avg_{B_R(x0)}|Du|,
+    and both points' Wolff pairs (``wolff``, from ``ladders_x`` and ``ladders_y``)
+    and Dini integrals (``dini``) times d^alpha; no term at x = y."""
     ig = ctx.inst.growth.ig
     d = float(np.hypot(x[0] - y[0], x[1] - y[1]))
     if d == 0.0:
-        return 0.0
+        return {}
     beta = -alpha + (1.0 + alpha) / (1.0 + ig)
     if beta <= 0:
         raise DataError("alpha too large for the oscillation Wolff pair")
-    base = du_avg * (d / R) ** alpha
-    wx = sum(_wolff_pair(ctx, ladders_x, beta, ig + 1.0))
-    wy = sum(_wolff_pair(ctx, ladders_y, beta, ig + 1.0))
+    wx, wy = (sum(ladder.potential(beta, ig + 1.0) for ladder in ladders)
+              for ladders in (ladders_x, ladders_y))
     dx = _dini_term(ctx, x, 2.0 * R, alpha)
     dy = _dini_term(ctx, y, 2.0 * R, alpha)
-    return base + (wx + wy) * d**alpha + (dx + dy) * d**alpha
+    return {"du": du_avg * (d / R) ** alpha, "wolff": (wx + wy) * d**alpha,
+            "dini": (dx + dy) * d**alpha}
 
 
 def _g_inverse(inst: Instance, s: float) -> float:
@@ -437,13 +440,14 @@ def coefficient_error_term(ctx: EstimateContext, mag: GridFunction, x,
 
 
 def excess_rhs_with_errors(ctx: EstimateContext, x, R: float, rho: float,
-                           beta_hat: float, excess_R: float) -> float:
-    """Decay term plus the three error terms of the perturbed excess bound."""
-    decay = (rho / R) ** beta_hat * excess_R
+                           beta_hat: float, excess_R: float) -> dict:
+    """The perturbed excess bound: the ``decay`` term and the ``measure``,
+    ``obstacle`` and ``coefficient`` error terms, each times (R/rho)^2."""
     amp = (R / rho) ** 2
-    return decay + amp * (
-        measure_error_term(ctx.inst, x, R) + obstacle_error_term(ctx, x, R)
-    ) + amp * coefficient_error_term(ctx, ctx.du_mag, x, R, R)
+    return {"decay": (rho / R) ** beta_hat * excess_R,
+            "measure": amp * measure_error_term(ctx.inst, x, R),
+            "obstacle": amp * obstacle_error_term(ctx, x, R),
+            "coefficient": amp * coefficient_error_term(ctx, ctx.du_mag, x, R, R)}
 
 
 def fit_excess_decay(gx: GridFunction, gy: GridFunction, x0, radii):
@@ -475,22 +479,22 @@ def comparison_w1(cache: SolveCache, inst: Instance, ball) -> Solution:
 
 
 def _inhomogeneity_row(study: RatioStudy, cache: SolveCache, inst: Instance, ball,
-                       data: float, **row) -> CheckRow:
-    """Record avg_B|Du - Dw1| on ``ball`` against the data term ``data``;
+                       measure: float, **row) -> CheckRow:
+    """Record avg_B|Du - Dw1| on ``ball`` against the data term ``measure``;
     ``row`` holds ``RatioStudy.add``'s cell, family and tag."""
     x, R = ball
     lhs = ball_average(grad_distance_field(primary_solution(cache, inst).u,
                                            comparison_w1(cache, inst, ball).u), x, R)
-    return study.add(x, R, lhs, data, exact_tol=10 * inst.solver.tol, **row)
+    return study.add(x, R, lhs, {"measure": measure}, exact_tol=10 * inst.solver.tol, **row)
 
 
 def _frozen_row(study: RatioStudy, ctx: EstimateContext, w1: Solution, w2: Solution,
                 ball, **row) -> CheckRow:
     """Record avg_{B_r}|Dw1 - Dw2| on ``ball`` = B_r, w2 frozen on it, against
-    omega(r)^(1/(1+sg)) {avg_{B_2r}|Dw1| + G^{-1}[avg(G|Dpsi| + G|psi|)]},
-    or against 0 (an exact match) when omega is one value on all the frozen
-    solve reads: the ball's nodes (its mean) and each cell with a free
-    corner (its energy)."""
+    the ``coefficient`` term omega(r)^(1/(1+sg)) {avg_{B_2r}|Dw1| +
+    G^{-1}[avg(G|Dpsi| + G|psi|)]}, or against no term (an exact match)
+    when omega is one value on all the frozen solve reads: the ball's nodes
+    (its mean) and each cell with a free corner (its energy)."""
     inst = ctx.inst
     x, r = ball
     coef = inst.field.coefficient
@@ -499,9 +503,9 @@ def _frozen_row(study: RatioStudy, ctx: EstimateContext, w1: Solution, w2: Solut
     read = np.concatenate([coef.on_nodes(inst.grid)[ball_nodes(inst.grid, x, r)],
                            coef.on_cells(inst.grid)[read_cells]])
     lhs = ball_average(grad_distance_field(w1.u, w2.u), x, r)
-    rhs = 0.0 if np.ptp(read) <= 1e-12 else coefficient_error_term(
-        ctx, grad_fields(w1.u)[2], x, r, 2 * r)
-    return study.add(x, r, lhs, rhs, exact_tol=10 * inst.solver.tol, **row)
+    terms = {} if np.ptp(read) <= 1e-12 else {"coefficient": coefficient_error_term(
+        ctx, grad_fields(w1.u)[2], x, r, 2 * r)}
+    return study.add(x, r, lhs, terms, exact_tol=10 * inst.solver.tol, **row)
 
 
 def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
@@ -512,7 +516,7 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
     skipped = False
     for cell, inst in cells(cfg, "scale", scale="rhs_scale"):
         if inst.measure.is_empty():
-            study.add(center, R, 0.0, 0.0)
+            study.add(center, R, 0.0, {})
             skipped = True
         elif inst.measure.atoms:
             # atoms make the primary solution a mollification limit, whose
@@ -567,16 +571,14 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
         for R in radii:
             lam = ball_average(sol.u, center, R)
             lhs = ball_average(G_du, center, R / 2)
-            rhs = ball_average(
-                sol.u.with_values(growth.G(np.abs(sol.u.values - lam) / R)), center, R
-            )
+            terms = {"oscillation": ball_average(
+                sol.u.with_values(growth.G(np.abs(sol.u.values - lam) / R)), center, R)}
             if psi is not None:
-                rhs += ball_average(
-                    psi.with_values(growth.G(np.abs(psi.values) / R) + G_dpsi), center, R
-                )
+                terms["obstacle"] = ball_average(
+                    psi.with_values(growth.G(np.abs(psi.values) / R) + G_dpsi), center, R)
             # the cell's constant is the worst ratio over the radius
             # ladder (at slack radii the bound is simply not sharp)
-            study.add(center, R, lhs, rhs, cell=cell)
+            study.add(center, R, lhs, terms, cell=cell)
     return study.report("caccioppoli", extra=study.drift() is not None)
 
 
@@ -606,10 +608,10 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
         radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(3 * R / 4)]
         for R in radii:
             lhs = ball_average(G_du, center, 3 * R / 4)
-            rhs = float(growth.G(ball_average(mag, center, R)))
+            terms = {"du": float(growth.G(ball_average(mag, center, R)))}
             if psi_term is not None:
-                rhs += ball_average(psi_term, center, R)
-            study.add(center, R, lhs, rhs, cell=cell)
+                terms["obstacle"] = ball_average(psi_term, center, R)
+            study.add(center, R, lhs, terms, cell=cell)
     return study.report("reverse_holder", extra=study.drift() is not None)
 
 
@@ -641,8 +643,8 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
             S_vals = np.zeros_like(mag.values)
             pos = mag.values > 0
             S_vals[pos] = growth.S(mag.values[pos], 2)
-            rhs = float(growth.S_inverse(ball_average(u.with_values(S_vals), center, R), 2))
-            study.add(center, R, lhs, rhs, cell=n, family=label)
+            du = float(growth.S_inverse(ball_average(u.with_values(S_vals), center, R), 2))
+            study.add(center, R, lhs, {"du": du}, cell=n, family=label)
     # the reported drift is the worst field's: the fields differ in kind
     drifts = [d for d in study.family_drifts().values() if d is not None]
     return study.report("sobolev_median", drift=max(drifts, default=None))
@@ -679,17 +681,13 @@ def _homogeneous_fit(cache, inst: Instance):
 def check_excess_decay_homogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Power-law decay of the gradient excess for the constant-coefficient
     homogeneous equation; reports the fitted exponent and log residual."""
-    center, R = _DECAY_BALL
     study = RatioStudy()
     summary: dict = {}
     passed = True
     for n, inst in cells(_homogeneous_config(cfg)):
         radii, beta_hat, pref, resid, exc = _homogeneous_fit(cache, inst)
-        if exc[-1] <= 10 * inst.solver.tol:
-            study.rows.append(CheckRow(center, R, exc[-1], 0.0, None, "trivial-skip"))
-            continue
         for rho, e in zip(radii, exc):
-            study.add(center, rho, float(e), float(pref * rho**beta_hat))
+            study.add(_DECAY_BALL[0], rho, float(e), {"fit": float(pref * rho**beta_hat)})
         summary[f"beta_hat_n{n}"] = beta_hat
         summary[f"fit_residual_n{n}"] = resid
         passed &= beta_hat > 0.05 and resid < 0.2
@@ -724,8 +722,8 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
         radii = radius_ladder(max(6 * inst.grid.h, R / 10), R, 12)
         excess = [vector_excess(ctx.du_x, ctx.du_y, center, rho) for rho in radii]
         for rho, lhs in zip(radii, excess):
-            rhs = excess_rhs_with_errors(ctx, center, R, rho, beta_hat, excess[-1])
-            study.add(center, rho, lhs, rhs, cell=n)
+            study.add(center, rho, lhs,
+                      excess_rhs_with_errors(ctx, center, R, rho, beta_hat, excess[-1]), cell=n)
     return study.report("excess_decay_with_errors", notes=notes)
 
 
@@ -746,14 +744,14 @@ def _chain_stage_rows(study: RatioStudy, cache: SolveCache, cell, ctx: EstimateC
                                  measure_error_term(inst, center, R), **row("w1")),
         "w2": _frozen_row(study, ctx, chain.w1, chain.w2, (center, half), **row("w2")),
     }
-    # obstacle-flux transitions: both gaps are controlled by
-    # (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
+    # obstacle-flux transitions: both gaps are controlled by the ``flux``
+    # term (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
     flux = chain.obstacle_flux
     flux_field = flux.with_values(np.abs(flux.values) + 1.0)
-    rhs34 = _g_inverse(inst, half * ball_average(flux_field, center, half))
+    terms = {"flux": _g_inverse(inst, half * ball_average(flux_field, center, half))}
     for stage, a, b in (("w3", chain.w2, chain.w3), ("w4", chain.w3, chain.w4)):
         lhs = ball_average(grad_distance_field(a.u, b.u), center, half)
-        out[stage] = study.add(center, half, lhs, rhs34, exact_tol=10 * inst.solver.tol,
+        out[stage] = study.add(center, half, lhs, terms, exact_tol=10 * inst.solver.tol,
                                **row(stage))
     return out
 
@@ -798,12 +796,12 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
         for alpha in alphas:
             for x, ladder, wolffs in gathered:
                 lhs1 = ladder.sharp_maximal(alpha) + ladder.frac_maximal(1.0 - alpha)
-                rhs1 = maximal_sum_rhs(ctx, x, R, alpha, float(ladder.du_mean[-1]), wolffs)
-                study.add(x, R, lhs1, rhs1, cell=(n, alpha), family="maximal_sum")
-                lhs2 = ladder.sharp_maximal_vector(alpha)
-                rhs2 = sharp_gradient_rhs(ctx, x, R, alpha, ladder, wolffs)
-                study.add(x, R, lhs2, rhs2, cell=(n, alpha), family="sharp_gradient",
-                          tag="sharp-gradient")
+                study.add(x, R, lhs1,
+                          maximal_sum_rhs(ctx, x, R, alpha, float(ladder.du_mean[-1]), wolffs),
+                          cell=(n, alpha), family="maximal_sum")
+                study.add(x, R, ladder.sharp_maximal_vector(alpha),
+                          sharp_gradient_rhs(ctx, x, R, alpha, ladder, wolffs),
+                          cell=(n, alpha), family="sharp_gradient", tag="sharp-gradient")
     return study.report(
         "maximal_estimates", extra=alpha0_gap <= 1e-12,
         notes=[f"alpha values: {', '.join(f'{a:.4g}' for a in alphas)}"],
@@ -846,17 +844,17 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
         for x0, ang in zip(points, angles):
             du_avg = ball_average(ctx.du_mag, x0, R)
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))
-            rhs = maximal_sum_rhs(ctx, x0, R, 1.0, du_avg, wolff_ladders(ctx, x0, R))
-            study.add(x0, R, lhs, rhs, cell=n)
+            study.add(x0, R, lhs, maximal_sum_rhs(ctx, x0, R, 1.0, du_avg,
+                                                  wolff_ladders(ctx, x0, R)), cell=n)
             d = np.array([np.cos(ang), np.sin(ang)]) * R / 8.0
             x = (x0[0] + d[0], x0[1] + d[1])
             y = (x0[0] - d[0], x0[1] - d[1])
             dux = np.array([ctx.du_x.at_node(x), ctx.du_y.at_node(x)])
             duy = np.array([ctx.du_x.at_node(y), ctx.du_y.at_node(y)])
             lhs_osc = float(np.linalg.norm(dux - duy))
-            rhs_osc = gradient_oscillation_rhs(ctx, du_avg, x, y, R, alpha,
-                                               wolff_ladders(ctx, x, R), wolff_ladders(ctx, y, R))
-            study.add(x, float(np.hypot(x[0] - y[0], x[1] - y[1])), lhs_osc, rhs_osc,
+            terms = gradient_oscillation_rhs(ctx, du_avg, x, y, R, alpha,
+                                             wolff_ladders(ctx, x, R), wolff_ladders(ctx, y, R))
+            study.add(x, float(np.hypot(x[0] - y[0], x[1] - y[1])), lhs_osc, terms,
                       tag="oscillation")
     return study.report("gradient_bounds",
                         notes=[f"oscillation exponent alpha = {alpha:.4g}"])

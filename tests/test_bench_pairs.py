@@ -46,3 +46,10 @@ def test_table_reads_the_shift_the_spread_and_the_wins():
                         "| 0.2 [0.19, 0.21] s | -33.3% | 0.1 s | 4/5 |")
     # every pair tied: no winner to count
     assert lines[3].endswith("| +0.0% | 0 share | — |")
+
+
+def test_pair_line_prints_every_metric_of_both_sides_in_run_order():
+    rev, change = PAIRS[1]
+    line = bench_pairs.pair_line("contact-verify", 2, METRICS, {"change": change, "rev": rev})
+    assert line == ("contact-verify pair 2: change wall_s 0.21 pass_share 1  "
+                    "rev wall_s 0.25 pass_share 1")

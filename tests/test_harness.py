@@ -3,6 +3,7 @@
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,17 +226,22 @@ def test_context_at_the_resolution_floor(dirac_solved):
     assert ctx.modulus.radii.tolist() == [inst.grid.r_min]
 
 
+def _rhs(terms):
+    """The right side ``RatioStudy.add`` makes of ``terms``."""
+    return sum(terms.values(), 0.0)
+
+
 def test_assemblies_monotone_in_data(dirac_context):
     ctx = dirac_context
     x, R = (0.5, 0.3), 0.15
 
     def maximal_sum(c, alpha):
-        return maximal_sum_rhs(c, x, R, alpha, ball_average(c.du_mag, x, R),
-                               wolff_ladders(c, x, R))
+        return _rhs(maximal_sum_rhs(c, x, R, alpha, ball_average(c.du_mag, x, R),
+                                    wolff_ladders(c, x, R)))
 
     def sharp_gradient(c):
-        return sharp_gradient_rhs(c, x, R, 0.3, point_ladders(c, [x], R)[0],
-                                  wolff_ladders(c, x, R))
+        return _rhs(sharp_gradient_rhs(c, x, R, 0.3, point_ladders(c, [x], R)[0],
+                                       wolff_ladders(c, x, R)))
 
     base_vals = {
         "mstar": maximal_sum(ctx, 1.0),
@@ -320,18 +326,24 @@ def test_absent_data_adds_zero_to_every_estimate(no_data_solved):
     ladder, = point_ladders(ctx, [x], R)
     du_avg = float(ladder.du_mean[-1])
     for beta in (0.5, 0.25):
-        assert checks._wolff_pair(ctx, ladders, beta, 2.0) == (0.0, 0.0)
+        assert [wolff.potential(beta, 2.0) for wolff in ladders] == [0.0, 0.0]
     assert checks.measure_error_term(ctx.inst, x, R) == 0.0
     assert checks.obstacle_error_term(ctx, x, R) == 0.0
     om = ctx.modulus
     assert checks.coefficient_error_term(ctx, ctx.du_mag, x, R, R) == (
         float(np.interp(R, om.radii, om.values)) ** om.dini_exponent
         * ball_average(ctx.du_mag, x, R))
-    # the sums are bitwise the terms that need no data
+    # every data term is 0.0, so the sums are bitwise the terms that need no data
     for alpha in (0.0, 0.3, 1.0):
-        assert maximal_sum_rhs(ctx, x, R, alpha, du_avg, ladders) == R ** (1.0 - alpha) * du_avg
+        terms = maximal_sum_rhs(ctx, x, R, alpha, du_avg, ladders)
+        assert terms == {"du": R ** (1.0 - alpha) * du_avg, "wolff_mu": 0.0, "wolff_psi": 0.0,
+                         "dini": 0.0}
+        assert _rhs(terms) == terms["du"]
     for alpha in (0.0, 0.3):
-        assert sharp_gradient_rhs(ctx, x, R, alpha, ladder, ladders) == R ** (-alpha) * du_avg
+        terms = sharp_gradient_rhs(ctx, x, R, alpha, ladder, ladders)
+        assert terms == {"du": R ** (-alpha) * du_avg, "maximal_mu": 0.0, "maximal_psi": 0.0,
+                         "wolff_mu": 0.0, "wolff_psi": 0.0, "dini": 0.0}
+        assert _rhs(terms) == terms["du"]
 
 
 def test_chain_without_an_obstacle_has_a_zero_flux(no_data_solved):
@@ -359,7 +371,7 @@ def test_chain_without_an_obstacle_has_a_zero_flux(no_data_solved):
 def _study(*ratios, family=None):
     study = RatioStudy()
     for i, q in enumerate(ratios):
-        study.add((0.5, 0.5), 0.1, q, 1.0, cell=i, family=family)
+        study.add((0.5, 0.5), 0.1, q, {"t": 1.0}, cell=i, family=family)
     return study
 
 
@@ -372,16 +384,16 @@ def test_ratio_study_drift_limit_is_strict():
 def test_ratio_study_cell_keeps_worst_ratio():
     study = RatioStudy()
     for q in (0.5, 2.0, 1.0):
-        study.add((0.5, 0.5), 0.1, q, 1.0, cell="a")
-    study.add((0.5, 0.5), 0.1, 1.0, 1.0, cell="b")
+        study.add((0.5, 0.5), 0.1, q, {"t": 1.0}, cell="a")
+    study.add((0.5, 0.5), 0.1, 1.0, {"t": 1.0}, cell="b")
     assert study.families == {None: {"a": 2.0, "b": 1.0}}
     assert study.drift() == pytest.approx(2.0)
 
 
 def test_ratio_study_gates_each_family():
     study = _study(1.0, 2.0, family="one")
-    study.add((0.5, 0.5), 0.1, 5.0, 1.0, cell=0, family="two")
-    study.add((0.5, 0.5), 0.1, 6.0, 1.0, cell=1, family="two")
+    study.add((0.5, 0.5), 0.1, 5.0, {"t": 1.0}, cell=0, family="two")
+    study.add((0.5, 0.5), 0.1, 6.0, {"t": 1.0}, cell=1, family="two")
     assert study.family_drifts() == {"one": 2.0, "two": pytest.approx(1.2)}
     assert study.drift() == pytest.approx(6.0)  # pooled, reported only
     assert study.passed()
@@ -389,7 +401,7 @@ def test_ratio_study_gates_each_family():
 
 def test_ratio_study_failed_row_fails():
     study = _study(1.0, 1.5)
-    row = study.add((0.5, 0.5), 0.1, 1e-3, 0.0, exact_tol=1e-7, tag="chain-w1")
+    row = study.add((0.5, 0.5), 0.1, 1e-3, {}, exact_tol=1e-7, tag="chain-w1")
     assert row.flag == "failed chain-w1"
     assert not study.passed()
 
@@ -408,33 +420,47 @@ def test_ratio_study_single_cell_passes():
 def test_ratio_study_needs_evidence():
     assert not RatioStudy().passed()
     study = RatioStudy()
-    study.add((0.5, 0.5), 0.1, 1.0, 0.0)  # degenerate-skip
-    study.add((0.5, 0.5), 0.1, 2.0, 1.0)  # a ratio outside every cell
+    study.add((0.5, 0.5), 0.1, 1.0, {})  # degenerate-skip
+    study.add((0.5, 0.5), 0.1, 2.0, {"t": 1.0})  # a ratio outside every cell
     assert not study.passed()
-    study.add((0.5, 0.5), 0.1, 0.0, 0.0, exact_tol=1e-7, tag="chain-w2")
+    study.add((0.5, 0.5), 0.1, 0.0, {}, exact_tol=1e-7, tag="chain-w2")
     assert study.rows[-1].flag == "exact-match chain-w2"
     assert study.passed()
 
 
-def test_gradient_bounds_fails_on_mesh_dependent_bound(tmp_path, monkeypatch):
-    # a bound off by the factor (n/32)^2 drifts by 4x between n = 32 and
-    # n = 64; the gate must see it
-    path = tmp_path / "dirac2.ini"
-    path.write_text(DIRAC.replace("[sweep]\nn = 48", "[sweep]\nn = 32, 64"))
-    cfg = load_config(path)
-    cfg.check_params["points"] = 4
-    cache = SolveCache()
-    honest = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
-    assert honest.passed
-    rhs = checks.maximal_sum_rhs
-    monkeypatch.setattr(
-        checks, "maximal_sum_rhs",
-        lambda ctx, x, R, alpha, du_avg, ladders:
-            rhs(ctx, x, R, alpha, du_avg, ladders) * (ctx.inst.grid.n / 32) ** 2,
-    )
-    wrong = CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 0]))
-    assert wrong.passed is False
-    assert wrong.summary["drift"] >= 3.0
+def test_ratio_study_sums_no_terms_to_a_float_zero():
+    row = RatioStudy().add((0.5, 0.5), 0.1, 1.0, {})
+    assert row.rhs == 0.0 and type(row.rhs) is float
+    assert (row.ratio, row.flag) == (None, "degenerate-skip")
+
+
+@pytest.mark.parametrize("terms, exact_tol, lhs, flag", [
+    # a right side at or below the 1e-14 floor is not divided, whatever
+    # terms make it up
+    ({"a": 1e-15, "b": 0.0}, None, 1.0, "degenerate-skip"),
+    ({"a": 1e-15}, 1e-7, 1e-8, "exact-match"),
+    ({"a": 0.0, "b": 1e-15}, 1e-7, 1e-3, "failed"),
+    ({"a": 1.0, "b": -1.0}, 1e-7, 1e-3, "failed"),
+    ({"a": 6e-15, "b": 6e-15}, None, 1.0, ""),
+])
+def test_ratio_study_flags_the_sum_of_the_terms(terms, exact_tol, lhs, flag):
+    row = RatioStudy().add((0.5, 0.5), 0.1, lhs, terms, exact_tol=exact_tol)
+    assert row.flag == flag
+    assert (row.ratio is None) == (flag != "")
+
+
+def test_ratio_study_sums_the_terms_left_to_right():
+    # bit for bit the left-to-right + of the values in insertion order:
+    # 1e16 + 1 rounds back to 1e16, so another order would give 1.0
+    row = RatioStudy().add((0.5, 0.5), 0.1, 1.0, {"a": 1e16, "b": 1.0, "c": -1e16, "d": 2.0})
+    assert row.rhs == ((1e16 + 1.0) + -1e16) + 2.0 == 2.0
+    values = np.random.default_rng(3).lognormal(0.0, 4.0, size=7).tolist()
+    for order in (values, values[::-1], sorted(values)):
+        row = RatioStudy().add((0.5, 0.5), 0.1, 1.0, {f"t{i}": v for i, v in enumerate(order)})
+        want = order[0]
+        for v in order[1:]:
+            want = want + v
+        assert row.rhs == want
 
 
 @pytest.fixture(scope="module")
@@ -465,37 +491,248 @@ def test_gradient_bounds_evaluates_each_pair_once(dirac_two_meshes, monkeypatch)
     assert len(calls) == len(pairs) == cfg.check_params["points"] * len(cfg.sweep["n"])
 
 
-WOLFF_PAIR = checks._wolff_pair
+# -- the failure matrix ------------------------------------------------------------
+#
+# Every check must be able to fail on a wrong bound.  A case wraps
+# RatioStudy.add and passes the named terms of every row with a cell (the
+# rows the drift gate reads) through one transform f(term, radius, n), n
+# the row's mesh; a transform that returns None drops the term.  A case
+# whose check still passes is a strict xfail whose reason gives the drift
+# measured on its config.
+
+def _drop(t, R, n):
+    return None
 
 
-def _drop_wolff(ctx, ladders, beta, p):
-    return 0.0, 0.0
+def _times_r(k):
+    return lambda t, R, n: t * R**k
 
 
-def _wolff_times_n(ctx, ladders, beta, p):
-    wmu, wps = WOLFF_PAIR(ctx, ladders, beta, p)
-    scale = ctx.inst.grid.n / 32
-    return wmu * scale, wps * scale
+def _times_mesh(k):
+    return lambda t, R, n: t * (n / 32) ** k
 
 
-@pytest.mark.parametrize("check, wrong_pair", [
-    pytest.param("maximal_estimates", _drop_wolff, marks=pytest.mark.xfail(strict=True, reason=(
-        "passes with both Wolff terms dropped; the pooled drift is 3.56 but the "
-        "gated per-family drifts are 1.01 (maximal sum) and 1.02 (sharp gradient)"))),
-    pytest.param("gradient_bounds", _drop_wolff, marks=pytest.mark.xfail(strict=True, reason=(
-        "passes with both Wolff terms dropped, drift 1.01"))),
-    pytest.param("maximal_estimates", _wolff_times_n, marks=pytest.mark.xfail(strict=True, reason=(
-        "passes with the Wolff pair scaled by n/32; per-family drifts 2.09 "
-        "(maximal sum) and 3.00 (sharp gradient, 2.996 < 3)"))),
-    pytest.param("gradient_bounds", _wolff_times_n, marks=pytest.mark.xfail(strict=True, reason=(
-        "passes with the Wolff pair scaled by n/32, drift 1.91"))),
+def _power(k):
+    return lambda t, R, n: t**k
+
+
+def _non_decaying_field(cache, inst):
+    """In place of the homogeneous solve: the cone |x - c| about the fit's
+    centre, whose gradient excess is the same at every radius."""
+    (cx, cy), _ = checks._DECAY_BALL
+    return SimpleNamespace(u=GridFunction.from_callable(
+        inst.grid, lambda X, Y: np.hypot(X - cx, Y - cy)))
+
+
+def _passes(reason):
+    """The strict xfail of a case whose check still passes; a case that
+    transforms no term, or whose true bound fails, is still an error."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+@pytest.fixture(scope="module")
+def matrix_config(dirac_two_meshes):
+    """The matrix's configs by name, each with one SolveCache: the shipped
+    configs, and ``dirac2``, the test DIRAC config of ``dirac_two_meshes``."""
+    made = {"dirac2": dirac_two_meshes}
+
+    def get(name):
+        if name not in made:
+            made[name] = (load_config(CONFIGS / f"{name}.ini"), SolveCache())
+        return made[name]
+    return get
+
+
+_WOLFF = ("wolff_mu", "wolff_psi")
+_GRADIENT = ("du", "wolff_mu", "wolff_psi", "dini")
+
+
+@pytest.mark.parametrize("check, config, names, wrong", [
+    pytest.param("comparison_inhomogeneous", "dirac", ("measure",), _drop,
+                 id="comparison-measure-dropped"),
+    pytest.param("comparison_inhomogeneous", "poisson", ("measure",), _power(2),
+                 id="comparison-poisson-measure-squared"),
+    pytest.param("comparison_inhomogeneous", "dirac", ("measure",), _power(2),
+                 id="comparison-dirac-measure-squared"),
+    pytest.param("comparison_inhomogeneous", "dirac", ("measure",), _times_r(1),
+                 id="comparison-measure-times-R", marks=_passes(
+                     "passes with the measure term times R: one ball radius moves every "
+                     "cell alike; drift 1.028 as for the true bound, max ratio 1.24")),
+    pytest.param("frozen_coefficient", "jump", ("coefficient",), _drop,
+                 id="frozen-coefficient-dropped"),
+    pytest.param("frozen_coefficient", "jump", ("coefficient",), _times_mesh(2),
+                 id="frozen-coefficient-times-mesh2"),
+    pytest.param("frozen_coefficient", "jump", ("coefficient",), _power(2),
+                 id="frozen-coefficient-squared", marks=_passes(
+                     "passes with the coefficient term squared (omega^(2/(1+sg)) and its "
+                     "bracket squared): drift 1.04 against the true bound's 1.44, over "
+                     "jump.ini's amplitudes 0.2 and 0.4")),
+    pytest.param("caccioppoli", "contact", ("obstacle",), _drop,
+                 id="caccioppoli-obstacle-dropped", marks=_passes(
+                     "passes with the obstacle term dropped: drift 1.007, max ratio 36.2")),
+    pytest.param("caccioppoli", "contact", ("oscillation",), _times_r(3),
+                 id="caccioppoli-oscillation-times-R3", marks=_passes(
+                     "passes with /R dropped from G(|u - lambda|/R) (the term times R^3 at "
+                     "p = 3): every cell reads the same radius ladder; drift 1.016 as for "
+                     "the true bound")),
+    pytest.param("caccioppoli", "contact", ("obstacle",), _power(2),
+                 id="caccioppoli-obstacle-squared"),
+    pytest.param("reverse_holder", "contact", ("obstacle",), _drop,
+                 id="reverse_holder-obstacle-dropped", marks=_passes(
+                     "passes with the obstacle term dropped: drift 1.003 (true bound "
+                     "1.020), max ratio 1.21")),
+    pytest.param("reverse_holder", "contact", ("du",), _power(1 / 3),
+                 id="reverse_holder-du-cube-root"),
+    pytest.param("sobolev_median", "contact", ("du",), _drop, id="sobolev_median-du-dropped"),
+    pytest.param("sobolev_median", "contact", ("du",), _times_r(-1),
+                 id="sobolev_median-du-over-R", marks=_passes(
+                     "passes with the right side over R (/R dropped from the left side): "
+                     "one ball radius moves every cell alike; drift 1.016 as for the true "
+                     "bound")),
+    pytest.param("excess_decay_homogeneous", "dirac", (), _non_decaying_field,
+                 id="excess_decay_homogeneous-non-decaying-field"),
+    pytest.param("excess_decay_with_errors", "dirac", ("measure",), _drop,
+                 id="excess_decay_with_errors-measure-dropped"),
+    pytest.param("excess_decay_with_errors", "dirac", ("flux",), _drop,
+                 id="excess_decay_with_errors-flux-dropped"),
+    pytest.param("excess_decay_with_errors", "dirac", ("flux",), _times_mesh(2),
+                 id="excess_decay_with_errors-flux-times-mesh2"),
+    pytest.param("excess_decay_with_errors", "dirac", ("measure",), _power(2),
+                 id="excess_decay_with_errors-measure-squared", marks=_passes(
+                     "passes with the measure terms squared: the cells are meshes at one "
+                     "data scale; gated drifts 1.074 (excess) and 1.080 (chain-w1), "
+                     "pooled 5.35")),
+    pytest.param("maximal_estimates", "dirac2", _WOLFF, _drop,
+                 id="maximal_estimates-wolff-dropped", marks=_passes(
+                     "passes with both Wolff terms dropped; the pooled drift is 3.55 but "
+                     "the gated per-family drifts are 1.004 (maximal sum) and 1.042 "
+                     "(sharp gradient)")),
+    pytest.param("maximal_estimates", "dirac2", _WOLFF, _times_mesh(1),
+                 id="maximal_estimates-wolff-times-mesh", marks=_passes(
+                     "passes with the Wolff pair scaled by n/32; per-family drifts 2.06 "
+                     "(maximal sum) and 2.73 (sharp gradient)")),
+    pytest.param("maximal_estimates", "dirac2", _WOLFF, _power(2),
+                 id="maximal_estimates-wolff-squared", marks=_passes(
+                     "passes with both Wolff terms squared: the cells are meshes at one data "
+                     "scale, so a wrong data power is left to the homogeneity test; "
+                     "per-family drifts 1.47 (maximal sum) and 1.98 (sharp gradient)")),
+    pytest.param("maximal_estimates", "dirac2", _GRADIENT + ("maximal_mu", "maximal_psi"),
+                 _times_mesh(2), id="maximal_estimates-bound-times-mesh2"),
+    pytest.param("gradient_bounds", "dirac2", _WOLFF, _drop,
+                 id="gradient_bounds-wolff-dropped", marks=_passes(
+                     "passes with both Wolff terms dropped, drift 1.13")),
+    pytest.param("gradient_bounds", "dirac2", _WOLFF, _times_mesh(1),
+                 id="gradient_bounds-wolff-times-mesh", marks=_passes(
+                     "passes with the Wolff pair scaled by n/32, drift 1.91")),
+    pytest.param("gradient_bounds", "dirac2", _WOLFF, _power(2),
+                 id="gradient_bounds-wolff-squared", marks=_passes(
+                     "passes with both Wolff terms squared: the cells are meshes at one data "
+                     "scale, so a wrong data power is left to the homogeneity test; "
+                     "drift 1.12")),
+    # a bound off by (n/32)^2 drifts by 4x between n = 32 and n = 64
+    pytest.param("gradient_bounds", "dirac2", _GRADIENT, _times_mesh(2),
+                 id="gradient_bounds-bound-times-mesh2"),
 ])
-def test_check_fails_on_wrong_wolff_terms(dirac_two_meshes, monkeypatch, check, wrong_pair):
-    # negative controls of the Wolff terms: a check that still passes with
-    # them dropped or mesh-dependent cannot show the terms are needed
-    cfg, cache = dirac_two_meshes
-    monkeypatch.setattr(checks, "_wolff_pair", wrong_pair)
-    assert CHECKS[check](cfg, cache, np.random.default_rng([5, 0])).passed is False
+def test_check_fails_on_wrong_bound(matrix_config, monkeypatch, check, config, names, wrong):
+    cfg, cache = matrix_config(config)
+    if not CHECKS[check](cfg, cache, np.random.default_rng([5, 0])).passed:
+        pytest.fail(f"{check} fails on {config} with the true bound")
+    seen = set()
+    add = RatioStudy.add
+
+    def wrong_add(study, point, radius, lhs, terms, *, cell=None, **row):
+        if cell is not None:
+            n = cell if isinstance(cell, int) else cell[0]
+            seen.update(terms.keys() & set(names))
+            terms = {k: wrong(t, radius, n) if k in names else t for k, t in terms.items()}
+            terms = {k: t for k, t in terms.items() if t is not None}
+        return add(study, point, radius, lhs, terms, cell=cell, **row)
+
+    if names:
+        monkeypatch.setattr(RatioStudy, "add", wrong_add)
+    else:  # excess_decay_homogeneous: its verdict is a fit, not a bound
+        monkeypatch.setattr(checks, "_homogeneous_solution", wrong)
+    rep = CHECKS[check](cfg, cache, np.random.default_rng([5, 0]))
+    if seen != set(names):
+        pytest.fail(f"no row with a cell carries {sorted(set(names) - seen)}")
+    assert rep.passed is False
+
+
+# -- homogeneity of the gradient bounds' terms -------------------------------------
+
+# the terms that integrate the obstacle kernel: W^psi, M^psi, and the
+# oscillation's Wolff pairs (W^mu + W^psi at each of its two points)
+_OBSTACLE_TERMS = {"wolff_psi", "maximal_psi", "wolff"}
+
+
+def _data_scaled(inst, s):
+    """``inst`` with its measure, trace and obstacle times s, to be solved
+    from a flat start."""
+    return replace(inst, measure=inst.measure.scaled(s), start=None,
+                   boundary=inst.boundary.with_values(s * inst.boundary.values),
+                   obstacle=inst.obstacle.with_values(s * inst.obstacle.values))
+
+
+def _gradient_bound_terms(ctx, x, R, alpha):
+    """Every term of the gradient bounds at x, keyed (bound, term): the |Du|
+    bound, the maximal sum and the sharp gradient at alpha, and the
+    oscillation bound of the pair R/8 either side of x."""
+    ladder, = point_ladders(ctx, [x], R)
+    wolffs = wolff_ladders(ctx, x, R)
+    du_avg = float(ladder.du_mean[-1])
+    x1, y1 = (x[0] + R / 8, x[1]), (x[0] - R / 8, x[1])
+    bounds = {
+        "gradient": maximal_sum_rhs(ctx, x, R, 1.0, du_avg, wolffs),
+        "maximal_sum": maximal_sum_rhs(ctx, x, R, alpha, du_avg, wolffs),
+        "sharp_gradient": sharp_gradient_rhs(ctx, x, R, alpha, ladder, wolffs),
+        "oscillation": gradient_oscillation_rhs(ctx, du_avg, x1, y1, R, alpha,
+                                                wolff_ladders(ctx, x1, R),
+                                                wolff_ladders(ctx, y1, R)),
+    }
+    return {(bound, name): t for bound, terms in bounds.items() for name, t in terms.items()}
+
+
+@pytest.fixture(scope="module")
+def scaled_bound_terms(tmp_path_factory):
+    """Per config, the gradient-bound terms at data scale 1 and 4: the test
+    DIRAC config (p = 2, so the problem is linear) at n = 48, and contact.ini
+    (p = 3 with f = 0, 2-homogeneous) at n = 32."""
+    path = tmp_path_factory.mktemp("homogeneity") / "dirac.ini"
+    path.write_text(DIRAC)
+    out = {}
+    for name, cfg, n in (("dirac", load_config(path), 48),
+                         ("contact", load_config(CONFIGS / "contact.ini"), 32)):
+        inst = build_instance(cfg, n)
+        out[name] = [_gradient_bound_terms(
+            checks.primary_context(SolveCache(), _data_scaled(inst, s), 0.3),
+            (0.45, 0.55), 0.15, 0.3) for s in (1.0, 4.0)]
+    return out
+
+
+@pytest.mark.parametrize("config, group", [
+    ("dirac", "data"),
+    ("contact", "data"),
+    pytest.param("dirac", "obstacle", marks=pytest.mark.xfail(strict=True, reason=(
+        "finding: the obstacle kernel's +1 is not homogeneous, so at data scale 4 "
+        "W^psi and M^psi scale by 0.75 of 4 and the oscillation's Wolff pairs by "
+        "0.957 of 4 (n = 48)"))),
+    pytest.param("contact", "obstacle", marks=pytest.mark.xfail(strict=True, reason=(
+        "finding: the obstacle kernel's +1 is not homogeneous, so at data scale 4 "
+        "W^psi scales by 0.843-0.853 of 4, M^psi by 0.830 of 4 and the "
+        "oscillation's Wolff pairs by 0.839 of 4 (n = 32)"))),
+])
+def test_gradient_bound_terms_scale_like_du(scaled_bound_terms, config, group):
+    # data scale 4 multiplies the solution, so |Du|, by 4 (measured to 2e-16
+    # relative): each term of a gradient bound must scale by 4 too, to the
+    # solver tolerance (1e-7 or finer)
+    one, four = scaled_bound_terms[config]
+    keys = [key for key in one if (key[1] in _OBSTACLE_TERMS) == (group == "obstacle")]
+    assert {name for _, name in keys} == ({"wolff_psi", "maximal_psi", "wolff"}
+                                          if group == "obstacle"
+                                          else {"du", "wolff_mu", "maximal_mu", "dini"})
+    assert all(one[key] > 0 for key in keys if key[1] in ("du", "wolff_psi"))
+    for key in keys:
+        assert four[key] == pytest.approx(4.0 * one[key], rel=1e-6, abs=0.0), key
 
 
 LADDER_POINTS = ((0.5, 0.53), (0.47, 0.49), (0.3, 0.35), (0.68, 0.62))
