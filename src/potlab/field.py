@@ -207,9 +207,10 @@ class OscillationModulus:
             raise DataError("radii and values must align")
         if self.radii.size and np.any(np.diff(self.radii) <= 0):
             raise DataError("modulus radii must be increasing")
+        object.__setattr__(self, "_zero", self.radii.size == 0 or not np.any(self.values > 0))
 
     def is_zero(self) -> bool:
-        return self.radii.size == 0 or not np.any(self.values > 0)
+        return self._zero
 
 
 def dini_integral(om: OscillationModulus, r: float, alpha_hat: float = 0.0,

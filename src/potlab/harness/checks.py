@@ -208,6 +208,7 @@ class SolveCache:
         self._store: dict = {}
         self.hits = 0
         self.misses = 0
+        self.held: dict = {}  # at most one LU list, keyed by its scale base (``primary_solution``)
 
     def get(self, key, builder):
         if key in self._store:
@@ -259,11 +260,21 @@ def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: one solve on the measure mollified at
     the finest level its mesh resolves, ``finest_level(inst.grid)`` (atoms
     become bumps, a density passes unchanged, the zero measure is f = 0),
-    started from the linked cell's (``_warm_start``)."""
+    started from the linked cell's (``_warm_start``).  The cache holds a
+    scale base's last LU while cells scale-linked to it (``Instance.scaled``)
+    are unsolved, and hands it to their first steps."""
     def solve():
         rhs = mollify_measure(inst.measure, finest_level(inst.grid), inst.grid)
-        return solve_vi(inst.problem(rhs=rhs), inst.solver,
-                        warm_start=_warm_start(cache, inst, primary_solution))
+        warm = _warm_start(cache, inst, primary_solution)
+        base = inst.start[0] if inst.start and inst.start[0].grid == inst.grid else inst
+        lu = cache.held.pop(base.key, []) if base.scaled > 0 else None
+        cache.held.clear()  # an LU not handed along the scale link is freed here
+        if lu is not None and base is not inst:
+            base.scaled -= 1
+        sol = solve_vi(inst.problem(rhs=rhs), inst.solver, warm_start=warm, factorization=lu)
+        if lu and base.scaled > 0:
+            cache.held[base.key] = lu
+        return sol
     return cache.get((inst.key, "vi"), solve)
 
 

@@ -279,10 +279,10 @@ _COEFFICIENTS = {**COEFFICIENT_PRESETS,
                  "file": lambda file: coefficient_from_raster(read_raster(file))}
 
 
-def _measure(grid, scale, atoms="", density=None) -> MeasureData:
+def _measure(grid, atoms="", density=None) -> MeasureData:
     """Atoms ``x y mass; ...``, each strictly inside the unit square, plus a
-    constant or raster density, the masses and the density times
-    ``scale``; the zero measure ``MeasureData()`` when both are absent."""
+    constant or raster density; the zero measure ``MeasureData()`` when
+    both are absent."""
     points = []
     for chunk in filter(str.strip, atoms.split(";")):
         try:
@@ -296,10 +296,10 @@ def _measure(grid, scale, atoms="", density=None) -> MeasureData:
         if not math.isfinite(m):
             raise DataError(f"[measure] atoms: the mass of atom ({x:g}, {y:g}) must be a "
                             f"finite number, got {m!r}")
-        points.append((x, y, m * scale))
+        points.append((x, y, m))
     if density is not None:
         density = _on_grid("measure", read_raster(density) if isinstance(density, Path)
-                           else GridFunction.constant(grid, density), grid, scale)
+                           else GridFunction.constant(grid, density), grid, 1.0)
     return MeasureData(points, density)
 
 
@@ -356,6 +356,8 @@ class Instance:
     solver: SolverConfig
     key: tuple  # names the inputs of every field above; see build_instance
     start: tuple[Instance, float] | None = None
+    # the cells of its ``cells`` crossing that are scale-linked to it and unsolved
+    scaled: int = field(default=0, compare=False, repr=False)
 
     def problem(self, rhs=None) -> ObstacleProblem:
         """The instance's obstacle problem with bounded right side ``rhs``,
@@ -415,13 +417,14 @@ def _realize_cell(cfg: ExperimentConfig, built: dict, n: int, data_scale: float,
     if amplitude is not None:
         coef["amplitude"] = amplitude
     vf = VectorField(growth, build_coefficient(cfg, coef))
-    measure = _realize(cfg, "measure", {None: _measure}, cfg.measure, None, key=None,
-                       grid=grid, scale=data_scale * rhs_scale)
+    # the trace's preset reads the unit measure, so data_scale alone scales the trace
+    measure = _realize(cfg, "measure", {None: _measure}, cfg.measure, None, key=None, grid=grid)
     obstacle = _on_grid("obstacle", _realize(cfg, "obstacle", OBSTACLE_PRESETS, cfg.obstacle,
                                              "none"), grid, data_scale)
     boundary = _on_grid("boundary", _realize(cfg, "boundary", BOUNDARY_PRESETS, cfg.boundary,
                                              "zero", growth=growth, measure=measure),
                         grid, data_scale)
+    measure = measure.scaled(data_scale * rhs_scale)
     s0 = float(cfg.sweep.get("scale", [1.0])[0])
     if rhs_scale == 1.0 and data_scale != s0:
         start = (_cell(cfg, built, n, s0, rhs_scale, amplitude), data_scale / s0)
@@ -460,10 +463,13 @@ def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
     held = {kw: values[a][0] for a, kw in (("scale", "data_scale"), ("amplitude", "amplitude"))
             if a not in axes}
     built: dict = {}  # each cell, a linked one included, is realized once
+    # a first-scale cell of a data-scale crossing comes before the cells scale-linked to it
+    linked = len(values["scale"]) - 1 if "scale" in axes and scale == "data_scale" else 0
     for n in cfg.sweep["n"]:
         for combo in itertools.product(*(values[a] for a in axes)):
             args = {"data_scale": 1.0, "rhs_scale": 1.0, **held,
                     **{keyword[a]: v for a, v in zip(axes, combo)}}
             inst = _cell(cfg, built, int(n), args["data_scale"], args["rhs_scale"],
                          args["amplitude"])
+            inst.scaled = linked if args["data_scale"] == values["scale"][0] else 0
             yield ((n, *combo) if axes else n), inst

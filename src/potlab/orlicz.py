@@ -14,10 +14,10 @@ Supported kinds:
   indices (1, p-1); at mu = 0 it is ``power``
 * ``tabulated``         monotone cubic interpolation of (t, g(t)) samples
 
-Power and regularized kinds use closed forms for G and G^{-1}; the
-tabulated kind integrates its interpolant.  Every other inverse (g^{-1},
-S^{-1}, the tabulated G^{-1}) is one log-space bisection.  All evaluators
-accept scalars or numpy arrays.
+Power and regularized kinds use closed forms for G and G^{-1}, power for
+S^{-1} too; the tabulated kind integrates its interpolant.  Every other
+inverse (g^{-1}, S^{-1}, the tabulated G^{-1}) is one log-space bisection.
+All evaluators accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -161,6 +161,13 @@ class PowerGrowth(GrowthFunction):
     def G_inverse(self, s):
         arr = _checked(s, "s")
         return _like((self.p * arr) ** (1.0 / self.p), s)
+
+    def S_inverse(self, s, n: int):
+        """S(t) = p^(-1+1/n) t^(p-(p-1)/n), inverted in closed form."""
+        if n < 2:
+            raise DomainError("dimension must be at least 2")
+        arr = _checked(s, "s")
+        return _like((arr * self.p ** (1 - 1 / n)) ** (1 / (self.p - (self.p - 1) / n)), s)
 
     def __repr__(self):
         return f"PowerGrowth(p={self.p})"

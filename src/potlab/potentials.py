@@ -123,12 +123,16 @@ class WolffLadder:
             radii = np.unique(np.concatenate([radii, np.asarray(extra)]))
         return cls(radii, ball_masses(mu, x, radii))
 
+    @functools.cached_property
+    def _log_steps(self) -> np.ndarray:
+        return np.diff(np.log(self.radii))
+
     def potential(self, beta: float, p: float) -> float:
-        """W_{beta,p}(x, R): the log-trapezoid rule of
-        (mass(rho) / rho^(n - beta p))^(1/(p-1))."""
+        """W_{beta,p}(x, R): ``np.trapezoid``'s log-trapezoid rule of
+        (mass(rho) / rho^(n - beta p))^(1/(p-1)), log steps taken once."""
         _check_wolff_exponents(beta, p)
-        integrand = (self.masses / self.radii ** (N_DIM - beta * p)) ** (1.0 / (p - 1.0))
-        return float(np.trapezoid(integrand, np.log(self.radii)))
+        y = (self.masses / self.radii ** (N_DIM - beta * p)) ** (1.0 / (p - 1.0))
+        return float((self._log_steps * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def wolff(mu: MeasureData, x, beta: float, p: float, R: float, *,

@@ -23,7 +23,9 @@ its free nodes once, at its first step, in a nested-dissection order of the
 node box, and builds the Hessian's CSC pattern on them; a step gathers the
 stencil coefficients into it, drops the active rows and columns, and SuperLU
 factors in that order.  The level holds the pattern and its latest LU
-with the unknown set it was built on, both freed with the level.  A step
+with the unknown set it was built on.  Both are freed with the level, but
+a warm-started solve can take an LU and hand its own last one back in
+``solve_vi``'s ``factorization`` (the harness's scale link).  A step
 whose unknown set is the held one solves its system by conjugate
 gradients preconditioned with that lagged LU (Knoll-Keyes, J. Comput.
 Phys. 193, 2004) to a fixed tight relative residual; any other step, and
@@ -384,7 +386,7 @@ def _coarse_start(grid, growth, omega_cells, f, start, psi, free, cfg):
     return _prolonged(sol.u.values, start, psi, free), sol
 
 
-def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
+def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade, handoff=None):
     h = grid.h
     h2 = h * h
     inv2h, eps2 = 0.5 / h, cfg.epsilon**2
@@ -402,6 +404,10 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
         l2 = h * float(np.linalg.norm(pr))
         return l2, l2 <= cfg.tol and float(np.abs(pr).max()) <= 10.0 * cfg.tol
 
+    # a handed-in LU and its unknowns are the level's lagged LU; a flat start drops them
+    lu, lu_unknown = handoff.pop() if handoff else (None, None)
+    if cascade:
+        lu = lu_unknown = None
     E, resid = objective(u)
     factorizations = krylov = lu_nnz = 0
     if (cascade and grid.n % 2 == 0 and grid.n // 2 >= _COARSEST
@@ -412,7 +418,7 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
             factorizations, krylov, lu_nnz = (coarse.factorizations, coarse.krylov_iterations,
                                               coarse.lu_nnz)
             E, resid = objective(u)
-    pattern = lu = lu_unknown = None
+    pattern = None
     misses = 0
     res_hist: list[float] = []
     en_hist: list[float] = [E]
@@ -471,6 +477,8 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
         en_hist.append(E)
         it += 1
 
+    if handoff is not None and lu is not None:
+        handoff.append((lu, lu_unknown))
     return Solution(
         u=GridFunction(grid, u),
         iterations=it,
@@ -492,7 +500,8 @@ def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
     return free & grid.interior_mask()
 
 
-def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Solution:
+def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
+           factorization=None) -> Solution:
     grid = prob.grid
     # an equation is the obstacle problem with psi = -inf, and no data is f = 0
     psi = np.full((grid.n,) * 2, -np.inf) if prob.obstacle is None else prob.obstacle.values
@@ -514,7 +523,7 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Soluti
         )
     # only a flat start runs the coarse cascade: a warm start is already close
     sol = _minimize(grid, prob.field.growth, prob.field.coefficient.on_cells(grid),
-                    f, start, psi, free, cfg, warm_start is None)
+                    f, start, psi, free, cfg, warm_start is None, factorization)
     if not sol.converged:
         raise IterationLimitError(
             f"stopped by {sol.stop_reason} after {sol.iterations} iterations "
@@ -525,9 +534,11 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Soluti
 
 
 def solve_vi(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,
-             ball=None, warm_start=None) -> Solution:
-    """Minimize the discrete energy over {u >= psi, pinned trace}."""
-    return _solve(prob, cfg or SolverConfig(), ball, warm_start)
+             ball=None, warm_start=None, factorization=None) -> Solution:
+    """Minimize the discrete energy over {u >= psi, pinned trace}; the list
+    ``factorization`` gives a warm start its level's first lagged LU and
+    gets the level's last one back."""
+    return _solve(prob, cfg or SolverConfig(), ball, warm_start, factorization)
 
 
 def solve_equation(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,

@@ -1,5 +1,6 @@
 """Config loading, RHS assemblies, checks, reports, and the CLI."""
 
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -665,14 +666,6 @@ def test_check_fails_on_wrong_bound(matrix_config, monkeypatch, check, config, n
 _OBSTACLE_TERMS = {"wolff_psi", "maximal_psi", "wolff"}
 
 
-def _data_scaled(inst, s):
-    """``inst`` with its measure, trace and obstacle times s, to be solved
-    from a flat start."""
-    return replace(inst, measure=inst.measure.scaled(s), start=None,
-                   boundary=inst.boundary.with_values(s * inst.boundary.values),
-                   obstacle=inst.obstacle.with_values(s * inst.obstacle.values))
-
-
 def _gradient_bound_terms(ctx, x, R, alpha):
     """Every term of the gradient bounds at x, keyed (bound, term): the |Du|
     bound, the maximal sum and the sharp gradient at alpha, and the
@@ -696,16 +689,17 @@ def _gradient_bound_terms(ctx, x, R, alpha):
 def scaled_bound_terms(tmp_path_factory):
     """Per config, the gradient-bound terms at data scale 1 and 4: the test
     DIRAC config (p = 2, so the problem is linear) at n = 48, and contact.ini
-    (p = 3 with f = 0, 2-homogeneous) at n = 32."""
+    (p = 3 with f = 0, 2-homogeneous) at n = 32.  The scale-4 cell multiplies
+    the measure, trace and obstacle by 4 and starts from 4 times the
+    scale-1 solution."""
     path = tmp_path_factory.mktemp("homogeneity") / "dirac.ini"
     path.write_text(DIRAC)
     out = {}
     for name, cfg, n in (("dirac", load_config(path), 48),
                          ("contact", load_config(CONFIGS / "contact.ini"), 32)):
-        inst = build_instance(cfg, n)
-        out[name] = [_gradient_bound_terms(
-            checks.primary_context(SolveCache(), _data_scaled(inst, s), 0.3),
-            (0.45, 0.55), 0.15, 0.3) for s in (1.0, 4.0)]
+        out[name] = [_gradient_bound_terms(checks.primary_context(
+            SolveCache(), build_instance(cfg, n, data_scale=s), 0.3), (0.45, 0.55), 0.15, 0.3)
+            for s in (1.0, 4.0)]
     return out
 
 
@@ -1049,9 +1043,9 @@ def test_excess_decay_with_errors_solves_one_w1_per_ball(monkeypatch):
     balls = []
     _solve = solver._solve
 
-    def logged(prob, cfg, ball, warm_start):
+    def logged(prob, cfg, ball, warm_start, *handoff):
         balls.append(ball)
-        return _solve(prob, cfg, ball, warm_start)
+        return _solve(prob, cfg, ball, warm_start, *handoff)
 
     monkeypatch.setattr(solver, "_solve", logged)
     cfg, cache = load_config(CONFIGS / "dirac.ini"), SolveCache()
@@ -1534,6 +1528,18 @@ def test_every_preset_builds_from_its_required_keys(tmp_path):
         assert inst.measure.is_empty() == (not measure)
 
 
+def test_the_fundamental_trace_scales_with_the_data_only():
+    # the trace preset reads the unit measure: data scale 4 multiplies the
+    # ring by 4, and source scale 4 (the measure alone) leaves it as it is
+    cfg = load_config(CONFIGS / "dirac.ini")
+    ring = ~Grid2D(64).interior_mask()
+    unit, data4, rhs4 = (build_instance(cfg, 64, **kw).boundary.values[ring]
+                         for kw in ({}, {"data_scale": 4.0}, {"rhs_scale": 4.0}))
+    assert np.abs(unit).max() > 1.0
+    assert np.array_equal(data4, 4.0 * unit) and np.array_equal(rhs4, unit)
+    assert build_instance(cfg, 64, rhs_scale=4.0).measure.atoms == [(0.5, 0.5, 4.0)]
+
+
 @pytest.mark.parametrize("old, new, message", [
     # [sweep] names only the axes verify crosses; a setting lives in [solver]
     ("[sweep]\n", "[sweep]\ngamma_prime = 4\n", "[sweep] gamma_prime is not an axis"),
@@ -1957,6 +1963,84 @@ def test_a_scaled_solve_starts_from_the_first_scale_solution_times_the_factor(tm
             assert warm.grid == u_base.grid and np.array_equal(warm.values, s * u_base.values)
             factorizations += sol.factorizations
     assert factorizations <= 2
+
+
+def test_a_scaled_cell_preconditions_its_step_with_its_base_lu(tmp_path):
+    # at p = 3 the scale-16 cell on n = 32 takes one Newton step from 16
+    # times its base's solution; its base's last LU preconditions the step,
+    # so it factors nothing, and its solution is the fresh-LU solve's
+    swept = dict(cells(_contact_sweep(tmp_path), "scale"))
+    cache = SolveCache()
+    sols = {cell: checks.primary_solution(cache, inst) for cell, inst in swept.items()}
+    sol = sols[(32, 16.0)]
+    assert sol.iterations == 1 and sol.factorizations == 0 and sol.krylov_iterations >= 1
+    assert not cache.held
+    inst, u_base = swept[(32, 16.0)], sols[(32, 1.0)].u
+    fresh = solve_vi(inst.problem(), inst.solver, warm_start=u_base.with_values(16 * u_base.values))
+    assert fresh.iterations == 1 and fresh.factorizations == 1
+    assert np.abs(sol.u.values - fresh.u.values).max() <= 1e-12
+
+
+def test_solves_beside_a_held_lu_are_unchanged(tmp_path):
+    # after the scale-4 cell the cache holds its base's LU for the scale-16
+    # cell; a ball solve and a mesh-linked solve run then are bitwise the
+    # solves of a cache that never held one, and the mesh-linked cell, a
+    # base itself, replaces the held LU with its own
+    cfg = _contact_sweep(tmp_path)
+    swept = dict(cells(cfg, "scale"))
+    cache, alone = SolveCache(), SolveCache()
+    for s in (1.0, 4.0):
+        checks.primary_solution(cache, swept[(32, s)])
+    assert list(cache.held) == [swept[(32, 1.0)].key]
+    ball = ((0.5, 0.5), 0.2)
+    w1 = checks.comparison_w1(cache, swept[(32, 4.0)], ball)
+    mesh = checks.primary_solution(cache, swept[(64, 1.0)])
+    assert list(cache.held) == [swept[(64, 1.0)].key]
+    scaled = build_instance(cfg, 32, data_scale=4.0)
+    for got, want in ((w1, checks.comparison_w1(alone, scaled, ball)),
+                      (mesh, checks.primary_solution(alone, build_instance(cfg, 64)))):
+        assert np.array_equal(got.u.values, want.u.values)
+        assert (got.iterations, got.factorizations, got.krylov_iterations, got.residual_history) \
+            == (want.iterations, want.factorizations, want.krylov_iterations,
+                want.residual_history)
+
+
+class _CountedLU:
+    """A SuperLU that gc lists (SuperLU itself is not tracked): the solver
+    reads only ``solve`` and ``nnz``."""
+
+    def __init__(self, lu):
+        self.lu, self.nnz = lu, lu.nnz
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+def _live_lus() -> int:
+    return sum(isinstance(obj, _CountedLU) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("name", ["contact.ini", "dirac.ini"])
+def test_no_lu_is_alive_when_one_is_factored(monkeypatch, name):
+    # one LU at most is held between solves, none while another is factored,
+    # and none once run_checks returns
+    at_factor, at_solve = [], []
+    factor, solve = solver.splu, checks.solve_vi
+
+    def counted_splu(H, **kw):
+        at_factor.append(_live_lus())
+        return _CountedLU(factor(H, **kw))
+
+    def counted_solve(prob, cfg, **kw):
+        at_solve.append(_live_lus())
+        return solve(prob, cfg, **kw)
+    monkeypatch.setattr(solver, "splu", counted_splu)
+    monkeypatch.setattr(checks, "solve_vi", counted_solve)
+    cache = SolveCache()
+    run_checks(load_config(CONFIGS / name), cache=cache)
+    assert at_factor and set(at_factor) == {0}
+    assert max(at_solve) == (1 if name == "contact.ini" else 0)
+    assert not cache.held and _live_lus() == 0
 
 
 def test_cells_realize_each_cell_once(tmp_path, monkeypatch):

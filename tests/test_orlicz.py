@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from potlab.errors import DataError, DomainError, InsufficientDataError, RangeError
 from potlab.harness.config import ExperimentConfig, build_growth
 from potlab.orlicz import (
+    GrowthFunction,
     PowerGrowth,
     RegularizedPowerGrowth,
     TabulatedGrowth,
@@ -148,6 +149,23 @@ def test_S_inverse_roundtrip():
     growth = RegularizedPowerGrowth(3.0, 1.0)
     for t in (0.01, 0.5, 3.0, 40.0):
         assert growth.S_inverse(growth.S(t, 2), 2) == pytest.approx(t, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_power_S_inverse_closed_form_matches_the_bisection(p, n):
+    growth = PowerGrowth(p)
+    s = np.array([0.0, 1e-9, 0.02, 1.0, 3.7, 250.0, 1e6])
+    got = growth.S_inverse(s, n)
+    want = GrowthFunction.S_inverse(growth, s, n)
+    assert got[0] == 0.0 and np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.allclose(growth.S(got[1:], n), s[1:], rtol=1e-13, atol=0.0)
+    one = growth.S_inverse(3.7, n)
+    assert isinstance(one, float) and one == got[4]
+    with pytest.raises(DomainError):
+        growth.S_inverse(-1.0, n)
+    with pytest.raises(DomainError):
+        growth.S_inverse(1.0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,9 @@ def test_one_wolff_ladder_is_every_potential_bitwise():
         ladder = WolffLadder.gather(mu, x, r_min, R)
         for beta, p in ((0.3, 3.0), (0.5, 2.0), (0.9, 3.0), (2.0, 1.5)):
             assert ladder.potential(beta, p) == wolff(mu, x, beta, p, R, r_min=r_min)
+            # the log-trapezoid rule over the ladder, in np.trapezoid's arithmetic
+            y = (ladder.masses / ladder.radii ** (2 - beta * p)) ** (1 / (p - 1))
+            assert ladder.potential(beta, p) == float(np.trapezoid(y, np.log(ladder.radii)))
             if mu is obstacle:
                 assert ladder.potential(beta, p) == wolff_psi(kernel, x, beta, p, R, r_min=r_min)
     # only the atom at distance 0.1 breaks the ladder
