@@ -13,9 +13,11 @@ line; files whose bytes match print as byte-identical.
 Summary notes are compared as text and reported, but they are rounded
 copies of numbers compared elsewhere and do not fail the comparison.
 The diagnostics' `start` line (`flat` when a file has none) names the
-solve's warm start.  Two solves from different starts take different
-steps to the same energy: then only the energy is compared, and the
-counts, residual and complementarity are reported without failing.
+solve's warm start: `flat`, `scale=S` (its mesh's cell at data scale S)
+or `n=N` (the same cell on mesh N).  Two solves from different starts
+take different steps to the same energy: then only the energy is
+compared, and the counts, residual and complementarity are reported
+without failing.
 The last two lines count the byte-identical files among all files seen
 on either side and give the verdict.
 

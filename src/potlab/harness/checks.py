@@ -208,7 +208,6 @@ class SolveCache:
         self._store: dict = {}
         self.hits = 0
         self.misses = 0
-        self.held: dict = {}  # at most one LU list, keyed by its scale base (``primary_solution``)
 
     def get(self, key, builder):
         if key in self._store:
@@ -248,7 +247,8 @@ def _warm_start(cache: SolveCache, inst: Instance, solution):
     """The warm start of ``inst``'s solve: ``solution(cache, base)``'s
     iterate times the factor of ``inst.start = (base, factor)``, on the
     same mesh (a scale link) or on the mesh n/2 (a mesh link, factor 1);
-    None (a flat start) without a link."""
+    None (a flat start) without a link.  Callers resolve it before their
+    own ``cache.get``, so no solve is built inside another's build."""
     if inst.start is None:
         return None
     base, factor = inst.start
@@ -260,22 +260,12 @@ def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The instance's own solution: one solve on the measure mollified at
     the finest level its mesh resolves, ``finest_level(inst.grid)`` (atoms
     become bumps, a density passes unchanged, the zero measure is f = 0),
-    started from the linked cell's (``_warm_start``).  The cache holds a
-    scale base's last LU while cells scale-linked to it (``Instance.scaled``)
-    are unsolved, and hands it to their first steps."""
-    def solve():
-        rhs = mollify_measure(inst.measure, finest_level(inst.grid), inst.grid)
-        warm = _warm_start(cache, inst, primary_solution)
-        base = inst.start[0] if inst.start and inst.start[0].grid == inst.grid else inst
-        lu = cache.held.pop(base.key, []) if base.scaled > 0 else None
-        cache.held.clear()  # an LU not handed along the scale link is freed here
-        if lu is not None and base is not inst:
-            base.scaled -= 1
-        sol = solve_vi(inst.problem(rhs=rhs), inst.solver, warm_start=warm, factorization=lu)
-        if lu and base.scaled > 0:
-            cache.held[base.key] = lu
-        return sol
-    return cache.get((inst.key, "vi"), solve)
+    started from the linked cell's (``_warm_start``), which on an exact
+    scale link is converged already: the solve then takes no step."""
+    warm = _warm_start(cache, inst, primary_solution)
+    return cache.get((inst.key, "vi"), lambda: solve_vi(
+        inst.problem(rhs=mollify_measure(inst.measure, finest_level(inst.grid), inst.grid)),
+        inst.solver, warm_start=warm))
 
 
 def sample_points(rng, count: int, lo: float, hi: float, atoms=(), min_sep: float = 0.05):
@@ -674,9 +664,9 @@ _DECAY_BALL = ((0.38, 0.31), 0.28)
 def _homogeneous_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The equation solve of ``inst``, an instance of ``_homogeneous_config``,
     started from the linked cell's (``_warm_start``)."""
-    return cache.get((inst.key, "eq"), lambda: solve_equation(
-        inst.problem(), inst.solver,
-        warm_start=_warm_start(cache, inst, _homogeneous_solution)))
+    warm = _warm_start(cache, inst, _homogeneous_solution)
+    return cache.get((inst.key, "eq"), lambda: solve_equation(inst.problem(), inst.solver,
+                                                              warm_start=warm))
 
 
 def _homogeneous_fit(cache, inst: Instance):

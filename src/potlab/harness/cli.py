@@ -2,7 +2,8 @@
 
 Subcommands: ``solve`` (the solution that ``verify`` checks, raster +
 diagnostics, with the mollification level when the measure has atoms and
-the start: ``flat``, or ``n=N`` for the linked cell's solution),
+the start: ``flat``, ``scale=S`` for the same mesh's cell at data scale S,
+or ``n=N`` for the same cell on the mesh N),
 ``potential`` (batch Wolff evaluation, CSV), ``verify`` (run
 the config's check list, each check over the ``[sweep]`` cells it crosses
 through ``config.cells``, one report set gated on the drift across those
@@ -85,7 +86,10 @@ def cmd_solve(args) -> int:
         if inst.measure.atoms:
             fh.write(f"mollification_level {finest_level(inst.grid)}\n")
         # the counts below are this cell's own levels, not those of the cell it starts from
-        fh.write(f"start {'flat' if inst.start is None else f'n={inst.start[0].grid.n}'}\n")
+        # a link on the cell's own mesh is a scale link; a key's second entry is its data scale
+        base = inst.start[0] if inst.start else None
+        fh.write("start " + ("flat" if base is None else f"scale={base.key[1]:g}"
+                             if base.grid == inst.grid else f"n={base.grid.n}") + "\n")
         fh.write(f"iterations {sol.iterations}\n")
         fh.write(f"energy {sol.energy:.12g}\n")
         fh.write(f"complementarity {sol.complementarity:.12g}\n")

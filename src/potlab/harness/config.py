@@ -12,10 +12,12 @@ no defaults: n, the meshes, is required, and a check holds an axis it does
 not cross at its first value.  Each mesh solves the finest mollification
 level it resolves (``solver.finest_level``).  Each cell starts its solves
 from one linked cell's solution: a cell at data scale s from the same
-mesh's cell at the sweep's first scale s0, times s/s0, and otherwise the
-same cell on the mesh n/2 when the sweep lists it, so the scale and mesh
-sweeps are the continuation.  [checks] holds ``run`` and
-``points``; each check's ball is a constant next to it.
+mesh's cell at the base scale s_b, times s/s_b, and otherwise the same
+cell on the mesh n/2 when the sweep lists it, so the scale and mesh sweeps
+are the continuation.  s_b is the sweep's largest scale where the scaling
+is exact, so a converged solution is only scaled down and stays converged,
+and its first scale elsewhere (``build_instance``).  [checks] holds
+``run`` and ``points``; each check's ball is a constant next to it.
 ``build_instance`` realizes the config at one mesh with optional data
 scalings, producing the immutable bundle the checks and the CLI consume;
 ``cells`` realizes it in every cell a check crosses.
@@ -24,6 +26,7 @@ scalings, producing the immutable bundle the checks and the CLI consume;
 from __future__ import annotations
 
 import configparser
+import functools
 import inspect
 import itertools
 import math
@@ -35,7 +38,7 @@ import numpy as np
 from ..errors import DataError
 from ..field import COEFFICIENT_PRESETS, CoefficientField, VectorField, coefficient_from_raster
 from ..grid import Grid2D, GridFunction, MeasureData, read_raster
-from ..orlicz import GROWTH_KINDS, GrowthFunction
+from ..orlicz import GROWTH_KINDS, GrowthFunction, PowerGrowth
 from ..potentials import radial_potential_profile
 from ..solver import ObstacleProblem, SolverConfig
 
@@ -340,7 +343,7 @@ def build_coefficient(cfg: ExperimentConfig, spec: dict) -> CoefficientField:
     return coef
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     """A config realized at one mesh: everything a solve or a check needs.
     ``start`` is ``(base, factor)``, the linked cell of ``build_instance``:
@@ -356,8 +359,6 @@ class Instance:
     solver: SolverConfig
     key: tuple  # names the inputs of every field above; see build_instance
     start: tuple[Instance, float] | None = None
-    # the cells of its ``cells`` crossing that are scale-linked to it and unsolved
-    scaled: int = field(default=0, compare=False, repr=False)
 
     def problem(self, rhs=None) -> ObstacleProblem:
         """The instance's obstacle problem with bounded right side ``rhs``,
@@ -378,10 +379,13 @@ def build_instance(cfg: ExperimentConfig, n: int, *,
     applies:
 
     * scale link: with ``rhs_scale`` 1 and ``data_scale`` s other than the
-      sweep's first scale s0 (1 without a scale axis), the same mesh and
-      amplitude at s0, with factor s/s0.  Its solution times s/s0 meets
-      this cell's trace and lies above its obstacle, and for a power growth
-      with no measure it is this cell's solution;
+      base scale s_b, the same mesh and amplitude at s_b, with factor s/s_b.
+      Its solution times s/s_b meets this cell's trace and lies above its
+      obstacle.  Where the scaling is exact (power growth with p = 2 or no
+      measure) that is this cell's solution and s_b is the sweep's largest
+      scale: scaled down, the base's residual shrinks by (s/s_b)^(p-1), so
+      the cell starts converged.  Elsewhere s_b is the first scale (1
+      without a scale axis): the largest-scale cell is then no exact start;
     * mesh link: the same cell on the mesh n/2 when [sweep] n lists it,
       with factor 1;
     * otherwise no link: the solves start flat.
@@ -408,10 +412,14 @@ def _cell(cfg: ExperimentConfig, built: dict, n: int, data_scale: float, rhs_sca
     return built[spec]
 
 
+# one Grid2D per n: the cells of a mesh and their solutions share its read-only coordinates
+_mesh = functools.lru_cache(maxsize=8)(Grid2D)
+
+
 def _realize_cell(cfg: ExperimentConfig, built: dict, n: int, data_scale: float,
                   rhs_scale: float, amplitude) -> Instance:
     """The cell's instance, linked by ``build_instance``'s rule."""
-    grid = Grid2D(n)
+    grid = _mesh(n)
     growth = build_growth(cfg)
     coef = dict(cfg.coefficient)
     if amplitude is not None:
@@ -425,9 +433,11 @@ def _realize_cell(cfg: ExperimentConfig, built: dict, n: int, data_scale: float,
                                              "zero", growth=growth, measure=measure),
                         grid, data_scale)
     measure = measure.scaled(data_scale * rhs_scale)
-    s0 = float(cfg.sweep.get("scale", [1.0])[0])
-    if rhs_scale == 1.0 and data_scale != s0:
-        start = (_cell(cfg, built, n, s0, rhs_scale, amplitude), data_scale / s0)
+    scales = cfg.sweep.get("scale", [1.0])
+    exact = isinstance(growth, PowerGrowth) and (growth.p == 2.0 or measure.is_empty())
+    base = float(max(scales) if exact else scales[0])
+    if rhs_scale == 1.0 and data_scale != base:
+        start = (_cell(cfg, built, n, base, rhs_scale, amplitude), data_scale / base)
     elif n % 2 == 0 and n // 2 in cfg.sweep.get("n", ()):
         start = (_cell(cfg, built, n // 2, data_scale, rhs_scale, amplitude), 1.0)
     else:
@@ -463,13 +473,9 @@ def cells(cfg: ExperimentConfig, *axes: str, scale: str = "data_scale"):
     held = {kw: values[a][0] for a, kw in (("scale", "data_scale"), ("amplitude", "amplitude"))
             if a not in axes}
     built: dict = {}  # each cell, a linked one included, is realized once
-    # a first-scale cell of a data-scale crossing comes before the cells scale-linked to it
-    linked = len(values["scale"]) - 1 if "scale" in axes and scale == "data_scale" else 0
     for n in cfg.sweep["n"]:
         for combo in itertools.product(*(values[a] for a in axes)):
             args = {"data_scale": 1.0, "rhs_scale": 1.0, **held,
                     **{keyword[a]: v for a, v in zip(axes, combo)}}
-            inst = _cell(cfg, built, int(n), args["data_scale"], args["rhs_scale"],
-                         args["amplitude"])
-            inst.scaled = linked if args["data_scale"] == values["scale"][0] else 0
-            yield ((n, *combo) if axes else n), inst
+            yield ((n, *combo) if axes else n), _cell(cfg, built, int(n), args["data_scale"],
+                                                      args["rhs_scale"], args["amplitude"])

@@ -23,9 +23,7 @@ its free nodes once, at its first step, in a nested-dissection order of the
 node box, and builds the Hessian's CSC pattern on them; a step gathers the
 stencil coefficients into it, drops the active rows and columns, and SuperLU
 factors in that order.  The level holds the pattern and its latest LU
-with the unknown set it was built on.  Both are freed with the level, but
-a warm-started solve can take an LU and hand its own last one back in
-``solve_vi``'s ``factorization`` (the harness's scale link).  A step
+with the unknown set it was built on, both freed with the level.  A step
 whose unknown set is the held one solves its system by conjugate
 gradients preconditioned with that lagged LU (Knoll-Keyes, J. Comput.
 Phys. 193, 2004) to a fixed tight relative residual; any other step, and
@@ -46,7 +44,7 @@ converges when the projected residual satisfies both  h * ||pr||_2 <= tol
 and  max |pr| <= 10 tol,  so the reported complementarity bound holds by
 construction.  ``Solution.stop_reason`` says why a solve stopped, and
 ``factorizations``, ``krylov_iterations`` and ``lu_nnz`` count the linear
-algebra of all its levels.
+algebra of all its levels; no LU leaves a solve.
 
 A problem holds bounded data, a grid function.  A measure is solved only
 through its mollifications (Boccardo-Gallouet, J. Funct. Anal. 87, 1989):
@@ -106,7 +104,6 @@ _MAX_HALVINGS = 60           # line-search steps before the search counts as col
 _COARSEST = 32               # smallest n of a continuation level
 _CG_MAX_ITER = 12            # CG steps on a lagged LU before the solve counts as a miss
 _CG_RTOL = 1e-10             # CG stops at ||H d + r|| <= _CG_RTOL ||r||
-_CG_MISSES = 1               # CG misses after which a level factors every step
 
 
 @dataclass(frozen=True)
@@ -386,7 +383,7 @@ def _coarse_start(grid, growth, omega_cells, f, start, psi, free, cfg):
     return _prolonged(sol.u.values, start, psi, free), sol
 
 
-def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade, handoff=None):
+def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
     h = grid.h
     h2 = h * h
     inv2h, eps2 = 0.5 / h, cfg.epsilon**2
@@ -404,10 +401,6 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade, hand
         l2 = h * float(np.linalg.norm(pr))
         return l2, l2 <= cfg.tol and float(np.abs(pr).max()) <= 10.0 * cfg.tol
 
-    # a handed-in LU and its unknowns are the level's lagged LU; a flat start drops them
-    lu, lu_unknown = handoff.pop() if handoff else (None, None)
-    if cascade:
-        lu = lu_unknown = None
     E, resid = objective(u)
     factorizations = krylov = lu_nnz = 0
     if (cascade and grid.n % 2 == 0 and grid.n // 2 >= _COARSEST
@@ -418,8 +411,8 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade, hand
             factorizations, krylov, lu_nnz = (coarse.factorizations, coarse.krylov_iterations,
                                               coarse.lu_nnz)
             E, resid = objective(u)
-    pattern = None
-    misses = 0
+    pattern = lu = lu_unknown = None
+    missed = False  # a level whose CG has missed factors every later step
     res_hist: list[float] = []
     en_hist: list[float] = [E]
     stop = "iteration budget"
@@ -445,14 +438,14 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade, hand
             krylov += cg_iters
             if step is None:
                 lu = None
-                misses += 1
+                missed = True
         if step is None:
             lu = splu(H, permc_spec="NATURAL", options={"SymmetricMode": True})
             factorizations += 1
             lu_nnz += lu.nnz
             step = lu.solve(b)
             lu_unknown = unknown
-            if misses >= _CG_MISSES:
+            if missed:
                 lu = None
         del H  # not held while the next step's Hessian is assembled
         d = np.zeros_like(u)
@@ -477,8 +470,6 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade, hand
         en_hist.append(E)
         it += 1
 
-    if handoff is not None and lu is not None:
-        handoff.append((lu, lu_unknown))
     return Solution(
         u=GridFunction(grid, u),
         iterations=it,
@@ -500,8 +491,7 @@ def _ball_free_mask(grid: Grid2D, ball) -> np.ndarray:
     return free & grid.interior_mask()
 
 
-def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
-           factorization=None) -> Solution:
+def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start) -> Solution:
     grid = prob.grid
     # an equation is the obstacle problem with psi = -inf, and no data is f = 0
     psi = np.full((grid.n,) * 2, -np.inf) if prob.obstacle is None else prob.obstacle.values
@@ -523,7 +513,7 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
         )
     # only a flat start runs the coarse cascade: a warm start is already close
     sol = _minimize(grid, prob.field.growth, prob.field.coefficient.on_cells(grid),
-                    f, start, psi, free, cfg, warm_start is None, factorization)
+                    f, start, psi, free, cfg, warm_start is None)
     if not sol.converged:
         raise IterationLimitError(
             f"stopped by {sol.stop_reason} after {sol.iterations} iterations "
@@ -534,11 +524,10 @@ def _solve(prob: ObstacleProblem, cfg: SolverConfig, ball, warm_start,
 
 
 def solve_vi(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,
-             ball=None, warm_start=None, factorization=None) -> Solution:
-    """Minimize the discrete energy over {u >= psi, pinned trace}; the list
-    ``factorization`` gives a warm start its level's first lagged LU and
-    gets the level's last one back."""
-    return _solve(prob, cfg or SolverConfig(), ball, warm_start, factorization)
+             ball=None, warm_start=None) -> Solution:
+    """Minimize the discrete energy over {u >= psi, pinned trace}; every LU
+    it factors is freed before it returns."""
+    return _solve(prob, cfg or SolverConfig(), ball, warm_start)
 
 
 def solve_equation(prob: ObstacleProblem, cfg: SolverConfig | None = None, *,

@@ -1043,9 +1043,9 @@ def test_excess_decay_with_errors_solves_one_w1_per_ball(monkeypatch):
     balls = []
     _solve = solver._solve
 
-    def logged(prob, cfg, ball, warm_start, *handoff):
+    def logged(prob, cfg, ball, warm_start):
         balls.append(ball)
-        return _solve(prob, cfg, ball, warm_start, *handoff)
+        return _solve(prob, cfg, ball, warm_start)
 
     monkeypatch.setattr(solver, "_solve", logged)
     cfg, cache = load_config(CONFIGS / "dirac.ini"), SolveCache()
@@ -1219,14 +1219,24 @@ def test_cli_solve_writes_artifacts(tiny_config, tmp_path):
     assert (out / "solution.txt").exists()
     diag = dict(line.split() for line in (out / "diagnostics.txt").read_text().splitlines())
     assert "complementarity" in diag
-    # [sweep] n = 24, 32 lists no n = 16 cell to start from
+    # p = 2 scales exactly: the scale-1 cell starts from its mesh's scale-4
+    # solution divided by 4, already converged
+    assert diag["start"] == "scale=4"
+    assert diag["factorizations"] == diag["iterations"] == diag["krylov_iterations"] == "0"
+    assert diag["lu_nnz"] == "0"
+    # a density is solved unmollified: no level to report
+    assert "mollification_level" not in diag
+    # with no scale axis, [sweep] n = 24, 32 lists no n = 16 cell to start
+    # from; p = 2 on one level: one Newton step, one factorization, no CG
+    flat = tmp_path / "flat.ini"
+    flat.write_text(TINY.replace("scale = 1, 4\n", ""))
+    assert main(["solve", "--config", str(flat), "--out", str(tmp_path / "f")]) == 0
+    diag = dict(line.split() for line in (tmp_path / "f" / "diagnostics.txt").read_text()
+                .splitlines())
     assert diag["start"] == "flat"
-    # p = 2 on one level: one Newton step, one factorization, no CG
     assert diag["factorizations"] == diag["iterations"] == "1"
     assert diag["krylov_iterations"] == "0"
     assert int(diag["lu_nnz"]) > 0
-    # a density is solved unmollified: no level to report
-    assert "mollification_level" not in diag
 
 
 def test_cli_solve_writes_the_mollification_level(tmp_path):
@@ -1772,8 +1782,9 @@ def test_gradient_bounds_small_instance(dirac_config):
 
 def test_checks_share_the_primary_solve(dirac_config, monkeypatch):
     # comparison_inhomogeneous makes the unit-scale primary solve among its
-    # data scalings; gradient_bounds asks for the same problem and must
-    # find it in the cache instead of solving it again
+    # data scalings, started from the data-scale-16 cell's solution;
+    # gradient_bounds asks for the same problem and must find both in the
+    # cache instead of solving them again
     cfg = load_config(dirac_config)
     cfg.check_params["points"] = 2
     cfg.sweep["scale"] = [1.0, 4.0, 16.0]
@@ -1789,13 +1800,14 @@ def test_checks_share_the_primary_solve(dirac_config, monkeypatch):
     cache = SolveCache()
     CHECKS["comparison_inhomogeneous"](cfg, cache, np.random.default_rng([5, 0]))
     scales = cfg.sweep["scale"]
-    assert len(primary) == len(scales) == 3
+    # one per data scaling, and the data-scale-16 base of the unit cell
+    assert len(primary) == len(scales) + 1 == 4
     # per scale: the primary solve and two homogeneous ball solves
-    assert cache.misses == 3 * len(scales)
+    assert cache.misses == 3 * len(scales) + 1
     CHECKS["gradient_bounds"](cfg, cache, np.random.default_rng([5, 1]))
-    assert len(primary) == 3
+    assert len(primary) == 4
     # new: the homogeneous fit's equation and the estimate context only
-    assert cache.misses == 3 * len(scales) + 2
+    assert cache.misses == 3 * len(scales) + 1 + 2
     assert cache.hits >= 1
 
 
@@ -1907,12 +1919,46 @@ def _contact_sweep(tmp_path, scales: str = "1, 4, 16"):
     return load_config(path)
 
 
+def _atom_contact_sweep(tmp_path, scales: str = "1, 4, 16"):
+    # an atom at p = 3: the data scale by s, but the solution would scale by
+    # s only if the measure scaled by s^2, so the data scaling is not exact
+    return replace(_contact_sweep(tmp_path, scales), measure={"atoms": "0.3 0.3 0.5"})
+
+
+def test_an_exact_scaling_links_every_scale_to_the_largest(tmp_path):
+    # p = 3 with f = 0 and p = 2 with an atom scale exactly: a cell at data
+    # scale s starts from the same mesh's cell at the largest scale, times
+    # s/s_max, wherever the sweep lists that scale; the largest-scale cells
+    # keep the mesh link, and a check that holds the first scale starts
+    # from the largest-scale cell too
+    for cfg in (_contact_sweep(tmp_path, "4, 1, 16"), _contact_sweep(tmp_path, "16, 4, 1"),
+                load_config(CONFIGS / "dirac.ini")):
+        scales, (coarse, fine) = cfg.sweep["scale"], cfg.sweep["n"]
+        top = max(scales)
+        swept = dict(cells(cfg, "scale"))
+        assert swept[(coarse, top)].start is None
+        assert swept[(fine, top)].start[0] is swept[(coarse, top)]
+        assert swept[(fine, top)].start[1] == 1.0
+        for n in (coarse, fine):
+            for s in scales:
+                if s != top:
+                    base, factor = swept[(n, s)].start
+                    assert base is swept[(n, top)] and factor == s / top
+        for n, inst in cells(cfg):
+            assert inst.key == swept[(n, scales[0])].key
+            if scales[0] != top:
+                assert inst.start[0].key == swept[(n, top)].key
+
+
 def test_a_scaled_cell_links_to_its_mesh_at_the_first_scale(tmp_path):
-    # a cell at data scale s starts from the same mesh's cell at the first
-    # scale s0, times s/s0; the first-scale cells keep the mesh link
+    # where the scaling is not exact (an atom at p = 3) a cell at data scale
+    # s starts from the same mesh's cell at the first scale s0, times s/s0;
+    # the first-scale cells keep the mesh link, and a check that holds the
+    # first scale links no other scale.  Nothing is solved
     for scales, factors in (("1, 4, 16", {4.0: 4.0, 16.0: 16.0}),
                             ("4, 1, 16", {1.0: 0.25, 16.0: 4.0})):
-        swept = dict(cells(_contact_sweep(tmp_path, scales), "scale"))
+        cfg = _atom_contact_sweep(tmp_path, scales)
+        swept = dict(cells(cfg, "scale"))
         s0 = float(scales.split(",")[0])
         assert swept[(32, s0)].start is None
         assert swept[(64, s0)].start[0] is swept[(32, s0)] and swept[(64, s0)].start[1] == 1.0
@@ -1920,17 +1966,25 @@ def test_a_scaled_cell_links_to_its_mesh_at_the_first_scale(tmp_path):
             for s, factor in factors.items():
                 base, got = swept[(n, s)].start
                 assert base is swept[(n, s0)] and got == factor
+        held = dict(cells(cfg))
+        assert held[32].key == swept[(32, s0)].key and held[32].start is None
+        assert held[64].key == swept[(64, s0)].key and held[64].start[0].grid.n == 32
 
 
 def test_rhs_and_amplitude_cells_keep_the_mesh_link():
-    # their data are not a multiple of the first cell's: every cell on
-    # n = 128 starts from its own cell on n = 64, which starts flat
+    # their data are not a multiple of another cell's: every such cell on
+    # n = 128 starts from its own cell on n = 64, which starts flat.  The
+    # unit cell of a source sweep holds the data scale at 1, and p = 2
+    # scales exactly, so it starts from its mesh's data-scale-16 cell
     for name, axes in (("dirac.ini", ("scale",)), ("poisson.ini", ("scale",)),
                        ("jump.ini", ("amplitude",))):
         swept = dict(cells(load_config(CONFIGS / name), *axes, scale="rhs_scale"))
         assert len(swept) == (6 if axes == ("scale",) else 4)
         for (n, value), inst in swept.items():
-            if n == 64:
+            if axes == ("scale",) and value == 1.0:
+                base, factor = inst.start
+                assert (base.grid.n, base.key[1:3], factor) == (n, (16.0, 1.0), 1 / 16)
+            elif n == 64:
                 assert inst.start is None
             else:
                 base, factor = inst.start
@@ -1939,9 +1993,9 @@ def test_rhs_and_amplitude_cells_keep_the_mesh_link():
 
 def test_a_scaled_solve_starts_from_the_first_scale_solution_times_the_factor(tmp_path,
                                                                              monkeypatch):
-    # each scaled primary solve starts from factor * u_base, u_base the
-    # cached solution of the same mesh's first-scale cell; p = 3 with f = 0
-    # is 2-homogeneous, so that start is the solution up to the tolerance
+    # where the scaling is not exact (an atom at p = 3), each scaled primary
+    # solve starts from factor * u_base, u_base the cached solution of the
+    # same mesh's first-scale cell, and polishes it
     starts = []
     solve = checks.solve_vi
 
@@ -1950,59 +2004,33 @@ def test_a_scaled_solve_starts_from_the_first_scale_solution_times_the_factor(tm
         starts.append((kw.get("warm_start"), sol))
         return sol
     monkeypatch.setattr(checks, "solve_vi", recording)
-    swept = dict(cells(_contact_sweep(tmp_path), "scale"))
+    swept = dict(cells(_atom_contact_sweep(tmp_path), "scale"))
     cache = SolveCache()
-    factorizations = 0
     for n in (32, 64):
         u_base = checks.primary_solution(cache, swept[(n, 1.0)]).u
         for s in (4.0, 16.0):
             starts.clear()
             sol = checks.primary_solution(cache, swept[(n, s)])
             [(warm, solved)] = starts
-            assert solved is sol and sol.converged
+            assert solved is sol and sol.converged and sol.iterations >= 1
             assert warm.grid == u_base.grid and np.array_equal(warm.values, s * u_base.values)
-            factorizations += sol.factorizations
-    assert factorizations <= 2
 
 
-def test_a_scaled_cell_preconditions_its_step_with_its_base_lu(tmp_path):
-    # at p = 3 the scale-16 cell on n = 32 takes one Newton step from 16
-    # times its base's solution; its base's last LU preconditions the step,
-    # so it factors nothing, and its solution is the fresh-LU solve's
+def test_below_the_largest_scale_an_exact_cell_starts_converged(tmp_path):
+    # p = 3 with f = 0 is 2-homogeneous: the scale-16 cell's solution times
+    # s/16 is the scale-s cell's, and scaling it down shrinks its residual
+    # by (s/16)^2, so only the scale-16 cell of each mesh takes a step
     swept = dict(cells(_contact_sweep(tmp_path), "scale"))
     cache = SolveCache()
     sols = {cell: checks.primary_solution(cache, inst) for cell, inst in swept.items()}
-    sol = sols[(32, 16.0)]
-    assert sol.iterations == 1 and sol.factorizations == 0 and sol.krylov_iterations >= 1
-    assert not cache.held
-    inst, u_base = swept[(32, 16.0)], sols[(32, 1.0)].u
-    fresh = solve_vi(inst.problem(), inst.solver, warm_start=u_base.with_values(16 * u_base.values))
-    assert fresh.iterations == 1 and fresh.factorizations == 1
-    assert np.abs(sol.u.values - fresh.u.values).max() <= 1e-12
-
-
-def test_solves_beside_a_held_lu_are_unchanged(tmp_path):
-    # after the scale-4 cell the cache holds its base's LU for the scale-16
-    # cell; a ball solve and a mesh-linked solve run then are bitwise the
-    # solves of a cache that never held one, and the mesh-linked cell, a
-    # base itself, replaces the held LU with its own
-    cfg = _contact_sweep(tmp_path)
-    swept = dict(cells(cfg, "scale"))
-    cache, alone = SolveCache(), SolveCache()
-    for s in (1.0, 4.0):
-        checks.primary_solution(cache, swept[(32, s)])
-    assert list(cache.held) == [swept[(32, 1.0)].key]
-    ball = ((0.5, 0.5), 0.2)
-    w1 = checks.comparison_w1(cache, swept[(32, 4.0)], ball)
-    mesh = checks.primary_solution(cache, swept[(64, 1.0)])
-    assert list(cache.held) == [swept[(64, 1.0)].key]
-    scaled = build_instance(cfg, 32, data_scale=4.0)
-    for got, want in ((w1, checks.comparison_w1(alone, scaled, ball)),
-                      (mesh, checks.primary_solution(alone, build_instance(cfg, 64)))):
-        assert np.array_equal(got.u.values, want.u.values)
-        assert (got.iterations, got.factorizations, got.krylov_iterations, got.residual_history) \
-            == (want.iterations, want.factorizations, want.krylov_iterations,
-                want.residual_history)
+    for (n, s), sol in sols.items():
+        top = sols[(n, 16.0)]
+        if s == 16.0:
+            assert sol.iterations >= 1 and sol.factorizations >= 1
+        else:
+            assert (sol.iterations, sol.factorizations, sol.krylov_iterations) == (0, 0, 0)
+            assert np.array_equal(sol.u.values, (s / 16.0) * top.u.values)
+            assert sol.residual_history[0] <= (s / 16.0) ** 2 * top.residual_history[-1] * 1.01
 
 
 class _CountedLU:
@@ -2022,8 +2050,8 @@ def _live_lus() -> int:
 
 @pytest.mark.parametrize("name", ["contact.ini", "dirac.ini"])
 def test_no_lu_is_alive_when_one_is_factored(monkeypatch, name):
-    # one LU at most is held between solves, none while another is factored,
-    # and none once run_checks returns
+    # no LU outlives its solve: none is alive when a solve starts or an LU
+    # is factored, and none once run_checks returns
     at_factor, at_solve = [], []
     factor, solve = solver.splu, checks.solve_vi
 
@@ -2036,16 +2064,44 @@ def test_no_lu_is_alive_when_one_is_factored(monkeypatch, name):
         return solve(prob, cfg, **kw)
     monkeypatch.setattr(solver, "splu", counted_splu)
     monkeypatch.setattr(checks, "solve_vi", counted_solve)
-    cache = SolveCache()
-    run_checks(load_config(CONFIGS / name), cache=cache)
+    run_checks(load_config(CONFIGS / name))
     assert at_factor and set(at_factor) == {0}
-    assert max(at_solve) == (1 if name == "contact.ini" else 0)
-    assert not cache.held and _live_lus() == 0
+    assert at_solve and max(at_solve) == 0
+    assert _live_lus() == 0
+
+
+class _DepthCache(SolveCache):
+    """A SolveCache that records, as each build starts, how many other
+    builds are open."""
+
+    def __init__(self):
+        super().__init__()
+        self.depth, self.open_at_build = 0, []
+
+    def get(self, key, builder):
+        def build():
+            self.open_at_build.append(self.depth)
+            self.depth += 1
+            try:
+                return builder()
+            finally:
+                self.depth -= 1
+        return super().get(key, build)
+
+
+@pytest.mark.parametrize("name", ["contact.ini", "dirac.ini"])
+def test_no_build_starts_inside_another(name):
+    # a linked cell's solution is resolved before the cell's own get, so a
+    # timer around each build counts every solve once
+    cache = _DepthCache()
+    run_checks(load_config(CONFIGS / name), cache=cache)
+    assert cache.misses == len(cache.open_at_build) > 0
+    assert set(cache.open_at_build) == {0}
 
 
 def test_cells_realize_each_cell_once(tmp_path, monkeypatch):
-    # the first-scale cells are each linked to by two scaled cells and the
-    # n = 64 cells to the n = 32 ones; each is still realized once
+    # the scale-16 cells are each linked to by two scaled cells and the
+    # n = 128 scale-16 cell to the n = 64 one; each is still realized once
     realized = []
     realize = config._realize_cell
 

@@ -1,6 +1,5 @@
 """Variational-inequality solver: oracles, invariants, mollification, chains."""
 
-import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -858,59 +857,6 @@ def test_chain_affine_obstacle_flux_free():
     # affine obstacle flux is divergence-free: the driven and homogeneous
     # frozen equations coincide
     assert np.abs(chain.w3.u.values - chain.w4.u.values).max() < 10 * CFG.tol
-
-
-def _contact(n, scale=1.0):
-    g = Grid2D(n)
-    psi = GridFunction.from_callable(g, lambda X, Y: scale * (0.2 - 1.5 * ((X - 0.5) ** 2
-                                                                          + (Y - 0.5) ** 2)))
-    return ObstacleProblem(field=unit_field(3.0), boundary=GridFunction.constant(g, 0.0),
-                           obstacle=psi)
-
-
-class _HandedLU:
-    """Stands in for a handed LU: weakly referable, and never to be used."""
-
-    nnz = 0
-
-    def solve(self, b):
-        raise AssertionError("a flat start used a handed LU")
-
-
-def test_a_handed_lu_preconditions_only_its_own_unknowns(monkeypatch):
-    # the p = 3 contact problem times 16 has 16 times the solution and a
-    # Hessian 16 times as large: from 16 u its step runs on the LU the
-    # unscaled solve leaves in ``factorization`` and factors nothing.  An
-    # LU is dropped by a flat start and by a solve on other unknowns, each
-    # then bitwise the solve without one
-    held = []
-    base = solve_vi(_contact(32), CFG, factorization=held)
-    _same_solution(base, solve_vi(_contact(32), CFG))
-    assert len(held) == 1
-    warm = base.u.with_values(16.0 * base.u.values)
-    fresh = solve_vi(_contact(32, 16.0), CFG, warm_start=warm)
-    reused = solve_vi(_contact(32, 16.0), CFG, warm_start=warm, factorization=held)
-    assert fresh.factorizations >= 1 and fresh.iterations >= 1
-    assert reused.factorizations == 0 and reused.krylov_iterations >= 1 and len(held) == 1
-    assert np.abs(reused.u.values - fresh.u.values).max() <= 1e-12
-    fine = solve_vi(_contact(64), CFG, warm_start=base.u, factorization=held)
-    _same_solution(fine, solve_vi(_contact(64), CFG, warm_start=base.u))
-    assert len(held) == 1 and held[0][1].shape == (64, 64)
-    # a flat n = 64 start frees a handed LU before its n = 32 cascade level factors
-    handed = _HandedLU()
-    alive, held = weakref.ref(handed), [(handed, Grid2D(64).interior_mask())]
-    del handed
-    dead_at_factor = []
-    factor = solver.splu
-
-    def checked(H, **kw):
-        dead_at_factor.append(alive() is None)
-        return factor(H, **kw)
-    monkeypatch.setattr(solver, "splu", checked)
-    flat = solve_vi(_contact(64), CFG, factorization=held)
-    monkeypatch.undo()
-    assert dead_at_factor and all(dead_at_factor) and len(held) == 1
-    _same_solution(flat, solve_vi(_contact(64), CFG))
 
 
 def test_chain_freezes_the_coefficient_once(monkeypatch):
