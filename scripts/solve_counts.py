@@ -7,8 +7,9 @@ Runs `run_checks` on each config (its own check list, default seed) over
 one solve cache, then reads the counters of every `Solution` the cache
 holds, those inside a cached mollification sequence or comparison chain
 included, each solve once.  Prints one row per config: the solves, the
-Newton steps, the sparse LU factorizations, the lagged-LU CG iterations
-and the summed L + U nonzeros.  These counts do not depend on the host.
+Newton steps, the sparse LU factorizations, the lagged-LU CG iterations,
+the CG solves that missed and refactored, and the summed L + U nonzeros.
+These counts do not depend on the host.
 Exit status 1, with an `error:` line, on a config that cannot be run.
 """
 
@@ -21,7 +22,7 @@ from potlab.harness import load_config
 from potlab.harness.checks import SolveCache, run_checks
 from potlab.solver import Solution
 
-COLUMNS = ("solves", "newton", "LUs", "CG iters", "LU nnz")
+COLUMNS = ("solves", "newton", "LUs", "CG iters", "CG misses", "LU nnz")
 
 
 def cached_solutions(cache: SolveCache) -> list[Solution]:
@@ -41,13 +42,14 @@ def cached_solutions(cache: SolveCache) -> list[Solution]:
 
 
 def counts(path) -> tuple[int, ...]:
-    """(solves, Newton steps, LUs, CG iterations, L + U nonzeros) of one
-    `run_checks` of the config at ``path``."""
+    """(solves, Newton steps, LUs, CG iterations, CG misses, L + U nonzeros)
+    of one `run_checks` of the config at ``path``."""
     cache = SolveCache()
     run_checks(load_config(path), cache=cache)
     sols = cached_solutions(cache)
     return (len(sols), sum(s.iterations for s in sols), sum(s.factorizations for s in sols),
-            sum(s.krylov_iterations for s in sols), sum(s.lu_nnz for s in sols))
+            sum(s.krylov_iterations for s in sols), sum(s.krylov_misses for s in sols),
+            sum(s.lu_nnz for s in sols))
 
 
 def main(argv=None) -> int:

@@ -201,13 +201,16 @@ class SolveCache:
     (every input its solves and contexts read), the kind of value and that
     value's own parameters, never the check that asks, so checks that need
     one solve share it.  ``hits`` and ``misses`` count the gets that found
-    a value and the ones that built it.
+    a value and the ones that built it; ``key in cache`` counts neither.
     """
 
     def __init__(self):
         self._store: dict = {}
         self.hits = 0
         self.misses = 0
+
+    def __contains__(self, key) -> bool:
+        return key in self._store
 
     def get(self, key, builder):
         if key in self._store:
@@ -247,8 +250,9 @@ def _warm_start(cache: SolveCache, inst: Instance, solution):
     """The warm start of ``inst``'s solve: ``solution(cache, base)``'s
     iterate times the factor of ``inst.start = (base, factor)``, on the
     same mesh (a scale link) or on the mesh n/2 (a mesh link, factor 1);
-    None (a flat start) without a link.  Callers resolve it before their
-    own ``cache.get``, so no solve is built inside another's build."""
+    None (a flat start) without a link.  Callers resolve it only when their
+    own key is missing, and before their ``cache.get``, so no solve is
+    built inside another's build and a hit makes no link lookup."""
     if inst.start is None:
         return None
     base, factor = inst.start
@@ -262,8 +266,9 @@ def primary_solution(cache: SolveCache, inst: Instance) -> Solution:
     become bumps, a density passes unchanged, the zero measure is f = 0),
     started from the linked cell's (``_warm_start``), which on an exact
     scale link is converged already: the solve then takes no step."""
-    warm = _warm_start(cache, inst, primary_solution)
-    return cache.get((inst.key, "vi"), lambda: solve_vi(
+    key = (inst.key, "vi")
+    warm = None if key in cache else _warm_start(cache, inst, primary_solution)
+    return cache.get(key, lambda: solve_vi(
         inst.problem(rhs=mollify_measure(inst.measure, finest_level(inst.grid), inst.grid)),
         inst.solver, warm_start=warm))
 
@@ -664,9 +669,9 @@ _DECAY_BALL = ((0.38, 0.31), 0.28)
 def _homogeneous_solution(cache: SolveCache, inst: Instance) -> Solution:
     """The equation solve of ``inst``, an instance of ``_homogeneous_config``,
     started from the linked cell's (``_warm_start``)."""
-    warm = _warm_start(cache, inst, _homogeneous_solution)
-    return cache.get((inst.key, "eq"), lambda: solve_equation(inst.problem(), inst.solver,
-                                                              warm_start=warm))
+    key = (inst.key, "eq")
+    warm = None if key in cache else _warm_start(cache, inst, _homogeneous_solution)
+    return cache.get(key, lambda: solve_equation(inst.problem(), inst.solver, warm_start=warm))
 
 
 def _homogeneous_fit(cache, inst: Instance):

@@ -96,6 +96,7 @@ def cmd_solve(args) -> int:
         fh.write(f"residual {sol.residual_history[-1]:.12g}\n")
         fh.write(f"factorizations {sol.factorizations}\n")
         fh.write(f"krylov_iterations {sol.krylov_iterations}\n")
+        fh.write(f"krylov_misses {sol.krylov_misses}\n")
         fh.write(f"lu_nnz {sol.lu_nnz}\n")
     print(f"solved in {sol.iterations} iterations; wrote {out / 'solution.txt'}")
     return 0

@@ -196,6 +196,14 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # builders: one binder, and a table of presets per problem section
 
+@functools.lru_cache(maxsize=64)
+def _keywords(build) -> tuple:
+    """The parameters of a section builder that a keyword can bind; each
+    cell realizes five sections, so they are read once per builder."""
+    return tuple(p for p in inspect.signature(build).parameters.values()
+                 if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+
+
 def _realize(cfg: ExperimentConfig, section: str, presets: dict, spec: dict, default,
              key: str | None = "preset", **context):
     """The object a problem section names: ``spec[key]`` (else ``default``;
@@ -211,8 +219,7 @@ def _realize(cfg: ExperimentConfig, section: str, presets: dict, spec: dict, def
     if name not in presets:
         raise DataError(f"unknown {section} {key} {name!r} (known: {', '.join(presets)})")
     build = presets[name]
-    params = {p.name: p for p in inspect.signature(build).parameters.values()
-              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+    params = {p.name: p for p in _keywords(build)}
     settable = [k for k in params if k not in context]
     args = {k: v for k, v in context.items() if k in params}
     for k, raw in spec.items():

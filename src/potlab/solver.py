@@ -22,29 +22,32 @@ the cell energy on the other free nodes.  Each continuation level numbers
 its free nodes once, at its first step, in a nested-dissection order of the
 node box, and builds the Hessian's CSC pattern on them; a step gathers the
 stencil coefficients into it, drops the active rows and columns, and SuperLU
-factors in that order.  The level holds the pattern and its latest LU
-with the unknown set it was built on, both freed with the level.  A step
-whose unknown set is the held one solves its system by conjugate
-gradients preconditioned with that lagged LU (Knoll-Keyes, J. Comput.
-Phys. 193, 2004) to a fixed tight relative residual; any other step, and
-a CG that misses (it falls behind the pace that reaches the tolerance
-within an iteration cap, or meets nonpositive curvature or a non-finite
-value), factors the Hessian afresh, and after a miss the level factors
-every step.  The step is searched along the projected path
-max(u + t d, psi), halving t until the Armijo condition holds, so every
-accepted step decreases the energy.  A warm start on the problem's mesh
-is polished as it is; one on Grid2D(n/2), such as the solution of the
-same cell one mesh coarser, is prolonged bilinearly onto the free nodes
-(the pinned ones reset, the obstacle projected) and then polished.  Only a
-flat start, on meshes with even n and n/2 >= 32, is first replaced by the
-solution of the same problem on Grid2D(n/2) (2x2 block means of start,
-obstacle and data), prolonged the same way; this coarse-to-fine
-continuation keeps the Newton step count nearly flat in n.  The solver
-converges when the projected residual satisfies both  h * ||pr||_2 <= tol
-and  max |pr| <= 10 tol,  so the reported complementarity bound holds by
+factors in that order.  The Newton steps are inexact: each solves its
+system only to the relative residual eta_k of Eisenstat-Walker choice 2
+(SIAM J. Sci. Comput. 17, 1996), by conjugate gradients preconditioned
+with the level's latest LU (Knoll-Keyes, J. Comput. Phys. 193, 2004).
+That LU outlives changes of the unknown set: on the nodes it was built on
+it is applied through a restrict/extend position map, and a node freed
+since gets its inverse diagonal.  The level factors at its first step and
+whenever CG misses (it falls behind the pace that reaches eta_k within an
+iteration cap, or meets nonpositive curvature or a non-finite value); the
+newest LU stays, and the level frees it with its pattern.  The forcing
+changes only the steps, not the stopping test below.  The step is
+searched along the projected path max(u + t d, psi), halving t until the
+Armijo condition holds, so every accepted step decreases the energy.  A
+warm start on the problem's mesh is polished as it is; one on
+Grid2D(n/2), such as the solution of the same cell one mesh coarser, is
+prolonged bilinearly onto the free nodes (the pinned ones reset, the
+obstacle projected) and then polished.  Only a flat start, on meshes
+with even n and n/2 >= 32, is first replaced by the solution of the same
+problem on Grid2D(n/2) (2x2 block means of start, obstacle and data),
+prolonged the same way; this coarse-to-fine continuation keeps the
+Newton step count nearly flat in n.  The solver converges when the
+projected residual satisfies both  h * ||pr||_2 <= tol  and
+max |pr| <= 10 tol,  so the reported complementarity bound holds by
 construction.  ``Solution.stop_reason`` says why a solve stopped, and
-``factorizations``, ``krylov_iterations`` and ``lu_nnz`` count the linear
-algebra of all its levels; no LU leaves a solve.
+``factorizations``, ``krylov_iterations``, ``krylov_misses`` and ``lu_nnz``
+count the linear algebra of all its levels; no LU leaves a solve.
 
 A problem holds bounded data, a grid function.  A measure is solved only
 through its mollifications (Boccardo-Gallouet, J. Funct. Anal. 87, 1989):
@@ -103,7 +106,10 @@ _SUFFICIENT_DECREASE = 1e-4  # Armijo constant
 _MAX_HALVINGS = 60           # line-search steps before the search counts as collapsed
 _COARSEST = 32               # smallest n of a continuation level
 _CG_MAX_ITER = 12            # CG steps on a lagged LU before the solve counts as a miss
-_CG_RTOL = 1e-10             # CG stops at ||H d + r|| <= _CG_RTOL ||r||
+_CG_RTOL = 1e-10             # floor of the forcing term eta: CG stops by ||H d + r|| <= eta ||r||
+_EW_GAMMA = 0.9              # Eisenstat-Walker choice 2: eta = gamma (|pr_k| / |pr_k-1|)^alpha
+_EW_ALPHA = 2.0
+_EW_ETA_MAX = 0.1            # the forcing term of a level's first step, and its cap
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,7 @@ class Solution:
     energy: float
     factorizations: int             # sparse LUs, summed over the continuation levels
     krylov_iterations: int          # lagged-LU CG iterations, summed over the levels
+    krylov_misses: int              # CG solves that missed and refactored, summed over the levels
     lu_nnz: int                     # nonzeros of L + U of every LU, summed over the levels
     stop_reason: str = "converged"  # or "iteration budget", "line search collapsed"
 
@@ -312,16 +319,40 @@ def _hessian(vals, omega_cells, growth, inv2h, eps2, pattern, unknown):
     return sp.csc_matrix((coef[src], indices, indptr), shape=(nodes.size, nodes.size))
 
 
-def _lagged_cg(H, b, lu):
-    """Solve H x = b by conjugate gradients preconditioned with ``lu``, the
-    factorization of an earlier Hessian on the same unknowns.  Returns
+def _lagged_preconditioner(lu, lu_nodes, nodes, diagonal, size):
+    """r -> z for CG on the unknowns ``nodes``: ``lu``, built on the unknowns
+    ``lu_nodes``, on the nodes the two share (r zero-extended to the LU's
+    unknowns, the result restricted back), and r / ``diagonal`` on the nodes
+    freed since.  Both parts are symmetric positive definite, so the whole is
+    too.  ``size`` bounds the flat node indices."""
+    at = np.full(size, -1, dtype=np.int64)
+    at[lu_nodes] = np.arange(lu_nodes.size)
+    where = at[nodes]
+    shared = where >= 0
+    where = where[shared]
+
+    def apply(r):
+        y = np.zeros(lu_nodes.size)
+        y[where] = r[shared]
+        z = r / diagonal
+        z[shared] = lu.solve(y)[where]
+        return z
+    return apply
+
+
+def _lagged_cg(H, b, precondition, eta):
+    """Solve H x = b to the forcing tolerance ``eta`` (`_forcing`), a
+    relative residual, by conjugate gradients preconditioned with
+    ``precondition``: the level's latest LU, on unknowns that may have
+    changed since it was factored (`_lagged_preconditioner`).  Returns
     (x, iterations); x is None on a miss: a relative residual that falls
-    behind the pace 2 _CG_RTOL^(k/_CG_MAX_ITER) (the shape of the classical
-    CG bound, reaching the tolerance by the cap), nonpositive curvature
-    p.Hp, or a non-finite value."""
+    behind the pace 2 eta^(k/_CG_MAX_ITER) (the shape of the classical CG
+    bound, reaching ``eta`` by the cap), nonpositive curvature p.Hp, or a
+    non-finite value.  A miss is the one reason a level refactors after its
+    first step, and the new LU then preconditions its later steps."""
     x = np.zeros_like(b)
     r = b.copy()
-    z = lu.solve(r)
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     norm_b = float(np.linalg.norm(b))
@@ -334,15 +365,28 @@ def _lagged_cg(H, b, lu):
         x += alpha * p
         r -= alpha * Hp
         rel = float(np.linalg.norm(r)) / norm_b
-        if rel <= _CG_RTOL:
+        if rel <= eta:
             return x, k
-        if rel > 2.0 * _CG_RTOL ** (k / _CG_MAX_ITER):
+        if rel > 2.0 * eta ** (k / _CG_MAX_ITER):
             return None, k
-        z = lu.solve(r)
+        z = precondition(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
     return None, _CG_MAX_ITER
+
+
+def _forcing(l2, l2_prev, eta_prev):
+    """Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17, 1996): the
+    relative CG tolerance of a Newton step whose projected residual fell from
+    ``l2_prev`` to ``l2`` after a step solved to ``eta_prev``.  The usual
+    safeguard, gamma eta_prev^alpha as a lower bound once it exceeds 0.1,
+    keeps eta from falling faster than the last step can justify."""
+    eta = _EW_GAMMA * (l2 / l2_prev) ** _EW_ALPHA
+    floor = _EW_GAMMA * eta_prev ** _EW_ALPHA
+    if floor > 0.1:
+        eta = max(eta, floor)
+    return min(max(eta, _CG_RTOL), _EW_ETA_MAX)
 
 
 def _block_mean(a):
@@ -402,23 +446,26 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
         return l2, l2 <= cfg.tol and float(np.abs(pr).max()) <= 10.0 * cfg.tol
 
     E, resid = objective(u)
-    factorizations = krylov = lu_nnz = 0
+    factorizations = krylov = misses = lu_nnz = 0
     if (cascade and grid.n % 2 == 0 and grid.n // 2 >= _COARSEST
             and not stationary(u, resid)[1]):
         warm = _coarse_start(grid, growth, omega_cells, f, u, psi, free, cfg)
         if warm is not None:
             u, coarse = warm
-            factorizations, krylov, lu_nnz = (coarse.factorizations, coarse.krylov_iterations,
-                                              coarse.lu_nnz)
+            factorizations, krylov, misses, lu_nnz = (
+                coarse.factorizations, coarse.krylov_iterations, coarse.krylov_misses,
+                coarse.lu_nnz)
             E, resid = objective(u)
-    pattern = lu = lu_unknown = None
-    missed = False  # a level whose CG has missed factors every later step
+    pattern = lu = lu_nodes = None
+    eta = _EW_ETA_MAX
     res_hist: list[float] = []
     en_hist: list[float] = [E]
     stop = "iteration budget"
     it = 0
     while True:
         l2, done = stationary(u, resid)
+        if res_hist:
+            eta = _forcing(l2, res_hist[-1], eta)
         res_hist.append(l2)
         if done:
             stop = "converged"
@@ -427,26 +474,23 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
             break
         pattern = pattern or _Pattern(free)  # not before: a stationary start needs none
         unknown = free & ~((u <= psi) & (resid > 0))
-        if lu is not None and not np.array_equal(unknown, lu_unknown):
-            lu = None  # freed before the next Hessian is assembled
         H = _hessian(u, omega_cells, growth, inv2h, eps2, pattern, unknown)
         nodes = pattern.restrict(unknown)[0]
         b = -resid.flat[nodes]
         step = None
         if lu is not None:
-            step, cg_iters = _lagged_cg(H, b, lu)
+            step, cg_iters = _lagged_cg(
+                H, b, _lagged_preconditioner(lu, lu_nodes, nodes, H.diagonal(), u.size), eta)
             krylov += cg_iters
             if step is None:
-                lu = None
-                missed = True
+                lu = None  # freed before the next one is factored
+                misses += 1
         if step is None:
             lu = splu(H, permc_spec="NATURAL", options={"SymmetricMode": True})
             factorizations += 1
             lu_nnz += lu.nnz
             step = lu.solve(b)
-            lu_unknown = unknown
-            if missed:
-                lu = None
+            lu_nodes = nodes
         del H  # not held while the next step's Hessian is assembled
         d = np.zeros_like(u)
         d.flat[nodes] = step
@@ -479,6 +523,7 @@ def _minimize(grid, growth, omega_cells, f, start, psi, free, cfg, cascade):
         energy=E,
         factorizations=factorizations,
         krylov_iterations=krylov,
+        krylov_misses=misses,
         lu_nnz=lu_nnz,
         stop_reason=stop,
     )

@@ -69,7 +69,8 @@ def test_numeric_change_against_the_limit(tmp_path, capsys, rel, code):
 
 ENERGY = -0.0123456789012
 DIAGNOSTICS = ("iterations 5\nenergy {energy:.12g}\ncomplementarity 3.1e-10\nresidual 2.2e-09\n"
-               "factorizations {factorizations}\nkrylov_iterations 37\nlu_nnz 390080\n")
+               "factorizations {factorizations}\nkrylov_iterations 37\nkrylov_misses 1\n"
+               "lu_nnz 390080\n")
 
 
 def run_diagnostics(tmp_path, energy=ENERGY, factorizations=7, start=None) -> int:

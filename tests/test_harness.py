@@ -1222,7 +1222,8 @@ def test_cli_solve_writes_artifacts(tiny_config, tmp_path):
     # p = 2 scales exactly: the scale-1 cell starts from its mesh's scale-4
     # solution divided by 4, already converged
     assert diag["start"] == "scale=4"
-    assert diag["factorizations"] == diag["iterations"] == diag["krylov_iterations"] == "0"
+    assert (diag["factorizations"] == diag["iterations"] == diag["krylov_iterations"]
+            == diag["krylov_misses"] == "0")
     assert diag["lu_nnz"] == "0"
     # a density is solved unmollified: no level to report
     assert "mollification_level" not in diag
@@ -1235,7 +1236,7 @@ def test_cli_solve_writes_artifacts(tiny_config, tmp_path):
                 .splitlines())
     assert diag["start"] == "flat"
     assert diag["factorizations"] == diag["iterations"] == "1"
-    assert diag["krylov_iterations"] == "0"
+    assert diag["krylov_iterations"] == diag["krylov_misses"] == "0"
     assert int(diag["lu_nnz"]) > 0
 
 
@@ -2099,6 +2100,24 @@ def test_no_build_starts_inside_another(name):
     assert set(cache.open_at_build) == {0}
 
 
+@pytest.mark.parametrize("name, hits, misses", [("contact.ini", 13, 6), ("dirac.ini", 40, 30)])
+def test_cache_hits_count_only_shared_values(monkeypatch, name, hits, misses):
+    # a hit is a value that a second check shares: a cell found in the cache
+    # resolves no warm start, so no hit is a lookup of its linked cell
+    resolved = []
+    warm_start = checks._warm_start
+
+    def counted(cache, inst, solution):
+        resolved.append(inst)
+        return warm_start(cache, inst, solution)
+    monkeypatch.setattr(checks, "_warm_start", counted)
+    cache = SolveCache()
+    run_checks(load_config(CONFIGS / name), cache=cache)
+    assert (cache.hits, cache.misses) == (hits, misses)
+    # each warm start is resolved for a solve that is then built
+    assert 0 < len(resolved) <= cache.misses
+
+
 def test_cells_realize_each_cell_once(tmp_path, monkeypatch):
     # the scale-16 cells are each linked to by two scaled cells and the
     # n = 128 scale-16 cell to the n = 64 one; each is still realized once
@@ -2114,6 +2133,20 @@ def test_cells_realize_each_cell_once(tmp_path, monkeypatch):
     assert sorted(realized) == sorted((n, s, 1.0, None) for n, s in (cell for cell, _ in swept))
 
 
+def test_realize_reads_each_builders_signature_once(monkeypatch):
+    # every cell realizes five sections; a builder's keywords are read once
+    config._keywords.cache_clear()
+    read = []
+    signature = config.inspect.signature
+    monkeypatch.setattr(config, "inspect", SimpleNamespace(
+        signature=lambda build: read.append(build) or signature(build)))
+    cfg = load_config(CONFIGS / "dirac.ini")
+    for _ in range(2):
+        assert len(list(cells(cfg))) > 1
+    assert read and len(read) == len(set(read))
+    assert config._keywords.cache_info().maxsize is not None
+
+
 def test_report_rhs_floor_flagging():
     row = CheckRow((0, 0), 0.1, 0.0, 0.0, None, "degenerate-skip")
     assert row.ratio is None
@@ -2123,6 +2156,14 @@ def test_report_rhs_floor_flagging():
     cache.get("k", lambda: calls.append(1) or 8)
     assert calls == [1]
     assert (cache.misses, cache.hits) == (1, 1)
+
+
+def test_solve_cache_membership_counts_nothing():
+    cache = SolveCache()
+    assert "k" not in cache
+    cache.get("k", lambda: 7)
+    assert "k" in cache
+    assert (cache.misses, cache.hits) == (1, 0)
 
 
 def test_solve_cache_counts_a_miss_after_its_builder_returns():
