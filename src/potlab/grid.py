@@ -10,11 +10,14 @@ averaged, solved and frozen over; the balls of one radius around many
 centers are one fancy-indexing gather.  Only mass queries keep the exact
 center: atoms and cut cells (node-center-in-disk) belong to a disk by the
 same closed-ball rule as the offset tables.  They take a whole radius
-ladder at once (``disk_integrals``, ``ball_masses``):
-one squared-distance table of the largest disk's node box, compared with
-every radius in one step, so every mass is bitwise the full-grid masked
-sum.  ``Grid2D`` states the 2h resolution floor once (``r_min``,
-``resolves``); every radius filter and inner cutoff asks it.
+ladder at once (``disk_integrals``, ``ball_masses``) in one pass over the
+largest disk's node box: each node is binned into its shell, the smallest
+disk that holds it, each shell is summed once and the shells are added
+outward.  The node set of every disk is bit-exact to the full-grid
+closed-ball mask; a mass is a running sum of shells, so its last bits
+depend on the ladder it is read from.  ``Grid2D`` states the 2h
+resolution floor once (``r_min``, ``resolves``); every radius filter and
+inner cutoff asks it.
 """
 
 from __future__ import annotations
@@ -237,23 +240,42 @@ def disk_integral(f: GridFunction, center, radius: float) -> float:
 
 
 def disk_integrals(f: GridFunction, center, radii) -> np.ndarray:
-    """``disk_integral`` for every radius of a ladder.
+    """``disk_integral`` for every radius of a ladder, in any order.
 
-    One squared-distance table covers the node box of the largest disk and
-    one comparison with every radius's bound gives each disk's nodes on
-    that box.  The box lists a disk's nodes in the full grid's row-major
-    order, so each sum is bitwise the full-grid masked sum.
+    One squared-distance table covers the node box of the largest disk.
+    A node lies in disk k exactly when its d^2 is at most that radius's
+    closed-ball bound, so binning d^2 among the sorted bounds puts each
+    node in the smallest disk that holds it, and every disk keeps the
+    full-grid mask's node set bit for bit.  Each shell is summed once, in
+    row-major order, and disk k's mass is the running sum of the shells
+    out to it.  The order of the additions depends on the whole ladder: a
+    mass can differ in its last bits from a one-radius call, or from the
+    full-grid masked sum.
     """
+    return _shell_sums(f, center, max(radii), _closed_ball_bounds(radii))
+
+
+def _closed_ball_bounds(radii) -> np.ndarray:
+    return np.array([_closed_ball_bound(radius) for radius in radii])
+
+
+def _shell_sums(f: GridFunction, center, top: float, bounds: np.ndarray) -> np.ndarray:
+    """``disk_integrals`` with each radius's closed-ball bound given and
+    ``top`` the largest radius."""
     g = f.grid
     cx, cy = center
-    top = max(radii)
     i0, i1 = _node_span(g.h, g.n, cx - top, cx + top)
     j0, j1 = _node_span(g.h, g.n, cy - top, cy + top)
     d2 = ((g.xs[i0:i1] - cx) ** 2)[:, None] + ((g.ys[j0:j1] - cy) ** 2)[None, :]
-    vals = f.values[i0:i1, j0:j1]
-    bounds = np.array([_closed_ball_bound(radius) for radius in radii])
-    masks = d2[None] <= bounds[:, None, None]
-    return np.array([vals[mask].sum() for mask in masks]) * g.h * g.h
+    order = np.argsort(bounds, kind="stable")
+    # side="left": a node with d^2 equal to a bound lands in that disk's shell
+    shell = np.searchsorted(bounds[order], d2.ravel(), side="left")
+    # the last bin gathers the nodes outside every disk
+    sums = np.bincount(shell, weights=f.values[i0:i1, j0:j1].ravel(),
+                       minlength=len(bounds) + 1)
+    out = np.empty(len(bounds))
+    out[order] = np.cumsum(sums[:-1])
+    return out * g.h * g.h
 
 
 def gradient(f: GridFunction) -> tuple[GridFunction, GridFunction]:
@@ -339,18 +361,20 @@ def ball_mass(mu: MeasureData, center, radius: float) -> float:
 
 
 def ball_masses(mu: MeasureData, center, radii) -> np.ndarray:
-    """``ball_mass`` for every radius of a ladder: the atom distances are
-    taken once, the density integrated by ``disk_integrals``."""
+    """``ball_mass`` for every radius of a ladder, in any order.  Each
+    radius's closed-ball bound is taken once and serves the atoms and the
+    density: an atom's masses are added in list order, the density's
+    integrals are the running shell sums of ``disk_integrals``."""
     if min(radii) <= 0:
         raise DataError("ball_mass needs a positive radius")
+    bounds = _closed_ball_bounds(radii)
     out = np.zeros(len(radii))
     if mu.atoms:  # the obstacle measure has none
         cx, cy = center
-        bound = np.array([_closed_ball_bound(radius) for radius in radii])
         for x, y, m in mu.atoms:  # one add per atom in list order: bitwise Python's sum
-            out += np.where((x - cx) ** 2 + (y - cy) ** 2 <= bound, abs(m), 0.0)
+            out += np.where((x - cx) ** 2 + (y - cy) ** 2 <= bounds, abs(m), 0.0)
     if mu.density is not None:
-        out += disk_integrals(mu.density, center, radii)
+        out += _shell_sums(mu.density, center, max(radii), bounds)
     return out
 
 

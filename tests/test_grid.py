@@ -31,6 +31,8 @@ from potlab.grid import (
     write_raster,
 )
 
+from mass_rule import shell_binned_disk_integrals
+
 
 @pytest.fixture
 def grid():
@@ -260,29 +262,93 @@ def test_disk_integral_constant(r):
 
 
 def _full_grid_disk_integral(f, center, radius):
-    # the one-mask-per-radius formula the batched ladders must reproduce
-    # bitwise, with the closed-ball rule written out over the whole grid
+    # the accuracy reference: numpy's pairwise sum of the full-grid
+    # closed-ball mask, with the closed-ball rule written out
     g = f.grid
     inside = (g.X - center[0]) ** 2 + (g.Y - center[1]) ** 2 <= radius**2 * (1.0 + 1e-12)
     return float(f.values[inside].sum() * g.h * g.h)
 
 
-@pytest.mark.parametrize("n", [16, 48, 128])
-def test_disk_integrals_equal_full_grid_masked_sums(n):
+def _full_grid_node_count(g, center, radius):
+    return int(np.count_nonzero(
+        (g.X - center[0]) ** 2 + (g.Y - center[1]) ** 2 <= radius**2 * (1.0 + 1e-12)))
+
+
+def _gamma(k):
+    # Higham's gamma_k = k u / (1 - k u), u the unit roundoff
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+_TIE_NODES = ((0, 1), (1, 3), (3, 2), (2, 4), (4, 0))  # in quarters of the mesh
+
+
+def _exact_bound_radii(g, c):
+    """Radii whose closed-ball bound r^2 (1 + 1e-12) equals some tie node's
+    squared distance from c exactly, where only a <= comparison keeps the
+    node in the disk."""
+    d2 = (g.X - c[0]) ** 2 + (g.Y - c[1]) ** 2
+    radii = []
+    for a, b in _TIE_NODES:
+        dd = d2[a * (g.n - 1) // 4, b * (g.n - 1) // 4]
+        r0 = np.sqrt(dd / (1.0 + 1e-12))
+        radii += [r for r in r0 + np.arange(-3, 4) * np.spacing(r0)
+                  if r > 0 and r**2 * (1.0 + 1e-12) == dd]
+    return radii
+
+
+def _mass_test_disks(n):
+    """(centers, radii per center) of the disk-mass tests on an n-mesh: an
+    interior, a near-edge and an outside center each, and a sorted ladder
+    holding radii at exact node distances and exact-bound radii (the 1e-12
+    tie rule)."""
     g = Grid2D(n)
-    f = GridFunction(g, np.random.default_rng(n).standard_normal((n, n)))
     node = (float(g.xs[n // 4]), float(g.ys[n // 4]))
     centers = [(0.5, 0.5), (0.37, 0.61), node,  # interior
                (0.02, 0.97), (g.xs[0], 0.4),  # near an edge
                (1.0 + 0.5 * g.h, 0.4)]  # just outside the domain
+    ladders = []
     for c in centers:
-        # radii at exact node distances exercise the 1e-12 tie rule
         ties = np.hypot(g.xs[[0, n // 3, n - 1]] - c[0], g.ys[[1, n // 2, n - 2]] - c[1])
-        radii = np.unique(np.concatenate(
-            [np.geomspace(g.h, 1.2, 30), ties, g.h * np.arange(1, 6)]))
-        want = [_full_grid_disk_integral(f, c, r) for r in radii]
-        assert disk_integrals(f, c, radii).tolist() == want
-        assert [disk_integral(f, c, r) for r in radii] == want
+        ladders.append(np.unique(np.concatenate(
+            [np.geomspace(g.h, 1.2, 30), ties, g.h * np.arange(1, 6),
+             _exact_bound_radii(g, c)])))
+    return centers, ladders
+
+
+@pytest.mark.parametrize("n", [16, 48, 128])
+def test_disk_integrals_equal_full_grid_masked_sums(n):
+    # the node sets are the full-grid masks; the masses are pinned with ==
+    # to the shell rule (mass_rule.py) and lie within the recursive-summation
+    # bound of the masked pairwise sums
+    g = Grid2D(n)
+    f = GridFunction(g, np.random.default_rng(n).standard_normal((n, n)))
+    for c, radii in zip(*_mass_test_disks(n)):
+        got = disk_integrals(f, c, radii)
+        assert got.tolist() == shell_binned_disk_integrals(f, c, radii)
+        assert [disk_integral(f, c, r) for r in radii] == \
+            [shell_binned_disk_integrals(f, c, [r])[0] for r in radii]
+        # within the recursive-summation bound of the pairwise masked sum
+        for r, mass in zip(radii, got):
+            m = _full_grid_node_count(g, c, r)
+            abs_mass = _full_grid_disk_integral(f.with_values(np.abs(f.values)), c, r)
+            assert abs(mass - _full_grid_disk_integral(f, c, r)) <= \
+                2 * _gamma(m + len(radii)) * abs_mass
+
+
+@pytest.mark.parametrize("n", [16, 48, 128])
+def test_disk_masses_of_ones_count_the_full_grid_mask(n):
+    # sums of ones are exact in any order: each mass is the closed-ball
+    # mask's node count times h^2, so the node sets (and the 1e-12 tie
+    # rule) stay pinned bit for bit whatever the summation order
+    g = Grid2D(n)
+    ones = GridFunction.constant(g, 1.0)
+    centers, ladders = _mass_test_disks(n)
+    assert sum(len(_exact_bound_radii(g, c)) for c in centers) >= 6
+    for c, radii in zip(centers, ladders):
+        counts = np.array([_full_grid_node_count(g, c, r) for r in radii], dtype=float)
+        assert disk_integrals(ones, c, radii).tolist() == (counts * g.h * g.h).tolist()
+        assert [disk_integral(ones, c, r) for r in radii] == (counts * g.h * g.h).tolist()
 
 
 # twelve atoms of mixed sign and scale: past numpy's 8-way pairwise
@@ -301,14 +367,43 @@ def test_ball_masses_equal_atom_sum_plus_density_integral():
         mu = MeasureData(atoms=atoms, density=dens)
         atom_dists = [np.hypot(x - c[0], y - c[1]) for x, y, _ in mu.atoms]
         radii = np.unique(np.concatenate([np.geomspace(2 * g.h, 0.6, 40), atom_dists]))
-        for r, got in zip(radii, ball_masses(mu, c, radii)):
-            want = sum(abs(m) for x, y, m in mu.atoms
-                       if np.hypot(x - c[0], y - c[1]) <= r + 1e-12 * max(1.0, r))
-            want += _full_grid_disk_integral(dens.with_values(np.abs(dens.values)), c, r)
-            assert got == float(want)
-            assert ball_mass(mu, c, r) == float(want)
+        ladder = shell_binned_disk_integrals(dens, c, radii)
+        for k, (r, got) in enumerate(zip(radii, ball_masses(mu, c, radii))):
+            atom_mass = sum(abs(m) for x, y, m in mu.atoms
+                            if np.hypot(x - c[0], y - c[1]) <= r + 1e-12 * max(1.0, r))
+            assert got == float(atom_mass + ladder[k])
+            assert ball_mass(mu, c, r) == \
+                float(atom_mass + shell_binned_disk_integrals(dens, c, [r])[0])
         with pytest.raises(DataError):
             ball_masses(mu, c, [0.0, 0.1])
+
+
+def test_ladders_in_any_order_give_the_sorted_ladders_masses():
+    # a shuffled ladder with a repeated radius reads, bit for bit, the
+    # sorted ladder's masses in the caller's order
+    g = Grid2D(48)
+    rng = np.random.default_rng(5)
+    dens = GridFunction(g, rng.standard_normal((48, 48)))
+    mu = MeasureData(atoms=_MANY_ATOMS, density=dens.with_values(np.abs(dens.values)))
+    c = (0.45, 0.4)
+    atom_dists = [np.hypot(x - c[0], y - c[1]) for x, y, _ in mu.atoms]
+    radii = np.unique(np.concatenate([np.geomspace(2 * g.h, 0.6, 25), atom_dists]))
+    shuffled = rng.permutation(np.concatenate([radii, radii[[7]]]))
+    back = np.searchsorted(radii, shuffled)
+    assert disk_integrals(dens, c, shuffled).tolist() == \
+        disk_integrals(dens, c, radii)[back].tolist()
+    assert ball_masses(mu, c, shuffled).tolist() == ball_masses(mu, c, radii)[back].tolist()
+
+
+@pytest.mark.parametrize("n", [16, 48, 128])
+def test_ball_masses_never_decrease_along_a_sorted_ladder(n):
+    g = Grid2D(n)
+    dens = GridFunction(g, np.random.default_rng(n).uniform(0.0, 2.0, (n, n)))
+    atoms = [(0.3, 0.3, 1.0), (0.5, 0.52, -0.25), (0.7, 0.4, 2.0)]
+    for mu in (MeasureData(density=dens), MeasureData(atoms=atoms, density=dens)):
+        for c, radii in zip(*_mass_test_disks(n)):
+            masses = ball_masses(mu, c, radii)
+            assert np.all(np.diff(masses) >= 0.0)
 
 
 # -- I/O -------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from potlab.grid import (
     MeasureData,
     ball_average,
     ball_mass,
-    disk_integral,
     gradient,
 )
 from potlab.harness.cli import main
@@ -27,6 +26,8 @@ from potlab.potentials import (
     wolff,
     wolff_psi,
 )
+
+from mass_rule import shell_binned_disk_integrals
 
 ATOM = MeasureData(atoms=[(0.0, 0.0, 1.0)])
 
@@ -336,22 +337,22 @@ def test_wolff_dyadic_sum_consistency():
     assert 1.0 / 2.5 <= total / quad <= 2.5
 
 
-def _wolff_psi_per_radius(kernel, x, beta, p, R, r_min):
-    # one disk integral per radius: the formula the batched ladder replaces
+def _wolff_psi_by_shells(kernel, x, beta, p, R, r_min):
+    # the ladder's masses by the shell rule written out in mass_rule.py
     radii = radius_ladder(r_min, R)
-    masses = np.array([disk_integral(kernel, x, rho) for rho in radii])
+    masses = np.array(shell_binned_disk_integrals(kernel, x, radii))
     integrand = (masses / radii ** (2 - beta * p)) ** (1.0 / (p - 1.0))
     return float(np.trapezoid(integrand, np.log(radii)))
 
 
 def test_wolff_psi_independent_of_beta_order():
-    # every call order of beta gives the per-radius values
+    # every call order of beta gives the shell rule's values
     g = Grid2D(48)
     psi = GridFunction.from_callable(g, lambda X, Y: 0.3 - (X - 0.4) ** 2 - 0.5 * (Y - 0.6) ** 4)
     growth = PowerGrowth(3.0)
     x = (0.41, 0.53)
     betas = (0.3, 0.5, 0.9)
-    want = [_wolff_psi_per_radius(obstacle_kernel(psi, growth), x, beta, 3.0, 0.3, 2 * g.h)
+    want = [_wolff_psi_by_shells(obstacle_kernel(psi, growth), x, beta, 3.0, 0.3, 2 * g.h)
             for beta in betas]
     for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0, 1]):
         kernel = obstacle_kernel(psi, growth)
