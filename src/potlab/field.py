@@ -1,12 +1,14 @@
 """The vector field a(x, eta) = omega(x) * (g(|eta|)/|eta|) * eta.
 
-A spatial coefficient omega with values in [c_low, c_high] (a raster is
-clamped to that range, a config refuses a preset outside it) multiplies
-the radial growth kernel.  The kernel cancels from the field's oscillation:
-|a(x, eta) - mean_B a(., eta)| / g(|eta|) = |omega(x) - mean_B omega| for
-every eta.  So the module measures the field's distance from its ball
-averages by the coefficient alone: the mean-oscillation modulus omega(r)
-over all balls up to radius r, and Dini-type integrals of that modulus.
+A spatial coefficient omega with values in the fixed ellipticity range
+[c_low, c_high] = [0.05, 20] (a raster is clamped to that range, a config
+refuses a preset outside it) multiplies the radial growth kernel.  The
+kernel cancels from the field's oscillation: |a(x, eta) - mean_B a(., eta)|
+/ g(|eta|) = |omega(x) - mean_B omega| for every eta.  So the module
+measures the field's distance from its ball averages by the coefficient
+alone: the mean-oscillation modulus omega(r) over all balls up to radius
+r (the gamma'-mean oscillation, gamma' = 2), and Dini-type integrals of
+that modulus.
 """
 
 from __future__ import annotations
@@ -36,20 +38,18 @@ __all__ = [
 class CoefficientField:
     """Bounded measurable coefficient omega(x), separated from zero.
 
-    Values are clamped to [c_low, c_high] on evaluation, which realizes the
-    boundedness requirement for arbitrary user input.  A preset states its
-    ``span``, the (min, max) of its unclamped values on the unit square, so
-    a config can refuse one that the clamp would change; a raster or a
-    custom function has no span.
+    Values are clamped to the constant range [c_low, c_high] on
+    evaluation, which realizes the boundedness requirement for arbitrary
+    user input.  A preset states its ``span``, the (min, max) of its
+    unclamped values on the unit square, so a config can refuse one that
+    the clamp would change; a raster or a custom function has no span.
     """
 
-    def __init__(self, fn, c_low: float = 0.05, c_high: float = 20.0, label: str = "custom",
-                 span: tuple[float, float] | None = None):
-        if not (0.0 < c_low <= c_high < np.inf):
-            raise DataError("need 0 < c_low <= c_high < inf")
+    c_low = 0.05
+    c_high = 20.0
+
+    def __init__(self, fn, label: str = "custom", span: tuple[float, float] | None = None):
         self._fn = fn
-        self.c_low = float(c_low)
-        self.c_high = float(c_high)
         self.label = label
         self.span = span
 
@@ -69,38 +69,38 @@ class CoefficientField:
         return f"CoefficientField({self.label}, [{self.c_low:g}, {self.c_high:g}])"
 
 
-def constant_coefficient(value: float = 1.0, **kw) -> CoefficientField:
+def constant_coefficient(value: float = 1.0) -> CoefficientField:
     v = float(value)
     return CoefficientField(lambda X, Y: np.full_like(X, v), label=f"constant({v:g})",
-                            span=(v, v), **kw)
+                            span=(v, v))
 
 
-def affine_coefficient(ax: float = 1.0, ay: float = 0.0, b: float = 1.0, **kw) -> CoefficientField:
+def affine_coefficient(ax: float = 1.0, ay: float = 0.0, b: float = 1.0) -> CoefficientField:
     corners = (b, b + ax, b + ay, b + ax + ay)
     return CoefficientField(
         lambda X, Y: b + ax * X + ay * Y, label=f"affine({ax:g},{ay:g},{b:g})",
-        span=(min(corners), max(corners)), **kw
+        span=(min(corners), max(corners))
     )
 
 
-def jump_coefficient(amplitude: float = 0.2, position: float = 0.5, axis: int = 0, **kw) -> CoefficientField:
+def jump_coefficient(amplitude: float = 0.2, position: float = 0.5, axis: int = 0) -> CoefficientField:
     """BMO-type jump: 1 + amplitude * sign(x_axis - position)."""
     def fn(X, Y):
         coord = X if axis == 0 else Y
         return 1.0 + amplitude * np.sign(coord - position)
     return CoefficientField(fn, label=f"jump({amplitude:g}@{position:g})",
-                            span=(1.0 - abs(amplitude), 1.0 + abs(amplitude)), **kw)
+                            span=(1.0 - abs(amplitude), 1.0 + abs(amplitude)))
 
 
-def checkerboard_coefficient(amplitude: float = 0.2, period: float = 0.25, **kw) -> CoefficientField:
+def checkerboard_coefficient(amplitude: float = 0.2, period: float = 0.25) -> CoefficientField:
     def fn(X, Y):
         s = np.sin(2 * np.pi * X / period) * np.sin(2 * np.pi * Y / period)
         return 1.0 + amplitude * np.sign(s)
     return CoefficientField(fn, label=f"checkerboard({amplitude:g},{period:g})",
-                            span=(1.0 - abs(amplitude), 1.0 + abs(amplitude)), **kw)
+                            span=(1.0 - abs(amplitude), 1.0 + abs(amplitude)))
 
 
-def coefficient_from_raster(gf: GridFunction, **kw) -> CoefficientField:
+def coefficient_from_raster(gf: GridFunction) -> CoefficientField:
     from scipy.interpolate import RegularGridInterpolator
 
     g = gf.grid
@@ -111,17 +111,20 @@ def coefficient_from_raster(gf: GridFunction, **kw) -> CoefficientField:
         pts = np.stack([np.broadcast_arrays(X, Y)[0].ravel(),
                         np.broadcast_arrays(X, Y)[1].ravel()], axis=-1)
         return interp(pts).reshape(np.broadcast_arrays(X, Y)[0].shape)
-    return CoefficientField(fn, label="raster", **kw)
+    return CoefficientField(fn, label="raster")
 
 
-# the coefficient presets by name; each preset's **kw are the clamp bounds
-# of ``CoefficientField``
+# the coefficient presets by name
 COEFFICIENT_PRESETS = {
     "constant": constant_coefficient,
     "affine": affine_coefficient,
     "jump": jump_coefficient,
     "checkerboard": checkerboard_coefficient,
 }
+
+
+# the mean-oscillation exponent gamma' of the modulus
+_GAMMA_PRIME = 2.0
 
 
 class VectorField:
@@ -139,7 +142,7 @@ class VectorField:
         om = self.coefficient.at(x[0], x[1])
         return np.asarray(om * k)[..., None] * eta
 
-    def oscillation_ladder(self, grid: Grid2D, r_max: float, gamma_prime: float = 2.0):
+    def oscillation_ladder(self, grid: Grid2D, r_max: float):
         """Per-radius suprema of the gamma'-mean oscillation of omega.
 
         Returns (radii, sup-values) on 16 radii log-spaced from 2h to
@@ -149,8 +152,6 @@ class VectorField:
         inside the domain; a radius with no such center gets 0, and every
         radius gets 0 when the coefficient is constant on the nodes.
         """
-        if gamma_prime <= 1.0:
-            raise DataError("gamma_prime must exceed 1")
         if r_max > 0.5 + 1e-12:
             raise DomainError("modulus radius above half the domain width")
         if not grid.resolves(r_max):
@@ -176,14 +177,13 @@ class VectorField:
             for ic in centers:
                 vals = om[ic + di, centers[:, None] + dj]
                 dev = np.abs(vals - vals.mean(axis=1, keepdims=True))
-                best = max(best, float(np.mean(dev**gamma_prime, axis=1).max()))
+                best = max(best, float(np.mean(dev**_GAMMA_PRIME, axis=1).max()))
             # t -> t^(1/gamma') is increasing: the max commutes with it
-            sups[k] = best ** (1.0 / gamma_prime)
+            sups[k] = best ** (1.0 / _GAMMA_PRIME)
         return radii, sups
 
-    def oscillation_modulus(self, grid: Grid2D, r_max: float,
-                            gamma_prime: float = 2.0) -> "OscillationModulus":
-        radii, sups = self.oscillation_ladder(grid, r_max, gamma_prime)
+    def oscillation_modulus(self, grid: Grid2D, r_max: float) -> "OscillationModulus":
+        radii, sups = self.oscillation_ladder(grid, r_max)
         return OscillationModulus(
             radii=radii,
             values=np.maximum.accumulate(sups),

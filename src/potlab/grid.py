@@ -109,9 +109,6 @@ class Grid2D:
         m[1:-1, 1:-1] = True
         return m
 
-    def ring_mask(self) -> np.ndarray:
-        return ~self.interior_mask()
-
 
 class GridFunction:
     """Scalar field on the nodes of a Grid2D; values are published read-only."""

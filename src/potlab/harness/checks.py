@@ -11,9 +11,12 @@ solver-tolerance level.
 
 A right side is a dict of named terms, one per summand of the paper's
 bound (``du``, ``wolff_mu``, ``wolff_psi``, ``dini``, ...), and
-``RatioStudy.add`` alone sums it, left to right in insertion order.  A
-negative control wraps ``RatioStudy.add`` and drops, rescales or raises to
-a power one named term of every row with a cell: one case per row of
+``RatioStudy.add`` alone sums it, left to right in insertion order.
+Every data term (a measure's mass, the obstacle kernel, a flux average,
+a maximal function of either) enters through the growth's own inverse
+``g_inverse``, the Orlicz form of the bound.  A negative control wraps
+``RatioStudy.add`` and drops, rescales or raises to a power one named
+term of every row with a cell: one case per row of
 ``test_check_fails_on_wrong_bound`` in ``tests/test_harness.py``.
 
 One gate decides every ratio check.  It passes when all of these hold:
@@ -380,7 +383,7 @@ def maximal_sum_rhs(ctx: EstimateContext, x, R: float, alpha: float, du_avg: flo
 def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
                        ladder: PointLadder, ladders) -> dict:
     """Bound for M^#_alpha(Du): ``du`` = R^-alpha avg_{B_R}|Du|, the maximal
-    terms ``maximal_mu``, ``maximal_psi`` to the power 1/ig, the Wolff pair
+    terms ``maximal_mu``, ``maximal_psi`` through g^{-1}, the Wolff pair
     at (1/(ig+1), ig+1), and the drho/rho^(1+alpha) Dini integral.
     avg_{B_R}|Du| and the maximal terms are read from ``ladder``, x's
     ``PointLadder`` up to R, the Wolff pair from x's ``wolff_ladders``."""
@@ -389,9 +392,10 @@ def sharp_gradient_rhs(ctx: EstimateContext, x, R: float, alpha: float,
     if beta_m < 0:
         raise DataError("alpha too large for the maximal term (needs alpha <= 1/ig)")
     wmu, wps = (wolff.potential(1.0 / (ig + 1.0), ig + 1.0) for wolff in ladders)
+    g_inverse = ctx.inst.growth.g_inverse
     return {"du": R ** (-alpha) * float(ladder.du_mean[-1]),
-            "maximal_mu": _g_inverse(ctx.inst, ladder.measure_maximal(beta_m)),
-            "maximal_psi": _g_inverse(ctx.inst, ladder.obstacle_maximal(beta_m)),
+            "maximal_mu": g_inverse(ladder.measure_maximal(beta_m)),
+            "maximal_psi": g_inverse(ladder.obstacle_maximal(beta_m)),
             "wolff_mu": wmu, "wolff_psi": wps, "dini": _dini_term(ctx, x, 2.0 * R, alpha)}
 
 
@@ -416,19 +420,14 @@ def gradient_oscillation_rhs(ctx: EstimateContext, du_avg: float, x, y, R: float
             "dini": (dx + dy) * d**alpha}
 
 
-def _g_inverse(inst: Instance, s: float) -> float:
-    """s^(1/ig), the power surrogate for g^{-1}(s) in every data term."""
-    return s ** (1.0 / inst.growth.ig)
-
-
 def measure_error_term(inst: Instance, x, R: float) -> float:
-    """(|mu|(closed B_R) / R^(n-1))^(1/ig); zero for the zero measure."""
-    return _g_inverse(inst, ball_mass(inst.measure, x, R) / R ** (2 - 1))
+    """g^{-1}(|mu|(closed B_R) / R^(n-1)); zero for the zero measure."""
+    return inst.growth.g_inverse(ball_mass(inst.measure, x, R) / R ** (2 - 1))
 
 
 def obstacle_error_term(ctx: EstimateContext, x, R: float) -> float:
-    """(R avg_{B_R} obstacle kernel)^(1/ig); zero without an obstacle."""
-    return _g_inverse(ctx.inst, R * ball_average(ctx.obstacle_measure.density, x, R))
+    """g^{-1}(R avg_{B_R} obstacle kernel); zero without an obstacle."""
+    return ctx.inst.growth.g_inverse(R * ball_average(ctx.obstacle_measure.density, x, R))
 
 
 def coefficient_error_term(ctx: EstimateContext, mag: GridFunction, x,
@@ -516,7 +515,7 @@ def _frozen_row(study: RatioStudy, ctx: EstimateContext, w1: Solution, w2: Solut
 
 def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckReport:
     """Inhomogeneous-vs-homogeneous comparison: avg_{B_R}|Du - Dw1| against
-    (R avg|f|)^(1/ig), or the (mass/R^{n-1})^(1/ig) form for measures."""
+    g^{-1}(R avg|f|), or the g^{-1}(mass/R^{n-1}) form for measures."""
     center, R = _COMPARISON_BALL
     study = RatioStudy()
     skipped = False
@@ -531,7 +530,7 @@ def check_comparison_inhomogeneous(cfg: ExperimentConfig, cache: SolveCache, rng
                 _inhomogeneity_row(study, cache, inst, ball,
                                    measure_error_term(inst, *ball), cell=ball_cell)
         else:
-            data = _g_inverse(inst, R * ball_average(inst.measure.density, center, R))
+            data = inst.growth.g_inverse(R * ball_average(inst.measure.density, center, R))
             _inhomogeneity_row(study, cache, inst, _COMPARISON_BALL, data, cell=cell)
     return study.report("comparison_inhomogeneous",
                         notes=["no right-hand data; check skipped"] if skipped else [])
@@ -751,10 +750,10 @@ def _chain_stage_rows(study: RatioStudy, cache: SolveCache, cell, ctx: EstimateC
         "w2": _frozen_row(study, ctx, chain.w1, chain.w2, (center, half), **row("w2")),
     }
     # obstacle-flux transitions: both gaps are controlled by the ``flux``
-    # term (R avg(|div a_bar(Dpsi)| + 1))^(1/ig)
+    # term g^{-1}(R avg(|div a_bar(Dpsi)| + 1))
     flux = chain.obstacle_flux
     flux_field = flux.with_values(np.abs(flux.values) + 1.0)
-    terms = {"flux": _g_inverse(inst, half * ball_average(flux_field, center, half))}
+    terms = {"flux": inst.growth.g_inverse(half * ball_average(flux_field, center, half))}
     for stage, a, b in (("w3", chain.w2, chain.w3), ("w4", chain.w3, chain.w4)):
         lhs = ball_average(grad_distance_field(a.u, b.u), center, half)
         out[stage] = study.add(center, half, lhs, terms, exact_tol=10 * inst.solver.tol,

@@ -7,7 +7,7 @@ G(t) = int_0^t g is a strictly convex N-function; this module supplies G,
 its inverse, the Young conjugate G*, index estimation, and the Sobolev
 companion S(t) = G(t) * (G(t)/t)^(-1/n).
 
-Supported kinds:
+Supported kinds, by their names in ``GROWTH_KINDS``:
 
 * ``power(p)``          g(t) = t^(p-1), indices (p-1, p-1)
 * ``regularized_power`` g(t) = (mu + t^2)^((p-2)/2) t with mu > 0,
@@ -15,9 +15,9 @@ Supported kinds:
 * ``tabulated``         monotone cubic interpolation of (t, g(t)) samples
 
 Power and regularized kinds use closed forms for G and G^{-1}, power for
-S^{-1} too; the tabulated kind integrates its interpolant.  Every other
-inverse (g^{-1}, S^{-1}, the tabulated G^{-1}) is one log-space bisection.
-All evaluators accept scalars or numpy arrays.
+g^{-1} and S^{-1} too; the tabulated kind integrates its interpolant.
+Every other inverse (g^{-1}, S^{-1}, the tabulated G^{-1}) is one
+log-space bisection.  All evaluators accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ __all__ = [
 ]
 
 
-def _checked(t, name="t", allow_negative=False):
+def _checked(t, name="t"):
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
-    if not allow_negative and np.any(arr < 0):
+    if (arr < 0).any():
         raise DomainError(f"{name} must be nonnegative")
     return arr
 
@@ -55,7 +55,6 @@ def _like(arr, template):
 class GrowthFunction:
     """Base class: scalar nonlinearity with pinned growth indices."""
 
-    kind = "base"
     ig: float
     sg: float
 
@@ -134,8 +133,6 @@ class GrowthFunction:
 class PowerGrowth(GrowthFunction):
     """g(t) = t^(p-1) with p >= 2; G(t) = t^p / p."""
 
-    kind = "power"
-
     def __init__(self, p: float):
         if not np.isfinite(p) or p < 2.0:
             raise DataError("power growth requires p >= 2")
@@ -162,6 +159,10 @@ class PowerGrowth(GrowthFunction):
         arr = _checked(s, "s")
         return _like((self.p * arr) ** (1.0 / self.p), s)
 
+    def g_inverse(self, s):
+        arr = _checked(s, "s")
+        return _like(arr ** (1.0 / (self.p - 1.0)), s)
+
     def S_inverse(self, s, n: int):
         """S(t) = p^(-1+1/n) t^(p-(p-1)/n), inverted in closed form."""
         if n < 2:
@@ -175,8 +176,6 @@ class PowerGrowth(GrowthFunction):
 
 class RegularizedPowerGrowth(GrowthFunction):
     """g(t) = (mu + t^2)^((p-2)/2) t, mu > 0; the classical regularized p-kernel."""
-
-    kind = "regularized_power"
 
     def __init__(self, p: float, mu: float):
         if not np.isfinite(p) or p < 2.0:
@@ -236,8 +235,6 @@ class TabulatedGrowth(GrowthFunction):
     the edge pair of nodes.  Tables whose estimated lower index falls below
     1 are rejected.
     """
-
-    kind = "tabulated"
 
     def __init__(self, nodes, values):
         from scipy.interpolate import PchipInterpolator
@@ -369,11 +366,10 @@ GROWTH_KINDS = {
 }
 
 
-def estimate_indices(gf: GrowthFunction, samples: int = 4096):
-    """Sampled (inf, sup) of the elasticity t g'(t)/g(t) on a log grid."""
-    if samples < 16:
-        raise InsufficientDataError("need at least 16 samples to estimate indices")
+def estimate_indices(gf: GrowthFunction):
+    """Sampled (inf, sup) of the elasticity t g'(t)/g(t) on a log grid of
+    4096 points."""
     lo, hi = gf._index_sample_range()
-    t = np.geomspace(lo, hi, samples)
+    t = np.geomspace(lo, hi, 4096)
     ratio = t * gf.dg(t) / gf.g(t)
     return float(ratio.min()), float(ratio.max())

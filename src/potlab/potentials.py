@@ -320,9 +320,8 @@ class PointLadder:
         return _mass_sup(self.radii, beta, self.masses)
 
 
-def radial_potential_profile(growth: GrowthFunction, mass: float, r, *,
-                             r_ref: float = 1.0, c0: float = 1.0):
-    """Radial potential with unit flux balance: u(r) = c0 - int_{r_ref}^{r}
+def radial_potential_profile(growth: GrowthFunction, mass: float, r, *, c0: float = 1.0):
+    """Radial potential with unit flux balance: u(r) = c0 - int_1^r
     g^{-1}(mass / (2 pi s)) ds, the field a centered source generates.
 
     Power growths integrate in closed form; general growths use a dense
@@ -335,17 +334,17 @@ def radial_potential_profile(growth: GrowthFunction, mass: float, r, *,
         p = growth.p
         A = (mass / (2 * np.pi)) ** (1.0 / (p - 1.0))
         if p == 2.0:
-            return c0 - A * np.log(r / r_ref)
+            return c0 - A * np.log(r)
         kappa = (p - 2.0) / (p - 1.0)
-        return c0 - A * (r**kappa - r_ref**kappa) / kappa
-    lo = min(float(r.min()), r_ref) / 2.0
-    hi = max(float(r.max()), r_ref) * 2.0
+        return c0 - A * (r**kappa - 1.0) / kappa
+    lo = min(float(r.min()), 1.0) / 2.0
+    hi = max(float(r.max()), 1.0) * 2.0
     s = np.geomspace(lo, hi, 4096)
     integrand = growth.g_inverse(mass / (2 * np.pi * s))
     trapezoids = np.diff(s) * (integrand[1:] + integrand[:-1]) / 2.0
     cum = np.concatenate([[0.0], np.cumsum(trapezoids)])
     at = np.interp(r, s, cum)
-    at_ref = np.interp(r_ref, s, cum)
+    at_ref = np.interp(1.0, s, cum)
     return c0 - (at - at_ref)
 
 

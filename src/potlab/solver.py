@@ -595,9 +595,8 @@ def frozen_problem(prob: ObstacleProblem, ball) -> ObstacleProblem:
     for the coefficient-times-kernel field, exactly a_bar(eta) = mean(omega) kernel(|eta|) eta."""
     grid = prob.grid
     nodes = ball_nodes(grid, *ball)  # a ball outside the domain raises before omega is read
-    coef = prob.field.coefficient
-    mean = float(coef.on_nodes(grid)[nodes].mean())
-    frozen = constant_coefficient(mean, c_low=coef.c_low, c_high=coef.c_high)
+    mean = float(prob.field.coefficient.on_nodes(grid)[nodes].mean())
+    frozen = constant_coefficient(mean)
     return replace(prob, field=VectorField(prob.field.growth, frozen))
 
 

@@ -126,7 +126,7 @@ def test_criterion_5_solver_oracles(dirac_seq_128, dirac_cfg):
     field2 = VectorField(PowerGrowth(2.0), constant_coefficient(1.0))
     full = GridFunction.from_callable(g, lambda X, Y: X)
     vals = np.zeros_like(full.values)
-    ring = g.ring_mask()
+    ring = ~g.interior_mask()
     vals[ring] = full.values[ring]
     from potlab.solver import ObstacleProblem
     sol_a = solve_equation(

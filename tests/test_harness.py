@@ -45,6 +45,7 @@ from potlab.harness.config import (
     SWEEP_AXES,
     ExperimentConfig,
     Instance,
+    build_growth,
     build_instance,
     cells,
     load_config,
@@ -364,7 +365,7 @@ def test_chain_without_an_obstacle_has_a_zero_flux(no_data_solved):
     assert list(rows) == ["w1", "w2", "w3", "w4"]
     assert rows["w1"].rhs == 0.0  # no measure: the inhomogeneity term is zero
     assert [rows[s].flag.split()[-1] for s in ("w3", "w4")] == ["chain-w3", "chain-w4"]
-    assert all(rows[s].rhs == checks._g_inverse(inst, R / 2) for s in ("w3", "w4"))
+    assert all(rows[s].rhs == inst.growth.g_inverse(R / 2) for s in ("w3", "w4"))
 
 
 # -- the ratio-stability gate ------------------------------------------------------
@@ -1500,6 +1501,21 @@ def test_comparison_ratios_are_invariant_under_rhs_scale_at_p2(name):
     ratios = [r.ratio for r in rep.rows if r.ratio is not None]
     assert cfg.sweep["scale"] == [1.0, 4.0, 16.0] and len(ratios) == 3
     assert max(ratios) / min(ratios) - 1.0 <= 1e-10
+
+
+def test_comparison_on_regularized_growth_passes_in_its_orlicz_form(tmp_path):
+    # dirac.ini on g(t) = (mu + t^2)^((p-2)/2) t, whose lower index is 1:
+    # the power form s^(1/ig) = s of the data term drifts 3.9 across the
+    # source scales 1, 4, 16, and the data term g^{-1}(s) about 1.1
+    text = (CONFIGS / "dirac.ini").read_text()
+    text = text.replace("kind = power\np = 2.0", "kind = regularized_power\np = 3\nmu = 0.25")
+    text = text.replace("n = 64, 128", "n = 32, 64")
+    path = tmp_path / "dirac.ini"
+    path.write_text(text)
+    cfg = load_config(path)
+    assert isinstance(build_growth(cfg), RegularizedPowerGrowth)
+    rep = CHECKS["comparison_inhomogeneous"](cfg, SolveCache(), np.random.default_rng(0))
+    assert rep.passed and rep.summary["drift"] < 1.5
 
 
 def test_comparison_without_right_hand_data_notes_once():

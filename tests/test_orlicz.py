@@ -129,11 +129,6 @@ def test_estimate_indices_regularized():
     assert hi == pytest.approx(2.0, abs=1e-6)
 
 
-def test_estimate_indices_needs_samples():
-    with pytest.raises(InsufficientDataError):
-        estimate_indices(PowerGrowth(2.0), samples=4)
-
-
 def test_sobolev_S_values():
     growth = PowerGrowth(2.0)
     assert growth.S(2.0, 2) == pytest.approx(2.0)
@@ -166,6 +161,23 @@ def test_power_S_inverse_closed_form_matches_the_bisection(p, n):
         growth.S_inverse(-1.0, n)
     with pytest.raises(DomainError):
         growth.S_inverse(1.0, 1)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.0])
+def test_power_g_inverse_closed_form_matches_the_bisection(p):
+    growth = PowerGrowth(p)
+    s = np.array([0.0, 1e-9, 0.02, 1.0, 3.7, 250.0, 1e6])
+    got = growth.g_inverse(s)
+    want = GrowthFunction.g_inverse(growth, s)
+    # numpy's array ** and Python's scalar pow may differ in the last bit
+    assert got[0] == 0.0 and np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.allclose(growth.g(got[1:]), s[1:], rtol=1e-13, atol=0.0)
+    one = growth.g_inverse(3.7)
+    assert isinstance(one, float) and one == pytest.approx(got[4], rel=1e-15)
+    if p == 2.0:  # g is the identity: its inverse returns s bit for bit
+        assert np.array_equal(got, s) and one == 3.7
+    with pytest.raises(DomainError):
+        growth.g_inverse(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +328,7 @@ def test_make_growth_factory(tmp_path):
     path = tmp_path / "table.txt"
     np.savetxt(path, np.column_stack([t, v]))
     tab = growth(kind="tabulated", file=path.name)
-    assert tab.kind == "tabulated"
+    assert isinstance(tab, TabulatedGrowth)
     with pytest.raises(DataError):
         growth(kind="unknown")
     path.write_text("1 2\n3 four\n")

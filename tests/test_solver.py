@@ -52,7 +52,7 @@ def ring_only(grid, fn):
     """Boundary data with zeroed interior, to deny the solver a free start."""
     full = GridFunction.from_callable(grid, fn)
     vals = np.zeros_like(full.values)
-    ring = grid.ring_mask()
+    ring = ~grid.interior_mask()
     vals[ring] = full.values[ring]
     return GridFunction(grid, vals)
 
@@ -203,7 +203,7 @@ def test_feasibility_and_trace():
     bdata = GridFunction.constant(g, 0.0)
     sol = solve_vi(ObstacleProblem(field=unit_field(2.0), boundary=bdata, obstacle=psi), CFG)
     assert np.all(sol.u.values >= psi.values - 1e-12)
-    ring = g.ring_mask()
+    ring = ~g.interior_mask()
     assert np.array_equal(sol.u.values[ring], bdata.values[ring])
     assert sol.complementarity <= 10 * CFG.tol
     # the obstacle is active somewhere for this instance
@@ -601,7 +601,7 @@ def test_kkt_conditions_hold(n, p, height, curvature, trace, source):
     psi = GridFunction.from_callable(
         g, lambda X, Y: height - curvature * ((X - 0.4) ** 2 + (Y - 0.55) ** 2)
     )
-    ring = g.ring_mask()
+    ring = ~g.interior_mask()
     bvals = np.where(ring, np.maximum(trace * g.X, psi.values), 0.0)
     prob = ObstacleProblem(
         field=unit_field(p),
