@@ -19,6 +19,9 @@ a maximal function of either) enters through the growth's own inverse
 term of every row with a cell: one case per row of
 ``test_check_fails_on_wrong_bound`` in ``tests/test_harness.py``.
 
+Six checks read a solved cell's fields from its one ``EstimateContext``
+(``primary_context``); the other three read their solves directly.
+
 One gate decides every ratio check.  It passes when all of these hold:
 
 * no row is flagged ``failed``;
@@ -48,11 +51,11 @@ from ..grid import (
     ball_average,
     ball_center,
     ball_mass,
-    ball_nodes,
     ball_offsets,
     gradient,
     median,
 )
+from ..orlicz import N_DIM
 from ..potentials import (
     PointLadder,
     WolffLadder,
@@ -62,7 +65,7 @@ from ..potentials import (
 )
 from ..solver import (
     Solution,
-    _ball_free_mask,
+    ball_solve_reads,
     comparison_chain,
     finest_level,
     mollify_measure,
@@ -95,6 +98,8 @@ __all__ = [
 
 _RHS_FLOOR = 1e-14
 DRIFT_LIMIT = 3.0
+# the contexts' modulus radius: 2R of the largest ball, R = 0.2 (_FROZEN_BALL, _ERRORS_BALL)
+_MODULUS_RADIUS = 0.4
 # the sample-point seed of ``run_checks`` and of ``potlab --seed``
 DEFAULT_SEED = 12345
 
@@ -237,12 +242,6 @@ def grad_fields(u: GridFunction):
     return gx, gy, mag
 
 
-def _G_obstacle_gradient(inst: Instance):
-    """G(|Dpsi|) on the nodes of the instance's obstacle."""
-    px, py = gradient(inst.obstacle)
-    return inst.growth.G(np.hypot(px.values, py.values))
-
-
 def grad_distance_field(u1: GridFunction, u2: GridFunction) -> GridFunction:
     g1x, g1y = gradient(u1)
     g2x, g2y = gradient(u2)
@@ -295,11 +294,11 @@ def sample_points(rng, count: int, lo: float, hi: float, atoms=(), min_sep: floa
 
 @dataclass
 class EstimateContext:
-    """Everything the pointwise-estimate assemblies consume, built once per
-    solved instance: gradient fields, the obstacle measure (no atoms, the
-    obstacle kernel as density), the G(|Dpsi|) + G(|psi|) field, both zero
-    without an obstacle, and the oscillation modulus.  The inner cutoff of
-    every ladder is the grid's resolution floor, ``inst.grid.r_min``."""
+    """The fields the checks read of one solved instance, built once per
+    instance: gradient fields, the obstacle measure (no atoms, the obstacle
+    kernel as density), G(|Dpsi|) and G(|Dpsi|) + G(|psi|), all zero without
+    an obstacle, and the oscillation modulus up to ``_MODULUS_RADIUS``.  The
+    inner cutoff of every ladder is the grid's floor, ``inst.grid.r_min``."""
 
     inst: Instance
     u: GridFunction
@@ -307,22 +306,22 @@ class EstimateContext:
     du_y: GridFunction
     du_mag: GridFunction
     obstacle_measure: MeasureData
+    G_dpsi: GridFunction
     gpsi: GridFunction
     modulus: OscillationModulus
 
 
-def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateContext:
+def build_context(inst: Instance, solution: Solution) -> EstimateContext:
     """The context of ``solution``; the one place that decides about the obstacle."""
     gx, gy, mag = grad_fields(solution.u)
     if inst.obstacle is None:
-        gpsi = GridFunction.constant(inst.grid, 0.0)
-        obstacle_measure = MeasureData([], gpsi)
+        G_dpsi = gpsi = GridFunction.constant(inst.grid, 0.0)
+        obstacle_measure = MeasureData([], G_dpsi)
     else:
-        obstacle_measure = MeasureData([], obstacle_kernel(inst.obstacle, inst.growth))
-        gpsi = inst.obstacle.with_values(
-            _G_obstacle_gradient(inst) + inst.growth.G(np.abs(inst.obstacle.values))
-        )
-    modulus = inst.field.oscillation_modulus(inst.grid, r_max)
+        psi = inst.obstacle
+        obstacle_measure = MeasureData([], obstacle_kernel(psi, inst.growth))
+        G_dpsi = psi.with_values(inst.growth.G(grad_fields(psi)[2].values))
+        gpsi = psi.with_values(G_dpsi.values + inst.growth.G(np.abs(psi.values)))
     return EstimateContext(
         inst=inst,
         u=solution.u,
@@ -330,15 +329,16 @@ def build_context(inst: Instance, solution: Solution, r_max: float) -> EstimateC
         du_y=gy,
         du_mag=mag,
         obstacle_measure=obstacle_measure,
+        G_dpsi=G_dpsi,
         gpsi=gpsi,
-        modulus=modulus,
+        modulus=inst.field.oscillation_modulus(inst.grid, _MODULUS_RADIUS),
     )
 
 
-def primary_context(cache: SolveCache, inst: Instance, r_max: float) -> EstimateContext:
+def primary_context(cache: SolveCache, inst: Instance) -> EstimateContext:
     """``build_context`` of the instance's own solution, memoised."""
     sol = primary_solution(cache, inst)
-    return cache.get((inst.key, "ctx", r_max), lambda: build_context(inst, sol, r_max))
+    return cache.get((inst.key, "ctx"), lambda: build_context(inst, sol))
 
 
 def _dini_term(ctx: EstimateContext, x, r: float, alpha_hat: float) -> float:
@@ -422,7 +422,7 @@ def gradient_oscillation_rhs(ctx: EstimateContext, du_avg: float, x, y, R: float
 
 def measure_error_term(inst: Instance, x, R: float) -> float:
     """g^{-1}(|mu|(closed B_R) / R^(n-1)); zero for the zero measure."""
-    return inst.growth.g_inverse(ball_mass(inst.measure, x, R) / R ** (2 - 1))
+    return inst.growth.g_inverse(ball_mass(inst.measure, x, R) / R ** (N_DIM - 1))
 
 
 def obstacle_error_term(ctx: EstimateContext, x, R: float) -> float:
@@ -498,16 +498,12 @@ def _frozen_row(study: RatioStudy, ctx: EstimateContext, w1: Solution, w2: Solut
     """Record avg_{B_r}|Dw1 - Dw2| on ``ball`` = B_r, w2 frozen on it, against
     the ``coefficient`` term omega(r)^(1/(1+sg)) {avg_{B_2r}|Dw1| +
     G^{-1}[avg(G|Dpsi| + G|psi|)]}, or against no term (an exact match)
-    when omega is one value on all the frozen solve reads: the ball's nodes
-    (its mean) and each cell with a free corner (its energy)."""
+    when omega is one value on all that a ball solve reads
+    (``solver.ball_solve_reads``)."""
     inst = ctx.inst
     x, r = ball
-    coef = inst.field.coefficient
-    free = _ball_free_mask(inst.grid, ball)
-    read_cells = free[:-1, :-1] | free[1:, :-1] | free[:-1, 1:] | free[1:, 1:]
-    read = np.concatenate([coef.on_nodes(inst.grid)[ball_nodes(inst.grid, x, r)],
-                           coef.on_cells(inst.grid)[read_cells]])
     lhs = ball_average(grad_distance_field(w1.u, w2.u), x, r)
+    read = ball_solve_reads(inst.problem(), ball)
     terms = {} if np.ptp(read) <= 1e-12 else {"coefficient": coefficient_error_term(
         ctx, grad_fields(w1.u)[2], x, r, 2 * r)}
     return study.add(x, r, lhs, terms, exact_tol=10 * inst.solver.tol, **row)
@@ -546,7 +542,7 @@ def check_frozen_coefficient(cfg: ExperimentConfig, cache: SolveCache, rng) -> C
     the frozen solve of w1(B_R) on the same ball, by ``_frozen_row``."""
     study = RatioStudy()
     for cell, inst in cells(cfg, "amplitude"):
-        ctx = primary_context(cache, inst, 2 * _FROZEN_BALL[1])
+        ctx = primary_context(cache, inst)
         for ball, ball_cell in ((_FROZEN_BALL, cell), (_FROZEN_SIDE_BALL, None)):
             w1 = comparison_w1(cache, inst, ball)
             w2 = cache.get((inst.key, "w2", ball), lambda: solve_frozen(
@@ -566,21 +562,19 @@ def check_caccioppoli(cfg: ExperimentConfig, cache: SolveCache, rng) -> CheckRep
     center, R0 = _CACCIOPPOLI_BALL
     study = RatioStudy()
     for cell, inst in cells(cfg, "scale"):
-        sol = primary_solution(cache, inst)
-        growth = inst.growth
-        psi = inst.obstacle
-        G_dpsi = None if psi is None else _G_obstacle_gradient(inst)
-        _, _, mag = grad_fields(sol.u)
-        G_du = sol.u.with_values(growth.G(mag.values))
+        ctx = primary_context(cache, inst)
+        u, growth, psi = ctx.u, inst.growth, inst.obstacle
+        G_du = u.with_values(growth.G(ctx.du_mag.values))
         radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(R / 2)]
         for R in radii:
-            lam = ball_average(sol.u, center, R)
+            lam = ball_average(u, center, R)
             lhs = ball_average(G_du, center, R / 2)
             terms = {"oscillation": ball_average(
-                sol.u.with_values(growth.G(np.abs(sol.u.values - lam) / R)), center, R)}
+                u.with_values(growth.G(np.abs(u.values - lam) / R)), center, R)}
             if psi is not None:
                 terms["obstacle"] = ball_average(
-                    psi.with_values(growth.G(np.abs(psi.values) / R) + G_dpsi), center, R)
+                    psi.with_values(growth.G(np.abs(psi.values) / R) + ctx.G_dpsi.values),
+                    center, R)
             # the cell's constant is the worst ratio over the radius
             # ladder (at slack radii the bound is simply not sharp)
             study.add(center, R, lhs, terms, cell=cell)
@@ -598,22 +592,17 @@ def check_reverse_holder(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
     center, R0 = _REVERSE_HOLDER_BALL
     study = RatioStudy()
     for cell, inst in cells(cfg, "scale"):
-        sol = primary_solution(cache, inst)
-        growth = inst.growth
+        ctx = primary_context(cache, inst)
+        growth, psi = inst.growth, inst.obstacle
         # shift data so u >= 0; the homogeneous problem is invariant
-        shift = min(0.0, float(sol.u.values.min()))
-        _, _, mag = grad_fields(sol.u)
-        G_du = sol.u.with_values(growth.G(mag.values))
-        psi_term = None
-        if inst.obstacle is not None:
-            psi_shift = inst.obstacle.values - shift
-            psi_term = inst.obstacle.with_values(
-                _G_obstacle_gradient(inst) + growth.G(np.abs(psi_shift))
-            )
+        shift = min(0.0, float(ctx.u.values.min()))
+        G_du = ctx.u.with_values(growth.G(ctx.du_mag.values))
+        psi_term = None if psi is None else psi.with_values(
+            ctx.G_dpsi.values + growth.G(np.abs(psi.values - shift)))
         radii = [R for R in (R0, R0 / 2, R0 / 4) if inst.grid.resolves(3 * R / 4)]
         for R in radii:
             lhs = ball_average(G_du, center, 3 * R / 4)
-            terms = {"du": float(growth.G(ball_average(mag, center, R)))}
+            terms = {"du": float(growth.G(ball_average(ctx.du_mag, center, R)))}
             if psi_term is not None:
                 terms["obstacle"] = ball_average(psi_term, center, R)
             study.add(center, R, lhs, terms, cell=cell)
@@ -647,8 +636,8 @@ def check_sobolev_median(cfg: ExperimentConfig, cache: SolveCache, rng) -> Check
             ))
             S_vals = np.zeros_like(mag.values)
             pos = mag.values > 0
-            S_vals[pos] = growth.S(mag.values[pos], 2)
-            du = float(growth.S_inverse(ball_average(u.with_values(S_vals), center, R), 2))
+            S_vals[pos] = growth.S(mag.values[pos])
+            du = float(growth.S_inverse(ball_average(u.with_values(S_vals), center, R)))
             study.add(center, R, lhs, {"du": du}, cell=n, family=label)
     # the reported drift is the worst field's: the fields differ in kind
     drifts = [d for d in study.family_drifts().values() if d is not None]
@@ -714,7 +703,7 @@ def check_excess_decay_with_errors(cfg: ExperimentConfig, cache: SolveCache, rng
     study = RatioStudy()
     notes: list[str] = []
     for (n, inst), (_, hinst) in zip(cells(cfg), cells(_homogeneous_config(cfg))):
-        ctx = primary_context(cache, inst, 2 * R)
+        ctx = primary_context(cache, inst)
         beta_hat = _homogeneous_fit(cache, hinst)[1]
         w1 = comparison_w1(cache, inst, _ERRORS_BALL)
         chain = cache.get((inst.key, "chain", _ERRORS_BALL), lambda: comparison_chain(
@@ -792,7 +781,7 @@ def check_maximal_estimates(cfg: ExperimentConfig, cache: SolveCache, rng) -> Ch
     study = RatioStudy()
     alpha0_gap = 0.0
     for n, inst in cell_list:
-        ctx = primary_context(cache, inst, 2 * R)
+        ctx = primary_context(cache, inst)
         gathered = [(x, ladder, wolff_ladders(ctx, x, R))
                     for x, ladder in zip(points, point_ladders(ctx, points, R))]
         for (_, ladder, _), direct in zip(gathered, _direct_beta0(ctx, points, R)):
@@ -845,7 +834,7 @@ def check_gradient_bounds(cfg: ExperimentConfig, cache: SolveCache, rng) -> Chec
     alpha = max(alphas)
     study = RatioStudy()
     for n, inst in cell_list:
-        ctx = primary_context(cache, inst, 2 * R)
+        ctx = primary_context(cache, inst)
         for x0, ang in zip(points, angles):
             du_avg = ball_average(ctx.du_mag, x0, R)
             lhs = float(np.hypot(ctx.du_x.at_node(x0), ctx.du_y.at_node(x0)))

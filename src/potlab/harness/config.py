@@ -131,7 +131,8 @@ def _refuse_twice(label: str, values: list) -> None:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # no file line spells this name: [DEFAULT] is an ordinary section, refused by name
+    parser = configparser.ConfigParser(default_section="\n")
     try:
         found = parser.read(str(path))
     except configparser.Error as exc:
@@ -258,11 +259,14 @@ def _bump(height=0.25, radius=0.3, cx=0.5, cy=0.5, floor=-0.05):
     return fn
 
 
-def _fundamental(growth, measure, c0=1.0):
-    """The radial potential of the measure's first atom."""
+def _fundamental(growth, measure, grid, c0=1.0):
+    """The radial potential of the measure's first atom, which sits on no node."""
     if not measure.atoms:
         raise DataError("fundamental boundary preset needs an atom in the measure")
     ax, ay, mass = measure.atoms[0]
+    if np.any((grid.X == ax) & (grid.Y == ay)):
+        raise DataError(f"[boundary] fundamental: the atom ({ax}, {ay}) sits on a node of "
+                        f"the n = {grid.n} mesh, where its radial potential is infinite")
     return lambda X, Y: radial_potential_profile(growth, abs(mass), np.hypot(X - ax, Y - ay),
                                                  c0=c0)
 
@@ -437,7 +441,7 @@ def _realize_cell(cfg: ExperimentConfig, built: dict, n: int, data_scale: float,
     obstacle = _on_grid("obstacle", _realize(cfg, "obstacle", OBSTACLE_PRESETS, cfg.obstacle,
                                              "none"), grid, data_scale)
     boundary = _on_grid("boundary", _realize(cfg, "boundary", BOUNDARY_PRESETS, cfg.boundary,
-                                             "zero", growth=growth, measure=measure),
+                                             "zero", growth=growth, measure=measure, grid=grid),
                         grid, data_scale)
     measure = measure.scaled(data_scale * rhs_scale)
     scales = cfg.sweep.get("scale", [1.0])

@@ -5,7 +5,7 @@ vanishes only at 0, and its elasticity t*g'(t)/g(t) is pinned between the
 lower index ig >= 1 and the upper index sg.  Its antiderivative
 G(t) = int_0^t g is a strictly convex N-function; this module supplies G,
 its inverse, the Young conjugate G*, index estimation, and the Sobolev
-companion S(t) = G(t) * (G(t)/t)^(-1/n).
+companion S(t) = G(t) * (G(t)/t)^(-1/n) in the lab's dimension n = ``N_DIM``.
 
 Supported kinds, by their names in ``GROWTH_KINDS``:
 
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DataError, DomainError, InsufficientDataError, RangeError
 
 __all__ = [
+    "N_DIM",
     "GrowthFunction",
     "PowerGrowth",
     "RegularizedPowerGrowth",
@@ -34,6 +35,8 @@ __all__ = [
     "GROWTH_KINDS",
     "estimate_indices",
 ]
+
+N_DIM = 2  # the dimension n of every grid, potential and Sobolev companion: planar only
 
 
 def _checked(t, name="t"):
@@ -110,21 +113,17 @@ class GrowthFunction:
             return np.maximum(s * t - self.G(t), 0.0)
         return _map_positive(s, legendre)
 
-    def S(self, t, n: int):
-        """Sobolev companion S(t) = G(t) (G(t)/t)^(-1/n) for t > 0."""
-        if n < 2:
-            raise DomainError("dimension must be at least 2")
+    def S(self, t):
+        """Sobolev companion S(t) = G(t) (G(t)/t)^(-1/n) for t > 0, n = ``N_DIM``."""
         arr = _checked(t)
         if np.any(arr <= 0):
             raise DomainError("S is defined for t > 0 only")
         Gt = self.G(arr)
-        return _like(Gt * (Gt / arr) ** (-1.0 / n), t)
+        return _like(Gt * (Gt / arr) ** (-1.0 / N_DIM), t)
 
-    def S_inverse(self, s, n: int):
-        """Invert the strictly increasing map t -> S(t, n) by bisection."""
-        return _map_positive(
-            s, lambda s: _bisect_increasing(lambda t: self.S(t, n), s, 1e-14, 1e14)
-        )
+    def S_inverse(self, s):
+        """Invert the strictly increasing map t -> S(t) by bisection."""
+        return _map_positive(s, lambda s: _bisect_increasing(self.S, s, 1e-14, 1e14))
 
     def _index_sample_range(self):
         return 1e-8, 1e8
@@ -163,12 +162,10 @@ class PowerGrowth(GrowthFunction):
         arr = _checked(s, "s")
         return _like(arr ** (1.0 / (self.p - 1.0)), s)
 
-    def S_inverse(self, s, n: int):
+    def S_inverse(self, s):
         """S(t) = p^(-1+1/n) t^(p-(p-1)/n), inverted in closed form."""
-        if n < 2:
-            raise DomainError("dimension must be at least 2")
         arr = _checked(s, "s")
-        return _like((arr * self.p ** (1 - 1 / n)) ** (1 / (self.p - (self.p - 1) / n)), s)
+        return _like((arr * self.p ** (1 - 1 / N_DIM)) ** (1 / (self.p - (self.p - 1) / N_DIM)), s)
 
     def __repr__(self):
         return f"PowerGrowth(p={self.p})"

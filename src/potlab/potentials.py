@@ -41,10 +41,9 @@ from .grid import (
     gradient,
     hessian,
 )
-from .orlicz import GrowthFunction, PowerGrowth
+from .orlicz import N_DIM, GrowthFunction, PowerGrowth
 
 __all__ = [
-    "N_DIM",
     "WolffLadder",
     "obstacle_kernel",
     "wolff",
@@ -59,8 +58,6 @@ __all__ = [
     "radial_potential_profile",
     "write_potential_csv",
 ]
-
-N_DIM = 2  # planar grids only
 
 
 def _check_wolff_exponents(beta: float, p: float) -> None:

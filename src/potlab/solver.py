@@ -91,6 +91,7 @@ __all__ = [
     "solve_equation",
     "solve_frozen",
     "frozen_problem",
+    "ball_solve_reads",
     "finest_level",
     "mollify_measure",
     "solve_op_sequence",
@@ -598,6 +599,17 @@ def frozen_problem(prob: ObstacleProblem, ball) -> ObstacleProblem:
     mean = float(prob.field.coefficient.on_nodes(grid)[nodes].mean())
     frozen = constant_coefficient(mean)
     return replace(prob, field=VectorField(prob.field.growth, frozen))
+
+
+def ball_solve_reads(prob: ObstacleProblem, ball) -> np.ndarray:
+    """The omega values a ball solve of ``prob`` reads: at the ball's
+    ``ball_nodes`` (the mean ``frozen_problem`` takes) and on each cell with
+    a free corner (its energy); where they are one value, freezing changes nothing."""
+    grid, coef = prob.grid, prob.field.coefficient
+    free = _ball_free_mask(grid, ball)
+    cells = free[:-1, :-1] | free[1:, :-1] | free[:-1, 1:] | free[1:, 1:]
+    return np.concatenate([coef.on_nodes(grid)[ball_nodes(grid, *ball)],
+                           coef.on_cells(grid)[cells]])
 
 
 def _bump_radius(level: int) -> float:

@@ -218,14 +218,7 @@ def dirac_solved(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dirac_context(dirac_solved):
-    return build_context(*dirac_solved, 0.3)
-
-
-def test_context_at_the_resolution_floor(dirac_solved):
-    # at r_max = 2h the context builds a one-radius modulus
-    inst, sol = dirac_solved
-    ctx = build_context(inst, sol, inst.grid.r_min)
-    assert ctx.modulus.radii.tolist() == [inst.grid.r_min]
+    return build_context(*dirac_solved)
 
 
 def _rhs(terms):
@@ -316,7 +309,7 @@ NO_DATA = ExperimentConfig(coefficient={"preset": "jump", "amplitude": 0.3},
 def no_data_solved():
     cache = SolveCache()
     inst = build_instance(NO_DATA, 32)
-    return cache, checks.primary_context(cache, inst, 0.3)
+    return cache, checks.primary_context(cache, inst)
 
 
 def test_absent_data_adds_zero_to_every_estimate(no_data_solved):
@@ -699,7 +692,7 @@ def scaled_bound_terms(tmp_path_factory):
     for name, cfg, n in (("dirac", load_config(path), 48),
                          ("contact", load_config(CONFIGS / "contact.ini"), 32)):
         out[name] = [_gradient_bound_terms(checks.primary_context(
-            SolveCache(), build_instance(cfg, n, data_scale=s), 0.3), (0.45, 0.55), 0.15, 0.3)
+            SolveCache(), build_instance(cfg, n, data_scale=s)), (0.45, 0.55), 0.15, 0.3)
             for s in (1.0, 4.0)]
     return out
 
@@ -756,7 +749,7 @@ def _ladder_context(tmp_path, measure, boundary):
     path = tmp_path / "ladder.ini"
     path.write_text(DIRAC.replace("atoms = 0.5 0.5 1.0", measure)
                     .replace("preset = fundamental", f"preset = {boundary}"))
-    return checks.primary_context(SolveCache(), build_instance(load_config(path), 64), 0.3)
+    return checks.primary_context(SolveCache(), build_instance(load_config(path), 64))
 
 
 @pytest.mark.parametrize("measure, boundary", [("atoms = 0.5 0.5 1.0", "fundamental"),
@@ -895,7 +888,7 @@ def test_direct_beta0_is_the_per_point_loop_bitwise(dirac_two_meshes, monkeypatc
     # bitwise that of its own loop, and no ball query through ball_nodes
     cfg, cache = dirac_two_meshes
     cell_list, R, points, _ = checks._estimate_setup(cfg, cache, np.random.default_rng([5, 0]))
-    contexts = [checks.primary_context(cache, inst, 2 * R) for _, inst in cell_list]
+    contexts = [checks.primary_context(cache, inst) for _, inst in cell_list]
     want = [[_per_point_beta0(ctx, x, R) for x in points] for ctx in contexts]
     assert len(contexts) == 2
     calls = _count_grid_calls(monkeypatch, "ball_nodes")
@@ -1623,6 +1616,9 @@ def test_the_fundamental_trace_scales_with_the_data_only():
     ("n = 64, 128", "n =", "[sweep] n lists no value"),
     # the domain is the unit square and the meshes are [sweep] n
     ("[solver]\n", "[grid]\nn = 128\n\n[solver]\n", "the meshes are [sweep] n"),
+    # [DEFAULT] is a section like any other, not keys merged into every section
+    ("[solver]\n", "[DEFAULT]\ntol = 1e-6\n\n[solver]\n", "[DEFAULT] is not a section"),
+    ("[solver]\n", "[DEFAULT]\n\n[solver]\n", "[DEFAULT] is not a section"),
     # meshes are integers, the other axes numbers; an integer setting takes
     # no fraction
     ("n = 64, 128", "n = 64, abc", "[sweep] n must be an integer, got 'abc'"),
@@ -1705,6 +1701,18 @@ def test_cli_solve_bad_parameter_exits_one(tmp_path, capsys, old, new, message):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_a_fundamental_trace_with_its_atom_on_a_node_names_the_atom(tmp_path, capsys):
+    # an atom on the n = 64 node (32.5/64, 32.5/64) has an infinite radial
+    # potential on that node
+    path = tmp_path / "dirac.ini"
+    path.write_text((CONFIGS / "dirac.ini").read_text().replace(
+        "atoms = 0.5 0.5 1.0", "atoms = 0.5078125 0.5078125 1.0").replace("n = 64, 128", "n = 64"))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: [boundary] fundamental: the atom (0.5078125, 0.5078125) sits on a "
+                   "node of the n = 64 mesh, where its radial potential is infinite"]
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
@@ -2116,7 +2124,7 @@ def test_no_build_starts_inside_another(name):
     assert set(cache.open_at_build) == {0}
 
 
-@pytest.mark.parametrize("name, hits, misses", [("contact.ini", 13, 6), ("dirac.ini", 40, 30)])
+@pytest.mark.parametrize("name, hits, misses", [("contact.ini", 19, 12), ("dirac.ini", 42, 28)])
 def test_cache_hits_count_only_shared_values(monkeypatch, name, hits, misses):
     # a hit is a value that a second check shares: a cell found in the cache
     # resolves no warm start, so no hit is a lookup of its linked cell
@@ -2132,6 +2140,20 @@ def test_cache_hits_count_only_shared_values(monkeypatch, name, hits, misses):
     assert (cache.hits, cache.misses) == (hits, misses)
     # each warm start is resolved for a solve that is then built
     assert 0 < len(resolved) <= cache.misses
+
+
+def test_each_solved_cell_builds_one_context(monkeypatch):
+    # the checks that read a solved cell's fields share its one context:
+    # dirac.ini's estimate and excess-decay checks read one per mesh
+    built = []
+    build = checks.build_context
+
+    def counted(inst, *args):
+        built.append(inst.key)
+        return build(inst, *args)
+    monkeypatch.setattr(checks, "build_context", counted)
+    run_checks(load_config(CONFIGS / "dirac.ini"))
+    assert len(built) == len(set(built)) == 2
 
 
 def test_cells_realize_each_cell_once(tmp_path, monkeypatch):

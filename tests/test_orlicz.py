@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from potlab.errors import DataError, DomainError, InsufficientDataError, RangeError
 from potlab.harness.config import ExperimentConfig, build_growth
 from potlab.orlicz import (
+    N_DIM,
     GrowthFunction,
     PowerGrowth,
     RegularizedPowerGrowth,
@@ -131,36 +132,37 @@ def test_estimate_indices_regularized():
 
 def test_sobolev_S_values():
     growth = PowerGrowth(2.0)
-    assert growth.S(2.0, 2) == pytest.approx(2.0)
-    assert growth.S(1.0, 2) == pytest.approx(0.5 * 0.5**-0.5)
-    assert PowerGrowth(3.0).S(1.0, 2) == pytest.approx(
+    assert growth.S(2.0) == pytest.approx(2.0)
+    assert growth.S(1.0) == pytest.approx(0.5 * 0.5**-0.5)
+    assert PowerGrowth(3.0).S(1.0) == pytest.approx(
         (1 / 3) * (1 / 3) ** -0.5
     )
     with pytest.raises(DomainError):
-        growth.S(0.0, 2)
+        growth.S(0.0)
 
 
 def test_S_inverse_roundtrip():
     growth = RegularizedPowerGrowth(3.0, 1.0)
     for t in (0.01, 0.5, 3.0, 40.0):
-        assert growth.S_inverse(growth.S(t, 2), 2) == pytest.approx(t, rel=1e-9)
+        assert growth.S_inverse(growth.S(t)) == pytest.approx(t, rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.0])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [N_DIM])
 def test_power_S_inverse_closed_form_matches_the_bisection(p, n):
+    # S is the companion in the lab's dimension n: p^(-1+1/n) t^(p-(p-1)/n)
     growth = PowerGrowth(p)
     s = np.array([0.0, 1e-9, 0.02, 1.0, 3.7, 250.0, 1e6])
-    got = growth.S_inverse(s, n)
-    want = GrowthFunction.S_inverse(growth, s, n)
+    got = growth.S_inverse(s)
+    want = GrowthFunction.S_inverse(growth, s)
     assert got[0] == 0.0 and np.allclose(got, want, rtol=1e-13, atol=0.0)
-    assert np.allclose(growth.S(got[1:], n), s[1:], rtol=1e-13, atol=0.0)
-    one = growth.S_inverse(3.7, n)
+    assert np.allclose(growth.S(got[1:]), s[1:], rtol=1e-13, atol=0.0)
+    assert np.allclose(p ** (-1 + 1 / n) * got[1:] ** (p - (p - 1) / n), s[1:],
+                       rtol=1e-12, atol=0.0)
+    one = growth.S_inverse(3.7)
     assert isinstance(one, float) and one == got[4]
     with pytest.raises(DomainError):
-        growth.S_inverse(-1.0, n)
-    with pytest.raises(DomainError):
-        growth.S_inverse(1.0, 1)
+        growth.S_inverse(-1.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.0])
